@@ -282,47 +282,6 @@ pub struct ServiceResult {
     pub p99_us: u64,
 }
 
-/// One racer's tallies inside a [`PortfolioResult`]: its portable node
-/// count summed over the group and the points it won under argmin-nodes
-/// attribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RacerTally {
-    /// Canonical backend name (`Backend::name`).
-    pub backend: String,
-    /// Total nodes over the group's points, in the backend's own node
-    /// currency, at one thread (portable).
-    pub nodes: u64,
-    /// Points this backend won — fewest nodes, earlier racer on a tie
-    /// (portable).
-    pub wins: u64,
-}
-
-/// One corpus group's portfolio-race benchmark: every entry of the group
-/// solved at mid-sweep by each default racer standalone (single-threaded,
-/// run to completion — node counts and win attribution are deterministic,
-/// hence portable) and once by the actual racing portfolio (wall time
-/// only — which racer wins a live race is timing-dependent, so the race
-/// contributes nothing portable beyond what the solo runs already pin).
-/// The run asserts byte-identical selections across all racers and the
-/// race, so the benchmark doubles as a differential gate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortfolioResult {
-    /// Feasible mid-sweep points raced.
-    pub points: u64,
-    /// Per-racer tallies, in racer-lineup order (portable).
-    pub racers: Vec<RacerTally>,
-    /// Sum over points of the *fewest* nodes any racer needed — the node
-    /// cost of a portfolio with a perfect oracle scheduler (portable).
-    pub best_nodes: u64,
-    /// Sum of branch-and-bound nodes — the single-backend baseline the
-    /// portfolio is judged against (portable).
-    pub bb_nodes: u64,
-    /// Total wall of the live `Backend::Portfolio` races (machine).
-    pub race_wall_us: u64,
-    /// Total wall of the standalone branch-and-bound solves (machine).
-    pub solo_wall_us: u64,
-}
-
 /// One corpus group's gate run: every manifest entry of a
 /// `family[:preset]` group rebuilt through its pinned digest and solved at
 /// its mid-sweep requirement (single-threaded branch-and-bound for the
@@ -365,8 +324,6 @@ pub struct SuiteReport {
     pub resolve: Vec<(String, ResolveResult)>,
     /// `(corpus group key, service-mode benchmark)` pairs, sorted by key.
     pub service: Vec<(String, ServiceResult)>,
-    /// `(corpus group key, portfolio-race benchmark)` pairs, sorted by key.
-    pub portfolio: Vec<(String, PortfolioResult)>,
 }
 
 /// Peak resident set size in kB from `/proc/self/status` (`VmHWM`).
@@ -723,146 +680,6 @@ fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
     out
 }
 
-/// The portfolio benchmark's racer line-up, in attribution order (ties go
-/// to the earlier racer). Mirrors the portfolio backend's default line-up.
-const PORTFOLIO_RACERS: [partita_core::Backend; 3] = [
-    partita_core::Backend::BranchBound,
-    partita_core::Backend::ConflictEnum,
-    partita_core::Backend::Lagrangian,
-];
-
-/// Runs the portfolio-race benchmark over the optimally-solvable corpus
-/// groups (quick mode keeps `synth:micro`): each entry's mid-sweep point is
-/// solved to completion by every default racer standalone at one thread
-/// (portable node tallies + argmin-nodes win attribution), then raced live
-/// by `Backend::Portfolio` (machine wall only).
-///
-/// Panics on any byte divergence between racers, on a racer disagreeing
-/// about feasibility, or on a raced selection failing the audit — the
-/// benchmark doubles as a differential gate for the racing backends.
-fn run_portfolio(quick: bool) -> Vec<(String, PortfolioResult)> {
-    let entries = corpus::manifest().expect("tests/corpus/manifest.json parses");
-    let mut groups: Vec<(String, Vec<corpus::ManifestEntry>)> = Vec::new();
-    for entry in entries.into_iter().filter(|e| !e.gated) {
-        let key = corpus_group(&entry);
-        if corpus_group_is_heuristic(&key) {
-            continue; // racing exact backends needs optimally-solvable points
-        }
-        if quick && key != "synth:micro" {
-            continue;
-        }
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, list)) => list.push(entry),
-            None => groups.push((key, vec![entry])),
-        }
-    }
-    let budget = SolveBudget::default()
-        .with_threads(1)
-        .with_max_nodes(usize::MAX)
-        .with_fallback(None);
-    let mut out = Vec::new();
-    for (key, list) in groups {
-        let mut result = PortfolioResult {
-            points: 0,
-            racers: PORTFOLIO_RACERS
-                .iter()
-                .map(|b| RacerTally {
-                    backend: b.name().to_string(),
-                    nodes: 0,
-                    wins: 0,
-                })
-                .collect(),
-            best_nodes: 0,
-            bb_nodes: 0,
-            race_wall_us: 0,
-            solo_wall_us: 0,
-        };
-        for entry in &list {
-            let w = entry
-                .verify()
-                .unwrap_or_else(|e| panic!("portfolio bench: {e}"));
-            let rg = w.rg_sweep[w.rg_sweep.len() / 2];
-            let opts = |backend| {
-                SolveOptions::problem2(RequiredGains::uniform(rg))
-                    .backend(backend)
-                    .budget(budget)
-            };
-            // Solo runs: portable node tallies, byte-identity asserted
-            // against the first racer (branch-and-bound).
-            let mut point_nodes: Vec<u64> = Vec::with_capacity(PORTFOLIO_RACERS.len());
-            let mut reference: Option<Selection> = None;
-            for &backend in &PORTFOLIO_RACERS {
-                let started = Instant::now();
-                let solved = Solver::new(&w.instance)
-                    .with_imps(w.imps.clone())
-                    .solve(&opts(backend));
-                if backend == partita_core::Backend::BranchBound {
-                    result.solo_wall_us += elapsed_us(started);
-                }
-                match (solved, &reference) {
-                    (Ok(sel), None) => {
-                        point_nodes.push(sel.trace.nodes_explored as u64);
-                        reference = Some(sel);
-                    }
-                    (Ok(sel), Some(base)) => {
-                        assert_eq!(
-                            sel.chosen(),
-                            base.chosen(),
-                            "portfolio bench: {} diverged from branch_bound on {}",
-                            backend,
-                            entry.id
-                        );
-                        assert_eq!(sel.total_area(), base.total_area());
-                        point_nodes.push(sel.trace.nodes_explored as u64);
-                    }
-                    (Err(partita_core::CoreError::Infeasible { .. }), None)
-                        if backend == PORTFOLIO_RACERS[0] =>
-                    {
-                        point_nodes.clear();
-                        break; // infeasible point: nothing to race
-                    }
-                    (res, _) => panic!(
-                        "portfolio bench: {} disagreed about {}: {res:?}",
-                        backend, entry.id
-                    ),
-                }
-            }
-            if point_nodes.is_empty() {
-                continue;
-            }
-            result.points += 1;
-            result.bb_nodes += point_nodes[0];
-            let winner = point_nodes
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &n)| (n, i))
-                .map(|(i, &n)| (i, n))
-                .expect("at least one racer");
-            result.best_nodes += winner.1;
-            result.racers[winner.0].wins += 1;
-            for (tally, &n) in result.racers.iter_mut().zip(&point_nodes) {
-                tally.nodes += n;
-            }
-            // The live race: machine wall, byte-identity vs the solo runs.
-            let started = Instant::now();
-            let raced = Solver::new(&w.instance)
-                .with_imps(w.imps.clone())
-                .solve(&opts(partita_core::Backend::Portfolio))
-                .unwrap_or_else(|e| panic!("portfolio bench: race failed on {}: {e}", entry.id));
-            result.race_wall_us += elapsed_us(started);
-            let base = reference.as_ref().expect("feasible reference");
-            assert_eq!(
-                raced.chosen(),
-                base.chosen(),
-                "portfolio bench: the race returned a different selection on {}",
-                entry.id
-            );
-        }
-        out.push((key, result));
-    }
-    out
-}
-
 /// Runs the whole suite per `config` and returns the report, configs
 /// sorted by key.
 #[must_use]
@@ -884,18 +701,15 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
     }
     let mut corpus = run_corpus(config.quick);
     let mut service = run_service(config.quick);
-    let mut portfolio = run_portfolio(config.quick);
     configs.sort_by(|a, b| a.0.cmp(&b.0));
     corpus.sort_by(|a, b| a.0.cmp(&b.0));
     resolve.sort_by(|a, b| a.0.cmp(&b.0));
     service.sort_by(|a, b| a.0.cmp(&b.0));
-    portfolio.sort_by(|a, b| a.0.cmp(&b.0));
     SuiteReport {
         configs,
         corpus,
         resolve,
         service,
-        portfolio,
     }
 }
 
@@ -1041,38 +855,6 @@ impl SuiteReport {
                 s.degraded,
                 s.p50_us,
                 s.p99_us,
-                if i + 1 == sorted.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  },\n  \"portfolio\": {\n");
-        let mut sorted: Vec<&(String, PortfolioResult)> = self.portfolio.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (key, p)) in sorted.iter().enumerate() {
-            let racers: Vec<String> = p
-                .racers
-                .iter()
-                .map(|r| {
-                    format!(
-                        "\"{}\":{{\"nodes\":{},\"wins\":{}}}",
-                        r.backend, r.nodes, r.wins
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                concat!(
-                    "    \"{}\": {{\n",
-                    "      \"portable\": {{\"points\":{},\"racers\":{{{}}},",
-                    "\"best_nodes\":{},\"bb_nodes\":{}}},\n",
-                    "      \"machine\": {{\"race_wall_us\":{},\"solo_wall_us\":{}}}\n",
-                    "    }}{}\n"
-                ),
-                key,
-                p.points,
-                racers.join(","),
-                p.best_nodes,
-                p.bb_nodes,
-                p.race_wall_us,
-                p.solo_wall_us,
                 if i + 1 == sorted.len() { "" } else { "," },
             ));
         }
@@ -1245,50 +1027,11 @@ impl SuiteReport {
             }
         }
         service.sort_by(|a, b| a.0.cmp(&b.0));
-        // The portfolio section is additive: reports written before the
-        // racing backends existed parse to an empty section.
-        let mut portfolio = Vec::new();
-        if let Some(portfolio_obj) = doc.get("portfolio") {
-            for (key, p) in portfolio_obj.entries().ok_or("portfolio not an object")? {
-                let portable = p.get("portable").ok_or("missing portfolio portable")?;
-                let machine = p.get("machine").ok_or("missing portfolio machine")?;
-                let get = |obj: &JsonValue, k: &str| -> Result<u64, String> {
-                    obj.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("missing portfolio {k}"))
-                };
-                let mut racers = Vec::new();
-                for (backend, tally) in portable
-                    .get("racers")
-                    .and_then(JsonValue::entries)
-                    .ok_or("missing portfolio racers")?
-                {
-                    racers.push(RacerTally {
-                        backend: backend.clone(),
-                        nodes: get(tally, "nodes")?,
-                        wins: get(tally, "wins")?,
-                    });
-                }
-                portfolio.push((
-                    key.clone(),
-                    PortfolioResult {
-                        points: get(portable, "points")?,
-                        racers,
-                        best_nodes: get(portable, "best_nodes")?,
-                        bb_nodes: get(portable, "bb_nodes")?,
-                        race_wall_us: get(machine, "race_wall_us")?,
-                        solo_wall_us: get(machine, "solo_wall_us")?,
-                    },
-                ));
-            }
-        }
-        portfolio.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(SuiteReport {
             configs,
             corpus,
             resolve,
             service,
-            portfolio,
         })
     }
 }
@@ -1307,9 +1050,7 @@ impl SuiteReport {
 ///   an absolute [`WALL_NOISE_FLOOR_US`] above the baseline;
 /// * a **corpus group** missing from the current run, or any drift in its
 ///   portable tallies (entry/feasibility counts, total gain/area, or
-///   node-count growth);
-/// * a **portfolio group** missing, per-racer or best-racer node growth,
-///   or win attribution drifting while the node tallies stood still.
+///   node-count growth).
 #[must_use]
 pub fn compare_reports(
     baseline: &SuiteReport,
@@ -1458,53 +1199,6 @@ pub fn compare_reports(
             ));
         }
     }
-    // Portfolio gates: solo racer runs are single-threaded and run to
-    // completion, so node tallies and argmin-win attribution are exact on
-    // any machine. Per-racer node growth is a regression like any other
-    // node gate; points and win attribution must reproduce whenever the
-    // node tallies do. Race wall is machine-dependent and not gated.
-    for (key, base) in &baseline.portfolio {
-        let Some((_, cur)) = current.portfolio.iter().find(|(k, _)| k == key) else {
-            regressions.push(format!("portfolio/{key}: group missing from current run"));
-            continue;
-        };
-        if cur.points != base.points {
-            regressions.push(format!(
-                "portfolio/{key}: raced point count drifted {} -> {}",
-                base.points, cur.points
-            ));
-        }
-        let mut nodes_changed = false;
-        for b in &base.racers {
-            let Some(c) = cur.racers.iter().find(|c| c.backend == b.backend) else {
-                regressions.push(format!(
-                    "portfolio/{key}: racer {} missing from current run",
-                    b.backend
-                ));
-                continue;
-            };
-            nodes_changed |= c.nodes != b.nodes;
-            if c.nodes > b.nodes {
-                regressions.push(format!(
-                    "portfolio/{key}: {} node count regressed {} -> {}",
-                    b.backend, b.nodes, c.nodes
-                ));
-            }
-        }
-        if cur.best_nodes > base.best_nodes {
-            regressions.push(format!(
-                "portfolio/{key}: best-racer node count regressed {} -> {}",
-                base.best_nodes, cur.best_nodes
-            ));
-        }
-        // Win attribution is a pure function of the node tallies: drift
-        // without a node change means the attribution itself broke.
-        if !nodes_changed && cur.points == base.points && cur.racers != base.racers {
-            regressions.push(format!(
-                "portfolio/{key}: win attribution drifted with unchanged node tallies"
-            ));
-        }
-    }
     regressions
 }
 
@@ -1594,29 +1288,6 @@ mod tests {
             corpus: vec![("synth:small".to_string(), corpus_result(40, 150))],
             resolve: Vec::new(),
             service: Vec::new(),
-            portfolio: Vec::new(),
-        }
-    }
-
-    fn portfolio_result() -> PortfolioResult {
-        PortfolioResult {
-            points: 5,
-            racers: vec![
-                RacerTally {
-                    backend: "branch_bound".to_string(),
-                    nodes: 50,
-                    wins: 3,
-                },
-                RacerTally {
-                    backend: "conflict_enum".to_string(),
-                    nodes: 44,
-                    wins: 2,
-                },
-            ],
-            best_nodes: 40,
-            bb_nodes: 50,
-            race_wall_us: 1234,
-            solo_wall_us: 2345,
         }
     }
 
@@ -1709,65 +1380,6 @@ mod tests {
         better.scratch_reuses -= 2;
         let current = report(vec![("t1".to_string(), config(Some(12), Some(better)))]);
         assert!(compare_reports(&baseline, &current, 10.0).is_empty());
-    }
-
-    #[test]
-    fn portfolio_section_survives_a_json_round_trip_and_is_additive() {
-        let mut r = report(Vec::new());
-        r.portfolio = vec![("synth:micro".to_string(), portfolio_result())];
-        let parsed = SuiteReport::from_json(&r.to_json()).expect("round-trip parses");
-        assert_eq!(parsed, r);
-        // A baseline without the section parses to an empty one and gates
-        // nothing against a current run that has it.
-        let pre = report(Vec::new());
-        let pre_parsed = SuiteReport::from_json(&pre.to_json()).expect("empty section parses");
-        assert!(pre_parsed.portfolio.is_empty());
-        assert!(compare_reports(&pre, &r, 10.0).is_empty());
-    }
-
-    #[test]
-    fn portfolio_node_growth_and_attribution_drift_are_regressions() {
-        let mut baseline = report(Vec::new());
-        baseline.portfolio = vec![("synth:micro".to_string(), portfolio_result())];
-        // Per-racer node growth.
-        let mut cur = baseline.clone();
-        cur.portfolio[0].1.racers[1].nodes += 1;
-        assert!(
-            compare_reports(&baseline, &cur, 10.0)
-                .iter()
-                .any(|r| r.contains("conflict_enum node count regressed")),
-            "expected a racer node regression"
-        );
-        // Best-racer growth (a racer improved but the min got worse).
-        let mut cur = baseline.clone();
-        cur.portfolio[0].1.best_nodes += 2;
-        assert!(
-            compare_reports(&baseline, &cur, 10.0)
-                .iter()
-                .any(|r| r.contains("best-racer node count regressed")),
-            "expected a best-nodes regression"
-        );
-        // Win drift with identical node tallies = broken attribution.
-        let mut cur = baseline.clone();
-        cur.portfolio[0].1.racers[0].wins += 1;
-        cur.portfolio[0].1.racers[1].wins -= 1;
-        assert!(
-            compare_reports(&baseline, &cur, 10.0)
-                .iter()
-                .any(|r| r.contains("win attribution drifted")),
-            "expected an attribution regression"
-        );
-        // Fewer nodes (and the wins following them) is an improvement.
-        let mut cur = baseline.clone();
-        cur.portfolio[0].1.racers[1].nodes -= 10;
-        cur.portfolio[0].1.racers[0].wins -= 1;
-        cur.portfolio[0].1.racers[1].wins += 1;
-        cur.portfolio[0].1.best_nodes -= 5;
-        assert!(compare_reports(&baseline, &cur, 10.0).is_empty());
-        // Machine wall drift alone is never a portfolio regression.
-        let mut cur = baseline.clone();
-        cur.portfolio[0].1.race_wall_us *= 100;
-        assert!(compare_reports(&baseline, &cur, 10.0).is_empty());
     }
 
     #[test]

@@ -260,65 +260,6 @@ fn reports_without_a_resolve_section_still_parse() {
 }
 
 #[test]
-fn portfolio_section_races_micro_and_gates_regressions() {
-    let baseline = quick_report();
-    // Quick mode races the micro group.
-    let keys: Vec<&str> = baseline.portfolio.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["synth:micro"]);
-    let p = &baseline.portfolio[0].1;
-    assert!(p.points > 0, "no feasible point was raced");
-    assert_eq!(
-        p.racers.iter().map(|r| r.wins).sum::<u64>(),
-        p.points,
-        "every raced point is attributed to exactly one racer"
-    );
-    assert!(
-        p.racers.iter().map(|r| r.backend.as_str()).eq([
-            "branch_bound",
-            "conflict_enum",
-            "lagrangian"
-        ]),
-        "racer line-up must match the portfolio default"
-    );
-    let bb = &p.racers[0];
-    assert_eq!(bb.nodes, p.bb_nodes, "bb_nodes mirrors the first racer");
-    assert!(
-        p.best_nodes <= p.bb_nodes,
-        "the per-point best racer can never cost more than branch-and-bound alone"
-    );
-
-    // Per-racer node growth is a regression.
-    let mut current = baseline.clone();
-    current.portfolio[0].1.racers[1].nodes += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
-    assert!(
-        regressions
-            .iter()
-            .any(|m| m.contains("portfolio/synth:micro") && m.contains("node count regressed")),
-        "{regressions:?}"
-    );
-
-    // Race wall is machine-dependent and must NOT gate.
-    let mut current = baseline.clone();
-    current.portfolio[0].1.race_wall_us = current.portfolio[0].1.race_wall_us.saturating_mul(100);
-    assert!(
-        compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD).is_empty(),
-        "race wall is not a portable gate"
-    );
-
-    // A portfolio group the baseline had must not vanish.
-    let mut current = baseline.clone();
-    current.portfolio.clear();
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
-    assert!(
-        regressions
-            .iter()
-            .any(|m| m.contains("portfolio/synth:micro: group missing")),
-        "{regressions:?}"
-    );
-}
-
-#[test]
 fn fig9_workload_reproduces_the_problem2_advantage() {
     use partita_core::{ProblemKind, RequiredGains, SolveOptions, Solver};
     use partita_mop::Cycles;

@@ -245,9 +245,9 @@ pub struct SolveSpec {
     /// visited points.
     pub rg: u64,
     /// Solver backend. The wire values are the canonical backend names
-    /// ([`Backend::name`]): `branch_bound` / `exhaustive` / `greedy` /
-    /// `lagrangian` / `conflict_enum` / `portfolio`; default
-    /// `branch_bound`. See `docs/BACKENDS.md` for when to use which.
+    /// ([`Backend::name`]): `branch_bound` / `exhaustive` / `greedy`;
+    /// default `branch_bound`. See `docs/BACKENDS.md` for when to use
+    /// which.
     pub backend: Backend,
     /// Branch-and-bound node cap (default: the [`SolveBudget`] default).
     pub max_nodes: Option<usize>,
@@ -952,6 +952,35 @@ mod tests {
             assert_eq!(err.kind(), kind, "{err}");
             let json = err.to_json();
             assert!(json.starts_with(&format!("{{\"code\":{code},")), "{json}");
+        }
+    }
+
+    #[test]
+    fn backend_wire_values_are_exactly_backend_all() {
+        let solve = |backend: &str| {
+            Request::parse(&format!(
+                r#"{{"api_version":1,"id":"x","tenant":"t","method":"solve","instance":"i","rg":1,"backend":"{backend}"}}"#
+            ))
+        };
+        for backend in Backend::ALL {
+            match solve(backend.name())
+                .expect("every Backend::ALL name parses")
+                .body
+            {
+                RequestBody::Solve { spec, .. } => assert_eq!(spec.backend, backend),
+                other => panic!("parsed as {other:?}"),
+            }
+        }
+        for removed in ["lagrangian", "conflict_enum", "portfolio"] {
+            let err = solve(removed).unwrap_err();
+            assert_eq!(err.code(), 104, "{removed}: {err}");
+            let ApiError::InvalidParams(detail) = err else {
+                panic!("{removed}: not invalid_params");
+            };
+            let allowed = detail
+                .strip_prefix("backend must be one of ")
+                .and_then(|rest| rest.split(", got").next());
+            assert_eq!(allowed, Some("branch_bound/exhaustive/greedy"), "{detail}");
         }
     }
 

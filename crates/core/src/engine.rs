@@ -11,14 +11,11 @@
 //! search effort.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use partita_ilp::cuts::CutSeparator;
 use partita_ilp::{
-    run_binary_exhaustive, Basis, BranchBound, BranchBoundStats, Model, SharedBound, Termination,
-    WorkerStats,
+    run_binary_exhaustive, Basis, BranchBound, BranchBoundStats, Model, Termination, WorkerStats,
 };
 
 use crate::formulate::VarMap;
@@ -37,18 +34,6 @@ pub enum Backend {
     Exhaustive,
     /// The gain/area-ratio greedy heuristic. Fast, never proves optimality.
     Greedy,
-    /// Implicit enumeration with a Lagrangian-relaxation bound: the per-path
-    /// gain rows are dualised into the objective with multipliers tightened
-    /// by root subgradient ascent. Exact; strongest when the gain
-    /// requirements are the binding structure.
-    Lagrangian,
-    /// Implicit enumeration over the SC/SC-PC conflict graph with conflict
-    /// propagation and gain-reachability pruning. Exact; strongest on
-    /// conflict-dense instances.
-    ConflictEnum,
-    /// Races the exact backends concurrently: the first audit-clean proven
-    /// optimum wins and cancels the rest. See `docs/BACKENDS.md`.
-    Portfolio,
 }
 
 impl Backend {
@@ -57,14 +42,7 @@ impl Backend {
     /// `docs/BACKENDS.md` must describe each entry by its [`Backend::name`]
     /// (a test diffs the doc against this list), and the service API accepts
     /// exactly these names.
-    pub const ALL: [Backend; 6] = [
-        Backend::BranchBound,
-        Backend::Exhaustive,
-        Backend::Greedy,
-        Backend::Lagrangian,
-        Backend::ConflictEnum,
-        Backend::Portfolio,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::BranchBound, Backend::Exhaustive, Backend::Greedy];
 
     /// The snake_case name used in telemetry and the service wire format.
     #[must_use]
@@ -73,9 +51,6 @@ impl Backend {
             Backend::BranchBound => "branch_bound",
             Backend::Exhaustive => "exhaustive",
             Backend::Greedy => "greedy",
-            Backend::Lagrangian => "lagrangian",
-            Backend::ConflictEnum => "conflict_enum",
-            Backend::Portfolio => "portfolio",
         }
     }
 
@@ -88,50 +63,6 @@ impl Backend {
 }
 
 impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Where lifted-cover cuts from the fixed-charge/once-per-IMP structure are
-/// separated (see `partita_ilp::cuts`). Cuts tighten LP relaxations without
-/// excluding any integer point, so every policy returns the same selection —
-/// they only trade separation time against tree size.
-///
-/// ```
-/// use partita_core::{CutPolicy, SolveOptions};
-///
-/// let opts = SolveOptions::default().cut_policy(CutPolicy::Root);
-/// assert_eq!(opts.cut_policy_active(), CutPolicy::Root);
-/// assert_eq!(CutPolicy::default(), CutPolicy::Off);
-/// assert_eq!(CutPolicy::Node.to_string(), "node");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CutPolicy {
-    /// No cut separation (the default; keeps node counts comparable with
-    /// historical baselines).
-    #[default]
-    Off,
-    /// Strengthen the model once at the branch-and-bound root.
-    Root,
-    /// Root strengthening plus per-node separation against each node's LP
-    /// relaxation.
-    Node,
-}
-
-impl CutPolicy {
-    /// The snake_case name used in telemetry and wire formats.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CutPolicy::Off => "off",
-            CutPolicy::Root => "root",
-            CutPolicy::Node => "node",
-        }
-    }
-}
-
-impl fmt::Display for CutPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
@@ -252,15 +183,13 @@ impl OptimalityStatus {
 
 /// The one place an ILP-layer [`Termination`] becomes a solution trust
 /// level: only a completed search may claim [`OptimalityStatus::Optimal`];
-/// node-limit, deadline and cooperative cancellation all downgrade uniformly
-/// to [`OptimalityStatus::FeasibleBudgetExhausted`]. Every backend routes
+/// node-limit and deadline both downgrade uniformly to
+/// [`OptimalityStatus::FeasibleBudgetExhausted`]. Every backend routes
 /// through this helper so no backend can invent its own (dishonest) mapping.
 pub(crate) fn status_from_termination(termination: Termination) -> OptimalityStatus {
     match termination {
         Termination::Optimal => OptimalityStatus::Optimal,
-        Termination::NodeLimit | Termination::Deadline | Termination::Cancelled => {
-            OptimalityStatus::FeasibleBudgetExhausted
-        }
+        Termination::NodeLimit | Termination::Deadline => OptimalityStatus::FeasibleBudgetExhausted,
     }
 }
 
@@ -350,25 +279,6 @@ impl SolveTrace {
     pub fn total(&self) -> Duration {
         self.imp_generation + self.formulation + self.solve + self.decode
     }
-
-    /// Renders the trace as a single JSON object through the telemetry
-    /// layer: a schema-tagged [`crate::telemetry::Event::SolveFinished`]
-    /// event (all durations are integer microseconds). The legacy field
-    /// order of PRs 1–3 is preserved; the `schema`/`event` tags are
-    /// prepended and `worker_steals` rides after `worker_nodes`.
-    #[deprecated(
-        since = "0.8.0",
-        note = "construct the telemetry event directly: \
-                `telemetry::Event::SolveFinished { trace }.to_json()` \
-                (same bytes; composes with sinks and redaction)"
-    )]
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        crate::telemetry::Event::SolveFinished {
-            trace: self.clone(),
-        }
-        .to_json()
-    }
 }
 
 /// A backend's answer, in model space: variable values plus the effort it
@@ -418,18 +328,6 @@ pub struct BranchBoundBackend {
     /// and dual-repaired at the root, silently falling back to the cold
     /// two-phase path when stale or incompatible.
     pub root_basis: Option<Arc<Basis>>,
-    /// Cooperative cancellation flag, polled once per node. Set by the
-    /// portfolio racer when another backend has already won; a cancelled
-    /// search reports [`OptimalityStatus::FeasibleBudgetExhausted`] (or
-    /// [`CoreError::BudgetExhausted`] with no incumbent), never `Optimal`.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Cross-backend incumbent bound shared while racing: feasible scores
-    /// published by other racers tighten this search's pruning without ever
-    /// changing which optimum it reports.
-    pub shared_bound: Option<Arc<SharedBound>>,
-    /// Lifted-cover cut separator applied per node
-    /// ([`partita_ilp::cuts`]); `None` disables node cuts.
-    pub node_cuts: Option<Arc<CutSeparator>>,
 }
 
 impl SolverBackend for BranchBoundBackend {
@@ -442,15 +340,6 @@ impl SolverBackend for BranchBoundBackend {
         }
         if let Some(basis) = &self.root_basis {
             bb = bb.with_root_basis(basis.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            bb = bb.with_cancel(cancel.clone());
-        }
-        if let Some(bound) = &self.shared_bound {
-            bb = bb.with_shared_bound(bound.clone());
-        }
-        if let Some(cuts) = &self.node_cuts {
-            bb = bb.with_node_cuts(cuts.clone());
         }
         let run = bb.run_seeded(model, &self.seeds)?;
         let status = status_from_termination(run.termination);
@@ -474,21 +363,12 @@ impl SolverBackend for BranchBoundBackend {
 /// [`SolveBudget::deadline`] is polled during the sweep; an exhausted budget
 /// downgrades honestly through the uniform status mapping — it claims
 /// [`OptimalityStatus::Optimal`] only after enumerating *every* assignment.
-#[derive(Debug, Clone, Default)]
-pub struct ExhaustiveBackend {
-    /// Cooperative cancellation flag, polled during enumeration (set by the
-    /// portfolio racer when another backend has already won).
-    pub cancel: Option<Arc<AtomicBool>>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExhaustiveBackend;
 
 impl SolverBackend for ExhaustiveBackend {
     fn solve(&self, model: &Model, budget: &SolveBudget) -> Result<EngineSolution, CoreError> {
-        let run = run_binary_exhaustive(
-            model,
-            budget.max_nodes,
-            budget.deadline,
-            self.cancel.as_deref(),
-        )?;
+        let run = run_binary_exhaustive(model, budget.max_nodes, budget.deadline)?;
         let status = status_from_termination(run.termination);
         let assignments = run.assignments_checked;
         match run.solution {
@@ -604,10 +484,8 @@ mod tests {
     #[test]
     fn display_names_are_snake_case() {
         assert_eq!(Backend::BranchBound.to_string(), "branch_bound");
+        assert_eq!(Backend::Exhaustive.to_string(), "exhaustive");
         assert_eq!(Backend::Greedy.to_string(), "greedy");
-        assert_eq!(Backend::Lagrangian.to_string(), "lagrangian");
-        assert_eq!(Backend::ConflictEnum.to_string(), "conflict_enum");
-        assert_eq!(Backend::Portfolio.to_string(), "portfolio");
         assert_eq!(
             OptimalityStatus::FeasibleBudgetExhausted.to_string(),
             "feasible_budget_exhausted"
@@ -622,7 +500,7 @@ mod tests {
         assert_eq!(names.len(), Backend::ALL.len());
         assert!(Backend::ALL.contains(&Backend::default()));
         assert!(Backend::BranchBound.is_exact());
-        assert!(Backend::Portfolio.is_exact());
+        assert!(Backend::Exhaustive.is_exact());
         assert!(!Backend::Greedy.is_exact());
     }
 
@@ -632,11 +510,7 @@ mod tests {
             status_from_termination(Termination::Optimal),
             OptimalityStatus::Optimal
         );
-        for t in [
-            Termination::NodeLimit,
-            Termination::Deadline,
-            Termination::Cancelled,
-        ] {
+        for t in [Termination::NodeLimit, Termination::Deadline] {
             assert_eq!(
                 status_from_termination(t),
                 OptimalityStatus::FeasibleBudgetExhausted,
@@ -685,15 +559,8 @@ mod tests {
             solve: Duration::from_micros(30),
             decode: Duration::from_micros(40),
         };
-        let json = crate::telemetry::Event::SolveFinished {
-            trace: trace.clone(),
-        }
-        .to_json();
-        // The deprecated shim must keep emitting identical bytes.
-        #[allow(deprecated)]
-        let via_shim = trace.to_json();
-        assert_eq!(json, via_shim);
-        assert!(json.starts_with("{\"schema\":1,\"event\":\"solve_finished\""));
+        let json = crate::telemetry::Event::SolveFinished { trace }.to_json();
+        assert!(json.starts_with("{\"schema\":2,\"event\":\"solve_finished\""));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"backend\":\"branch_bound\""));
         assert!(json.contains("\"status\":\"optimal\""));

@@ -19,9 +19,8 @@
 //! 5. [`Solver`] builds the 0/1 ILP (Problem 1 with its restrictions, or the
 //!    general Problem 2 with SC/SC-PC conflict constraints), minimises
 //!    `Σ z_k·a_k + Σ x_ij·c_ij` through a pluggable [`engine`] backend
-//!    (branch-and-bound, exhaustive, greedy, Lagrangian or conflict
-//!    enumeration — or a portfolio racing the exact ones, see
-//!    `docs/BACKENDS.md`) under a [`SolveBudget`],
+//!    (branch-and-bound, exhaustive or greedy, see `docs/BACKENDS.md`)
+//!    under a [`SolveBudget`],
 //!    and decodes a [`Selection`] tagged with an [`OptimalityStatus`] and a
 //!    full [`SolveTrace`].
 //! 6. [`merge::s_instruction_count`] merges same-(IP, interface) selections
@@ -37,9 +36,7 @@
 //! | [`instance`](Instance) / [`impdb`](ImpDb) | Problem description, IMP enumeration | §3, Defs. 1–2 |
 //! | [`parallel_code`] | `PC_i` computation on the CDFG | §3, Defs. 3–5 |
 //! | [`hierarchy`] | IMP flatten across call levels | §5, Fig. 11 |
-//! | [`engine`] | Pluggable 0/1 ILP backends + budgets + cut policy | §4, Problems 1–2 |
-//! | `backends` ([`LagrangianBackend`], [`ConflictEnumBackend`]) | Structure-exploiting implicit enumeration | §4 structure (RG rows, SC-PC conflicts) |
-//! | `portfolio` ([`Backend::Portfolio`]) | Backend racing: shared bound, cancel-on-win | — (`docs/BACKENDS.md`) |
+//! | [`engine`] | Pluggable 0/1 ILP backends + budgets | §4, Problems 1–2 |
 //! | [`sweep`] | RG sweeps: caching, chaining, batching | Tables 1–3, Figs. 8–11 |
 //! | [`verify`] | Independent selection audit, fault injection | §4 optimality claims |
 //! | [`merge`] / [`report`] | S-instruction merge, paper-style rows | Tables 1–3 (**S** column) |
@@ -81,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-mod backends;
 pub mod baseline;
 mod build;
 pub mod cache;
@@ -96,7 +92,6 @@ mod impdb;
 mod instance;
 pub mod merge;
 pub mod parallel_code;
-mod portfolio;
 pub mod report;
 mod solver;
 pub mod sweep;
@@ -107,13 +102,12 @@ pub use api::{
     ApiError, BatchItem, Payload, Request, RequestBody, Response, SolveResult, SolveSpec,
     StatsSnapshot, API_VERSION,
 };
-pub use backends::{ConflictEnumBackend, LagrangianBackend};
 pub use build::{instance_from_compiled, SCallBinding};
 pub use cache::ShardedLru;
 pub use conflict::{sc_pc_conflicts, ConflictPair};
 pub use delta::{DeltaSession, InstanceDelta};
 pub use engine::{
-    Backend, BranchBoundBackend, CutPolicy, EngineSolution, ExhaustiveBackend, GreedyBackend,
+    Backend, BranchBoundBackend, EngineSolution, ExhaustiveBackend, GreedyBackend,
     OptimalityStatus, SolveBudget, SolveTrace, SolverBackend,
 };
 pub use error::CoreError;

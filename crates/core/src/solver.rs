@@ -6,12 +6,12 @@ use std::sync::Arc;
 use partita_mop::{AreaTenths, CallSiteId, Cycles, PathId};
 
 use crate::engine::{
-    encode_selection, Backend, BranchBoundBackend, CutPolicy, EngineSolution, ExhaustiveBackend,
+    encode_selection, Backend, BranchBoundBackend, EngineSolution, ExhaustiveBackend,
     GreedyBackend, OptimalityStatus, SolveBudget, SolveTrace, SolverBackend,
 };
 use crate::formulate::{build_model, decode, VarMap};
 use crate::telemetry::{Event, Phase, SpanTimer, TelemetrySink};
-use crate::{ConflictEnumBackend, CoreError, Imp, ImpDb, ImpId, Instance, LagrangianBackend};
+use crate::{CoreError, Imp, ImpDb, ImpId, Instance};
 
 /// Which formulation to solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,10 +154,6 @@ pub struct SolveOptions {
     pub(crate) warm_start: bool,
     pub(crate) hint: Option<Vec<ImpId>>,
     pub(crate) audit: bool,
-    pub(crate) cut_policy: CutPolicy,
-    /// Racer line-up for [`Backend::Portfolio`] (`None` = the default
-    /// line-up, see `docs/BACKENDS.md`). Ignored by every other backend.
-    pub(crate) racers: Option<Vec<Backend>>,
     /// Retained root-LP basis from a previous same-shaped solve (set by the
     /// delta/sweep layers, never by callers directly). Like `hint` and
     /// `audit`, this can never change the returned selection — only the
@@ -176,8 +172,6 @@ impl SolveOptions {
             warm_start: true,
             hint: None,
             audit: crate::engine::default_audit(),
-            cut_policy: CutPolicy::default(),
-            racers: None,
             root_basis: None,
         }
     }
@@ -302,49 +296,6 @@ impl SolveOptions {
     #[must_use]
     pub fn audit_enabled(&self) -> bool {
         self.audit
-    }
-
-    /// Switches lifted-cover cut separation (see [`CutPolicy`]). Cuts never
-    /// exclude an integer point, so the returned selection is identical
-    /// under every policy — only the search effort changes.
-    #[must_use]
-    pub fn cut_policy(mut self, policy: CutPolicy) -> SolveOptions {
-        self.cut_policy = policy;
-        self
-    }
-
-    /// The active cut policy.
-    #[must_use]
-    pub fn cut_policy_active(&self) -> CutPolicy {
-        self.cut_policy
-    }
-
-    /// Overrides the [`Backend::Portfolio`] racer line-up. [`Backend::Portfolio`]
-    /// entries are ignored (a race cannot nest a race); an empty line-up
-    /// makes the portfolio exhaust immediately and defer to the budget's
-    /// fallback. Other backends ignore this knob.
-    ///
-    /// ```
-    /// use partita_core::{Backend, SolveOptions};
-    ///
-    /// let opts = SolveOptions::default()
-    ///     .backend(Backend::Portfolio)
-    ///     .racers(vec![Backend::BranchBound, Backend::ConflictEnum]);
-    /// assert_eq!(
-    ///     opts.racer_lineup(),
-    ///     Some(&[Backend::BranchBound, Backend::ConflictEnum][..])
-    /// );
-    /// ```
-    #[must_use]
-    pub fn racers(mut self, racers: Vec<Backend>) -> SolveOptions {
-        self.racers = Some(racers);
-        self
-    }
-
-    /// The configured racer line-up (`None` = the default line-up).
-    #[must_use]
-    pub fn racer_lineup(&self) -> Option<&[Backend]> {
-        self.racers.as_deref()
     }
 }
 
@@ -658,7 +609,7 @@ pub(crate) fn solve_prepared(
     trace.num_imps = db.len();
 
     let span = SpanTimer::start(Phase::Solve);
-    let (solution, backend) = dispatch(instance, db, options, model, map, sink)?;
+    let (solution, backend) = dispatch(instance, db, options, model, map)?;
     trace.solve = span.finish(sink);
     trace.backend = backend;
     trace.status = solution.status;
@@ -740,9 +691,9 @@ pub(crate) fn solve_prepared(
     Ok((selection, root_basis))
 }
 
-/// Seed candidates for the exact search backends: the caller's hint (e.g.
+/// Seed candidates for the branch-and-bound backend: the caller's hint (e.g.
 /// the previous sweep point's optimum) and the greedy selection. Infeasible
-/// seeds are skipped inside every search, so seeding never changes the
+/// seeds are skipped inside the search, so seeding never changes the
 /// returned optimum — only how much of the tree survives pruning.
 fn build_seeds(
     instance: &Instance,
@@ -764,23 +715,6 @@ fn build_seeds(
     seeds
 }
 
-/// The once-per-s-call GUB groups (`Σ_j x_ij ≤ 1`) the lifted-cover
-/// separator exploits, read off the variable map.
-fn gub_groups(instance: &Instance, db: &ImpDb, map: &VarMap) -> Vec<Vec<partita_ilp::VarId>> {
-    let mut groups = Vec::new();
-    for sc in &instance.scalls {
-        let group: Vec<partita_ilp::VarId> = db
-            .for_scall(sc.id)
-            .iter()
-            .filter_map(|imp| map.x.get(imp.id.index()).copied().flatten())
-            .collect();
-        if !group.is_empty() {
-            groups.push(group);
-        }
-    }
-    groups
-}
-
 /// Routes the solve to the configured backend; on
 /// [`CoreError::BudgetExhausted`] from *any* primary backend, retries once
 /// with the budget's fallback backend.
@@ -792,38 +726,11 @@ fn dispatch(
     options: &SolveOptions,
     model: &partita_ilp::Model,
     map: &VarMap,
-    sink: &dyn TelemetrySink,
 ) -> Result<(EngineSolution, Backend), CoreError> {
     let budget = &options.budget;
 
-    // Lifted-cover strengthening. The strengthened model has the same
-    // variables (cuts only add rows), so decoding and seeding are
-    // unaffected; a retained root basis is row-shaped, though, so cut
-    // policies skip basis reuse.
-    let strengthened;
-    let mut node_cuts: Option<Arc<partita_ilp::cuts::CutSeparator>> = None;
-    let model: &partita_ilp::Model = match options.cut_policy {
-        CutPolicy::Off => model,
-        CutPolicy::Root | CutPolicy::Node => {
-            let groups = gub_groups(instance, db, map);
-            let root = partita_ilp::cuts::strengthen_root(
-                model,
-                &groups,
-                partita_ilp::simplex::SimplexOptions::default(),
-            )?;
-            strengthened = root.model;
-            if options.cut_policy == CutPolicy::Node {
-                node_cuts = Some(Arc::new(partita_ilp::cuts::CutSeparator::from_model(
-                    &strengthened,
-                    &groups,
-                )));
-            }
-            &strengthened
-        }
-    };
-
     let primary: Result<(EngineSolution, Backend), CoreError> = match options.backend {
-        Backend::Exhaustive => ExhaustiveBackend::default()
+        Backend::Exhaustive => ExhaustiveBackend
             .solve(model, budget)
             .map(|s| (s, Backend::Exhaustive)),
         Backend::Greedy => GreedyBackend::new(instance, db, &options.gains, map)
@@ -831,41 +738,16 @@ fn dispatch(
             .map(|s| (s, Backend::Greedy)),
         Backend::BranchBound => BranchBoundBackend {
             seeds: build_seeds(instance, db, options, model, map),
-            root_basis: if options.cut_policy == CutPolicy::Off {
-                options.root_basis.clone()
-            } else {
-                None
-            },
-            cancel: None,
-            shared_bound: None,
-            node_cuts,
+            root_basis: options.root_basis.clone(),
         }
         .solve(model, budget)
         .map(|s| (s, Backend::BranchBound)),
-        Backend::Lagrangian => LagrangianBackend::new(instance, db, &options.gains, map)
-            .with_seeds(build_seeds(instance, db, options, model, map))
-            .solve(model, budget)
-            .map(|s| (s, Backend::Lagrangian)),
-        Backend::ConflictEnum => ConflictEnumBackend::new(instance, db, &options.gains, map)
-            .with_seeds(build_seeds(instance, db, options, model, map))
-            .solve(model, budget)
-            .map(|s| (s, Backend::ConflictEnum)),
-        Backend::Portfolio => crate::portfolio::run_race(
-            instance,
-            db,
-            options,
-            model,
-            map,
-            &build_seeds(instance, db, options, model, map),
-            node_cuts,
-            sink,
-        ),
     };
 
     match (primary, budget.fallback) {
         (Err(CoreError::BudgetExhausted), Some(fallback)) => {
             let rescued = match fallback {
-                Backend::Exhaustive => ExhaustiveBackend::default().solve(model, budget),
+                Backend::Exhaustive => ExhaustiveBackend.solve(model, budget),
                 // Falling back to a search backend that just ran dry would
                 // exhaust again; route everything else to greedy.
                 _ => GreedyBackend::new(instance, db, &options.gains, map).solve(model, budget),

@@ -1,13 +1,13 @@
 //! Unified structured telemetry: typed events, pluggable sinks, phase spans.
 //!
-//! Paper reproductions live and die by *comparable* measurements. PRs 1–4
-//! grew three disjoint ad-hoc JSON surfaces ([`SolveTrace::to_json`],
-//! [`crate::SweepTrace`], [`crate::AuditReport::to_json`]); this module
-//! replaces the bespoke encoders with one **versioned event schema**: every
-//! line the pipeline emits is a typed [`Event`] serialized as a single JSON
-//! object tagged `{"schema":1,"event":"<kind>", ...}`. The full field-level
-//! schema is documented in `docs/TELEMETRY.md`, which is kept honest by a
-//! test diffing the doc's event list against [`EventKind::ALL`].
+//! Paper reproductions live and die by *comparable* measurements, so every
+//! JSON surface of the pipeline (solve traces, [`crate::SweepTrace`],
+//! [`crate::AuditReport::to_json`]) goes through one **versioned event
+//! schema**: every line the pipeline emits is a typed [`Event`] serialized
+//! as a single JSON object tagged `{"schema":2,"event":"<kind>", ...}`.
+//! The full field-level schema is documented in `docs/TELEMETRY.md`, which
+//! is kept honest by a test diffing the doc's event list against
+//! [`EventKind::ALL`].
 //!
 //! # Architecture
 //!
@@ -88,9 +88,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":1`); bump it only with a matching update to
+/// first field (`"schema":2`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -256,15 +256,11 @@ pub enum EventKind {
     Counter,
     /// A free-form instantaneous gauge sample.
     Gauge,
-    /// One racer of a portfolio solve returned (win or lose).
-    BackendFinished,
-    /// A portfolio race was decided.
-    RaceWon,
 }
 
 impl EventKind {
     /// Every event kind, in the order they are documented.
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::SolveStarted,
         EventKind::PhaseFinished,
         EventKind::WorkerFinished,
@@ -280,8 +276,6 @@ impl EventKind {
         EventKind::BasisReused,
         EventKind::Counter,
         EventKind::Gauge,
-        EventKind::BackendFinished,
-        EventKind::RaceWon,
     ];
 
     /// The snake_case name serialized into the `event` field.
@@ -303,8 +297,6 @@ impl EventKind {
             EventKind::BasisReused => "basis_reused",
             EventKind::Counter => "counter",
             EventKind::Gauge => "gauge",
-            EventKind::BackendFinished => "backend_finished",
-            EventKind::RaceWon => "race_won",
         }
     }
 }
@@ -497,32 +489,6 @@ pub enum Event {
         /// Sampled value.
         value: f64,
     },
-    /// One racer of a portfolio solve returned. Emitted once per configured
-    /// racer, in racer-configuration order, after every racer has joined —
-    /// so the event stream is deterministic however the race interleaved.
-    BackendFinished {
-        /// Which backend raced.
-        backend: Backend,
-        /// How the racer concluded: `optimal` (audit-clean proven optimum),
-        /// `infeasible` (proven empty), `incumbent` (feasible but not
-        /// proven — including racers cancelled mid-search), `heuristic`,
-        /// `exhausted` (budget gone, nothing to show), or `error`.
-        outcome: String,
-        /// Nodes the racer explored before stopping.
-        nodes_explored: usize,
-        /// Wall time from race start to this racer's return.
-        wall: Duration,
-    },
-    /// A portfolio race was decided.
-    RaceWon {
-        /// The racer whose result was accepted (`None` when the race ended
-        /// with no conclusive winner and the best incumbent was returned).
-        winner: Option<Backend>,
-        /// Racers configured.
-        racers: usize,
-        /// Wall time of the whole race.
-        wall: Duration,
-    },
 }
 
 /// Incremental writer for one serialized event. Field order is the schema's
@@ -594,8 +560,6 @@ impl Event {
             Event::BasisReused { .. } => EventKind::BasisReused,
             Event::Counter { .. } => EventKind::Counter,
             Event::Gauge { .. } => EventKind::Gauge,
-            Event::BackendFinished { .. } => EventKind::BackendFinished,
-            Event::RaceWon { .. } => EventKind::RaceWon,
         }
     }
 
@@ -801,26 +765,6 @@ impl Event {
                 } else {
                     w.raw("value", "null");
                 }
-            }
-            Event::BackendFinished {
-                backend,
-                outcome,
-                nodes_explored,
-                wall,
-            } => {
-                w.string("backend", backend.name());
-                w.string("outcome", outcome);
-                w.raw("nodes_explored", r.effort(*nodes_explored));
-                w.raw("wall_us", r.us(*wall));
-            }
-            Event::RaceWon {
-                winner,
-                racers,
-                wall,
-            } => {
-                w.opt_str("winner", winner.map(Backend::name));
-                w.raw("racers", racers);
-                w.raw("wall_us", r.us(*wall));
             }
         }
         w.finish()
@@ -1441,11 +1385,11 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":1,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":2,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 

@@ -1,11 +1,12 @@
 //! Property tests: the ILP selector against exhaustive enumeration on small
-//! random instances, and its structural invariants on larger ones.
+//! random instances, its structural invariants on larger ones, and every
+//! backend's budget honesty on conflict-bearing instances.
 
 use proptest::prelude::*;
 
 use partita_core::{
-    baseline, Backend, FaultPlan, Imp, ImpDb, ImpId, Instance, OptimalityStatus, ParallelChoice,
-    RequiredGains, SCall, SelectionAuditor, SolveOptions, Solver,
+    baseline, Backend, CoreError, FaultPlan, Imp, ImpDb, ImpId, Instance, OptimalityStatus,
+    ParallelChoice, RequiredGains, SCall, SelectionAuditor, SolveBudget, SolveOptions, Solver,
 };
 use partita_interface::{InterfaceKind, TransferJob};
 use partita_ip::{IpBlock, IpFunction, IpId};
@@ -67,6 +68,77 @@ fn build(si: &SmallInstance) -> (Instance, ImpDb) {
                 Cycles(gain),
                 AreaTenths::from_tenths(tenths),
                 ParallelChoice::None,
+            )
+        })
+        .collect();
+    (inst, ImpDb::from_imps(imps))
+}
+
+/// A random conflict-bearing instance: 4 s-calls on one path, IMPs that may
+/// consume another s-call's software implementation as parallel code (the
+/// Problem 2 SC-PC structure).
+#[derive(Debug, Clone)]
+struct ConflictInstance {
+    ip_areas: Vec<i64>,
+    /// (scall, ip, gain, interface tenths, consumed scall or same = none)
+    imps: Vec<(u32, u32, u64, i64, u32)>,
+    required: u64,
+}
+
+fn conflict_instance() -> impl Strategy<Value = ConflictInstance> {
+    (
+        proptest::collection::vec(1i64..20, 2..4),
+        proptest::collection::vec((0u32..4, 0u32..3, 1u64..200, 0i64..10, 0u32..4), 1..8),
+        0u64..500,
+    )
+        .prop_map(|(ip_areas, mut imps, required)| {
+            let n_ips = ip_areas.len() as u32;
+            for imp in &mut imps {
+                imp.1 %= n_ips;
+            }
+            ConflictInstance {
+                ip_areas,
+                imps,
+                required,
+            }
+        })
+}
+
+fn build_conflicted(ci: &ConflictInstance) -> (Instance, ImpDb) {
+    let mut inst = Instance::new("conflict-prop");
+    for (i, &a) in ci.ip_areas.iter().enumerate() {
+        inst.library.add(
+            IpBlock::builder(format!("ip{i}"))
+                .function(IpFunction::Fir)
+                .area(AreaTenths::from_units(a))
+                .build(),
+        );
+    }
+    for sc in 0..4u32 {
+        inst.add_scall(SCall::new(
+            format!("f{sc}"),
+            IpFunction::Fir,
+            Cycles(1000),
+            TransferJob::new(8, 8),
+        ));
+    }
+    inst.add_path((0..4).map(CallSiteId).collect());
+    let imps = ci
+        .imps
+        .iter()
+        .map(|&(sc, ip, gain, tenths, consumed)| {
+            let parallel = if consumed == sc {
+                ParallelChoice::None
+            } else {
+                ParallelChoice::SwScalls(vec![CallSiteId(consumed)])
+            };
+            Imp::new(
+                CallSiteId(sc),
+                vec![IpId(ip)],
+                InterfaceKind::Type1,
+                Cycles(gain),
+                AreaTenths::from_tenths(tenths),
+                parallel,
             )
         })
         .collect();
@@ -213,6 +285,66 @@ proptest! {
         if let Ok(sel) = Solver::new(&inst).with_imps(db.clone()).solve(&opts) {
             let report = SelectionAuditor::new(&inst, &db).audit(&sel, &opts);
             prop_assert!(report.is_clean(), "audit violations: {}", report.to_json());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Budget honesty, end to end, for every backend: under a starved node
+    /// budget a backend may fail or may return a feasible point, but a
+    /// selection claiming `Optimal` must actually BE the optimum (checked
+    /// against an unbudgeted reference), and a feasible non-optimal claim
+    /// must never beat it.
+    #[test]
+    fn no_backend_launders_exhaustion_into_optimal(
+        ci in conflict_instance(),
+        backend_idx in 0usize..Backend::ALL.len(),
+        max_nodes in 1usize..4,
+    ) {
+        let backend = Backend::ALL[backend_idx];
+        let (inst, db) = build_conflicted(&ci);
+        let gains = RequiredGains::uniform(Cycles(ci.required));
+        let reference = Solver::new(&inst).with_imps(db.clone()).solve(
+            &SolveOptions::problem2(gains.clone())
+                .budget(SolveBudget::default().with_fallback(None).with_threads(1)),
+        );
+        let starved = SolveOptions::problem2(gains)
+            .backend(backend)
+            .budget(
+                SolveBudget::default()
+                    .with_max_nodes(max_nodes)
+                    .with_fallback(None)
+                    .with_threads(1),
+            );
+        match Solver::new(&inst).with_imps(db.clone()).solve(&starved) {
+            Ok(sel) => {
+                let opt = reference.as_ref().unwrap_or_else(|e| {
+                    panic!("starved {backend} feasible but reference errored: {e}")
+                });
+                prop_assert!(
+                    sel.total_area() >= opt.total_area(),
+                    "starved {} beat the optimum", backend
+                );
+                if sel.status == OptimalityStatus::Optimal {
+                    prop_assert_eq!(
+                        sel.total_area(), opt.total_area(),
+                        "{} claimed Optimal for a non-optimal selection", backend
+                    );
+                }
+                prop_assert!(sel.verify(&inst, &starved).is_ok());
+            }
+            Err(CoreError::BudgetExhausted) => {}
+            Err(CoreError::Infeasible { .. }) => {
+                // An infeasibility *proof* requires a completed search; the
+                // unbudgeted reference must agree.
+                prop_assert!(
+                    matches!(reference, Err(CoreError::Infeasible { .. })),
+                    "starved {} claimed infeasible on a feasible instance", backend
+                );
+            }
+            Err(e) => prop_assert!(false, "unexpected error from starved {}: {e}", backend),
         }
     }
 }

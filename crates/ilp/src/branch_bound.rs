@@ -21,14 +21,12 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cuts::CutSeparator;
 use crate::simplex::{
-    solve_with_basis, solve_with_bounds, solve_with_bounds_scratch, Basis, SimplexOps,
-    SimplexOptions, SimplexScratch,
+    solve_with_basis, solve_with_bounds_scratch, Basis, SimplexOps, SimplexOptions, SimplexScratch,
 };
 use crate::{IlpError, IlpSolution, Model, Sense, VarId};
 
@@ -75,9 +73,6 @@ pub struct BranchBound {
     simplex: SimplexOptions,
     threads: usize,
     root_basis: Option<Arc<Basis>>,
-    cancel: Option<Arc<AtomicBool>>,
-    shared_bound: Option<Arc<SharedBound>>,
-    node_cuts: Option<Arc<CutSeparator>>,
 }
 
 impl Default for BranchBound {
@@ -88,80 +83,6 @@ impl Default for BranchBound {
             simplex: SimplexOptions::default(),
             threads: 1,
             root_basis: None,
-            cancel: None,
-            shared_bound: None,
-            node_cuts: None,
-        }
-    }
-}
-
-/// A cross-solver objective bound: the best *feasible-point* score any
-/// cooperating solver has published, mirrored in an atomic for lock-free
-/// reads.
-///
-/// Racing solvers (the portfolio mode in `partita-core`) share one
-/// `SharedBound` so an incumbent found by any racer tightens everyone's
-/// pruning. Scores are normalised minimisation objectives (see
-/// [`BranchBound`]'s determinism contract); because pruning keeps ties
-/// alive, pruning against another racer's feasible score can never discard
-/// the lexicographically smallest optimum — each solver that exhausts its
-/// tree still reports the exact same solution it would have found alone.
-///
-/// # Example
-///
-/// ```
-/// use partita_ilp::SharedBound;
-/// let bound = SharedBound::new();
-/// assert_eq!(bound.score(), f64::INFINITY);
-/// bound.publish(42.0);
-/// bound.publish(99.0); // Worse scores never loosen the bound.
-/// assert_eq!(bound.score(), 42.0);
-/// ```
-#[derive(Debug)]
-pub struct SharedBound {
-    bits: AtomicU64,
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        SharedBound::new()
-    }
-}
-
-impl SharedBound {
-    /// Creates an empty bound (`+∞`: nothing published yet).
-    #[must_use]
-    pub fn new() -> SharedBound {
-        SharedBound {
-            bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
-
-    /// The best published score, `+∞` when none.
-    #[must_use]
-    pub fn score(&self) -> f64 {
-        f64::from_bits(self.bits.load(AtomicOrdering::Relaxed))
-    }
-
-    /// Publishes a feasible-point score; only improvements are kept.
-    pub fn publish(&self, score: f64) {
-        if !score.is_finite() {
-            return;
-        }
-        let mut current = self.bits.load(AtomicOrdering::Relaxed);
-        loop {
-            if score >= f64::from_bits(current) {
-                return;
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                score.to_bits(),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => current = now,
-            }
         }
     }
 }
@@ -279,10 +200,6 @@ pub enum Termination {
     /// The wall-clock deadline passed first; the incumbent (if any) is
     /// feasible but not proven optimal.
     Deadline,
-    /// A cooperating solver asked this run to stop (see
-    /// [`BranchBound::with_cancel`]); the incumbent (if any) is feasible
-    /// but not proven optimal *by this run*.
-    Cancelled,
 }
 
 /// Outcome of [`BranchBound::run`]: the best incumbent (if any), why the
@@ -412,10 +329,10 @@ fn prunable(bound: f64, incumbent_score: f64) -> bool {
 ///
 /// This is *the* tie-break of the exact-solver determinism contract (see
 /// `docs/BACKENDS.md`): every exact backend — branch-and-bound, exhaustive
-/// enumeration and the implicit-enumeration backends layered on top of this
-/// crate — must report, among equal-objective optima (within `1e-9`), the
-/// assignment this predicate ranks smallest. Exported so out-of-crate
-/// backends share the identical comparison instead of re-implementing it.
+/// enumeration and any backend layered on top of this crate — must report,
+/// among equal-objective optima (within `1e-9`), the assignment this
+/// predicate ranks smallest. Exported so out-of-crate backends share the
+/// identical comparison instead of re-implementing it.
 #[must_use]
 pub fn lex_less(a: &[f64], b: &[f64]) -> bool {
     for (x, y) in a.iter().zip(b) {
@@ -526,36 +443,6 @@ impl IncumbentView for &SharedIncumbent {
     }
 }
 
-/// Couples a run's own incumbent with an optional cross-solver
-/// [`SharedBound`]: pruning reads the tighter of the two, installations are
-/// re-published for the other racers. The underlying incumbent never
-/// adopts *points* from outside — only scores — so an exhausted run still
-/// reports its own lexicographically smallest optimum.
-struct BoundView<'a> {
-    inner: &'a mut dyn IncumbentView,
-    external: Option<&'a SharedBound>,
-}
-
-impl IncumbentView for BoundView<'_> {
-    fn current_score(&self) -> f64 {
-        let own = self.inner.current_score();
-        match self.external {
-            Some(ext) => own.min(ext.score()),
-            None => own,
-        }
-    }
-
-    fn offer(&mut self, score: f64, objective: f64, values: Vec<f64>) -> bool {
-        let installed = self.inner.offer(score, objective, values);
-        if installed {
-            if let Some(ext) = self.external {
-                ext.publish(score);
-            }
-        }
-        installed
-    }
-}
-
 /// Immutable per-run search context shared by the root, the serial loop and
 /// every parallel worker.
 struct SearchCtx<'a> {
@@ -563,8 +450,6 @@ struct SearchCtx<'a> {
     binaries: &'a [VarId],
     minimize: bool,
     simplex: SimplexOptions,
-    /// Per-node cover-cut separation (see [`BranchBound::with_node_cuts`]).
-    cuts: Option<&'a CutSeparator>,
 }
 
 impl SearchCtx<'_> {
@@ -620,43 +505,11 @@ impl SearchCtx<'_> {
             Err(e) => return Err(e),
         };
         stats.simplex_iterations += lp.iterations;
-        let mut bound = self.norm(lp.objective);
+        let bound = self.norm(lp.objective);
         if prunable(bound, inc.current_score()) {
             stats.nodes_pruned += 1;
             arena.retire(node.path);
             return Ok(None);
-        }
-
-        // Per-node cover cuts (opt-in): separate against this node's LP
-        // optimum and re-solve with the cuts appended. Cuts never exclude
-        // integer points, so the tightened bound is valid for the whole
-        // subtree; they are discarded after the node, keeping every node's
-        // evaluation independent of search order (and hence deterministic).
-        if let Some(sep) = self.cuts {
-            let cuts = sep.separate(&lp.values);
-            if !cuts.is_empty() {
-                let mut patched = self.model.clone();
-                for (i, cut) in cuts.iter().enumerate() {
-                    cut.apply(&mut patched, format!("node_cover_{i}"))?;
-                }
-                match solve_with_bounds(&patched, &arena.lower, &arena.upper, self.simplex) {
-                    Ok(cut_lp) => {
-                        stats.simplex_iterations += cut_lp.iterations;
-                        bound = bound.max(self.norm(cut_lp.objective));
-                    }
-                    Err(IlpError::Infeasible) => {
-                        stats.nodes_pruned += 1;
-                        arena.retire(node.path);
-                        return Ok(None);
-                    }
-                    Err(e) => return Err(e),
-                }
-                if prunable(bound, inc.current_score()) {
-                    stats.nodes_pruned += 1;
-                    arena.retire(node.path);
-                    return Ok(None);
-                }
-            }
         }
 
         // Rounding heuristic: snapping the LP optimum to the nearest
@@ -752,8 +605,6 @@ struct Shared<'a> {
     deadline: Option<Duration>,
     started: Instant,
     threads: usize,
-    cancel: Option<&'a AtomicBool>,
-    ext_bound: Option<&'a SharedBound>,
 }
 
 impl Shared<'_> {
@@ -798,11 +649,7 @@ fn worker_loop(
     arena: &mut NodeArena,
 ) {
     let mut local: Vec<Node> = Vec::new();
-    let mut inc_cell = &shared.incumbent;
-    let mut inc = BoundView {
-        inner: &mut inc_cell,
-        external: shared.ext_bound,
-    };
+    let mut inc = &shared.incumbent;
     loop {
         let node = match local.pop() {
             Some(n) => n,
@@ -844,13 +691,6 @@ fn worker_loop(
             .is_some_and(|d| shared.started.elapsed() >= d)
         {
             shared.stop(Termination::Deadline);
-            return;
-        }
-        if shared
-            .cancel
-            .is_some_and(|c| c.load(AtomicOrdering::Relaxed))
-        {
-            shared.stop(Termination::Cancelled);
             return;
         }
         stats.nodes_explored += 1;
@@ -934,38 +774,6 @@ impl BranchBound {
         self
     }
 
-    /// Installs a cooperative cancellation flag, checked once per node like
-    /// the deadline. When another party sets the flag, the run stops with
-    /// [`Termination::Cancelled`] and keeps its best incumbent — portfolio
-    /// racing uses this to stop losers once a winner is proven.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> BranchBound {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Shares a cross-solver incumbent-score bound (see [`SharedBound`]).
-    /// The run prunes against the tighter of its own incumbent and the
-    /// shared score, and publishes every incumbent it installs. Because
-    /// pruning keeps ties, a run that still terminates
-    /// [`Termination::Optimal`] reports exactly the solution it would have
-    /// found alone — only the node counts change.
-    #[must_use]
-    pub fn with_shared_bound(mut self, bound: Arc<SharedBound>) -> BranchBound {
-        self.shared_bound = Some(bound);
-        self
-    }
-
-    /// Enables per-node cover-cut separation (see [`crate::cuts`]): each
-    /// fractional node re-solves its LP with the separated cuts appended
-    /// and keeps the tightened bound. Cuts never exclude integer points, so
-    /// the reported solution is unchanged; node and pivot counts move.
-    #[must_use]
-    pub fn with_node_cuts(mut self, cuts: Arc<CutSeparator>) -> BranchBound {
-        self.node_cuts = Some(cuts);
-        self
-    }
-
     /// Solves `model` to proven optimality.
     ///
     /// # Errors
@@ -999,7 +807,6 @@ impl BranchBound {
                 limit: self.max_nodes,
             }),
             Termination::Deadline => Err(IlpError::DeadlineExceeded),
-            Termination::Cancelled => Err(IlpError::Cancelled),
         }
     }
 
@@ -1053,15 +860,6 @@ impl BranchBound {
             binaries: &binaries,
             minimize,
             simplex: self.simplex,
-            cuts: self.node_cuts.as_deref(),
-        };
-        let cancel = self.cancel.as_deref();
-        let ext_bound = self.shared_bound.as_deref();
-        let cancelled = || cancel.is_some_and(|c| c.load(AtomicOrdering::Relaxed));
-        // The tightest known feasible score: our incumbent or a racer's.
-        let effective = |own: f64| match ext_bound {
-            Some(ext) => own.min(ext.score()),
-            None => own,
         };
 
         let mut incumbent = Incumbent::new();
@@ -1079,11 +877,6 @@ impl BranchBound {
                 let objective = model.objective().eval(values);
                 incumbent.offer(ctx.norm(objective), objective, values.clone());
                 warm_start_accepted = true;
-            }
-        }
-        if warm_start_accepted {
-            if let Some(ext) = self.shared_bound.as_deref() {
-                ext.publish(incumbent.score);
             }
         }
 
@@ -1145,17 +938,6 @@ impl BranchBound {
                 None,
             );
         }
-        if cancelled() {
-            return finish(
-                incumbent,
-                Termination::Cancelled,
-                root_stats,
-                vec![],
-                0,
-                false,
-                None,
-            );
-        }
 
         // The post-probe values of these become the base bounds every
         // node's delta path is reconstructed against.
@@ -1191,17 +973,13 @@ impl BranchBound {
             Some(lp) => {
                 root_stats.simplex_iterations += lp.iterations;
                 let bound = ctx.norm(lp.objective);
-                if prunable(bound, effective(incumbent.score)) {
-                    // Only possible when a warm start or racer already
-                    // dominates.
+                if prunable(bound, incumbent.score) {
+                    // Only possible when a warm start already dominates.
                     root_stats.nodes_pruned += 1;
                     None
                 } else {
                     if ctx.offer_rounded(lp.values.clone(), &mut incumbent) {
                         root_stats.incumbent_updates += 1;
-                        if let Some(ext) = ext_bound {
-                            ext.publish(incumbent.score);
-                        }
                     }
 
                     // Reduced-cost probing, once, at the root: a warm start
@@ -1227,8 +1005,7 @@ impl BranchBound {
                             c(b.0).total_cmp(&c(a.0))
                         });
                         for (v, x) in candidates.into_iter().take(MAX_ROOT_PROBES) {
-                            if self.deadline.is_some_and(|d| started.elapsed() >= d) || cancelled()
-                            {
+                            if self.deadline.is_some_and(|d| started.elapsed() >= d) {
                                 break;
                             }
                             let flipped = if x <= INT_TOL { 1.0 } else { 0.0 };
@@ -1280,9 +1057,6 @@ impl BranchBound {
                         None => {
                             if ctx.offer_rounded(lp.values, &mut incumbent) {
                                 root_stats.incumbent_updates += 1;
-                                if let Some(ext) = ext_bound {
-                                    ext.publish(incumbent.score);
-                                }
                             }
                             None
                         }
@@ -1339,7 +1113,7 @@ impl BranchBound {
             heap.push(up);
             let mut explored = 1usize; // the root
             while let Some(node) = heap.pop() {
-                if prunable(node.score, effective(incumbent.score)) {
+                if prunable(node.score, incumbent.score) {
                     stats.nodes_pruned += 1;
                     arena.retire(node.path);
                     continue;
@@ -1368,35 +1142,17 @@ impl BranchBound {
                         root_basis_out,
                     );
                 }
-                if cancelled() {
-                    stats.simplex_ops = scratch.take_ops();
-                    return finish(
-                        incumbent,
-                        Termination::Cancelled,
-                        root_stats,
-                        vec![stats],
-                        vars_fixed,
-                        basis_reused,
-                        root_basis_out,
-                    );
-                }
                 explored += 1;
                 stats.nodes_explored += 1;
-                let expanded = {
-                    let mut view = BoundView {
-                        inner: &mut incumbent,
-                        external: ext_bound,
-                    };
-                    ctx.expand(
-                        &mut scratch,
-                        &mut arena,
-                        &base_lower,
-                        &base_upper,
-                        node,
-                        &mut view,
-                        &mut stats,
-                    )?
-                };
+                let expanded = ctx.expand(
+                    &mut scratch,
+                    &mut arena,
+                    &base_lower,
+                    &base_upper,
+                    node,
+                    &mut incumbent,
+                    &mut stats,
+                )?;
                 if let Some((down, up)) = expanded {
                     heap.push(down);
                     heap.push(up);
@@ -1437,8 +1193,6 @@ impl BranchBound {
             deadline: self.deadline,
             started,
             threads: self.threads,
-            cancel,
-            ext_bound,
         };
 
         let mut workers: Vec<WorkerStats> = Vec::with_capacity(self.threads);
@@ -1856,81 +1610,6 @@ mod tests {
         assert!(!warm.stats.basis_reused);
         assert_eq!(warm.solution, cold.solution);
         assert_eq!(warm.stats.nodes_explored, cold.stats.nodes_explored);
-    }
-
-    #[test]
-    fn pre_set_cancel_terminates_with_cancelled() {
-        let (m, _) = tight_budget_model();
-        for threads in [1usize, 4] {
-            let flag = Arc::new(AtomicBool::new(true));
-            let run = BranchBound::new()
-                .with_threads(threads)
-                .with_cancel(flag)
-                .run(&m, None)
-                .unwrap();
-            assert_eq!(run.termination, Termination::Cancelled, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn cancelled_solve_maps_to_error() {
-        let (m, _) = tight_budget_model();
-        let flag = Arc::new(AtomicBool::new(true));
-        let solver = BranchBound::new().with_cancel(flag);
-        assert_eq!(solver.solve(&m), Err(IlpError::Cancelled));
-    }
-
-    #[test]
-    fn shared_bound_is_published_and_consumed() {
-        let (m, _) = tight_budget_model();
-        let baseline = BranchBound::new().run(&m, None).unwrap();
-
-        // Publishing happens: a fresh bound ends up at the optimum's score.
-        let bound = Arc::new(SharedBound::new());
-        let run = BranchBound::new()
-            .with_shared_bound(bound.clone())
-            .run(&m, None)
-            .unwrap();
-        assert_eq!(run.termination, Termination::Optimal);
-        let sol = run.solution.as_ref().unwrap();
-        assert_eq!(bound.score(), -sol.objective); // Maximisation: normalised.
-
-        // Consuming happens: a pre-published optimal score prunes at least
-        // as hard as a warm start, and the reported solution is unchanged
-        // (ties survive external pruning by construction).
-        let primed = Arc::new(SharedBound::new());
-        primed.publish(-sol.objective);
-        let pruned = BranchBound::new()
-            .with_shared_bound(primed)
-            .run(&m, None)
-            .unwrap();
-        assert_eq!(pruned.termination, Termination::Optimal);
-        assert_eq!(pruned.solution, baseline.solution);
-        assert!(
-            pruned.stats.nodes_explored <= baseline.stats.nodes_explored,
-            "external bound must not grow the tree: {} > {}",
-            pruned.stats.nodes_explored,
-            baseline.stats.nodes_explored
-        );
-    }
-
-    #[test]
-    fn node_cuts_preserve_the_solution() {
-        // A knapsack whose LP bound is weak: per-node covers tighten it but
-        // the reported optimum must be byte-identical.
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.add_binary(format!("x{i}"))).collect();
-        m.set_objective(vars.iter().map(|&v| (v, 5.0)));
-        m.add_constraint(vars.iter().map(|&v| (v, 3.0)), Relation::Le, 7.0)
-            .unwrap();
-        let plain = BranchBound::new().run(&m, None).unwrap();
-        let sep = Arc::new(CutSeparator::from_model(&m, &[]));
-        let cut = BranchBound::new()
-            .with_node_cuts(sep)
-            .run(&m, None)
-            .unwrap();
-        assert_eq!(plain.solution, cut.solution);
-        assert_eq!(cut.termination, Termination::Optimal);
     }
 
     #[test]

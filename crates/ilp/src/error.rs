@@ -37,9 +37,6 @@ pub enum IlpError {
     /// Branch-and-bound ran past its wall-clock deadline without proving
     /// optimality.
     DeadlineExceeded,
-    /// A cooperative cancellation flag stopped the solve before it proved
-    /// optimality (see [`crate::BranchBound::with_cancel`]).
-    Cancelled,
     /// The exhaustive solver was asked for too many binaries.
     TooManyBinaries {
         /// Number of binaries in the model.
@@ -80,7 +77,6 @@ impl fmt::Display for IlpError {
                 write!(f, "branch-and-bound exceeded {limit} nodes")
             }
             IlpError::DeadlineExceeded => f.write_str("branch-and-bound ran past its deadline"),
-            IlpError::Cancelled => f.write_str("solve was cancelled by a cooperating solver"),
             IlpError::TooManyBinaries { count, max } => {
                 write!(
                     f,

@@ -1,6 +1,5 @@
 //! Brute-force reference solver for validation.
 
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use crate::branch_bound::lex_less;
@@ -14,7 +13,7 @@ pub const MAX_EXHAUSTIVE_BINARIES: usize = 24;
 /// branch-and-bound's `TIE_TOL`).
 const TIE_TOL: f64 = 1e-9;
 
-/// How many assignments are enumerated between deadline/cancel polls.
+/// How many assignments are enumerated between deadline polls.
 const POLL_STRIDE: u64 = 256;
 
 /// Outcome of [`run_binary_exhaustive`]: the best feasible assignment seen
@@ -36,7 +35,7 @@ pub struct ExhaustiveRun {
 /// so exact backends agree byte-for-byte.
 ///
 /// `max_assignments` bounds how many assignments are checked; `deadline`
-/// and `cancel` are polled every few hundred assignments. An exhausted
+/// is polled every few hundred assignments. An exhausted
 /// budget returns the best incumbent found so far with an honest
 /// [`Termination`], never an error.
 ///
@@ -49,7 +48,6 @@ pub fn run_binary_exhaustive(
     model: &Model,
     max_assignments: usize,
     deadline: Option<Duration>,
-    cancel: Option<&AtomicBool>,
 ) -> Result<ExhaustiveRun, IlpError> {
     let binaries = model.binary_vars();
     if binaries.len() > MAX_EXHAUSTIVE_BINARIES {
@@ -80,15 +78,9 @@ pub fn run_binary_exhaustive(
             termination = Termination::NodeLimit;
             break;
         }
-        if mask % POLL_STRIDE == 0 {
-            if deadline.is_some_and(|d| started.elapsed() >= d) {
-                termination = Termination::Deadline;
-                break;
-            }
-            if cancel.is_some_and(|c| c.load(AtomicOrdering::Relaxed)) {
-                termination = Termination::Cancelled;
-                break;
-            }
+        if mask % POLL_STRIDE == 0 && deadline.is_some_and(|d| started.elapsed() >= d) {
+            termination = Termination::Deadline;
+            break;
         }
         checked += 1;
         let mut lower = Vec::with_capacity(n);
@@ -164,7 +156,7 @@ pub fn solve_binary_exhaustive(model: &Model) -> Result<IlpSolution, IlpError> {
 ///
 /// Same as [`solve_binary_exhaustive`].
 pub fn solve_binary_exhaustive_counted(model: &Model) -> Result<(IlpSolution, usize), IlpError> {
-    let run = run_binary_exhaustive(model, usize::MAX, None, None)?;
+    let run = run_binary_exhaustive(model, usize::MAX, None)?;
     debug_assert_eq!(run.termination, Termination::Optimal);
     run.solution
         .ok_or(IlpError::Infeasible)
@@ -236,7 +228,7 @@ mod tests {
         let a = m.add_binary("a");
         let b = m.add_binary("b");
         m.set_objective([(a, 1.0), (b, 1.0)]);
-        let run = run_binary_exhaustive(&m, 2, None, None).unwrap();
+        let run = run_binary_exhaustive(&m, 2, None).unwrap();
         assert_eq!(run.termination, Termination::NodeLimit);
         assert_eq!(run.assignments_checked, 2);
         // The all-zero assignment is feasible, so an incumbent survives.
@@ -244,28 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn pre_set_cancel_stops_before_any_work() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a");
-        m.set_objective([(a, 1.0)]);
-        let flag = AtomicBool::new(true);
-        let run = run_binary_exhaustive(&m, usize::MAX, None, Some(&flag)).unwrap();
-        assert_eq!(run.termination, Termination::Cancelled);
-        assert_eq!(run.assignments_checked, 0);
-        assert!(run.solution.is_none());
-        flag.store(false, Ordering::Relaxed);
-        let run = run_binary_exhaustive(&m, usize::MAX, None, Some(&flag)).unwrap();
-        assert_eq!(run.termination, Termination::Optimal);
-    }
-
-    #[test]
     fn zero_deadline_reports_deadline() {
         let mut m = Model::new(Sense::Minimize);
         let a = m.add_binary("a");
         m.set_objective([(a, 1.0)]);
-        let run =
-            run_binary_exhaustive(&m, usize::MAX, Some(std::time::Duration::ZERO), None).unwrap();
+        let run = run_binary_exhaustive(&m, usize::MAX, Some(std::time::Duration::ZERO)).unwrap();
         assert_eq!(run.termination, Termination::Deadline);
         assert!(run.solution.is_none());
     }

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod branch_bound;
-pub mod cuts;
 mod error;
 mod exhaustive;
 mod expr;
@@ -47,7 +46,7 @@ pub mod simplex;
 mod solution;
 
 pub use branch_bound::{
-    lex_less, BranchBound, BranchBoundRun, BranchBoundStats, SharedBound, Termination, WorkerStats,
+    lex_less, BranchBound, BranchBoundRun, BranchBoundStats, Termination, WorkerStats,
 };
 pub use error::IlpError;
 pub use exhaustive::{
@@ -72,8 +71,5 @@ const _: () = {
     assert_send_sync::<BranchBound>();
     assert_send_sync::<BranchBoundStats>();
     assert_send_sync::<IlpError>();
-    // Portfolio racing shares these across racer threads.
-    assert_send_sync::<SharedBound>();
-    assert_send_sync::<cuts::CutSeparator>();
     assert_send_sync::<ExhaustiveRun>();
 };

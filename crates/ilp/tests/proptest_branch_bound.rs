@@ -134,9 +134,7 @@ proptest! {
                     Termination::NodeLimit => {
                         prop_assert!(run.stats.nodes_explored <= max_nodes);
                     }
-                    Termination::Deadline | Termination::Cancelled => {
-                        prop_assert!(false, "no deadline or cancel flag was set")
-                    }
+                    Termination::Deadline => prop_assert!(false, "no deadline was set"),
                 }
             }
             Err(IlpError::Infeasible) => {

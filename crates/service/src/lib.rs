@@ -303,10 +303,10 @@ impl ServiceCore {
         }
     }
 
-    /// Jobs currently admitted and unfinished (test hook for the load
-    /// accounting invariants).
-    #[cfg(test)]
-    pub(crate) fn current_load(&self) -> usize {
+    /// Jobs admitted by a server loop and not yet answered. Every served
+    /// connection returns it to where it started, whatever its input.
+    #[must_use]
+    pub fn current_load(&self) -> usize {
         self.load.load(Ordering::Relaxed)
     }
 

@@ -21,7 +21,7 @@
 //! [`crate::replay`], which is single-threaded by construction.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixListener;
 use std::path::Path;
@@ -32,6 +32,14 @@ use partita_core::api::{ApiError, Request, Response};
 use partita_core::Redaction;
 
 use crate::ServiceCore;
+
+/// Longest request line the reader buffers, newline excluded. A longer
+/// line is answered with [`ApiError::Malformed`] and skipped up to its
+/// newline without being stored, so a client that never sends a newline
+/// cannot grow the daemon's memory without bound. The largest request the
+/// bundled tooling sends (a batch resolving a whole instance pool) is a few
+/// KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Per-tenant FIFOs plus the round-robin ring the workers pull from.
 /// In-flight and queue *counts* live on [`ServiceCore`], shared across
@@ -123,7 +131,7 @@ impl Drop for JobGuard<'_> {
 /// concurrent completions never tear.
 pub fn serve<R, W>(
     core: &Arc<ServiceCore>,
-    input: R,
+    mut input: R,
     output: W,
     workers: usize,
     redaction: Redaction,
@@ -179,27 +187,53 @@ where
         // path below — parked workers wait on `open`, and `thread::scope`
         // would block on them forever.
         let read_result = (|| -> std::io::Result<()> {
-            for line in input.lines() {
-                let line = line?;
+            let reply_inline = |resp: Response| -> std::io::Result<()> {
+                let mut out = output.lock().expect("output lock");
+                out.write_all(resp.to_json(redaction).as_bytes())?;
+                out.write_all(b"\n")?;
+                out.flush()
+            };
+            // One byte past the cap tells an over-long line from one that
+            // fits exactly.
+            let cap = MAX_LINE_BYTES as u64 + 1;
+            let mut buf: Vec<u8> = Vec::new();
+            loop {
+                buf.clear();
+                if (&mut input).take(cap).read_until(b'\n', &mut buf)? == 0 {
+                    return Ok(());
+                }
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                    if buf.last() == Some(&b'\r') {
+                        buf.pop();
+                    }
+                } else if buf.len() > MAX_LINE_BYTES {
+                    skip_line(&mut input)?;
+                    let err =
+                        ApiError::Malformed(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+                    reply_inline(Response::error("", "", err))?;
+                    continue;
+                }
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    let err = ApiError::Malformed("request line is not valid UTF-8".into());
+                    reply_inline(Response::error("", "", err))?;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
-                match Request::parse(&line) {
+                match Request::parse(line) {
                     Ok(req) => {
                         if !core.try_admit(&req.tenant) {
                             core.note_rejected();
-                            let resp = Response::error(
+                            reply_inline(Response::error(
                                 &req.id,
                                 &req.tenant,
                                 ApiError::Overloaded {
                                     tenant: req.tenant.clone(),
                                     detail: "queue full".into(),
                                 },
-                            );
-                            let mut out = output.lock().expect("output lock");
-                            out.write_all(resp.to_json(redaction).as_bytes())?;
-                            out.write_all(b"\n")?;
-                            out.flush()?;
+                            ))?;
                             continue;
                         }
                         core.load_enter();
@@ -209,16 +243,11 @@ where
                     Err(err) => {
                         // Answer protocol errors inline; they never occupy
                         // a worker.
-                        let (id, tenant) = crate::best_effort_ids(&line);
-                        let resp = Response::error(&id, &tenant, err);
-                        let mut out = output.lock().expect("output lock");
-                        out.write_all(resp.to_json(redaction).as_bytes())?;
-                        out.write_all(b"\n")?;
-                        out.flush()?;
+                        let (id, tenant) = crate::best_effort_ids(line);
+                        reply_inline(Response::error(&id, &tenant, err))?;
                     }
                 }
             }
-            Ok(())
         })();
 
         // Shutdown — reached on EOF *and* on reader error: close the
@@ -249,6 +278,23 @@ where
         }
         read_result.and(worker_result)
     })
+}
+
+/// Discards `input` up to and including the next newline (or to EOF)
+/// without buffering it.
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if let Some(at) = chunk.iter().position(|&b| b == b'\n') {
+            input.consume(at + 1);
+            return Ok(());
+        }
+        let len = chunk.len();
+        input.consume(len);
+    }
 }
 
 /// Serves stdin → stdout until EOF. The interactive / piped mode of the
@@ -371,6 +417,20 @@ mod tests {
         let text = String::from_utf8(out).expect("utf8");
         assert!(text.contains("\"code\":429"), "{text}");
         assert_eq!(core.stats().rejected, 1);
+    }
+
+    #[test]
+    fn unterminated_oversized_line_is_answered_not_buffered() {
+        let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
+        // A client that never sends a newline: the reader stops buffering
+        // at the cap, answers once, and sees EOF.
+        let input = vec![b'{'; 2 * MAX_LINE_BYTES + 7];
+        let mut out: Vec<u8> = Vec::new();
+        serve(&core, input.as_slice(), &mut out, 1, Redaction::None).expect("serve ok");
+        let text = String::from_utf8(out).expect("utf8");
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("\"code\":100"), "{text}");
+        assert_eq!(core.current_load(), 0);
     }
 
     /// Yields its data, then fails the next read — a TCP peer resetting

@@ -10,10 +10,14 @@
 //!    cumulative node budget is served by the greedy backend (honestly
 //!    labelled [`OptimalityStatus::Heuristic`]) while other tenants keep
 //!    their exact service.
+//!
+//! Plus the reader's robustness gate: oversized and non-UTF-8 lines are
+//! answered as malformed and the connection keeps serving.
 
 use std::sync::Arc;
 
 use partita_core::api::{selection_digest, Payload, Request, RequestBody, SolveResult, SolveSpec};
+use partita_core::telemetry::json::JsonValue;
 use partita_core::telemetry::{CacheKind, Event, RecordingSink};
 use partita_core::{OptimalityStatus, Solver};
 use partita_service::{ServiceConfig, ServiceCore, TenantPolicy};
@@ -63,6 +67,28 @@ fn corpus_points() -> Vec<(String, u64)> {
             (id.to_string(), rg)
         })
         .collect()
+}
+
+/// Digest of a cold library solve of `instance` at `rg`, under the same
+/// options the daemon derives from [`solve_request`]'s spec.
+fn cold_digest(instance: &str, rg: u64) -> u64 {
+    let manifest = corpus::manifest().expect("corpus manifest parses");
+    let entry = manifest.iter().find(|e| e.id == instance).expect("entry");
+    let w = entry.verify().expect("verifies");
+    let spec = SolveSpec {
+        rg,
+        audit: true,
+        ..SolveSpec::default()
+    };
+    let options = spec
+        .to_options_at(rg)
+        .budget(TenantPolicy::default().clamp(&spec))
+        .audit(spec.audit);
+    let sel = Solver::new(&w.instance)
+        .with_imps(w.imps.clone())
+        .solve(&options)
+        .expect("cold library solve");
+    selection_digest(&sel)
 }
 
 #[test]
@@ -120,25 +146,9 @@ fn cross_tenant_cache_hits_are_byte_identical_and_audited() {
 
     // The cached answers equal cold *library* solves of the same points,
     // digest for digest (the admission path must not change the answer).
-    let manifest = corpus::manifest().expect("corpus manifest parses");
     for ((instance, rg), served) in points.iter().zip(cold.iter()) {
-        let entry = manifest.iter().find(|e| e.id == *instance).expect("entry");
-        let w = entry.verify().expect("verifies");
-        let spec = SolveSpec {
-            rg: *rg,
-            audit: true,
-            ..SolveSpec::default()
-        };
-        let options = spec
-            .to_options_at(*rg)
-            .budget(TenantPolicy::default().clamp(&spec))
-            .audit(spec.audit);
-        let sel = Solver::new(&w.instance)
-            .with_imps(w.imps.clone())
-            .solve(&options)
-            .expect("cold library solve");
         assert_eq!(
-            selection_digest(&sel),
+            cold_digest(instance, *rg),
             served.digest,
             "{instance}: daemon answer differs from a cold library solve"
         );
@@ -228,4 +238,62 @@ fn over_budget_tenant_degrades_to_greedy_without_starving_the_other() {
     assert_eq!(flush_lines, 3);
     assert_eq!(core.stats().degraded, 3);
     assert_eq!(core.stats().rejected, 0);
+}
+
+#[test]
+fn oversized_and_non_utf8_lines_are_malformed_and_the_connection_survives() {
+    use partita_service::server::{serve, MAX_LINE_BYTES};
+
+    let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
+    let (instance, rg) = corpus_points().remove(0);
+    // One byte over the cap, then its newline.
+    let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+    input.push(b'\n');
+    // A request whose tenant holds a byte that is never valid UTF-8.
+    input.extend_from_slice(
+        b"{\"api_version\":1,\"id\":\"u\",\"tenant\":\"\xff\",\"method\":\"ping\"}\n",
+    );
+    input.extend_from_slice(
+        solve_request("alice", "ok", &instance, rg)
+            .to_json()
+            .as_bytes(),
+    );
+    input.push(b'\n');
+
+    let mut out: Vec<u8> = Vec::new();
+    serve(
+        &core,
+        input.as_slice(),
+        &mut out,
+        2,
+        partita_core::Redaction::None,
+    )
+    .expect("bad lines must not end the connection");
+    let text = String::from_utf8(out).expect("replies are UTF-8");
+    let replies: Vec<JsonValue> = text
+        .lines()
+        .map(|l| JsonValue::parse(l).unwrap_or_else(|e| panic!("bad reply {l:?}: {e:?}")))
+        .collect();
+    assert_eq!(replies.len(), 3, "{text}");
+    let malformed = replies
+        .iter()
+        .filter(|r| {
+            r.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_u64)
+                == Some(100)
+        })
+        .count();
+    assert_eq!(malformed, 2, "{text}");
+    // Digests are full u64s, beyond f64 precision: compare the raw text.
+    let answer = text
+        .lines()
+        .find(|l| l.contains("\"id\":\"ok\""))
+        .unwrap_or_else(|| panic!("valid request unanswered: {text}"));
+    let digest = format!("\"digest\":{},", cold_digest(&instance, rg));
+    assert!(
+        answer.contains("\"ok\":true") && answer.contains(&digest),
+        "valid request answered wrongly: {answer}"
+    );
+    assert_eq!(core.current_load(), 0, "load accounting leaked");
 }

@@ -1,7 +1,7 @@
 //! Bidirectional contract between `docs/BACKENDS.md` and the code: every
 //! backend the engine enumerates is documented, nothing is documented that
 //! the engine no longer has, and the cross-references the contract leans on
-//! (statuses, race telemetry) actually exist on both sides.
+//! (statuses, telemetry) actually exist on both sides.
 
 use partita::core::telemetry::EventKind;
 use partita::core::{Backend, OptimalityStatus};
@@ -58,8 +58,9 @@ fn contract_cross_references_exist() {
             "docs/BACKENDS.md never mentions status `{name}`"
         );
     }
-    // The telemetry section names the race events, and they exist.
-    for kind in [EventKind::BackendFinished, EventKind::RaceWon] {
+    // The telemetry section names the events derived from a backend's
+    // effort counters, and they exist.
+    for kind in [EventKind::WorkerFinished, EventKind::SolveFinished] {
         assert!(
             DOC.contains(&format!("`{}`", kind.name())),
             "docs/BACKENDS.md never mentions event `{}`",

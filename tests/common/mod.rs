@@ -4,7 +4,7 @@
 #![allow(dead_code)]
 
 use partita::core::{
-    Backend, RequiredGains, Selection, SelectionAuditor, SolveBudget, SolveOptions, Solver,
+    RequiredGains, Selection, SelectionAuditor, SolveBudget, SolveOptions, Solver,
 };
 use partita::mop::Cycles;
 use partita::workloads::corpus::{self, ManifestEntry};
@@ -33,25 +33,13 @@ pub fn serialize_selection(sel: &Selection) -> String {
     out
 }
 
-/// The backend the gates run, overridable via `PARTITA_BACKEND` (any
-/// canonical [`Backend::name`], e.g. the CI matrix's `portfolio` leg).
-/// Unset or unknown values fall back to the default backend, so the
-/// always-on gates keep their historical meaning.
-pub fn gate_backend() -> Backend {
-    std::env::var("PARTITA_BACKEND")
-        .ok()
-        .and_then(|v| Backend::ALL.into_iter().find(|b| b.name() == v.trim()))
-        .unwrap_or_default()
-}
-
 /// Solves one sweep point with an explicit branch-and-bound thread count,
-/// on the gate backend (see [`gate_backend`]).
+/// on the default backend.
 pub fn solve_with_threads(w: &Workload, rg: Cycles, threads: usize) -> Selection {
     Solver::new(&w.instance)
         .with_imps(w.imps.clone())
         .solve(
             &SolveOptions::problem2(RequiredGains::uniform(rg))
-                .backend(gate_backend())
                 .budget(SolveBudget::default().with_threads(threads)),
         )
         .expect("sweep point feasible")

@@ -98,48 +98,6 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
                 );
             }
 
-            // The portfolio's exact racers must not just bound-match the
-            // oracle: per the determinism contract of docs/BACKENDS.md each
-            // returns the *byte-identical* tie-broken selection serial
-            // branch-and-bound returns, and every feasible result must
-            // audit clean.
-            for backend in [
-                Backend::Lagrangian,
-                Backend::ConflictEnum,
-                Backend::Portfolio,
-            ] {
-                let raced = solve(backend, 1);
-                match (&serial_result, &raced) {
-                    (Ok(expected), Ok(got)) => {
-                        assert_eq!(
-                            expected.chosen(),
-                            got.chosen(),
-                            "{backend} selection diverged from branch-and-bound at {ctx}"
-                        );
-                        assert_eq!(
-                            expected.total_area(),
-                            got.total_area(),
-                            "{backend} area diverged at {ctx}"
-                        );
-                        assert!(
-                            got.status.is_optimal(),
-                            "{backend} returned non-optimal status {} at {ctx}",
-                            got.status
-                        );
-                        common::assert_audit_clean(
-                            &w,
-                            got,
-                            &SolveOptions::problem2(RequiredGains::uniform(rg)),
-                            &ctx,
-                        );
-                    }
-                    (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {}
-                    other => {
-                        panic!("{backend} vs branch-and-bound diverged at {ctx}: {other:?}")
-                    }
-                }
-            }
-
             let serial = verdict(serial_result).expect("branch-and-bound has no size cap");
             let parallel = verdict(solve(Backend::BranchBound, PARALLEL_THREADS))
                 .expect("branch-and-bound has no size cap");
