@@ -13,7 +13,6 @@
 
 use std::time::Instant;
 
-use partita_core::delta::{DeltaSession, InstanceDelta};
 use partita_core::telemetry::json::JsonValue;
 use partita_core::{
     Imp, ImpDb, Instance, ParallelChoice, RequiredGains, SCall, Selection, SelectionAuditor,
@@ -130,33 +129,33 @@ pub struct PointResult {
     pub status: String,
 }
 
-/// Session cache counters of one config run (portable: cache behaviour is
-/// deterministic for a fixed request sequence).
+/// Session cache and re-solve counters of one config run (portable: cache
+/// behaviour, chaining and basis repair are deterministic for a fixed
+/// request sequence).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the solve cache.
     pub cache_hits: u64,
     /// Requests that ran a solver.
     pub cache_misses: u64,
-    /// Solver runs that reused a cached model.
-    pub model_hits: u64,
-    /// Solver runs that built their model.
-    pub model_misses: u64,
     /// Points seeded with the previous point's verified optimum.
     pub chained_accepts: u64,
     /// Points whose carry-over candidate was rejected.
     pub chained_rejects: u64,
+    /// Points whose re-solve repaired the retained root basis instead of a
+    /// cold two-phase root LP (chained configs only; cold sweeps hold no
+    /// basis).
+    pub basis_reused: u64,
 }
 
 impl CacheStats {
-    fn from_trace(t: &SweepTrace) -> CacheStats {
+    fn from_run(t: &SweepTrace, sels: &[Selection]) -> CacheStats {
         CacheStats {
             cache_hits: t.cache_hits,
             cache_misses: t.cache_misses,
-            model_hits: t.model_hits,
-            model_misses: t.model_misses,
             chained_accepts: t.chained_accepts,
             chained_rejects: t.chained_rejects,
+            basis_reused: sels.iter().map(|s| u64::from(s.trace.basis_reused)).sum(),
         }
     }
 }
@@ -232,32 +231,6 @@ pub struct ConfigResult {
     pub peak_rss_kb: Option<u64>,
 }
 
-/// One workload's incremental re-solve benchmark: the full published RG
-/// sweep walked **descending** as `SetRg` patches through a
-/// [`DeltaSession`] (basis repair + incumbent carry), each point compared
-/// inline against a cold `Solver::solve` of the identical patched options.
-/// The run itself asserts the selections are identical and audit-clean;
-/// the report carries the effort numbers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolveResult {
-    /// Sweep points walked (delta and cold alike).
-    pub points: u64,
-    /// Total branch-and-bound nodes of the per-point cold solves
-    /// (threads = 1, deterministic, hence portable).
-    pub cold_nodes: u64,
-    /// Total nodes of the delta re-solves over the same points (portable).
-    pub delta_nodes: u64,
-    /// Points whose re-solve repaired the retained basis (portable).
-    pub basis_reused: u64,
-    /// p50 of per-point delta re-solve wall latency, microseconds
-    /// (machine-dependent).
-    pub p50_us: u64,
-    /// p99 (nearest-rank) of per-point delta re-solve latency (machine).
-    pub p99_us: u64,
-    /// p50 of the matching cold solves, for scale (machine).
-    pub cold_p50_us: u64,
-}
-
 /// One service-mode run: a scripted two-tenant request sequence driven
 /// through an in-process [`ServiceCore`], per-request latency measured at
 /// the protocol boundary ([`ServiceCore::handle_request`]). The request
@@ -312,16 +285,14 @@ pub struct CorpusResult {
 }
 
 /// A full benchsuite run: config keys (sorted) mapped to results, plus the
-/// corpus-gate and incremental re-solve sections (both additive: reports
-/// written before a section existed parse to an empty one).
+/// corpus-gate and service sections (both additive: reports written before
+/// a section existed parse to an empty one).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SuiteReport {
     /// `(key, result)` pairs, sorted by key.
     pub configs: Vec<(String, ConfigResult)>,
     /// `(corpus group key, gate tallies)` pairs, sorted by key.
     pub corpus: Vec<(String, CorpusResult)>,
-    /// `(workload key, resolve benchmark)` pairs, sorted by key.
-    pub resolve: Vec<(String, ResolveResult)>,
     /// `(corpus group key, service-mode benchmark)` pairs, sorted by key.
     pub service: Vec<(String, ServiceResult)>,
 }
@@ -382,7 +353,8 @@ pub fn suite_workloads(quick: bool) -> Vec<(&'static str, Workload)> {
     }
 }
 
-fn run_config(w: &Workload, mode: Mode, threads: usize) -> ConfigResult {
+/// Runs one config and returns its result with the sweep's selections.
+fn run_config(w: &Workload, mode: Mode, threads: usize) -> (ConfigResult, Vec<Selection>) {
     let base = SolveOptions::default().budget(SolveBudget::default().with_threads(threads));
     let mut session = SweepSession::new();
     let started = Instant::now();
@@ -408,21 +380,39 @@ fn run_config(w: &Workload, mode: Mode, threads: usize) -> ConfigResult {
     for sel in &sels {
         ops.absorb_trace(&sel.trace);
     }
-    ConfigResult {
+    let result = ConfigResult {
         points,
-        cache: CacheStats::from_trace(&trace),
+        cache: CacheStats::from_run(&trace, &sels),
         portable_nodes: (threads <= 1).then_some(nodes),
         ops: (threads <= 1).then_some(ops),
         wall_us: u64::try_from(wall.as_micros()).unwrap_or(u64::MAX),
         machine_nodes: (threads > 1).then_some(nodes),
         peak_rss_kb: peak_rss_kb(),
-    }
+    };
+    (result, sels)
 }
 
-/// Repetitions of the descending resolve walk pooled into the latency
-/// percentiles (node counts come from the first walk; at one thread the
-/// repeats are deterministic replicas).
-const RESOLVE_REPS: usize = 3;
+/// Asserts that a chained sweep returned exactly the cold sweep's
+/// selections and that every chained selection audits clean — the
+/// benchmark doubles as an equivalence check of the warm re-solve path.
+fn check_chained(w: &Workload, cold: &[Selection], chained: &[Selection]) {
+    let name = &w.instance.name;
+    for ((c, f), &rg) in chained.iter().zip(cold).zip(&w.rg_sweep) {
+        assert!(
+            c.chosen() == f.chosen() && c.total_area() == f.total_area() && c.status == f.status,
+            "{name}: chained selection diverged from cold at RG {}",
+            rg.get()
+        );
+        let opts = SolveOptions::problem2(RequiredGains::uniform(rg));
+        let report = SelectionAuditor::new(&w.instance, &w.imps).audit(c, &opts);
+        assert!(
+            report.is_clean(),
+            "{name}: chained selection failed the audit at RG {}: {}",
+            rg.get(),
+            report.to_json()
+        );
+    }
+}
 
 /// Nearest-rank percentile of an unsorted latency sample, `p` in percent.
 fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
@@ -436,77 +426,6 @@ fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
 
 fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Walks the workload's published RG sweep descending through a
-/// [`DeltaSession`] and, per point, a cold solve of the identical patched
-/// options. Panics on any divergence or audit violation — the benchmark
-/// doubles as an equivalence check.
-fn run_resolve(w: &Workload) -> ResolveResult {
-    let budget = SolveBudget::default().with_threads(1);
-    let name = &w.instance.name;
-    let mut points: Vec<Cycles> = w.rg_sweep.clone();
-    points.reverse();
-    let mut delta_lat = Vec::new();
-    let mut cold_lat = Vec::new();
-    let (mut cold_nodes, mut delta_nodes, mut basis_reused) = (0u64, 0u64, 0u64);
-    for rep in 0..RESOLVE_REPS {
-        let opts = SolveOptions::problem2(RequiredGains::uniform(points[0])).budget(budget);
-        let mut session = DeltaSession::new(w.instance.clone(), w.imps.clone(), opts)
-            .unwrap_or_else(|e| panic!("{name}: resolve-bench formulation failed: {e}"));
-        for (i, &rg) in points.iter().enumerate() {
-            if i > 0 {
-                session
-                    .apply(InstanceDelta::SetRg(RequiredGains::uniform(rg)))
-                    .expect("SetRg is a pure RHS patch");
-            }
-            let started = Instant::now();
-            let warm = session.resolve().unwrap_or_else(|e| {
-                panic!("{name}: delta re-solve failed at RG {}: {e}", rg.get())
-            });
-            delta_lat.push(elapsed_us(started));
-            let started = Instant::now();
-            let cold = Solver::new(&w.instance)
-                .with_imps(w.imps.clone())
-                .solve(session.options())
-                .unwrap_or_else(|e| panic!("{name}: cold solve failed at RG {}: {e}", rg.get()));
-            cold_lat.push(elapsed_us(started));
-            assert_eq!(
-                warm.chosen(),
-                cold.chosen(),
-                "{name}: delta selection diverged from cold at RG {}",
-                rg.get()
-            );
-            assert_eq!(
-                warm.total_area(),
-                cold.total_area(),
-                "{name}: area diverged"
-            );
-            assert_eq!(warm.status, cold.status, "{name}: status diverged");
-            if rep == 0 {
-                let report =
-                    SelectionAuditor::new(&w.instance, &w.imps).audit(&warm, session.options());
-                assert!(
-                    report.is_clean(),
-                    "{name}: delta re-solve failed the audit at RG {}: {}",
-                    rg.get(),
-                    report.to_json()
-                );
-                delta_nodes += warm.trace.nodes_explored as u64;
-                cold_nodes += cold.trace.nodes_explored as u64;
-                basis_reused += u64::from(warm.trace.basis_reused);
-            }
-        }
-    }
-    ResolveResult {
-        points: points.len() as u64,
-        cold_nodes,
-        delta_nodes,
-        basis_reused,
-        p50_us: percentile_us(&mut delta_lat, 50.0),
-        p99_us: percentile_us(&mut delta_lat, 99.0),
-        cold_p50_us: percentile_us(&mut cold_lat, 50.0),
-    }
 }
 
 /// Corpus groups whose worst-case optimal solve is minutes, not
@@ -685,30 +604,24 @@ fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
 #[must_use]
 pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
     let mut configs = Vec::new();
-    let mut resolve = Vec::new();
     for (name, w) in suite_workloads(config.quick) {
         for &threads in &config.threads {
-            for mode in [Mode::Cold, Mode::Chained] {
-                let key = format!("{name}:{}:t{threads}", mode.name());
-                configs.push((key, run_config(&w, mode, threads.max(1))));
+            let (cold, cold_sels) = run_config(&w, Mode::Cold, threads.max(1));
+            let (chained, chained_sels) = run_config(&w, Mode::Chained, threads.max(1));
+            check_chained(&w, &cold_sels, &chained_sels);
+            for (mode, result) in [(Mode::Cold, cold), (Mode::Chained, chained)] {
+                configs.push((format!("{name}:{}:t{threads}", mode.name()), result));
             }
-        }
-        // The incremental re-solve benchmark runs on the published table
-        // instances (the paper's interactive-exploration workloads).
-        if name.starts_with("table") && w.rg_sweep.len() >= 2 {
-            resolve.push((name.to_string(), run_resolve(&w)));
         }
     }
     let mut corpus = run_corpus(config.quick);
     let mut service = run_service(config.quick);
     configs.sort_by(|a, b| a.0.cmp(&b.0));
     corpus.sort_by(|a, b| a.0.cmp(&b.0));
-    resolve.sort_by(|a, b| a.0.cmp(&b.0));
     service.sort_by(|a, b| a.0.cmp(&b.0));
     SuiteReport {
         configs,
         corpus,
-        resolve,
         service,
     }
 }
@@ -764,8 +677,8 @@ impl SuiteReport {
                     "    \"{}\": {{\n",
                     "      \"portable\": {{\"points\": [{}], ",
                     "\"cache\": {{\"cache_hits\":{},\"cache_misses\":{},",
-                    "\"model_hits\":{},\"model_misses\":{},",
-                    "\"chained_accepts\":{},\"chained_rejects\":{}}}, ",
+                    "\"chained_accepts\":{},\"chained_rejects\":{},",
+                    "\"basis_reused\":{}}}, ",
                     "\"nodes\": {}, \"ops\": {}}},\n",
                     "      \"machine\": {{\"wall_us\": {}, \"nodes\": {}, ",
                     "\"peak_rss_kb\": {}}}\n",
@@ -775,10 +688,9 @@ impl SuiteReport {
                 points.join(","),
                 c.cache.cache_hits,
                 c.cache.cache_misses,
-                c.cache.model_hits,
-                c.cache.model_misses,
                 c.cache.chained_accepts,
                 c.cache.chained_rejects,
+                c.cache.basis_reused,
                 opt_u64_json(c.portable_nodes),
                 ops,
                 c.wall_us,
@@ -809,30 +721,6 @@ impl SuiteReport {
                 c.nodes,
                 c.pivots,
                 c.wall_us,
-                if i + 1 == sorted.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  },\n  \"resolve\": {\n");
-        let mut sorted: Vec<&(String, ResolveResult)> = self.resolve.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (key, r)) in sorted.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "    \"{}\": {{\n",
-                    "      \"portable\": {{\"points\":{},\"cold_nodes\":{},",
-                    "\"delta_nodes\":{},\"basis_reused\":{}}},\n",
-                    "      \"machine\": {{\"p50_us\":{},\"p99_us\":{},",
-                    "\"cold_p50_us\":{}}}\n",
-                    "    }}{}\n"
-                ),
-                key,
-                r.points,
-                r.cold_nodes,
-                r.delta_nodes,
-                r.basis_reused,
-                r.p50_us,
-                r.p99_us,
-                r.cold_p50_us,
                 if i + 1 == sorted.len() { "" } else { "," },
             ));
         }
@@ -914,10 +802,9 @@ impl SuiteReport {
                     cache: CacheStats {
                         cache_hits: get(cache, "cache_hits")?,
                         cache_misses: get(cache, "cache_misses")?,
-                        model_hits: get(cache, "model_hits")?,
-                        model_misses: get(cache, "model_misses")?,
                         chained_accepts: get(cache, "chained_accepts")?,
                         chained_rejects: get(cache, "chained_rejects")?,
+                        basis_reused: get(cache, "basis_reused")?,
                     },
                     portable_nodes: opt(portable, "nodes"),
                     // Additive: baselines written before the ops section
@@ -974,33 +861,6 @@ impl SuiteReport {
             }
         }
         corpus.sort_by(|a, b| a.0.cmp(&b.0));
-        // The resolve section is additive: reports written before it
-        // existed parse to an empty section.
-        let mut resolve = Vec::new();
-        if let Some(resolve_obj) = doc.get("resolve") {
-            for (key, r) in resolve_obj.entries().ok_or("resolve not an object")? {
-                let portable = r.get("portable").ok_or("missing resolve portable")?;
-                let machine = r.get("machine").ok_or("missing resolve machine")?;
-                let get = |obj: &JsonValue, k: &str| -> Result<u64, String> {
-                    obj.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("missing resolve {k}"))
-                };
-                resolve.push((
-                    key.clone(),
-                    ResolveResult {
-                        points: get(portable, "points")?,
-                        cold_nodes: get(portable, "cold_nodes")?,
-                        delta_nodes: get(portable, "delta_nodes")?,
-                        basis_reused: get(portable, "basis_reused")?,
-                        p50_us: get(machine, "p50_us")?,
-                        p99_us: get(machine, "p99_us")?,
-                        cold_p50_us: get(machine, "cold_p50_us")?,
-                    },
-                ));
-            }
-        }
-        resolve.sort_by(|a, b| a.0.cmp(&b.0));
         // The service section is additive: reports written before the
         // daemon existed parse to an empty section.
         let mut service = Vec::new();
@@ -1030,7 +890,6 @@ impl SuiteReport {
         Ok(SuiteReport {
             configs,
             corpus,
-            resolve,
             service,
         })
     }
@@ -1050,7 +909,10 @@ impl SuiteReport {
 ///   an absolute [`WALL_NOISE_FLOOR_US`] above the baseline;
 /// * a **corpus group** missing from the current run, or any drift in its
 ///   portable tallies (entry/feasibility counts, total gain/area, or
-///   node-count growth).
+///   node-count growth);
+/// * in the current run alone, a single-threaded **chained** sweep that
+///   explores more nodes than its cold twin, or chained sweeps that do
+///   not save nodes strictly in aggregate.
 #[must_use]
 pub fn compare_reports(
     baseline: &SuiteReport,
@@ -1132,46 +994,36 @@ pub fn compare_reports(
             ));
         }
     }
-    // Incremental re-solve gates. Portable drift is measured against the
-    // baseline (when it has a resolve section); the node-saving property is
-    // self-contained, so it gates the *current* run outright: per workload
-    // the delta walk must never cost nodes, and across the section it must
-    // save strictly (matching the chained-sweep regression lock).
-    for (key, base) in &baseline.resolve {
-        let Some((_, cur)) = current.resolve.iter().find(|(k, _)| k == key) else {
-            regressions.push(format!("resolve/{key}: missing from current run"));
+    // Chaining gates. The node-saving property is self-contained, so it
+    // gates the *current* run outright over its single-threaded configs:
+    // per workload the chained sweep must never cost nodes against the cold
+    // one, and across the run it must save strictly.
+    let mut chained_total = 0u64;
+    let mut cold_total = 0u64;
+    for (key, chained) in &current.configs {
+        let Some(cold_key) = key
+            .strip_suffix(":t1")
+            .and_then(|k| k.strip_suffix(":chained"))
+            .map(|w| format!("{w}:cold:t1"))
+        else {
             continue;
         };
-        if (
-            cur.points,
-            cur.cold_nodes,
-            cur.delta_nodes,
-            cur.basis_reused,
-        ) != (
-            base.points,
-            base.cold_nodes,
-            base.delta_nodes,
-            base.basis_reused,
-        ) {
-            regressions.push(format!("resolve/{key}: portable resolve counters drifted"));
+        let Some((_, cold)) = current.configs.iter().find(|(k, _)| *k == cold_key) else {
+            continue;
+        };
+        let (Some(c), Some(f)) = (chained.portable_nodes, cold.portable_nodes) else {
+            continue;
+        };
+        if c > f {
+            regressions.push(format!("{key}: chaining cost nodes ({c} > {f} cold)"));
         }
+        chained_total += c;
+        cold_total += f;
     }
-    let mut delta_total = 0u64;
-    let mut cold_total = 0u64;
-    for (key, cur) in &current.resolve {
-        if cur.delta_nodes > cur.cold_nodes {
-            regressions.push(format!(
-                "resolve/{key}: delta re-solve cost nodes ({} > {})",
-                cur.delta_nodes, cur.cold_nodes
-            ));
-        }
-        delta_total += cur.delta_nodes;
-        cold_total += cur.cold_nodes;
-    }
-    if !current.resolve.is_empty() && delta_total >= cold_total {
+    if cold_total > 0 && chained_total >= cold_total {
         regressions.push(format!(
-            "resolve: delta re-solves must explore strictly fewer nodes in aggregate \
-             (delta {delta_total} !< cold {cold_total})"
+            "chained sweeps must explore strictly fewer nodes in aggregate \
+             (chained {chained_total} !< cold {cold_total})"
         ));
     }
     // Service gates: the scripted two-tenant sequence is derived from the
@@ -1286,7 +1138,6 @@ mod tests {
         SuiteReport {
             configs,
             corpus: vec![("synth:small".to_string(), corpus_result(40, 150))],
-            resolve: Vec::new(),
             service: Vec::new(),
         }
     }
@@ -1312,8 +1163,8 @@ mod tests {
             concat!(
                 "{{\"schema\": {}, \"suite\": \"partita-benchsuite\", \"configs\": {{\n",
                 "  \"t1\": {{\"portable\": {{\"points\": [], \"cache\": {{",
-                "\"cache_hits\":0,\"cache_misses\":0,\"model_hits\":0,",
-                "\"model_misses\":0,\"chained_accepts\":0,\"chained_rejects\":0}}, ",
+                "\"cache_hits\":0,\"cache_misses\":0,\"chained_accepts\":0,",
+                "\"chained_rejects\":0,\"basis_reused\":0}}, ",
                 "\"nodes\": 12}},\n",
                 "  \"machine\": {{\"wall_us\": 1000, \"nodes\": null, ",
                 "\"peak_rss_kb\": null}}}}\n",

@@ -64,10 +64,12 @@ fn compare_passes_against_itself() {
 #[test]
 fn compare_flags_injected_regressions() {
     let baseline = quick_report();
-    // Node regression: the current run explores one more node than baseline.
+    // Node regression: the current run explores one more node than baseline
+    // (on a cold config, so the chained-vs-cold gate stays quiet).
     let mut current = baseline.clone();
-    let key = current.configs[0].0.clone();
-    current.configs[0].1.portable_nodes = baseline.configs[0].1.portable_nodes.map(|n| n + 1);
+    let key = current.configs[1].0.clone();
+    assert!(key.contains(":cold:"), "{key}");
+    current.configs[1].1.portable_nodes = baseline.configs[1].1.portable_nodes.map(|n| n + 1);
     let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].starts_with(&key));
@@ -96,63 +98,73 @@ fn compare_flags_injected_regressions() {
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("portable selection results drifted"));
 
-    // Missing config.
+    // Missing config (a chained one: table3 keeps the aggregate chaining
+    // gate satisfied, so the only finding is the missing key).
     let mut current = baseline.clone();
-    current.configs.remove(3);
+    current.configs.remove(0);
     let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("config missing"));
 }
 
 #[test]
-fn resolve_section_saves_nodes_and_gates_regressions() {
+fn chained_configs_save_nodes_and_gate_regressions() {
     let baseline = quick_report();
-    // Quick mode still benches the incremental layer on table3.
-    assert_eq!(baseline.resolve.len(), 1, "quick mode benches table3");
-    assert_eq!(baseline.resolve[0].0, "table3");
-    let r = &baseline.resolve[0].1;
+    let config = |report: &SuiteReport, key: &str| -> usize {
+        report
+            .configs
+            .iter()
+            .position(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("quick report has {key}"))
+    };
+    let chained = config(&baseline, "table3:chained:t1");
+    let cold = config(&baseline, "table3:cold:t1");
+    let (c, f) = (&baseline.configs[chained].1, &baseline.configs[cold].1);
     assert!(
-        r.delta_nodes < r.cold_nodes,
-        "delta walk must save nodes on table3 ({} !< {})",
-        r.delta_nodes,
-        r.cold_nodes
+        c.portable_nodes < f.portable_nodes,
+        "chaining must save nodes on table3 ({:?} !< {:?})",
+        c.portable_nodes,
+        f.portable_nodes
     );
     assert!(
-        r.basis_reused >= 1,
+        c.cache.basis_reused >= 1,
         "descending SetRg patches must repair the retained basis"
     );
+    assert_eq!(f.cache.basis_reused, 0, "a cold sweep holds no basis");
 
-    // Portable drift in the resolve section is a regression.
+    // Basis-repair drift is portable cache drift.
     let mut current = baseline.clone();
-    current.resolve[0].1.basis_reused += 1;
+    current.configs[chained].1.cache.basis_reused += 1;
     let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
     assert!(
         regressions
             .iter()
-            .any(|m| m.contains("portable resolve counters drifted")),
+            .any(|m| m.contains("portable cache counters drifted")),
         "{regressions:?}"
     );
 
-    // A delta walk that costs nodes fails the self-contained gate even if
-    // the baseline agreed.
+    // A chained sweep that costs nodes against its cold twin fails the
+    // self-contained gate even if the baseline agreed.
     let mut current = baseline.clone();
-    current.resolve[0].1.delta_nodes = current.resolve[0].1.cold_nodes + 1;
+    current.configs[chained].1.portable_nodes = f.portable_nodes.map(|n| n + 1);
     let mut drifted = baseline.clone();
-    drifted.resolve[0].1.delta_nodes = current.resolve[0].1.delta_nodes;
+    drifted.configs[chained].1.portable_nodes = current.configs[chained].1.portable_nodes;
     let regressions = compare_reports(&drifted, &current, DEFAULT_WALL_THRESHOLD);
     assert!(
-        regressions.iter().any(|m| m.contains("cost nodes")),
+        regressions
+            .iter()
+            .any(|m| m.contains("chaining cost nodes")),
         "{regressions:?}"
     );
 
-    // A resolve entry the baseline had must not vanish.
+    // Chained sweeps that save nothing in aggregate fail too.
     let mut current = baseline.clone();
-    current.resolve.clear();
+    current.configs[chained].1.portable_nodes = f.portable_nodes;
     let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
     assert!(
         regressions
             .iter()
-            .any(|m| m.contains("missing from current run")),
+            .any(|m| m.contains("strictly fewer nodes in aggregate")),
         "{regressions:?}"
     );
 }
@@ -242,20 +254,6 @@ fn reports_without_a_corpus_section_still_parse() {
     let legacy = format!("{}\n}}\n", &rendered[..idx]);
     let parsed = SuiteReport::from_json(&legacy).expect("pre-corpus reports parse");
     assert!(parsed.corpus.is_empty());
-    assert!(parsed.resolve.is_empty());
-    assert_eq!(parsed.configs, baseline.configs);
-}
-
-#[test]
-fn reports_without_a_resolve_section_still_parse() {
-    let baseline = quick_report();
-    let rendered = baseline.to_json();
-    let idx = rendered
-        .find(",\n  \"resolve\"")
-        .expect("rendered report has a resolve section");
-    let legacy = format!("{}\n}}\n", &rendered[..idx]);
-    let parsed = SuiteReport::from_json(&legacy).expect("pre-resolve reports parse");
-    assert!(parsed.resolve.is_empty());
     assert_eq!(parsed.configs, baseline.configs);
 }
 

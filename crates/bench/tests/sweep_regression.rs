@@ -1,8 +1,9 @@
 //! Regression gate for the sweep orchestration layer: on the published
-//! table sweeps, descending-RG chained sweeps must (a) return exactly the
-//! selections of independent cold solves and (b) explore fewer total
-//! branch-and-bound nodes. Node counts are compared at one worker thread so
-//! the totals are deterministic run to run.
+//! table sweeps and the Fig. 11 hierarchical sweep, descending-RG chained
+//! sweeps must (a) return exactly the selections of independent cold solves
+//! and (b) explore fewer total branch-and-bound nodes. Node counts are
+//! compared at one worker thread so the totals are deterministic run to
+//! run.
 
 use partita_bench::{audit_sweep, cold_vs_chained_sweep};
 use partita_core::{SolveBudget, SolveOptions};
@@ -17,6 +18,7 @@ fn chained_sweeps_save_nodes_on_published_tables() {
         ("table1", gsm::encoder()),
         ("table2", gsm::decoder()),
         ("table3", jpeg::encoder()),
+        ("fig11", jpeg::encoder_hierarchical()),
     ] {
         // cold_vs_chained_sweep panics if any per-point selection differs.
         let (cold, chained) = cold_vs_chained_sweep(&w, &base);
@@ -36,12 +38,17 @@ fn chained_sweeps_save_nodes_on_published_tables() {
             chained.total_nodes(),
             cold.total_nodes()
         );
+        if label == "fig11" {
+            // The hierarchical sweep's pinned counts (BENCH_partita.json
+            // fig11:{cold,chained}:t1).
+            assert_eq!((cold.total_nodes(), chained.total_nodes()), (23, 17));
+        }
         cold_total += cold.total_nodes();
         chained_total += chained.total_nodes();
     }
     assert!(
         chained_total < cold_total,
-        "chained sweeps must explore strictly fewer nodes across Tables 1-3 \
+        "chained sweeps must explore strictly fewer nodes across Tables 1-3 and Fig. 11 \
          (chained {chained_total} !< cold {cold_total})"
     );
 }

@@ -423,8 +423,10 @@ pub enum RequestBody {
         /// Solve parameters.
         spec: SolveSpec,
     },
-    /// Solve one instance at each point of an RG sweep (served in
-    /// descending-RG order internally, like [`crate::sweep::SweepSession`]).
+    /// Solve one instance at each point of an RG sweep. Served like
+    /// [`crate::sweep::SweepSession::sweep`]: distinct points in
+    /// descending-RG order, each answered from the cache or re-solved by
+    /// one [`crate::delta::DeltaSession`]; results in request order.
     Sweep {
         /// Corpus-manifest instance id.
         instance: String,
@@ -440,6 +442,7 @@ pub enum RequestBody {
     },
     /// Walk an RG edit sequence through an incremental
     /// [`crate::delta::DeltaSession`] (RHS patch + basis repair per step).
+    /// Served by the same cache-first walk as [`RequestBody::Sweep`].
     Delta {
         /// Corpus-manifest instance id.
         instance: String,

@@ -20,7 +20,13 @@
 //!    falls back to a cold factorization — silently, and never to a bogus
 //!    "infeasible".
 //! 3. **Incumbent seeding.** The previous optimum rides along as a
-//!    warm-start hint, pruning the new branch-and-bound from node one.
+//!    warm-start hint, pruning the new branch-and-bound from node one —
+//!    once it passes an independent feasibility check
+//!    ([`Selection::verify`]) against the patched requirement, reported as
+//!    an [`Event::ChainDecision`].
+//!
+//! This is the one warm re-solve path: [`crate::SweepSession::sweep`] walks
+//! its RGs through a `DeltaSession`, and so does the solve daemon.
 //!
 //! None of it changes answers: [`DeltaSession::resolve`] returns the same
 //! selection as a cold [`crate::Solver`] solve of the patched instance
@@ -61,6 +67,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use partita_interface::InterfaceKind;
 use partita_ip::{IpBlock, IpId};
@@ -114,6 +121,11 @@ pub struct DeltaSession {
     basis: Option<Arc<partita_ilp::Basis>>,
     /// Previous optimum, seeded into the next resolve as a warm-start hint.
     prev: Option<Selection>,
+    /// Whether the last resolve seeded its predecessor's optimum (`None`
+    /// when it had no predecessor to decide on).
+    chained: Option<bool>,
+    /// Wall time of a formulation not yet charged to a resolve's trace.
+    formulation: Duration,
     /// Set by structural deltas; the next resolve reformulates from
     /// scratch and drops the retained basis.
     needs_rebuild: bool,
@@ -150,6 +162,7 @@ impl DeltaSession {
     ) -> Result<DeltaSession, CoreError> {
         let instance = instance.into();
         let db = db.into();
+        let started = Instant::now();
         let form = build_model_delta(
             &instance,
             &db,
@@ -164,14 +177,17 @@ impl DeltaSession {
             form,
             basis: None,
             prev: None,
+            chained: None,
+            formulation: started.elapsed(),
             needs_rebuild: false,
             sink: None,
         })
     }
 
     /// Routes this session's telemetry ([`Event::ModelPatched`],
-    /// [`Event::BasisReused`], and the inner solves) to `sink` instead of
-    /// the process-wide [`crate::telemetry::global`] sink.
+    /// [`Event::ChainDecision`], [`Event::BasisReused`], and the inner
+    /// solves) to `sink` instead of the process-wide
+    /// [`crate::telemetry::global`] sink.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> DeltaSession {
         self.sink = Some(sink);
@@ -202,6 +218,13 @@ impl DeltaSession {
     #[must_use]
     pub fn needs_rebuild(&self) -> bool {
         self.needs_rebuild
+    }
+
+    /// Whether the last [`DeltaSession::resolve`] seeded its predecessor's
+    /// optimum: `Some(true)` accepted, `Some(false)` rejected by the
+    /// feasibility check, `None` when there was no predecessor.
+    pub(crate) fn chained(&self) -> Option<bool> {
+        self.chained
     }
 
     fn sink(&self) -> &dyn TelemetrySink {
@@ -348,12 +371,20 @@ impl DeltaSession {
     /// [`DeltaSession::instance`] + [`DeltaSession::db`] with the current
     /// options (and passes the same audit).
     ///
+    /// The previous optimum is seeded only when every IMP it uses is still
+    /// live and it meets the current requirement ([`Selection::verify`]);
+    /// each such decision is reported as an [`Event::ChainDecision`]. The
+    /// wall time of the formulation this resolve runs on (the one built by
+    /// [`DeltaSession::new`], or the rebuild a structural delta forced) is
+    /// charged to its trace.
+    ///
     /// # Errors
     ///
     /// Exactly those of [`crate::Solver::solve`] on the patched problem —
     /// including [`CoreError::Infeasible`] when the edits made it so.
     pub fn resolve(&mut self) -> Result<Selection, CoreError> {
         if self.needs_rebuild {
+            let started = Instant::now();
             self.form = build_model_delta(
                 &self.instance,
                 &self.db,
@@ -361,30 +392,48 @@ impl DeltaSession {
                 &self.options.gains,
                 self.options.power_budget_mw,
             )?;
+            self.formulation += started.elapsed();
             self.basis = None;
             self.needs_rebuild = false;
         }
         let mut options = self.options.clone();
         options.root_basis = self.basis.clone();
+        self.chained = None;
         if options.hint.is_none() {
             if let Some(prev) = &self.prev {
-                // The solver independently checks the seed against the
-                // patched model, so a stale hint can only be ignored, never
-                // believed; the active-mask filter just avoids pointless
-                // seeding.
-                if prev.chosen().iter().all(|imp| self.db.is_active(imp.id)) {
+                // The monotone-sweep argument says a higher-RG optimum stays
+                // feasible, but verify independently anyway so an
+                // out-of-order walk, a non-uniform requirement or a
+                // budget-exhausted predecessor can never inject a bogus
+                // incumbent. The active-mask filter skips seeds that use a
+                // retired IMP.
+                let accepted = prev.chosen().iter().all(|imp| self.db.is_active(imp.id))
+                    && prev.verify(&self.instance, &options).is_ok();
+                if accepted {
                     options.hint = Some(prev.chosen().iter().map(|imp| imp.id).collect());
+                }
+                self.chained = Some(accepted);
+                let sink = self.sink();
+                if sink.enabled() {
+                    sink.emit(&Event::ChainDecision {
+                        rg: options.gains.as_uniform().map(Cycles::get),
+                        accepted,
+                    });
                 }
             }
         }
         let supplied_rows = options.root_basis.as_ref().map(|b| b.num_rows());
+        let trace = SolveTrace {
+            formulation: std::mem::take(&mut self.formulation),
+            ..SolveTrace::default()
+        };
         let (sel, basis) = solve_prepared(
             &self.instance,
             &self.db,
             &self.form.model,
             &self.form.map,
             &options,
-            SolveTrace::default(),
+            trace,
             self.sink(),
         )?;
         if let Some(rows) = supplied_rows {
@@ -621,6 +670,82 @@ mod tests {
         let sel = s.resolve().unwrap();
         assert!(!s.needs_rebuild(), "rebuild consumed");
         assert_matches_cold(&sel, &s);
+    }
+
+    #[test]
+    fn resolve_charges_the_formulation_it_ran_on() {
+        let (inst, db) = rig("formulation");
+        let mut s = DeltaSession::new(
+            inst,
+            db,
+            SolveOptions::problem2(RequiredGains::uniform(Cycles(1200))),
+        )
+        .unwrap();
+        let first = s.resolve().unwrap();
+        assert!(
+            first.trace.formulation > Duration::ZERO,
+            "the first resolve runs on the model new() built"
+        );
+        s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(600))))
+            .unwrap();
+        let patched = s.resolve().unwrap();
+        assert_eq!(
+            patched.trace.formulation,
+            Duration::ZERO,
+            "an RHS patch formulates nothing"
+        );
+        s.apply(InstanceDelta::AddIp(
+            IpBlock::builder("fir_tiny")
+                .function(IpFunction::Fir)
+                .rates(4, 4)
+                .latency(8)
+                .area(AreaTenths::from_units(1))
+                .build(),
+        ))
+        .unwrap();
+        let rebuilt = s.resolve().unwrap();
+        assert!(
+            rebuilt.trace.formulation > Duration::ZERO,
+            "the rebuild after AddIp is charged to the resolve that ran it"
+        );
+    }
+
+    #[test]
+    fn carry_is_verified_against_the_patched_requirement() {
+        use crate::telemetry::RecordingSink;
+        let (inst, db) = rig("carry");
+        let sink = Arc::new(RecordingSink::new());
+        let mut s = DeltaSession::new(
+            inst,
+            db,
+            SolveOptions::problem2(RequiredGains::uniform(Cycles(600))),
+        )
+        .unwrap()
+        .with_sink(sink.clone() as Arc<dyn TelemetrySink>);
+        s.resolve().unwrap();
+        assert_eq!(s.chained(), None, "the first resolve has no predecessor");
+        // Walking up: the RG-600 optimum cannot meet RG 1800, so the
+        // carry is rejected and the answer still matches cold.
+        s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(1800))))
+            .unwrap();
+        let up = s.resolve().unwrap();
+        assert_eq!(s.chained(), Some(false));
+        assert_matches_cold(&up, &s);
+        // Walking down: the RG-1800 optimum meets RG 1200 and is seeded.
+        s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(1200))))
+            .unwrap();
+        let down = s.resolve().unwrap();
+        assert_eq!(s.chained(), Some(true));
+        assert_matches_cold(&down, &s);
+        let decisions: Vec<(Option<u64>, bool)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::ChainDecision { rg, accepted } => Some((rg, accepted)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decisions, vec![(Some(1800), false), (Some(1200), true)]);
     }
 
     #[test]

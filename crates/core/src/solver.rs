@@ -575,26 +575,37 @@ impl<'a> Solver<'a> {
         };
         trace.imp_generation = span.finish(sink);
 
-        let span = SpanTimer::start(Phase::Formulation);
-        let (model, map) = build_model(
-            self.instance,
-            db,
-            options.problem,
-            &options.gains,
-            options.power_budget_mw,
-        )?;
-        trace.formulation = span.finish(sink);
-
-        solve_prepared(self.instance, db, &model, &map, options, trace, sink).map(|(sel, _)| sel)
+        solve_cold(self.instance, db, options, trace, sink)
     }
 }
 
+/// Formulate + [`solve_prepared`]: the cold tail of [`Solver::solve`], also
+/// entered by the sweep session on a cache miss that does not chain.
+pub(crate) fn solve_cold(
+    instance: &Instance,
+    db: &ImpDb,
+    options: &SolveOptions,
+    mut trace: SolveTrace,
+    sink: &dyn TelemetrySink,
+) -> Result<Selection, CoreError> {
+    let span = SpanTimer::start(Phase::Formulation);
+    let (model, map) = build_model(
+        instance,
+        db,
+        options.problem,
+        &options.gains,
+        options.power_budget_mw,
+    )?;
+    trace.formulation = span.finish(sink);
+    solve_prepared(instance, db, &model, &map, options, trace, sink).map(|(sel, _)| sel)
+}
+
 /// Dispatch + decode over an already-built model: the shared tail of
-/// [`Solver::solve`], also entered directly by the sweep and delta layers
-/// when the formulation came out of a cache (the trace then carries the
-/// *original* formulation time). Alongside the selection it returns the
-/// root-LP basis retained by the branch-and-bound backend, which those
-/// layers thread into the next same-shaped solve.
+/// [`solve_cold`], also entered directly by [`crate::DeltaSession`] over its
+/// patched model (the trace then carries the formulation time it is
+/// charged). Alongside the selection it returns the root-LP basis retained
+/// by the branch-and-bound backend, which the delta session installs in its
+/// next same-shaped solve.
 pub(crate) fn solve_prepared(
     instance: &Instance,
     db: &ImpDb,

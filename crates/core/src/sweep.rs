@@ -7,25 +7,29 @@
 //! the ILP model and restarts branch-and-bound from scratch every time. A
 //! [`SweepSession`] removes both redundancies:
 //!
-//! * **Canonical-instance caching.** Every request is canonicalized into a
-//!   stable content key over the instance *structure* (s-calls, library,
-//!   paths, area model — everything except the display name) plus the IMP
-//!   database and the solve configuration. Built models and returned
-//!   [`Selection`]s are memoized in bounded LRU caches, so duplicate or
-//!   isomorphic requests hit the cache and return byte-identical results.
+//! * **Canonical-instance caching.** Every request is canonicalized by
+//!   [`canonical_solve_key`] into a stable content key over the instance
+//!   *structure* (s-calls, library, paths, area model — everything except
+//!   the display name), the IMP database and the answer-shaping options.
+//!   Returned [`Selection`]s are memoized in a bounded LRU cache, so
+//!   duplicate, isomorphic or revisited requests hit the cache and return
+//!   byte-identical results — whichever path first solved them.
 //! * **Descending-RG warm-start chaining.** A uniform-gain sweep has
 //!   monotone structure: a selection feasible at gain `r` is feasible at
 //!   every `r' < r` (it achieves at least `r` on every path). So
-//!   [`SweepSession::sweep`] solves points in descending-RG order and
-//!   chains each point's optimum into the next point's branch-and-bound as
-//!   a warm-start incumbent via [`crate::SolveOptions::warm_start_hint`].
-//!   Seeding only tightens pruning — the lexicographic tie-break still
-//!   picks the same optimum — so every chained selection is identical to
-//!   its cold-solve counterpart (for solves that finish within budget; a
-//!   budget-exhausted incumbent is exempt, exactly as for thread counts).
+//!   [`SweepSession::sweep`] walks its points from the highest RG down:
+//!   each point first looks up the cache, and a miss becomes an
+//!   [`InstanceDelta::SetRg`] patch plus [`DeltaSession::resolve`] on one
+//!   lazily built [`DeltaSession`] — the single warm re-solve path, which
+//!   repairs the previous root basis and seeds the previous optimum once it
+//!   passes an independent feasibility check. Seeding only tightens pruning
+//!   — the lexicographic tie-break still picks the same optimum — so every
+//!   chained selection is identical to its cold-solve counterpart (for
+//!   solves that finish within budget; a budget-exhausted incumbent is
+//!   exempt, exactly as for thread counts).
 //! * **Batched fan-out.** [`SweepSession::solve_batch`] fans independent
 //!   (instance, options) jobs across a scoped worker pool with per-job
-//!   budgets, sharing both caches across the batch.
+//!   budgets, sharing the cache across the batch.
 //!
 //! All of it is observable: the session accumulates a [`SweepTrace`] with
 //! cache hits/misses, chained-incumbent accepts, per-point node counts and
@@ -38,20 +42,10 @@ use std::time::{Duration, Instant};
 use partita_mop::Cycles;
 
 use crate::cache::LruCache;
-use crate::formulate::{build_model, VarMap};
-use crate::solver::solve_prepared;
+use crate::delta::{DeltaSession, InstanceDelta};
+use crate::solver::solve_cold;
 use crate::telemetry::{CacheKind, Event, TelemetrySink};
 use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
-
-/// A formulated model kept by the model cache, with the wall time it
-/// originally took to build (charged to every solve that reuses it, so
-/// cached traces stay honest about formulation cost).
-#[derive(Debug)]
-struct PreparedModel {
-    model: partita_ilp::Model,
-    map: VarMap,
-    formulation: Duration,
-}
 
 /// One solve job for [`SweepSession::solve_batch`].
 #[derive(Debug, Clone)]
@@ -90,16 +84,12 @@ pub struct SweepTrace {
     pub cache_hits: u64,
     /// Requests that had to run a solver.
     pub cache_misses: u64,
-    /// Solver runs that reused a cached model.
-    pub model_hits: u64,
-    /// Solver runs that built their model.
-    pub model_misses: u64,
     /// Sweep points that were seeded with the previous (higher-RG) point's
     /// verified-feasible optimum.
     pub chained_accepts: u64,
     /// Sweep points whose carry-over candidate failed the independent
-    /// feasibility check and was dropped (e.g. under a non-uniform base or
-    /// a budget-exhausted predecessor).
+    /// feasibility check and was dropped (e.g. under a budget-exhausted
+    /// predecessor).
     pub chained_rejects: u64,
     /// Per-request telemetry, in request order.
     pub points: Vec<SweepPoint>,
@@ -128,8 +118,6 @@ impl SweepTrace {
             points: self.points.len(),
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
-            model_hits: self.model_hits,
-            model_misses: self.model_misses,
             chained_accepts: self.chained_accepts,
             chained_rejects: self.chained_rejects,
             nodes: self.total_nodes(),
@@ -204,80 +192,47 @@ fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// Canonical content key of an instance + IMP database: every structural
-/// field, *excluding* the instance's display name, so isomorphic instances
-/// (same structure, different name) share cache entries. The `Debug`
-/// renderings of the constituent types are deterministic (plain data,
-/// `BTreeMap`-backed where ordered iteration matters).
-fn instance_key(instance: &Instance, db: &ImpDb) -> String {
+/// Public form of the canonical instance + IMP-database content key: every
+/// structural field, *excluding* the instance's display name, so isomorphic
+/// instances (same structure, different name — e.g. the same corpus entry
+/// built for two different tenants) produce byte-identical keys and share
+/// cache entries. The `Debug` renderings of the constituent types are
+/// deterministic (plain data, `BTreeMap`-backed where ordered iteration
+/// matters).
+///
+/// Keys are full canonical strings, never hashes: equality of keys is
+/// equality of problems, so a cache hit can never be a collision.
+#[must_use]
+pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}",
         instance.scalls, instance.library, instance.paths, instance.area_model, db
     )
 }
 
-/// Model-cache key: the instance key plus everything that shapes the
-/// formulation.
-fn model_key(ikey: &str, options: &SolveOptions) -> String {
-    format!(
-        "{ikey}|{:?}|{:?}|{:?}",
-        options.problem, options.gains, options.power_budget_mw
-    )
-}
-
-/// Solve-cache key: the model key plus everything that can change the
-/// returned selection *or its trace* (backend, budget incl. threads, seeds).
-///
-/// Deliberately excluded: `audit` (checking an answer must never change
-/// *what* is solved) and `root_basis` (basis repair only changes how fast
-/// the identical lex-min optimum is reached — keying on it would defeat the
-/// cache across chained sweeps).
-fn solve_key(ikey: &str, options: &SolveOptions) -> String {
-    format!(
-        "{}|{:?}|{:?}|{:?}|{:?}",
-        model_key(ikey, options),
-        options.backend,
-        options.budget,
-        options.warm_start,
-        options.hint
-    )
-}
-
-/// Public form of the canonical instance + IMP-database content key: every
-/// structural field, *excluding* the instance's display name, so isomorphic
-/// instances (same structure, different name — e.g. the same corpus entry
-/// built for two different tenants) produce byte-identical keys and share
-/// cache entries.
-///
-/// Keys are full canonical strings, never hashes: equality of keys is
-/// equality of problems, so a cache hit can never be a collision.
-#[must_use]
-pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
-    instance_key(instance, db)
-}
-
-/// The canonical *service-grade* solve key: the instance content key plus
+/// The canonical solve key — the one key of every solve cache, the sweep
+/// session's and the solve daemon's: the instance content key plus
 /// everything that can change **which selection is returned** — problem
 /// kind, required gains, power budget, backend and budget (node cap,
 /// deadline, fallback, threads).
 ///
 /// Deliberately excluded, and guaranteed excluded by test: the `audit`
 /// flag (checking an answer never changes it), any retained root **basis**
-/// (repair only accelerates reaching the identical lex-min optimum) and
-/// any warm-start **hint** (verified seeds only prune; strict pruning and
-/// the lexicographic tie-break make the returned selection hint-invariant
-/// — the PR 2/PR 6 determinism contract). This is what lets the solve
-/// daemon share one cache entry across tenants whose requests differ only
-/// in those effort knobs.
-///
-/// (The sweep session's private key additionally folds the hint in,
-/// because session traces must distinguish chained points from cold ones;
-/// selections never differ, traces do.)
+/// (repair only accelerates reaching the identical lex-min optimum), any
+/// warm-start **hint** and the warm-start flag (verified seeds only prune;
+/// strict pruning and the lexicographic tie-break make the returned
+/// selection hint-invariant). So a chained sweep point, a delta re-solve
+/// and a cold solve of the same problem share one entry, and the daemon
+/// shares it across tenants whose requests differ only in those effort
+/// knobs.
 #[must_use]
 pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptions) -> String {
     format!(
-        "{}|{:?}|{:?}",
-        model_key(&instance_key(instance, db), options),
+        "{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        canonical_instance_key(instance, db),
+        options.problem,
+        options.gains,
+        options.power_budget_mw,
         options.backend,
         options.budget,
     )
@@ -319,7 +274,6 @@ pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptio
 /// # }
 /// ```
 pub struct SweepSession {
-    models: LruCache<Arc<PreparedModel>>,
     solves: LruCache<Selection>,
     trace: SweepTrace,
     sink: Option<Arc<dyn TelemetrySink>>,
@@ -328,7 +282,6 @@ pub struct SweepSession {
 impl std::fmt::Debug for SweepSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepSession")
-            .field("models", &self.models)
             .field("solves", &self.solves)
             .field("trace", &self.trace)
             .field("sink", &self.sink.as_ref().map(|_| "dyn TelemetrySink"))
@@ -343,38 +296,35 @@ impl Default for SweepSession {
 }
 
 impl SweepSession {
-    /// Default cache bounds: 32 formulated models, 256 memoized selections.
+    /// Default cache bound: 256 memoized selections.
     #[must_use]
     pub fn new() -> SweepSession {
-        SweepSession::with_capacities(32, 256)
+        SweepSession::with_capacities(256)
     }
 
-    /// A session with explicit cache bounds.
+    /// A session with an explicit bound on memoized selections.
     ///
     /// # Invariants
     ///
-    /// * Each bound is clamped to at least 1 — a session always caches
-    ///   *something*, so `with_capacities(0, 0)` cannot disable memoization
+    /// * The bound is clamped to at least 1 — a session always caches
+    ///   *something*, so `with_capacities(0)` cannot disable memoization
     ///   (construct a fresh session per solve for that).
     /// * Eviction is least-recently-used; a hit refreshes the entry. The
-    ///   bounds cap *entry counts*, not bytes — a formulated model for a
-    ///   large instance dwarfs a memoized [`Selection`], which is why the
-    ///   default model bound (32) is far below the solve bound (256).
+    ///   bound caps the *entry count*, not bytes.
     ///
     /// # Examples
     ///
     /// ```
     /// use partita_core::sweep::SweepSession;
     ///
-    /// let session = SweepSession::with_capacities(0, 8);
-    /// // The zero model bound was clamped; both caches start empty.
-    /// assert_eq!(session.cached_models(), 0);
+    /// let session = SweepSession::with_capacities(0);
+    /// // The zero bound was clamped; the cache starts empty.
+    /// assert_eq!(session.solve_capacity(), 1);
     /// assert_eq!(session.cached_solves(), 0);
     /// ```
     #[must_use]
-    pub fn with_capacities(models: usize, solves: usize) -> SweepSession {
+    pub fn with_capacities(solves: usize) -> SweepSession {
         SweepSession {
-            models: LruCache::new(models),
             solves: LruCache::new(solves),
             trace: SweepTrace::default(),
             sink: None,
@@ -382,10 +332,9 @@ impl SweepSession {
     }
 
     /// Routes this session's live telemetry ([`Event::CacheLookup`],
-    /// [`Event::ChainDecision`], [`Event::SweepPoint`],
-    /// [`Event::BatchStarted`]) — and the inner solves it dispatches —
-    /// to `sink` instead of the process-wide [`crate::telemetry::global`]
-    /// sink.
+    /// [`Event::SweepPoint`], [`Event::BatchStarted`]) — and the inner
+    /// solves and delta re-solves it dispatches — to `sink` instead of the
+    /// process-wide [`crate::telemetry::global`] sink.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> SweepSession {
         self.sink = Some(sink);
@@ -397,22 +346,22 @@ impl SweepSession {
         crate::telemetry::resolve(self.sink.as_ref())
     }
 
-    /// Emits a [`Event::CacheLookup`] for a probe of `cache` keyed by `key`.
-    fn emit_cache(&self, cache: CacheKind, hit: bool, key: &str) {
+    /// Emits a [`Event::CacheLookup`] for a solve-cache probe keyed by `key`.
+    fn emit_cache(&self, hit: bool, key: &str) {
         let sink = self.sink();
         if sink.enabled() {
             sink.emit(&Event::CacheLookup {
-                cache,
+                cache: CacheKind::Solve,
                 hit,
                 digest: fnv1a64(key),
             });
         }
     }
 
-    /// Emits the live [`Event::SweepPoint`] for a just-recorded point
+    /// Records a point in the trace and emits its live [`Event::SweepPoint`]
     /// (`sweep`/`point` stay `None` — live streams have no label; the
     /// retrospective [`SweepTrace::json_lines`] renderer fills them in).
-    fn emit_point(&self, p: &SweepPoint) {
+    fn record(&mut self, p: SweepPoint) {
         let sink = self.sink();
         if sink.enabled() {
             sink.emit(&Event::SweepPoint {
@@ -426,6 +375,7 @@ impl SweepSession {
                 wall: p.wall,
             });
         }
+        self.trace.points.push(p);
     }
 
     /// Telemetry accumulated since construction (or the last
@@ -448,28 +398,16 @@ impl SweepSession {
         self.solves.len()
     }
 
-    /// Number of formulated models currently held.
-    #[must_use]
-    pub fn cached_models(&self) -> usize {
-        self.models.len()
-    }
-
     /// Bound on memoized selections.
     #[must_use]
     pub fn solve_capacity(&self) -> usize {
         self.solves.capacity()
     }
 
-    /// Bound on cached models.
-    #[must_use]
-    pub fn model_capacity(&self) -> usize {
-        self.models.capacity()
-    }
-
     /// A single cache-aware solve: answers from the solve cache when the
     /// canonical key matches a memoized request (byte-identical
-    /// [`Selection`], trace included), otherwise formulates (or reuses) the
-    /// model and dispatches like [`crate::Solver::solve`].
+    /// [`Selection`], trace included — whichever path first solved it),
+    /// otherwise formulates and dispatches like [`crate::Solver::solve`].
     ///
     /// # Errors
     ///
@@ -480,16 +418,19 @@ impl SweepSession {
         db: &ImpDb,
         options: &SolveOptions,
     ) -> Result<Selection, CoreError> {
-        self.solve_point(instance, db, options, false)
-            .map(|(sel, _basis)| sel)
+        self.answer(instance, db, options, |s| {
+            solve_cold(instance, db, options, SolveTrace::default(), s.sink())
+                .map(|sel| (sel, false))
+        })
     }
 
     /// Runs a uniform-gain RG sweep with descending-RG warm-start chaining:
-    /// points are solved from the highest requirement down, each optimum
-    /// seeding the next point's branch-and-bound (after an independent
-    /// feasibility check), and the selections are returned in the order of
-    /// `rgs`. `base` supplies everything except the gains, which are
-    /// overridden per point.
+    /// points are visited from the highest requirement down, each one
+    /// answered from the cache when it can be and otherwise re-solved by
+    /// one [`DeltaSession`] (an [`InstanceDelta::SetRg`] patch, basis
+    /// repair, and the previous optimum as a verified seed). Selections
+    /// are returned in the order of `rgs`. `base` supplies everything
+    /// except the gains, which are overridden per point.
     ///
     /// Chaining never changes a within-budget selection — see the module
     /// docs — so the result is identical to [`SweepSession::sweep_cold`]
@@ -505,12 +446,38 @@ impl SweepSession {
         base: &SolveOptions,
         rgs: &[Cycles],
     ) -> Result<Vec<Selection>, CoreError> {
-        self.sweep_impl(instance, db, base, rgs, true)
+        let mut walk: Option<DeltaSession> = None;
+        self.walk_descending(base, rgs, |s, opts| {
+            s.answer(instance, db, opts, |s| {
+                let ds = match walk.as_mut() {
+                    Some(ds) => {
+                        ds.apply(InstanceDelta::SetRg(opts.gains.clone()))?;
+                        ds
+                    }
+                    None => {
+                        let ds = DeltaSession::new(instance.clone(), db.clone(), opts.clone())?;
+                        walk.insert(match &s.sink {
+                            Some(sink) => ds.with_sink(Arc::clone(sink)),
+                            None => ds,
+                        })
+                    }
+                };
+                let sel = ds.resolve()?;
+                let chained = ds.chained();
+                match chained {
+                    Some(true) => s.trace.chained_accepts += 1,
+                    Some(false) => s.trace.chained_rejects += 1,
+                    None => {}
+                }
+                Ok((sel, chained == Some(true)))
+            })
+        })
     }
 
-    /// The uncached-structure baseline for [`SweepSession::sweep`]: the same
-    /// sweep points solved independently, with no cross-point chaining (the
-    /// solve and model caches still apply — a repeated point still hits).
+    /// The unchained baseline for [`SweepSession::sweep`]: the same sweep
+    /// points solved independently through [`SweepSession::solve`], with
+    /// no cross-point chaining (the solve cache still applies — a repeated
+    /// point still hits).
     ///
     /// # Errors
     ///
@@ -522,62 +489,27 @@ impl SweepSession {
         base: &SolveOptions,
         rgs: &[Cycles],
     ) -> Result<Vec<Selection>, CoreError> {
-        self.sweep_impl(instance, db, base, rgs, false)
+        self.walk_descending(base, rgs, |s, opts| s.solve(instance, db, opts))
     }
 
-    fn sweep_impl(
+    /// Visits `rgs` from the highest down, answering each with `visit` at
+    /// `base` overridden to that uniform gain (and stripped of any caller
+    /// hint or basis), and returns the selections in the order of `rgs`.
+    fn walk_descending(
         &mut self,
-        instance: &Instance,
-        db: &ImpDb,
         base: &SolveOptions,
         rgs: &[Cycles],
-        chain: bool,
+        mut visit: impl FnMut(&mut Self, &SolveOptions) -> Result<Selection, CoreError>,
     ) -> Result<Vec<Selection>, CoreError> {
         let mut order: Vec<usize> = (0..rgs.len()).collect();
         order.sort_by(|&a, &b| rgs[b].cmp(&rgs[a]));
         let mut results: Vec<Option<Selection>> = vec![None; rgs.len()];
-        let mut prev: Option<Selection> = None;
-        let mut prev_basis: Option<Arc<partita_ilp::Basis>> = None;
         for &i in &order {
             let mut opts = base.clone();
             opts.gains = RequiredGains::uniform(rgs[i]);
             opts.hint = None;
             opts.root_basis = None;
-            let mut chained = false;
-            if chain {
-                if let Some(prev_sel) = &prev {
-                    // The monotone-sweep argument says the higher-RG optimum
-                    // is feasible here; verify independently anyway so a
-                    // non-uniform base or a heuristic previous point can
-                    // never inject a bogus incumbent.
-                    if prev_sel.verify(instance, &opts).is_ok() {
-                        opts.hint = Some(prev_sel.chosen().iter().map(|imp| imp.id).collect());
-                        chained = true;
-                        self.trace.chained_accepts += 1;
-                    } else {
-                        self.trace.chained_rejects += 1;
-                    }
-                    // The retained root basis rides along even when the
-                    // incumbent was rejected: an RG edit is a pure RHS
-                    // change, so the previous optimal basis stays
-                    // dual-feasible, and the warm path falls back to a cold
-                    // factorization on any mismatch anyway.
-                    opts.root_basis = prev_basis.clone();
-                    let sink = self.sink();
-                    if sink.enabled() {
-                        sink.emit(&Event::ChainDecision {
-                            rg: Some(rgs[i].get()),
-                            accepted: chained,
-                        });
-                    }
-                }
-            }
-            let (sel, basis) = self.solve_point(instance, db, &opts, chained)?;
-            if basis.is_some() {
-                prev_basis = basis;
-            }
-            prev = Some(sel.clone());
-            results[i] = Some(sel);
+            results[i] = Some(visit(self, &opts)?);
         }
         Ok(results
             .into_iter()
@@ -585,9 +517,53 @@ impl SweepSession {
             .collect())
     }
 
+    /// The cache-first step shared by every request: answers from the solve
+    /// cache when the canonical key matches, otherwise runs `miss` (which
+    /// returns the selection and whether it was chained), memoizes the
+    /// result and records the point.
+    fn answer(
+        &mut self,
+        instance: &Instance,
+        db: &ImpDb,
+        options: &SolveOptions,
+        miss: impl FnOnce(&mut Self) -> Result<(Selection, bool), CoreError>,
+    ) -> Result<Selection, CoreError> {
+        let started = Instant::now();
+        let key = canonical_solve_key(instance, db, options);
+        let digest = fnv1a64(&key);
+        let rg = options.gains.as_uniform();
+        if let Some(sel) = self.solves.get(&key) {
+            let sel = sel.clone();
+            self.trace.cache_hits += 1;
+            self.emit_cache(true, &key);
+            self.record(SweepPoint {
+                digest,
+                rg,
+                cache_hit: true,
+                chained: false,
+                nodes_explored: 0,
+                wall: started.elapsed(),
+            });
+            return audit_cached(instance, db, options, sel);
+        }
+        self.trace.cache_misses += 1;
+        self.emit_cache(false, &key);
+        let (sel, chained) = miss(self)?;
+        self.record(SweepPoint {
+            digest,
+            rg,
+            cache_hit: false,
+            chained,
+            nodes_explored: sel.trace.nodes_explored,
+            wall: started.elapsed(),
+        });
+        self.solves.insert(key, sel.clone());
+        Ok(sel)
+    }
+
     /// Fans independent jobs across `pool_threads` scoped workers, sharing
-    /// this session's caches: cached jobs are answered up front, the misses
-    /// are solved concurrently (each under its own
+    /// this session's cache: cached jobs are answered up front, the misses
+    /// are formulated and solved concurrently (each under its own
     /// [`crate::SolveOptions::solve_budget`]), and every result lands in
     /// the cache for the next batch. Results come back in job order,
     /// per-job errors in place.
@@ -600,14 +576,12 @@ impl SweepSession {
         let mut out: Vec<Option<Result<Selection, CoreError>>> =
             (0..jobs.len()).map(|_| None).collect();
 
-        // Phase 1 (serial): probe the solve cache, prepare models for the
-        // misses. Keeping cache mutation on one thread keeps the LRU simple.
+        // Phase 1 (serial): probe the solve cache. Keeping cache mutation on
+        // one thread keeps the LRU simple.
         struct Pending {
             job: usize,
-            skey: String,
+            key: String,
             digest: u64,
-            prepared: Arc<PreparedModel>,
-            model_hit: bool,
         }
         let mut pending: Vec<Pending> = Vec::new();
         // Canonically identical jobs within one batch collapse to a single
@@ -618,59 +592,35 @@ impl SweepSession {
         let mut followers: Vec<(usize, usize)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             let started = Instant::now();
-            let ikey = instance_key(job.instance, job.db);
-            let skey = solve_key(&ikey, &job.options);
-            let digest = fnv1a64(&skey);
-            if let Some(sel) = self.solves.get(&skey) {
-                let sel = sel.clone();
+            let key = canonical_solve_key(job.instance, job.db, &job.options);
+            let digest = fnv1a64(&key);
+            let hit = self.solves.get(&key).cloned();
+            self.emit_cache(hit.is_some(), &key);
+            let twin = by_key.get(&key).copied();
+            if hit.is_some() || twin.is_some() {
                 self.trace.cache_hits += 1;
-                self.emit_cache(CacheKind::Solve, true, &skey);
-                let point = SweepPoint {
+                self.record(SweepPoint {
                     digest,
                     rg: job.options.gains.as_uniform(),
                     cache_hit: true,
                     chained: false,
                     nodes_explored: 0,
                     wall: started.elapsed(),
-                };
-                self.emit_point(&point);
-                self.trace.points.push(point);
+                });
+            }
+            if let Some(sel) = hit {
                 // The audit flag is not part of the cache key, so a hit must
                 // run its own audit when this job asked for one.
                 out[i] = Some(audit_cached(job.instance, job.db, &job.options, sel));
-                continue;
-            }
-            self.emit_cache(CacheKind::Solve, false, &skey);
-            if let Some(&twin) = by_key.get(&skey) {
-                self.trace.cache_hits += 1;
-                let point = SweepPoint {
-                    digest,
-                    rg: job.options.gains.as_uniform(),
-                    cache_hit: true,
-                    chained: false,
-                    nodes_explored: 0,
-                    wall: started.elapsed(),
-                };
-                self.emit_point(&point);
-                self.trace.points.push(point);
+            } else if let Some(twin) = twin {
                 followers.push((i, twin));
-                continue;
-            }
-            match self.prepared_model(job.instance, job.db, &job.options, &ikey) {
-                Ok((prepared, model_hit)) => {
-                    by_key.insert(skey.clone(), pending.len());
-                    pending.push(Pending {
-                        job: i,
-                        skey,
-                        digest,
-                        prepared,
-                        model_hit,
-                    });
-                }
-                Err(e) => {
-                    self.trace.cache_misses += 1;
-                    out[i] = Some(Err(e));
-                }
+            } else {
+                by_key.insert(key.clone(), pending.len());
+                pending.push(Pending {
+                    job: i,
+                    key,
+                    digest,
+                });
             }
         }
 
@@ -684,11 +634,12 @@ impl SweepSession {
             });
         }
 
-        // Phase 2 (parallel): solve the misses. Workers pull jobs off a
-        // shared counter — the work-stealing is at job granularity; each
-        // job's own branch-and-bound may still run its internal pool.
-        // Workers share the session sink: every solve's events land in one
-        // stream, each JSON line written atomically by the sink.
+        // Phase 2 (parallel): formulate and solve the misses. Workers pull
+        // jobs off a shared counter — the work-stealing is at job
+        // granularity; each job's own branch-and-bound may still run its
+        // internal pool. Workers share the session sink: every solve's
+        // events land in one stream, each JSON line written atomically by
+        // the sink.
         type Outcome = (Result<Selection, CoreError>, Duration);
         let next = AtomicUsize::new(0);
         let solved: Mutex<Vec<Option<Outcome>>> =
@@ -696,22 +647,13 @@ impl SweepSession {
         let run_one = |p: &Pending| {
             let started = Instant::now();
             let job = &jobs[p.job];
-            let trace = SolveTrace {
-                formulation: p.prepared.formulation,
-                ..SolveTrace::default()
-            };
-            // Batch jobs are independent — the returned root basis has no
-            // next point to seed, so it is dropped here.
-            let result = solve_prepared(
+            let result = solve_cold(
                 job.instance,
                 job.db,
-                &p.prepared.model,
-                &p.prepared.map,
                 &job.options,
-                trace,
+                SolveTrace::default(),
                 sink,
-            )
-            .map(|(sel, _basis)| sel);
+            );
             (result, started.elapsed())
         };
         if pool_threads == 1 || pending.len() <= 1 {
@@ -738,27 +680,20 @@ impl SweepSession {
         for (p, outcome) in pending.iter().zip(solved) {
             let (result, wall) = outcome.expect("every pending job solved");
             self.trace.cache_misses += 1;
-            if p.model_hit {
-                self.trace.model_hits += 1;
-            } else {
-                self.trace.model_misses += 1;
-            }
             let nodes = result
                 .as_ref()
                 .map(|sel| sel.trace.nodes_explored)
                 .unwrap_or(0);
-            let point = SweepPoint {
+            self.record(SweepPoint {
                 digest: p.digest,
                 rg: jobs[p.job].options.gains.as_uniform(),
                 cache_hit: false,
                 chained: false,
                 nodes_explored: nodes,
                 wall,
-            };
-            self.emit_point(&point);
-            self.trace.points.push(point);
+            });
             if let Ok(sel) = &result {
-                self.solves.insert(p.skey.clone(), sel.clone());
+                self.solves.insert(p.key.clone(), sel.clone());
             }
             resolved.push(result);
         }
@@ -776,111 +711,6 @@ impl SweepSession {
         out.into_iter()
             .map(|r| r.expect("every job answered"))
             .collect()
-    }
-
-    /// Fetches the formulated model for (instance, options) from the model
-    /// cache, building and memoizing it on a miss. Returns the model and
-    /// whether it was a hit.
-    fn prepared_model(
-        &mut self,
-        instance: &Instance,
-        db: &ImpDb,
-        options: &SolveOptions,
-        ikey: &str,
-    ) -> Result<(Arc<PreparedModel>, bool), CoreError> {
-        let mkey = model_key(ikey, options);
-        if let Some(m) = self.models.get(&mkey) {
-            let m = Arc::clone(m);
-            self.emit_cache(CacheKind::Model, true, &mkey);
-            return Ok((m, true));
-        }
-        self.emit_cache(CacheKind::Model, false, &mkey);
-        let t = Instant::now();
-        let (model, map) = build_model(
-            instance,
-            db,
-            options.problem,
-            &options.gains,
-            options.power_budget_mw,
-        )?;
-        let prepared = Arc::new(PreparedModel {
-            model,
-            map,
-            formulation: t.elapsed(),
-        });
-        self.models.insert(mkey, Arc::clone(&prepared));
-        Ok((prepared, false))
-    }
-
-    /// The single-request path shared by [`SweepSession::solve`] and the
-    /// sweep loop. Alongside the selection it returns the branch-and-bound
-    /// root basis (when the backend produced one and the answer was not
-    /// served from cache), so the sweep loop can seed the next point's LP
-    /// relaxation.
-    fn solve_point(
-        &mut self,
-        instance: &Instance,
-        db: &ImpDb,
-        options: &SolveOptions,
-        chained: bool,
-    ) -> Result<(Selection, Option<Arc<partita_ilp::Basis>>), CoreError> {
-        let started = Instant::now();
-        let ikey = instance_key(instance, db);
-        let skey = solve_key(&ikey, options);
-        let digest = fnv1a64(&skey);
-        let rg = options.gains.as_uniform();
-        if let Some(sel) = self.solves.get(&skey) {
-            let sel = sel.clone();
-            self.trace.cache_hits += 1;
-            self.emit_cache(CacheKind::Solve, true, &skey);
-            let point = SweepPoint {
-                digest,
-                rg,
-                cache_hit: true,
-                chained,
-                nodes_explored: 0,
-                wall: started.elapsed(),
-            };
-            self.emit_point(&point);
-            self.trace.points.push(point);
-            // The audit flag is not part of the cache key, so a hit must run
-            // its own audit when this request asked for one. A cached answer
-            // carries no live factorization, hence no basis.
-            return audit_cached(instance, db, options, sel).map(|sel| (sel, None));
-        }
-        self.trace.cache_misses += 1;
-        self.emit_cache(CacheKind::Solve, false, &skey);
-        let (prepared, model_hit) = self.prepared_model(instance, db, options, &ikey)?;
-        if model_hit {
-            self.trace.model_hits += 1;
-        } else {
-            self.trace.model_misses += 1;
-        }
-        let trace = SolveTrace {
-            formulation: prepared.formulation,
-            ..SolveTrace::default()
-        };
-        let (sel, basis) = solve_prepared(
-            instance,
-            db,
-            &prepared.model,
-            &prepared.map,
-            options,
-            trace,
-            self.sink(),
-        )?;
-        let point = SweepPoint {
-            digest,
-            rg,
-            cache_hit: false,
-            chained,
-            nodes_explored: sel.trace.nodes_explored,
-            wall: started.elapsed(),
-        };
-        self.emit_point(&point);
-        self.trace.points.push(point);
-        self.solves.insert(skey, sel.clone());
-        Ok((sel, basis))
     }
 }
 
@@ -1039,6 +869,32 @@ mod tests {
     }
 
     #[test]
+    fn revisits_of_swept_points_hit_the_cache() {
+        // A chained point is memoized under the same canonical key a plain
+        // solve of that point looks up, so revisiting any swept RG with the
+        // sweep's base options is a cache hit returning the swept answer.
+        let (inst, db) = three_firs("a");
+        let rgs = [Cycles(600), Cycles(1200), Cycles(1800)];
+        let base = SolveOptions::default();
+        let mut s = SweepSession::new();
+        let swept = s.sweep(&inst, &db, &base, &rgs).unwrap();
+        assert_eq!(s.trace().chained_accepts, 2, "the lower points chained");
+        let hits_before = s.trace().cache_hits;
+        for (&rg, sel) in rgs.iter().zip(&swept) {
+            let mut opts = base.clone();
+            opts.gains = RequiredGains::uniform(rg);
+            let again = s.solve(&inst, &db, &opts).unwrap();
+            assert_eq!(&again, sel, "revisit of RG {} diverged", rg.get());
+        }
+        assert_eq!(
+            s.trace().cache_hits - hits_before,
+            rgs.len() as u64,
+            "every revisit must hit the cache"
+        );
+        assert_eq!(s.trace().cache_misses, rgs.len() as u64);
+    }
+
+    #[test]
     fn solve_batch_matches_individual_solves_and_caches() {
         let (inst, db) = three_firs("a");
         let jobs: Vec<BatchJob<'_>> = [600u64, 1200, 1800, 600]
@@ -1094,7 +950,7 @@ mod tests {
     #[test]
     fn lru_bound_evicts_old_solves() {
         let (inst, db) = three_firs("a");
-        let mut s = SweepSession::with_capacities(1, 2);
+        let mut s = SweepSession::with_capacities(2);
         for rg in [600u64, 1200, 1800] {
             s.solve(
                 &inst,
@@ -1104,7 +960,6 @@ mod tests {
             .unwrap();
         }
         assert_eq!(s.cached_solves(), 2);
-        assert_eq!(s.cached_models(), 1);
         // The oldest entry (600) was evicted: solving it again is a miss.
         s.solve(
             &inst,
@@ -1117,26 +972,12 @@ mod tests {
     }
 
     #[test]
-    fn solve_key_excludes_root_basis_and_audit() {
-        let (inst, db) = three_firs("a");
-        let ikey = instance_key(&inst, &db);
-        let a = SolveOptions::problem2(RequiredGains::uniform(Cycles(1200)));
-        let mut b = a.clone();
-        b.root_basis = Some(Arc::new(partita_ilp::Basis::slack(4, 7)));
-        b.audit = !a.audit;
-        assert_eq!(
-            solve_key(&ikey, &a),
-            solve_key(&ikey, &b),
-            "root_basis/audit must not shape the canonical solve key"
-        );
-    }
-
-    #[test]
     fn canonical_service_key_excludes_all_effort_knobs() {
-        // The service-grade key must additionally ignore warm-start hints
-        // and the warm-start flag itself: selections are hint-invariant, so
-        // keying on them would split cross-tenant cache entries for no
-        // answer-level reason (PR 6 invariant, service form).
+        // The one solve key ignores the audit flag, retained bases,
+        // warm-start hints and the warm-start flag itself: selections are
+        // invariant under all of them, so keying on them would split cache
+        // entries (across chained and cold points, or across tenants) for
+        // no answer-level reason.
         let (inst, db) = three_firs("a");
         let a = SolveOptions::problem2(RequiredGains::uniform(Cycles(1200)));
         let mut b = a.clone();
@@ -1215,7 +1056,7 @@ mod tests {
         assert_eq!(lines.len(), 3, "2 points + summary");
         for line in &lines {
             assert!(
-                line.starts_with("{\"schema\":2,\"event\":\"sweep_"),
+                line.starts_with("{\"schema\":3,\"event\":\"sweep_"),
                 "{line}"
             );
             assert!(line.contains("\"sweep\":\"tab\\\"le\""), "{line}");

@@ -4,7 +4,7 @@
 //! JSON surface of the pipeline (solve traces, [`crate::SweepTrace`],
 //! [`crate::AuditReport::to_json`]) goes through one **versioned event
 //! schema**: every line the pipeline emits is a typed [`Event`] serialized
-//! as a single JSON object tagged `{"schema":2,"event":"<kind>", ...}`.
+//! as a single JSON object tagged `{"schema":3,"event":"<kind>", ...}`.
 //! The full field-level schema is documented in `docs/TELEMETRY.md`, which
 //! is kept honest by a test diffing the doc's event list against
 //! [`EventKind::ALL`].
@@ -88,9 +88,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":2`); bump it only with a matching update to
+/// first field (`"schema":3`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -113,13 +113,11 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Which session cache a [`Event::CacheLookup`] probed.
+/// Which solve cache a [`Event::CacheLookup`] probed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheKind {
-    /// The memoized-[`crate::Selection`] cache.
+    /// A [`crate::SweepSession`]'s memoized-[`crate::Selection`] cache.
     Solve,
-    /// The formulated-model cache.
-    Model,
     /// The solve daemon's process-wide sharded canonical cache
     /// ([`crate::cache::ShardedLru`]), shared across tenants.
     Service,
@@ -131,7 +129,6 @@ impl CacheKind {
     pub fn name(self) -> &'static str {
         match self {
             CacheKind::Solve => "solve",
-            CacheKind::Model => "model",
             CacheKind::Service => "service",
         }
     }
@@ -361,7 +358,7 @@ pub enum Event {
         /// Whether per-path gains were re-derived from the timing model.
         gain_rederived: bool,
     },
-    /// A sweep-session cache was probed.
+    /// A solve cache was probed.
     CacheLookup {
         /// Which cache.
         cache: CacheKind,
@@ -370,10 +367,11 @@ pub enum Event {
         /// FNV-1a 64 digest of the canonical cache key.
         digest: u64,
     },
-    /// The sweep loop decided whether to chain the previous (higher-RG)
-    /// optimum into the next point as a warm-start incumbent. Emitted once
-    /// per point that *has* a predecessor; `accepted == false` means the
-    /// independent feasibility check rejected the carry-over.
+    /// A [`crate::DeltaSession::resolve`] decided whether to seed the
+    /// previous optimum into the patched problem as a warm-start incumbent.
+    /// Emitted once per resolve that *has* a predecessor (every chained
+    /// sweep point below the first solved one); `accepted == false` means
+    /// the independent feasibility check rejected the carry-over.
     ChainDecision {
         /// The next point's uniform required gain, when uniform.
         rg: Option<u64>,
@@ -410,10 +408,6 @@ pub enum Event {
         cache_hits: u64,
         /// Requests that ran a solver.
         cache_misses: u64,
-        /// Solver runs that reused a cached model.
-        model_hits: u64,
-        /// Solver runs that built their model.
-        model_misses: u64,
         /// Points seeded with the previous point's verified optimum.
         chained_accepts: u64,
         /// Points whose carry-over candidate failed the feasibility check.
@@ -688,8 +682,6 @@ impl Event {
                 points,
                 cache_hits,
                 cache_misses,
-                model_hits,
-                model_misses,
                 chained_accepts,
                 chained_rejects,
                 nodes,
@@ -699,8 +691,6 @@ impl Event {
                 w.raw("points", points);
                 w.raw("cache_hits", cache_hits);
                 w.raw("cache_misses", cache_misses);
-                w.raw("model_hits", model_hits);
-                w.raw("model_misses", model_misses);
                 w.raw("chained_accepts", chained_accepts);
                 w.raw("chained_rejects", chained_rejects);
                 w.raw("nodes", r.effort64(*nodes));
@@ -1385,11 +1375,11 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":2,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":3,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(2));
+        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 

@@ -67,8 +67,7 @@ use partita_core::delta::{DeltaSession, InstanceDelta};
 use partita_core::sweep::canonical_solve_key;
 use partita_core::telemetry::{self, CacheKind, Event, TelemetrySink};
 use partita_core::verify::SelectionAuditor;
-use partita_core::{Backend, Redaction, RequiredGains, Selection, SolveOptions};
-use partita_mop::Cycles;
+use partita_core::{Backend, CoreError, Redaction, Selection, SolveOptions};
 use partita_workloads::corpus::{self, ManifestEntry};
 use partita_workloads::Workload;
 
@@ -348,17 +347,14 @@ impl ServiceCore {
                 instance,
                 spec,
                 rgs,
-            } => self
-                .resolve_workload(instance)
-                .and_then(|w| self.serve_sweep(&req.tenant, &w, spec, rgs))
-                .map(Payload::Points),
-            RequestBody::Delta {
+            }
+            | RequestBody::Delta {
                 instance,
                 spec,
                 rgs,
             } => self
                 .resolve_workload(instance)
-                .and_then(|w| self.serve_delta(&req.tenant, &w, spec, rgs))
+                .and_then(|w| self.serve_walk(&req.tenant, &w, spec, rgs))
                 .map(Payload::Points),
             RequestBody::Batch { jobs } => {
                 let results = jobs
@@ -454,13 +450,28 @@ impl ServiceCore {
     }
 
     /// Solves one (instance, spec, rg) point through the shared canonical
-    /// cache.
+    /// cache, cold on a miss.
     fn solve_point(
         &self,
         tenant: &str,
         w: &Workload,
         spec: &SolveSpec,
         rg: u64,
+    ) -> Result<SolveResult, ApiError> {
+        self.answer_point(tenant, w, spec, rg, |options| cold_solve(w, options))
+    }
+
+    /// The per-point protocol shared by every method: admission, then the
+    /// shared canonical cache, then on a miss a greedy solve when the point
+    /// is degraded or `exact` otherwise. Fresh answers are accounted to the
+    /// tenant and feed the cache under their canonical key.
+    fn answer_point(
+        &self,
+        tenant: &str,
+        w: &Workload,
+        spec: &SolveSpec,
+        rg: u64,
+        exact: impl FnOnce(&SolveOptions) -> Result<Selection, CoreError>,
     ) -> Result<SolveResult, ApiError> {
         let start = Instant::now();
         let (options, degraded) = self.admit(tenant, spec, rg);
@@ -494,10 +505,12 @@ impl ServiceCore {
                 sel
             }
             None => {
-                let sel = partita_core::Solver::new(&w.instance)
-                    .with_imps(w.imps.clone())
-                    .solve(&options)
-                    .map_err(ApiError::Core)?;
+                let sel = if degraded {
+                    cold_solve(w, &options)
+                } else {
+                    exact(&options)
+                }
+                .map_err(ApiError::Core)?;
                 self.account_nodes(tenant, sel.trace.nodes_explored as u64);
                 self.cache.insert(key, sel.clone());
                 sel
@@ -510,10 +523,16 @@ impl ServiceCore {
         Ok(result)
     }
 
-    /// Serves a sweep: points are solved in descending-RG order (matching
-    /// [`partita_core::sweep::SweepSession`]'s cache-friendly order) and
-    /// returned in the caller's requested order.
-    fn serve_sweep(
+    /// Serves a sweep or a delta walk — one walk for both. Each distinct RG
+    /// is visited once, in descending order (the order in which a
+    /// predecessor's optimum stays feasible), and the results come back in
+    /// the caller's order. A point the shared cache cannot answer, and
+    /// that is not degraded, is an `SetRg` patch plus
+    /// [`DeltaSession::resolve`] on one lazily built session (basis repair
+    /// and verified incumbent seeding). Its answer feeds the shared cache
+    /// under its *cold* canonical key — sound because a delta resolve
+    /// returns the identical selection a cold solve would.
+    fn serve_walk(
         &self,
         tenant: &str,
         w: &Workload,
@@ -523,9 +542,23 @@ impl ServiceCore {
         let mut order: Vec<u64> = rgs.to_vec();
         order.sort_unstable_by(|a, b| b.cmp(a));
         order.dedup();
+        let mut session: Option<DeltaSession> = None;
         let mut solved: HashMap<u64, SolveResult> = HashMap::new();
         for rg in order {
-            let result = self.solve_point(tenant, w, spec, rg)?;
+            let result = self.answer_point(tenant, w, spec, rg, |options| {
+                let ds = match session.as_mut() {
+                    Some(ds) => {
+                        ds.apply(InstanceDelta::SetRg(options.gains().clone()))?;
+                        ds
+                    }
+                    None => session.insert(DeltaSession::new(
+                        w.instance.clone(),
+                        w.imps.clone(),
+                        options.clone(),
+                    )?),
+                };
+                ds.resolve()
+            })?;
             solved.insert(rg, result);
         }
         Ok(rgs
@@ -533,58 +566,13 @@ impl ServiceCore {
             .map(|rg| solved.get(rg).cloned().expect("every point solved"))
             .collect())
     }
+}
 
-    /// Serves a delta walk: one incremental [`DeltaSession`] applies each
-    /// RG as a `SetRg` right-hand-side patch (basis repair + incumbent
-    /// seeding) instead of solving cold. Results feed the shared cache
-    /// under their *cold* canonical keys — sound because a delta resolve
-    /// returns the identical selection a cold solve would (the PR 6
-    /// equivalence contract).
-    fn serve_delta(
-        &self,
-        tenant: &str,
-        w: &Workload,
-        spec: &SolveSpec,
-        rgs: &[u64],
-    ) -> Result<Vec<SolveResult>, ApiError> {
-        let policy = self.policy(tenant);
-        let base = spec
-            .to_options_at(spec.rg)
-            .budget(policy.clamp(spec))
-            .audit(spec.audit);
-        let mut session =
-            DeltaSession::new(w.instance.clone(), w.imps.clone(), base).map_err(ApiError::Core)?;
-        let mut results = Vec::with_capacity(rgs.len());
-        for &rg in rgs {
-            let start = Instant::now();
-            let (options, degraded) = self.admit(tenant, spec, rg);
-            session
-                .apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(rg))))
-                .map_err(ApiError::Core)?;
-            let selection = if degraded {
-                // Over-budget tenants leave the incremental path too: a
-                // greedy solve of the patched point, honestly labelled.
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                partita_core::Solver::new(&w.instance)
-                    .with_imps(w.imps.clone())
-                    .solve(&options)
-                    .map_err(ApiError::Core)?
-            } else {
-                let sel = session.resolve().map_err(ApiError::Core)?;
-                self.account_nodes(tenant, sel.trace.nodes_explored as u64);
-                self.cache.insert(
-                    canonical_solve_key(&w.instance, &w.imps, &options),
-                    sel.clone(),
-                );
-                sel
-            };
-            let mut result = SolveResult::from_selection(rg, &selection);
-            result.degraded = degraded;
-            result.wall_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            results.push(result);
-        }
-        Ok(results)
-    }
+/// A cold library solve of one point of `w`.
+fn cold_solve(w: &Workload, options: &SolveOptions) -> Result<Selection, CoreError> {
+    partita_core::Solver::new(&w.instance)
+        .with_imps(w.imps.clone())
+        .solve(options)
 }
 
 /// Pulls `id`/`tenant` out of a line that failed full envelope parsing,

@@ -180,6 +180,66 @@ fn cross_tenant_cache_hits_are_byte_identical_and_audited() {
     assert_eq!(stats.rejected, 0);
 }
 
+/// Answers a `sweep` or `delta` request, returning its per-point results.
+fn expect_points(core: &ServiceCore, line: &str) -> Vec<SolveResult> {
+    let req = Request::parse(line).expect("well-formed walk request");
+    match core.handle_request(&req).result {
+        Ok(Payload::Points(results)) => results,
+        other => panic!("request {} failed: {other:?}", req.id),
+    }
+}
+
+#[test]
+fn delta_walk_answers_from_the_cache_a_sweep_filled() {
+    let instance = INSTANCES[1];
+    let manifest = corpus::manifest().expect("corpus manifest parses");
+    let w = manifest
+        .iter()
+        .find(|e| e.id == instance)
+        .expect("entry")
+        .verify()
+        .expect("verifies");
+    let rgs: Vec<u64> = w.rg_sweep.iter().map(|rg| rg.get()).collect();
+    assert!(rgs.len() >= 3, "{instance}: a sweep worth walking");
+    let list = |rgs: &[u64]| rgs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+    let core = ServiceCore::new(ServiceConfig::default());
+
+    // Tenant alice sweeps cold: one chained walk, every answer the cold
+    // library solve's.
+    let swept = expect_points(
+        &core,
+        &format!(
+            r#"{{"api_version":1,"id":"a","tenant":"alice","method":"sweep","instance":"{instance}","rgs":[{}]}}"#,
+            list(&rgs)
+        ),
+    );
+    for (rg, result) in rgs.iter().zip(&swept) {
+        assert!(!result.cache_hit, "rg {rg}: a fresh daemon has no entry");
+        assert_eq!(result.digest, cold_digest(instance, *rg), "rg {rg}");
+    }
+
+    // Tenant bob walks the same points as delta edits, in another order:
+    // every point is a shared-cache hit carrying alice's answer.
+    let mut walk = rgs.clone();
+    walk.reverse();
+    let delta = expect_points(
+        &core,
+        &format!(
+            r#"{{"api_version":1,"id":"b","tenant":"bob","method":"delta","instance":"{instance}","rgs":[{}]}}"#,
+            list(&walk)
+        ),
+    );
+    assert_eq!(delta.len(), walk.len());
+    for (rg, result) in walk.iter().zip(&delta) {
+        assert_eq!(result.rg, *rg, "results come back in request order");
+        assert!(result.cache_hit, "rg {rg}: delta point missed the cache");
+        let alice = &swept[rgs.iter().position(|r| r == rg).expect("swept rg")];
+        assert_eq!(result.digest, alice.digest, "rg {rg}");
+        assert_eq!(result.chosen, alice.chosen, "rg {rg}");
+    }
+    assert_eq!(core.stats().cache_hits, rgs.len() as u64);
+}
+
 #[test]
 fn over_budget_tenant_degrades_to_greedy_without_starving_the_other() {
     let core = Arc::new(ServiceCore::new(ServiceConfig::default()));

@@ -18,7 +18,7 @@ fn check_line(line: &str) -> String {
     let doc = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_u64),
-        Some(2),
+        Some(3),
         "{line}"
     );
     let kind = doc
@@ -217,6 +217,17 @@ fn sweep_stream_covers_cache_and_chain_events() {
             .iter()
             .any(|l| l.contains("\"cache\":\"solve\",\"hit\":true")),
         "replayed sweep must hit the solve cache"
+    );
+    // One cache (schema 3 has no model cache), and one chain decision per
+    // point below the top of the first sweep, made by the delta session
+    // the sweep walks; the cached replay decides nothing.
+    assert!(
+        lines.iter().all(|l| !l.contains("\"cache\":\"model\"")),
+        "no model-cache lookups in schema 3"
+    );
+    assert_eq!(
+        kinds.iter().filter(|k| *k == "chain_decision").count(),
+        w.rg_sweep.len() - 1
     );
 }
 
