@@ -177,7 +177,7 @@ pub struct OpsCounters {
     pub lex_pivots: u64,
     /// Simplex tableaus built.
     pub tableau_builds: u64,
-    /// Tableau builds that reused an already-large-enough scratch buffer.
+    /// Tableau builds that grew no pooled scratch buffer.
     pub scratch_reuses: u64,
     /// Dantzig→Bland entering-rule fallbacks inside degenerate stalls.
     pub bland_activations: u64,

@@ -240,8 +240,8 @@ pub struct SolveTrace {
     pub lex_pivots: usize,
     /// Simplex tableaus built (one per LP solved at tableau level).
     pub tableau_builds: usize,
-    /// Tableau builds that reused an already-large-enough scratch buffer
-    /// instead of allocating.
+    /// Tableau builds that grew none of the simplex scratch's pooled
+    /// buffers (row and column lists, dense vectors), so allocated nothing.
     pub scratch_reuses: usize,
     /// Times the simplex entering rule fell back from Dantzig to Bland
     /// inside a degenerate stall.

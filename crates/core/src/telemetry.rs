@@ -1290,13 +1290,20 @@ pub mod json {
                     }
                     Some(b) if b < 0x20 => return Err(self.err("raw control character")),
                     Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so the
-                        // byte sequence is valid by construction).
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                        let c = s.chars().next().ok_or_else(|| self.err("bad utf-8"))?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // Copy the run up to the next quote, backslash or
+                        // control byte at once. All three are ASCII, so the
+                        // run ends on a char boundary of the input (a &str)
+                        // and each byte is validated once.
+                        let start = self.pos;
+                        while self
+                            .peek()
+                            .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                        {
+                            self.pos += 1;
+                        }
+                        let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| self.err("bad utf-8"))?;
+                        out.push_str(run);
                     }
                 }
             }
@@ -1478,5 +1485,12 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} junk").is_err());
         assert!(JsonValue::parse("{\"a\":}").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_copies_multibyte_runs_between_escapes() {
+        let v = JsonValue::parse("\"gain → 1.5× \\\"ok\\\" é\\u0041\"").unwrap();
+        assert_eq!(v.as_str(), Some("gain → 1.5× \"ok\" éA"));
+        assert!(JsonValue::parse("\"raw\ttab\"").is_err());
     }
 }

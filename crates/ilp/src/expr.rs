@@ -66,7 +66,13 @@ impl LinExpr {
     /// All `(variable, coefficient)` pairs in variable order.
     #[must_use]
     pub fn terms(&self) -> Vec<(VarId, f64)> {
-        self.terms.iter().map(|(&v, &c)| (v, c)).collect()
+        self.iter_terms().collect()
+    }
+
+    /// The `(variable, coefficient)` pairs in variable order, borrowed:
+    /// the allocation-free form of [`LinExpr::terms`].
+    pub fn iter_terms(&self) -> impl ExactSizeIterator<Item = (VarId, f64)> + '_ {
+        self.terms.iter().map(|(&v, &c)| (v, c))
     }
 
     /// Evaluates the expression for an assignment indexed by variable.

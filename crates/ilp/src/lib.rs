@@ -7,7 +7,7 @@
 //!
 //! * [`Model`] — variables (continuous / binary), linear constraints and a
 //!   linear objective;
-//! * [`simplex`] — a dense two-phase primal simplex for LP relaxations;
+//! * [`simplex`] — a sparse-row two-phase primal simplex for LP relaxations;
 //! * [`BranchBound`] — best-first branch-and-bound over the LP relaxation;
 //! * [`fixed_charge`] — the `Σ s·x ≤ M·z` linearization helper used for the
 //!   "IP area counted once" objective term;

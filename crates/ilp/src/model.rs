@@ -259,7 +259,7 @@ impl Model {
         label: Option<impl Into<String>>,
     ) -> Result<(), IlpError> {
         let expr: LinExpr = terms.into_iter().collect();
-        for (v, c) in expr.terms() {
+        for (v, c) in expr.iter_terms() {
             if v.index() >= self.vars.len() {
                 return Err(IlpError::UnknownVariable(v));
             }

@@ -1,9 +1,9 @@
-//! Dense two-phase primal simplex, with warm-started dual-simplex repair.
+//! Sparse-row two-phase primal simplex, with warm-started dual-simplex
+//! repair.
 //!
 //! Solves the LP relaxation of a [`Model`] with per-variable bound overrides
 //! (used by branch-and-bound to fix binaries). The implementation is a
-//! textbook tableau simplex over a flat, single-allocation row-major
-//! tableau (the private `Tableau` view over [`SimplexScratch`]'s buffer):
+//! textbook tableau simplex (the private `Tableau` in [`SimplexScratch`]):
 //!
 //! 1. shift every variable by its lower bound so all variables are ≥ 0,
 //! 2. add explicit rows for finite upper bounds,
@@ -29,16 +29,36 @@
 //! back to the cold two-phase path, so a poisoned or stale basis can cost
 //! time but never correctness.
 //!
-//! Problem sizes in this repository are small (≲ 100 structural variables,
-//! ≲ 300 rows), so a dense tableau is the right tool.
-
-// The tableau code intentionally uses explicit row/column indices: the
-// simplex pivots read much closer to the textbook presentation that way.
-#![allow(clippy::needless_range_loop, clippy::manual_memcpy)]
+//! # Storage
+//!
+//! The selector's models reach about 2,200 rows by 2,700 columns at
+//! `synth:table` scale, and their tableaus stay about 97% zeros through
+//! the solve: a pivot row is a few percent nonzero and a pivot touches
+//! about one row in a hundred. Constraint rows are therefore stored as
+//! column-sorted `(column, value)` lists with a column → rows index, while
+//! the objective row and the right-hand side stay dense. Every stored cell
+//! gets exactly the arithmetic a dense tableau would give it (`v -
+//! factor·pv`, a fill-in cell `0.0 - factor·pv`, a cancelled cell stays
+//! stored as zero), and every scan visits cells in the dense order, so
+//! pivots, vertices and tie-breaks match a dense tableau bit for bit; only
+//! the zeros stop costing. Artificial columns are never read (they never
+//! enter), so they are not stored: an artificial is only a basis marker.
+//!
+//! Fixed variables (`lower == upper`) are folded into the right-hand side
+//! while the tableau is built (see [`solve_with_bounds_scratch`]), which
+//! keeps node LPs deep in a branch-and-bound tree small without building a
+//! reduced [`Model`].
 
 use crate::{IlpError, LpSolution, Model, Relation, Sense};
 
 const EPS: f64 = 1e-10;
+
+/// Column marker of a variable folded out of the tableau.
+const FOLDED: usize = usize::MAX;
+
+/// Basis marker of a row that starts on an artificial, numbered once the
+/// row count (and so the first artificial column) is known.
+const ARTIFICIAL: usize = usize::MAX;
 
 /// Options for the simplex solver.
 ///
@@ -169,8 +189,9 @@ pub struct SimplexOps {
     pub lex_pivots: usize,
     /// Tableaus built (one per LP solved at tableau level).
     pub tableau_builds: usize,
-    /// Tableau builds whose flat buffer was already large enough — the
-    /// scratch-reuse hits that skipped a heap allocation.
+    /// Tableau builds that grew none of the scratch's pooled buffers (row
+    /// and column lists, dense vectors) — the scratch-reuse hits that
+    /// skipped every heap allocation.
     pub scratch_reuses: usize,
     /// Times the entering rule fell back from Dantzig to Bland inside a
     /// degenerate stall.
@@ -198,24 +219,19 @@ impl SimplexOps {
 
 /// Reusable buffers for repeated LP solves.
 ///
-/// Branch-and-bound solves one LP per node, and the tableau is by far the
-/// largest allocation of each solve. A scratch kept per worker lets
-/// [`solve_with_bounds_scratch`] reuse the flat tableau buffer, the basis
-/// vector and the row bookkeeping across nodes instead of re-allocating
-/// them. Capacities only grow, so a scratch warmed up on the root LP serves
-/// every descendant without further allocation.
+/// Branch-and-bound solves one LP per node. A scratch kept per worker lets
+/// [`solve_with_bounds_scratch`] reuse the tableau's row and column lists,
+/// the dense vectors and the basis across nodes instead of re-allocating
+/// them. Capacities only grow, so a scratch warmed up on the root LP
+/// serves most descendants without further allocation.
 #[derive(Debug, Default)]
 pub struct SimplexScratch {
-    /// The flat row-major tableau: `(m + 1) * width` cells (the last row is
-    /// the objective), pooled across solves.
-    cells: Vec<f64>,
-    /// Basis column per row.
-    basis: Vec<usize>,
-    /// Per-row `(relation, shifted rhs)` collected before the tableau is
-    /// sized (the artificial-variable count depends on it).
-    row_meta: Vec<(Relation, f64)>,
-    /// Variable index backing each upper-bound row.
-    bound_vars: Vec<usize>,
+    /// The tableau of the current solve, its buffers pooled across solves.
+    t: Tableau,
+    /// Phase-2 cost per structural/slack column, before pricing.
+    cost: Vec<f64>,
+    /// Tableau column of each model variable ([`FOLDED`] when folded).
+    var_col: Vec<usize>,
     /// Per-op counters accumulated across every solve through this scratch.
     ops: SimplexOps,
 }
@@ -238,69 +254,170 @@ impl SimplexScratch {
     pub fn take_ops(&mut self) -> SimplexOps {
         std::mem::take(&mut self.ops)
     }
+
+    /// Total capacity of every pooled buffer. Capacities never shrink, so
+    /// an unchanged total across a build means the build allocated nothing.
+    fn pooled_capacity(&self) -> usize {
+        let t = &self.t;
+        t.rows.capacity()
+            + t.rows.iter().map(Vec::capacity).sum::<usize>()
+            + t.cols.capacity()
+            + t.cols.iter().map(Vec::capacity).sum::<usize>()
+            + t.rhs.capacity()
+            + t.obj.capacity()
+            + t.basis.capacity()
+            + self.cost.capacity()
+            + self.var_col.capacity()
+    }
 }
 
-/// A flat row-major tableau view: `rows × width` cells in one allocation.
+/// A sparse-row simplex tableau.
 ///
-/// Replaces the old `Vec<Vec<f64>>` layout — one pointer chase and one
-/// allocation per *solve* instead of per *row*, and rows sit contiguously
-/// so the pivot's row-combination loop streams the whole tableau.
-struct Tableau<'a> {
-    cells: &'a mut [f64],
-    width: usize,
+/// Columns are the `n` structural columns, then one slack/surplus column
+/// per row (`n..art0`), then the artificials (`art0..art0 + n_art`), which
+/// appear only in `basis`. Only the first `m` rows and `art0` column lists
+/// are live; the rest are pooled capacity from earlier, larger solves.
+#[derive(Debug, Default)]
+struct Tableau {
+    /// Structural columns.
+    n: usize,
+    /// Rows (constraints + finite-width bound rows).
+    m: usize,
+    /// First artificial column: `n + m`.
+    art0: usize,
+    /// Artificial columns.
+    n_art: usize,
+    /// Stored cells of each row, sorted by column. A cell that cancels to
+    /// zero stays stored.
+    rows: Vec<Vec<(usize, f64)>>,
+    /// Rows with a stored cell, per column below `art0`. Appended to on
+    /// fill-in, so unordered: [`Tableau::sort_col`] restores row order.
+    cols: Vec<Vec<usize>>,
+    /// Right-hand side per row.
+    rhs: Vec<f64>,
+    /// Objective (reduced-cost) row over the columns below `art0`.
+    obj: Vec<f64>,
+    /// Objective row's right-hand side: minus the current objective.
+    obj_rhs: f64,
+    /// Basic column per row.
+    basis: Vec<usize>,
 }
 
-impl<'a> Tableau<'a> {
-    fn new(cells: &'a mut [f64], width: usize) -> Tableau<'a> {
-        debug_assert!(width > 0 && cells.len().is_multiple_of(width));
-        Tableau { cells, width }
-    }
-
-    #[inline]
-    fn row(&self, r: usize) -> &[f64] {
-        &self.cells[r * self.width..(r + 1) * self.width]
-    }
-
-    #[inline]
-    fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.cells[r * self.width..(r + 1) * self.width]
-    }
-
+impl Tableau {
+    /// The cell at `(r, c)`, zero when not stored.
     #[inline]
     fn at(&self, r: usize, c: usize) -> f64 {
-        self.cells[r * self.width + c]
+        let row = &self.rows[r];
+        match row.binary_search_by_key(&c, |&(j, _)| j) {
+            Ok(i) => row[i].1,
+            Err(_) => 0.0,
+        }
     }
 
-    #[inline]
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.cells[r * self.width + c] = v;
+    /// Row `r`'s pooled cell list, emptied for the build (rows are opened
+    /// in order, so `r` is at most one past the pool).
+    fn open_row(&mut self, r: usize) -> &mut Vec<(usize, f64)> {
+        if self.rows.len() == r {
+            self.rows.push(Vec::new());
+        }
+        let row = &mut self.rows[r];
+        row.clear();
+        row
     }
 
-    /// Pivots on `(row, col)`: normalises the pivot row in place, then
-    /// eliminates `col` from every other row. `split_at_mut` hands the
-    /// pivot row out by reference, so no row is cloned — the floating-point
-    /// operations (and their order) are exactly those of the old
-    /// clone-the-pivot-row implementation, keeping results byte-identical.
-    fn pivot(&mut self, basis: &mut [usize], row: usize, col: usize) {
-        let w = self.width;
+    /// Puts column `c`'s row list in row order — the order a dense scan
+    /// down the column visits them, which the tie-breaks depend on.
+    fn sort_col(&mut self, c: usize) {
+        self.cols[c].sort_unstable();
+    }
+
+    /// Pivots on `(row, col)`: normalises the pivot row, then eliminates
+    /// `col` from every row with a stored cell there and from the objective
+    /// row. Each updated cell gets the dense tableau's `v - factor·pv`.
+    fn pivot(&mut self, row: usize, col: usize) {
         let p = self.at(row, col);
         debug_assert!(p.abs() > 1e-12, "pivot on ~zero element");
         let inv = 1.0 / p;
-        for v in self.row_mut(row) {
+        let mut prow = std::mem::take(&mut self.rows[row]);
+        for (_, v) in &mut prow {
             *v *= inv;
         }
-        let (head, rest) = self.cells.split_at_mut(row * w);
-        let (pivot_row, tail) = rest.split_at_mut(w);
-        for trow in head.chunks_exact_mut(w).chain(tail.chunks_exact_mut(w)) {
-            let factor = trow[col];
+        self.rhs[row] *= inv;
+        let prhs = self.rhs[row];
+        // No row in column `col`'s list gains a fill-in cell at `col`, so
+        // the list can be detached while other columns' lists grow.
+        let touched = std::mem::take(&mut self.cols[col]);
+        for &r in &touched {
+            if r == row {
+                continue;
+            }
+            let factor = self.at(r, col);
             if factor != 0.0 {
-                for (v, &pv) in trow.iter_mut().zip(&*pivot_row) {
-                    *v -= factor * pv;
-                }
+                eliminate(&mut self.rows[r], r, &prow, factor, &mut self.cols);
+                self.rhs[r] -= factor * prhs;
             }
         }
-        basis[row] = col;
+        let factor = self.obj[col];
+        if factor != 0.0 {
+            for &(c, pv) in &prow {
+                self.obj[c] -= factor * pv;
+            }
+            self.obj_rhs -= factor * prhs;
+        }
+        self.cols[col] = touched;
+        self.rows[row] = prow;
+        self.basis[row] = col;
     }
+}
+
+/// `row -= factor · prow` over sorted sparse rows, in place: cells stored
+/// in both are updated where they sit, then the fill-in cells are merged in
+/// from the back and row `r` is added to their columns' lists.
+fn eliminate(
+    row: &mut Vec<(usize, f64)>,
+    r: usize,
+    prow: &[(usize, f64)],
+    factor: f64,
+    cols: &mut [Vec<usize>],
+) {
+    let mut fill = 0;
+    let mut i = 0;
+    for &(c, pv) in prow {
+        while i < row.len() && row[i].0 < c {
+            i += 1;
+        }
+        if i < row.len() && row[i].0 == c {
+            row[i].1 -= factor * pv;
+            i += 1;
+        } else {
+            fill += 1;
+        }
+    }
+    if fill == 0 {
+        return;
+    }
+    // `i` old cells are still unplaced; `k` is the next free slot from the
+    // back. Once every pivot-row cell is placed, `k == i` and the rest of
+    // the old cells are already where they belong.
+    let mut i = row.len();
+    row.resize(i + fill, (0, 0.0));
+    let mut k = row.len();
+    for &(c, pv) in prow.iter().rev() {
+        while i > 0 && row[i - 1].0 > c {
+            i -= 1;
+            k -= 1;
+            row[k] = row[i];
+        }
+        k -= 1;
+        if i > 0 && row[i - 1].0 == c {
+            i -= 1;
+            row[k] = row[i];
+        } else {
+            row[k] = (c, 0.0 - factor * pv);
+            cols[c].push(r);
+        }
+    }
+    debug_assert_eq!(k, i);
 }
 
 /// Solves the LP relaxation of `model` with the model's own bounds.
@@ -359,9 +476,21 @@ fn check_bounds(lower: &[f64], upper: &[f64]) -> Result<(), IlpError> {
     Ok(())
 }
 
+/// Whether a bound pair pins its variable (`upper - lower <= EPS`).
+fn is_fixed(lower: f64, upper: f64) -> bool {
+    upper - lower <= EPS
+}
+
 /// Like [`solve_with_bounds`], reusing the buffers in `scratch` for the
 /// tableau and row bookkeeping. Repeated callers (one LP per
 /// branch-and-bound node) should hold one scratch per worker thread.
+///
+/// Fixed variables (`lower == upper`, as branch-and-bound pins binaries)
+/// are folded out while the tableau is built: their columns and bound rows
+/// are dropped, their contribution moves into each row's right-hand side,
+/// and a row left without a free variable is checked outright instead of
+/// entering the tableau. The result is bit-identical to solving the model
+/// with the fixed variables substituted out.
 ///
 /// # Errors
 ///
@@ -379,14 +508,8 @@ pub fn solve_with_bounds_scratch(
     assert_eq!(upper.len(), n, "upper bounds arity");
     check_bounds(lower, upper)?;
 
-    // Eliminate fixed variables (lb == ub): branch-and-bound pins binaries
-    // this way, and dropping their columns (and bound rows) keeps the
-    // tableau small deep in the search tree.
-    let fixed: Vec<bool> = (0..n).map(|i| upper[i] - lower[i] <= EPS).collect();
-    if fixed.iter().any(|&f| f) && !fixed.iter().all(|&f| f) {
-        return solve_reduced(model, lower, upper, &fixed, options, scratch);
-    }
-    if fixed.iter().all(|&f| f) && n > 0 {
+    let fixed = (0..n).filter(|&i| is_fixed(lower[i], upper[i])).count();
+    if fixed == n && n > 0 {
         // Everything pinned: just evaluate feasibility.
         let values: Vec<f64> = lower.to_vec();
         if !feasible_point(model, &values, options.feasibility_tol) {
@@ -398,8 +521,7 @@ pub fn solve_with_bounds_scratch(
             iterations: 0,
         });
     }
-
-    let (solution, _) = solve_full(model, lower, upper, options, scratch, false)?;
+    let (solution, _) = solve_full(model, lower, upper, options, scratch, fixed > 0, false)?;
     Ok(solution)
 }
 
@@ -446,17 +568,17 @@ impl Basis {
         self.num_vars
     }
 
-    /// Whether the basis fits a tableau of the given shape: row and
+    /// Whether the basis fits the tableau's shape: row and
     /// structural-variable counts match, every column is structural or
     /// slack (never artificial), and no column repeats.
-    fn compatible(&self, shape: Shape) -> bool {
-        if self.num_vars != shape.n || self.cols.len() != shape.m {
+    fn compatible(&self, t: &Tableau) -> bool {
+        if self.num_vars != t.n || self.cols.len() != t.m {
             return false;
         }
-        let mut seen = vec![false; shape.art0];
+        let mut seen = vec![false; t.art0];
         self.cols
             .iter()
-            .all(|&c| c < shape.art0 && !std::mem::replace(&mut seen[c], true))
+            .all(|&c| c < t.art0 && !std::mem::replace(&mut seen[c], true))
     }
 }
 
@@ -476,8 +598,8 @@ pub struct BasisSolve {
 /// Solves the LP relaxation at full tableau shape, optionally warm-started
 /// from a retained [`Basis`].
 ///
-/// Unlike [`solve_with_bounds_scratch`] this never eliminates fixed
-/// variables, so the tableau shape depends only on the model's row/column
+/// Unlike [`solve_with_bounds_scratch`] this never folds fixed variables,
+/// so the tableau shape depends only on the model's row/column
 /// structure — the invariant that makes a basis from one solve installable
 /// in the next after RHS/bound patches. With a compatible warm basis the
 /// solve skips phase 1 entirely: the basis is re-installed by direct
@@ -509,30 +631,12 @@ pub fn solve_with_basis(
             return Ok(solve);
         }
     }
-    let (solution, basis) = solve_full(model, lower, upper, options, scratch, true)?;
+    let (solution, basis) = solve_full(model, lower, upper, options, scratch, false, true)?;
     Ok(BasisSolve {
         solution,
         basis,
         reused: false,
     })
-}
-
-/// Tableau geometry computed by [`build_tableau`].
-#[derive(Debug, Clone, Copy)]
-struct Shape {
-    /// Structural variables.
-    n: usize,
-    /// Rows (constraints + finite-width bound rows).
-    m: usize,
-    /// First artificial column (also the slack/surplus column count plus
-    /// `n`).
-    art0: usize,
-    /// Artificial columns.
-    n_art: usize,
-    /// Total tableau width, rhs column included.
-    width: usize,
-    /// Right-hand-side column.
-    rhs_col: usize,
 }
 
 /// Whether a row needs an artificial variable to start basic: a `<=` row
@@ -547,178 +651,219 @@ fn needs_artificial(relation: Relation, rhs: f64) -> bool {
     }
 }
 
-/// Builds the phase-0 tableau into `scratch` and returns its geometry.
+/// Whether a constant row `0 (relation) rhs` holds within `tol`.
+fn constant_row_holds(relation: Relation, rhs: f64, tol: f64) -> bool {
+    match relation {
+        Relation::Le => 0.0 <= rhs + tol,
+        Relation::Ge => 0.0 >= rhs - tol,
+        Relation::Eq => rhs.abs() <= tol,
+    }
+}
+
+/// Finishes row `r` of the tableau under construction: normalises it to
+/// rhs ≥ 0, appends its slack/surplus cell and records its starting basic
+/// column (the slack, or [`ARTIFICIAL`]).
+fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
+    let row = &mut t.rows[r];
+    let negated = raw_rhs < 0.0;
+    if negated {
+        for (_, v) in row.iter_mut() {
+            *v = -*v;
+        }
+    }
+    let sign = if negated { -1.0 } else { 1.0 };
+    let slack = t.n + r;
+    match relation {
+        Relation::Le => row.push((slack, sign)),
+        Relation::Ge => row.push((slack, -sign)),
+        Relation::Eq => {}
+    }
+    t.rhs.push(if negated { -raw_rhs } else { raw_rhs });
+    t.basis.push(if needs_artificial(relation, raw_rhs) {
+        ARTIFICIAL
+    } else {
+        slack
+    });
+}
+
+/// Builds the phase-0 tableau into `scratch`.
 ///
-/// Pass 1 collects row metadata in shifted space `y = x - lower`: the
-/// constraint rows' shifted rhs, then one upper-bound row
-/// `y_i <= u_i - l_i` per finite-width variable (zero-width rows included —
-/// pinned variables keep their row so the shape never changes). The
-/// artificial count (and so the tableau width) depends on it, hence the
-/// separate pass before any coefficients are written. Pass 2 fills the
-/// coefficients straight into the pooled flat buffer, normalising every
-/// row to rhs ≥ 0.
+/// Rows live in shifted space `y = x - lower`: first the constraint rows,
+/// then one upper-bound row `y_i <= u_i - l_i` per finite-width column.
+/// With `fold`, every fixed variable is folded out: it gets no column and
+/// no bound row, its `k·lower` moves into the rows' right-hand sides, and
+/// a constraint left without a free variable is checked against
+/// `feasibility_tol` and dropped. Without `fold` every variable keeps its
+/// column and bound row (zero-width rows included), so the shape never
+/// depends on bound values.
+///
+/// A row's right-hand side is `(rhs − constant − Σ_fixed k·l) − Σ_free
+/// k·l`, each sum taken in term order: the operations, in order, of
+/// substituting the fixed variables into a reduced model and then shifting
+/// that model's variables (its zero constant drops out exactly), so a
+/// folded solve is bit-identical to the reduced one. Without fixed
+/// variables `Σ_fixed` is `0.0` and the row matches an unfolded build.
+///
+/// # Errors
+///
+/// [`IlpError::Infeasible`] when a folded constant row is violated; no
+/// build is counted then.
 fn build_tableau(
     model: &Model,
     lower: &[f64],
     upper: &[f64],
+    fold: bool,
+    feasibility_tol: f64,
     scratch: &mut SimplexScratch,
-) -> Shape {
-    let n = model.num_vars();
+) -> Result<(), IlpError> {
+    let capacity_before = scratch.pooled_capacity();
     let SimplexScratch {
-        cells,
-        basis,
-        row_meta,
-        bound_vars,
-        ops,
+        t, cost, var_col, ..
     } = scratch;
-    row_meta.clear();
-    bound_vars.clear();
+    var_col.clear();
+    let mut n = 0;
+    for (&l, &u) in lower.iter().zip(upper) {
+        if fold && is_fixed(l, u) {
+            var_col.push(FOLDED);
+        } else {
+            var_col.push(n);
+            n += 1;
+        }
+    }
+    t.n = n;
+    t.rhs.clear();
+    t.basis.clear();
+
+    let mut m = 0;
     for c in model.constraints() {
-        let mut shift = 0.0;
-        for (v, k) in c.expr.terms() {
-            shift += k * lower[v.index()];
-        }
-        row_meta.push((c.relation, c.rhs - c.expr.constant() - shift));
-    }
-    for i in 0..n {
-        let width = upper[i] - lower[i];
-        if width.is_finite() {
-            row_meta.push((Relation::Le, width));
-            bound_vars.push(i);
-        }
-    }
-
-    let m = row_meta.len();
-    let slack0 = n;
-    let art0 = n + m;
-    let n_art = row_meta
-        .iter()
-        .filter(|&&(rel, rhs)| needs_artificial(rel, rhs))
-        .count();
-    let width = n + m + n_art + 1;
-    let rhs_col = width - 1;
-    let needed = (m + 1) * width; // last row = objective
-    ops.tableau_builds += 1;
-    if cells.capacity() >= needed {
-        ops.scratch_reuses += 1;
-    }
-    cells.clear();
-    cells.resize(needed, 0.0);
-    let mut t = Tableau::new(&mut cells[..needed], width);
-    basis.clear();
-    basis.resize(m, usize::MAX);
-
-    let n_constraints = model.constraints().len();
-    let mut next_art = art0;
-    for (r, &(relation, raw_rhs)) in row_meta.iter().enumerate() {
-        let mut sign = 1.0;
-        let mut rhs = raw_rhs;
-        if rhs < 0.0 {
-            sign = -1.0;
-            rhs = -rhs;
-        }
-        if r < n_constraints {
-            for (v, k) in model.constraints()[r].expr.terms() {
-                t.set(r, v.index(), sign * k);
+        let row = t.open_row(m);
+        let mut shift_fixed = 0.0;
+        let mut shift_free = 0.0;
+        for (v, k) in c.expr.iter_terms() {
+            let i = v.index();
+            if var_col[i] == FOLDED {
+                shift_fixed += k * lower[i];
+            } else {
+                shift_free += k * lower[i];
+                row.push((var_col[i], k));
             }
-        } else {
-            t.set(r, bound_vars[r - n_constraints], sign);
         }
-        match relation {
-            Relation::Le => t.set(r, slack0 + r, sign),
-            Relation::Ge => t.set(r, slack0 + r, -sign),
-            Relation::Eq => {}
+        let folded_rhs = c.rhs - c.expr.constant() - shift_fixed;
+        if fold && row.is_empty() {
+            if !constant_row_holds(c.relation, folded_rhs, feasibility_tol) {
+                return Err(IlpError::Infeasible);
+            }
+            continue;
         }
-        t.set(r, rhs_col, rhs);
-        if needs_artificial(relation, raw_rhs) {
-            t.set(r, next_art, 1.0);
-            basis[r] = next_art;
-            next_art += 1;
-        } else {
-            basis[r] = slack0 + r;
+        close_row(t, m, c.relation, folded_rhs - shift_free);
+        m += 1;
+    }
+    for (i, &col) in var_col.iter().enumerate() {
+        let width = upper[i] - lower[i];
+        if col == FOLDED || !width.is_finite() {
+            continue;
+        }
+        t.open_row(m).push((col, 1.0));
+        close_row(t, m, Relation::Le, width);
+        m += 1;
+    }
+
+    t.m = m;
+    t.art0 = n + m;
+    t.n_art = 0;
+    for b in &mut t.basis {
+        if *b == ARTIFICIAL {
+            *b = t.art0 + t.n_art;
+            t.n_art += 1;
         }
     }
-    debug_assert_eq!(next_art, art0 + n_art);
-    Shape {
-        n,
-        m,
-        art0,
-        n_art,
-        width,
-        rhs_col,
+    if t.cols.len() < t.art0 {
+        t.cols.resize_with(t.art0, Vec::new);
     }
+    for list in &mut t.cols[..t.art0] {
+        list.clear();
+    }
+    for (r, row) in t.rows[..m].iter().enumerate() {
+        for &(c, _) in row {
+            t.cols[c].push(r);
+        }
+    }
+    t.obj.clear();
+    t.obj.resize(t.art0, 0.0);
+    t.obj_rhs = 0.0;
+    cost.clear();
+    cost.resize(t.art0, 0.0);
+
+    scratch.ops.tableau_builds += 1;
+    if scratch.pooled_capacity() == capacity_before {
+        scratch.ops.scratch_reuses += 1;
+    }
+    Ok(())
 }
 
 /// Installs the sense-normalised phase-2 cost row and prices out the
 /// current basis.
-fn install_cost_row(model: &Model, t: &mut Tableau<'_>, basis: &[usize], shape: Shape) {
+fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &[usize]) {
     let minimize = model.sense() == Sense::Minimize;
-    let m = shape.m;
-    let mut cost = vec![0.0; shape.width];
-    for (v, c) in model.objective().terms() {
-        cost[v.index()] = if minimize { c } else { -c };
+    cost.fill(0.0);
+    for (v, c) in model.objective().iter_terms() {
+        let col = var_col[v.index()];
+        if col != FOLDED {
+            cost[col] = if minimize { c } else { -c };
+        }
     }
-    for j in 0..shape.width {
-        t.set(m, j, cost[j]);
-    }
-    t.set(m, shape.rhs_col, 0.0);
-    for r in 0..m {
-        let cb = cost[basis[r]];
+    t.obj.copy_from_slice(cost);
+    t.obj_rhs = 0.0;
+    for r in 0..t.m {
+        let cb = cost.get(t.basis[r]).copied().unwrap_or(0.0);
         if cb != 0.0 {
-            for j in 0..shape.width {
-                let v = t.at(m, j) - cb * t.at(r, j);
-                t.set(m, j, v);
+            for &(c, v) in &t.rows[r] {
+                t.obj[c] -= cb * v;
             }
+            t.obj_rhs -= cb * t.rhs[r];
         }
     }
 }
 
-/// Extracts the solution (and the reusable basis) from an optimal tableau.
+/// Extracts the solution (and, with `want_basis`, the reusable basis) from
+/// an optimal tableau. A folded variable reads its fixed value, and a
+/// folded solve's objective is the model's objective evaluated at the
+/// values, unsnapped — exactly what a reduced-model solve reported.
 fn extract(
     model: &Model,
     lower: &[f64],
-    t: &Tableau<'_>,
-    basis: &[usize],
-    shape: Shape,
+    scratch: &SimplexScratch,
+    fold: bool,
+    want_basis: bool,
     iterations: usize,
     options: SimplexOptions,
 ) -> (LpSolution, Option<Basis>) {
-    let Shape {
-        n,
-        m,
-        art0,
-        rhs_col,
-        ..
-    } = shape;
-    let mut y = vec![0.0; n];
-    for r in 0..m {
-        if basis[r] < n {
-            y[basis[r]] = t.at(r, rhs_col);
+    let t = &scratch.t;
+    let mut y = vec![0.0; t.n];
+    for r in 0..t.m {
+        if t.basis[r] < t.n {
+            y[t.basis[r]] = t.rhs[r];
         }
     }
-    let values: Vec<f64> = (0..n).map(|i| y[i] + lower[i]).collect();
-    let mut objective = model.objective().constant()
-        + model
-            .objective()
-            .terms()
-            .iter()
-            .map(|(v, c)| c * values[v.index()])
-            .sum::<f64>();
+    let values: Vec<f64> = scratch
+        .var_col
+        .iter()
+        .zip(lower)
+        .map(|(&col, &l)| if col == FOLDED { l } else { y[col] + l })
+        .collect();
+    let mut objective = model.objective().eval(&values);
     // Clean tiny noise.
-    if objective.abs() < options.objective_tol {
+    if !fold && objective.abs() < options.objective_tol {
         objective = 0.0;
     }
     // A degenerate artificial stuck basic (redundant row) makes the basis
     // unusable as a warm start; hand back `None` rather than a basis that
     // could never be re-installed.
-    let out = if basis[..m].iter().all(|&b| b < art0) {
-        Some(Basis {
-            cols: basis[..m].to_vec(),
-            num_vars: n,
-        })
-    } else {
-        None
-    };
+    let basis = &t.basis[..t.m];
+    let out = (want_basis && basis.iter().all(|&b| b < t.art0)).then(|| Basis {
+        cols: basis.to_vec(),
+        num_vars: t.n,
+    });
     (
         LpSolution {
             objective,
@@ -737,60 +882,41 @@ enum PrimalPhase {
     Two,
 }
 
-/// Cold full-shape solve: the classic two-phase simplex over
-/// [`build_tableau`], returning the optimal basis alongside the solution.
+/// Cold two-phase simplex over [`build_tableau`]. With `lex` (the basis
+/// path) the optimum is lex-canonicalised and its basis returned.
 fn solve_full(
     model: &Model,
     lower: &[f64],
     upper: &[f64],
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
+    fold: bool,
     lex: bool,
 ) -> Result<(LpSolution, Option<Basis>), IlpError> {
-    let shape = build_tableau(model, lower, upper, scratch);
-    let Shape {
-        m,
-        art0,
-        n_art,
-        width,
-        rhs_col,
-        ..
-    } = shape;
+    build_tableau(model, lower, upper, fold, options.feasibility_tol, scratch)?;
     let SimplexScratch {
-        cells, basis, ops, ..
-    } = scratch;
-    let mut t = Tableau::new(&mut cells[..(m + 1) * width], width);
+        t,
+        cost,
+        var_col,
+        ops,
+    } = &mut *scratch;
 
     let mut iters = 0usize;
-    if n_art > 0 {
+    if t.n_art > 0 {
         // Phase 1: minimise the sum of artificials. The objective row holds
         // reduced costs; price out the artificial basis rows.
-        for j in 0..width {
-            t.set(m, j, 0.0);
-        }
-        for a in art0..art0 + n_art {
-            t.set(m, a, 1.0);
-        }
-        for r in 0..m {
-            if basis[r] >= art0 {
-                for j in 0..width {
-                    let v = t.at(m, j) - t.at(r, j);
-                    t.set(m, j, v);
+        t.obj.fill(0.0);
+        t.obj_rhs = 0.0;
+        for r in 0..t.m {
+            if t.basis[r] >= t.art0 {
+                for &(c, v) in &t.rows[r] {
+                    t.obj[c] -= v;
                 }
+                t.obj_rhs -= t.rhs[r];
             }
         }
-        run_simplex(
-            &mut t,
-            basis,
-            m,
-            art0,
-            rhs_col,
-            &mut iters,
-            options,
-            ops,
-            PrimalPhase::One,
-        )?;
-        let phase1 = -t.at(m, rhs_col);
+        run_simplex(t, &mut iters, options, ops, PrimalPhase::One)?;
+        let phase1 = -t.obj_rhs;
         if phase1 > options.feasibility_tol {
             return Err(IlpError::Infeasible);
         }
@@ -799,32 +925,25 @@ fn solve_full(
     // Drive artificials out of the basis where possible; drop redundant rows
     // by leaving them (their rhs is 0 and artificial stays basic at 0 — we
     // forbid artificials from re-entering in phase 2 instead of removing).
-    for r in 0..m {
-        if basis[r] >= art0 && t.at(r, rhs_col).abs() <= options.pivot_tol {
-            if let Some(j) = (0..art0).find(|&j| t.at(r, j).abs() > options.pivot_tol) {
-                t.pivot(basis, r, j);
+    for r in 0..t.m {
+        if t.basis[r] >= t.art0 && t.rhs[r].abs() <= options.pivot_tol {
+            let entering = t.rows[r]
+                .iter()
+                .find(|&&(_, v)| v.abs() > options.pivot_tol)
+                .map(|&(j, _)| j);
+            if let Some(j) = entering {
+                t.pivot(r, j);
                 ops.phase1_pivots += 1;
             }
         }
     }
 
-    install_cost_row(model, &mut t, basis, shape);
-    run_simplex(
-        &mut t,
-        basis,
-        m,
-        art0,
-        rhs_col,
-        &mut iters,
-        options,
-        ops,
-        PrimalPhase::Two,
-    )?;
+    install_cost_row(model, t, cost, var_col);
+    run_simplex(t, &mut iters, options, ops, PrimalPhase::Two)?;
     if lex {
-        lex_canonicalize(&mut t, basis, shape, &mut iters, options, ops);
+        lex_canonicalize(t, &mut iters, options, ops);
     }
-    let (solution, out_basis) = extract(model, lower, &t, basis, shape, iters, options);
-    Ok((solution, out_basis))
+    Ok(extract(model, lower, scratch, fold, lex, iters, options))
 }
 
 /// Attempts the warm path: re-install `warm` on a freshly built tableau,
@@ -840,30 +959,28 @@ fn try_warm_solve(
     scratch: &mut SimplexScratch,
     warm: &Basis,
 ) -> Option<BasisSolve> {
-    let shape = build_tableau(model, lower, upper, scratch);
-    if !warm.compatible(shape) {
+    build_tableau(model, lower, upper, false, options.feasibility_tol, scratch).ok()?;
+    if !warm.compatible(&scratch.t) {
         return None;
     }
-    let Shape {
-        m,
-        art0,
-        width,
-        rhs_col,
-        ..
-    } = shape;
     let SimplexScratch {
-        cells, basis, ops, ..
-    } = scratch;
-    let mut t = Tableau::new(&mut cells[..(m + 1) * width], width);
+        t,
+        cost,
+        var_col,
+        ops,
+    } = &mut *scratch;
+    let m = t.m;
 
     // Re-install the basis by direct Gaussian pivoting: each stored column
-    // claims the not-yet-assigned row where it has the largest magnitude.
-    // A near-zero best pivot means the basis matrix went singular under the
-    // patched coefficients — bail out to the cold path.
+    // claims the not-yet-assigned row where it has the largest magnitude
+    // (ties to the lowest row). A near-zero best pivot means the basis
+    // matrix went singular under the patched coefficients — bail out to
+    // the cold path.
     let mut assigned = vec![false; m];
     for &col in &warm.cols {
         let mut best: Option<(usize, f64)> = None;
-        for r in 0..m {
+        t.sort_col(col);
+        for &r in &t.cols[col] {
             if !assigned[r] {
                 let a = t.at(r, col).abs();
                 if best.is_none_or(|(_, b)| a > b) {
@@ -875,58 +992,91 @@ fn try_warm_solve(
         if magnitude <= options.pivot_tol {
             return None;
         }
-        t.pivot(basis, r, col);
+        t.pivot(r, col);
         ops.dual_pivots += 1;
         assigned[r] = true;
     }
 
-    install_cost_row(model, &mut t, basis, shape);
+    install_cost_row(model, t, cost, var_col);
 
     // Classify the re-installed vertex. A pure RHS/bound patch keeps the
     // old optimal basis dual-feasible, so the usual case is a short run of
     // dual pivots; a basis that lost dual feasibility but kept primal
     // feasibility is finished by the primal phase below; one that lost both
     // is not worth repairing.
-    let primal_feasible =
-        |t: &Tableau<'_>| (0..m).all(|r| t.at(r, rhs_col) >= -options.feasibility_tol);
-    let dual_feasible = (0..art0).all(|j| t.at(m, j) >= -EPS);
-    if !primal_feasible(&t) {
+    let primal_feasible = |t: &Tableau| t.rhs.iter().all(|&b| b >= -options.feasibility_tol);
+    let dual_feasible = t.obj.iter().all(|&c| c >= -EPS);
+    if !primal_feasible(t) {
         if !dual_feasible {
             return None;
         }
         let mut iters = 0usize;
-        run_dual_simplex(&mut t, basis, m, art0, rhs_col, &mut iters, options, ops).ok()?;
+        run_dual_simplex(t, &mut iters, options, ops).ok()?;
     }
 
     // Primal cleanup: a no-op when the dual repair already reached
     // optimality, otherwise drives out any remaining negative reduced
     // costs. Errors (unbounded, iteration limit) defer to the cold path.
     let mut iters = 0usize;
-    run_simplex(
-        &mut t,
-        basis,
-        m,
-        art0,
-        rhs_col,
-        &mut iters,
-        options,
-        ops,
-        PrimalPhase::Two,
-    )
-    .ok()?;
-    if !primal_feasible(&t) {
+    run_simplex(t, &mut iters, options, ops, PrimalPhase::Two).ok()?;
+    if !primal_feasible(t) {
         // Numerically drifted repair: let the cold path decide.
         return None;
     }
     // Land on the same canonical vertex the cold path reports, so basis
     // reuse can never leak into the returned assignment.
-    lex_canonicalize(&mut t, basis, shape, &mut iters, options, ops);
-    let (solution, out_basis) = extract(model, lower, &t, basis, shape, iters, options);
+    lex_canonicalize(t, &mut iters, options, ops);
+    let (solution, basis) = extract(model, lower, scratch, false, true, iters, options);
     Some(BasisSolve {
         solution,
-        basis: out_basis,
+        basis,
         reused: true,
     })
+}
+
+/// Ratio test over column `e`: the row with the smallest `rhs / a` over
+/// `a > EPS`, ties (within `EPS`) to the lowest basic column. Rows are
+/// visited in row order, as a dense scan down the column would.
+///
+/// # Errors
+///
+/// [`IlpError::NumericalInstability`] on a NaN cell or ratio when
+/// `nan_checks` is on.
+fn ratio_test(
+    t: &mut Tableau,
+    e: usize,
+    nan_checks: bool,
+) -> Result<Option<(usize, f64)>, IlpError> {
+    t.sort_col(e);
+    let t = &*t;
+    let mut leave: Option<(usize, f64)> = None;
+    for &r in &t.cols[e] {
+        let a = t.at(r, e);
+        if nan_checks && a.is_nan() {
+            return Err(IlpError::NumericalInstability {
+                context: "pivot-column scan",
+            });
+        }
+        if a > EPS {
+            let ratio = t.rhs[r] / a;
+            if nan_checks && ratio.is_nan() {
+                return Err(IlpError::NumericalInstability {
+                    context: "ratio test",
+                });
+            }
+            match leave {
+                None => leave = Some((r, ratio)),
+                Some((lr, lratio)) => {
+                    if ratio < lratio - EPS
+                        || ((ratio - lratio).abs() <= EPS && t.basis[r] < t.basis[lr])
+                    {
+                        leave = Some((r, ratio));
+                    }
+                }
+            }
+        }
+    }
+    Ok(leave)
 }
 
 /// Drives an optimal tableau to the lexicographically smallest optimal
@@ -943,39 +1093,33 @@ fn try_warm_solve(
 /// Node LPs skip it (they never start from a foreign basis, so the
 /// deterministic entering/leaving rules already make them reproducible).
 fn lex_canonicalize(
-    t: &mut Tableau<'_>,
-    basis: &mut [usize],
-    shape: Shape,
+    t: &mut Tableau,
     iters: &mut usize,
     options: SimplexOptions,
     ops: &mut SimplexOps,
 ) {
-    let Shape {
-        n,
-        m,
-        art0,
-        rhs_col,
-        ..
-    } = shape;
+    let (n, m, art0) = (t.n, t.m, t.art0);
     // Columns allowed to enter: zero reduced cost under the (already
     // optimal) phase-2 objective. Basic columns price to exactly zero, so
     // the filter naturally keeps them eligible to re-enter after leaving.
-    let mut allowed: Vec<bool> = (0..art0)
-        .map(|j| t.at(m, j).abs() <= options.objective_tol)
+    let mut allowed: Vec<bool> = t
+        .obj
+        .iter()
+        .map(|c| c.abs() <= options.objective_tol)
         .collect();
     let mut in_basis = vec![false; art0];
-    for r in 0..m {
-        if basis[r] < art0 {
-            in_basis[basis[r]] = true;
+    for &b in &t.basis[..m] {
+        if b < art0 {
+            in_basis[b] = true;
         }
     }
     // No nonbasic degrees of freedom on the optimal face ⇒ unique vertex.
     if (0..art0).all(|j| in_basis[j] || !allowed[j]) {
         return;
     }
-    let mut s = vec![0.0; shape.width];
+    let mut s = vec![0.0; art0];
     for j in 0..n {
-        let Some(rj) = (0..m).find(|&r| basis[r] == j) else {
+        let Some(rj) = (0..m).find(|&r| t.basis[r] == j) else {
             // Nonbasic ⇒ already at its (shifted) lower bound, the lex
             // minimum. Forbid it from entering so later phases keep it there.
             allowed[j] = false;
@@ -984,8 +1128,9 @@ fn lex_canonicalize(
         // Secondary objective e_j priced out against the basis: minimising
         // it minimises the basic value x_j without touching the phase-2
         // objective (pivots are restricted to its zero-reduced-cost columns).
-        for (c, v) in s.iter_mut().enumerate() {
-            *v = -t.at(rj, c);
+        s.fill(0.0);
+        for &(c, v) in &t.rows[rj] {
+            s[c] = -v;
         }
         s[j] = 0.0;
         loop {
@@ -994,32 +1139,17 @@ fn lex_canonicalize(
             }
             let entering = (0..art0).find(|&e| allowed[e] && s[e] < -EPS);
             let Some(e) = entering else { break };
-            let mut leave: Option<(usize, f64)> = None;
-            for r in 0..m {
-                let a = t.at(r, e);
-                if a > EPS {
-                    let ratio = t.at(r, rhs_col) / a;
-                    match leave {
-                        None => leave = Some((r, ratio)),
-                        Some((lr, lratio)) => {
-                            if ratio < lratio - EPS
-                                || ((ratio - lratio).abs() <= EPS && basis[r] < basis[lr])
-                            {
-                                leave = Some((r, ratio));
-                            }
-                        }
-                    }
-                }
-            }
-            let Some((lr, _)) = leave else { break };
+            let Ok(Some((lr, _))) = ratio_test(t, e, false) else {
+                break;
+            };
             *iters += 1;
-            t.pivot(basis, lr, e);
+            t.pivot(lr, e);
             ops.lex_pivots += 1;
             // Keep the secondary row priced out against the new basis.
             let factor = s[e];
             if factor != 0.0 {
-                for (c, v) in s.iter_mut().enumerate() {
-                    *v -= factor * t.at(lr, c);
+                for &(c, v) in &t.rows[lr] {
+                    s[c] -= factor * v;
                 }
             }
         }
@@ -1042,13 +1172,8 @@ fn lex_canonicalize(
 /// Returns [`IlpError::Infeasible`] when a negative row has no negative
 /// entry; callers on the warm path treat that as a fallback trigger rather
 /// than a verdict.
-#[allow(clippy::too_many_arguments)]
 fn run_dual_simplex(
-    t: &mut Tableau<'_>,
-    basis: &mut [usize],
-    m: usize,
-    art_start: usize,
-    rhs_col: usize,
+    t: &mut Tableau,
     iters: &mut usize,
     options: SimplexOptions,
     ops: &mut SimplexOps,
@@ -1061,8 +1186,7 @@ fn run_dual_simplex(
             });
         }
         let mut leave: Option<(usize, f64)> = None;
-        for r in 0..m {
-            let v = t.at(r, rhs_col);
+        for (r, &v) in t.rhs.iter().enumerate() {
             if v.is_nan() {
                 return Err(IlpError::NumericalInstability {
                     context: "dual leaving-row selection",
@@ -1076,10 +1200,9 @@ fn run_dual_simplex(
             return Ok(()); // primal feasible
         };
         let mut enter: Option<(usize, f64)> = None;
-        for j in 0..art_start {
-            let a = t.at(lr, j);
+        for &(j, a) in &t.rows[lr] {
             if a < -EPS {
-                let ratio = t.at(m, j) / -a;
+                let ratio = t.obj[j] / -a;
                 if ratio.is_nan() {
                     return Err(IlpError::NumericalInstability {
                         context: "dual ratio test",
@@ -1095,7 +1218,7 @@ fn run_dual_simplex(
         let Some((e, _)) = enter else {
             return Err(IlpError::Infeasible);
         };
-        t.pivot(basis, lr, e);
+        t.pivot(lr, e);
         ops.dual_pivots += 1;
     }
 }
@@ -1107,17 +1230,12 @@ fn run_dual_simplex(
 /// [`SimplexOptions::bland_stall`] consecutive degenerate pivots, after
 /// which Bland's rule (lowest negative index) takes over until the
 /// objective improves again. The ratio test breaks ties on the lowest
-/// basis index throughout. Artificial columns (`j >= art_start`) are never
-/// allowed to enter. A NaN in the cost row, the pivot column or a ratio is
-/// reported as [`IlpError::NumericalInstability`] instead of being
-/// silently skipped by the comparisons.
-#[allow(clippy::too_many_arguments)]
+/// basis index throughout. Artificial columns never enter (they are not
+/// stored). A NaN in the cost row, the pivot column or a ratio is reported
+/// as [`IlpError::NumericalInstability`] instead of being silently skipped
+/// by the comparisons.
 fn run_simplex(
-    t: &mut Tableau<'_>,
-    basis: &mut [usize],
-    m: usize,
-    art_start: usize,
-    rhs_col: usize,
+    t: &mut Tableau,
     iters: &mut usize,
     options: SimplexOptions,
     ops: &mut SimplexOps,
@@ -1137,8 +1255,7 @@ fn run_simplex(
         let mut first_neg: Option<usize> = None;
         let mut most_neg: Option<usize> = None;
         let mut best = -EPS;
-        let cost = &t.row(m)[..art_start];
-        for (j, &c) in cost.iter().enumerate() {
+        for (j, &c) in t.obj.iter().enumerate() {
             if c.is_nan() {
                 return Err(IlpError::NumericalInstability {
                     context: "entering-column selection",
@@ -1156,35 +1273,7 @@ fn run_simplex(
         let Some(e) = entering else {
             return Ok(()); // optimal
         };
-        // Ratio test, ties to the lowest basis index.
-        let mut leave: Option<(usize, f64)> = None;
-        for r in 0..m {
-            let a = t.at(r, e);
-            if a.is_nan() {
-                return Err(IlpError::NumericalInstability {
-                    context: "pivot-column scan",
-                });
-            }
-            if a > EPS {
-                let ratio = t.at(r, rhs_col) / a;
-                if ratio.is_nan() {
-                    return Err(IlpError::NumericalInstability {
-                        context: "ratio test",
-                    });
-                }
-                match leave {
-                    None => leave = Some((r, ratio)),
-                    Some((lr, lratio)) => {
-                        if ratio < lratio - EPS
-                            || ((ratio - lratio).abs() <= EPS && basis[r] < basis[lr])
-                        {
-                            leave = Some((r, ratio));
-                        }
-                    }
-                }
-            }
-        }
-        let Some((lr, lratio)) = leave else {
+        let Some((lr, lratio)) = ratio_test(t, e, true)? else {
             return Err(IlpError::Unbounded);
         };
         // Degenerate-stall accounting: a zero-ratio pivot leaves the
@@ -1200,7 +1289,7 @@ fn run_simplex(
             stall = 0;
             bland = false;
         }
-        t.pivot(basis, lr, e);
+        t.pivot(lr, e);
         match phase {
             PrimalPhase::One => ops.phase1_pivots += 1,
             PrimalPhase::Two => ops.phase2_pivots += 1,
@@ -1217,86 +1306,6 @@ fn feasible_point(model: &Model, values: &[f64], tol: f64) -> bool {
             Relation::Ge => lhs >= c.rhs - tol,
             Relation::Eq => (lhs - c.rhs).abs() <= tol,
         }
-    })
-}
-
-/// Solves with the fixed variables substituted out of the model.
-fn solve_reduced(
-    model: &Model,
-    lower: &[f64],
-    upper: &[f64],
-    fixed: &[bool],
-    options: SimplexOptions,
-    scratch: &mut SimplexScratch,
-) -> Result<LpSolution, IlpError> {
-    let n = model.num_vars();
-    // Map original -> reduced indices.
-    let mut reduced_index = vec![usize::MAX; n];
-    let mut free: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if !fixed[i] {
-            reduced_index[i] = free.len();
-            free.push(i);
-        }
-    }
-    let mut reduced = Model::new(model.sense());
-    let mut rlower = Vec::with_capacity(free.len());
-    let mut rupper = Vec::with_capacity(free.len());
-    for &i in &free {
-        // Kind is irrelevant for the relaxation; keep continuous.
-        reduced.add_continuous(format!("r{i}"), lower[i], upper[i]);
-        rlower.push(lower[i]);
-        rupper.push(upper[i]);
-    }
-    for c in model.constraints() {
-        let mut terms: Vec<(crate::VarId, f64)> = Vec::new();
-        let mut shift = 0.0;
-        for (v, k) in c.expr.terms() {
-            if fixed[v.index()] {
-                shift += k * lower[v.index()];
-            } else {
-                terms.push((crate::VarId(reduced_index[v.index()]), k));
-            }
-        }
-        let rhs = c.rhs - c.expr.constant() - shift;
-        if terms.is_empty() {
-            // Constant constraint: check it outright.
-            let tol = options.feasibility_tol;
-            let ok = match c.relation {
-                Relation::Le => 0.0 <= rhs + tol,
-                Relation::Ge => 0.0 >= rhs - tol,
-                Relation::Eq => rhs.abs() <= tol,
-            };
-            if !ok {
-                return Err(IlpError::Infeasible);
-            }
-            continue;
-        }
-        reduced
-            .add_constraint(terms, c.relation, rhs)
-            .expect("reduced terms reference fresh vars");
-    }
-    let mut objective: Vec<(crate::VarId, f64)> = Vec::new();
-    for (v, k) in model.objective().terms() {
-        if !fixed[v.index()] {
-            objective.push((crate::VarId(reduced_index[v.index()]), k));
-        }
-    }
-    reduced.set_objective(objective);
-
-    let sub = solve_with_bounds_scratch(&reduced, &rlower, &rupper, options, scratch)?;
-    let mut values = vec![0.0; n];
-    for i in 0..n {
-        values[i] = if fixed[i] {
-            lower[i]
-        } else {
-            sub.values[reduced_index[i]]
-        };
-    }
-    Ok(LpSolution {
-        objective: model.objective().eval(&values),
-        values,
-        iterations: sub.iterations,
     })
 }
 
