@@ -1,143 +1,70 @@
 //! The benchsuite runner: drives every headline workload (Tables 1–3,
-//! Fig. 9, Fig. 11) cold and chained at each requested thread count and
-//! writes the perf-trajectory report to `BENCH_partita.json`.
+//! Fig. 9, Fig. 11) cold and chained at one thread, plus the corpus and
+//! service groups, and writes the portable regression lock to
+//! `BENCH_partita.json`.
 //!
 //! ```text
-//! benchsuite [--out PATH] [--compare BASELINE] [--threads 1,4]
-//!            [--quick] [--threshold 0.15]
+//! benchsuite [--out PATH] [--compare BASELINE]
 //! ```
 //!
 //! With `--compare`, the fresh run is gated against the baseline report:
-//! any portable drift, any single-threaded node-count or simplex-ops
-//! growth (total pivots, allocating tableau builds), or a wall time
-//! regression beyond the threshold (15% by default, with a 10ms absolute
-//! noise floor) exits nonzero. Runs also self-check that every
-//! single-threaded config carries the portable ops section.
+//! any drift in selections, cache counters, corpus or service tallies, and
+//! any node-count or simplex-ops growth (total pivots, allocating tableau
+//! builds) exits nonzero. Every figure is exact at one thread, so the
+//! committed file is the baseline on any machine. Wall time is measured by
+//! `perfbench`, not here.
 
 use std::process::ExitCode;
 
-use partita_bench::suite::{
-    compare_reports, run_suite, SuiteConfig, SuiteReport, DEFAULT_WALL_THRESHOLD,
-};
-
-struct Args {
-    out: String,
-    compare: Option<String>,
-    config: SuiteConfig,
-    threshold: f64,
-}
+use partita_bench::suite::{compare_reports, run_suite, SuiteReport};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: benchsuite [--out PATH] [--compare BASELINE] \
-         [--threads N,N,...] [--quick] [--threshold FRAC]"
-    );
+    eprintln!("usage: benchsuite [--out PATH] [--compare BASELINE]");
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "BENCH_partita.json".to_string(),
-        compare: None,
-        config: SuiteConfig::default(),
-        threshold: DEFAULT_WALL_THRESHOLD,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().unwrap_or_else(|| usage_for(flag));
-        fn usage_for(flag: &str) -> String {
-            eprintln!("missing value for {flag}");
-            usage()
-        }
+fn main() -> ExitCode {
+    let mut out = "BENCH_partita.json".to_string();
+    let mut compare = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--out" => args.out = value("--out"),
-            "--compare" => args.compare = Some(value("--compare")),
-            "--threads" => {
-                args.config.threads = value("--threads")
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if args.config.threads.is_empty() {
-                    usage();
-                }
-            }
-            "--quick" => args.config.quick = true,
-            "--threshold" => {
-                args.threshold = value("--threshold").parse().unwrap_or_else(|_| usage());
-                if !(args.threshold.is_finite() && args.threshold >= 0.0) {
-                    usage();
-                }
-            }
-            "--help" | "-h" => usage(),
+            "--out" => out = value,
+            "--compare" => compare = Some(value),
             _ => usage(),
         }
     }
-    args
-}
-
-fn main() -> ExitCode {
-    let args = parse_args();
-    eprintln!(
-        "benchsuite: running {} workloads at threads {:?}",
-        if args.config.quick { "quick" } else { "all" },
-        args.config.threads
-    );
-    let report = run_suite(&args.config);
-    // Every single-threaded config must carry the portable simplex ops
-    // section — a missing one means the counters stopped being threaded
-    // through the solver, which would silently disable the ops gates.
-    let missing_ops: Vec<&str> = report
-        .configs
-        .iter()
-        .filter(|(k, c)| k.ends_with(":t1") && c.ops.is_none())
-        .map(|(k, _)| k.as_str())
-        .collect();
-    if !missing_ops.is_empty() {
-        eprintln!(
-            "benchsuite: single-threaded config(s) missing the ops section: {}",
-            missing_ops.join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let rendered = report.to_json();
-    if let Err(e) = std::fs::write(&args.out, &rendered) {
-        eprintln!("benchsuite: cannot write {}: {e}", args.out);
+    let report = run_suite(false);
+    if let Err(e) = std::fs::write(&out, report.to_json()) {
+        eprintln!("benchsuite: cannot write {out}: {e}");
         return ExitCode::from(2);
     }
-    eprintln!(
-        "benchsuite: wrote {} ({} configs)",
-        args.out,
-        report.configs.len()
-    );
-    let Some(baseline_path) = args.compare else {
+    eprintln!("benchsuite: wrote {out} ({} configs)", report.configs.len());
+    let Some(baseline_path) = compare else {
         return ExitCode::SUCCESS;
     };
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("benchsuite: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match SuiteReport::from_json(&baseline_text) {
+    let baseline = match std::fs::read_to_string(&baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| SuiteReport::from_json(&text))
+    {
         Ok(b) => b,
         Err(e) => {
             eprintln!("benchsuite: bad baseline {baseline_path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let regressions = compare_reports(&baseline, &report, args.threshold);
+    let regressions = compare_reports(&baseline, &report);
     if regressions.is_empty() {
         eprintln!("benchsuite: no regressions against {baseline_path}");
-        ExitCode::SUCCESS
-    } else {
-        for r in &regressions {
-            eprintln!("REGRESSION {r}");
-        }
-        eprintln!(
-            "benchsuite: {} regression(s) against {baseline_path}",
-            regressions.len()
-        );
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    for r in &regressions {
+        eprintln!("REGRESSION {r}");
+    }
+    eprintln!(
+        "benchsuite: {} regression(s) against {baseline_path}",
+        regressions.len()
+    );
+    ExitCode::FAILURE
 }

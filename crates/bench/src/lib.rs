@@ -15,7 +15,7 @@
 //! | `fig10_common` | Fig. 10 — common s-call across paths |
 //! | `fig11_hierarchy` | Fig. 11 — IMP flatten on the JPEG call tree |
 //! | `ablation` | extra — ILP vs greedy vs no-interface baselines |
-//! | `benchsuite` | the perf trajectory: every workload cold and chained per thread count, written to `BENCH_partita.json` (see [`suite`]) |
+//! | `benchsuite` | the portable regression lock: every workload cold and chained at one thread, written to `BENCH_partita.json` (see [`suite`]) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

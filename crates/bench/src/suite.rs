@@ -1,17 +1,13 @@
 //! The benchsuite: one runner that drives every headline workload of the
-//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and chained at a
-//! set of thread counts, and folds the results into a single
-//! `BENCH_partita.json` perf-trajectory report.
+//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and chained at one
+//! thread, plus the corpus groups and a two-tenant service script, and
+//! folds the results into a single `BENCH_partita.json` regression lock.
 //!
-//! The report separates **portable** results (selection quality, cache
-//! behaviour, and — single-threaded — branch-and-bound node counts, all of
-//! which must be identical on any machine) from **machine** results (wall
-//! times, peak RSS, multi-threaded node counts, which vary with hardware
-//! and scheduling). [`compare_reports`] gates on both: any portable drift
-//! or single-threaded node-count growth is a regression outright, while
-//! wall time gets a relative threshold plus an absolute noise floor.
-
-use std::time::Instant;
+//! Every figure in the report is **portable**: selection quality, cache and
+//! re-solve counters, branch-and-bound node counts and simplex per-op
+//! counters are exact at one thread, so they reproduce on any machine.
+//! [`compare_reports`] gates on them strictly. Wall times, latencies and
+//! peak RSS are `perfbench`'s job: it reports medians of repeated runs.
 
 use partita_core::telemetry::json::JsonValue;
 use partita_core::{
@@ -25,15 +21,7 @@ use partita_service::{ServiceConfig, ServiceCore};
 use partita_workloads::{corpus, gsm, jpeg, Workload};
 
 /// Report schema version (independent of the telemetry event schema).
-pub const SUITE_SCHEMA: u32 = 1;
-
-/// Default wall-time regression threshold for [`compare_reports`]: 15%.
-pub const DEFAULT_WALL_THRESHOLD: f64 = 0.15;
-
-/// Absolute wall-time noise floor in microseconds: a config must regress by
-/// at least this much on top of the relative threshold before it counts.
-/// Sub-10ms configs are dominated by scheduler noise.
-pub const WALL_NOISE_FLOOR_US: u64 = 10_000;
+pub const SUITE_SCHEMA: u32 = 2;
 
 /// The Fig. 9 instance as a reusable workload: three independent `fir()`
 /// calls, one FIR IP, and a Problem-2 IMP that runs one call in the kernel
@@ -79,24 +67,6 @@ pub fn fig9_workload() -> Workload {
         instance: inst.into(),
         imps: imps.into(),
         rg_sweep: vec![Cycles(600), Cycles(1200), Cycles(1500)],
-    }
-}
-
-/// What the suite should run.
-#[derive(Debug, Clone)]
-pub struct SuiteConfig {
-    /// Branch-and-bound thread counts to run every workload at.
-    pub threads: Vec<usize>,
-    /// Restrict to the two fastest workloads (CI smoke mode).
-    pub quick: bool,
-}
-
-impl Default for SuiteConfig {
-    fn default() -> Self {
-        SuiteConfig {
-            threads: vec![1, 4],
-            quick: false,
-        }
     }
 }
 
@@ -207,52 +177,34 @@ impl OpsCounters {
     }
 }
 
-/// The full result of one `{workload}:{mode}:t{threads}` config.
+/// The full result of one `{workload}:{mode}` config.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigResult {
     /// Per-point selection outcomes, in sweep order.
     pub points: Vec<PointResult>,
     /// Session cache counters.
     pub cache: CacheStats,
-    /// Total branch-and-bound nodes when the search is single-threaded
-    /// (deterministic, hence portable); `None` at higher thread counts.
-    pub portable_nodes: Option<u64>,
-    /// Simplex per-op counters summed over the sweep when single-threaded
-    /// (portable); `None` at higher thread counts and in baselines written
-    /// before the section existed.
-    pub ops: Option<OpsCounters>,
-    /// Total wall time of the config, in microseconds.
-    pub wall_us: u64,
-    /// Total nodes at multi-threaded counts (machine-dependent: the
-    /// parallel frontier explores a schedule-dependent node set).
-    pub machine_nodes: Option<u64>,
-    /// Peak resident set of the process so far, from `/proc/self/status`
-    /// `VmHWM` (`None` where unavailable).
-    pub peak_rss_kb: Option<u64>,
+    /// Total branch-and-bound nodes over the sweep.
+    pub nodes: u64,
+    /// Simplex per-op counters summed over the sweep.
+    pub ops: OpsCounters,
 }
 
 /// One service-mode run: a scripted two-tenant request sequence driven
-/// through an in-process [`ServiceCore`], per-request latency measured at
-/// the protocol boundary ([`ServiceCore::handle_request`]). The request
-/// sequence is derived from the corpus manifest, so the portable tallies
-/// (request/ok counts, cross-tenant cache hits, degradations) are exact on
-/// any machine; only the latency percentiles are machine-dependent.
+/// through an in-process [`ServiceCore`]. The request sequence is derived
+/// from the corpus manifest, so every tally is exact on any machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceResult {
-    /// Requests in the scripted sequence (portable).
+    /// Requests in the scripted sequence.
     pub requests: u64,
-    /// Requests answered `ok` (portable: the corpus is committed).
+    /// Requests answered `ok` (the corpus is committed).
     pub ok: u64,
     /// Points answered from the shared canonical cache — every second
-    /// tenant's pass, so nonzero by construction (portable).
+    /// tenant's pass, so nonzero by construction.
     pub cache_hits: u64,
-    /// Points degraded to the greedy backend by admission control
-    /// (portable; 0 for the unconstrained benchmark policy).
+    /// Points degraded to the greedy backend by admission control (0 for
+    /// the unconstrained benchmark policy).
     pub degraded: u64,
-    /// p50 of per-request service latency, microseconds (machine).
-    pub p50_us: u64,
-    /// p99 (nearest-rank) of per-request service latency (machine).
-    pub p99_us: u64,
 }
 
 /// One corpus group's gate run: every manifest entry of a
@@ -260,81 +212,36 @@ pub struct ServiceResult {
 /// its mid-sweep requirement (single-threaded branch-and-bound for the
 /// optimally-solvable groups, the deterministic greedy baseline for
 /// `table`/`x10` scale). The run itself asserts digests and audits; the
-/// report carries the portable tallies.
+/// report carries the tallies, all exact because the corpus is committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusResult {
     /// Manifest entries in the group.
     pub entries: u64,
     /// Entries whose mid-sweep solve produced a selection.
     pub solved: u64,
-    /// Entries that reported a typed infeasibility (portable: the corpus
-    /// is committed, so this count is exact).
+    /// Entries that reported a typed infeasibility.
     pub infeasible: u64,
-    /// Total gain across solved entries (portable).
+    /// Total gain across solved entries.
     pub gain: u64,
-    /// Total area across solved entries, in tenths (portable).
+    /// Total area across solved entries, in tenths.
     pub area_tenths: i64,
-    /// Total branch-and-bound nodes at one thread (portable; 0 for the
-    /// greedy-backed scale groups).
+    /// Total branch-and-bound nodes (0 for the greedy-backed scale groups).
     pub nodes: u64,
-    /// Total simplex pivots at one thread (portable; 0 for the greedy-backed
-    /// scale groups, which never touch the simplex).
+    /// Total simplex pivots (0 for the greedy-backed scale groups, which
+    /// never touch the simplex).
     pub pivots: u64,
-    /// Total wall time of the group, microseconds (machine-dependent).
-    pub wall_us: u64,
 }
 
-/// A full benchsuite run: config keys (sorted) mapped to results, plus the
-/// corpus-gate and service sections (both additive: reports written before
-/// a section existed parse to an empty one).
+/// A full benchsuite run: config, corpus-group and service-group keys
+/// (each sorted) mapped to their results.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SuiteReport {
     /// `(key, result)` pairs, sorted by key.
     pub configs: Vec<(String, ConfigResult)>,
     /// `(corpus group key, gate tallies)` pairs, sorted by key.
     pub corpus: Vec<(String, CorpusResult)>,
-    /// `(corpus group key, service-mode benchmark)` pairs, sorted by key.
+    /// `(corpus group key, service-mode tallies)` pairs, sorted by key.
     pub service: Vec<(String, ServiceResult)>,
-}
-
-/// Peak resident set size in kB from `/proc/self/status` (`VmHWM`).
-#[must_use]
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    parse_vm_hwm_kb(&status)
-}
-
-/// Extracts the `VmHWM` value in kB from a `/proc/self/status` document.
-///
-/// Tolerant of the unit/whitespace variants seen across kernels and
-/// containers (tabs vs spaces, `kB`/`KB`/`mB` casing, missing unit), and
-/// returns `None` — never a bogus number — on malformed lines: a bare
-/// `VmHWM:` with no value, a non-numeric value, an unknown unit, or
-/// trailing junk after the unit.
-fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
-    let line = status
-        .lines()
-        .map(str::trim_start)
-        .find(|l| l.starts_with("VmHWM"))?;
-    let rest = line.strip_prefix("VmHWM")?.trim_start().strip_prefix(':')?;
-    let mut tokens = rest.split_whitespace();
-    let value: u64 = tokens.next()?.parse().ok()?;
-    let scaled = match tokens.next() {
-        // The kernel always writes kB today, but be liberal in what we
-        // accept as long as the meaning is unambiguous.
-        None => value,
-        Some(unit) => match unit.to_ascii_lowercase().as_str() {
-            "kb" => value,
-            "mb" => value.checked_mul(1024)?,
-            "gb" => value.checked_mul(1024 * 1024)?,
-            _ => return None,
-        },
-    };
-    // Anything after the unit means we misread the line; refuse to guess.
-    if tokens.next().is_some() {
-        return None;
-    }
-    Some(scaled)
 }
 
 /// The workloads the suite drives, as `(key, workload)` pairs.
@@ -353,19 +260,18 @@ pub fn suite_workloads(quick: bool) -> Vec<(&'static str, Workload)> {
     }
 }
 
-/// Runs one config and returns its result with the sweep's selections.
-fn run_config(w: &Workload, mode: Mode, threads: usize) -> (ConfigResult, Vec<Selection>) {
-    let base = SolveOptions::default().budget(SolveBudget::default().with_threads(threads));
+/// Runs one config and returns its result with the sweep's selections. The
+/// thread count is explicit so the `PARTITA_THREADS` default cannot change
+/// the counts the report pins.
+fn run_config(w: &Workload, mode: Mode) -> (ConfigResult, Vec<Selection>) {
+    let base = SolveOptions::default().budget(SolveBudget::default().with_threads(1));
     let mut session = SweepSession::new();
-    let started = Instant::now();
     let sels: Vec<Selection> = match mode {
         Mode::Cold => session.sweep_cold(&w.instance, &w.imps, &base, &w.rg_sweep),
         Mode::Chained => session.sweep(&w.instance, &w.imps, &base, &w.rg_sweep),
     }
     .unwrap_or_else(|e| panic!("{} sweep infeasible: {e}", w.instance.name));
-    let wall = started.elapsed();
     let trace = session.take_trace();
-    let nodes = trace.total_nodes();
     let points = sels
         .iter()
         .zip(&w.rg_sweep)
@@ -383,11 +289,8 @@ fn run_config(w: &Workload, mode: Mode, threads: usize) -> (ConfigResult, Vec<Se
     let result = ConfigResult {
         points,
         cache: CacheStats::from_run(&trace, &sels),
-        portable_nodes: (threads <= 1).then_some(nodes),
-        ops: (threads <= 1).then_some(ops),
-        wall_us: u64::try_from(wall.as_micros()).unwrap_or(u64::MAX),
-        machine_nodes: (threads > 1).then_some(nodes),
-        peak_rss_kb: peak_rss_kb(),
+        nodes: trace.total_nodes(),
+        ops,
     };
     (result, sels)
 }
@@ -412,20 +315,6 @@ fn check_chained(w: &Workload, cold: &[Selection], chained: &[Selection]) {
             report.to_json()
         );
     }
-}
-
-/// Nearest-rank percentile of an unsorted latency sample, `p` in percent.
-fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
-
-fn elapsed_us(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Corpus groups whose worst-case optimal solve is minutes, not
@@ -475,9 +364,7 @@ fn run_corpus(quick: bool) -> Vec<(String, CorpusResult)> {
             area_tenths: 0,
             nodes: 0,
             pivots: 0,
-            wall_us: 0,
         };
-        let started = Instant::now();
         for entry in &list {
             let w = entry
                 .verify()
@@ -515,7 +402,6 @@ fn run_corpus(quick: bool) -> Vec<(String, CorpusResult)> {
                 Err(e) => panic!("corpus gate: {} unexpected solver error: {e}", entry.id),
             }
         }
-        result.wall_us = elapsed_us(started);
         out.push((key, result));
     }
     out
@@ -525,9 +411,7 @@ fn run_corpus(quick: bool) -> Vec<(String, CorpusResult)> {
 /// tenants submit every entry's mid-sweep solve (audited) through an
 /// in-process daemon core. The first tenant's pass is cold; the second
 /// tenant's must be answered entirely from the shared canonical cache, so
-/// the benchmark doubles as a cross-tenant sharing gate. Latency is
-/// measured per request around [`ServiceCore::handle_request`] — the same
-/// boundary every transport (stdio, sockets, replay) crosses.
+/// the benchmark doubles as a cross-tenant sharing gate.
 fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
     use partita_core::api::{Request, RequestBody, SolveSpec, API_VERSION};
     let presets: &[&str] = if quick {
@@ -565,12 +449,9 @@ fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
                 });
             }
         }
-        let mut lat = Vec::new();
         let mut ok = 0u64;
         for req in &requests {
-            let started = Instant::now();
             let resp = core.handle_request(req);
-            lat.push(elapsed_us(started));
             assert!(
                 resp.result.is_ok(),
                 "service bench: {} failed: {resp:?}",
@@ -591,31 +472,28 @@ fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
                 ok,
                 cache_hits: stats.cache_hits,
                 degraded: stats.degraded,
-                p50_us: percentile_us(&mut lat, 50.0),
-                p99_us: percentile_us(&mut lat, 99.0),
             },
         ));
     }
     out
 }
 
-/// Runs the whole suite per `config` and returns the report, configs
-/// sorted by key.
+/// Runs the whole suite at one thread — the two quickest workloads and
+/// corpus/service groups when `quick` — and returns the report, every
+/// section sorted by key.
 #[must_use]
-pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
+pub fn run_suite(quick: bool) -> SuiteReport {
     let mut configs = Vec::new();
-    for (name, w) in suite_workloads(config.quick) {
-        for &threads in &config.threads {
-            let (cold, cold_sels) = run_config(&w, Mode::Cold, threads.max(1));
-            let (chained, chained_sels) = run_config(&w, Mode::Chained, threads.max(1));
-            check_chained(&w, &cold_sels, &chained_sels);
-            for (mode, result) in [(Mode::Cold, cold), (Mode::Chained, chained)] {
-                configs.push((format!("{name}:{}:t{threads}", mode.name()), result));
-            }
+    for (name, w) in suite_workloads(quick) {
+        let (cold, cold_sels) = run_config(&w, Mode::Cold);
+        let (chained, chained_sels) = run_config(&w, Mode::Chained);
+        check_chained(&w, &cold_sels, &chained_sels);
+        for (mode, result) in [(Mode::Cold, cold), (Mode::Chained, chained)] {
+            configs.push((format!("{name}:{}", mode.name()), result));
         }
     }
-    let mut corpus = run_corpus(config.quick);
-    let mut service = run_service(config.quick);
+    let mut corpus = run_corpus(quick);
+    let mut service = run_service(quick);
     configs.sort_by(|a, b| a.0.cmp(&b.0));
     corpus.sort_by(|a, b| a.0.cmp(&b.0));
     service.sort_by(|a, b| a.0.cmp(&b.0));
@@ -626,22 +504,84 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
     }
 }
 
-fn opt_u64_json(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+/// Appends one report section: `"name": {` then one `"key": body` line per
+/// entry, sorted by key.
+fn push_section<T>(
+    out: &mut String,
+    name: &str,
+    entries: &[(String, T)],
+    body: impl Fn(&T) -> String,
+) {
+    out.push_str(&format!("  \"{name}\": {{\n"));
+    let mut sorted: Vec<&(String, T)> = entries.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let lines: Vec<String> = sorted
+        .iter()
+        .map(|(key, v)| format!("    \"{key}\": {}", body(v)))
+        .collect();
+    out.push_str(&lines.join(",\n"));
+    out.push_str("\n  }");
+}
+
+/// Reads one report section as `(key, value)` pairs sorted by key, or an
+/// error naming the section, key and field that is missing or mistyped.
+fn parse_section<T>(
+    doc: &JsonValue,
+    name: &str,
+    parse: impl Fn(&Fields<'_>) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    let entries = doc
+        .get(name)
+        .ok_or_else(|| format!("missing {name}"))?
+        .entries()
+        .ok_or_else(|| format!("{name} not an object"))?;
+    let mut out = Vec::new();
+    for (key, value) in entries {
+        let fields = Fields {
+            path: format!("{name}/{key}"),
+            value,
+        };
+        out.push((key.clone(), parse(&fields)?));
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(out)
+}
+
+/// A JSON object together with its path in the report, so a missing field
+/// is reported as `configs/fig9:cold: missing ops`.
+struct Fields<'a> {
+    path: String,
+    value: &'a JsonValue,
+}
+
+impl<'a> Fields<'a> {
+    fn object(&self, field: &str) -> Result<Fields<'a>, String> {
+        Ok(Fields {
+            path: format!("{}/{field}", self.path),
+            value: self
+                .value
+                .get(field)
+                .filter(|v| v.entries().is_some())
+                .ok_or_else(|| format!("{}: missing {field}", self.path))?,
+        })
+    }
+
+    fn u64(&self, field: &str) -> Result<u64, String> {
+        self.value
+            .get(field)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("{}: missing {field}", self.path))
+    }
 }
 
 impl SuiteReport {
-    /// Serializes the report as one pretty-stable JSON document: keys in a
-    /// fixed order, configs sorted, portable and machine sections separated.
+    /// Serializes the report as one stable JSON document: sections in a
+    /// fixed order, one line per entry, keys sorted.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"schema\": {SUITE_SCHEMA},\n  \"suite\": \"partita-benchsuite\",\n  \"configs\": {{\n"
-        ));
-        let mut sorted: Vec<&(String, ConfigResult)> = self.configs.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (key, c)) in sorted.iter().enumerate() {
+        let mut out =
+            format!("{{\n  \"schema\": {SUITE_SCHEMA},\n  \"suite\": \"partita-benchsuite\",\n");
+        push_section(&mut out, "configs", &self.configs, |c| {
             let points: Vec<String> = c
                 .points
                 .iter()
@@ -652,105 +592,58 @@ impl SuiteReport {
                     )
                 })
                 .collect();
-            let ops = c.ops.map_or_else(
-                || "null".to_string(),
-                |o| {
-                    format!(
-                        concat!(
-                            "{{\"phase1_pivots\":{},\"phase2_pivots\":{},",
-                            "\"dual_pivots\":{},\"lex_pivots\":{},",
-                            "\"tableau_builds\":{},\"scratch_reuses\":{},",
-                            "\"bland_activations\":{}}}"
-                        ),
-                        o.phase1_pivots,
-                        o.phase2_pivots,
-                        o.dual_pivots,
-                        o.lex_pivots,
-                        o.tableau_builds,
-                        o.scratch_reuses,
-                        o.bland_activations,
-                    )
-                },
-            );
-            out.push_str(&format!(
+            let (k, o) = (&c.cache, &c.ops);
+            format!(
                 concat!(
-                    "    \"{}\": {{\n",
-                    "      \"portable\": {{\"points\": [{}], ",
+                    "{{\"points\": [{}], ",
                     "\"cache\": {{\"cache_hits\":{},\"cache_misses\":{},",
                     "\"chained_accepts\":{},\"chained_rejects\":{},",
                     "\"basis_reused\":{}}}, ",
-                    "\"nodes\": {}, \"ops\": {}}},\n",
-                    "      \"machine\": {{\"wall_us\": {}, \"nodes\": {}, ",
-                    "\"peak_rss_kb\": {}}}\n",
-                    "    }}{}\n"
+                    "\"nodes\": {}, ",
+                    "\"ops\": {{\"phase1_pivots\":{},\"phase2_pivots\":{},",
+                    "\"dual_pivots\":{},\"lex_pivots\":{},",
+                    "\"tableau_builds\":{},\"scratch_reuses\":{},",
+                    "\"bland_activations\":{}}}}}"
                 ),
-                key,
                 points.join(","),
-                c.cache.cache_hits,
-                c.cache.cache_misses,
-                c.cache.chained_accepts,
-                c.cache.chained_rejects,
-                c.cache.basis_reused,
-                opt_u64_json(c.portable_nodes),
-                ops,
-                c.wall_us,
-                opt_u64_json(c.machine_nodes),
-                opt_u64_json(c.peak_rss_kb),
-                if i + 1 == sorted.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  },\n  \"corpus\": {\n");
-        let mut sorted: Vec<&(String, CorpusResult)> = self.corpus.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (key, c)) in sorted.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "    \"{}\": {{\n",
-                    "      \"portable\": {{\"entries\":{},\"solved\":{},",
-                    "\"infeasible\":{},\"gain\":{},\"area_tenths\":{},",
-                    "\"nodes\":{},\"pivots\":{}}},\n",
-                    "      \"machine\": {{\"wall_us\":{}}}\n",
-                    "    }}{}\n"
-                ),
-                key,
-                c.entries,
-                c.solved,
-                c.infeasible,
-                c.gain,
-                c.area_tenths,
+                k.cache_hits,
+                k.cache_misses,
+                k.chained_accepts,
+                k.chained_rejects,
+                k.basis_reused,
                 c.nodes,
-                c.pivots,
-                c.wall_us,
-                if i + 1 == sorted.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  },\n  \"service\": {\n");
-        let mut sorted: Vec<&(String, ServiceResult)> = self.service.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (key, s)) in sorted.iter().enumerate() {
-            out.push_str(&format!(
+                o.phase1_pivots,
+                o.phase2_pivots,
+                o.dual_pivots,
+                o.lex_pivots,
+                o.tableau_builds,
+                o.scratch_reuses,
+                o.bland_activations,
+            )
+        });
+        out.push_str(",\n");
+        push_section(&mut out, "corpus", &self.corpus, |c| {
+            format!(
                 concat!(
-                    "    \"{}\": {{\n",
-                    "      \"portable\": {{\"requests\":{},\"ok\":{},",
-                    "\"cache_hits\":{},\"degraded\":{}}},\n",
-                    "      \"machine\": {{\"p50_us\":{},\"p99_us\":{}}}\n",
-                    "    }}{}\n"
+                    "{{\"entries\":{},\"solved\":{},\"infeasible\":{},",
+                    "\"gain\":{},\"area_tenths\":{},\"nodes\":{},\"pivots\":{}}}"
                 ),
-                key,
-                s.requests,
-                s.ok,
-                s.cache_hits,
-                s.degraded,
-                s.p50_us,
-                s.p99_us,
-                if i + 1 == sorted.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  }\n}\n");
+                c.entries, c.solved, c.infeasible, c.gain, c.area_tenths, c.nodes, c.pivots,
+            )
+        });
+        out.push_str(",\n");
+        push_section(&mut out, "service", &self.service, |s| {
+            format!(
+                "{{\"requests\":{},\"ok\":{},\"cache_hits\":{},\"degraded\":{}}}",
+                s.requests, s.ok, s.cache_hits, s.degraded
+            )
+        });
+        out.push_str("\n}\n");
         out
     }
 
-    /// Parses a report serialized by [`SuiteReport::to_json`].
+    /// Parses a report serialized by [`SuiteReport::to_json`]. Every
+    /// section and every field is required.
     ///
     /// # Errors
     ///
@@ -764,129 +657,72 @@ impl SuiteReport {
         if schema != u64::from(SUITE_SCHEMA) {
             return Err(format!("unsupported suite schema {schema}"));
         }
-        let configs_obj = doc.get("configs").ok_or("missing configs")?;
-        let mut configs = Vec::new();
-        for (key, cfg) in configs_obj.entries().ok_or("configs not an object")? {
-            let portable = cfg.get("portable").ok_or("missing portable")?;
-            let machine = cfg.get("machine").ok_or("missing machine")?;
-            let cache = portable.get("cache").ok_or("missing cache")?;
-            let get = |obj: &JsonValue, k: &str| -> Result<u64, String> {
-                obj.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("missing {k}"))
-            };
-            let opt = |obj: &JsonValue, k: &str| -> Option<u64> {
-                obj.get(k).and_then(JsonValue::as_u64)
-            };
+        let configs = parse_section(&doc, "configs", |c| {
             let mut points = Vec::new();
-            for p in portable
+            for p in c
+                .value
                 .get("points")
                 .and_then(JsonValue::as_array)
-                .ok_or("missing points")?
+                .ok_or_else(|| format!("{}: missing points", c.path))?
             {
+                let p = Fields {
+                    path: format!("{}/points", c.path),
+                    value: p,
+                };
                 points.push(PointResult {
-                    rg: get(p, "rg")?,
-                    gain: get(p, "gain")?,
-                    area_tenths: get(p, "area_tenths")? as i64,
+                    rg: p.u64("rg")?,
+                    gain: p.u64("gain")?,
+                    area_tenths: p.u64("area_tenths")? as i64,
                     status: p
+                        .value
                         .get("status")
                         .and_then(JsonValue::as_str)
-                        .ok_or("missing status")?
+                        .ok_or_else(|| format!("{}: missing status", p.path))?
                         .to_string(),
                 });
             }
-            configs.push((
-                key.clone(),
-                ConfigResult {
-                    points,
-                    cache: CacheStats {
-                        cache_hits: get(cache, "cache_hits")?,
-                        cache_misses: get(cache, "cache_misses")?,
-                        chained_accepts: get(cache, "chained_accepts")?,
-                        chained_rejects: get(cache, "chained_rejects")?,
-                        basis_reused: get(cache, "basis_reused")?,
-                    },
-                    portable_nodes: opt(portable, "nodes"),
-                    // Additive: baselines written before the ops section
-                    // existed (and `null` at multi-thread configs) parse to
-                    // `None` and skip the ops gates.
-                    ops: portable
-                        .get("ops")
-                        .filter(|o| !matches!(o, JsonValue::Null))
-                        .map(|o| OpsCounters {
-                            phase1_pivots: opt(o, "phase1_pivots").unwrap_or(0),
-                            phase2_pivots: opt(o, "phase2_pivots").unwrap_or(0),
-                            dual_pivots: opt(o, "dual_pivots").unwrap_or(0),
-                            lex_pivots: opt(o, "lex_pivots").unwrap_or(0),
-                            tableau_builds: opt(o, "tableau_builds").unwrap_or(0),
-                            scratch_reuses: opt(o, "scratch_reuses").unwrap_or(0),
-                            bland_activations: opt(o, "bland_activations").unwrap_or(0),
-                        }),
-                    wall_us: get(machine, "wall_us")?,
-                    machine_nodes: opt(machine, "nodes"),
-                    peak_rss_kb: opt(machine, "peak_rss_kb"),
+            let cache = c.object("cache")?;
+            let ops = c.object("ops")?;
+            Ok(ConfigResult {
+                points,
+                cache: CacheStats {
+                    cache_hits: cache.u64("cache_hits")?,
+                    cache_misses: cache.u64("cache_misses")?,
+                    chained_accepts: cache.u64("chained_accepts")?,
+                    chained_rejects: cache.u64("chained_rejects")?,
+                    basis_reused: cache.u64("basis_reused")?,
                 },
-            ));
-        }
-        configs.sort_by(|a, b| a.0.cmp(&b.0));
-        // The corpus section is additive: reports written before it existed
-        // parse to an empty section.
-        let mut corpus = Vec::new();
-        if let Some(corpus_obj) = doc.get("corpus") {
-            for (key, c) in corpus_obj.entries().ok_or("corpus not an object")? {
-                let portable = c.get("portable").ok_or("missing corpus portable")?;
-                let machine = c.get("machine").ok_or("missing corpus machine")?;
-                let get = |obj: &JsonValue, k: &str| -> Result<u64, String> {
-                    obj.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("missing corpus {k}"))
-                };
-                corpus.push((
-                    key.clone(),
-                    CorpusResult {
-                        entries: get(portable, "entries")?,
-                        solved: get(portable, "solved")?,
-                        infeasible: get(portable, "infeasible")?,
-                        gain: get(portable, "gain")?,
-                        area_tenths: get(portable, "area_tenths")? as i64,
-                        nodes: get(portable, "nodes")?,
-                        // Additive: absent in pre-ops baselines.
-                        pivots: portable
-                            .get("pivots")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
-                        wall_us: get(machine, "wall_us")?,
-                    },
-                ));
-            }
-        }
-        corpus.sort_by(|a, b| a.0.cmp(&b.0));
-        // The service section is additive: reports written before the
-        // daemon existed parse to an empty section.
-        let mut service = Vec::new();
-        if let Some(service_obj) = doc.get("service") {
-            for (key, s) in service_obj.entries().ok_or("service not an object")? {
-                let portable = s.get("portable").ok_or("missing service portable")?;
-                let machine = s.get("machine").ok_or("missing service machine")?;
-                let get = |obj: &JsonValue, k: &str| -> Result<u64, String> {
-                    obj.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("missing service {k}"))
-                };
-                service.push((
-                    key.clone(),
-                    ServiceResult {
-                        requests: get(portable, "requests")?,
-                        ok: get(portable, "ok")?,
-                        cache_hits: get(portable, "cache_hits")?,
-                        degraded: get(portable, "degraded")?,
-                        p50_us: get(machine, "p50_us")?,
-                        p99_us: get(machine, "p99_us")?,
-                    },
-                ));
-            }
-        }
-        service.sort_by(|a, b| a.0.cmp(&b.0));
+                nodes: c.u64("nodes")?,
+                ops: OpsCounters {
+                    phase1_pivots: ops.u64("phase1_pivots")?,
+                    phase2_pivots: ops.u64("phase2_pivots")?,
+                    dual_pivots: ops.u64("dual_pivots")?,
+                    lex_pivots: ops.u64("lex_pivots")?,
+                    tableau_builds: ops.u64("tableau_builds")?,
+                    scratch_reuses: ops.u64("scratch_reuses")?,
+                    bland_activations: ops.u64("bland_activations")?,
+                },
+            })
+        })?;
+        let corpus = parse_section(&doc, "corpus", |c| {
+            Ok(CorpusResult {
+                entries: c.u64("entries")?,
+                solved: c.u64("solved")?,
+                infeasible: c.u64("infeasible")?,
+                gain: c.u64("gain")?,
+                area_tenths: c.u64("area_tenths")? as i64,
+                nodes: c.u64("nodes")?,
+                pivots: c.u64("pivots")?,
+            })
+        })?;
+        let service = parse_section(&doc, "service", |s| {
+            Ok(ServiceResult {
+                requests: s.u64("requests")?,
+                ok: s.u64("ok")?,
+                cache_hits: s.u64("cache_hits")?,
+                degraded: s.u64("degraded")?,
+            })
+        })?;
         Ok(SuiteReport {
             configs,
             corpus,
@@ -899,26 +735,22 @@ impl SuiteReport {
 /// regression (empty = pass):
 ///
 /// * a config present in the baseline but missing from the current run;
-/// * any **portable** drift — per-point gain, area, or status changed, or
-///   cache counters changed;
-/// * any single-threaded **node-count** growth (strict: the search is
-///   deterministic at one thread, so even +1 node is a real change);
-/// * any single-threaded **simplex ops** growth — total pivots or
-///   allocating tableau builds — when both reports carry an ops section;
-/// * **wall time** beyond `baseline * (1 + wall_threshold)` *and* beyond
-///   an absolute [`WALL_NOISE_FLOOR_US`] above the baseline;
+/// * any drift in a config's per-point gain, area or status, or in its
+///   cache counters;
+/// * any **node-count** growth (strict: the search is deterministic at one
+///   thread, so even +1 node is a real change);
+/// * any **simplex ops** growth — total pivots or allocating tableau
+///   builds;
 /// * a **corpus group** missing from the current run, or any drift in its
-///   portable tallies (entry/feasibility counts, total gain/area, or
-///   node-count growth);
-/// * in the current run alone, a single-threaded **chained** sweep that
-///   explores more nodes than its cold twin, or chained sweeps that do
-///   not save nodes strictly in aggregate.
+///   tallies (entry/feasibility counts, total gain/area, or node or pivot
+///   growth);
+/// * a **service group** missing from the current run, or any drift in its
+///   request, ok, cache-hit or degraded tallies;
+/// * in the current run alone, a **chained** sweep that explores more
+///   nodes than its cold twin, or chained sweeps that do not save nodes
+///   strictly in aggregate.
 #[must_use]
-pub fn compare_reports(
-    baseline: &SuiteReport,
-    current: &SuiteReport,
-    wall_threshold: f64,
-) -> Vec<String> {
+pub fn compare_reports(baseline: &SuiteReport, current: &SuiteReport) -> Vec<String> {
     let mut regressions = Vec::new();
     for (key, base) in &baseline.configs {
         let Some((_, cur)) = current.configs.iter().find(|(k, _)| k == key) else {
@@ -931,42 +763,33 @@ pub fn compare_reports(
         if cur.cache != base.cache {
             regressions.push(format!("{key}: portable cache counters drifted"));
         }
-        if let (Some(b), Some(c)) = (base.portable_nodes, cur.portable_nodes) {
-            if c > b {
-                regressions.push(format!("{key}: node count regressed {b} -> {c}"));
-            }
-        }
-        // Ops gates (single-threaded configs, skipped against pre-ops
-        // baselines): the simplex must not spend more pivots in total, and
-        // must not heap-allocate more tableaus, than the baseline.
-        if let (Some(b), Some(c)) = (base.ops, cur.ops) {
-            if c.total_pivots() > b.total_pivots() {
-                regressions.push(format!(
-                    "{key}: simplex pivot count regressed {} -> {}",
-                    b.total_pivots(),
-                    c.total_pivots()
-                ));
-            }
-            if c.allocating_builds() > b.allocating_builds() {
-                regressions.push(format!(
-                    "{key}: allocating tableau builds regressed {} -> {}",
-                    b.allocating_builds(),
-                    c.allocating_builds()
-                ));
-            }
-        }
-        let allowed = (base.wall_us as f64 * (1.0 + wall_threshold)) as u64;
-        let allowed = allowed.max(base.wall_us.saturating_add(WALL_NOISE_FLOOR_US));
-        if cur.wall_us > allowed {
+        if cur.nodes > base.nodes {
             regressions.push(format!(
-                "{key}: wall time regressed {} us -> {} us (allowed {} us)",
-                base.wall_us, cur.wall_us, allowed
+                "{key}: node count regressed {} -> {}",
+                base.nodes, cur.nodes
+            ));
+        }
+        // The simplex must not spend more pivots in total, and must not
+        // heap-allocate more tableaus, than the baseline.
+        let (b, c) = (&base.ops, &cur.ops);
+        if c.total_pivots() > b.total_pivots() {
+            regressions.push(format!(
+                "{key}: simplex pivot count regressed {} -> {}",
+                b.total_pivots(),
+                c.total_pivots()
+            ));
+        }
+        if c.allocating_builds() > b.allocating_builds() {
+            regressions.push(format!(
+                "{key}: allocating tableau builds regressed {} -> {}",
+                b.allocating_builds(),
+                c.allocating_builds()
             ));
         }
     }
     // Corpus gates: the corpus is committed (manifest-pinned digests), so
-    // every portable tally is exact — group membership, feasibility split,
-    // total gain/area and single-threaded node counts must all reproduce.
+    // every tally is exact — group membership, feasibility split, total
+    // gain/area and node and pivot counts must all reproduce.
     for (key, base) in &baseline.corpus {
         let Some((_, cur)) = current.corpus.iter().find(|(k, _)| k == key) else {
             regressions.push(format!("corpus/{key}: group missing from current run"));
@@ -985,9 +808,7 @@ pub fn compare_reports(
                 base.nodes, cur.nodes
             ));
         }
-        // Pivot gate, skipped against pre-ops baselines (which carry 0) and
-        // for greedy-backed groups that never touch the simplex.
-        if base.pivots > 0 && cur.pivots > base.pivots {
+        if cur.pivots > base.pivots {
             regressions.push(format!(
                 "corpus/{key}: simplex pivot count regressed {} -> {}",
                 base.pivots, cur.pivots
@@ -995,25 +816,20 @@ pub fn compare_reports(
         }
     }
     // Chaining gates. The node-saving property is self-contained, so it
-    // gates the *current* run outright over its single-threaded configs:
-    // per workload the chained sweep must never cost nodes against the cold
-    // one, and across the run it must save strictly.
+    // gates the *current* run outright: per workload the chained sweep must
+    // never cost nodes against the cold one, and across the run it must
+    // save strictly.
     let mut chained_total = 0u64;
     let mut cold_total = 0u64;
     for (key, chained) in &current.configs {
-        let Some(cold_key) = key
-            .strip_suffix(":t1")
-            .and_then(|k| k.strip_suffix(":chained"))
-            .map(|w| format!("{w}:cold:t1"))
-        else {
+        let Some(workload) = key.strip_suffix(":chained") else {
             continue;
         };
+        let cold_key = format!("{workload}:cold");
         let Some((_, cold)) = current.configs.iter().find(|(k, _)| *k == cold_key) else {
             continue;
         };
-        let (Some(c), Some(f)) = (chained.portable_nodes, cold.portable_nodes) else {
-            continue;
-        };
+        let (c, f) = (chained.nodes, cold.nodes);
         if c > f {
             regressions.push(format!("{key}: chaining cost nodes ({c} > {f} cold)"));
         }
@@ -1027,16 +843,13 @@ pub fn compare_reports(
         ));
     }
     // Service gates: the scripted two-tenant sequence is derived from the
-    // committed corpus, so every portable tally must reproduce exactly;
-    // latency percentiles are machine-dependent and not gated.
+    // committed corpus, so every tally must reproduce exactly.
     for (key, base) in &baseline.service {
         let Some((_, cur)) = current.service.iter().find(|(k, _)| k == key) else {
             regressions.push(format!("service/{key}: group missing from current run"));
             continue;
         };
-        if (cur.requests, cur.ok, cur.cache_hits, cur.degraded)
-            != (base.requests, base.ok, base.cache_hits, base.degraded)
-        {
+        if cur != base {
             regressions.push(format!(
                 "service/{key}: portable service tallies drifted \
                  (requests/ok/cache_hits/degraded {}/{}/{}/{} -> {}/{}/{}/{})",
@@ -1058,41 +871,7 @@ pub fn compare_reports(
 mod tests {
     use super::*;
 
-    // --- peak RSS parsing -------------------------------------------------
-
-    #[test]
-    fn vm_hwm_parses_the_kernel_format() {
-        let status = "VmPeak:\t  200000 kB\nVmHWM:\t  123456 kB\nVmRSS:\t  100 kB\n";
-        assert_eq!(parse_vm_hwm_kb(status), Some(123_456));
-    }
-
-    #[test]
-    fn vm_hwm_tolerates_whitespace_and_unit_variants() {
-        assert_eq!(parse_vm_hwm_kb("VmHWM:     42 kB"), Some(42));
-        assert_eq!(parse_vm_hwm_kb("VmHWM:\t42\tkB"), Some(42));
-        assert_eq!(parse_vm_hwm_kb("  VmHWM:  42 KB"), Some(42));
-        assert_eq!(parse_vm_hwm_kb("VmHWM : 42 kB"), Some(42));
-        assert_eq!(parse_vm_hwm_kb("VmHWM: 42"), Some(42));
-        assert_eq!(parse_vm_hwm_kb("VmHWM: 2 MB"), Some(2048));
-        assert_eq!(parse_vm_hwm_kb("VmHWM: 1 gB"), Some(1_048_576));
-    }
-
-    #[test]
-    fn vm_hwm_returns_none_on_malformed_lines() {
-        assert_eq!(parse_vm_hwm_kb(""), None);
-        assert_eq!(parse_vm_hwm_kb("VmRSS: 42 kB"), None);
-        assert_eq!(parse_vm_hwm_kb("VmHWM:"), None);
-        assert_eq!(parse_vm_hwm_kb("VmHWM: lots kB"), None);
-        assert_eq!(parse_vm_hwm_kb("VmHWM: -1 kB"), None);
-        assert_eq!(parse_vm_hwm_kb("VmHWM: 42 pages"), None);
-        assert_eq!(parse_vm_hwm_kb("VmHWM: 42 kB extra"), None);
-        // A u64 overflow while scaling must refuse, not wrap.
-        assert_eq!(parse_vm_hwm_kb(&format!("VmHWM: {} MB", u64::MAX)), None);
-    }
-
-    // --- ops section round-trip and compare gates -------------------------
-
-    fn config(nodes: Option<u64>, ops: Option<OpsCounters>) -> ConfigResult {
+    fn config(nodes: u64, ops: OpsCounters) -> ConfigResult {
         ConfigResult {
             points: vec![PointResult {
                 rg: 90,
@@ -1101,11 +880,8 @@ mod tests {
                 status: "Optimal".to_string(),
             }],
             cache: CacheStats::default(),
-            portable_nodes: nodes,
+            nodes,
             ops,
-            wall_us: 1000,
-            machine_nodes: nodes.is_none().then_some(7),
-            peak_rss_kb: Some(4096),
         }
     }
 
@@ -1118,7 +894,6 @@ mod tests {
             area_tenths: 450,
             nodes,
             pivots,
-            wall_us: 900,
         }
     }
 
@@ -1144,62 +919,20 @@ mod tests {
 
     #[test]
     fn ops_and_pivots_survive_a_json_round_trip() {
-        let r = report(vec![
-            ("t1".to_string(), config(Some(12), Some(sample_ops()))),
-            ("t4".to_string(), config(None, None)),
-        ]);
+        let r = report(vec![("w:cold".to_string(), config(12, sample_ops()))]);
         let parsed = SuiteReport::from_json(&r.to_json()).expect("round-trip parses");
         assert_eq!(parsed, r);
-        assert_eq!(parsed.configs[0].1.ops, Some(sample_ops()));
-        assert_eq!(parsed.configs[1].1.ops, None);
+        assert_eq!(parsed.configs[0].1.ops, sample_ops());
         assert_eq!(parsed.corpus[0].1.pivots, 150);
     }
 
     #[test]
-    fn pre_ops_baselines_parse_and_skip_the_ops_gates() {
-        // A baseline written before the ops section existed: no "ops" key in
-        // the config portable block, no "pivots" in the corpus block.
-        let old = format!(
-            concat!(
-                "{{\"schema\": {}, \"suite\": \"partita-benchsuite\", \"configs\": {{\n",
-                "  \"t1\": {{\"portable\": {{\"points\": [], \"cache\": {{",
-                "\"cache_hits\":0,\"cache_misses\":0,\"chained_accepts\":0,",
-                "\"chained_rejects\":0,\"basis_reused\":0}}, ",
-                "\"nodes\": 12}},\n",
-                "  \"machine\": {{\"wall_us\": 1000, \"nodes\": null, ",
-                "\"peak_rss_kb\": null}}}}\n",
-                "}}, \"corpus\": {{\n",
-                "  \"synth:small\": {{\"portable\": {{\"entries\":3,\"solved\":2,",
-                "\"infeasible\":1,\"gain\":200,\"area_tenths\":450,\"nodes\":40}},\n",
-                "  \"machine\": {{\"wall_us\":900}}}}\n",
-                "}}}}"
-            ),
-            SUITE_SCHEMA
-        );
-        let baseline = SuiteReport::from_json(&old).expect("pre-ops baseline parses");
-        assert_eq!(baseline.configs[0].1.ops, None);
-        assert_eq!(baseline.corpus[0].1.pivots, 0);
-        // A current run that *does* carry ops must not be flagged against it.
-        let mut cur_cfg = config(Some(12), Some(sample_ops()));
-        cur_cfg.points.clear();
-        let current = report(vec![("t1".to_string(), cur_cfg)]);
-        let regressions = compare_reports(&baseline, &current, 10.0);
-        assert!(
-            regressions.is_empty(),
-            "pre-ops baseline must skip ops gates: {regressions:?}"
-        );
-    }
-
-    #[test]
     fn pivot_growth_is_a_regression() {
-        let baseline = report(vec![(
-            "t1".to_string(),
-            config(Some(12), Some(sample_ops())),
-        )]);
+        let baseline = report(vec![("w:cold".to_string(), config(12, sample_ops()))]);
         let mut worse = sample_ops();
         worse.phase2_pivots += 1;
-        let current = report(vec![("t1".to_string(), config(Some(12), Some(worse)))]);
-        let regressions = compare_reports(&baseline, &current, 10.0);
+        let current = report(vec![("w:cold".to_string(), config(12, worse))]);
+        let regressions = compare_reports(&baseline, &current);
         assert!(
             regressions
                 .iter()
@@ -1210,14 +943,11 @@ mod tests {
 
     #[test]
     fn allocating_build_growth_is_a_regression_but_fewer_reuses_alone_is_not() {
-        let baseline = report(vec![(
-            "t1".to_string(),
-            config(Some(12), Some(sample_ops())),
-        )]);
+        let baseline = report(vec![("w:cold".to_string(), config(12, sample_ops()))]);
         let mut worse = sample_ops();
         worse.scratch_reuses -= 1; // builds constant => one more cold allocation
-        let current = report(vec![("t1".to_string(), config(Some(12), Some(worse)))]);
-        let regressions = compare_reports(&baseline, &current, 10.0);
+        let current = report(vec![("w:cold".to_string(), config(12, worse))]);
+        let regressions = compare_reports(&baseline, &current);
         assert!(
             regressions
                 .iter()
@@ -1229,29 +959,25 @@ mod tests {
         better.phase2_pivots -= 5;
         better.tableau_builds -= 2;
         better.scratch_reuses -= 2;
-        let current = report(vec![("t1".to_string(), config(Some(12), Some(better)))]);
-        assert!(compare_reports(&baseline, &current, 10.0).is_empty());
+        let current = report(vec![("w:cold".to_string(), config(12, better))]);
+        assert!(compare_reports(&baseline, &current).is_empty());
     }
 
     #[test]
-    fn corpus_pivot_growth_is_a_regression_unless_baseline_is_preops() {
+    fn corpus_pivot_growth_is_a_regression() {
         let base = report(Vec::new());
         let mut cur = report(Vec::new());
         cur.corpus[0].1.pivots = 151;
-        let regressions = compare_reports(&base, &cur, 10.0);
+        let regressions = compare_reports(&base, &cur);
         assert!(
             regressions
                 .iter()
                 .any(|r| r.contains("corpus/synth:small: simplex pivot count regressed")),
             "expected a corpus pivot regression, got {regressions:?}"
         );
-        // Greedy-backed / pre-ops baselines carry 0 pivots: gate skipped.
-        let mut preops = report(Vec::new());
-        preops.corpus[0].1.pivots = 0;
-        assert!(compare_reports(&preops, &cur, 10.0).is_empty());
         // Fewer pivots than baseline is an improvement, not a regression.
         let mut fewer = report(Vec::new());
         fewer.corpus[0].1.pivots = 100;
-        assert!(compare_reports(&base, &fewer, 10.0).is_empty());
+        assert!(compare_reports(&base, &fewer).is_empty());
     }
 }

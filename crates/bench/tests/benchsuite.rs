@@ -1,26 +1,27 @@
 //! Contracts of the benchsuite report: stable serialization, lossless
-//! round-trips, and a compare gate that passes on itself and fails on
-//! injected regressions.
+//! round-trips, a strict parser, a compare gate that passes on itself and
+//! fails on injected regressions, and thread-count identity of the sweeps
+//! the report pins at one thread.
+
+use std::sync::OnceLock;
 
 use partita_bench::suite::{
-    compare_reports, fig9_workload, run_suite, SuiteConfig, SuiteReport, DEFAULT_WALL_THRESHOLD,
-    WALL_NOISE_FLOOR_US,
+    compare_reports, fig9_workload, run_suite, suite_workloads, SuiteReport,
 };
 use partita_core::telemetry::json::JsonValue;
+use partita_core::{RequiredGains, SelectionAuditor, SolveBudget, SolveOptions, SweepSession};
 
-fn quick_report() -> SuiteReport {
-    run_suite(&SuiteConfig {
-        threads: vec![1],
-        quick: true,
-    })
+/// The quick suite report, built once and shared by every test.
+fn quick_report() -> &'static SuiteReport {
+    static REPORT: OnceLock<SuiteReport> = OnceLock::new();
+    REPORT.get_or_init(|| run_suite(true))
 }
 
 #[test]
 fn quick_suite_report_parses_with_sorted_keys() {
-    let report = quick_report();
-    let rendered = report.to_json();
+    let rendered = quick_report().to_json();
     let doc = JsonValue::parse(&rendered).expect("report is valid JSON");
-    assert_eq!(doc.get("schema").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(doc.get("schema").and_then(JsonValue::as_u64), Some(2));
     assert_eq!(
         doc.get("suite").and_then(JsonValue::as_str),
         Some("partita-benchsuite")
@@ -29,18 +30,20 @@ fn quick_suite_report_parses_with_sorted_keys() {
         .get("configs")
         .and_then(JsonValue::keys)
         .expect("configs object");
-    assert_eq!(keys.len(), 4, "2 quick workloads x cold/chained x t1");
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    assert_eq!(keys, sorted, "config keys must serialize sorted");
+    assert_eq!(
+        keys,
+        ["fig9:chained", "fig9:cold", "table3:chained", "table3:cold"]
+    );
     for key in keys {
         let cfg = doc.get("configs").unwrap().get(key).unwrap();
-        assert!(cfg.get("portable").is_some(), "{key}: portable section");
-        assert!(cfg.get("machine").is_some(), "{key}: machine section");
-        let nodes = cfg.get("portable").unwrap().get("nodes").unwrap();
+        assert!(cfg.get("machine").is_none(), "{key}: no machine section");
         assert!(
-            nodes.as_u64().is_some(),
-            "{key}: single-threaded nodes are portable"
+            cfg.get("nodes").and_then(JsonValue::as_u64).is_some(),
+            "{key}: nodes"
+        );
+        assert!(
+            cfg.get("ops").and_then(JsonValue::keys).is_some(),
+            "{key}: ops"
         );
     }
 }
@@ -49,16 +52,37 @@ fn quick_suite_report_parses_with_sorted_keys() {
 fn report_round_trips_through_json() {
     let report = quick_report();
     let parsed = SuiteReport::from_json(&report.to_json()).expect("round-trip parses");
-    assert_eq!(parsed, report);
+    assert_eq!(&parsed, report);
+}
+
+#[test]
+fn reports_missing_a_field_or_section_fail_to_parse() {
+    let rendered = quick_report().to_json();
+
+    // A config without its ops object.
+    let start = rendered.find(", \"ops\": {").expect("configs carry ops");
+    let end = start + rendered[start..].find('}').expect("ops object closes") + 1;
+    let no_ops = format!("{}{}", &rendered[..start], &rendered[end..]);
+    let err = SuiteReport::from_json(&no_ops).expect_err("a config without ops");
+    assert_eq!(err, "configs/fig9:chained: missing ops");
+
+    // A report without its corpus section.
+    let corpus = rendered.find(",\n  \"corpus\"").expect("corpus section");
+    let service = rendered.find(",\n  \"service\"").expect("service section");
+    let no_corpus = format!("{}{}", &rendered[..corpus], &rendered[service..]);
+    let err = SuiteReport::from_json(&no_corpus).expect_err("a report without corpus");
+    assert_eq!(err, "missing corpus");
+
+    // A report without its service section.
+    let no_service = format!("{}\n}}\n", &rendered[..service]);
+    let err = SuiteReport::from_json(&no_service).expect_err("a report without service");
+    assert_eq!(err, "missing service");
 }
 
 #[test]
 fn compare_passes_against_itself() {
     let report = quick_report();
-    assert_eq!(
-        compare_reports(&report, &report, DEFAULT_WALL_THRESHOLD),
-        Vec::<String>::new()
-    );
+    assert_eq!(compare_reports(report, report), Vec::<String>::new());
 }
 
 #[test]
@@ -68,33 +92,17 @@ fn compare_flags_injected_regressions() {
     // (on a cold config, so the chained-vs-cold gate stays quiet).
     let mut current = baseline.clone();
     let key = current.configs[1].0.clone();
-    assert!(key.contains(":cold:"), "{key}");
-    current.configs[1].1.portable_nodes = baseline.configs[1].1.portable_nodes.map(|n| n + 1);
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    assert!(key.ends_with(":cold"), "{key}");
+    current.configs[1].1.nodes += 1;
+    let regressions = compare_reports(baseline, &current);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].starts_with(&key));
     assert!(regressions[0].contains("node count regressed"));
 
-    // Wall regression: beyond both the 15% threshold and the noise floor.
-    let mut current = baseline.clone();
-    current.configs[1].1.wall_us = baseline.configs[1]
-        .1
-        .wall_us
-        .saturating_mul(2)
-        .saturating_add(2 * WALL_NOISE_FLOOR_US);
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
-    assert_eq!(regressions.len(), 1, "{regressions:?}");
-    assert!(regressions[0].contains("wall time regressed"));
-
-    // Sub-noise-floor wall growth is NOT a regression.
-    let mut current = baseline.clone();
-    current.configs[1].1.wall_us += WALL_NOISE_FLOOR_US / 2;
-    assert!(compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD).is_empty());
-
     // Portable drift: a selection changed area.
     let mut current = baseline.clone();
     current.configs[2].1.points[0].area_tenths += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("portable selection results drifted"));
 
@@ -102,7 +110,7 @@ fn compare_flags_injected_regressions() {
     // gate satisfied, so the only finding is the missing key).
     let mut current = baseline.clone();
     current.configs.remove(0);
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("config missing"));
 }
@@ -117,14 +125,14 @@ fn chained_configs_save_nodes_and_gate_regressions() {
             .position(|(k, _)| k == key)
             .unwrap_or_else(|| panic!("quick report has {key}"))
     };
-    let chained = config(&baseline, "table3:chained:t1");
-    let cold = config(&baseline, "table3:cold:t1");
+    let chained = config(baseline, "table3:chained");
+    let cold = config(baseline, "table3:cold");
     let (c, f) = (&baseline.configs[chained].1, &baseline.configs[cold].1);
     assert!(
-        c.portable_nodes < f.portable_nodes,
-        "chaining must save nodes on table3 ({:?} !< {:?})",
-        c.portable_nodes,
-        f.portable_nodes
+        c.nodes < f.nodes,
+        "chaining must save nodes on table3 ({} !< {})",
+        c.nodes,
+        f.nodes
     );
     assert!(
         c.cache.basis_reused >= 1,
@@ -135,7 +143,7 @@ fn chained_configs_save_nodes_and_gate_regressions() {
     // Basis-repair drift is portable cache drift.
     let mut current = baseline.clone();
     current.configs[chained].1.cache.basis_reused += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -146,10 +154,8 @@ fn chained_configs_save_nodes_and_gate_regressions() {
     // A chained sweep that costs nodes against its cold twin fails the
     // self-contained gate even if the baseline agreed.
     let mut current = baseline.clone();
-    current.configs[chained].1.portable_nodes = f.portable_nodes.map(|n| n + 1);
-    let mut drifted = baseline.clone();
-    drifted.configs[chained].1.portable_nodes = current.configs[chained].1.portable_nodes;
-    let regressions = compare_reports(&drifted, &current, DEFAULT_WALL_THRESHOLD);
+    current.configs[chained].1.nodes = f.nodes + 1;
+    let regressions = compare_reports(&current, &current);
     assert!(
         regressions
             .iter()
@@ -159,8 +165,8 @@ fn chained_configs_save_nodes_and_gate_regressions() {
 
     // Chained sweeps that save nothing in aggregate fail too.
     let mut current = baseline.clone();
-    current.configs[chained].1.portable_nodes = f.portable_nodes;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    current.configs[chained].1.nodes = f.nodes;
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -198,7 +204,7 @@ fn corpus_section_covers_quick_groups_and_gates_regressions() {
     // A corpus group the baseline had must not vanish.
     let mut current = baseline.clone();
     current.corpus.remove(1);
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -210,7 +216,7 @@ fn corpus_section_covers_quick_groups_and_gates_regressions() {
     let mut current = baseline.clone();
     current.corpus[0].1.solved -= 1;
     current.corpus[0].1.infeasible += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -221,7 +227,7 @@ fn corpus_section_covers_quick_groups_and_gates_regressions() {
     // Selection-quality drift is a regression.
     let mut current = baseline.clone();
     current.corpus[0].1.gain += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -232,7 +238,7 @@ fn corpus_section_covers_quick_groups_and_gates_regressions() {
     // Node growth is a regression; node savings are not.
     let mut current = baseline.clone();
     current.corpus[0].1.nodes += 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -241,25 +247,12 @@ fn corpus_section_covers_quick_groups_and_gates_regressions() {
     );
     let mut current = baseline.clone();
     current.corpus[0].1.nodes = current.corpus[0].1.nodes.saturating_sub(1);
-    assert!(compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD).is_empty());
-}
-
-#[test]
-fn reports_without_a_corpus_section_still_parse() {
-    let baseline = quick_report();
-    let rendered = baseline.to_json();
-    let idx = rendered
-        .find(",\n  \"corpus\"")
-        .expect("rendered report has a corpus section");
-    let legacy = format!("{}\n}}\n", &rendered[..idx]);
-    let parsed = SuiteReport::from_json(&legacy).expect("pre-corpus reports parse");
-    assert!(parsed.corpus.is_empty());
-    assert_eq!(parsed.configs, baseline.configs);
+    assert!(compare_reports(baseline, &current).is_empty());
 }
 
 #[test]
 fn fig9_workload_reproduces_the_problem2_advantage() {
-    use partita_core::{ProblemKind, RequiredGains, SolveOptions, Solver};
+    use partita_core::{ProblemKind, Solver};
     use partita_mop::Cycles;
     let w = fig9_workload();
     let rg = RequiredGains::uniform(Cycles(1500));
@@ -295,7 +288,7 @@ fn service_section_shares_the_cache_and_gates_regressions() {
     // Portable drift in the service section is a regression.
     let mut current = baseline.clone();
     current.service[0].1.cache_hits -= 1;
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
@@ -303,22 +296,56 @@ fn service_section_shares_the_cache_and_gates_regressions() {
         "{regressions:?}"
     );
 
-    // Latency percentiles are machine-dependent and must NOT gate.
-    let mut current = baseline.clone();
-    current.service[0].1.p99_us = current.service[0].1.p99_us.saturating_mul(100) + 1_000_000;
-    assert!(
-        compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD).is_empty(),
-        "latency is not a portable gate"
-    );
-
     // A service group the baseline had must not vanish.
     let mut current = baseline.clone();
     current.service.clear();
-    let regressions = compare_reports(&baseline, &current, DEFAULT_WALL_THRESHOLD);
+    let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
             .iter()
             .any(|m| m.contains("service/synth:micro: group missing")),
         "{regressions:?}"
     );
+}
+
+/// The report pins every headline sweep at one thread. Cold and chained
+/// sweeps at four threads must return the same selections, and the chained
+/// ones must audit clean.
+#[test]
+fn four_thread_sweeps_return_the_single_threaded_selections() {
+    for (key, w) in suite_workloads(false) {
+        let sweep = |threads: usize, chained: bool| {
+            let base = SolveOptions::default().budget(SolveBudget::default().with_threads(threads));
+            let mut session = SweepSession::new();
+            if chained {
+                session.sweep(&w.instance, &w.imps, &base, &w.rg_sweep)
+            } else {
+                session.sweep_cold(&w.instance, &w.imps, &base, &w.rg_sweep)
+            }
+            .unwrap_or_else(|e| panic!("{key}: sweep infeasible: {e}"))
+        };
+        let reference = sweep(1, false);
+        for chained in [false, true] {
+            let sels = sweep(4, chained);
+            assert_eq!(sels.len(), reference.len(), "{key}");
+            for ((sel, r), &rg) in sels.iter().zip(&reference).zip(&w.rg_sweep) {
+                assert_eq!(
+                    (sel.chosen(), sel.total_area(), sel.status),
+                    (r.chosen(), r.total_area(), r.status),
+                    "{key} (chained: {chained}): 4-thread selection diverged at RG {}",
+                    rg.get()
+                );
+                if chained {
+                    let opts = SolveOptions::problem2(RequiredGains::uniform(rg));
+                    let report = SelectionAuditor::new(&w.instance, &w.imps).audit(sel, &opts);
+                    assert!(
+                        report.is_clean(),
+                        "{key}: 4-thread chained selection failed the audit at RG {}: {}",
+                        rg.get(),
+                        report.to_json()
+                    );
+                }
+            }
+        }
+    }
 }

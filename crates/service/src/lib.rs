@@ -29,7 +29,7 @@
 //!   (round-robin across tenants, FIFO within one), serving stdin/stdout
 //!   and Unix/TCP socket listeners speaking newline-delimited JSON.
 //! * [`replay`] — deterministic scripted-replay of a request log, used by
-//!   the golden-diff CI leg and the benchsuite latency section.
+//!   the golden-diff CI leg.
 //!
 //! Requests and responses are the versioned envelopes of
 //! [`partita_core::api`]; instances are named by corpus-manifest ids
