@@ -250,6 +250,13 @@ pub struct SolveTrace {
     pub warm_start_accepted: bool,
     /// Binaries permanently fixed by warm-start root probing.
     pub vars_fixed: usize,
+    /// Root probes settled by the reduced-cost screen, with no LP.
+    pub probes_screened: usize,
+    /// Root probes re-solved by the dual simplex on the root tableau.
+    pub probes_warm: usize,
+    /// Root probes solved cold (an equality row or a basic artificial in
+    /// the way, or a dual-simplex failure).
+    pub probes_cold: usize,
     /// Whether a retained root-LP basis from a previous solve was installed
     /// and dual-repaired instead of running two-phase simplex from scratch.
     pub basis_reused: bool,
@@ -550,6 +557,9 @@ mod tests {
             bland_activations: 1,
             warm_start_accepted: true,
             vars_fixed: 2,
+            probes_screened: 3,
+            probes_warm: 4,
+            probes_cold: 1,
             basis_reused: true,
             threads: 2,
             worker_nodes: vec![2, 1],
@@ -573,6 +583,9 @@ mod tests {
         assert!(json.contains("\"scratch_reuses\":3"));
         assert!(json.contains("\"bland_activations\":1"));
         assert!(json.contains("\"warm_start_accepted\":true"));
+        assert!(json.contains(
+            "\"vars_fixed\":2,\"probes_screened\":3,\"probes_warm\":4,\"probes_cold\":1,"
+        ));
         assert!(json.contains("\"basis_reused\":true"));
         assert!(json.contains("\"threads\":2"));
         assert!(json.contains("\"worker_nodes\":[2,1]"));

@@ -134,8 +134,8 @@ pub fn render_trace(trace: &SolveTrace) -> String {
         trace.simplex_iterations,
         if trace.warm_start_accepted {
             format!(
-                ", warm-started ({} vars fixed by probing)",
-                trace.vars_fixed
+                ", warm-started ({} vars fixed by probing; probes: {} screened, {} warm, {} cold)",
+                trace.vars_fixed, trace.probes_screened, trace.probes_warm, trace.probes_cold
             )
         } else {
             String::new()

@@ -637,6 +637,9 @@ pub(crate) fn solve_prepared(
     trace.bland_activations = solution.effort.simplex_ops.bland_activations;
     trace.warm_start_accepted = solution.effort.warm_start_accepted;
     trace.vars_fixed = solution.effort.vars_fixed;
+    trace.probes_screened = solution.effort.probes_screened;
+    trace.probes_warm = solution.effort.probes_warm;
+    trace.probes_cold = solution.effort.probes_cold;
     trace.basis_reused = solution.effort.basis_reused;
     trace.threads = solution.effort.threads;
     trace.worker_nodes = solution

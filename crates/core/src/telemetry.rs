@@ -618,6 +618,9 @@ impl Event {
                 w.raw("bland_activations", r.effort(trace.bland_activations));
                 w.raw("warm_start_accepted", trace.warm_start_accepted);
                 w.raw("vars_fixed", trace.vars_fixed);
+                w.raw("probes_screened", trace.probes_screened);
+                w.raw("probes_warm", trace.probes_warm);
+                w.raw("probes_cold", trace.probes_cold);
                 w.raw("basis_reused", trace.basis_reused);
                 w.raw("threads", trace.threads);
                 w.usize_array(

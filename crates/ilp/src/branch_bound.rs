@@ -26,7 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::simplex::{
-    solve_with_basis, solve_with_bounds_scratch, Basis, SimplexOps, SimplexOptions, SimplexScratch,
+    solve_with_basis, solve_with_bounds_scratch, Basis, RootProbe, SimplexOps, SimplexOptions,
+    SimplexScratch,
 };
 use crate::{IlpError, IlpSolution, Model, Sense, VarId};
 
@@ -36,8 +37,8 @@ const INT_TOL: f64 = 1e-6;
 /// must keep the node alive for the lexicographic tie-break).
 const TIE_TOL: f64 = 1e-9;
 
-/// Cap on root-probing LP re-solves; bounds the fixed cost probing adds on
-/// models with many binaries.
+/// Cap on root probes; bounds the fixed cost probing adds on models with
+/// many binaries.
 const MAX_ROOT_PROBES: usize = 32;
 
 /// Branch-and-bound solver for models with binary variables.
@@ -141,6 +142,12 @@ pub struct BranchBoundStats {
     /// Binaries permanently fixed by reduced-cost probing at the root
     /// (requires a warm-start incumbent).
     pub vars_fixed: usize,
+    /// Root probes settled by the reduced-cost screen, with no LP.
+    pub probes_screened: usize,
+    /// Root probes re-solved by the dual simplex on the root tableau.
+    pub probes_warm: usize,
+    /// Root probes solved cold (see [`RootProbe`] for when).
+    pub probes_cold: usize,
     /// Worker threads that ran the search (1 for the serial path).
     pub threads: usize,
     /// Whether a caller-supplied root basis was installed and repaired by
@@ -155,12 +162,21 @@ pub struct BranchBoundStats {
     pub per_worker: Vec<WorkerStats>,
 }
 
+/// What root probing did: fixes, and probes by how they were settled.
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeTally {
+    fixed: usize,
+    screened: usize,
+    warm: usize,
+    cold: usize,
+}
+
 impl BranchBoundStats {
     fn from_workers(
         root: WorkerStats,
         workers: Vec<WorkerStats>,
         warm_start_accepted: bool,
-        vars_fixed: usize,
+        probes: ProbeTally,
         basis_reused: bool,
     ) -> BranchBoundStats {
         let mut per_worker = if workers.is_empty() {
@@ -180,7 +196,10 @@ impl BranchBoundStats {
             simplex_iterations: totals.simplex_iterations,
             steals: totals.steals,
             warm_start_accepted,
-            vars_fixed,
+            vars_fixed: probes.fixed,
+            probes_screened: probes.screened,
+            probes_warm: probes.warm,
+            probes_cold: probes.cold,
             threads: per_worker.len(),
             basis_reused,
             simplex_ops: totals.simplex_ops,
@@ -881,19 +900,19 @@ impl BranchBound {
         }
 
         let mut root_stats = WorkerStats::default();
-        let mut vars_fixed = 0usize;
+        let mut probes = ProbeTally::default();
         let finish = |incumbent: Incumbent,
                       termination: Termination,
                       root_stats: WorkerStats,
                       workers: Vec<WorkerStats>,
-                      vars_fixed: usize,
+                      probes: ProbeTally,
                       basis_reused: bool,
                       root_basis: Option<Arc<Basis>>| {
             let stats = BranchBoundStats::from_workers(
                 root_stats,
                 workers,
                 warm_start_accepted,
-                vars_fixed,
+                probes,
                 basis_reused,
             );
             match termination {
@@ -922,7 +941,7 @@ impl BranchBound {
                 Termination::NodeLimit,
                 root_stats,
                 vec![],
-                0,
+                probes,
                 false,
                 None,
             );
@@ -933,7 +952,7 @@ impl BranchBound {
                 Termination::Deadline,
                 root_stats,
                 vec![],
-                0,
+                probes,
                 false,
                 None,
             );
@@ -985,12 +1004,15 @@ impl BranchBound {
                     // Reduced-cost probing, once, at the root: a warm start
                     // supplies a tight incumbent before any search happens,
                     // so flipping a binary that sits at a bound in the root
-                    // LP and re-solving tells us whether that flip can ever
-                    // pay off. If the probed LP bound is strictly worse than
-                    // the incumbent (or infeasible), the binary is fixed at
-                    // its LP value for the entire tree. Without a warm start
-                    // the first incumbent only appears after the root LP,
-                    // too late to narrow the tree from node one.
+                    // LP and bounding the flipped LP tells us whether that
+                    // flip can ever pay off. If the bound is strictly worse
+                    // than the incumbent (or the flip is infeasible), the
+                    // binary is fixed at its LP value for the entire tree.
+                    // The reduced-cost screen settles a flip with no LP;
+                    // the rest re-solve on the root tableau (see
+                    // `RootProbe`). Without a warm start the first
+                    // incumbent only appears after the root LP, too late to
+                    // narrow the tree from node one.
                     if warm_start_accepted && incumbent.solution.is_some() {
                         let mut candidates: Vec<(VarId, f64)> = binaries
                             .iter()
@@ -1004,40 +1026,46 @@ impl BranchBound {
                             let c = |v: VarId| model.objective().coeff(v).abs();
                             c(b.0).total_cmp(&c(a.0))
                         });
+                        let mut prober = RootProbe::new(
+                            model,
+                            &base_lower,
+                            &base_upper,
+                            self.simplex,
+                            &mut scratch,
+                        );
                         for (v, x) in candidates.into_iter().take(MAX_ROOT_PROBES) {
                             if self.deadline.is_some_and(|d| started.elapsed() >= d) {
                                 break;
                             }
                             let flipped = if x <= INT_TOL { 1.0 } else { 0.0 };
-                            let (saved_l, saved_u) = (base_lower[v.index()], base_upper[v.index()]);
-                            base_lower[v.index()] = flipped;
-                            base_upper[v.index()] = flipped;
-                            let fixable = match solve_with_bounds_scratch(
-                                model,
-                                &base_lower,
-                                &base_upper,
-                                self.simplex,
-                                &mut scratch,
+                            let fixable = if prunable(
+                                bound + prober.reduced_cost(v, flipped),
+                                incumbent.score,
                             ) {
-                                Ok(probe) => {
-                                    root_stats.simplex_iterations += probe.iterations;
-                                    prunable(ctx.norm(probe.objective), incumbent.score)
+                                probes.screened += 1;
+                                true
+                            } else {
+                                match prober.probe(v, flipped) {
+                                    Ok(probe) => {
+                                        root_stats.simplex_iterations += probe.iterations;
+                                        prunable(ctx.norm(probe.objective), incumbent.score)
+                                    }
+                                    Err(IlpError::Infeasible) => true,
+                                    Err(e) => return Err(e),
                                 }
-                                Err(IlpError::Infeasible) => true,
-                                Err(e) => return Err(e),
                             };
                             if fixable {
                                 // The flip cannot beat (or tie) the
                                 // incumbent: pin the binary to its
                                 // relaxation value for all descendants.
-                                base_lower[v.index()] = x.round();
-                                base_upper[v.index()] = x.round();
-                                vars_fixed += 1;
-                            } else {
-                                base_lower[v.index()] = saved_l;
-                                base_upper[v.index()] = saved_u;
+                                prober.fix(v, x.round());
+                                probes.fixed += 1;
                             }
                         }
+                        let counts = prober.counts();
+                        probes.warm = counts.warm;
+                        probes.cold = counts.cold;
+                        (base_lower, base_upper) = prober.finish();
                     }
 
                     // Branch the root exactly like any other node.
@@ -1098,7 +1126,7 @@ impl BranchBound {
                 Termination::Optimal,
                 root_stats,
                 vec![],
-                vars_fixed,
+                probes,
                 basis_reused,
                 root_basis_out,
             );
@@ -1125,7 +1153,7 @@ impl BranchBound {
                         Termination::NodeLimit,
                         root_stats,
                         vec![stats],
-                        vars_fixed,
+                        probes,
                         basis_reused,
                         root_basis_out,
                     );
@@ -1137,7 +1165,7 @@ impl BranchBound {
                         Termination::Deadline,
                         root_stats,
                         vec![stats],
-                        vars_fixed,
+                        probes,
                         basis_reused,
                         root_basis_out,
                     );
@@ -1164,7 +1192,7 @@ impl BranchBound {
                 Termination::Optimal,
                 root_stats,
                 vec![stats],
-                vars_fixed,
+                probes,
                 basis_reused,
                 root_basis_out,
             );
@@ -1217,7 +1245,7 @@ impl BranchBound {
             termination,
             root_stats,
             workers,
-            vars_fixed,
+            probes,
             basis_reused,
             root_basis_out,
         )
@@ -1444,6 +1472,16 @@ mod tests {
         assert!(warm.stats.warm_start_accepted);
         assert!(warm.stats.vars_fixed >= 2, "{:?}", warm.stats);
         assert_eq!(cold.stats.vars_fixed, 0);
+        // No equality row and no artificial: every probe is screened or
+        // re-solved on the root tableau, none cold.
+        let s = &warm.stats;
+        assert!(s.probes_screened + s.probes_warm >= 2, "{s:?}");
+        assert_eq!(s.probes_cold, 0, "{s:?}");
+        assert_eq!(
+            (cold.stats.probes_screened, cold.stats.probes_warm),
+            (0, 0),
+            "no incumbent, no probing"
+        );
         let (cs, ws) = (cold.solution.unwrap(), warm.solution.unwrap());
         assert_eq!(cs.objective.round() as i64, 4);
         assert_eq!(ws.objective.round() as i64, 4);

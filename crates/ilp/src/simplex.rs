@@ -48,8 +48,22 @@
 //! while the tableau is built (see [`solve_with_bounds_scratch`]), which
 //! keeps node LPs deep in a branch-and-bound tree small without building a
 //! reduced [`Model`].
+//!
+//! # Root probes
+//!
+//! [`RootProbe`] re-solves bound pins of a root LP on the optimal
+//! full-shape tableau [`solve_with_basis`] leaves in its scratch. A pin is
+//! a right-hand-side patch read through the slack columns (`B⁻¹eᵢ` is the
+//! current column of row `i`'s slack), which keeps the root basis dual
+//! feasible, so the dual simplex repairs it in a few pivots; the probe is
+//! then undone from a journal of the rows its pivots touched (the column
+//! lists follow from the rows) plus the dense right-hand side, objective
+//! row and basis. Only a
+//! pin through an equality row (no slack column), a basic artificial or a
+//! dual-simplex failure sends a probe to a cold [`solve_with_bounds_scratch`]
+//! instead. Probes skip `lex_canonicalize`: only their objective is used.
 
-use crate::{IlpError, LpSolution, Model, Relation, Sense};
+use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId};
 
 const EPS: f64 = 1e-10;
 
@@ -234,6 +248,9 @@ pub struct SimplexScratch {
     var_col: Vec<usize>,
     /// Per-op counters accumulated across every solve through this scratch.
     ops: SimplexOps,
+    /// Whether `t` holds the optimal full-shape tableau the last successful
+    /// [`solve_with_basis`] call ended on; every build clears it.
+    root_resident: bool,
 }
 
 impl SimplexScratch {
@@ -301,6 +318,8 @@ struct Tableau {
     obj_rhs: f64,
     /// Basic column per row.
     basis: Vec<usize>,
+    /// Undo log of a root probe; records nothing while inactive.
+    journal: Journal,
 }
 
 impl Tableau {
@@ -328,6 +347,7 @@ impl Tableau {
     /// Puts column `c`'s row list in row order — the order a dense scan
     /// down the column visits them, which the tie-breaks depend on.
     fn sort_col(&mut self, c: usize) {
+        debug_assert!(!self.journal.active, "a probe never sorts a column");
         self.cols[c].sort_unstable();
     }
 
@@ -338,6 +358,7 @@ impl Tableau {
         let p = self.at(row, col);
         debug_assert!(p.abs() > 1e-12, "pivot on ~zero element");
         let inv = 1.0 / p;
+        self.journal.save_row(row, &self.rows[row]);
         let mut prow = std::mem::take(&mut self.rows[row]);
         for (_, v) in &mut prow {
             *v *= inv;
@@ -353,6 +374,7 @@ impl Tableau {
             }
             let factor = self.at(r, col);
             if factor != 0.0 {
+                self.journal.save_row(r, &self.rows[r]);
                 eliminate(&mut self.rows[r], r, &prow, factor, &mut self.cols);
                 self.rhs[r] -= factor * prhs;
             }
@@ -418,6 +440,115 @@ fn eliminate(
         }
     }
     debug_assert_eq!(k, i);
+}
+
+/// Undo log of one root probe (see [`RootProbe`]).
+///
+/// [`Tableau::begin_probe`] snapshots the dense vectors and activates the
+/// log; from then on the first change to a row appends a copy of it to one
+/// flat buffer. [`Tableau::undo_probe`] copies the rows back. A probe
+/// re-solve changes a few dozen of the tableau's thousands of rows, so the
+/// log never copies the tableau. Inactive, it records nothing.
+///
+/// Column lists need no log: a pivot changes them only by appending a
+/// row to the list of each fill-in cell's column (the pivot column's list
+/// is put back as it was, and a probe never sorts one). So the columns a
+/// saved row holds now but did not hold before are exactly the lists the
+/// probe appended that row to, and removing it there restores them.
+#[derive(Debug, Default)]
+struct Journal {
+    active: bool,
+    /// Whether row `r` is already saved.
+    row_saved: Vec<bool>,
+    /// Saved rows, as `(row, end of its cells in cells)`.
+    rows: Vec<(usize, usize)>,
+    cells: Vec<(usize, f64)>,
+    rhs: Vec<f64>,
+    obj: Vec<f64>,
+    obj_rhs: f64,
+    basis: Vec<usize>,
+}
+
+impl Journal {
+    /// Saves row `r` before its first change of the active probe.
+    #[inline]
+    fn save_row(&mut self, r: usize, row: &[(usize, f64)]) {
+        if self.active && !self.row_saved[r] {
+            self.row_saved[r] = true;
+            self.cells.extend_from_slice(row);
+            self.rows.push((r, self.cells.len()));
+        }
+    }
+}
+
+impl Tableau {
+    /// Starts a probe: snapshots the right-hand side, objective row and
+    /// basis, and makes pivots save what they change.
+    fn begin_probe(&mut self) {
+        let j = &mut self.journal;
+        debug_assert!(!j.active, "probes do not nest");
+        if j.row_saved.len() < self.m {
+            j.row_saved.resize(self.m, false);
+        }
+        j.rhs.clear();
+        j.rhs.extend_from_slice(&self.rhs);
+        j.obj.clear();
+        j.obj.extend_from_slice(&self.obj);
+        j.basis.clear();
+        j.basis.extend_from_slice(&self.basis);
+        j.obj_rhs = self.obj_rhs;
+        j.active = true;
+    }
+
+    /// Restores the tableau exactly as [`Tableau::begin_probe`] found it.
+    fn undo_probe(&mut self) {
+        let j = &mut self.journal;
+        j.active = false;
+        let mut start = 0;
+        for &(r, end) in &j.rows {
+            let saved = &j.cells[start..end];
+            let row = &mut self.rows[r];
+            // Both are sorted by column, and the row only gained cells.
+            let mut k = 0;
+            for &(c, _) in row.iter() {
+                if k < saved.len() && saved[k].0 == c {
+                    k += 1;
+                } else {
+                    let list = &mut self.cols[c];
+                    let at = list.iter().rposition(|&x| x == r).expect("fill-in listed");
+                    list.remove(at);
+                }
+            }
+            row.clear();
+            row.extend_from_slice(saved);
+            j.row_saved[r] = false;
+            start = end;
+        }
+        j.rows.clear();
+        j.cells.clear();
+        self.rhs.copy_from_slice(&j.rhs);
+        self.obj.copy_from_slice(&j.obj);
+        self.basis.copy_from_slice(&j.basis);
+        self.obj_rhs = j.obj_rhs;
+    }
+
+    /// Adds `delta` to the right-hand side row `i` was built with.
+    ///
+    /// Row `i`'s slack column was `κ·eᵢ` at build (`κ = ±1`), so its current
+    /// column is `κ·B⁻¹eᵢ`, and moving the built right-hand side by `delta`
+    /// moves the current one by `delta·B⁻¹eᵢ` — the objective row's too, as
+    /// for any row. `sign` is `+1` for a `≤` row and `−1` for a `≥` row: a
+    /// row negated at build flips both `κ` and the delta, so only the
+    /// relation matters.
+    fn shift_rhs(&mut self, i: usize, sign: f64, delta: f64) {
+        let s = self.n + i;
+        let step = sign * delta;
+        for k in 0..self.cols[s].len() {
+            let r = self.cols[s][k];
+            self.rhs[r] += step * self.at(r, s);
+        }
+        self.obj_rhs += step * self.obj[s];
+    }
 }
 
 /// Solves the LP relaxation of `model` with the model's own bounds.
@@ -604,7 +735,9 @@ pub struct BasisSolve {
 /// in the next after RHS/bound patches. With a compatible warm basis the
 /// solve skips phase 1 entirely: the basis is re-installed by direct
 /// pivoting and primal feasibility is repaired with dual-simplex steps.
-/// Every warm-path failure mode degrades to the cold two-phase solve.
+/// Every warm-path failure mode degrades to the cold two-phase solve. On
+/// success the optimal tableau stays in `scratch`, where a [`RootProbe`]
+/// can re-solve flips of it.
 ///
 /// # Errors
 ///
@@ -626,17 +759,21 @@ pub fn solve_with_basis(
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
     check_bounds(lower, upper)?;
-    if let Some(basis) = warm {
-        if let Some(solve) = try_warm_solve(model, lower, upper, options, scratch, basis) {
-            return Ok(solve);
+    let warm_solve =
+        warm.and_then(|basis| try_warm_solve(model, lower, upper, options, scratch, basis));
+    let solve = match warm_solve {
+        Some(solve) => solve,
+        None => {
+            let (solution, basis) = solve_full(model, lower, upper, options, scratch, false, true)?;
+            BasisSolve {
+                solution,
+                basis,
+                reused: false,
+            }
         }
-    }
-    let (solution, basis) = solve_full(model, lower, upper, options, scratch, false, true)?;
-    Ok(BasisSolve {
-        solution,
-        basis,
-        reused: false,
-    })
+    };
+    scratch.root_resident = true;
+    Ok(solve)
 }
 
 /// Whether a row needs an artificial variable to start basic: a `<=` row
@@ -717,6 +854,7 @@ fn build_tableau(
     scratch: &mut SimplexScratch,
 ) -> Result<(), IlpError> {
     let capacity_before = scratch.pooled_capacity();
+    scratch.root_resident = false;
     let SimplexScratch {
         t, cost, var_col, ..
     } = scratch;
@@ -899,6 +1037,7 @@ fn solve_full(
         cost,
         var_col,
         ops,
+        ..
     } = &mut *scratch;
 
     let mut iters = 0usize;
@@ -968,6 +1107,7 @@ fn try_warm_solve(
         cost,
         var_col,
         ops,
+        ..
     } = &mut *scratch;
     let m = t.m;
 
@@ -1011,7 +1151,7 @@ fn try_warm_solve(
             return None;
         }
         let mut iters = 0usize;
-        run_dual_simplex(t, &mut iters, options, ops).ok()?;
+        run_dual_simplex(t, &mut iters, options, ops, &[]).ok()?;
     }
 
     // Primal cleanup: a no-op when the dual repair already reached
@@ -1032,6 +1172,331 @@ fn try_warm_solve(
         basis,
         reused: true,
     })
+}
+
+/// Row marker of a variable without a bound row (infinite width).
+const NO_ROW: usize = usize::MAX;
+
+/// Probe tallies of a [`RootProbe`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Probes re-solved by the dual simplex on the root tableau.
+    pub warm: usize,
+    /// Probes solved cold by [`solve_with_bounds_scratch`].
+    pub cold: usize,
+}
+
+/// Bound probes of a root LP, re-solved in place on its optimal tableau.
+///
+/// Branch-and-bound's root probing asks, for each binary at a bound of
+/// the root LP, what the LP bound becomes with the binary pinned to its
+/// other bound. Pinning a variable changes only right-hand sides: its
+/// bound row's (the width `u − l`) and, when its lower bound moves, every
+/// constraint row holding it (the shift `y = x − l`). A right-hand-side
+/// change keeps the root's optimal basis dual feasible, so a probe patches
+/// the right-hand sides through the slack columns (see
+/// `Tableau::shift_rhs`) and repairs primal feasibility with the dual
+/// simplex — a few pivots where a cold solve runs both phases on a fresh
+/// build. The columns of pinned variables may not enter (they are zero in
+/// every feasible point, and a cold build folds them out), and a leaving
+/// row with no negative entry in the other columns proves the pin
+/// infeasible. The probe's pivots are journaled and undone (see
+/// `Journal`), so every probe starts from the root tableau;
+/// [`RootProbe::fix`] leaves a pin behind as a permanent patch instead.
+///
+/// A probe runs cold, through [`solve_with_bounds_scratch`], only where
+/// the tableau cannot take it: when the pin moves a lower bound through an
+/// equality row (which has no slack column to read `B⁻¹eᵢ` from), when the
+/// root basis holds an artificial, or when the dual simplex fails
+/// numerically or hits the iteration cap. The warm and cold probes solve
+/// the same LP, so their optimal objectives agree up to rounding.
+pub struct RootProbe<'a> {
+    model: &'a Model,
+    options: SimplexOptions,
+    /// Holds the root tableau while `warm` is `Some`.
+    scratch: &'a mut SimplexScratch,
+    /// The root bounds with every fix applied.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Row layout of the resident root tableau; `None` sends every probe
+    /// cold.
+    warm: Option<RootRows>,
+    /// Scratch of the cold probes taken while the root tableau is resident.
+    cold: SimplexScratch,
+    counts: ProbeCounts,
+}
+
+/// Where a bound change of each variable lands in the root tableau.
+struct RootRows {
+    /// Bound row of each variable ([`NO_ROW`] for an infinite width).
+    bound_row: Vec<usize>,
+    /// Columns the dual simplex may not enter: the structural and
+    /// bound-row slack columns of every pinned variable, which are zero in
+    /// every feasible point. Entering one is a wasted pivot, and a cold
+    /// build folds them out.
+    frozen: Vec<bool>,
+}
+
+impl RootRows {
+    /// The layout of `scratch`'s tableau when it is the resident root of
+    /// `model` at `lower`/`upper` with no artificial basic.
+    fn new(
+        model: &Model,
+        lower: &[f64],
+        upper: &[f64],
+        scratch: &SimplexScratch,
+    ) -> Option<RootRows> {
+        let t = &scratch.t;
+        let n = model.num_vars();
+        let mut m = model.num_constraints();
+        let mut bound_row = vec![NO_ROW; n];
+        for (j, row) in bound_row.iter_mut().enumerate() {
+            if (upper[j] - lower[j]).is_finite() {
+                *row = m;
+                m += 1;
+            }
+        }
+        if !scratch.root_resident
+            || t.n != n
+            || t.m != m
+            || t.basis[..m].iter().any(|&b| b >= t.art0)
+        {
+            return None;
+        }
+        let mut rows = RootRows {
+            bound_row,
+            frozen: vec![false; t.art0],
+        };
+        for j in 0..n {
+            rows.freeze(j, is_fixed(lower[j], upper[j]));
+        }
+        Some(rows)
+    }
+
+    /// Marks variable `j`'s columns (structural and bound-row slack) as
+    /// frozen or movable.
+    fn freeze(&mut self, j: usize, frozen: bool) {
+        let n = self.bound_row.len();
+        self.frozen[j] = frozen;
+        if self.bound_row[j] != NO_ROW {
+            self.frozen[n + self.bound_row[j]] = frozen;
+        }
+    }
+
+    /// Moves variable `j`'s bounds from `from` to `to` by patching `t`'s
+    /// right-hand sides: its bound row takes the change of width, and when
+    /// the lower bound moves, every constraint row holding `j` takes the
+    /// shift. Returns `false`, leaving `t` untouched, when a row the move
+    /// must patch has no slack column (an equality row, or no bound row).
+    fn patch(
+        &self,
+        model: &Model,
+        t: &mut Tableau,
+        j: usize,
+        from: (f64, f64),
+        to: (f64, f64),
+    ) -> bool {
+        let var = VarId(j);
+        let shift = to.0 - from.0;
+        let widen = (to.1 - to.0) - (from.1 - from.0);
+        let held = || {
+            model
+                .constraints()
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, c)| {
+                    let k = c.expr.coeff(var);
+                    (k != 0.0).then_some((i, c.relation, k))
+                })
+        };
+        let shift_ok = shift == 0.0
+            || (shift.is_finite() && held().all(|(_, relation, _)| relation != Relation::Eq));
+        let widen_ok = widen == 0.0 || (widen.is_finite() && self.bound_row[j] != NO_ROW);
+        if !(shift_ok && widen_ok) {
+            return false;
+        }
+        if shift != 0.0 {
+            for (i, relation, k) in held() {
+                let sign = if relation == Relation::Le { 1.0 } else { -1.0 };
+                t.shift_rhs(i, sign, -k * shift);
+            }
+        }
+        if widen != 0.0 {
+            t.shift_rhs(self.bound_row[j], 1.0, widen);
+        }
+        true
+    }
+}
+
+impl<'a> RootProbe<'a> {
+    /// Opens probing of `model` at the bounds `lower`/`upper` on the
+    /// tableau `scratch` holds, which must be the one the last successful
+    /// [`solve_with_basis`] of the same model and bounds left there. When
+    /// it holds none (the solve failed, or another solve rebuilt the
+    /// tableau since) or the root basis holds an artificial, every probe
+    /// runs cold.
+    ///
+    /// # Panics
+    ///
+    /// When the bound slices do not match the model's variable count.
+    pub fn new(
+        model: &'a Model,
+        lower: &[f64],
+        upper: &[f64],
+        options: SimplexOptions,
+        scratch: &'a mut SimplexScratch,
+    ) -> RootProbe<'a> {
+        let n = model.num_vars();
+        assert_eq!(lower.len(), n, "lower bounds arity");
+        assert_eq!(upper.len(), n, "upper bounds arity");
+        let warm = RootRows::new(model, lower, upper, scratch);
+        RootProbe {
+            model,
+            options,
+            scratch,
+            lower: lower.to_vec(),
+            upper: upper.to_vec(),
+            warm,
+            cold: SimplexScratch::new(),
+            counts: ProbeCounts::default(),
+        }
+    }
+
+    /// The probes run so far, by path.
+    #[must_use]
+    pub fn counts(&self) -> ProbeCounts {
+        self.counts
+    }
+
+    /// A lower bound on how much pinning `var` to `value` raises the root
+    /// LP's objective (in minimisation sense), read off the optimal
+    /// tableau with no pivot: the reduced cost of `var` when it is
+    /// nonbasic at its lower bound and `value` lies above, or of its
+    /// bound-row slack when `var` is nonbasic at its upper bound and
+    /// `value` lies below, times the distance moved. Every other case — a
+    /// basic `var`, or no resident tableau — reads `0.0`.
+    ///
+    /// The bound holds because every column of the tableau is nonnegative
+    /// and every reduced cost at the optimum is too: the objective of any
+    /// feasible point is the root's plus `Σ dₖ·xₖ` over the nonbasic
+    /// columns.
+    #[must_use]
+    pub fn reduced_cost(&self, var: VarId, value: f64) -> f64 {
+        let Some(rows) = &self.warm else {
+            return 0.0;
+        };
+        let t = &self.scratch.t;
+        let j = var.index();
+        let (l, u) = (self.lower[j], self.upper[j]);
+        let basic = |c: usize| t.basis[..t.m].contains(&c);
+        if value > l && !basic(j) {
+            return t.obj[j] * (value - l);
+        }
+        let b = rows.bound_row[j];
+        if value < u && b != NO_ROW && !basic(t.n + b) {
+            return t.obj[t.n + b] * (u - value);
+        }
+        0.0
+    }
+
+    /// Solves the LP relaxation with `var` pinned to `value` on top of the
+    /// current bounds: warm on the root tableau, which is then restored, or
+    /// cold where the tableau cannot take the pin (see [`RootProbe`]).
+    ///
+    /// # Errors
+    ///
+    /// [`IlpError::Infeasible`] when the pin leaves the LP infeasible, and
+    /// the errors of [`solve_with_bounds_scratch`] from a cold probe.
+    pub fn probe(&mut self, var: VarId, value: f64) -> Result<LpSolution, IlpError> {
+        let j = var.index();
+        if let Some(result) = self.probe_warm(j, value) {
+            self.counts.warm += 1;
+            return result;
+        }
+        self.counts.cold += 1;
+        let saved = (self.lower[j], self.upper[j]);
+        (self.lower[j], self.upper[j]) = (value, value);
+        // The cold solve rebuilds its scratch, so it must not run in the
+        // one holding a live root tableau.
+        let scratch = if self.warm.is_some() {
+            &mut self.cold
+        } else {
+            &mut *self.scratch
+        };
+        let result =
+            solve_with_bounds_scratch(self.model, &self.lower, &self.upper, self.options, scratch);
+        (self.lower[j], self.upper[j]) = saved;
+        result
+    }
+
+    /// The warm probe: patch, dual simplex, undo. `None` when the probe
+    /// must run cold instead.
+    fn probe_warm(&mut self, j: usize, value: f64) -> Option<Result<LpSolution, IlpError>> {
+        let rows = self.warm.as_mut()?;
+        let options = self.options;
+        let SimplexScratch { t, ops, .. } = &mut *self.scratch;
+        t.begin_probe();
+        let from = (self.lower[j], self.upper[j]);
+        if !rows.patch(self.model, t, j, from, (value, value)) {
+            t.undo_probe();
+            return None;
+        }
+        rows.freeze(j, true);
+        let mut iters = 0usize;
+        // The dual simplex keeps every movable column's reduced cost
+        // nonnegative, and the frozen ones are pinned at zero, so the
+        // vertex it stops at is optimal.
+        let result = match run_dual_simplex(t, &mut iters, options, ops, &rows.frozen) {
+            Ok(()) => {
+                let mut values = self.lower.clone();
+                values[j] = value;
+                for (r, &c) in t.basis[..t.m].iter().enumerate() {
+                    if c < t.n {
+                        values[c] += t.rhs[r];
+                    }
+                }
+                Some(Ok(LpSolution {
+                    objective: self.model.objective().eval(&values),
+                    values,
+                    iterations: iters,
+                }))
+            }
+            Err(IlpError::Infeasible) => Some(Err(IlpError::Infeasible)),
+            Err(_) => None,
+        };
+        rows.freeze(j, is_fixed(from.0, from.1));
+        t.undo_probe();
+        result
+    }
+
+    /// Pins `var` to `value` for the rest of the probing (and in the bounds
+    /// [`RootProbe::finish`] returns), as a permanent right-hand-side patch
+    /// of the root tableau. Branch-and-bound pins a binary at its root LP
+    /// value, which keeps the root vertex feasible and optimal. A pin the
+    /// tableau cannot take sends every later probe cold.
+    pub fn fix(&mut self, var: VarId, value: f64) {
+        let j = var.index();
+        let from = (self.lower[j], self.upper[j]);
+        if let Some(rows) = &mut self.warm {
+            if rows.patch(self.model, &mut self.scratch.t, j, from, (value, value)) {
+                rows.freeze(j, true);
+            } else {
+                self.warm = None;
+            }
+        }
+        (self.lower[j], self.upper[j]) = (value, value);
+    }
+
+    /// Ends probing: returns the bounds with every fix applied, and charges
+    /// the cold probes' simplex counters to the root scratch.
+    #[must_use]
+    pub fn finish(self) -> (Vec<f64>, Vec<f64>) {
+        // Node LPs reuse the scratch and never journal: hand the log's
+        // buffers back rather than carry them through the tree search.
+        self.scratch.t.journal = Journal::default();
+        self.scratch.ops.merge(self.cold.ops);
+        (self.lower, self.upper)
+    }
 }
 
 /// Ratio test over column `e`: the row with the smallest `rhs / a` over
@@ -1091,7 +1556,11 @@ fn ratio_test(
 /// tie-break relies on that — an alternative optimum surfacing only under
 /// a warm basis would otherwise leak the basis into the final selection.
 /// Node LPs skip it (they never start from a foreign basis, so the
-/// deterministic entering/leaving rules already make them reproducible).
+/// deterministic entering/leaving rules already make them reproducible),
+/// and so do [`RootProbe`] re-solves: a probe reports only its optimal
+/// objective (or infeasibility) to the pruning test, and the optimal
+/// objective is the same at every optimal vertex, so no vertex of a probe
+/// reaches a selection.
 fn lex_canonicalize(
     t: &mut Tableau,
     iters: &mut usize,
@@ -1168,16 +1637,20 @@ fn lex_canonicalize(
 /// Requires a dual-feasible cost row. The leaving row is the most negative
 /// rhs (ties to the lowest row index); the entering column minimises the
 /// dual ratio `|reduced cost / pivot|` over the row's negative entries
-/// (ties to the lowest column index — Bland-style, for determinism).
-/// Returns [`IlpError::Infeasible`] when a negative row has no negative
-/// entry; callers on the warm path treat that as a fallback trigger rather
-/// than a verdict.
+/// (ties to the lowest column index — Bland-style, for determinism),
+/// skipping the columns marked in `frozen` (shorter than the row: none),
+/// which the caller knows to be zero in every feasible point. Returns
+/// [`IlpError::Infeasible`] when a negative row has no negative entry in
+/// a movable column; [`try_warm_solve`] treats that as a fallback trigger,
+/// a [`RootProbe`] as a verdict.
 fn run_dual_simplex(
     t: &mut Tableau,
     iters: &mut usize,
     options: SimplexOptions,
     ops: &mut SimplexOps,
+    frozen: &[bool],
 ) -> Result<(), IlpError> {
+    let movable = |j: usize| frozen.get(j) != Some(&true);
     loop {
         *iters += 1;
         if *iters > options.max_iterations {
@@ -1201,7 +1674,7 @@ fn run_dual_simplex(
         };
         let mut enter: Option<(usize, f64)> = None;
         for &(j, a) in &t.rows[lr] {
-            if a < -EPS {
+            if a < -EPS && movable(j) {
                 let ratio = t.obj[j] / -a;
                 if ratio.is_nan() {
                     return Err(IlpError::NumericalInstability {
@@ -1691,6 +2164,76 @@ mod tests {
             ) => {}
             other => panic!("poisoned tableau must fail typed, got {other:?}"),
         }
+    }
+
+    /// Rows, column lists, right-hand sides and reduced costs, as bits.
+    type TableauBits = (Vec<Vec<(usize, u64)>>, Vec<Vec<usize>>, Vec<u64>, Vec<u64>);
+
+    /// Everything a probe may touch, bit for bit.
+    fn tableau_bits(t: &Tableau) -> TableauBits {
+        (
+            t.rows[..t.m]
+                .iter()
+                .map(|row| row.iter().map(|&(c, v)| (c, v.to_bits())).collect())
+                .collect(),
+            t.cols[..t.art0].to_vec(),
+            t.rhs
+                .iter()
+                .chain([&t.obj_rhs])
+                .map(|v| v.to_bits())
+                .collect(),
+            t.obj.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// Warm probes pivot on the root tableau and undo from the journal:
+    /// afterwards every row, column list (order included), right-hand
+    /// side, reduced cost and basic column is exactly as the root solve
+    /// left it.
+    #[test]
+    fn probes_leave_the_root_tableau_bit_identical() {
+        // min 4a + 3b + 5c + 2d + 6e  s.t. a knapsack-style cover row, a
+        // conflict row and a second cover: flips force dual pivots.
+        let mut m = Model::new(Sense::Minimize);
+        let v: Vec<VarId> = (0..5).map(|i| m.add_binary(format!("x{i}"))).collect();
+        m.set_objective(
+            v.iter()
+                .zip([4.0, 3.0, 5.0, 2.0, 6.0])
+                .map(|(&x, k)| (x, k)),
+        );
+        m.add_constraint(
+            v.iter()
+                .zip([3.0, 2.0, 4.0, 1.0, 5.0])
+                .map(|(&x, k)| (x, k)),
+            Relation::Ge,
+            6.5,
+        )
+        .unwrap();
+        m.add_constraint([(v[0], 1.0), (v[2], 1.0)], Relation::Le, 1.0)
+            .unwrap();
+        m.add_constraint([(v[1], 2.0), (v[3], 1.0), (v[4], 1.0)], Relation::Ge, 1.5)
+            .unwrap();
+        let opts = SimplexOptions::default();
+        let (lower, upper) = (vec![0.0; 5], vec![1.0; 5]);
+        let mut scratch = SimplexScratch::new();
+        let root = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
+        let before = tableau_bits(&scratch.t);
+        let basis_before = scratch.t.basis.clone();
+        let dual_before = scratch.ops().dual_pivots;
+        let mut prober = RootProbe::new(&m, &lower, &upper, opts, &mut scratch);
+        for (j, &x) in root.solution.values.iter().enumerate() {
+            for value in [0.0, 1.0] {
+                if (value - x).abs() > 1e-9 {
+                    let _ = prober.probe(VarId(j), value);
+                }
+            }
+        }
+        assert_eq!(prober.counts().cold, 0);
+        assert!(prober.counts().warm >= 5, "{:?}", prober.counts());
+        let _ = prober.finish();
+        assert!(scratch.ops().dual_pivots > dual_before, "probes must pivot");
+        assert_eq!(tableau_bits(&scratch.t), before);
+        assert_eq!(scratch.t.basis, basis_before);
     }
 
     #[test]

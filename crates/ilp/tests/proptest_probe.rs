@@ -1,0 +1,251 @@
+//! Property test: a root probe re-solved warm on the root tableau answers
+//! exactly what a cold solve of the same bounds answers.
+//!
+//! `RootProbe` pins a binary to its other bound by patching the root
+//! tableau's right-hand sides and repairing with the dual simplex, then
+//! undoes the probe's pivots. The oracle is the cold probe it replaces:
+//! `solve_with_bounds_scratch` on the current bounds with the binary
+//! pinned. Over random binary models with `≤`/`≥` rows, rows with negative
+//! right-hand sides (negated at build), both senses and chains of accepted
+//! fixes, every at-bound binary's warm probe must agree with the cold one
+//! on feasibility and on the objective within 1e-9 relative, and the
+//! reduced-cost screen must bound every feasible flip from below, so it can
+//! never fix a flip the cold probe keeps. Models with an equality row send
+//! exactly the probes that would patch it (a flip up of a variable in it)
+//! cold, and a fix that would patch it sends every later probe cold.
+
+use proptest::prelude::*;
+
+use partita_ilp::simplex::{
+    solve_with_basis, solve_with_bounds_scratch, ProbeCounts, RootProbe, SimplexOptions,
+    SimplexScratch,
+};
+use partita_ilp::{IlpError, LpSolution, Model, Relation, Sense, VarId};
+
+/// Root values within this of a bound count as at the bound (the
+/// branch-and-bound integrality tolerance).
+const AT_BOUND: f64 = 1e-6;
+
+/// One random model: per row `(coefficients, relation, rhs)`, the
+/// objective, the sense, and whether to add an equality row with the
+/// given coefficients.
+type Shape = (Vec<(Vec<i32>, bool, i32)>, Vec<i32>, bool, (bool, Vec<i32>));
+
+fn shape_strategy() -> impl Strategy<Value = (Shape, Vec<bool>)> {
+    (3usize..=8).prop_flat_map(|n| {
+        (
+            (
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(-4i32..5, n),
+                        any::<bool>(),
+                        -8i32..14,
+                    ),
+                    1..6,
+                ),
+                proptest::collection::vec(-5i32..6, n),
+                any::<bool>(),
+                (any::<bool>(), proptest::collection::vec(-1i32..2, n)),
+            ),
+            proptest::collection::vec(any::<bool>(), n),
+        )
+    })
+}
+
+/// Builds the all-binary model. Coefficients and right-hand sides are
+/// halves; a negative right-hand side makes the build negate the row.
+fn build(shape: &Shape) -> Model {
+    let (rows, objective, maximize, (with_eq, eq_coeffs)) = shape;
+    let mut m = Model::new(if *maximize {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    });
+    let ids: Vec<VarId> = (0..objective.len())
+        .map(|i| m.add_binary(format!("b{i}")))
+        .collect();
+    for (coeffs, ge, rhs) in rows {
+        let relation = if *ge { Relation::Ge } else { Relation::Le };
+        let terms: Vec<(VarId, f64)> = ids
+            .iter()
+            .zip(coeffs)
+            .map(|(&v, &k)| (v, f64::from(k) / 2.0))
+            .collect();
+        m.add_constraint(terms, relation, f64::from(*rhs) / 2.0)
+            .expect("finite row");
+    }
+    if *with_eq {
+        // `Σ k·x = 0` with `k ∈ {-1, 0, 1}`: the all-zero point satisfies
+        // it, so the row leaves the model feasible whenever the others do.
+        let terms: Vec<(VarId, f64)> = ids
+            .iter()
+            .zip(eq_coeffs)
+            .map(|(&v, &k)| (v, f64::from(k)))
+            .collect();
+        m.add_constraint(terms, Relation::Eq, 0.0)
+            .expect("finite row");
+    }
+    m.set_objective(ids.iter().zip(objective).map(|(&v, &k)| (v, f64::from(k))));
+    m
+}
+
+/// The minimisation-normalised objective the tableau prices in.
+fn norm(model: &Model, objective: f64) -> f64 {
+    match model.sense() {
+        Sense::Minimize => objective,
+        Sense::Maximize => -objective,
+    }
+}
+
+/// Whether variable `j` sits in an equality row.
+fn in_equality_row(model: &Model, j: usize) -> bool {
+    model.constraints().iter().any(|c| {
+        c.relation == Relation::Eq && c.expr.iter_terms().any(|(v, k)| v.index() == j && k != 0.0)
+    })
+}
+
+/// Feasibility and objective agree: both infeasible, or both optimal with
+/// objectives within 1e-9 relative.
+fn agree(warm: &Result<LpSolution, IlpError>, cold: &Result<LpSolution, IlpError>) -> bool {
+    match (warm, cold) {
+        (Ok(w), Ok(c)) => {
+            let scale = 1f64.max(w.objective.abs()).max(c.objective.abs());
+            (w.objective - c.objective).abs() <= 1e-9 * scale
+        }
+        (Err(w), Err(c)) => w == c,
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn warm_probes_match_cold_probes(case in shape_strategy()) {
+        let (shape, accept) = case;
+        let model = build(&shape);
+        let n = model.num_vars();
+        let options = SimplexOptions::default();
+        let mut lower = vec![0.0; n];
+        let mut upper = vec![1.0; n];
+        let mut scratch = SimplexScratch::new();
+        let Ok(root) = solve_with_basis(&model, &lower, &upper, options, &mut scratch, None) else {
+            return Ok(());
+        };
+        let z = norm(&model, root.solution.objective);
+        let artificial_basic = root.basis.is_none();
+        let mut cold_scratch = SimplexScratch::new();
+        let mut prober = RootProbe::new(&model, &lower, &upper, options, &mut scratch);
+        // Warm probing survives until a fix has to patch an equality row.
+        let mut warm_alive = !artificial_basic;
+        for j in 0..n {
+            let x = root.solution.values[j];
+            if lower[j] >= upper[j] || (x > AT_BOUND && x < 1.0 - AT_BOUND) {
+                continue;
+            }
+            let flipped = if x <= AT_BOUND { 1.0 } else { 0.0 };
+            let v = VarId(j);
+            let screen = z + prober.reduced_cost(v, flipped);
+            let before = prober.counts();
+            let warm = prober.probe(v, flipped);
+            let after = prober.counts();
+
+            let (saved_l, saved_u) = (lower[j], upper[j]);
+            (lower[j], upper[j]) = (flipped, flipped);
+            let cold = solve_with_bounds_scratch(&model, &lower, &upper, options, &mut cold_scratch);
+            (lower[j], upper[j]) = (saved_l, saved_u);
+
+            prop_assert!(agree(&warm, &cold), "x{} -> {}: warm {:?} cold {:?}", j, flipped, warm, cold);
+            if let Ok(c) = &cold {
+                let bound = norm(&model, c.objective);
+                prop_assert!(
+                    screen <= bound + 1e-9 * 1f64.max(bound.abs()),
+                    "x{} -> {}: screen {} above the flipped LP's {}", j, flipped, screen, bound
+                );
+            }
+            let expect_warm = warm_alive && !(flipped > x && in_equality_row(&model, j));
+            let want = if expect_warm {
+                ProbeCounts { warm: before.warm + 1, ..before }
+            } else {
+                ProbeCounts { cold: before.cold + 1, ..before }
+            };
+            prop_assert_eq!(after, want, "x{} -> {}", j, flipped);
+
+            if accept[j] {
+                // A fix at the root value keeps the root vertex optimal;
+                // lifting a lower bound through an equality row ends the
+                // warm path.
+                let kept = x.round();
+                prober.fix(v, kept);
+                if kept > 0.0 && in_equality_row(&model, j) {
+                    warm_alive = false;
+                }
+                (lower[j], upper[j]) = (kept, kept);
+            }
+        }
+        let (final_lower, final_upper) = prober.finish();
+        prop_assert_eq!(final_lower, lower);
+        prop_assert_eq!(final_upper, upper);
+    }
+}
+
+/// The equality-row fallback, deterministically: a flip up of a variable
+/// in an equality row runs cold, a flip down (bound row only) stays warm,
+/// and both answer what the LP says.
+#[test]
+fn equality_row_flip_up_takes_the_cold_fallback() {
+    // min 3a + b + c  s.t.  a − b = 0,  b + c ≥ 1.  Root: c = 1, a = b = 0.
+    let mut m = Model::new(Sense::Minimize);
+    let a = m.add_binary("a");
+    let b = m.add_binary("b");
+    let c = m.add_binary("c");
+    m.set_objective([(a, 3.0), (b, 1.0), (c, 1.0)]);
+    m.add_constraint([(a, 1.0), (b, -1.0)], Relation::Eq, 0.0)
+        .unwrap();
+    m.add_constraint([(b, 1.0), (c, 1.0)], Relation::Ge, 1.0)
+        .unwrap();
+    let options = SimplexOptions::default();
+    let (lower, upper) = (vec![0.0; 3], vec![1.0; 3]);
+    let mut scratch = SimplexScratch::new();
+    let root = solve_with_basis(&m, &lower, &upper, options, &mut scratch, None).unwrap();
+    assert_eq!(root.solution.values, vec![0.0, 0.0, 1.0]);
+    let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
+
+    // a ↑ 1 must patch the equality row: cold, and a + b = 2 costs 4.
+    let up = prober.probe(a, 1.0).unwrap();
+    assert!((up.objective - 4.0).abs() < 1e-9, "{up:?}");
+    assert_eq!(prober.counts(), ProbeCounts { warm: 0, cold: 1 });
+    // c ↓ 0 touches only c's bound row: warm, and forces b = a = 1.
+    let down = prober.probe(c, 0.0).unwrap();
+    assert!((down.objective - 4.0).abs() < 1e-9, "{down:?}");
+    assert_eq!(prober.counts(), ProbeCounts { warm: 1, cold: 1 });
+}
+
+/// A root basis with a stuck artificial (a duplicated equality row is
+/// redundant, so its artificial stays basic at zero) sends every probe
+/// cold, and the answers still match.
+#[test]
+fn basic_artificial_sends_every_probe_cold() {
+    let mut m = Model::new(Sense::Minimize);
+    let a = m.add_binary("a");
+    let b = m.add_binary("b");
+    m.set_objective([(a, 1.0), (b, 2.0)]);
+    for _ in 0..2 {
+        m.add_constraint([(a, 1.0), (b, 1.0)], Relation::Eq, 1.0)
+            .unwrap();
+    }
+    let options = SimplexOptions::default();
+    let (lower, upper) = (vec![0.0; 2], vec![1.0; 2]);
+    let mut scratch = SimplexScratch::new();
+    let root = solve_with_basis(&m, &lower, &upper, options, &mut scratch, None).unwrap();
+    assert!(
+        root.basis.is_none(),
+        "the redundant row keeps its artificial"
+    );
+    let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
+    assert_eq!(prober.reduced_cost(b, 1.0), 0.0, "no tableau, no screen");
+    let up = prober.probe(b, 1.0).unwrap();
+    assert!((up.objective - 2.0).abs() < 1e-9, "{up:?}");
+    assert_eq!(prober.probe(a, 0.0).unwrap().values, vec![0.0, 1.0]);
+    assert_eq!(prober.counts(), ProbeCounts { warm: 0, cold: 2 });
+}

@@ -181,7 +181,7 @@ fn problem2_never_worse_than_problem1() {
 /// is a breaking change to the bench output format.
 #[test]
 fn trace_json_lines_match_golden_schema() {
-    const GOLDEN_KEYS: [&str; 17] = [
+    const GOLDEN_KEYS: [&str; 20] = [
         "rg",
         "trace",
         "backend",
@@ -195,6 +195,9 @@ fn trace_json_lines_match_golden_schema() {
         "simplex_iterations",
         "warm_start_accepted",
         "vars_fixed",
+        "probes_screened",
+        "probes_warm",
+        "probes_cold",
         "threads",
         "worker_nodes",
         "imp_generation_us",
@@ -298,6 +301,12 @@ fn trace_json_round_trips_field_values() {
         trace.warm_start_accepted.to_string()
     );
     assert_eq!(field(&json, "vars_fixed"), trace.vars_fixed.to_string());
+    assert_eq!(
+        field(&json, "probes_screened"),
+        trace.probes_screened.to_string()
+    );
+    assert_eq!(field(&json, "probes_warm"), trace.probes_warm.to_string());
+    assert_eq!(field(&json, "probes_cold"), trace.probes_cold.to_string());
     assert_eq!(field(&json, "threads"), trace.threads.to_string());
     let workers: String = field(&json, "worker_nodes");
     assert_eq!(

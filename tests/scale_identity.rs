@@ -3,11 +3,18 @@
 //! `synth-table-0000` (about 480 variables × 1,300 rows) is solved at its
 //! three lowest sweep RGs with branch-and-bound capped at 45 nodes on one
 //! thread — the points the `scale` benchmark workload solves. The
-//! selection digest, the status, the node count, the tableau builds and
-//! every per-phase pivot counter are pinned. A simplex change that keeps
-//! the arithmetic on every nonzero tableau cell keeps all of them; one
-//! that reorders a pivot, a tie-break or a rounding step moves a pivot
-//! count first and the digest soon after.
+//! selection digest, the status, the node count, the binaries fixed by
+//! root probing, the tableau builds and every per-phase pivot counter are
+//! pinned. A simplex change that keeps the arithmetic on every nonzero
+//! tableau cell keeps all of them; one that reorders a pivot, a tie-break
+//! or a rounding step moves a pivot count first and the digest soon after,
+//! and a probe that decides a flip differently moves `vars_fixed` by name.
+//!
+//! Root probes re-solve on the root tableau with the dual simplex (46 of
+//! the 96 are settled by the reduced-cost screen with no LP), so each point
+//! builds one tableau per node and no more: the 32 cold probe builds per
+//! point and their two-phase pivots are gone, and the dual pivots are the
+//! warm probes'.
 //!
 //! CI also runs this gate in release mode with the corpus gates, so it
 //! pins the optimised build's arithmetic too.
@@ -25,6 +32,7 @@ struct Pinned {
     status: &'static str,
     digest: u64,
     nodes: usize,
+    vars_fixed: usize,
     builds: usize,
     phase1: usize,
     phase2: usize,
@@ -38,30 +46,33 @@ const PINNED: [Pinned; 3] = [
         status: "optimal",
         digest: 0x0485_c51b_609e_141c,
         nodes: 41,
-        builds: 73,
-        phase1: 1389,
-        phase2: 804,
-        dual: 0,
+        vars_fixed: 32,
+        builds: 41,
+        phase1: 889,
+        phase2: 555,
+        dual: 15,
         lex: 0,
     },
     Pinned {
         status: "feasible_budget_exhausted",
         digest: 0x30d4_81cc_e147_2be0,
         nodes: 45,
-        builds: 77,
-        phase1: 1087,
-        phase2: 771,
-        dual: 0,
+        vars_fixed: 22,
+        builds: 45,
+        phase1: 561,
+        phase2: 437,
+        dual: 17,
         lex: 0,
     },
     Pinned {
         status: "feasible_budget_exhausted",
         digest: 0x52cd_4b11_9648_eb99,
         nodes: 45,
-        builds: 77,
-        phase1: 2060,
-        phase2: 1381,
-        dual: 0,
+        vars_fixed: 9,
+        builds: 45,
+        phase1: 1405,
+        phase2: 818,
+        dual: 32,
         lex: 0,
     },
 ];
@@ -89,6 +100,7 @@ fn synth_table_capped_solves_keep_their_digests_and_pivots() {
             sel.status.to_string(),
             selection_digest(&sel),
             t.nodes_explored,
+            t.vars_fixed,
             t.tableau_builds,
             t.phase1_pivots,
             t.phase2_pivots,
@@ -99,6 +111,7 @@ fn synth_table_capped_solves_keep_their_digests_and_pivots() {
             want.status.to_string(),
             want.digest,
             want.nodes,
+            want.vars_fixed,
             want.builds,
             want.phase1,
             want.phase2,
@@ -108,7 +121,7 @@ fn synth_table_capped_solves_keep_their_digests_and_pivots() {
         assert_eq!(
             got,
             pinned,
-            "rg {} (sweep index {k}): (status, digest, nodes, builds, phase-1, phase-2, dual, lex pivots)",
+            "rg {} (sweep index {k}): (status, digest, nodes, vars fixed, builds, phase-1, phase-2, dual, lex pivots)",
             rg.get()
         );
     }
