@@ -1,21 +1,19 @@
 //! Incremental re-solve: patch the built ILP in place and repair the
-//! retained simplex basis instead of re-running build + formulate + cold
+//! retained simplex basis instead of re-running formulate + cold
 //! branch-and-bound.
 //!
 //! The paper's exploration loop (§5) is interactive: the designer nudges
-//! one knob — the required gain, the IP library, the admissible interface
-//! types — and re-solves. Structurally the patched problem is almost the
-//! old one, and [`DeltaSession`] exploits that at three layers:
+//! the required gain and re-solves. The patched problem is the old one with
+//! new right-hand sides, and [`DeltaSession`] exploits that at three layers:
 //!
-//! 1. **Model patching.** The session formulates once through the
-//!    formulation layer's delta mode: every path's gain row is emitted
-//!    (indexed) even at requirement zero, and every IMP keeps a column.
-//!    A required-gain edit then touches only right-hand sides; retiring or
-//!    restoring IMPs touches only variable bounds. The constraint matrix
-//!    never changes shape.
-//! 2. **Basis repair.** A shape-stable patch keeps the previous optimal
-//!    basis dual-feasible, so the next root LP re-installs it and runs a
-//!    handful of dual-simplex pivots instead of two full primal phases
+//! 1. **Model patching.** The session formulates once through
+//!    [`crate::Solver`]'s own formulation, which emits every path's gain row
+//!    (even at requirement zero) and records its index. A required-gain
+//!    edit then rewrites only those right-hand sides; the patched model is
+//!    the model a cold solve of the new requirement builds.
+//! 2. **Basis repair.** An RHS patch keeps the previous optimal basis
+//!    dual-feasible, so the next root LP re-installs it and runs a handful
+//!    of dual-simplex pivots instead of two full primal phases
 //!    ([`partita_ilp::solve_with_basis`]). A basis the repair cannot use
 //!    falls back to a cold factorization — silently, and never to a bogus
 //!    "infeasible".
@@ -29,11 +27,8 @@
 //! its RGs through a `DeltaSession`, and so does the solve daemon.
 //!
 //! None of it changes answers: [`DeltaSession::resolve`] returns the same
-//! selection as a cold [`crate::Solver`] solve of the patched instance
-//! and database (same lexicographically-smallest optimum; audits clean).
-//! Structural edits that do grow the matrix — adding an IP — honestly
-//! rebuild instead (see [`InstanceDelta::AddIp`]), as does any mask edit
-//! under Problem 1, whose same-way tie rows depend on which IMPs are live.
+//! selection as a cold [`crate::Solver`] solve of the patched requirement
+//! (same lexicographically-smallest optimum; audits clean).
 //!
 //! ```
 //! use partita_core::{delta::{DeltaSession, InstanceDelta}, ImpDb, Instance,
@@ -59,7 +54,7 @@
 //! let mut session = DeltaSession::new(instance, db, base)?;
 //! let first = session.resolve()?;
 //! session.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(500))))?;
-//! let second = session.resolve()?; // RHS patch + basis repair, not a rebuild
+//! let second = session.resolve()?; // RHS patch + basis repair
 //! assert!(second.total_gain() >= Cycles(500));
 //! # let _ = first;
 //! # Ok(())
@@ -69,11 +64,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partita_interface::InterfaceKind;
-use partita_ip::{IpBlock, IpId};
 use partita_mop::Cycles;
 
-use crate::formulate::{build_model_delta, DeltaFormulation};
+use crate::formulate::{build_model, Formulation};
 use crate::solver::solve_prepared;
 use crate::telemetry::{Event, TelemetrySink};
 use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
@@ -81,34 +74,10 @@ use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, 
 /// One incremental edit to a solve session's problem.
 #[derive(Debug, Clone)]
 pub enum InstanceDelta {
-    /// Change the required gains. A pure right-hand-side patch of the
-    /// always-emitted gain rows — the cheapest delta, and the one a
-    /// descending-RG sweep applies point after point.
+    /// Change the required gains: a pure right-hand-side patch of the
+    /// always-emitted gain rows, the edit a descending-RG sweep applies
+    /// point after point.
     SetRg(RequiredGains),
-    /// Remove an IP block from consideration: every IMP using it is
-    /// retired (columns pinned to zero). The block itself stays in the
-    /// library, so ids, areas and provenance lookups are untouched — it
-    /// simply can no longer be selected.
-    RemoveIp(IpId),
-    /// Add an IP block to the library and generate its IMPs. The matrix
-    /// grows columns, so this is the one delta that forces a cold rebuild
-    /// of the formulation on the next [`DeltaSession::resolve`].
-    AddIp(IpBlock),
-    /// Allow (`true`) or ban (`false`) an interface kind: every IMP built
-    /// on that kind is restored or retired via bound patches.
-    SetInterfaceKind(InterfaceKind, bool),
-}
-
-impl InstanceDelta {
-    /// The telemetry label of this delta's operation.
-    fn op(&self) -> &'static str {
-        match self {
-            InstanceDelta::SetRg(_) => "set_rg",
-            InstanceDelta::RemoveIp(_) => "remove_ip",
-            InstanceDelta::AddIp(_) => "add_ip",
-            InstanceDelta::SetInterfaceKind(..) => "set_interface_kind",
-        }
-    }
 }
 
 /// A stateful incremental solve session. See the module docs.
@@ -116,7 +85,7 @@ pub struct DeltaSession {
     instance: Arc<Instance>,
     db: Arc<ImpDb>,
     options: SolveOptions,
-    form: DeltaFormulation,
+    form: Formulation,
     /// Retained root-LP basis of the previous resolve.
     basis: Option<Arc<partita_ilp::Basis>>,
     /// Previous optimum, seeded into the next resolve as a warm-start hint.
@@ -124,11 +93,8 @@ pub struct DeltaSession {
     /// Whether the last resolve seeded its predecessor's optimum (`None`
     /// when it had no predecessor to decide on).
     chained: Option<bool>,
-    /// Wall time of a formulation not yet charged to a resolve's trace.
+    /// Wall time of the formulation not yet charged to a resolve's trace.
     formulation: Duration,
-    /// Set by structural deltas; the next resolve reformulates from
-    /// scratch and drops the retained basis.
-    needs_rebuild: bool,
     sink: Option<Arc<dyn TelemetrySink>>,
 }
 
@@ -137,19 +103,16 @@ impl std::fmt::Debug for DeltaSession {
         f.debug_struct("DeltaSession")
             .field("instance", &self.instance.name)
             .field("imps", &self.db.len())
-            .field("active_imps", &self.db.active_len())
             .field("basis", &self.basis.as_ref().map(|b| b.num_rows()))
-            .field("needs_rebuild", &self.needs_rebuild)
             .finish()
     }
 }
 
 impl DeltaSession {
-    /// Formulates the patchable model for `(instance, db, options)`.
+    /// Formulates the model for `(instance, db, options)`.
     ///
     /// Both the instance and the database are taken by `Arc` (plain values
-    /// convert) — the session shares rather than copies them, and only
-    /// structural deltas ever clone-on-write.
+    /// convert); the session shares rather than copies them.
     ///
     /// # Errors
     ///
@@ -163,7 +126,7 @@ impl DeltaSession {
         let instance = instance.into();
         let db = db.into();
         let started = Instant::now();
-        let form = build_model_delta(
+        let form = build_model(
             &instance,
             &db,
             options.problem,
@@ -179,14 +142,12 @@ impl DeltaSession {
             prev: None,
             chained: None,
             formulation: started.elapsed(),
-            needs_rebuild: false,
             sink: None,
         })
     }
 
-    /// Routes this session's telemetry ([`Event::ModelPatched`],
-    /// [`Event::ChainDecision`], [`Event::BasisReused`], and the inner
-    /// solves) to `sink` instead of the process-wide
+    /// Routes this session's telemetry ([`Event::ChainDecision`] and the
+    /// inner solves) to `sink` instead of the process-wide
     /// [`crate::telemetry::global`] sink.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> DeltaSession {
@@ -194,13 +155,13 @@ impl DeltaSession {
         self
     }
 
-    /// The current (patched) instance.
+    /// The session's instance.
     #[must_use]
     pub fn instance(&self) -> &Arc<Instance> {
         &self.instance
     }
 
-    /// The current (patched) IMP database.
+    /// The session's IMP database.
     #[must_use]
     pub fn db(&self) -> &Arc<ImpDb> {
         &self.db
@@ -210,14 +171,6 @@ impl DeltaSession {
     #[must_use]
     pub fn options(&self) -> &SolveOptions {
         &self.options
-    }
-
-    /// `true` when the next [`DeltaSession::resolve`] must reformulate
-    /// instead of patching (after [`InstanceDelta::AddIp`], or any mask
-    /// edit under Problem 1).
-    #[must_use]
-    pub fn needs_rebuild(&self) -> bool {
-        self.needs_rebuild
     }
 
     /// Whether the last [`DeltaSession::resolve`] seeded its predecessor's
@@ -231,137 +184,23 @@ impl DeltaSession {
         crate::telemetry::resolve(self.sink.as_ref())
     }
 
-    fn emit_patch(&self, op: &str, mode: &str, rows_touched: usize, cols_retired: usize) {
-        let sink = self.sink();
-        if sink.enabled() {
-            sink.emit(&Event::ModelPatched {
-                instance: self.instance.name.clone(),
-                op: op.to_string(),
-                mode: mode.to_string(),
-                rows_touched,
-                cols_retired,
-            });
-        }
-    }
-
-    /// Applies one edit to the session's problem, patching the built model
-    /// in place where the matrix shape allows it.
+    /// Applies one edit to the session's problem by patching the built
+    /// model in place.
     ///
     /// # Errors
     ///
     /// Internal patch errors ([`CoreError::Ilp`]) — e.g. a gain-row index
     /// drifting out of range, which would indicate a bug, not bad input.
-    /// Unknown ids in [`InstanceDelta::RemoveIp`] /
-    /// [`InstanceDelta::SetInterfaceKind`] are no-ops, matching how a
-    /// cold solve treats an IP nothing references.
     pub fn apply(&mut self, delta: InstanceDelta) -> Result<(), CoreError> {
-        let op = delta.op();
-        match delta {
-            InstanceDelta::SetRg(gains) => {
-                self.options.gains = gains;
-                let mut rows = 0usize;
-                if !self.needs_rebuild {
-                    for &(path, row) in &self.form.gain_rows {
-                        let rhs = self.options.gains.for_path(path).get() as f64;
-                        self.form
-                            .model
-                            .set_constraint_rhs(row, rhs)
-                            .map_err(CoreError::Ilp)?;
-                        rows += 1;
-                    }
-                }
-                let mode = if self.needs_rebuild {
-                    "rebuild"
-                } else {
-                    "patch"
-                };
-                self.emit_patch(op, mode, rows, 0);
-            }
-            InstanceDelta::RemoveIp(ip) => {
-                let ids: Vec<crate::ImpId> = self
-                    .db
-                    .imps()
-                    .iter()
-                    .filter(|imp| imp.ips.contains(&ip) && self.db.is_active(imp.id))
-                    .map(|imp| imp.id)
-                    .collect();
-                self.retire_cols(op, &ids, true)?;
-            }
-            InstanceDelta::AddIp(block) => {
-                let inst = Arc::make_mut(&mut self.instance);
-                let id = inst.library.add(block);
-                let added = Arc::make_mut(&mut self.db).extend_for_ip(&self.instance, id);
-                // New columns change the matrix shape: reformulate on the
-                // next resolve, and drop the now-incompatible basis early
-                // (compatibility would reject it anyway).
-                self.needs_rebuild = true;
-                self.basis = None;
-                self.emit_patch(op, "rebuild", 0, 0);
-                let _ = added;
-            }
-            InstanceDelta::SetInterfaceKind(kind, enabled) => {
-                let ids: Vec<crate::ImpId> = self
-                    .db
-                    .imps()
-                    .iter()
-                    .filter(|imp| imp.interface == kind && self.db.is_active(imp.id) != enabled)
-                    .map(|imp| imp.id)
-                    .collect();
-                self.retire_cols(op, &ids, !enabled)?;
-            }
+        let InstanceDelta::SetRg(gains) = delta;
+        self.options.gains = gains;
+        for &(path, row) in &self.form.gain_rows {
+            let rhs = self.options.gains.for_path(path).get() as f64;
+            self.form
+                .model
+                .set_constraint_rhs(row, rhs)
+                .map_err(CoreError::Ilp)?;
         }
-        Ok(())
-    }
-
-    /// Retires (`retire == true`) or restores the given IMPs: mask the
-    /// database and patch the matching column bounds. Under Problem 1 the
-    /// mask shapes the same-way tie rows, so the patch is demoted to a
-    /// rebuild.
-    fn retire_cols(
-        &mut self,
-        op: &str,
-        ids: &[crate::ImpId],
-        retire: bool,
-    ) -> Result<(), CoreError> {
-        let db = Arc::make_mut(&mut self.db);
-        for &id in ids {
-            if retire {
-                db.retire(id);
-            } else {
-                db.restore(id);
-            }
-        }
-        if self.options.problem == crate::ProblemKind::Problem1 && !ids.is_empty() {
-            self.needs_rebuild = true;
-        }
-        let mut cols = 0usize;
-        if !self.needs_rebuild {
-            let (lo, hi) = if retire { (0.0, 0.0) } else { (0.0, 1.0) };
-            for &id in ids {
-                if let Some(v) = self.form.map.x[id.index()] {
-                    self.form
-                        .model
-                        .set_var_bounds(v, lo, hi)
-                        .map_err(CoreError::Ilp)?;
-                    cols += 1;
-                }
-            }
-        }
-        // A retired IMP invalidates a previous optimum that used it; keep
-        // the hint only while it remains assembled from live IMPs.
-        if retire {
-            if let Some(prev) = &self.prev {
-                if prev.chosen().iter().any(|imp| ids.contains(&imp.id)) {
-                    self.prev = None;
-                }
-            }
-        }
-        let mode = if self.needs_rebuild {
-            "rebuild"
-        } else {
-            "patch"
-        };
-        self.emit_patch(op, mode, 0, cols);
         Ok(())
     }
 
@@ -371,31 +210,16 @@ impl DeltaSession {
     /// [`DeltaSession::instance`] + [`DeltaSession::db`] with the current
     /// options (and passes the same audit).
     ///
-    /// The previous optimum is seeded only when every IMP it uses is still
-    /// live and it meets the current requirement ([`Selection::verify`]);
-    /// each such decision is reported as an [`Event::ChainDecision`]. The
-    /// wall time of the formulation this resolve runs on (the one built by
-    /// [`DeltaSession::new`], or the rebuild a structural delta forced) is
-    /// charged to its trace.
+    /// The previous optimum is seeded only when it meets the current
+    /// requirement ([`Selection::verify`]); each such decision is reported
+    /// as an [`Event::ChainDecision`]. The wall time of the formulation
+    /// [`DeltaSession::new`] built is charged to the first resolve's trace.
     ///
     /// # Errors
     ///
     /// Exactly those of [`crate::Solver::solve`] on the patched problem —
     /// including [`CoreError::Infeasible`] when the edits made it so.
     pub fn resolve(&mut self) -> Result<Selection, CoreError> {
-        if self.needs_rebuild {
-            let started = Instant::now();
-            self.form = build_model_delta(
-                &self.instance,
-                &self.db,
-                self.options.problem,
-                &self.options.gains,
-                self.options.power_budget_mw,
-            )?;
-            self.formulation += started.elapsed();
-            self.basis = None;
-            self.needs_rebuild = false;
-        }
         let mut options = self.options.clone();
         options.root_basis = self.basis.clone();
         self.chained = None;
@@ -405,10 +229,8 @@ impl DeltaSession {
                 // feasible, but verify independently anyway so an
                 // out-of-order walk, a non-uniform requirement or a
                 // budget-exhausted predecessor can never inject a bogus
-                // incumbent. The active-mask filter skips seeds that use a
-                // retired IMP.
-                let accepted = prev.chosen().iter().all(|imp| self.db.is_active(imp.id))
-                    && prev.verify(&self.instance, &options).is_ok();
+                // incumbent.
+                let accepted = prev.verify(&self.instance, &options).is_ok();
                 if accepted {
                     options.hint = Some(prev.chosen().iter().map(|imp| imp.id).collect());
                 }
@@ -422,7 +244,6 @@ impl DeltaSession {
                 }
             }
         }
-        let supplied_rows = options.root_basis.as_ref().map(|b| b.num_rows());
         let trace = SolveTrace {
             formulation: std::mem::take(&mut self.formulation),
             ..SolveTrace::default()
@@ -430,53 +251,16 @@ impl DeltaSession {
         let (sel, basis) = solve_prepared(
             &self.instance,
             &self.db,
-            &self.form.model,
-            &self.form.map,
+            &self.form,
             &options,
             trace,
             self.sink(),
         )?;
-        if let Some(rows) = supplied_rows {
-            let sink = self.sink();
-            if sink.enabled() {
-                sink.emit(&Event::BasisReused {
-                    accepted: sel.trace.basis_reused,
-                    rows,
-                });
-            }
-        }
         if basis.is_some() {
             self.basis = basis;
         }
         self.prev = Some(sel.clone());
         Ok(sel)
-    }
-
-    /// Applies a sequence of deltas, then resolves — the common
-    /// edit-and-look loop as one call.
-    ///
-    /// # Errors
-    ///
-    /// The first [`DeltaSession::apply`] error, else the
-    /// [`DeltaSession::resolve`] error.
-    pub fn apply_all(
-        &mut self,
-        deltas: impl IntoIterator<Item = InstanceDelta>,
-    ) -> Result<Selection, CoreError> {
-        for d in deltas {
-            self.apply(d)?;
-        }
-        self.resolve()
-    }
-}
-
-/// The uniform required gain a session currently targets, when uniform —
-/// a convenience for drivers chaining [`InstanceDelta::SetRg`] sweeps.
-impl DeltaSession {
-    /// See [`RequiredGains::as_uniform`].
-    #[must_use]
-    pub fn uniform_rg(&self) -> Option<Cycles> {
-        self.options.gains.as_uniform()
     }
 }
 
@@ -485,12 +269,12 @@ mod tests {
     use super::*;
     use crate::verify::SelectionAuditor;
     use crate::{Imp, ParallelChoice, SCall, Solver};
-    use partita_interface::TransferJob;
-    use partita_ip::IpFunction;
-    use partita_mop::AreaTenths;
+    use partita_interface::{InterfaceKind, TransferJob};
+    use partita_ip::{IpBlock, IpFunction};
+    use partita_mop::{AreaTenths, PathId};
 
     /// Three fir() s-calls, two alternative IPs with distinct areas, one
-    /// path — enough structure for every delta kind to bite.
+    /// path — enough structure for the gain rows to bind.
     fn rig(name: &str) -> (Instance, ImpDb) {
         let mut inst = Instance::new(name);
         let cheap = inst.library.add(
@@ -571,7 +355,6 @@ mod tests {
         for rg in [1200u64, 1800, 2400, 600] {
             s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(rg))))
                 .unwrap();
-            assert!(!s.needs_rebuild(), "SetRg must stay a patch");
             let sel = s.resolve().unwrap();
             assert!(sel.total_gain() >= Cycles(rg));
             assert_matches_cold(&sel, &s);
@@ -599,77 +382,35 @@ mod tests {
         assert!(reused >= 1, "no RHS patch repaired the retained basis");
     }
 
+    /// The session's patched model is the model a cold solve builds, step
+    /// for step — including a path whose requirement is zero, whose gain
+    /// row both formulations keep.
     #[test]
-    fn remove_ip_retires_columns_and_matches_cold() {
-        let (inst, db) = rig("rm");
-        let cheap = inst.library.block_by_name("fir_cheap").unwrap().id();
-        let mut s = DeltaSession::new(
-            inst,
-            db,
-            SolveOptions::problem2(RequiredGains::uniform(Cycles(1800))),
-        )
-        .unwrap();
-        // At RG 1800 the area-minimal optimum is all-cheap (3 x 600 exactly).
-        let with_cheap = s.resolve().unwrap();
-        assert!(with_cheap
-            .chosen()
-            .iter()
-            .any(|imp| imp.ips.contains(&cheap)));
-        s.apply(InstanceDelta::RemoveIp(cheap)).unwrap();
-        assert!(!s.needs_rebuild(), "RemoveIp must stay a bound patch");
-        assert_eq!(s.db().active_len(), 3);
-        let without = s.resolve().unwrap();
-        assert!(without.chosen().iter().all(|imp| !imp.ips.contains(&cheap)));
-        assert_matches_cold(&without, &s);
-    }
-
-    #[test]
-    fn banned_interface_kind_round_trips() {
-        let (inst, db) = rig("kind");
-        let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(1200)));
-        let mut s = DeltaSession::new(inst, db, opts).unwrap();
-        let open = s.resolve().unwrap();
-        s.apply(InstanceDelta::SetInterfaceKind(InterfaceKind::Type3, false))
-            .unwrap();
-        let banned = s.resolve().unwrap();
-        assert!(banned
-            .chosen()
-            .iter()
-            .all(|imp| imp.interface != InterfaceKind::Type3));
-        assert_matches_cold(&banned, &s);
-        s.apply(InstanceDelta::SetInterfaceKind(InterfaceKind::Type3, true))
-            .unwrap();
-        let restored = s.resolve().unwrap();
-        assert_eq!(restored.chosen(), open.chosen());
-        assert_eq!(restored.total_area(), open.total_area());
-        assert_matches_cold(&restored, &s);
-    }
-
-    #[test]
-    fn add_ip_forces_rebuild_and_matches_cold() {
-        let (inst, db) = rig("add");
-        let mut s = DeltaSession::new(
-            inst,
-            db,
-            SolveOptions::problem2(RequiredGains::uniform(Cycles(1200))),
-        )
-        .unwrap();
-        s.resolve().unwrap();
-        let before = s.db().len();
-        s.apply(InstanceDelta::AddIp(
-            IpBlock::builder("fir_tiny")
-                .function(IpFunction::Fir)
-                .rates(4, 4)
-                .latency(8)
-                .area(AreaTenths::from_units(1))
-                .build(),
-        ))
-        .unwrap();
-        assert!(s.needs_rebuild(), "AddIp must rebuild");
-        assert!(s.db().len() > before, "new IMPs were generated");
-        let sel = s.resolve().unwrap();
-        assert!(!s.needs_rebuild(), "rebuild consumed");
-        assert_matches_cold(&sel, &s);
+    fn patched_model_equals_cold_formulation() {
+        let (mut inst, db) = rig("one-formulation");
+        let first = inst.scalls[0].id;
+        inst.add_path(vec![first]);
+        let per_path = |a: u64, b: u64| {
+            RequiredGains::per_path(vec![(PathId(0), Cycles(a)), (PathId(1), Cycles(b))])
+        };
+        let mut s =
+            DeltaSession::new(inst, db, SolveOptions::problem2(per_path(1800, 600))).unwrap();
+        let walk = [
+            per_path(1200, 0),
+            RequiredGains::uniform(Cycles(900)),
+            RequiredGains::per_path(vec![(PathId(0), Cycles(600))]),
+            RequiredGains::uniform(Cycles::ZERO),
+            per_path(0, 900),
+        ];
+        for gains in walk {
+            s.apply(InstanceDelta::SetRg(gains)).unwrap();
+            let cold = Solver::new(s.instance())
+                .with_imps(Arc::clone(s.db()))
+                .formulate(s.options())
+                .unwrap();
+            assert_eq!(s.form.model, cold, "at {:?}", s.options().gains);
+            s.resolve().unwrap();
+        }
     }
 
     #[test]
@@ -693,20 +434,6 @@ mod tests {
             patched.trace.formulation,
             Duration::ZERO,
             "an RHS patch formulates nothing"
-        );
-        s.apply(InstanceDelta::AddIp(
-            IpBlock::builder("fir_tiny")
-                .function(IpFunction::Fir)
-                .rates(4, 4)
-                .latency(8)
-                .area(AreaTenths::from_units(1))
-                .build(),
-        ))
-        .unwrap();
-        let rebuilt = s.resolve().unwrap();
-        assert!(
-            rebuilt.trace.formulation > Duration::ZERO,
-            "the rebuild after AddIp is charged to the resolve that ran it"
         );
     }
 

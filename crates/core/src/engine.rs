@@ -570,7 +570,7 @@ mod tests {
             decode: Duration::from_micros(40),
         };
         let json = crate::telemetry::Event::SolveFinished { trace }.to_json();
-        assert!(json.starts_with("{\"schema\":3,\"event\":\"solve_finished\""));
+        assert!(json.starts_with("{\"schema\":4,\"event\":\"solve_finished\""));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"backend\":\"branch_bound\""));
         assert!(json.contains("\"status\":\"optimal\""));

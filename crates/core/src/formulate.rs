@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use partita_ilp::{fixed_charge, Model, Relation, Sense, VarId};
 use partita_ip::IpId;
-use partita_mop::{Cycles, PathId};
+use partita_mop::PathId;
 
 use crate::solver::{ProblemKind, RequiredGains};
 use crate::{sc_pc_conflicts, CoreError, ImpDb, ImpId, Instance, ParallelChoice};
@@ -13,21 +13,19 @@ use crate::{sc_pc_conflicts, CoreError, ImpDb, ImpId, Instance, ParallelChoice};
 #[derive(Debug, Clone)]
 pub(crate) struct VarMap {
     /// `x_ij` per IMP; `None` when the IMP is excluded (Problem 1 filters,
-    /// or retired in the database at build time outside delta mode).
+    /// or retired in the database).
     pub x: Vec<Option<VarId>>,
     /// `z_k` per IP that any active IMP uses.
     pub z: BTreeMap<IpId, VarId>,
 }
 
-/// A model built for in-place patching by the incremental layer
-/// ([`crate::delta`]): gain rows are always emitted (and indexed), and
-/// retired IMPs keep their columns, pinned to zero by bounds.
+/// The built ILP, its variable map, and the constraint index of every
+/// path's gain row, so a required-gain edit ([`crate::delta`]) is a pure
+/// right-hand-side patch.
 #[derive(Debug, Clone)]
-pub(crate) struct DeltaFormulation {
+pub(crate) struct Formulation {
     pub model: Model,
     pub map: VarMap,
-    /// Constraint index of every path's gain row, so a required-gain edit
-    /// is a pure right-hand-side patch.
     pub gain_rows: Vec<(PathId, usize)>,
 }
 
@@ -35,7 +33,9 @@ pub(crate) struct DeltaFormulation {
 ///
 /// Constraints:
 /// * Eq. 1 — at most one IMP per s-call;
-/// * Eq. 2 — per-path required gain;
+/// * Eq. 2 — per-path required gain, one row for every path even at
+///   requirement zero (`Σ g·x ≥ 0` is redundant, so selections are
+///   unaffected), which keeps the shape independent of the requirement;
 /// * fixed-charge links `Σ_ij s_ijk·x_ij ≤ M·z_k` (Taha \[10\]);
 /// * Problem 2 only: SC-PC conflict pairs `x_a + x_b ≤ 1`;
 /// * Problem 1 only: SwScalls IMPs are excluded, and s-calls to the same
@@ -51,94 +51,29 @@ pub(crate) fn build_model(
     problem: ProblemKind,
     gains: &RequiredGains,
     power_budget_mw: Option<u64>,
-) -> Result<(Model, VarMap), CoreError> {
-    let (model, map, _) = build_model_impl(instance, db, problem, gains, power_budget_mw, false)?;
-    Ok((model, map))
-}
-
-/// Builds the patchable variant of [`build_model`] for the incremental
-/// layer. Two deliberate differences:
-///
-/// * Every path's gain row is emitted even when its requirement is zero
-///   (`Σ g·x ≥ 0` is redundant, so selections are unaffected), and its
-///   constraint index is recorded — a required-gain edit becomes a pure
-///   RHS patch that keeps the tableau shape, and with it any retained
-///   simplex basis, intact.
-/// * Retired IMPs keep their columns and row coefficients but are pinned
-///   to zero by variable bounds — retiring or restoring an IMP later is a
-///   pure bound patch. Since a pinned column contributes nothing to any
-///   row, selections match the mask-filtered cold model (the surviving
-///   columns appear in the same order, so the branch-and-bound
-///   lexicographic tie-break agrees too).
-pub(crate) fn build_model_delta(
-    instance: &Instance,
-    db: &ImpDb,
-    problem: ProblemKind,
-    gains: &RequiredGains,
-    power_budget_mw: Option<u64>,
-) -> Result<DeltaFormulation, CoreError> {
-    let (model, map, gain_rows) =
-        build_model_impl(instance, db, problem, gains, power_budget_mw, true)?;
-    Ok(DeltaFormulation {
-        model,
-        map,
-        gain_rows,
-    })
-}
-
-/// The built ILP, its variable map, and the (path, gain-row index) table
-/// the delta layer patches.
-type BuiltModel = (Model, VarMap, Vec<(PathId, usize)>);
-
-fn build_model_impl(
-    instance: &Instance,
-    db: &ImpDb,
-    problem: ProblemKind,
-    gains: &RequiredGains,
-    power_budget_mw: Option<u64>,
-    delta: bool,
-) -> Result<BuiltModel, CoreError> {
+) -> Result<Formulation, CoreError> {
     if db.is_empty() {
         return Err(CoreError::NoImps);
     }
     let mut model = Model::new(Sense::Minimize);
-
-    // Row terms come from the unmasked IMP list in delta mode (retired
-    // columns are pinned by bounds instead, below) and the masked one
-    // otherwise.
-    let imps_of = |sc| {
-        if delta {
-            db.for_scall_all(sc)
-        } else {
-            db.for_scall(sc)
-        }
-    };
 
     // Decision variables x_ij.
     let mut x: Vec<Option<VarId>> = Vec::with_capacity(db.len());
     for imp in db.imps() {
         let excluded = (problem == ProblemKind::Problem1
             && matches!(imp.parallel, ParallelChoice::SwScalls(_)))
-            || (!delta && !db.is_active(imp.id));
+            || !db.is_active(imp.id);
         if excluded {
             x.push(None);
         } else {
             x.push(Some(model.add_binary(format!("x_{}", imp.id))));
         }
     }
-    if delta {
-        for imp in db.imps() {
-            if !db.is_active(imp.id) {
-                if let Some(v) = x[imp.id.index()] {
-                    model.set_var_bounds(v, 0.0, 0.0).map_err(CoreError::Ilp)?;
-                }
-            }
-        }
-    }
 
     // Eq. 1: at most one IMP per s-call.
     for sc in &instance.scalls {
-        let terms: Vec<(VarId, f64)> = imps_of(sc.id)
+        let terms: Vec<(VarId, f64)> = db
+            .for_scall(sc.id)
             .iter()
             .filter_map(|imp| x[imp.id.index()].map(|v| (v, 1.0)))
             .collect();
@@ -154,15 +89,9 @@ fn build_model_impl(
         }
     }
 
-    // Eq. 2: per-path required gain. Delta mode always emits the row (and
-    // records its index) so the requirement stays patchable; the cold path
-    // skips redundant zero-requirement rows.
+    // Eq. 2: per-path required gain.
     let mut gain_rows: Vec<(PathId, usize)> = Vec::new();
     for path in instance.effective_paths() {
-        let required = gains.for_path(path.id);
-        if !delta && required == Cycles::ZERO {
-            continue;
-        }
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         for &sc in &path.scalls {
             if instance.scall(sc).is_none() {
@@ -171,31 +100,25 @@ fn build_model_impl(
                     scall: sc,
                 });
             }
-            for imp in imps_of(sc) {
+            for imp in db.for_scall(sc) {
                 if let Some(v) = x[imp.id.index()] {
                     terms.push((v, imp.gain.get() as f64));
                 }
             }
         }
-        let row = model.num_constraints();
+        gain_rows.push((path.id, model.num_constraints()));
         model
             .add_labeled_constraint(
                 terms,
                 Relation::Ge,
-                required.get() as f64,
+                gains.for_path(path.id).get() as f64,
                 Some(format!("gain_{}", path.id)),
             )
             .map_err(CoreError::Ilp)?;
-        if delta {
-            gain_rows.push((path.id, row));
-        }
     }
 
     // Problem 1: s-calls to the same function are always implemented in the
-    // same way — tie matching implementation shapes together. Always built
-    // from the *masked* view: which ties exist depends on which IMPs are
-    // live, which is why a mask-changing delta under Problem 1 forces a
-    // cold rebuild (see `crate::delta`).
+    // same way — tie matching implementation shapes together.
     if problem == ProblemKind::Problem1 {
         let mut by_name: BTreeMap<&str, Vec<&crate::SCall>> = BTreeMap::new();
         for sc in &instance.scalls {
@@ -296,19 +219,19 @@ fn build_model_impl(
     // total tie-break stays below 0.4 area tenths (well under the area
     // granularity) while every per-variable coefficient stays orders of
     // magnitude above the simplex optimality tolerance. Computed over the
-    // *unmasked* IMP list so retiring or restoring an IMP never changes the
-    // objective coefficients — the patched delta model and a cold rebuild of
-    // the same masked database must agree term for term.
+    // unmasked IMP list, so the retire mask never changes a coefficient.
+    let mut max_gain: Vec<u64> = Vec::new();
+    for imp in db.imps() {
+        let sc = imp.scall.index();
+        if max_gain.len() <= sc {
+            max_gain.resize(sc + 1, 0);
+        }
+        max_gain[sc] = max_gain[sc].max(imp.gain.get());
+    }
     let max_total_gain: u64 = instance
         .scalls
         .iter()
-        .map(|sc| {
-            db.for_scall_all(sc.id)
-                .iter()
-                .map(|i| i.gain.get())
-                .max()
-                .unwrap_or(0)
-        })
+        .filter_map(|sc| max_gain.get(sc.id.index()))
         .sum();
     let gain_tiebreak: f64 = 0.4 / (max_total_gain.max(1) as f64);
     let mut objective: Vec<(VarId, f64)> = Vec::new();
@@ -330,7 +253,11 @@ fn build_model_impl(
     }
     model.set_objective(objective);
 
-    Ok((model, VarMap { x, z }, gain_rows))
+    Ok(Formulation {
+        model,
+        map: VarMap { x, z },
+        gain_rows,
+    })
 }
 
 /// Decodes which IMPs a solution selected.
@@ -353,7 +280,7 @@ mod tests {
     use partita_ilp::BranchBound;
     use partita_interface::{InterfaceKind, TransferJob};
     use partita_ip::IpFunction;
-    use partita_mop::{AreaTenths, CallSiteId};
+    use partita_mop::{AreaTenths, CallSiteId, Cycles};
 
     fn instance_two_firs() -> (Instance, ImpDb) {
         let mut inst = Instance::new("t");
@@ -400,7 +327,7 @@ mod tests {
     #[test]
     fn ip_area_charged_once_for_shared_ip() {
         let (inst, db) = instance_two_firs();
-        let (model, map) = build_model(
+        let form = build_model(
             &inst,
             &db,
             ProblemKind::Problem2,
@@ -408,8 +335,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let sol = BranchBound::new().solve(&model).unwrap();
-        let chosen = decode(&db, &map, &sol);
+        let sol = BranchBound::new().solve(&form.model).unwrap();
+        let chosen = decode(&db, &form.map, &sol);
         assert_eq!(chosen.len(), 2);
         // Objective: IP area 30 tenths once + 2 interfaces x 3 tenths.
         assert_eq!(sol.objective.round() as i64, 36);
@@ -418,7 +345,7 @@ mod tests {
     #[test]
     fn infeasible_when_gain_unreachable() {
         let (inst, db) = instance_two_firs();
-        let (model, _) = build_model(
+        let form = build_model(
             &inst,
             &db,
             ProblemKind::Problem2,
@@ -426,7 +353,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(BranchBound::new().solve(&model).is_err());
+        assert!(BranchBound::new().solve(&form.model).is_err());
     }
 
     #[test]
@@ -440,7 +367,7 @@ mod tests {
             AreaTenths::from_tenths(5),
             crate::ParallelChoice::SwScalls(vec![CallSiteId(1)]),
         ));
-        let (_, map) = build_model(
+        let p1 = build_model(
             &inst,
             &db,
             ProblemKind::Problem1,
@@ -448,8 +375,8 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(map.x[2].is_none());
-        let (_, map2) = build_model(
+        assert!(p1.map.x[2].is_none());
+        let p2 = build_model(
             &inst,
             &db,
             ProblemKind::Problem2,
@@ -457,7 +384,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(map2.x[2].is_some());
+        assert!(p2.map.x[2].is_some());
     }
 
     #[test]

@@ -29,15 +29,12 @@ fn gain_or_zero(result: Result<Cycles, TimingError>) -> Cycles {
 ///
 /// # Retiring IMPs
 ///
-/// The incremental re-solve layer ([`crate::delta`]) edits a database in
-/// place: removing an IP block or banning an interface kind *retires* the
-/// affected IMPs ([`ImpDb::retire`]) instead of regenerating the database,
-/// so every surviving IMP keeps its id — a prerequisite for patching the
-/// built ILP model rather than rebuilding it. Retired IMPs stay resident
-/// (and visible to [`ImpDb::get`]/[`ImpDb::imps`], so provenance lookups
-/// keep working) but disappear from [`ImpDb::for_scall`], which is what
-/// formulation consumes. The mask participates in `Debug` and `PartialEq`,
-/// so masked and unmasked databases never collide in content-keyed caches.
+/// An IMP can be *retired* ([`ImpDb::retire`]) instead of removed, so every
+/// surviving IMP keeps its id. Retired IMPs stay resident (and visible to
+/// [`ImpDb::get`]/[`ImpDb::imps`], so provenance lookups keep working) but
+/// disappear from [`ImpDb::for_scall`], and formulation gives them no
+/// column. The mask participates in `Debug` and `PartialEq`, so masked and
+/// unmasked databases never collide in content-keyed caches.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpDb {
     imps: Vec<Imp>,
@@ -147,18 +144,6 @@ impl ImpDb {
             .unwrap_or_default()
     }
 
-    /// Every IMP of one s-call, retired ones included. The delta-mode
-    /// formulation builds its rows from this so a later
-    /// [`ImpDb::restore`] is a pure bound patch (the retired IMP's column
-    /// and coefficients are already in the matrix, pinned to zero).
-    #[must_use]
-    pub fn for_scall_all(&self, scall: CallSiteId) -> Vec<&Imp> {
-        self.per_scall
-            .get(scall.index())
-            .map(|ids| ids.iter().map(|id| &self.imps[id.index()]).collect())
-            .unwrap_or_default()
-    }
-
     /// Generates the database from an instance: for every s-call, every
     /// library IP implementing its function, every feasible interface type,
     /// and every parallel-code choice.
@@ -179,33 +164,10 @@ impl ImpDb {
         db
     }
 
-    /// Appends the IMPs a freshly added IP block contributes, without
-    /// touching existing entries — ids already handed out stay stable,
-    /// which is what lets the incremental layer ([`crate::delta`]) treat an
-    /// IP addition as an append-only database edit. Returns how many IMPs
-    /// were added.
-    pub fn extend_for_ip(&mut self, instance: &Instance, ip: partita_ip::IpId) -> usize {
-        let mut added = 0;
-        for sc in &instance.scalls {
-            for block in instance.library.supporting(&sc.function) {
-                if block.id() == ip {
-                    added += self.add_variants(instance, sc, block);
-                }
-            }
-        }
-        added
-    }
-
     /// Generates every variant of one (s-call, IP) pairing: each feasible
     /// interface type, plus parallel-code choices where they strictly
-    /// improve the gain. Returns the number of IMPs added.
-    fn add_variants(
-        &mut self,
-        instance: &Instance,
-        sc: &crate::SCall,
-        ip: &partita_ip::IpBlock,
-    ) -> usize {
-        let before = self.len();
+    /// improve the gain.
+    fn add_variants(&mut self, instance: &Instance, sc: &crate::SCall, ip: &partita_ip::IpBlock) {
         for (kind, _profile) in feasible_kinds(ip) {
             let area = instance.area_model.interface_area(kind, sc.job).total();
             let base = gain_or_zero(performance_gain(sc.sw_cycles, ip, kind, sc.job, None));
@@ -271,7 +233,6 @@ impl ImpDb {
                 }
             }
         }
-        self.len() - before
     }
 }
 

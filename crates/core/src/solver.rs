@@ -9,7 +9,7 @@ use crate::engine::{
     encode_selection, Backend, BranchBoundBackend, EngineSolution, ExhaustiveBackend,
     GreedyBackend, OptimalityStatus, SolveBudget, SolveTrace, SolverBackend,
 };
-use crate::formulate::{build_model, decode, VarMap};
+use crate::formulate::{build_model, decode, Formulation, VarMap};
 use crate::telemetry::{Event, Phase, SpanTimer, TelemetrySink};
 use crate::{CoreError, Imp, ImpDb, ImpId, Instance};
 
@@ -529,14 +529,14 @@ impl<'a> Solver<'a> {
                 &generated
             }
         };
-        let (model, _map) = build_model(
+        let form = build_model(
             self.instance,
             db,
             options.problem,
             &options.gains,
             options.power_budget_mw,
         )?;
-        Ok(model)
+        Ok(form.model)
     }
 
     /// Solves through the configured backend (branch-and-bound by default,
@@ -589,7 +589,7 @@ pub(crate) fn solve_cold(
     sink: &dyn TelemetrySink,
 ) -> Result<Selection, CoreError> {
     let span = SpanTimer::start(Phase::Formulation);
-    let (model, map) = build_model(
+    let form = build_model(
         instance,
         db,
         options.problem,
@@ -597,24 +597,24 @@ pub(crate) fn solve_cold(
         options.power_budget_mw,
     )?;
     trace.formulation = span.finish(sink);
-    solve_prepared(instance, db, &model, &map, options, trace, sink).map(|(sel, _)| sel)
+    solve_prepared(instance, db, &form, options, trace, sink).map(|(sel, _)| sel)
 }
 
 /// Dispatch + decode over an already-built model: the shared tail of
 /// [`solve_cold`], also entered directly by [`crate::DeltaSession`] over its
 /// patched model (the trace then carries the formulation time it is
-/// charged). Alongside the selection it returns the root-LP basis retained
+/// charged, if any). Alongside the selection it returns the root-LP basis retained
 /// by the branch-and-bound backend, which the delta session installs in its
 /// next same-shaped solve.
 pub(crate) fn solve_prepared(
     instance: &Instance,
     db: &ImpDb,
-    model: &partita_ilp::Model,
-    map: &VarMap,
+    form: &Formulation,
     options: &SolveOptions,
     mut trace: SolveTrace,
     sink: &dyn TelemetrySink,
 ) -> Result<(Selection, Option<Arc<partita_ilp::Basis>>), CoreError> {
+    let (model, map) = (&form.model, &form.map);
     trace.num_vars = model.num_vars();
     trace.num_constraints = model.num_constraints();
     trace.num_imps = db.len();

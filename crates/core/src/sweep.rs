@@ -1056,7 +1056,7 @@ mod tests {
         assert_eq!(lines.len(), 3, "2 points + summary");
         for line in &lines {
             assert!(
-                line.starts_with("{\"schema\":3,\"event\":\"sweep_"),
+                line.starts_with("{\"schema\":4,\"event\":\"sweep_"),
                 "{line}"
             );
             assert!(line.contains("\"sweep\":\"tab\\\"le\""), "{line}");

@@ -4,7 +4,7 @@
 //! JSON surface of the pipeline (solve traces, [`crate::SweepTrace`],
 //! [`crate::AuditReport::to_json`]) goes through one **versioned event
 //! schema**: every line the pipeline emits is a typed [`Event`] serialized
-//! as a single JSON object tagged `{"schema":3,"event":"<kind>", ...}`.
+//! as a single JSON object tagged `{"schema":4,"event":"<kind>", ...}`.
 //! The full field-level schema is documented in `docs/TELEMETRY.md`, which
 //! is kept honest by a test diffing the doc's event list against
 //! [`EventKind::ALL`].
@@ -16,8 +16,7 @@
 //!   [`Event::WorkerFinished`] → [`Event::SolveFinished`]), sweep-session
 //!   activity ([`Event::CacheLookup`], [`Event::ChainDecision`],
 //!   [`Event::SweepPoint`], [`Event::BatchStarted`], …), audit results
-//!   ([`Event::AuditFinished`]) and free-form [`Event::Counter`] /
-//!   [`Event::Gauge`] instruments.
+//!   ([`Event::AuditFinished`]).
 //! * [`TelemetrySink`] — where events go. [`NullSink`] drops them (and
 //!   reports `enabled() == false`, so producers skip building events
 //!   entirely — the zero-cost-when-disabled contract), [`JsonLinesSink`]
@@ -88,9 +87,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":3`); bump it only with a matching update to
+/// first field (`"schema":4`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -243,21 +242,11 @@ pub enum EventKind {
     SweepCompare,
     /// A [`crate::SweepSession::solve_batch`] fan-out began.
     BatchStarted,
-    /// A [`crate::delta::DeltaSession`] applied an [`crate::InstanceDelta`]
-    /// to the built model (in place, or by forcing a cold rebuild).
-    ModelPatched,
-    /// A delta re-solve reported whether the retained root-LP basis was
-    /// installed and dual-repaired or fell back to the cold two-phase path.
-    BasisReused,
-    /// A free-form monotonic counter sample.
-    Counter,
-    /// A free-form instantaneous gauge sample.
-    Gauge,
 }
 
 impl EventKind {
     /// Every event kind, in the order they are documented.
-    pub const ALL: [EventKind; 15] = [
+    pub const ALL: [EventKind; 11] = [
         EventKind::SolveStarted,
         EventKind::PhaseFinished,
         EventKind::WorkerFinished,
@@ -269,10 +258,6 @@ impl EventKind {
         EventKind::SweepSummary,
         EventKind::SweepCompare,
         EventKind::BatchStarted,
-        EventKind::ModelPatched,
-        EventKind::BasisReused,
-        EventKind::Counter,
-        EventKind::Gauge,
     ];
 
     /// The snake_case name serialized into the `event` field.
@@ -290,10 +275,6 @@ impl EventKind {
             EventKind::SweepSummary => "sweep_summary",
             EventKind::SweepCompare => "sweep_compare",
             EventKind::BatchStarted => "batch_started",
-            EventKind::ModelPatched => "model_patched",
-            EventKind::BasisReused => "basis_reused",
-            EventKind::Counter => "counter",
-            EventKind::Gauge => "gauge",
         }
     }
 }
@@ -445,44 +426,6 @@ pub enum Event {
         /// Worker threads fanning out the unique solves.
         pool_threads: usize,
     },
-    /// A delta op was applied to the built model.
-    ModelPatched {
-        /// Display name of the instance being edited.
-        instance: String,
-        /// The delta op's snake_case name (`set_rg`, `add_ip`, `remove_ip`,
-        /// `set_interface_kind`).
-        op: String,
-        /// `patch` when the built model was edited in place, `rebuild`
-        /// when the op forced a cold build+formulate pass.
-        mode: String,
-        /// Constraint rows whose RHS the patch rewrote.
-        rows_touched: usize,
-        /// Variable columns pinned to zero (retired) or released.
-        cols_retired: usize,
-    },
-    /// A delta re-solve's basis-reuse outcome.
-    BasisReused {
-        /// Whether the retained basis was installed and dual-repaired
-        /// (`false` means the cold two-phase path ran).
-        accepted: bool,
-        /// Rows of the basis offered to the solve (0 when none was held).
-        rows: usize,
-    },
-    /// A free-form monotonic counter sample.
-    Counter {
-        /// Instrument name.
-        name: String,
-        /// Sampled value.
-        value: u64,
-    },
-    /// A free-form instantaneous gauge sample (non-finite values serialize
-    /// as `null`).
-    Gauge {
-        /// Instrument name.
-        name: String,
-        /// Sampled value.
-        value: f64,
-    },
 }
 
 /// Incremental writer for one serialized event. Field order is the schema's
@@ -550,10 +493,6 @@ impl Event {
             Event::SweepSummary { .. } => EventKind::SweepSummary,
             Event::SweepCompare { .. } => EventKind::SweepCompare,
             Event::BatchStarted { .. } => EventKind::BatchStarted,
-            Event::ModelPatched { .. } => EventKind::ModelPatched,
-            Event::BasisReused { .. } => EventKind::BasisReused,
-            Event::Counter { .. } => EventKind::Counter,
-            Event::Gauge { .. } => EventKind::Gauge,
         }
     }
 
@@ -729,35 +668,6 @@ impl Event {
                 w.raw("unique", unique);
                 w.raw("followers", followers);
                 w.raw("pool_threads", pool_threads);
-            }
-            Event::ModelPatched {
-                instance,
-                op,
-                mode,
-                rows_touched,
-                cols_retired,
-            } => {
-                w.string("instance", instance);
-                w.string("op", op);
-                w.string("mode", mode);
-                w.raw("rows_touched", rows_touched);
-                w.raw("cols_retired", cols_retired);
-            }
-            Event::BasisReused { accepted, rows } => {
-                w.raw("accepted", accepted);
-                w.raw("rows", rows);
-            }
-            Event::Counter { name, value } => {
-                w.string("name", name);
-                w.raw("value", value);
-            }
-            Event::Gauge { name, value } => {
-                w.string("name", name);
-                if value.is_finite() {
-                    w.raw("value", value);
-                } else {
-                    w.raw("value", "null");
-                }
             }
         }
         w.finish()
@@ -964,26 +874,6 @@ impl SpanTimer {
     }
 }
 
-/// Emits a [`Event::Counter`] sample through `sink` (when enabled).
-pub fn counter(sink: &dyn TelemetrySink, name: &str, value: u64) {
-    if sink.enabled() {
-        sink.emit(&Event::Counter {
-            name: name.to_string(),
-            value,
-        });
-    }
-}
-
-/// Emits a [`Event::Gauge`] sample through `sink` (when enabled).
-pub fn gauge(sink: &dyn TelemetrySink, name: &str, value: f64) {
-    if sink.enabled() {
-        sink.emit(&Event::Gauge {
-            name: name.to_string(),
-            value,
-        });
-    }
-}
-
 /// Resolves an optional per-object sink against the [`global`] default.
 pub(crate) fn resolve(sink: Option<&Arc<dyn TelemetrySink>>) -> &dyn TelemetrySink {
     match sink {
@@ -1002,6 +892,12 @@ pub mod json {
     //! deliberate simplifications: numbers parse as `f64` (every counter the
     //! pipeline emits fits exactly in an `f64` mantissa) and object keys
     //! keep their **document order** (so tests can assert stable key order).
+    //! Arrays and objects nest at most [`MAX_DEPTH`] deep, so a hostile
+    //! document is an error rather than a stack overflow.
+
+    /// Deepest array/object nesting [`JsonValue::parse`] accepts. API
+    /// requests and `BENCH_*.json` reports nest about 5 deep.
+    pub const MAX_DEPTH: usize = 64;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1052,6 +948,7 @@ pub mod json {
             let mut p = Parser {
                 bytes: input.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             let value = p.value()?;
@@ -1142,6 +1039,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -1182,8 +1081,8 @@ pub mod json {
 
         fn value(&mut self) -> Result<JsonValue, JsonError> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(JsonValue::String(self.string()?)),
                 Some(b't') => self.literal("true", JsonValue::Bool(true)),
                 Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -1191,6 +1090,21 @@ pub mod json {
                 Some(b'-' | b'0'..=b'9') => self.number(),
                 _ => Err(self.err("expected a value")),
             }
+        }
+
+        /// Parses one array or object one level deeper, refusing past
+        /// [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+        ) -> Result<JsonValue, JsonError> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err("nesting too deep"));
+            }
+            self.depth += 1;
+            let value = container(self);
+            self.depth -= 1;
+            value
         }
 
         fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -1385,11 +1299,11 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":3,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":4,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 
@@ -1426,14 +1340,23 @@ mod tests {
         let sink = RecordingSink::new();
         assert!(sink.enabled());
         assert!(sink.is_empty());
-        counter(&sink, "nodes", 7);
-        gauge(&sink, "speedup", 1.5);
-        gauge(&sink, "bad", f64::NAN);
+        sink.emit(&Event::ChainDecision {
+            rg: Some(7),
+            accepted: true,
+        });
+        sink.emit(&Event::ChainDecision {
+            rg: None,
+            accepted: false,
+        });
+        sink.emit(&Event::PhaseFinished {
+            phase: Phase::Solve,
+            wall: Duration::from_micros(15),
+        });
         assert_eq!(sink.len(), 3);
         let lines = sink.lines(Redaction::None);
-        assert!(lines[0].contains("\"name\":\"nodes\""));
-        assert!(lines[1].contains("\"value\":1.5"));
-        assert!(lines[2].contains("\"value\":null"));
+        assert!(lines[0].contains("\"rg\":7"));
+        assert!(lines[1].contains("\"rg\":null"));
+        assert!(lines[2].contains("\"wall_us\":15"));
         for line in &lines {
             JsonValue::parse(line).unwrap();
         }
@@ -1444,8 +1367,12 @@ mod tests {
     #[test]
     fn json_lines_sink_writes_one_line_per_event() {
         let sink = JsonLinesSink::new(Vec::<u8>::new());
-        counter(&sink, "a", 1);
-        counter(&sink, "b", 2);
+        for accepted in [true, false] {
+            sink.emit(&Event::ChainDecision {
+                rg: Some(1),
+                accepted,
+            });
+        }
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -1488,6 +1415,29 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} junk").is_err());
         assert!(JsonValue::parse("{\"a\":}").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        use super::json::MAX_DEPTH;
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        let at_cap = JsonValue::parse(&nest(MAX_DEPTH, "[", "]")).unwrap();
+        assert!(at_cap.as_array().is_some());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&objects).is_ok());
+        let past = JsonValue::parse(&nest(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert_eq!(past.message, "nesting too deep");
+        assert_eq!(
+            past.offset, MAX_DEPTH,
+            "refused at the first level past the cap"
+        );
+        let hostile = "[".repeat(200_000);
+        assert_eq!(
+            JsonValue::parse(&hostile).unwrap_err().message,
+            "nesting too deep"
+        );
     }
 
     #[test]

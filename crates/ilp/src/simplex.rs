@@ -2007,7 +2007,7 @@ mod tests {
         let upper = vec![5.0; 2];
         let first = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
         let basis = first.basis.expect("retained basis");
-        // Pin x to zero (a retired-column delta) — same tableau shape, so
+        // Pin x to zero (a bound patch) — same tableau shape, so
         // the stale basis installs and repairs.
         let pinned_upper = vec![0.0, 5.0];
         let warm =

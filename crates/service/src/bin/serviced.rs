@@ -10,6 +10,10 @@
 //! serviced --replay FILE --write FILE       regenerate a golden log
 //! ```
 //!
+//! `--workers N` sizes the solver pool of each served stream: stdin/stdout
+//! has one pool, and a socket listener starts one per accepted connection
+//! (default: one thread per core per pool).
+//!
 //! The protocol is one JSON request envelope per line (see
 //! `docs/SERVICE.md`). Telemetry follows the usual `PARTITA_TRACE` /
 //! `PARTITA_TRACE_PATH` environment switches.

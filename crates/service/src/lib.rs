@@ -25,9 +25,10 @@
 //!   cumulative node budget after which the tenant degrades to the greedy
 //!   backend (honestly reported as [`partita_core::OptimalityStatus::Heuristic`]), an
 //!   in-flight cap and a queue cap enforced by the fair scheduler.
-//! * [`server`] — thread-per-core worker pool with a fair per-tenant FIFO
-//!   (round-robin across tenants, FIFO within one), serving stdin/stdout
-//!   and Unix/TCP socket listeners speaking newline-delimited JSON.
+//! * [`server`] — a worker pool per served stream (stdin/stdout, or each
+//!   Unix/TCP connection; `workers` threads each, one per core by default)
+//!   with a fair per-tenant FIFO (round-robin across tenants, FIFO within
+//!   one), speaking newline-delimited JSON.
 //! * [`replay`] — deterministic scripted-replay of a request log, used by
 //!   the golden-diff CI leg.
 //!

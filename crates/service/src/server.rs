@@ -1,6 +1,8 @@
-//! NDJSON transports: a thread-per-core worker pool with a fair
-//! per-tenant FIFO, pumping any `BufRead`/`Write` pair — stdin/stdout,
-//! a Unix socket connection, or a TCP connection.
+//! NDJSON transports: a worker pool with a fair per-tenant FIFO, pumping
+//! any `BufRead`/`Write` pair — stdin/stdout, a Unix socket connection, or
+//! a TCP connection. Each served stream runs its own pool of `workers`
+//! threads, so a listener with `c` open connections runs `c × workers`
+//! solver threads.
 //!
 //! Scheduling is round-robin across tenants and FIFO within one: a tenant
 //! that floods the daemon fills only its own queue, and each scheduling
@@ -450,6 +452,43 @@ mod tests {
         assert_eq!(text.lines().count(), 1, "{text}");
         assert!(text.contains("\"code\":100"), "{text}");
         assert_eq!(core.current_load(), 0);
+    }
+
+    /// A line nested far past the JSON parser's depth cap, on a connection
+    /// thread's default stack, is answered with code 100; the same
+    /// connection and a second one keep being served.
+    #[test]
+    fn deeply_nested_line_is_refused_and_the_connection_survives() {
+        use std::io::{BufRead, BufReader, Write};
+        let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let _ = serve_tcp_listener(core, listener, 1);
+        });
+        let ping = |conn: &mut std::net::TcpStream, replies: &mut BufReader<_>, id: &str| {
+            let line = format!(
+                "{{\"api_version\":1,\"id\":\"{id}\",\"tenant\":\"t\",\"method\":\"ping\"}}\n"
+            );
+            conn.write_all(line.as_bytes()).expect("send ping");
+            let mut reply = String::new();
+            replies.read_line(&mut reply).expect("ping reply");
+            assert!(reply.contains("\"pong\":true"), "{reply}");
+            assert!(reply.contains(&format!("\"id\":\"{id}\"")), "{reply}");
+        };
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+        let mut hostile = "[".repeat(100_000);
+        hostile.push('\n');
+        conn.write_all(hostile.as_bytes())
+            .expect("send hostile line");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("hostile reply");
+        assert!(reply.contains("\"code\":100"), "{reply}");
+        ping(&mut conn, &mut replies, "same");
+        let mut other = std::net::TcpStream::connect(addr).expect("connect again");
+        let mut other_replies = BufReader::new(other.try_clone().expect("clone"));
+        ping(&mut other, &mut other_replies, "other");
     }
 
     /// Yields its data, then fails the next read — a TCP peer resetting

@@ -1,9 +1,9 @@
 //! Generator → solve → audit → edit-sequence fuzz gate: random small
 //! [`SynthParams`] drawn across every generator knob must produce instances
 //! that solve (or fail with the typed errors the API promises), pass the
-//! independent audit, and — driven through a random [`DeltaSession`] edit
-//! sequence — agree with a cold oracle solve of the patched instance at
-//! every step. 256 cases per property, deterministic per test name (the
+//! independent audit, and — driven through a random [`DeltaSession`]
+//! required-gain walk — agree with a cold oracle solve of the patched
+//! requirement at every step. 256 cases per property, deterministic per test name (the
 //! proptest shim derives its RNG from the test path).
 
 mod common;
@@ -15,18 +15,9 @@ use proptest::prelude::*;
 use partita::core::{
     CoreError, DeltaSession, InstanceDelta, RequiredGains, Selection, SolveOptions, Solver,
 };
-use partita::interface::InterfaceKind;
-use partita::ip::{IpBlock, IpFunction, IpId};
-use partita::mop::{AreaTenths, Cycles};
+use partita::mop::Cycles;
 use partita::workloads::corpus::digest;
 use partita::workloads::synth::{try_generate, KindMix, SynthError, SynthParams};
-
-const KINDS: [InterfaceKind; 4] = [
-    InterfaceKind::Type0,
-    InterfaceKind::Type1,
-    InterfaceKind::Type2,
-    InterfaceKind::Type3,
-];
 
 /// Small but fully knob-covered parameter sets: every axis the scaling
 /// generator exposes, sized so an optimal solve is milliseconds.
@@ -55,19 +46,16 @@ fn params() -> impl Strategy<Value = SynthParams> {
         )
 }
 
-/// One random edit in pre-resolution form; ids are mod-mapped onto the
-/// session's current instance when applied.
+/// One random required-gain edit; sweep indices are mod-mapped onto the
+/// workload's `rg_sweep` when applied.
 #[derive(Debug, Clone)]
 enum EditSpec {
     /// Walk to another sweep point (index into `rg_sweep`).
     SetRgIdx(usize),
     /// Jump to an arbitrary requirement (may be infeasible — both sides
-    /// must then agree on the typed error).
+    /// must then agree on the typed error; zero makes every gain row
+    /// redundant).
     SetRgRaw(u64),
-    RemoveIp(u32),
-    BanKind(u8),
-    RestoreKind(u8),
-    AddIp(i64),
 }
 
 fn edits() -> impl Strategy<Value = Vec<EditSpec>> {
@@ -75,52 +63,22 @@ fn edits() -> impl Strategy<Value = Vec<EditSpec>> {
         prop_oneof![
             (0usize..4).prop_map(EditSpec::SetRgIdx),
             (0u64..500_000).prop_map(EditSpec::SetRgRaw),
-            (0u32..8).prop_map(EditSpec::RemoveIp),
-            (0u8..4).prop_map(EditSpec::BanKind),
-            (0u8..4).prop_map(EditSpec::RestoreKind),
-            (1i64..12).prop_map(EditSpec::AddIp),
+            Just(EditSpec::SetRgRaw(0)),
         ],
         1..5,
     )
 }
 
-fn resolve_edit(
-    spec: &EditSpec,
-    session: &DeltaSession,
-    rg_sweep: &[Cycles],
-    next_ip: &mut u32,
-) -> InstanceDelta {
-    match spec {
-        EditSpec::SetRgIdx(i) => {
-            InstanceDelta::SetRg(RequiredGains::uniform(rg_sweep[i % rg_sweep.len()]))
-        }
-        EditSpec::SetRgRaw(rg) => InstanceDelta::SetRg(RequiredGains::uniform(Cycles(*rg))),
-        EditSpec::RemoveIp(ip) => {
-            let n = session.instance().library.len() as u32;
-            InstanceDelta::RemoveIp(IpId(ip % n.max(1)))
-        }
-        EditSpec::BanKind(k) => {
-            InstanceDelta::SetInterfaceKind(KINDS[*k as usize % KINDS.len()], false)
-        }
-        EditSpec::RestoreKind(k) => {
-            InstanceDelta::SetInterfaceKind(KINDS[*k as usize % KINDS.len()], true)
-        }
-        EditSpec::AddIp(area) => {
-            *next_ip += 1;
-            InstanceDelta::AddIp(
-                IpBlock::builder(format!("fuzz_added{next_ip}"))
-                    .function(IpFunction::Fir)
-                    .rates(4, 4)
-                    .latency(8)
-                    .area(AreaTenths::from_units(*area))
-                    .build(),
-            )
-        }
-    }
+fn resolve_edit(spec: &EditSpec, rg_sweep: &[Cycles]) -> InstanceDelta {
+    let rg = match spec {
+        EditSpec::SetRgIdx(i) => rg_sweep[i % rg_sweep.len()],
+        EditSpec::SetRgRaw(rg) => Cycles(*rg),
+    };
+    InstanceDelta::SetRg(RequiredGains::uniform(rg))
 }
 
-/// Cold oracle: a fresh solver over the session's current (patched)
-/// instance and database.
+/// Cold oracle: a fresh solver over the session's instance and database
+/// at its current requirement.
 fn cold(session: &DeltaSession) -> Result<Selection, CoreError> {
     Solver::new(session.instance())
         .with_imps(Arc::clone(session.db()))
@@ -171,9 +129,9 @@ proptest! {
     }
 
     /// The round trip the corpus gates rely on: generate, solve, audit,
-    /// then drive a random edit sequence through a `DeltaSession` — after
-    /// every edit the warm re-solve must match a cold oracle solve of the
-    /// patched instance and pass the audit.
+    /// then drive a random required-gain walk through a `DeltaSession` —
+    /// after every edit the warm re-solve must match a cold oracle solve of
+    /// the patched requirement and pass the audit.
     #[test]
     fn edit_sequences_match_cold_oracle(p in params(), seq in edits()) {
         let w = try_generate(p).expect("non-degenerate params must generate");
@@ -196,14 +154,10 @@ proptest! {
             (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {}
             other => return Err(TestCaseError::fail(format!("{p:?}: initial {other:?}"))),
         }
-        let mut next_ip = 0u32;
         for (i, spec) in seq.iter().enumerate() {
-            let delta = resolve_edit(spec, &session, &w.rg_sweep, &mut next_ip);
-            if session.apply(delta).is_err() {
-                // A structurally rejected edit (e.g. removing the last IP)
-                // must leave the session consistent; keep editing.
-                continue;
-            }
+            session
+                .apply(resolve_edit(spec, &w.rg_sweep))
+                .map_err(|e| TestCaseError::fail(format!("{p:?}: SetRg patch {e}")))?;
             let warm = session.resolve();
             let oracle = cold(&session);
             let ctx = format!("{p:?}, edit {i} ({spec:?})");

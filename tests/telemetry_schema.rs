@@ -18,7 +18,7 @@ fn check_line(line: &str) -> String {
     let doc = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_u64),
-        Some(3),
+        Some(4),
         "{line}"
     );
     let kind = doc
@@ -218,12 +218,12 @@ fn sweep_stream_covers_cache_and_chain_events() {
             .any(|l| l.contains("\"cache\":\"solve\",\"hit\":true")),
         "replayed sweep must hit the solve cache"
     );
-    // One cache (schema 3 has no model cache), and one chain decision per
+    // One cache (no model cache since schema 3), and one chain decision per
     // point below the top of the first sweep, made by the delta session
     // the sweep walks; the cached replay decides nothing.
     assert!(
         lines.iter().all(|l| !l.contains("\"cache\":\"model\"")),
-        "no model-cache lookups in schema 3"
+        "no model-cache lookups since schema 3"
     );
     assert_eq!(
         kinds.iter().filter(|k| *k == "chain_decision").count(),
