@@ -5,9 +5,7 @@
 use std::time::{Duration, Instant};
 
 use partita_bench::cold_vs_chained_sweep;
-use partita_core::{
-    baseline, BatchJob, RequiredGains, SolveBudget, SolveOptions, Solver, SweepSession, SweepTrace,
-};
+use partita_core::{baseline, RequiredGains, SolveBudget, SolveOptions, Solver, SweepTrace};
 use partita_mop::Cycles;
 use partita_workloads::{gsm, jpeg, synth, Workload};
 
@@ -79,13 +77,12 @@ fn main() {
     let synth3 = synth::generate(synth::SynthParams::sized(14, 10, 2, 3));
     warm_start_sweep("synth(seed=3)", &synth3);
 
-    thread_scaling();
     sweep_orchestration();
 }
 
-/// Cold vs descending-RG chained sweeps on the three published tables, plus
-/// a batched solve of the whole JPEG sweep. Chaining must never change a
-/// selection; the node savings are the point of the sweep layer.
+/// Cold vs descending-RG chained sweeps on the three published tables.
+/// Chaining must never change a selection; the node savings are the point
+/// of the sweep layer.
 fn sweep_orchestration() {
     println!("\nsweep orchestration (independent cold solves vs chained sweep, B&B nodes):");
     let mut cold_total = 0u64;
@@ -104,78 +101,6 @@ fn sweep_orchestration() {
         "    total: cold {cold_total} nodes, chained {chained_total} nodes, saved {}",
         cold_total as i64 - chained_total as i64
     );
-
-    println!("\nbatched sweep (JPEG encoder, 4-thread pool, shared solve cache):");
-    let w = jpeg::encoder();
-    let jobs: Vec<BatchJob<'_>> = w
-        .rg_sweep
-        .iter()
-        .map(|&rg| BatchJob {
-            instance: &w.instance,
-            db: &w.imps,
-            options: SolveOptions::problem2(RequiredGains::uniform(rg)),
-        })
-        .collect();
-    let mut session = SweepSession::new();
-    let t0 = Instant::now();
-    let first = session.solve_batch(&jobs, 4);
-    let first_wall = t0.elapsed();
-    let t1 = Instant::now();
-    let second = session.solve_batch(&jobs, 4);
-    let second_wall = t1.elapsed();
-    for (a, b) in first.iter().zip(&second) {
-        let (a, b) = (a.as_ref().expect("feasible"), b.as_ref().expect("feasible"));
-        assert_eq!(a, b, "cached batch must be byte-identical");
-    }
-    let trace = session.take_trace();
-    println!(
-        "    {} jobs: first batch {first_wall:.2?}, cached batch {second_wall:.2?} \
-         ({} cache hits / {} misses)",
-        jobs.len(),
-        trace.cache_hits,
-        trace.cache_misses
-    );
-    println!("{}", trace.to_json("jpeg_batch"));
-}
-
-/// Solves one synthetic instance at growing worker-thread counts and prints
-/// wall time plus node throughput; the selection must be identical at every
-/// thread count (determinism contract). Speedup is hardware-dependent —
-/// on a single-core container expect ~1x with a small scheduling overhead;
-/// the invariant this section enforces is identical results, not a ratio.
-fn thread_scaling() {
-    println!("\nthread scaling (synth 16 s-calls, area at every count must match):");
-    let w = synth::generate(synth::SynthParams::sized(16, 8, 2, 99));
-    let rg = w.rg_sweep[1];
-    let mut base: Option<(partita_mop::AreaTenths, Duration)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let opts = SolveOptions::problem2(RequiredGains::uniform(rg))
-            .budget(SolveBudget::default().with_threads(threads));
-        let t0 = Instant::now();
-        let sel = Solver::new(&w.instance)
-            .with_imps(w.imps.clone())
-            .solve(&opts)
-            .expect("sweep point feasible");
-        let wall = t0.elapsed();
-        let speedup = match &base {
-            None => {
-                base = Some((sel.total_area(), wall));
-                1.0
-            }
-            Some((area, serial_wall)) => {
-                assert_eq!(
-                    *area,
-                    sel.total_area(),
-                    "selection diverged at {threads} threads"
-                );
-                serial_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9)
-            }
-        };
-        println!(
-            "    {threads} thr: {wall:>9.2?}  nodes {:>6}  per-worker {:?}  speedup x{speedup:.2}",
-            sel.trace.nodes_explored, sel.trace.worker_nodes
-        );
-    }
 }
 
 /// Solves every RG-sweep point of `w` twice — with and without the greedy

@@ -1,5 +1,5 @@
 //! The benchsuite runner: drives every headline workload (Tables 1–3,
-//! Fig. 9, Fig. 11) cold and chained at one thread, plus the corpus and
+//! Fig. 9, Fig. 11) cold and chained, plus the corpus and
 //! service groups, and writes the portable regression lock to
 //! `BENCH_partita.json`.
 //!
@@ -10,7 +10,7 @@
 //! With `--compare`, the fresh run is gated against the baseline report:
 //! any drift in selections, cache counters, corpus or service tallies, and
 //! any node-count or simplex-ops growth (total pivots, allocating tableau
-//! builds) exits nonzero. Every figure is exact at one thread, so the
+//! builds) exits nonzero. Every figure is exact, so the
 //! committed file is the baseline on any machine. Wall time is measured by
 //! `perfbench`, not here.
 

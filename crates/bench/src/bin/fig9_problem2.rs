@@ -7,7 +7,7 @@
 //! benchsuite sweeps the same structure this figure demonstrates.
 
 use partita_bench::suite::fig9_workload;
-use partita_core::{BatchJob, ProblemKind, RequiredGains, SolveOptions, SweepSession};
+use partita_core::{ProblemKind, RequiredGains, SolveOptions, SweepSession};
 use partita_mop::Cycles;
 
 fn main() {
@@ -16,21 +16,14 @@ fn main() {
 
     let rg = RequiredGains::uniform(Cycles(1500));
     println!("Fig. 9 — three fir() calls, RG = 1500\n");
-    // Both problem variants go through one batched session: two jobs, one
-    // shared worker pool, the selections memoized for the re-solve below.
+    // Both problem variants go through one session, so the selections are
+    // memoized for the re-solve below.
     let labels = ["Problem 1 (all-in-IP)", "Problem 2 (one fir in kernel)"];
-    let jobs: Vec<BatchJob<'_>> = [ProblemKind::Problem1, ProblemKind::Problem2]
-        .iter()
-        .map(|&problem| BatchJob {
-            instance: inst,
-            db,
-            options: SolveOptions::for_problem(problem, rg.clone()),
-        })
-        .collect();
+    let [p1_opts, p2_opts] = [ProblemKind::Problem1, ProblemKind::Problem2]
+        .map(|problem| SolveOptions::for_problem(problem, rg.clone()));
     let mut session = SweepSession::new();
-    let mut results = session.solve_batch(&jobs, 2).into_iter();
-    let p1 = results.next().expect("two jobs").expect("p1 feasible");
-    let p2 = results.next().expect("two jobs").expect("p2 feasible");
+    let p1 = session.solve(inst, db, &p1_opts).expect("p1 feasible");
+    let p2 = session.solve(inst, db, &p2_opts).expect("p2 feasible");
     for (name, sel) in labels.iter().zip([&p1, &p2]) {
         println!(
             "{name:<32} selected {} IMP(s), gain {}, area {}",
@@ -42,10 +35,8 @@ fn main() {
             println!("    {impsel}  [{:?}]", impsel.parallel);
         }
     }
-    let p2_again = session
-        .solve(inst, db, &jobs[1].options)
-        .expect("cached p2");
-    assert_eq!(p2_again, p2, "session cache must replay the batch job");
+    let p2_again = session.solve(inst, db, &p2_opts).expect("cached p2");
+    assert_eq!(p2_again, p2, "session cache must replay the solve");
     assert!(p2.total_area() < p1.total_area());
     println!(
         "\nProblem 2 meets the constraint with area {} vs Problem 1's {} — the Fig. 9 effect",

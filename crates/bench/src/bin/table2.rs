@@ -1,8 +1,6 @@
 //! Reproduces **Table 2**: GSM decoder selections across the RG sweep.
 
-use partita_bench::{
-    compare_line, sweep_comparison_lines, sweep_rows_traced, thread_scaling_lines, trace_json_line,
-};
+use partita_bench::{compare_line, sweep_comparison_lines, sweep_rows_traced, trace_json_line};
 use partita_core::report::render_table;
 use partita_workloads::gsm;
 
@@ -44,11 +42,6 @@ fn main() {
     println!("\nsolve traces (one JSON line per sweep point):");
     for (row, trace) in &traced {
         println!("{}", trace_json_line(row.required_gain, trace));
-    }
-
-    println!("\nthread scaling (1 vs 4 workers, one JSON line per point):");
-    for line in thread_scaling_lines(&w, &[1, 4]) {
-        println!("{line}");
     }
 
     println!("\nsweep orchestration (cold vs descending-RG chained, one JSON line per point):");

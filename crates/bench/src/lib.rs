@@ -15,7 +15,7 @@
 //! | `fig10_common` | Fig. 10 — common s-call across paths |
 //! | `fig11_hierarchy` | Fig. 11 — IMP flatten on the JPEG call tree |
 //! | `ablation` | extra — ILP vs greedy vs no-interface baselines |
-//! | `benchsuite` | the portable regression lock: every workload cold and chained at one thread, written to `BENCH_partita.json` (see [`suite`]) |
+//! | `benchsuite` | the portable regression lock: every workload cold and chained, written to `BENCH_partita.json` (see [`suite`]) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@
 pub mod suite;
 
 use partita_core::{
-    report::TableRow, Selection, SolveBudget, SolveOptions, SolveTrace, SweepSession, SweepTrace,
+    report::TableRow, Selection, SolveOptions, SolveTrace, SweepSession, SweepTrace,
 };
 use partita_mop::Cycles;
 use partita_workloads::Workload;
@@ -84,22 +84,6 @@ pub fn sweep_rows_traced_in(
         .collect()
 }
 
-/// Like [`sweep_rows_traced`], forcing the branch-and-bound worker-thread
-/// count instead of inheriting the `PARTITA_THREADS` default.
-///
-/// # Panics
-///
-/// Panics if any sweep point is infeasible (see [`sweep_rows`]).
-#[must_use]
-pub fn sweep_rows_traced_threads(
-    workload: &Workload,
-    threads: usize,
-) -> Vec<(TableRow, SolveTrace)> {
-    let mut session = SweepSession::new();
-    let base = SolveOptions::default().budget(SolveBudget::default().with_threads(threads));
-    sweep_rows_traced_in(workload, &mut session, &base)
-}
-
 /// Runs the workload's published RG sweep twice — independent cold solves,
 /// then descending-RG chained solves — through two fresh sessions, checks
 /// that every per-point [`Selection`] is identical, and returns the two
@@ -143,53 +127,6 @@ pub fn sweep_comparison_lines(label: &str, workload: &Workload) -> Vec<String> {
     let (cold, chained) = cold_vs_chained_sweep(workload, &SolveOptions::default());
     let mut lines = chained.json_lines(label);
     lines.push(SweepTrace::compare_json(label, &cold, &chained));
-    lines
-}
-
-/// Runs the workload's RG sweep once per thread count and renders one JSON
-/// line per (threads, sweep point) — each line's trace carries its
-/// `"threads"` and `"solve_us"` fields, so scraping the output yields the
-/// parallel-speedup table directly. The final element is a human-readable
-/// summary comparing total solve time per thread count.
-///
-/// # Panics
-///
-/// Panics if any sweep point is infeasible, or if two thread counts disagree
-/// on any sweep point's selection (area or gain): completed solves are
-/// covered by the solver's determinism contract, so a mismatch is a bug.
-#[must_use]
-pub fn thread_scaling_lines(workload: &Workload, thread_counts: &[usize]) -> Vec<String> {
-    let mut lines = Vec::new();
-    let mut reference: Option<Vec<(Cycles, TableRow)>> = None;
-    let mut summary = String::from("thread-scaling total solve time:");
-    for &threads in thread_counts {
-        let traced = sweep_rows_traced_threads(workload, threads);
-        let mut total_us: u128 = 0;
-        for (row, trace) in &traced {
-            total_us += trace.solve.as_micros();
-            lines.push(trace_json_line(row.required_gain, trace));
-        }
-        summary.push_str(&format!("  {threads} thr {total_us} us;"));
-        let rows: Vec<(Cycles, TableRow)> = traced
-            .into_iter()
-            .map(|(row, _)| (row.required_gain, row))
-            .collect();
-        match &reference {
-            None => reference = Some(rows),
-            Some(reference) => {
-                for ((rg, base), (_, got)) in reference.iter().zip(&rows) {
-                    assert!(
-                        base.area == got.area && base.gain == got.gain,
-                        "thread count {} diverged from {} at RG {}",
-                        threads,
-                        thread_counts[0],
-                        rg.get()
-                    );
-                }
-            }
-        }
-    }
-    lines.push(summary);
     lines
 }
 
@@ -300,22 +237,6 @@ mod tests {
             warm.trace.nodes_explored,
             cold.trace.nodes_explored
         );
-    }
-
-    #[test]
-    fn thread_scaling_lines_tag_thread_count() {
-        let lines = thread_scaling_lines(&jpeg::encoder(), &[1, 2]);
-        // 5 sweep points x 2 thread counts + 1 summary line.
-        assert_eq!(lines.len(), 11);
-        assert_eq!(
-            lines.iter().filter(|l| l.contains("\"threads\":1")).count(),
-            5
-        );
-        assert_eq!(
-            lines.iter().filter(|l| l.contains("\"threads\":2")).count(),
-            5
-        );
-        assert!(lines.last().unwrap().starts_with("thread-scaling"));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The benchsuite: one runner that drives every headline workload of the
-//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and chained at one
-//! thread, plus the corpus groups and a two-tenant service script, and
+//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and chained, plus
+//! the corpus groups and a two-tenant service script, and
 //! folds the results into a single `BENCH_partita.json` regression lock.
 //!
 //! Every figure in the report is **portable**: selection quality, cache and
 //! re-solve counters, branch-and-bound node counts and simplex per-op
-//! counters are exact at one thread, so they reproduce on any machine.
+//! counters are exact, so they reproduce on any machine.
 //! [`compare_reports`] gates on them strictly. Wall times, latencies and
 //! peak RSS are `perfbench`'s job: it reports medians of repeated runs.
 
 use partita_core::telemetry::json::JsonValue;
 use partita_core::{
     Imp, ImpDb, Instance, ParallelChoice, RequiredGains, SCall, Selection, SelectionAuditor,
-    SolveBudget, SolveOptions, Solver, SweepSession, SweepTrace,
+    SolveOptions, Solver, SweepSession, SweepTrace,
 };
 use partita_interface::{InterfaceKind, TransferJob};
 use partita_ip::{IpBlock, IpFunction};
@@ -132,9 +132,7 @@ impl CacheStats {
 
 /// Deterministic simplex per-op counters summed over a config's sweep,
 /// from each selection's [`partita_core::SolveTrace`]. Exact operation
-/// tallies, so they are portable at one thread (the parallel frontier
-/// explores a schedule-dependent node set, hence a schedule-dependent
-/// pivot count).
+/// tallies, so they are portable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpsCounters {
     /// Phase-1 (feasibility) simplex pivots.
@@ -209,7 +207,7 @@ pub struct ServiceResult {
 
 /// One corpus group's gate run: every manifest entry of a
 /// `family[:preset]` group rebuilt through its pinned digest and solved at
-/// its mid-sweep requirement (single-threaded branch-and-bound for the
+/// its mid-sweep requirement (branch-and-bound for the
 /// optimally-solvable groups, the deterministic greedy baseline for
 /// `table`/`x10` scale). The run itself asserts digests and audits; the
 /// report carries the tallies, all exact because the corpus is committed.
@@ -260,11 +258,9 @@ pub fn suite_workloads(quick: bool) -> Vec<(&'static str, Workload)> {
     }
 }
 
-/// Runs one config and returns its result with the sweep's selections. The
-/// thread count is explicit so the `PARTITA_THREADS` default cannot change
-/// the counts the report pins.
+/// Runs one config and returns its result with the sweep's selections.
 fn run_config(w: &Workload, mode: Mode) -> (ConfigResult, Vec<Selection>) {
-    let base = SolveOptions::default().budget(SolveBudget::default().with_threads(1));
+    let base = SolveOptions::default();
     let mut session = SweepSession::new();
     let sels: Vec<Selection> = match mode {
         Mode::Cold => session.sweep_cold(&w.instance, &w.imps, &base, &w.rg_sweep),
@@ -370,8 +366,7 @@ fn run_corpus(quick: bool) -> Vec<(String, CorpusResult)> {
                 .verify()
                 .unwrap_or_else(|e| panic!("corpus gate: {e}"));
             let rg = w.rg_sweep[w.rg_sweep.len() / 2];
-            let mut opts = SolveOptions::problem2(RequiredGains::uniform(rg))
-                .budget(SolveBudget::default().with_threads(1));
+            let mut opts = SolveOptions::problem2(RequiredGains::uniform(rg));
             if heuristic {
                 opts = opts.backend(partita_core::Backend::Greedy);
             }
@@ -478,7 +473,7 @@ fn run_service(quick: bool) -> Vec<(String, ServiceResult)> {
     out
 }
 
-/// Runs the whole suite at one thread — the two quickest workloads and
+/// Runs the whole suite — the two quickest workloads and
 /// corpus/service groups when `quick` — and returns the report, every
 /// section sorted by key.
 #[must_use]
@@ -737,8 +732,8 @@ impl SuiteReport {
 /// * a config present in the baseline but missing from the current run;
 /// * any drift in a config's per-point gain, area or status, or in its
 ///   cache counters;
-/// * any **node-count** growth (strict: the search is deterministic at one
-///   thread, so even +1 node is a real change);
+/// * any **node-count** growth (strict: the search is deterministic, so
+///   even +1 node is a real change);
 /// * any **simplex ops** growth — total pivots or allocating tableau
 ///   builds;
 /// * a **corpus group** missing from the current run, or any drift in its

@@ -1,15 +1,12 @@
 //! Contracts of the benchsuite report: stable serialization, lossless
-//! round-trips, a strict parser, a compare gate that passes on itself and
-//! fails on injected regressions, and thread-count identity of the sweeps
-//! the report pins at one thread.
+//! round-trips, a strict parser, and a compare gate that passes on itself
+//! and fails on injected regressions.
 
 use std::sync::OnceLock;
 
-use partita_bench::suite::{
-    compare_reports, fig9_workload, run_suite, suite_workloads, SuiteReport,
-};
+use partita_bench::suite::{compare_reports, fig9_workload, run_suite, SuiteReport};
 use partita_core::telemetry::json::JsonValue;
-use partita_core::{RequiredGains, SelectionAuditor, SolveBudget, SolveOptions, SweepSession};
+use partita_core::{RequiredGains, SolveOptions};
 
 /// The quick suite report, built once and shared by every test.
 fn quick_report() -> &'static SuiteReport {
@@ -306,46 +303,4 @@ fn service_section_shares_the_cache_and_gates_regressions() {
             .any(|m| m.contains("service/synth:micro: group missing")),
         "{regressions:?}"
     );
-}
-
-/// The report pins every headline sweep at one thread. Cold and chained
-/// sweeps at four threads must return the same selections, and the chained
-/// ones must audit clean.
-#[test]
-fn four_thread_sweeps_return_the_single_threaded_selections() {
-    for (key, w) in suite_workloads(false) {
-        let sweep = |threads: usize, chained: bool| {
-            let base = SolveOptions::default().budget(SolveBudget::default().with_threads(threads));
-            let mut session = SweepSession::new();
-            if chained {
-                session.sweep(&w.instance, &w.imps, &base, &w.rg_sweep)
-            } else {
-                session.sweep_cold(&w.instance, &w.imps, &base, &w.rg_sweep)
-            }
-            .unwrap_or_else(|e| panic!("{key}: sweep infeasible: {e}"))
-        };
-        let reference = sweep(1, false);
-        for chained in [false, true] {
-            let sels = sweep(4, chained);
-            assert_eq!(sels.len(), reference.len(), "{key}");
-            for ((sel, r), &rg) in sels.iter().zip(&reference).zip(&w.rg_sweep) {
-                assert_eq!(
-                    (sel.chosen(), sel.total_area(), sel.status),
-                    (r.chosen(), r.total_area(), r.status),
-                    "{key} (chained: {chained}): 4-thread selection diverged at RG {}",
-                    rg.get()
-                );
-                if chained {
-                    let opts = SolveOptions::problem2(RequiredGains::uniform(rg));
-                    let report = SelectionAuditor::new(&w.instance, &w.imps).audit(sel, &opts);
-                    assert!(
-                        report.is_clean(),
-                        "{key}: 4-thread chained selection failed the audit at RG {}: {}",
-                        rg.get(),
-                        report.to_json()
-                    );
-                }
-            }
-        }
-    }
 }

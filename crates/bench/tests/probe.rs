@@ -1,5 +1,5 @@
 //! The hot-path profiling probe behind `docs/PROFILING.md`: per headline
-//! workload, one cold sweep at a single thread, printing total simplex
+//! workload, one cold sweep, printing total simplex
 //! iterations, node count and wall time. Run with `--nocapture` to see the
 //! numbers; the assertions only pin what must never regress structurally
 //! (every sweep solves, every trace carries the per-op counters).
@@ -11,12 +11,12 @@
 use std::time::Instant;
 
 use partita_bench::suite::suite_workloads;
-use partita_core::{SolveBudget, SolveOptions, SweepSession};
+use partita_core::{SolveOptions, SweepSession};
 
 #[test]
 fn probe() {
     for (key, w) in suite_workloads(false) {
-        let base = SolveOptions::default().budget(SolveBudget::default().with_threads(1));
+        let base = SolveOptions::default();
         let mut session = SweepSession::new();
         let started = Instant::now();
         let sels = session

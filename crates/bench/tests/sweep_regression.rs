@@ -1,17 +1,16 @@
 //! Regression gate for the sweep orchestration layer: on the published
 //! table sweeps and the Fig. 11 hierarchical sweep, descending-RG chained
 //! sweeps must (a) return exactly the selections of independent cold solves
-//! and (b) explore fewer total branch-and-bound nodes. Node counts are
-//! compared at one worker thread so the totals are deterministic run to
-//! run.
+//! and (b) explore fewer total branch-and-bound nodes. The search is
+//! serial, so the node totals are deterministic run to run.
 
 use partita_bench::{audit_sweep, cold_vs_chained_sweep};
-use partita_core::{SolveBudget, SolveOptions};
+use partita_core::SolveOptions;
 use partita_workloads::{gsm, jpeg};
 
 #[test]
 fn chained_sweeps_save_nodes_on_published_tables() {
-    let base = SolveOptions::default().budget(SolveBudget::default().with_threads(1));
+    let base = SolveOptions::default();
     let mut cold_total = 0u64;
     let mut chained_total = 0u64;
     for (label, w) in [

@@ -253,10 +253,6 @@ pub struct SolveSpec {
     pub max_nodes: Option<usize>,
     /// Wall-clock deadline in milliseconds (default: none).
     pub deadline_ms: Option<u64>,
-    /// Worker threads. Defaults to 1: service answers are deterministic
-    /// unless a tenant explicitly asks for parallel search (which still
-    /// returns the identical selection, per the determinism contract).
-    pub threads: usize,
     /// Run the independent post-solve auditor and fail the request on a
     /// dirty report.
     pub audit: bool,
@@ -272,7 +268,6 @@ impl Default for SolveSpec {
             backend: Backend::BranchBound,
             max_nodes: None,
             deadline_ms: None,
-            threads: 1,
             audit: false,
             power_budget_mw: None,
         }
@@ -290,7 +285,7 @@ impl SolveSpec {
     /// point, overriding [`SolveSpec::rg`].
     #[must_use]
     pub fn to_options_at(&self, rg: u64) -> SolveOptions {
-        let mut budget = SolveBudget::default().with_threads(self.threads);
+        let mut budget = SolveBudget::default();
         if let Some(n) = self.max_nodes {
             budget = budget.with_max_nodes(n);
         }
@@ -310,11 +305,10 @@ impl SolveSpec {
 
     fn to_json(&self) -> String {
         let mut out = format!(
-            "\"problem\":\"{}\",\"rg\":{},\"backend\":\"{}\",\"threads\":{},\"audit\":{}",
+            "\"problem\":\"{}\",\"rg\":{},\"backend\":\"{}\",\"audit\":{}",
             self.problem.name(),
             self.rg,
             self.backend,
-            self.threads,
             self.audit
         );
         if let Some(n) = self.max_nodes {
@@ -373,12 +367,6 @@ impl SolveSpec {
                 .as_u64()
                 .ok_or_else(|| ApiError::InvalidParams("deadline_ms must be an integer".into()))?;
             spec.deadline_ms = Some(ms);
-        }
-        if let Some(t) = doc.get("threads") {
-            let t = t
-                .as_u64()
-                .ok_or_else(|| ApiError::InvalidParams("threads must be an integer".into()))?;
-            spec.threads = (t as usize).max(1);
         }
         if let Some(a) = doc.get("audit") {
             spec.audit = a
@@ -652,7 +640,7 @@ impl Request {
 
 /// The reproducible fingerprint text of a selection: chosen IMPs,
 /// objective, totals, per-path gains and status — excluding the trace,
-/// whose wall times and worker splits legitimately vary between runs.
+/// whose wall times legitimately vary between runs.
 ///
 /// Byte equality of these strings is the cross-layer determinism contract
 /// (the same one the root integration gates assert); [`selection_digest`]
@@ -680,12 +668,7 @@ pub fn selection_fingerprint(sel: &Selection) -> String {
 /// same digest are byte-identical under the determinism contract.
 #[must_use]
 pub fn selection_digest(sel: &Selection) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in selection_fingerprint(sel).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::cache::fnv1a64(&selection_fingerprint(sel))
 }
 
 /// One solved point inside a response payload.
@@ -902,6 +885,20 @@ mod tests {
         let line = r#"{"api_version":1,"id":"x","tenant":"t","method":"ping","future_field":42}"#;
         let req = Request::parse(line).expect("unknown fields tolerated");
         assert_eq!(req.body, RequestBody::Ping);
+        // Clients that still send the retired `threads` solve parameter
+        // get the plain serial solve.
+        let line = r#"{"api_version":1,"id":"x","tenant":"t","method":"solve","instance":"i","rg":7,"threads":4}"#;
+        let req = Request::parse(line).expect("a stale threads field is tolerated");
+        match req.body {
+            RequestBody::Solve { spec, .. } => assert_eq!(
+                spec,
+                SolveSpec {
+                    rg: 7,
+                    ..SolveSpec::default()
+                }
+            ),
+            other => panic!("parsed as {other:?}"),
+        }
     }
 
     #[test]
@@ -995,7 +992,6 @@ mod tests {
             backend: Backend::Greedy,
             max_nodes: Some(123),
             deadline_ms: Some(250),
-            threads: 4,
             audit: true,
             power_budget_mw: Some(900),
         };
@@ -1008,7 +1004,6 @@ mod tests {
             opts.solve_budget().deadline,
             Some(std::time::Duration::from_millis(250))
         );
-        assert_eq!(opts.solve_budget().threads, 4);
         assert!(opts.audit_enabled());
         assert_eq!(opts.power_budget(), Some(900));
         let at = spec.to_options_at(300);

@@ -19,6 +19,19 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+/// FNV-1a 64 digest of `s`: picks a [`ShardedLru`] shard, stands in for a
+/// canonical key in `cache_lookup` and `sweep_point` telemetry, and is the
+/// [`crate::api::selection_digest`] of a selection's fingerprint.
+#[must_use]
+pub fn fnv1a64(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A least-recently-used cache over canonical string keys.
 #[derive(Debug, Clone)]
 pub(crate) struct LruCache<V> {
@@ -129,12 +142,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// FNV-1a 64 shard index for `key`.
     fn shard_for(&self, key: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        (fnv1a64(key) % self.shards.len() as u64) as usize
     }
 
     /// Looks up `key`, refreshing its recency and cloning the value on a

@@ -478,8 +478,7 @@ mod tests {
     #[test]
     fn delta_resolve_explores_no_more_nodes_than_cold() {
         let (inst, db) = rig("nodes");
-        let mut opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(2400)));
-        opts.budget.threads = 1;
+        let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(2400)));
         let mut s = DeltaSession::new(inst.clone(), db.clone(), opts.clone()).unwrap();
         s.resolve().unwrap();
         s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(1800))))

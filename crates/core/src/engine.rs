@@ -1,9 +1,8 @@
-//! The solver-engine layer: pluggable backends, budgets with graceful
+//! The solver-engine layer: backend choice, budgets with graceful
 //! fallback, and solve telemetry.
 //!
-//! [`crate::Solver::solve`] no longer calls branch-and-bound directly; it
-//! dispatches through a [`SolverBackend`] chosen by
-//! [`crate::SolveOptions::backend`] and bounded by a [`SolveBudget`]. Budget
+//! [`crate::Solver::solve`] runs the [`Backend`] chosen by
+//! [`crate::SolveOptions::backend`], bounded by a [`SolveBudget`]. Budget
 //! exhaustion is never silent: every [`crate::Selection`] carries an
 //! [`OptimalityStatus`] saying whether the result is proven optimal, the
 //! best feasible point a exhausted budget allowed, or a heuristic fallback —
@@ -11,16 +10,12 @@
 //! search effort.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use partita_ilp::{
-    run_binary_exhaustive, Basis, BranchBound, BranchBoundStats, Model, Termination, WorkerStats,
-};
+use partita_ilp::{Model, Termination};
 
 use crate::formulate::VarMap;
-use crate::solver::RequiredGains;
-use crate::{CoreError, ImpDb, ImpId, Instance};
+use crate::{ImpDb, ImpId};
 
 /// Which solver backend answers a [`crate::Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,23 +73,8 @@ pub struct SolveBudget {
     pub deadline: Option<Duration>,
     /// Backend to fall back to when the budget runs out before *any*
     /// feasible point is found. `None` turns budget exhaustion into
-    /// [`CoreError::BudgetExhausted`].
+    /// [`crate::CoreError::BudgetExhausted`].
     pub fallback: Option<Backend>,
-    /// Worker threads for the branch-and-bound backend (minimum 1). The
-    /// default is read once from the `PARTITA_THREADS` environment variable,
-    /// falling back to 1 (serial) when unset or unparsable.
-    pub threads: usize,
-}
-
-/// Reads `PARTITA_THREADS` once; the answer is process-wide.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("PARTITA_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |t| t.max(1))
-    })
 }
 
 /// Reads `PARTITA_AUDIT` once; the answer is process-wide. Any value other
@@ -118,7 +98,6 @@ impl Default for SolveBudget {
             max_nodes: 200_000,
             deadline: None,
             fallback: Some(Backend::Greedy),
-            threads: default_threads(),
         }
     }
 }
@@ -145,13 +124,10 @@ impl SolveBudget {
         self
     }
 
-    /// Sets the branch-and-bound worker-thread count (clamped to at least
-    /// 1). Results are identical across thread counts for solves that finish
-    /// within budget; see the `partita-ilp` branch-and-bound determinism
-    /// contract.
+    /// Does nothing: the branch-and-bound search is serial. Kept only so
+    /// existing callers compile; it will be removed.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> SolveBudget {
-        self.threads = threads.max(1);
+    pub fn with_threads(self, _threads: usize) -> SolveBudget {
         self
     }
 }
@@ -260,16 +236,6 @@ pub struct SolveTrace {
     /// Whether a retained root-LP basis from a previous solve was installed
     /// and dual-repaired instead of running two-phase simplex from scratch.
     pub basis_reused: bool,
-    /// Worker threads the branch-and-bound search ran with (1 for serial
-    /// and for the non-branch-and-bound backends).
-    pub threads: usize,
-    /// Nodes explored per worker (one entry per worker; empty for backends
-    /// without a worker pool).
-    pub worker_nodes: Vec<usize>,
-    /// Nodes each worker took from the shared pool instead of its local
-    /// dive stack (parallel to [`SolveTrace::worker_nodes`]; all zero for
-    /// the serial search, which has no pool).
-    pub worker_steals: Vec<usize>,
     /// Time spent generating the IMP database (zero when prebuilt).
     pub imp_generation: Duration,
     /// Time spent building the ILP model.
@@ -285,178 +251,6 @@ impl SolveTrace {
     #[must_use]
     pub fn total(&self) -> Duration {
         self.imp_generation + self.formulation + self.solve + self.decode
-    }
-}
-
-/// A backend's answer, in model space: variable values plus the effort it
-/// took to find them. [`crate::Solver::solve`] decodes this into a
-/// [`crate::Selection`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineSolution {
-    /// Objective value under the model's own objective.
-    pub objective: f64,
-    /// Value per model variable.
-    pub values: Vec<f64>,
-    /// Trust level of this solution.
-    pub status: OptimalityStatus,
-    /// Search-effort counters (zeroed where a backend has no such notion).
-    pub effort: BranchBoundStats,
-    /// Root-LP basis retained by the branch-and-bound backend, reusable to
-    /// warm-start the next same-shaped solve (`None` for other backends).
-    pub root_basis: Option<Arc<Basis>>,
-}
-
-/// A pluggable solve strategy over a formulated ILP [`Model`].
-///
-/// Implementations must return a solution whose `values` satisfy the model's
-/// constraints, or an error; budget exhaustion without any feasible point is
-/// [`CoreError::BudgetExhausted`] so the dispatcher can try the fallback.
-pub trait SolverBackend {
-    /// Solves `model` within `budget`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Infeasible`] when the backend proves (or, for
-    /// heuristics, concludes) no feasible point exists,
-    /// [`CoreError::BudgetExhausted`] when the budget ran out first, plus
-    /// ILP-layer errors.
-    fn solve(&self, model: &Model, budget: &SolveBudget) -> Result<EngineSolution, CoreError>;
-}
-
-/// Branch-and-bound backend, optionally warm-started with known feasible
-/// points (see [`crate::SolveOptions::warm_start`] and
-/// [`crate::SolveOptions::warm_start_hint`]).
-#[derive(Debug, Clone, Default)]
-pub struct BranchBoundBackend {
-    /// Candidate assignments seeding the incumbent (the best feasible one
-    /// wins); infeasible or malformed seeds are ignored.
-    pub seeds: Vec<Vec<f64>>,
-    /// Retained root-LP basis from a previous same-shaped solve; installed
-    /// and dual-repaired at the root, silently falling back to the cold
-    /// two-phase path when stale or incompatible.
-    pub root_basis: Option<Arc<Basis>>,
-}
-
-impl SolverBackend for BranchBoundBackend {
-    fn solve(&self, model: &Model, budget: &SolveBudget) -> Result<EngineSolution, CoreError> {
-        let mut bb = BranchBound::new()
-            .with_max_nodes(budget.max_nodes)
-            .with_threads(budget.threads);
-        if let Some(d) = budget.deadline {
-            bb = bb.with_deadline(d);
-        }
-        if let Some(basis) = &self.root_basis {
-            bb = bb.with_root_basis(basis.clone());
-        }
-        let run = bb.run_seeded(model, &self.seeds)?;
-        let status = status_from_termination(run.termination);
-        match run.solution {
-            Some(sol) => Ok(EngineSolution {
-                objective: sol.objective,
-                values: sol.values,
-                status,
-                effort: run.stats,
-                root_basis: run.root_basis,
-            }),
-            None => Err(CoreError::BudgetExhausted),
-        }
-    }
-}
-
-/// Exhaustive-enumeration backend: exact and budget-aware, only viable on
-/// small models ([`partita_ilp::MAX_EXHAUSTIVE_BINARIES`]).
-///
-/// [`SolveBudget::max_nodes`] caps the enumerated assignments and
-/// [`SolveBudget::deadline`] is polled during the sweep; an exhausted budget
-/// downgrades honestly through the uniform status mapping — it claims
-/// [`OptimalityStatus::Optimal`] only after enumerating *every* assignment.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustiveBackend;
-
-impl SolverBackend for ExhaustiveBackend {
-    fn solve(&self, model: &Model, budget: &SolveBudget) -> Result<EngineSolution, CoreError> {
-        let run = run_binary_exhaustive(model, budget.max_nodes, budget.deadline)?;
-        let status = status_from_termination(run.termination);
-        let assignments = run.assignments_checked;
-        match run.solution {
-            Some(sol) => Ok(EngineSolution {
-                objective: sol.objective,
-                values: sol.values,
-                status,
-                root_basis: None,
-                effort: BranchBoundStats {
-                    nodes_explored: assignments,
-                    threads: 1,
-                    per_worker: vec![WorkerStats {
-                        nodes_explored: assignments,
-                        ..WorkerStats::default()
-                    }],
-                    ..BranchBoundStats::default()
-                },
-            }),
-            // A completed enumeration with no feasible assignment is a
-            // proof of infeasibility; a truncated one proves nothing.
-            None if run.termination == Termination::Optimal => {
-                Err(CoreError::Infeasible { path: None })
-            }
-            None => Err(CoreError::BudgetExhausted),
-        }
-    }
-}
-
-/// Greedy backend: wraps [`crate::baseline::solve_greedy`] and encodes its
-/// selection back into model space so it goes through the same decode and
-/// verification path as the exact backends.
-///
-/// Constructed internally by [`crate::Solver`]; the greedy heuristic needs
-/// the instance, IMP database and variable mapping, which only the solver
-/// holds.
-#[derive(Debug, Clone)]
-pub struct GreedyBackend<'a> {
-    instance: &'a Instance,
-    db: &'a ImpDb,
-    gains: &'a RequiredGains,
-    map: &'a VarMap,
-}
-
-impl<'a> GreedyBackend<'a> {
-    pub(crate) fn new(
-        instance: &'a Instance,
-        db: &'a ImpDb,
-        gains: &'a RequiredGains,
-        map: &'a VarMap,
-    ) -> GreedyBackend<'a> {
-        GreedyBackend {
-            instance,
-            db,
-            gains,
-            map,
-        }
-    }
-}
-
-impl SolverBackend for GreedyBackend<'_> {
-    fn solve(&self, model: &Model, _budget: &SolveBudget) -> Result<EngineSolution, CoreError> {
-        let selection = crate::baseline::solve_greedy(self.instance, self.db, self.gains)?;
-        let chosen: Vec<ImpId> = selection.chosen().iter().map(|imp| imp.id).collect();
-        let values = encode_selection(model, self.map, self.db, &chosen);
-        // The greedy heuristic knows nothing about constraints that only
-        // exist in the model (power budgets, Problem 1 shape ties); a
-        // selection that violates them is a greedy failure, consistent with
-        // greedy's documented incompleteness.
-        if !model.is_feasible(&values, 1e-6) {
-            return Err(CoreError::Infeasible { path: None });
-        }
-        Ok(EngineSolution {
-            objective: model.objective().eval(&values),
-            values,
-            status: OptimalityStatus::Heuristic,
-            root_basis: None,
-            effort: BranchBoundStats {
-                threads: 1,
-                ..BranchBoundStats::default()
-            },
-        })
     }
 }
 
@@ -532,8 +326,7 @@ mod tests {
         assert_eq!(b.max_nodes, 200_000);
         assert_eq!(b.fallback, Some(Backend::Greedy));
         assert!(b.deadline.is_none());
-        assert!(b.threads >= 1);
-        assert_eq!(b.with_threads(0).threads, 1);
+        assert_eq!(b.with_threads(4), b, "the thread shim is inert");
     }
 
     #[test]
@@ -561,16 +354,13 @@ mod tests {
             probes_warm: 4,
             probes_cold: 1,
             basis_reused: true,
-            threads: 2,
-            worker_nodes: vec![2, 1],
-            worker_steals: vec![1, 1],
             imp_generation: Duration::from_micros(10),
             formulation: Duration::from_micros(20),
             solve: Duration::from_micros(30),
             decode: Duration::from_micros(40),
         };
         let json = crate::telemetry::Event::SolveFinished { trace }.to_json();
-        assert!(json.starts_with("{\"schema\":4,\"event\":\"solve_finished\""));
+        assert!(json.starts_with("{\"schema\":5,\"event\":\"solve_finished\""));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"backend\":\"branch_bound\""));
         assert!(json.contains("\"status\":\"optimal\""));
@@ -586,10 +376,7 @@ mod tests {
         assert!(json.contains(
             "\"vars_fixed\":2,\"probes_screened\":3,\"probes_warm\":4,\"probes_cold\":1,"
         ));
-        assert!(json.contains("\"basis_reused\":true"));
-        assert!(json.contains("\"threads\":2"));
-        assert!(json.contains("\"worker_nodes\":[2,1]"));
-        assert!(json.contains("\"worker_steals\":[1,1]"));
+        assert!(json.contains("\"basis_reused\":true,\"imp_generation_us\":10,"));
         assert!(json.contains("\"total_us\":100"));
         // Balanced braces and quotes (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

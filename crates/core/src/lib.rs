@@ -106,16 +106,13 @@ pub use build::{instance_from_compiled, SCallBinding};
 pub use cache::ShardedLru;
 pub use conflict::{sc_pc_conflicts, ConflictPair};
 pub use delta::{DeltaSession, InstanceDelta};
-pub use engine::{
-    Backend, BranchBoundBackend, EngineSolution, ExhaustiveBackend, GreedyBackend,
-    OptimalityStatus, SolveBudget, SolveTrace, SolverBackend,
-};
+pub use engine::{Backend, OptimalityStatus, SolveBudget, SolveTrace};
 pub use error::CoreError;
 pub use imp::{Imp, ImpId, ParallelChoice};
 pub use impdb::ImpDb;
 pub use instance::{Instance, PathSpec, SCall};
 pub use solver::{ProblemKind, RequiredGains, Selection, SolveOptions, Solver};
-pub use sweep::{BatchJob, SweepPoint, SweepSession, SweepTrace};
+pub use sweep::{SweepPoint, SweepSession, SweepTrace};
 pub use telemetry::{
     Event, EventKind, JsonLinesSink, NullSink, RecordingSink, Redaction, TelemetrySink,
 };

@@ -5,9 +5,12 @@ use std::sync::Arc;
 
 use partita_mop::{AreaTenths, CallSiteId, Cycles, PathId};
 
+use partita_ilp::{
+    run_binary_exhaustive, Basis, BranchBound, BranchBoundStats, IlpSolution, Model, Termination,
+};
+
 use crate::engine::{
-    encode_selection, Backend, BranchBoundBackend, EngineSolution, ExhaustiveBackend,
-    GreedyBackend, OptimalityStatus, SolveBudget, SolveTrace, SolverBackend,
+    encode_selection, status_from_termination, Backend, OptimalityStatus, SolveBudget, SolveTrace,
 };
 use crate::formulate::{build_model, decode, Formulation, VarMap};
 use crate::telemetry::{Event, Phase, SpanTimer, TelemetrySink};
@@ -560,7 +563,6 @@ impl<'a> Solver<'a> {
                 instance: self.instance.name.clone(),
                 problem: options.problem,
                 backend: options.backend,
-                threads: options.budget.threads,
             });
         }
 
@@ -620,58 +622,10 @@ pub(crate) fn solve_prepared(
     trace.num_imps = db.len();
 
     let span = SpanTimer::start(Phase::Solve);
-    let (solution, backend) = dispatch(instance, db, options, model, map)?;
+    let (ilp_solution, root_basis) = dispatch(instance, db, options, model, map, &mut trace)?;
     trace.solve = span.finish(sink);
-    trace.backend = backend;
-    trace.status = solution.status;
-    trace.nodes_explored = solution.effort.nodes_explored;
-    trace.nodes_pruned = solution.effort.nodes_pruned;
-    trace.incumbent_updates = solution.effort.incumbent_updates;
-    trace.simplex_iterations = solution.effort.simplex_iterations;
-    trace.phase1_pivots = solution.effort.simplex_ops.phase1_pivots;
-    trace.phase2_pivots = solution.effort.simplex_ops.phase2_pivots;
-    trace.dual_pivots = solution.effort.simplex_ops.dual_pivots;
-    trace.lex_pivots = solution.effort.simplex_ops.lex_pivots;
-    trace.tableau_builds = solution.effort.simplex_ops.tableau_builds;
-    trace.scratch_reuses = solution.effort.simplex_ops.scratch_reuses;
-    trace.bland_activations = solution.effort.simplex_ops.bland_activations;
-    trace.warm_start_accepted = solution.effort.warm_start_accepted;
-    trace.vars_fixed = solution.effort.vars_fixed;
-    trace.probes_screened = solution.effort.probes_screened;
-    trace.probes_warm = solution.effort.probes_warm;
-    trace.probes_cold = solution.effort.probes_cold;
-    trace.basis_reused = solution.effort.basis_reused;
-    trace.threads = solution.effort.threads;
-    trace.worker_nodes = solution
-        .effort
-        .per_worker
-        .iter()
-        .map(|w| w.nodes_explored)
-        .collect();
-    trace.worker_steals = solution
-        .effort
-        .per_worker
-        .iter()
-        .map(|w| w.steals)
-        .collect();
-    if sink.enabled() {
-        for (i, w) in solution.effort.per_worker.iter().enumerate() {
-            sink.emit(&Event::WorkerFinished {
-                worker: i,
-                nodes_explored: w.nodes_explored,
-                nodes_pruned: w.nodes_pruned,
-                steals: w.steals,
-                simplex_iterations: w.simplex_iterations,
-            });
-        }
-    }
 
     let span = SpanTimer::start(Phase::Decode);
-    let root_basis = solution.root_basis.clone();
-    let ilp_solution = partita_ilp::IlpSolution {
-        objective: solution.objective,
-        values: solution.values,
-    };
     let chosen_ids = decode(db, map, &ilp_solution);
     let chosen: Vec<Imp> = chosen_ids
         .iter()
@@ -688,7 +642,7 @@ pub(crate) fn solve_prepared(
         }
     }
     let mut selection =
-        Selection::from_chosen(instance, chosen, ilp_solution.objective, solution.status);
+        Selection::from_chosen(instance, chosen, ilp_solution.objective, trace.status);
     trace.decode = span.finish(sink);
     selection.trace = trace;
     if options.audit {
@@ -713,7 +667,7 @@ fn build_seeds(
     instance: &Instance,
     db: &ImpDb,
     options: &SolveOptions,
-    model: &partita_ilp::Model,
+    model: &Model,
     map: &VarMap,
 ) -> Vec<Vec<f64>> {
     let mut seeds: Vec<Vec<f64>> = Vec::new();
@@ -733,49 +687,131 @@ fn build_seeds(
 /// [`CoreError::BudgetExhausted`] from *any* primary backend, retries once
 /// with the budget's fallback backend.
 ///
-/// Returns the solution and the backend that actually produced it.
+/// Records the backend that produced the answer, its status and its search
+/// effort in `trace`, and returns the model-space solution plus the root-LP
+/// basis branch-and-bound retained.
 fn dispatch(
     instance: &Instance,
     db: &ImpDb,
     options: &SolveOptions,
-    model: &partita_ilp::Model,
+    model: &Model,
     map: &VarMap,
-) -> Result<(EngineSolution, Backend), CoreError> {
+    trace: &mut SolveTrace,
+) -> Result<(IlpSolution, Option<Arc<Basis>>), CoreError> {
     let budget = &options.budget;
-
-    let primary: Result<(EngineSolution, Backend), CoreError> = match options.backend {
-        Backend::Exhaustive => ExhaustiveBackend
-            .solve(model, budget)
-            .map(|s| (s, Backend::Exhaustive)),
-        Backend::Greedy => GreedyBackend::new(instance, db, &options.gains, map)
-            .solve(model, budget)
-            .map(|s| (s, Backend::Greedy)),
-        Backend::BranchBound => BranchBoundBackend {
-            seeds: build_seeds(instance, db, options, model, map),
-            root_basis: options.root_basis.clone(),
+    trace.backend = options.backend;
+    let primary = match options.backend {
+        Backend::BranchBound => {
+            let mut bb = BranchBound::new().with_max_nodes(budget.max_nodes);
+            if let Some(d) = budget.deadline {
+                bb = bb.with_deadline(d);
+            }
+            if let Some(basis) = &options.root_basis {
+                bb = bb.with_root_basis(basis.clone());
+            }
+            let run = bb.run_seeded(model, &build_seeds(instance, db, options, model, map))?;
+            record_effort(trace, &run.stats);
+            trace.status = status_from_termination(run.termination);
+            match run.solution {
+                Some(sol) => Ok((sol, run.root_basis)),
+                None => Err(CoreError::BudgetExhausted),
+            }
         }
-        .solve(model, budget)
-        .map(|s| (s, Backend::BranchBound)),
+        Backend::Exhaustive => run_exhaustive(model, budget, trace).map(|sol| (sol, None)),
+        Backend::Greedy => {
+            run_greedy(instance, db, options, model, map, trace).map(|sol| (sol, None))
+        }
     };
 
     match (primary, budget.fallback) {
         (Err(CoreError::BudgetExhausted), Some(fallback)) => {
             let rescued = match fallback {
-                Backend::Exhaustive => ExhaustiveBackend.solve(model, budget),
+                Backend::Exhaustive => run_exhaustive(model, budget, trace),
                 // Falling back to a search backend that just ran dry would
                 // exhaust again; route everything else to greedy.
-                _ => GreedyBackend::new(instance, db, &options.gains, map).solve(model, budget),
+                _ => run_greedy(instance, db, options, model, map, trace),
             }?;
-            Ok((
-                EngineSolution {
-                    status: OptimalityStatus::FallbackUsed,
-                    ..rescued
-                },
-                fallback,
-            ))
+            trace.backend = fallback;
+            trace.status = OptimalityStatus::FallbackUsed;
+            Ok((rescued, None))
         }
         (result, _) => result,
     }
+}
+
+/// Enumerates every binary assignment under the node cap and deadline. A
+/// completed enumeration with no feasible assignment proves infeasibility;
+/// a truncated one proves nothing.
+fn run_exhaustive(
+    model: &Model,
+    budget: &SolveBudget,
+    trace: &mut SolveTrace,
+) -> Result<IlpSolution, CoreError> {
+    let run = run_binary_exhaustive(model, budget.max_nodes, budget.deadline)?;
+    record_effort(
+        trace,
+        &BranchBoundStats {
+            nodes_explored: run.assignments_checked,
+            ..BranchBoundStats::default()
+        },
+    );
+    trace.status = status_from_termination(run.termination);
+    match run.solution {
+        Some(sol) => Ok(sol),
+        None if run.termination == Termination::Optimal => {
+            Err(CoreError::Infeasible { path: None })
+        }
+        None => Err(CoreError::BudgetExhausted),
+    }
+}
+
+/// The greedy heuristic, encoded back into model space so it goes through
+/// the same decode and audit path as the exact backends. Greedy knows
+/// nothing about constraints that only exist in the model (power budgets,
+/// Problem 1 shape ties); a selection that violates them is a greedy
+/// failure, consistent with greedy's documented incompleteness.
+fn run_greedy(
+    instance: &Instance,
+    db: &ImpDb,
+    options: &SolveOptions,
+    model: &Model,
+    map: &VarMap,
+    trace: &mut SolveTrace,
+) -> Result<IlpSolution, CoreError> {
+    let selection = crate::baseline::solve_greedy(instance, db, &options.gains)?;
+    let chosen: Vec<ImpId> = selection.chosen().iter().map(|imp| imp.id).collect();
+    let values = encode_selection(model, map, db, &chosen);
+    if !model.is_feasible(&values, 1e-6) {
+        return Err(CoreError::Infeasible { path: None });
+    }
+    record_effort(trace, &BranchBoundStats::default());
+    trace.status = OptimalityStatus::Heuristic;
+    Ok(IlpSolution {
+        objective: model.objective().eval(&values),
+        values,
+    })
+}
+
+/// Copies a backend's search-effort counters into the trace, replacing any
+/// left by a primary backend that a fallback rescued.
+fn record_effort(trace: &mut SolveTrace, effort: &BranchBoundStats) {
+    trace.nodes_explored = effort.nodes_explored;
+    trace.nodes_pruned = effort.nodes_pruned;
+    trace.incumbent_updates = effort.incumbent_updates;
+    trace.simplex_iterations = effort.simplex_iterations;
+    trace.phase1_pivots = effort.simplex_ops.phase1_pivots;
+    trace.phase2_pivots = effort.simplex_ops.phase2_pivots;
+    trace.dual_pivots = effort.simplex_ops.dual_pivots;
+    trace.lex_pivots = effort.simplex_ops.lex_pivots;
+    trace.tableau_builds = effort.simplex_ops.tableau_builds;
+    trace.scratch_reuses = effort.simplex_ops.scratch_reuses;
+    trace.bland_activations = effort.simplex_ops.bland_activations;
+    trace.warm_start_accepted = effort.warm_start_accepted;
+    trace.vars_fixed = effort.vars_fixed;
+    trace.probes_screened = effort.probes_screened;
+    trace.probes_warm = effort.probes_warm;
+    trace.probes_cold = effort.probes_cold;
+    trace.basis_reused = effort.basis_reused;
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Sweep/batch orchestration: canonical-instance solve caching and
-//! cross-RG warm-start chaining.
+//! Sweep orchestration: canonical-instance solve caching and cross-RG
+//! warm-start chaining.
 //!
 //! The paper's headline experiments (Tables 1–3, Figs 8–11) are RG
 //! *sweeps*: the same instance solved at many required-gain points. Driving
@@ -26,39 +26,24 @@
 //!   — the lexicographic tie-break still picks the same optimum — so every
 //!   chained selection is identical to its cold-solve counterpart (for
 //!   solves that finish within budget; a budget-exhausted incumbent is
-//!   exempt, exactly as for thread counts).
-//! * **Batched fan-out.** [`SweepSession::solve_batch`] fans independent
-//!   (instance, options) jobs across a scoped worker pool with per-job
-//!   budgets, sharing the cache across the batch.
+//!   exempt).
 //!
 //! All of it is observable: the session accumulates a [`SweepTrace`] with
 //! cache hits/misses, chained-incumbent accepts, per-point node counts and
 //! wall times, rendered as JSON lines for scraping.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partita_mop::Cycles;
 
-use crate::cache::LruCache;
+use crate::cache::{fnv1a64, LruCache};
 use crate::delta::{DeltaSession, InstanceDelta};
 use crate::solver::solve_cold;
 use crate::telemetry::{CacheKind, Event, TelemetrySink};
 use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
 
-/// One solve job for [`SweepSession::solve_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchJob<'a> {
-    /// The problem instance.
-    pub instance: &'a Instance,
-    /// Its IMP database.
-    pub db: &'a ImpDb,
-    /// Solve configuration (carries its own per-job budget).
-    pub options: SolveOptions,
-}
-
-/// Telemetry of one sweep point or batch job run through a session.
+/// Telemetry of one sweep point run through a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPoint {
     /// FNV-1a 64 digest of the canonical solve key (telemetry only — cache
@@ -181,17 +166,6 @@ fn nodes_saved_clamped(cold: u64, chained: u64) -> i64 {
     saved.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
-/// FNV-1a 64-bit digest, reported in telemetry so sweep points can be
-/// correlated across runs without dumping full canonical keys.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Public form of the canonical instance + IMP-database content key: every
 /// structural field, *excluding* the instance's display name, so isomorphic
 /// instances (same structure, different name — e.g. the same corpus entry
@@ -214,7 +188,7 @@ pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
 /// session's and the solve daemon's: the instance content key plus
 /// everything that can change **which selection is returned** — problem
 /// kind, required gains, power budget, backend and budget (node cap,
-/// deadline, fallback, threads).
+/// deadline, fallback).
 ///
 /// Deliberately excluded, and guaranteed excluded by test: the `audit`
 /// flag (checking an answer never changes it), any retained root **basis**
@@ -238,7 +212,7 @@ pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptio
     )
 }
 
-/// A caching, chaining, batching solve session.
+/// A caching, chaining solve session.
 ///
 /// See the module docs for the design; the short version:
 ///
@@ -332,7 +306,7 @@ impl SweepSession {
     }
 
     /// Routes this session's live telemetry ([`Event::CacheLookup`],
-    /// [`Event::SweepPoint`], [`Event::BatchStarted`]) — and the inner
+    /// [`Event::SweepPoint`]) — and the inner
     /// solves and delta re-solves it dispatches — to `sink` instead of the
     /// process-wide [`crate::telemetry::global`] sink.
     #[must_use]
@@ -560,158 +534,6 @@ impl SweepSession {
         self.solves.insert(key, sel.clone());
         Ok(sel)
     }
-
-    /// Fans independent jobs across `pool_threads` scoped workers, sharing
-    /// this session's cache: cached jobs are answered up front, the misses
-    /// are formulated and solved concurrently (each under its own
-    /// [`crate::SolveOptions::solve_budget`]), and every result lands in
-    /// the cache for the next batch. Results come back in job order,
-    /// per-job errors in place.
-    pub fn solve_batch(
-        &mut self,
-        jobs: &[BatchJob<'_>],
-        pool_threads: usize,
-    ) -> Vec<Result<Selection, CoreError>> {
-        let pool_threads = pool_threads.max(1);
-        let mut out: Vec<Option<Result<Selection, CoreError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-
-        // Phase 1 (serial): probe the solve cache. Keeping cache mutation on
-        // one thread keeps the LRU simple.
-        struct Pending {
-            job: usize,
-            key: String,
-            digest: u64,
-        }
-        let mut pending: Vec<Pending> = Vec::new();
-        // Canonically identical jobs within one batch collapse to a single
-        // solve; the duplicates ride along as followers and are answered
-        // with the exact same Selection (so a duplicate can never diverge
-        // from its twin by trace timing).
-        let mut by_key: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let mut followers: Vec<(usize, usize)> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let started = Instant::now();
-            let key = canonical_solve_key(job.instance, job.db, &job.options);
-            let digest = fnv1a64(&key);
-            let hit = self.solves.get(&key).cloned();
-            self.emit_cache(hit.is_some(), &key);
-            let twin = by_key.get(&key).copied();
-            if hit.is_some() || twin.is_some() {
-                self.trace.cache_hits += 1;
-                self.record(SweepPoint {
-                    digest,
-                    rg: job.options.gains.as_uniform(),
-                    cache_hit: true,
-                    chained: false,
-                    nodes_explored: 0,
-                    wall: started.elapsed(),
-                });
-            }
-            if let Some(sel) = hit {
-                // The audit flag is not part of the cache key, so a hit must
-                // run its own audit when this job asked for one.
-                out[i] = Some(audit_cached(job.instance, job.db, &job.options, sel));
-            } else if let Some(twin) = twin {
-                followers.push((i, twin));
-            } else {
-                by_key.insert(key.clone(), pending.len());
-                pending.push(Pending {
-                    job: i,
-                    key,
-                    digest,
-                });
-            }
-        }
-
-        let sink = self.sink();
-        if sink.enabled() {
-            sink.emit(&Event::BatchStarted {
-                jobs: jobs.len(),
-                unique: pending.len(),
-                followers: followers.len(),
-                pool_threads,
-            });
-        }
-
-        // Phase 2 (parallel): formulate and solve the misses. Workers pull
-        // jobs off a shared counter — the work-stealing is at job
-        // granularity; each job's own branch-and-bound may still run its
-        // internal pool. Workers share the session sink: every solve's
-        // events land in one stream, each JSON line written atomically by
-        // the sink.
-        type Outcome = (Result<Selection, CoreError>, Duration);
-        let next = AtomicUsize::new(0);
-        let solved: Mutex<Vec<Option<Outcome>>> =
-            Mutex::new((0..pending.len()).map(|_| None).collect());
-        let run_one = |p: &Pending| {
-            let started = Instant::now();
-            let job = &jobs[p.job];
-            let result = solve_cold(
-                job.instance,
-                job.db,
-                &job.options,
-                SolveTrace::default(),
-                sink,
-            );
-            (result, started.elapsed())
-        };
-        if pool_threads == 1 || pending.len() <= 1 {
-            let mut solved = solved.lock().expect("batch results lock");
-            for (k, p) in pending.iter().enumerate() {
-                solved[k] = Some(run_one(p));
-            }
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..pool_threads.min(pending.len()) {
-                    s.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(p) = pending.get(k) else { return };
-                        let outcome = run_one(p);
-                        solved.lock().expect("batch results lock")[k] = Some(outcome);
-                    });
-                }
-            });
-        }
-
-        // Phase 3 (serial): record telemetry, memoize, fill the output.
-        let solved = solved.into_inner().expect("batch results lock");
-        let mut resolved: Vec<Result<Selection, CoreError>> = Vec::with_capacity(pending.len());
-        for (p, outcome) in pending.iter().zip(solved) {
-            let (result, wall) = outcome.expect("every pending job solved");
-            self.trace.cache_misses += 1;
-            let nodes = result
-                .as_ref()
-                .map(|sel| sel.trace.nodes_explored)
-                .unwrap_or(0);
-            self.record(SweepPoint {
-                digest: p.digest,
-                rg: jobs[p.job].options.gains.as_uniform(),
-                cache_hit: false,
-                chained: false,
-                nodes_explored: nodes,
-                wall,
-            });
-            if let Ok(sel) = &result {
-                self.solves.insert(p.key.clone(), sel.clone());
-            }
-            resolved.push(result);
-        }
-        for (job, twin) in followers {
-            let r = match resolved[twin].clone() {
-                Ok(sel) => audit_cached(jobs[job].instance, jobs[job].db, &jobs[job].options, sel),
-                err => err,
-            };
-            out[job] = Some(r);
-        }
-        for (p, result) in pending.iter().zip(resolved) {
-            out[p.job] = Some(result);
-        }
-
-        out.into_iter()
-            .map(|r| r.expect("every job answered"))
-            .collect()
-    }
 }
 
 /// Audits a cache-served [`Selection`] when the request opted in. Fresh
@@ -895,59 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_batch_matches_individual_solves_and_caches() {
-        let (inst, db) = three_firs("a");
-        let jobs: Vec<BatchJob<'_>> = [600u64, 1200, 1800, 600]
-            .iter()
-            .map(|&rg| BatchJob {
-                instance: &inst,
-                db: &db,
-                options: SolveOptions::problem2(RequiredGains::uniform(Cycles(rg))),
-            })
-            .collect();
-        let mut batch = SweepSession::new();
-        let results = batch.solve_batch(&jobs, 4);
-        assert_eq!(results.len(), 4);
-        let mut single = SweepSession::new();
-        for (job, result) in jobs.iter().zip(&results) {
-            let expected = single.solve(job.instance, job.db, &job.options).unwrap();
-            let got = result.as_ref().expect("batch job feasible");
-            assert_eq!(got.chosen(), expected.chosen());
-            assert_eq!(got.total_area(), expected.total_area());
-        }
-        // The duplicate 600 job is solved at most once; a second identical
-        // batch is answered entirely from cache.
-        assert!(batch.trace().cache_misses <= 4);
-        let again = batch.solve_batch(&jobs, 4);
-        assert!(batch.trace().cache_hits >= 4);
-        for (a, b) in results.iter().zip(&again) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn batch_reports_per_job_errors_in_place() {
-        let (inst, db) = three_firs("a");
-        let jobs = vec![
-            BatchJob {
-                instance: &inst,
-                db: &db,
-                options: SolveOptions::problem2(RequiredGains::uniform(Cycles(1200))),
-            },
-            BatchJob {
-                instance: &inst,
-                db: &db,
-                // Unreachable: 3 imps x 600 = 1800 max.
-                options: SolveOptions::problem2(RequiredGains::uniform(Cycles(10_000))),
-            },
-        ];
-        let mut s = SweepSession::new();
-        let results = s.solve_batch(&jobs, 2);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(CoreError::Infeasible { .. })));
-    }
-
-    #[test]
     fn lru_bound_evicts_old_solves() {
         let (inst, db) = three_firs("a");
         let mut s = SweepSession::with_capacities(2);
@@ -1056,7 +825,7 @@ mod tests {
         assert_eq!(lines.len(), 3, "2 points + summary");
         for line in &lines {
             assert!(
-                line.starts_with("{\"schema\":4,\"event\":\"sweep_"),
+                line.starts_with("{\"schema\":5,\"event\":\"sweep_"),
                 "{line}"
             );
             assert!(line.contains("\"sweep\":\"tab\\\"le\""), "{line}");

@@ -4,7 +4,7 @@
 //! JSON surface of the pipeline (solve traces, [`crate::SweepTrace`],
 //! [`crate::AuditReport::to_json`]) goes through one **versioned event
 //! schema**: every line the pipeline emits is a typed [`Event`] serialized
-//! as a single JSON object tagged `{"schema":4,"event":"<kind>", ...}`.
+//! as a single JSON object tagged `{"schema":5,"event":"<kind>", ...}`.
 //! The full field-level schema is documented in `docs/TELEMETRY.md`, which
 //! is kept honest by a test diffing the doc's event list against
 //! [`EventKind::ALL`].
@@ -13,15 +13,14 @@
 //!
 //! * [`Event`] — the closed set of things the pipeline can report: solve
 //!   lifecycle ([`Event::SolveStarted`] → [`Event::PhaseFinished`] →
-//!   [`Event::WorkerFinished`] → [`Event::SolveFinished`]), sweep-session
-//!   activity ([`Event::CacheLookup`], [`Event::ChainDecision`],
-//!   [`Event::SweepPoint`], [`Event::BatchStarted`], …), audit results
-//!   ([`Event::AuditFinished`]).
+//!   [`Event::SolveFinished`]), sweep-session activity
+//!   ([`Event::CacheLookup`], [`Event::ChainDecision`],
+//!   [`Event::SweepPoint`], …), audit results ([`Event::AuditFinished`]).
 //! * [`TelemetrySink`] — where events go. [`NullSink`] drops them (and
 //!   reports `enabled() == false`, so producers skip building events
 //!   entirely — the zero-cost-when-disabled contract), [`JsonLinesSink`]
 //!   writes one JSON line per event through a mutex (each line is a single
-//!   `write_all`, so concurrent workers can never tear a line), and
+//!   `write_all`, so concurrent solves can never tear a line), and
 //!   [`RecordingSink`] buffers typed events in memory for tests and the
 //!   benchsuite.
 //! * [`SpanTimer`] — a monotonic phase timer ([`std::time::Instant`]) that
@@ -36,14 +35,10 @@
 //!
 //! # Determinism and [`Redaction`]
 //!
-//! Serial solves are bit-deterministic, so two single-threaded runs of the
-//! same workload produce **byte-identical** event streams once wall-clock
-//! fields are redacted ([`Redaction::Timing`]). At > 1 thread the *schedule*
-//! is nondeterministic — per-worker node splits and total node counts vary —
-//! but the event *set* (kinds, worker indices, cache decisions, selections)
-//! does not; [`Redaction::Effort`] additionally zeroes the search-effort
-//! counters so repeat parallel runs compare set-identical. Both guarantees
-//! are locked by `tests/telemetry_schema.rs`.
+//! Solves are bit-deterministic, so two runs of the same workload produce
+//! **byte-identical** event streams once wall-clock fields are redacted
+//! ([`Redaction::Timing`]). The guarantee is locked by
+//! `tests/telemetry_schema.rs`.
 //!
 //! # Example
 //!
@@ -87,9 +82,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":4`); bump it only with a matching update to
+/// first field (`"schema":5`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -162,53 +157,22 @@ impl Phase {
 /// How much run-specific noise to strip when serializing an [`Event`].
 ///
 /// Used by the determinism tests and the benchsuite: wall-clock fields never
-/// reproduce, and at > 1 thread neither do search-effort counters (the
-/// work-stealing schedule decides how many nodes each worker touches before
-/// the shared incumbent closes the tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+/// reproduce, everything else does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Redaction {
     /// Serialize everything as recorded.
     #[default]
     None,
-    /// Zero every wall-clock field (`*_us`). Two serial runs of the same
-    /// workload then serialize byte-identically.
+    /// Zero every wall-clock field (`*_us`). Two runs of the same workload
+    /// then serialize byte-identically.
     Timing,
-    /// Additionally zero the search-effort counters (nodes, prunes, steals,
-    /// incumbent updates, simplex pivots — totals and per-worker entries).
-    /// Repeat parallel runs then serialize set-identically.
-    Effort,
 }
 
 impl Redaction {
-    fn hide_timing(self) -> bool {
-        self >= Redaction::Timing
-    }
-
-    fn hide_effort(self) -> bool {
-        self >= Redaction::Effort
-    }
-
     fn us(self, d: Duration) -> u128 {
-        if self.hide_timing() {
-            0
-        } else {
-            d.as_micros()
-        }
-    }
-
-    fn effort(self, n: usize) -> usize {
-        if self.hide_effort() {
-            0
-        } else {
-            n
-        }
-    }
-
-    fn effort64(self, n: u64) -> u64 {
-        if self.hide_effort() {
-            0
-        } else {
-            n
+        match self {
+            Redaction::None => d.as_micros(),
+            Redaction::Timing => 0,
         }
     }
 }
@@ -224,8 +188,6 @@ pub enum EventKind {
     SolveStarted,
     /// One pipeline [`Phase`] completed.
     PhaseFinished,
-    /// One branch-and-bound worker drained (serial solves report worker 0).
-    WorkerFinished,
     /// A solve returned; carries the full [`SolveTrace`].
     SolveFinished,
     /// A [`crate::SelectionAuditor::audit`] pass completed.
@@ -234,22 +196,19 @@ pub enum EventKind {
     CacheLookup,
     /// The sweep loop decided whether to chain the previous optimum.
     ChainDecision,
-    /// One sweep point (or batch job) was answered.
+    /// One sweep point was answered.
     SweepPoint,
     /// Aggregate counters of a recorded sweep (rendered retrospectively).
     SweepSummary,
     /// A cold-vs-chained sweep comparison (rendered retrospectively).
     SweepCompare,
-    /// A [`crate::SweepSession::solve_batch`] fan-out began.
-    BatchStarted,
 }
 
 impl EventKind {
     /// Every event kind, in the order they are documented.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::SolveStarted,
         EventKind::PhaseFinished,
-        EventKind::WorkerFinished,
         EventKind::SolveFinished,
         EventKind::AuditFinished,
         EventKind::CacheLookup,
@@ -257,7 +216,6 @@ impl EventKind {
         EventKind::SweepPoint,
         EventKind::SweepSummary,
         EventKind::SweepCompare,
-        EventKind::BatchStarted,
     ];
 
     /// The snake_case name serialized into the `event` field.
@@ -266,7 +224,6 @@ impl EventKind {
         match self {
             EventKind::SolveStarted => "solve_started",
             EventKind::PhaseFinished => "phase_finished",
-            EventKind::WorkerFinished => "worker_finished",
             EventKind::SolveFinished => "solve_finished",
             EventKind::AuditFinished => "audit_finished",
             EventKind::CacheLookup => "cache_lookup",
@@ -274,7 +231,6 @@ impl EventKind {
             EventKind::SweepPoint => "sweep_point",
             EventKind::SweepSummary => "sweep_summary",
             EventKind::SweepCompare => "sweep_compare",
-            EventKind::BatchStarted => "batch_started",
         }
     }
 }
@@ -295,8 +251,6 @@ pub enum Event {
         /// The backend the options requested (the accepted solution's
         /// backend — after any fallback — is in [`Event::SolveFinished`]).
         backend: Backend,
-        /// Requested branch-and-bound worker threads.
-        threads: usize,
     },
     /// One pipeline phase completed.
     PhaseFinished {
@@ -304,20 +258,6 @@ pub enum Event {
         phase: Phase,
         /// Monotonic wall time of the phase.
         wall: Duration,
-    },
-    /// One branch-and-bound worker drained.
-    WorkerFinished {
-        /// Worker index (0-based; root-node work is attributed to worker 0).
-        worker: usize,
-        /// Nodes whose LP relaxation this worker solved.
-        nodes_explored: usize,
-        /// Nodes this worker pruned by bound.
-        nodes_pruned: usize,
-        /// Nodes this worker took from the shared pool instead of its local
-        /// dive stack (the work-stealing traffic).
-        steals: usize,
-        /// Simplex pivots across this worker's node LPs.
-        simplex_iterations: usize,
     },
     /// A solve returned.
     SolveFinished {
@@ -359,7 +299,7 @@ pub enum Event {
         /// Whether the previous optimum was accepted as a seed.
         accepted: bool,
     },
-    /// One sweep point (or batch job) was answered.
+    /// One sweep point was answered.
     SweepPoint {
         /// Sweep label (`None` for live emission; the retrospective
         /// [`crate::SweepTrace::json_lines`] renderer fills it in).
@@ -415,17 +355,6 @@ pub enum Event {
         /// Total wall time of the chained sweep.
         chained_wall: Duration,
     },
-    /// A batch fan-out began.
-    BatchStarted {
-        /// Jobs submitted.
-        jobs: usize,
-        /// Distinct solves after cache probes and in-batch dedup.
-        unique: usize,
-        /// Duplicate jobs answered by copying a twin's result.
-        followers: usize,
-        /// Worker threads fanning out the unique solves.
-        pool_threads: usize,
-    },
 }
 
 /// Incremental writer for one serialized event. Field order is the schema's
@@ -466,11 +395,6 @@ impl EventWriter {
         }
     }
 
-    fn usize_array(&mut self, key: &str, values: impl Iterator<Item = usize>) {
-        let rendered: Vec<String> = values.map(|v| v.to_string()).collect();
-        let _ = write!(self.buf, ",\"{key}\":[{}]", rendered.join(","));
-    }
-
     fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
@@ -484,7 +408,6 @@ impl Event {
         match self {
             Event::SolveStarted { .. } => EventKind::SolveStarted,
             Event::PhaseFinished { .. } => EventKind::PhaseFinished,
-            Event::WorkerFinished { .. } => EventKind::WorkerFinished,
             Event::SolveFinished { .. } => EventKind::SolveFinished,
             Event::AuditFinished { .. } => EventKind::AuditFinished,
             Event::CacheLookup { .. } => EventKind::CacheLookup,
@@ -492,7 +415,6 @@ impl Event {
             Event::SweepPoint { .. } => EventKind::SweepPoint,
             Event::SweepSummary { .. } => EventKind::SweepSummary,
             Event::SweepCompare { .. } => EventKind::SweepCompare,
-            Event::BatchStarted { .. } => EventKind::BatchStarted,
         }
     }
 
@@ -514,29 +436,14 @@ impl Event {
                 instance,
                 problem,
                 backend,
-                threads,
             } => {
                 w.string("instance", instance);
                 w.string("problem", problem.name());
                 w.string("backend", &backend.to_string());
-                w.raw("threads", threads);
             }
             Event::PhaseFinished { phase, wall } => {
                 w.string("phase", phase.name());
                 w.raw("wall_us", r.us(*wall));
-            }
-            Event::WorkerFinished {
-                worker,
-                nodes_explored,
-                nodes_pruned,
-                steals,
-                simplex_iterations,
-            } => {
-                w.raw("worker", worker);
-                w.raw("nodes_explored", r.effort(*nodes_explored));
-                w.raw("nodes_pruned", r.effort(*nodes_pruned));
-                w.raw("steals", r.effort(*steals));
-                w.raw("simplex_iterations", r.effort(*simplex_iterations));
             }
             Event::SolveFinished { trace } => {
                 w.string("backend", &trace.backend.to_string());
@@ -544,32 +451,23 @@ impl Event {
                 w.raw("num_vars", trace.num_vars);
                 w.raw("num_constraints", trace.num_constraints);
                 w.raw("num_imps", trace.num_imps);
-                w.raw("nodes_explored", r.effort(trace.nodes_explored));
-                w.raw("nodes_pruned", r.effort(trace.nodes_pruned));
-                w.raw("incumbent_updates", r.effort(trace.incumbent_updates));
-                w.raw("simplex_iterations", r.effort(trace.simplex_iterations));
-                w.raw("phase1_pivots", r.effort(trace.phase1_pivots));
-                w.raw("phase2_pivots", r.effort(trace.phase2_pivots));
-                w.raw("dual_pivots", r.effort(trace.dual_pivots));
-                w.raw("lex_pivots", r.effort(trace.lex_pivots));
-                w.raw("tableau_builds", r.effort(trace.tableau_builds));
-                w.raw("scratch_reuses", r.effort(trace.scratch_reuses));
-                w.raw("bland_activations", r.effort(trace.bland_activations));
+                w.raw("nodes_explored", trace.nodes_explored);
+                w.raw("nodes_pruned", trace.nodes_pruned);
+                w.raw("incumbent_updates", trace.incumbent_updates);
+                w.raw("simplex_iterations", trace.simplex_iterations);
+                w.raw("phase1_pivots", trace.phase1_pivots);
+                w.raw("phase2_pivots", trace.phase2_pivots);
+                w.raw("dual_pivots", trace.dual_pivots);
+                w.raw("lex_pivots", trace.lex_pivots);
+                w.raw("tableau_builds", trace.tableau_builds);
+                w.raw("scratch_reuses", trace.scratch_reuses);
+                w.raw("bland_activations", trace.bland_activations);
                 w.raw("warm_start_accepted", trace.warm_start_accepted);
                 w.raw("vars_fixed", trace.vars_fixed);
                 w.raw("probes_screened", trace.probes_screened);
                 w.raw("probes_warm", trace.probes_warm);
                 w.raw("probes_cold", trace.probes_cold);
                 w.raw("basis_reused", trace.basis_reused);
-                w.raw("threads", trace.threads);
-                w.usize_array(
-                    "worker_nodes",
-                    trace.worker_nodes.iter().map(|&n| r.effort(n)),
-                );
-                w.usize_array(
-                    "worker_steals",
-                    trace.worker_steals.iter().map(|&n| r.effort(n)),
-                );
                 w.raw("imp_generation_us", r.us(trace.imp_generation));
                 w.raw("formulation_us", r.us(trace.formulation));
                 w.raw("solve_us", r.us(trace.solve));
@@ -616,7 +514,7 @@ impl Event {
                 w.opt_u64("rg", *rg);
                 w.raw("cache_hit", cache_hit);
                 w.raw("chained", chained);
-                w.raw("nodes", r.effort(*nodes));
+                w.raw("nodes", nodes);
                 w.raw("wall_us", r.us(*wall));
             }
             Event::SweepSummary {
@@ -635,7 +533,7 @@ impl Event {
                 w.raw("cache_misses", cache_misses);
                 w.raw("chained_accepts", chained_accepts);
                 w.raw("chained_rejects", chained_rejects);
-                w.raw("nodes", r.effort64(*nodes));
+                w.raw("nodes", nodes);
                 w.raw("wall_us", r.us(*wall));
             }
             Event::SweepCompare {
@@ -648,26 +546,12 @@ impl Event {
                 chained_wall,
             } => {
                 w.string("sweep", sweep);
-                w.raw("cold_nodes", r.effort64(*cold_nodes));
-                w.raw("chained_nodes", r.effort64(*chained_nodes));
-                w.raw(
-                    "nodes_saved",
-                    if r.hide_effort() { 0 } else { *nodes_saved },
-                );
+                w.raw("cold_nodes", cold_nodes);
+                w.raw("chained_nodes", chained_nodes);
+                w.raw("nodes_saved", nodes_saved);
                 w.raw("chained_accepts", chained_accepts);
                 w.raw("cold_wall_us", r.us(*cold_wall));
                 w.raw("chained_wall_us", r.us(*chained_wall));
-            }
-            Event::BatchStarted {
-                jobs,
-                unique,
-                followers,
-                pool_threads,
-            } => {
-                w.raw("jobs", jobs);
-                w.raw("unique", unique);
-                w.raw("followers", followers);
-                w.raw("pool_threads", pool_threads);
             }
         }
         w.finish()
@@ -676,8 +560,8 @@ impl Event {
 
 /// Where telemetry events go.
 ///
-/// Implementations must be safe to share across the branch-and-bound and
-/// batch worker pools (`Send + Sync`); [`TelemetrySink::emit`] may be called
+/// Implementations must be safe to share across the daemon's worker
+/// threads (`Send + Sync`); [`TelemetrySink::emit`] may be called
 /// concurrently. Producers check [`TelemetrySink::enabled`] before building
 /// an event, so a disabled sink costs one virtual call per site and no
 /// allocation.
@@ -708,7 +592,7 @@ impl TelemetrySink for NullSink {
 /// Serializes each event as one JSON line into a [`Write`] target.
 ///
 /// The writer is mutex-guarded and every line (newline included) is a single
-/// `write_all`, so events from concurrent workers interleave only at line
+/// `write_all`, so events from concurrent solves interleave only at line
 /// granularity — a stream can never contain a torn line. Write errors are
 /// deliberately swallowed: telemetry must never fail a solve.
 #[derive(Debug)]
@@ -812,7 +696,7 @@ impl TelemetrySink for RecordingSink {
 /// * `PARTITA_TRACE_PATH` — target path; setting it alone implies `file`.
 ///
 /// An unopenable trace file degrades to the [`NullSink`] — telemetry must
-/// never fail a solve. Like `PARTITA_THREADS`/`PARTITA_AUDIT`, the variables
+/// never fail a solve. Like `PARTITA_AUDIT`, the variables
 /// are read once; later changes do not take effect in-process.
 #[must_use]
 pub fn global() -> &'static dyn TelemetrySink {
@@ -1299,30 +1183,29 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":4,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":5,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(4));
+        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(5));
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 
     #[test]
-    fn redaction_zeroes_timing_then_effort() {
-        let e = Event::WorkerFinished {
-            worker: 3,
-            nodes_explored: 17,
-            nodes_pruned: 5,
-            steals: 2,
-            simplex_iterations: 99,
+    fn redaction_zeroes_timing_only() {
+        let e = Event::SweepPoint {
+            sweep: None,
+            point: None,
+            digest: 1,
+            rg: Some(5),
+            cache_hit: false,
+            chained: true,
+            nodes: 17,
+            wall: Duration::from_micros(40),
         };
-        assert!(e
-            .to_json_redacted(Redaction::Timing)
-            .contains("\"nodes_explored\":17"));
-        let redacted = e.to_json_redacted(Redaction::Effort);
-        assert!(redacted.contains("\"worker\":3"), "{redacted}");
-        assert!(redacted.contains("\"nodes_explored\":0"), "{redacted}");
-        assert!(redacted.contains("\"steals\":0"), "{redacted}");
+        let redacted = e.to_json_redacted(Redaction::Timing);
+        assert!(redacted.contains("\"nodes\":17"), "{redacted}");
+        assert!(redacted.contains("\"wall_us\":0"), "{redacted}");
 
         let p = Event::PhaseFinished {
             phase: Phase::Solve,

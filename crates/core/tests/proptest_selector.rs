@@ -308,15 +308,14 @@ proptest! {
         let gains = RequiredGains::uniform(Cycles(ci.required));
         let reference = Solver::new(&inst).with_imps(db.clone()).solve(
             &SolveOptions::problem2(gains.clone())
-                .budget(SolveBudget::default().with_fallback(None).with_threads(1)),
+                .budget(SolveBudget::default().with_fallback(None)),
         );
         let starved = SolveOptions::problem2(gains)
             .backend(backend)
             .budget(
                 SolveBudget::default()
                     .with_max_nodes(max_nodes)
-                    .with_fallback(None)
-                    .with_threads(1),
+                    .with_fallback(None),
             );
         match Solver::new(&inst).with_imps(db.clone()).solve(&starved) {
             Ok(sel) => {

@@ -1,28 +1,19 @@
-//! Best-first branch-and-bound over the simplex LP relaxation, with an
-//! optional multi-threaded search.
-//!
-//! The parallel search (see [`BranchBound::with_threads`]) runs a pool of
-//! workers over [`std::thread::scope`]. Workers share a best-bound node pool
-//! (a mutex-guarded heap other workers steal from) while diving depth-first
-//! on one child of each expansion, and prune against a shared incumbent
-//! whose score is mirrored in an atomic for lock-free reads. Each worker
-//! owns a [`SimplexScratch`] so node LPs never re-allocate the tableau.
+//! Best-first branch-and-bound over the simplex LP relaxation.
 //!
 //! # Determinism contract
 //!
-//! The reported solution is independent of thread count and interleaving:
-//! nodes are pruned only when their bound is *strictly* worse than the
+//! Nodes are pruned only when their bound is *strictly* worse than the
 //! incumbent (ties stay alive), and the incumbent accepts an equal-objective
 //! point only when its assignment is lexicographically smaller. The search
 //! therefore always converges to the lexicographically smallest optimal
-//! assignment, at 1 thread or 8. Budget-exhausted runs report whatever
-//! incumbent was found in time and are exempt from the contract (they are
-//! flagged via [`Termination`], never silently).
+//! assignment, whatever warm starts or retained bases it is given.
+//! Budget-exhausted runs report whatever incumbent was found in time and are
+//! exempt from the contract (they are flagged via [`Termination`], never
+//! silently).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::simplex::{
@@ -47,8 +38,7 @@ const MAX_ROOT_PROBES: usize = 32;
 /// binary of the node's LP optimum. Search effort is bounded by a node budget
 /// and an optional wall-clock deadline; [`BranchBound::run`] reports budget
 /// exhaustion as a [`Termination`] alongside the best incumbent found so far
-/// instead of discarding it. [`BranchBound::with_threads`] parallelises the
-/// search without giving up reproducibility (see the module docs).
+/// instead of discarding it.
 ///
 /// # Example
 ///
@@ -72,7 +62,6 @@ pub struct BranchBound {
     max_nodes: usize,
     deadline: Option<Duration>,
     simplex: SimplexOptions,
-    threads: usize,
     root_basis: Option<Arc<Basis>>,
 }
 
@@ -82,60 +71,23 @@ impl Default for BranchBound {
             max_nodes: 200_000,
             deadline: None,
             simplex: SimplexOptions::default(),
-            threads: 1,
             root_basis: None,
         }
-    }
-}
-
-/// Search-effort counters of one worker thread (the serial search reports a
-/// single worker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Nodes whose LP relaxation this worker solved.
-    pub nodes_explored: usize,
-    /// Nodes this worker pruned by bound.
-    pub nodes_pruned: usize,
-    /// Incumbent installations performed by this worker.
-    pub incumbent_updates: usize,
-    /// Simplex pivots across this worker's node LPs.
-    pub simplex_iterations: usize,
-    /// Nodes this worker took from the shared pool instead of its local
-    /// dive stack — the work-stealing traffic (0 for the serial search,
-    /// which has no pool).
-    pub steals: usize,
-    /// Deterministic simplex per-op counters (pivot breakdown, tableau
-    /// builds, scratch-reuse hits) accumulated by this worker's
-    /// [`SimplexScratch`].
-    pub simplex_ops: SimplexOps,
-}
-
-impl WorkerStats {
-    fn absorb(&mut self, other: WorkerStats) {
-        self.nodes_explored += other.nodes_explored;
-        self.nodes_pruned += other.nodes_pruned;
-        self.incumbent_updates += other.incumbent_updates;
-        self.simplex_iterations += other.simplex_iterations;
-        self.steals += other.steals;
-        self.simplex_ops.merge(other.simplex_ops);
     }
 }
 
 /// Statistics of a branch-and-bound run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BranchBoundStats {
-    /// Nodes whose LP relaxation was solved (all workers).
+    /// Nodes whose LP relaxation was solved.
     pub nodes_explored: usize,
-    /// Nodes pruned by bound (all workers).
+    /// Nodes pruned by bound.
     pub nodes_pruned: usize,
     /// Times the incumbent improved during the search (excludes a warm-start
     /// incumbent supplied by the caller).
     pub incumbent_updates: usize,
     /// Simplex pivots summed over every node LP solved.
     pub simplex_iterations: usize,
-    /// Nodes taken from the shared pool rather than a local dive stack,
-    /// summed over all workers (0 for the serial search).
-    pub steals: usize,
     /// Whether a caller-supplied warm start was feasible and seeded the
     /// incumbent.
     pub warm_start_accepted: bool,
@@ -148,64 +100,13 @@ pub struct BranchBoundStats {
     pub probes_warm: usize,
     /// Root probes solved cold (see [`RootProbe`] for when).
     pub probes_cold: usize,
-    /// Worker threads that ran the search (1 for the serial path).
-    pub threads: usize,
     /// Whether a caller-supplied root basis was installed and repaired by
     /// the dual simplex (`false` when no basis was supplied or it fell back
     /// to the cold two-phase solve).
     pub basis_reused: bool,
-    /// Deterministic simplex per-op counters summed over every worker (the
-    /// root's LP and probing work included).
+    /// Deterministic simplex per-op counters of every LP the run solved
+    /// (the root's LP and probing work included).
     pub simplex_ops: SimplexOps,
-    /// Per-worker breakdown of the aggregate counters above. Root-node work
-    /// (the root LP and probing) is attributed to worker 0.
-    pub per_worker: Vec<WorkerStats>,
-}
-
-/// What root probing did: fixes, and probes by how they were settled.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProbeTally {
-    fixed: usize,
-    screened: usize,
-    warm: usize,
-    cold: usize,
-}
-
-impl BranchBoundStats {
-    fn from_workers(
-        root: WorkerStats,
-        workers: Vec<WorkerStats>,
-        warm_start_accepted: bool,
-        probes: ProbeTally,
-        basis_reused: bool,
-    ) -> BranchBoundStats {
-        let mut per_worker = if workers.is_empty() {
-            vec![WorkerStats::default()]
-        } else {
-            workers
-        };
-        per_worker[0].absorb(root);
-        let mut totals = WorkerStats::default();
-        for w in &per_worker {
-            totals.absorb(*w);
-        }
-        BranchBoundStats {
-            nodes_explored: totals.nodes_explored,
-            nodes_pruned: totals.nodes_pruned,
-            incumbent_updates: totals.incumbent_updates,
-            simplex_iterations: totals.simplex_iterations,
-            steals: totals.steals,
-            warm_start_accepted,
-            vars_fixed: probes.fixed,
-            probes_screened: probes.screened,
-            probes_warm: probes.warm,
-            probes_cold: probes.cold,
-            threads: per_worker.len(),
-            basis_reused,
-            simplex_ops: totals.simplex_ops,
-            per_worker,
-        }
-    }
 }
 
 /// Why a branch-and-bound run stopped.
@@ -284,7 +185,7 @@ impl Ord for Node {
     }
 }
 
-/// Per-worker node-reconstruction state: the scratch bound vectors a
+/// Node-reconstruction state: the scratch bound vectors a
 /// popped node's path is materialised into, plus a free list that
 /// recycles retired path vectors back into branching.
 struct NodeArena {
@@ -293,12 +194,12 @@ struct NodeArena {
     /// Reconstructed upper bounds of the node being expanded.
     upper: Vec<f64>,
     /// Retired path vectors, reused for new children oldest-capacity
-    /// first. Bounded so a worker that closes far more nodes than it
+    /// first. Bounded so a search that closes far more nodes than it
     /// opens cannot hoard memory.
     free: Vec<Vec<BoundFix>>,
 }
 
-/// Cap on recycled path vectors held per worker.
+/// Cap on recycled path vectors held by the arena.
 const ARENA_FREE_CAP: usize = 64;
 
 impl NodeArena {
@@ -389,81 +290,21 @@ impl Incumbent {
         }
     }
 
-    fn install(&mut self, score: f64, objective: f64, values: Vec<f64>) {
+    /// Offers a feasible point (`score` = normalised objective); returns
+    /// `true` when it was installed.
+    fn offer(&mut self, score: f64, objective: f64, values: Vec<f64>) -> bool {
+        if !self.improves(score, &values) {
+            return false;
+        }
         // `min` guards against the stored score drifting upward across
         // repeated lexicographic replacements inside the tie tolerance.
         self.score = self.score.min(score);
         self.solution = Some(IlpSolution { objective, values });
+        true
     }
 }
 
-/// How the search consults and updates the incumbent: a plain struct on the
-/// serial path, a mutex + atomic score mirror when workers share it.
-trait IncumbentView {
-    /// Current best normalised score (may be slightly stale on the shared
-    /// path, which only ever under-prunes).
-    fn current_score(&self) -> f64;
-    /// Offers a feasible point (`score` = normalised objective); returns
-    /// `true` when it was installed.
-    fn offer(&mut self, score: f64, objective: f64, values: Vec<f64>) -> bool;
-}
-
-impl IncumbentView for Incumbent {
-    fn current_score(&self) -> f64 {
-        self.score
-    }
-
-    fn offer(&mut self, score: f64, objective: f64, values: Vec<f64>) -> bool {
-        if self.improves(score, &values) {
-            self.install(score, objective, values);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// The shared incumbent of the parallel search: solution under a mutex, the
-/// score mirrored into an atomic so pruning never takes the lock.
-struct SharedIncumbent {
-    cell: Mutex<Incumbent>,
-    score_bits: AtomicU64,
-}
-
-impl SharedIncumbent {
-    fn new(seed: Incumbent) -> SharedIncumbent {
-        let bits = seed.score.to_bits();
-        SharedIncumbent {
-            cell: Mutex::new(seed),
-            score_bits: AtomicU64::new(bits),
-        }
-    }
-}
-
-impl IncumbentView for &SharedIncumbent {
-    fn current_score(&self) -> f64 {
-        f64::from_bits(self.score_bits.load(AtomicOrdering::Relaxed))
-    }
-
-    fn offer(&mut self, score: f64, objective: f64, values: Vec<f64>) -> bool {
-        // Cheap lock-free reject for the common case of a dominated point.
-        if score > self.current_score() + TIE_TOL {
-            return false;
-        }
-        let mut cell = self.cell.lock().expect("incumbent lock");
-        if cell.improves(score, &values) {
-            cell.install(score, objective, values);
-            self.score_bits
-                .store(cell.score.to_bits(), AtomicOrdering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Immutable per-run search context shared by the root, the serial loop and
-/// every parallel worker.
+/// Immutable per-run search context shared by the root and the search loop.
 struct SearchCtx<'a> {
     model: &'a Model,
     binaries: &'a [VarId],
@@ -482,7 +323,7 @@ impl SearchCtx<'_> {
 
     /// Rounds the binaries of `values` in place and offers the point when
     /// feasible; returns whether the incumbent improved.
-    fn offer_rounded(&self, mut values: Vec<f64>, inc: &mut dyn IncumbentView) -> bool {
+    fn offer_rounded(&self, mut values: Vec<f64>, inc: &mut Incumbent) -> bool {
         for &v in self.binaries {
             values[v.index()] = values[v.index()].round();
         }
@@ -505,8 +346,8 @@ impl SearchCtx<'_> {
         base_lower: &[f64],
         base_upper: &[f64],
         node: Node,
-        inc: &mut dyn IncumbentView,
-        stats: &mut WorkerStats,
+        inc: &mut Incumbent,
+        stats: &mut BranchBoundStats,
     ) -> Result<Option<(Node, Node)>, IlpError> {
         arena.reconstruct(base_lower, base_upper, &node);
         let lp = match solve_with_bounds_scratch(
@@ -525,7 +366,7 @@ impl SearchCtx<'_> {
         };
         stats.simplex_iterations += lp.iterations;
         let bound = self.norm(lp.objective);
-        if prunable(bound, inc.current_score()) {
+        if prunable(bound, inc.score) {
             stats.nodes_pruned += 1;
             arena.retire(node.path);
             return Ok(None);
@@ -599,152 +440,6 @@ impl SearchCtx<'_> {
     }
 }
 
-/// State of the shared node pool: the stealable heap plus termination
-/// bookkeeping.
-struct PoolState {
-    heap: BinaryHeap<Node>,
-    idle: usize,
-    done: bool,
-    termination: Termination,
-    error: Option<IlpError>,
-}
-
-/// Everything the parallel workers share.
-struct Shared<'a> {
-    ctx: SearchCtx<'a>,
-    /// Post-probe root bounds every node's delta path is relative to.
-    base_lower: Vec<f64>,
-    base_upper: Vec<f64>,
-    pool: Mutex<PoolState>,
-    available: Condvar,
-    incumbent: SharedIncumbent,
-    /// Global count of nodes taken for exploration (the root counts as 1).
-    explored: AtomicUsize,
-    max_nodes: usize,
-    deadline: Option<Duration>,
-    started: Instant,
-    threads: usize,
-}
-
-impl Shared<'_> {
-    /// Stops the search because a budget ran out; the first stop wins.
-    fn stop(&self, termination: Termination) {
-        let mut pool = self.pool.lock().expect("pool lock");
-        if pool.termination == Termination::Optimal {
-            pool.termination = termination;
-        }
-        pool.done = true;
-        self.available.notify_all();
-    }
-
-    /// Aborts the search on a solver error; the first error wins.
-    fn fail(&self, error: IlpError) {
-        let mut pool = self.pool.lock().expect("pool lock");
-        if pool.error.is_none() {
-            pool.error = Some(error);
-        }
-        pool.done = true;
-        self.available.notify_all();
-    }
-}
-
-/// One parallel worker: steal a node (or pop the local dive stack), expand
-/// it, keep one child local and publish the other to the shared pool.
-fn worker(shared: &Shared<'_>) -> WorkerStats {
-    let mut stats = WorkerStats::default();
-    let mut scratch = SimplexScratch::new();
-    let mut arena = NodeArena::new();
-    worker_loop(shared, &mut stats, &mut scratch, &mut arena);
-    stats.simplex_ops = scratch.take_ops();
-    stats
-}
-
-/// The worker's search loop, factored out so every exit path funnels the
-/// scratch's accumulated op counters into the worker's stats exactly once.
-fn worker_loop(
-    shared: &Shared<'_>,
-    stats: &mut WorkerStats,
-    scratch: &mut SimplexScratch,
-    arena: &mut NodeArena,
-) {
-    let mut local: Vec<Node> = Vec::new();
-    let mut inc = &shared.incumbent;
-    loop {
-        let node = match local.pop() {
-            Some(n) => n,
-            None => {
-                let mut pool = shared.pool.lock().expect("pool lock");
-                loop {
-                    if pool.done {
-                        return;
-                    }
-                    if let Some(n) = pool.heap.pop() {
-                        stats.steals += 1;
-                        break n;
-                    }
-                    pool.idle += 1;
-                    if pool.idle == shared.threads {
-                        // Every worker is out of work and the pool is
-                        // empty: the tree is exhausted.
-                        pool.done = true;
-                        shared.available.notify_all();
-                        return;
-                    }
-                    pool = shared.available.wait(pool).expect("pool lock");
-                    pool.idle -= 1;
-                }
-            }
-        };
-        if prunable(node.score, inc.current_score()) {
-            stats.nodes_pruned += 1;
-            arena.retire(node.path);
-            continue;
-        }
-        let taken = shared.explored.fetch_add(1, AtomicOrdering::Relaxed);
-        if taken >= shared.max_nodes {
-            shared.stop(Termination::NodeLimit);
-            return;
-        }
-        if shared
-            .deadline
-            .is_some_and(|d| shared.started.elapsed() >= d)
-        {
-            shared.stop(Termination::Deadline);
-            return;
-        }
-        stats.nodes_explored += 1;
-        match shared.ctx.expand(
-            scratch,
-            arena,
-            &shared.base_lower,
-            &shared.base_upper,
-            node,
-            &mut inc,
-            stats,
-        ) {
-            Ok(Some((down, up))) => {
-                // Dive on the down child; make the up child stealable.
-                local.push(down);
-                let mut pool = shared.pool.lock().expect("pool lock");
-                pool.heap.push(up);
-                self::notify_one(shared, &pool);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                shared.fail(e);
-                return;
-            }
-        }
-    }
-}
-
-/// Wakes one idle worker when new work lands in the pool.
-fn notify_one(shared: &Shared<'_>, pool: &PoolState) {
-    if pool.idle > 0 {
-        shared.available.notify_one();
-    }
-}
-
 impl BranchBound {
     /// Creates a solver with default limits.
     #[must_use]
@@ -766,18 +461,6 @@ impl BranchBound {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> BranchBound {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the number of worker threads (clamped to at least 1).
-    ///
-    /// The reported solution is identical across thread counts for runs
-    /// that terminate [`Termination::Optimal`] — see the module docs for
-    /// the determinism contract. Node/prune counts and budget-exhausted
-    /// incumbents may differ.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> BranchBound {
-        self.threads = threads.max(1);
         self
     }
 
@@ -882,7 +565,7 @@ impl BranchBound {
         };
 
         let mut incumbent = Incumbent::new();
-        let mut warm_start_accepted = false;
+        let mut stats = BranchBoundStats::default();
 
         // Seed the incumbent from every warm start that checks out: the
         // bound prunes against the best of them from the very first node.
@@ -895,26 +578,14 @@ impl BranchBound {
             if values.len() == n && integral && model.is_feasible(values, 1e-6) {
                 let objective = model.objective().eval(values);
                 incumbent.offer(ctx.norm(objective), objective, values.clone());
-                warm_start_accepted = true;
+                stats.warm_start_accepted = true;
             }
         }
 
-        let mut root_stats = WorkerStats::default();
-        let mut probes = ProbeTally::default();
         let finish = |incumbent: Incumbent,
                       termination: Termination,
-                      root_stats: WorkerStats,
-                      workers: Vec<WorkerStats>,
-                      probes: ProbeTally,
-                      basis_reused: bool,
+                      stats: BranchBoundStats,
                       root_basis: Option<Arc<Basis>>| {
-            let stats = BranchBoundStats::from_workers(
-                root_stats,
-                workers,
-                warm_start_accepted,
-                probes,
-                basis_reused,
-            );
             match termination {
                 Termination::Optimal => match incumbent.solution {
                     Some(sol) => Ok(BranchBoundRun {
@@ -936,26 +607,10 @@ impl BranchBound {
 
         // The budgets are checked before every node, the root included.
         if self.max_nodes == 0 {
-            return finish(
-                incumbent,
-                Termination::NodeLimit,
-                root_stats,
-                vec![],
-                probes,
-                false,
-                None,
-            );
+            return finish(incumbent, Termination::NodeLimit, stats, None);
         }
         if self.deadline.is_some_and(|d| started.elapsed() >= d) {
-            return finish(
-                incumbent,
-                Termination::Deadline,
-                root_stats,
-                vec![],
-                probes,
-                false,
-                None,
-            );
+            return finish(incumbent, Termination::Deadline, stats, None);
         }
 
         // The post-probe values of these become the base bounds every
@@ -968,14 +623,13 @@ impl BranchBound {
             base_upper.push(u);
         }
 
-        // Root expansion runs serially (also under `threads > 1`): it hosts
-        // the one-shot reduced-cost probing and seeds the pool. The root LP
-        // runs at full tableau shape so a retained basis from a previous
+        // The root hosts the one-shot reduced-cost probing. Its LP runs at
+        // full tableau shape so a retained basis from a previous
         // same-shaped solve can be re-installed and dual-repaired, and so
         // its own optimal basis can be handed to the next solve.
         let mut scratch = SimplexScratch::new();
-        root_stats.nodes_explored += 1;
-        let (lp, basis_reused, root_basis_out) = match solve_with_basis(
+        stats.nodes_explored += 1;
+        let (lp, root_basis_out) = match solve_with_basis(
             model,
             &base_lower,
             &base_upper,
@@ -983,22 +637,25 @@ impl BranchBound {
             &mut scratch,
             self.root_basis.as_deref(),
         ) {
-            Ok(bs) => (Some(bs.solution), bs.reused, bs.basis.map(Arc::new)),
-            Err(IlpError::Infeasible) => (None, false, None),
+            Ok(bs) => {
+                stats.basis_reused = bs.reused;
+                (Some(bs.solution), bs.basis.map(Arc::new))
+            }
+            Err(IlpError::Infeasible) => (None, None),
             Err(e) => return Err(e),
         };
         let children = match lp {
             None => None,
             Some(lp) => {
-                root_stats.simplex_iterations += lp.iterations;
+                stats.simplex_iterations += lp.iterations;
                 let bound = ctx.norm(lp.objective);
                 if prunable(bound, incumbent.score) {
                     // Only possible when a warm start already dominates.
-                    root_stats.nodes_pruned += 1;
+                    stats.nodes_pruned += 1;
                     None
                 } else {
                     if ctx.offer_rounded(lp.values.clone(), &mut incumbent) {
-                        root_stats.incumbent_updates += 1;
+                        stats.incumbent_updates += 1;
                     }
 
                     // Reduced-cost probing, once, at the root: a warm start
@@ -1013,7 +670,7 @@ impl BranchBound {
                     // `RootProbe`). Without a warm start the first
                     // incumbent only appears after the root LP, too late to
                     // narrow the tree from node one.
-                    if warm_start_accepted && incumbent.solution.is_some() {
+                    if stats.warm_start_accepted && incumbent.solution.is_some() {
                         let mut candidates: Vec<(VarId, f64)> = binaries
                             .iter()
                             .map(|&v| (v, lp.value(v)))
@@ -1042,12 +699,12 @@ impl BranchBound {
                                 bound + prober.reduced_cost(v, flipped),
                                 incumbent.score,
                             ) {
-                                probes.screened += 1;
+                                stats.probes_screened += 1;
                                 true
                             } else {
                                 match prober.probe(v, flipped) {
                                     Ok(probe) => {
-                                        root_stats.simplex_iterations += probe.iterations;
+                                        stats.simplex_iterations += probe.iterations;
                                         prunable(ctx.norm(probe.objective), incumbent.score)
                                     }
                                     Err(IlpError::Infeasible) => true,
@@ -1059,12 +716,12 @@ impl BranchBound {
                                 // incumbent: pin the binary to its
                                 // relaxation value for all descendants.
                                 prober.fix(v, x.round());
-                                probes.fixed += 1;
+                                stats.vars_fixed += 1;
                             }
                         }
                         let counts = prober.counts();
-                        probes.warm = counts.warm;
-                        probes.cold = counts.cold;
+                        stats.probes_warm = counts.warm;
+                        stats.probes_cold = counts.cold;
                         (base_lower, base_upper) = prober.finish();
                     }
 
@@ -1084,7 +741,7 @@ impl BranchBound {
                     match frac {
                         None => {
                             if ctx.offer_rounded(lp.values, &mut incumbent) {
-                                root_stats.incumbent_updates += 1;
+                                stats.incumbent_updates += 1;
                             }
                             None
                         }
@@ -1115,140 +772,49 @@ impl BranchBound {
             }
         };
 
-        // Root LP + probing op counters belong to the root's ledger; the
-        // scratch keeps accumulating for the serial loop below, whose delta
-        // is drained into the serial worker's stats at every exit.
-        root_stats.simplex_ops = scratch.take_ops();
-
         let Some((down, up)) = children else {
-            return finish(
-                incumbent,
-                Termination::Optimal,
-                root_stats,
-                vec![],
-                probes,
-                basis_reused,
-                root_basis_out,
-            );
+            stats.simplex_ops = scratch.take_ops();
+            return finish(incumbent, Termination::Optimal, stats, root_basis_out);
         };
 
-        if self.threads <= 1 {
-            // Serial best-first loop, reusing the root's scratch.
-            let mut stats = WorkerStats::default();
-            let mut arena = NodeArena::new();
-            let mut heap = BinaryHeap::new();
-            heap.push(down);
-            heap.push(up);
-            let mut explored = 1usize; // the root
-            while let Some(node) = heap.pop() {
-                if prunable(node.score, incumbent.score) {
-                    stats.nodes_pruned += 1;
-                    arena.retire(node.path);
-                    continue;
-                }
-                if explored >= self.max_nodes {
-                    stats.simplex_ops = scratch.take_ops();
-                    return finish(
-                        incumbent,
-                        Termination::NodeLimit,
-                        root_stats,
-                        vec![stats],
-                        probes,
-                        basis_reused,
-                        root_basis_out,
-                    );
-                }
-                if self.deadline.is_some_and(|d| started.elapsed() >= d) {
-                    stats.simplex_ops = scratch.take_ops();
-                    return finish(
-                        incumbent,
-                        Termination::Deadline,
-                        root_stats,
-                        vec![stats],
-                        probes,
-                        basis_reused,
-                        root_basis_out,
-                    );
-                }
-                explored += 1;
-                stats.nodes_explored += 1;
-                let expanded = ctx.expand(
-                    &mut scratch,
-                    &mut arena,
-                    &base_lower,
-                    &base_upper,
-                    node,
-                    &mut incumbent,
-                    &mut stats,
-                )?;
-                if let Some((down, up)) = expanded {
-                    heap.push(down);
-                    heap.push(up);
-                }
-            }
-            stats.simplex_ops = scratch.take_ops();
-            return finish(
-                incumbent,
-                Termination::Optimal,
-                root_stats,
-                vec![stats],
-                probes,
-                basis_reused,
-                root_basis_out,
-            );
-        }
-
-        // Parallel search: seed the pool with the root's children and let
-        // the workers steal.
+        // Best-first loop, reusing the root's scratch. The root counts as
+        // the first explored node.
+        let mut arena = NodeArena::new();
         let mut heap = BinaryHeap::new();
         heap.push(down);
         heap.push(up);
-        let shared = Shared {
-            ctx,
-            base_lower,
-            base_upper,
-            pool: Mutex::new(PoolState {
-                heap,
-                idle: 0,
-                done: false,
-                termination: Termination::Optimal,
-                error: None,
-            }),
-            available: Condvar::new(),
-            incumbent: SharedIncumbent::new(incumbent),
-            explored: AtomicUsize::new(1), // the root
-            max_nodes: self.max_nodes,
-            deadline: self.deadline,
-            started,
-            threads: self.threads,
-        };
-
-        let mut workers: Vec<WorkerStats> = Vec::with_capacity(self.threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|_| s.spawn(|| worker(&shared)))
-                .collect();
-            for h in handles {
-                workers.push(h.join().expect("branch-and-bound worker panicked"));
+        let termination = loop {
+            let Some(node) = heap.pop() else {
+                break Termination::Optimal;
+            };
+            if prunable(node.score, incumbent.score) {
+                stats.nodes_pruned += 1;
+                arena.retire(node.path);
+                continue;
             }
-        });
-
-        let PoolState {
-            termination, error, ..
-        } = shared.pool.into_inner().expect("pool lock");
-        if let Some(e) = error {
-            return Err(e);
-        }
-        let incumbent = shared.incumbent.cell.into_inner().expect("incumbent lock");
-        finish(
-            incumbent,
-            termination,
-            root_stats,
-            workers,
-            probes,
-            basis_reused,
-            root_basis_out,
-        )
+            if stats.nodes_explored >= self.max_nodes {
+                break Termination::NodeLimit;
+            }
+            if self.deadline.is_some_and(|d| started.elapsed() >= d) {
+                break Termination::Deadline;
+            }
+            stats.nodes_explored += 1;
+            let expanded = ctx.expand(
+                &mut scratch,
+                &mut arena,
+                &base_lower,
+                &base_upper,
+                node,
+                &mut incumbent,
+                &mut stats,
+            )?;
+            if let Some((down, up)) = expanded {
+                heap.push(down);
+                heap.push(up);
+            }
+        };
+        stats.simplex_ops = scratch.take_ops();
+        finish(incumbent, termination, stats, root_basis_out)
     }
 }
 
@@ -1503,31 +1069,18 @@ mod tests {
         assert_eq!(s.objective.round() as i64, 1);
         assert!(stats.nodes_explored >= 1);
         assert!(stats.incumbent_updates >= 1);
-        assert_eq!(stats.threads, 1);
-        assert_eq!(stats.per_worker.len(), 1);
-        assert_eq!(stats.per_worker[0].nodes_explored, stats.nodes_explored);
     }
 
     #[test]
     fn simplex_ops_threaded_into_stats() {
         let (m, _) = tight_budget_model();
-        for threads in [1usize, 4] {
-            let run = BranchBound::new()
-                .with_threads(threads)
-                .run(&m, None)
-                .unwrap();
-            let ops = run.stats.simplex_ops;
-            assert!(ops.tableau_builds >= 1, "threads {threads}: {ops:?}");
-            assert!(ops.total_pivots() > 0, "threads {threads}: {ops:?}");
-            // The serial loop (and each worker) reuses its scratch, so only
-            // the first same-or-larger-shape build may allocate.
-            assert!(ops.scratch_reuses > 0, "threads {threads}: {ops:?}");
-            let mut sum = SimplexOps::default();
-            for w in &run.stats.per_worker {
-                sum.merge(w.simplex_ops);
-            }
-            assert_eq!(sum, ops, "per-worker ops must sum to the aggregate");
-        }
+        let run = BranchBound::new().run(&m, None).unwrap();
+        let ops = run.stats.simplex_ops;
+        assert!(ops.tableau_builds >= 1, "{ops:?}");
+        assert!(ops.total_pivots() > 0, "{ops:?}");
+        // The search reuses its scratch, so only the first
+        // same-or-larger-shape build may allocate.
+        assert!(ops.scratch_reuses > 0, "{ops:?}");
     }
 
     #[test]
@@ -1542,69 +1095,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_objective() {
-        let (m, _) = tight_budget_model();
-        let serial = BranchBound::new().solve(&m).unwrap();
-        for threads in [2, 4, 8] {
-            let par = BranchBound::new().with_threads(threads).solve(&m).unwrap();
-            assert!(
-                (serial.objective - par.objective).abs() < 1e-6,
-                "threads {threads}: {} vs {}",
-                serial.objective,
-                par.objective
-            );
-            assert_eq!(serial.values, par.values, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn tie_break_is_lexicographic_across_thread_counts() {
+    fn tie_break_is_lexicographic() {
         // min a + b s.t. 2a + 2b >= 1: the root LP sits at a fractional
         // vertex (0.5, 0), and branching discovers the two tied optima
         // (1,0) and (0,1) in different subtrees. Because tied nodes are
-        // never pruned and the incumbent breaks ties lexicographically,
-        // every thread count and interleaving must report the
-        // lexicographically smallest optimum (0,1).
-        for threads in [1usize, 2, 4] {
-            for _ in 0..5 {
-                let mut m = Model::new(Sense::Minimize);
-                let a = m.add_binary("a");
-                let b = m.add_binary("b");
-                m.set_objective([(a, 1.0), (b, 1.0)]);
-                m.add_constraint([(a, 2.0), (b, 2.0)], Relation::Ge, 1.0)
-                    .unwrap();
-                let s = BranchBound::new().with_threads(threads).solve(&m).unwrap();
-                assert_eq!(s.objective.round() as i64, 1, "threads {threads}");
-                assert_eq!(
-                    (s.value(a).round() as i64, s.value(b).round() as i64),
-                    (0, 1),
-                    "threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_node_budget() {
-        let (m, _) = tight_budget_model();
-        let run = BranchBound::new()
-            .with_threads(4)
-            .with_max_nodes(2)
-            .run(&m, None)
+        // never pruned and the incumbent breaks ties lexicographically, the
+        // search must report the lexicographically smallest optimum (0,1).
+        let mut m = Model::new(Sense::Minimize);
+        let a = m.add_binary("a");
+        let b = m.add_binary("b");
+        m.set_objective([(a, 1.0), (b, 1.0)]);
+        m.add_constraint([(a, 2.0), (b, 2.0)], Relation::Ge, 1.0)
             .unwrap();
-        assert_eq!(run.termination, Termination::NodeLimit);
-        assert!(run.stats.nodes_explored <= 2);
-    }
-
-    #[test]
-    fn parallel_reports_per_worker_stats() {
-        let (m, _) = tight_budget_model();
-        let run = BranchBound::new().with_threads(3).run(&m, None).unwrap();
-        assert_eq!(run.termination, Termination::Optimal);
-        assert_eq!(run.stats.threads, 3);
-        assert_eq!(run.stats.per_worker.len(), 3);
-        let sum: usize = run.stats.per_worker.iter().map(|w| w.nodes_explored).sum();
-        assert_eq!(sum, run.stats.nodes_explored);
+        let s = BranchBound::new().solve(&m).unwrap();
+        assert_eq!(s.objective.round() as i64, 1);
+        assert_eq!(
+            (s.value(a).round() as i64, s.value(b).round() as i64),
+            (0, 1)
+        );
     }
 
     #[test]
@@ -1648,19 +1156,5 @@ mod tests {
         assert!(!warm.stats.basis_reused);
         assert_eq!(warm.solution, cold.solution);
         assert_eq!(warm.stats.nodes_explored, cold.stats.nodes_explored);
-    }
-
-    #[test]
-    fn parallel_infeasible_model_detected() {
-        let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        m.set_objective([(a, 1.0), (b, 1.0)]);
-        m.add_constraint([(a, 1.0), (b, 1.0)], Relation::Ge, 3.0)
-            .unwrap();
-        assert_eq!(
-            BranchBound::new().with_threads(4).solve(&m),
-            Err(IlpError::Infeasible)
-        );
     }
 }

@@ -45,9 +45,7 @@ mod model;
 pub mod simplex;
 mod solution;
 
-pub use branch_bound::{
-    lex_less, BranchBound, BranchBoundRun, BranchBoundStats, Termination, WorkerStats,
-};
+pub use branch_bound::{lex_less, BranchBound, BranchBoundRun, BranchBoundStats, Termination};
 pub use error::IlpError;
 pub use exhaustive::{
     run_binary_exhaustive, solve_binary_exhaustive, solve_binary_exhaustive_counted, ExhaustiveRun,

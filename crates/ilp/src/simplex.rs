@@ -614,7 +614,7 @@ fn is_fixed(lower: f64, upper: f64) -> bool {
 
 /// Like [`solve_with_bounds`], reusing the buffers in `scratch` for the
 /// tableau and row bookkeeping. Repeated callers (one LP per
-/// branch-and-bound node) should hold one scratch per worker thread.
+/// branch-and-bound node) should hold one scratch for the whole search.
 ///
 /// Fixed variables (`lower == upper`, as branch-and-bound pins binaries)
 /// are folded out while the tableau is built: their columns and bound rows

@@ -63,7 +63,7 @@ use std::time::Instant;
 use partita_core::api::{
     ApiError, Payload, Request, RequestBody, Response, SolveResult, SolveSpec, StatsSnapshot,
 };
-use partita_core::cache::ShardedLru;
+use partita_core::cache::{fnv1a64, ShardedLru};
 use partita_core::delta::{DeltaSession, InstanceDelta};
 use partita_core::sweep::canonical_solve_key;
 use partita_core::telemetry::{self, CacheKind, Event, TelemetrySink};
@@ -592,17 +592,6 @@ pub(crate) fn best_effort_ids(line: &str) -> (String, String) {
         ),
         Err(_) => (String::new(), String::new()),
     }
-}
-
-/// FNV-1a 64 (the digest reported in `cache_lookup` telemetry; full keys
-/// never leave the process).
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // Compile-time audit that everything a worker thread shares is actually

@@ -6,10 +6,9 @@
 //! committed request log (`tests/service/requests.jsonl`, built from
 //! corpus-manifest ids) must replay to the committed response log
 //! (`tests/service/golden.jsonl`) on every machine. Everything in a
-//! redacted response is deterministic at one worker: gains, areas,
-//! statuses, chosen IMP ids, selection digests, node counts (threads are
-//! pinned to 1 by the default [`crate::TenantPolicy`]) and cache-hit
-//! flags (replay order is the log order).
+//! redacted response is deterministic: gains, areas, statuses, chosen IMP
+//! ids, selection digests, node counts (the search is serial) and
+//! cache-hit flags (replay order is the log order).
 
 use partita_core::Redaction;
 

@@ -29,8 +29,8 @@ pub struct TenantPolicy {
     /// still complete, and other tenants keep their exact service.
     pub node_budget: u64,
     /// Per-request effort cap. A request's own `max_nodes` / `deadline_ms`
-    /// / `threads` are honoured only *up to* these values; the fallback
-    /// backend is always the policy's.
+    /// are honoured only *up to* these values; the fallback backend is
+    /// always the policy's.
     pub budget: SolveBudget,
 }
 
@@ -40,10 +40,7 @@ impl Default for TenantPolicy {
             max_inflight: 4,
             max_queued: 1024,
             node_budget: u64::MAX,
-            // threads pinned to 1: canonical cache keys include the budget,
-            // so a deterministic default keeps every default-spec request
-            // on one shared entry regardless of PARTITA_THREADS.
-            budget: SolveBudget::default().with_threads(1),
+            budget: SolveBudget::default(),
         }
     }
 }
@@ -65,7 +62,6 @@ impl TenantPolicy {
             (Some(a), None) => Some(a),
             (None, cap) => cap,
         };
-        budget.threads = spec.threads.clamp(1, self.budget.threads.max(1));
         budget
     }
 }
@@ -79,14 +75,12 @@ mod tests {
         let policy = TenantPolicy {
             budget: SolveBudget::default()
                 .with_max_nodes(10_000)
-                .with_deadline(std::time::Duration::from_millis(100))
-                .with_threads(2),
+                .with_deadline(std::time::Duration::from_millis(100)),
             ..TenantPolicy::default()
         };
         let spec = SolveSpec {
             max_nodes: Some(50_000),
             deadline_ms: Some(5),
-            threads: 8,
             ..SolveSpec::default()
         };
         let budget = policy.clamp(&spec);
@@ -96,13 +90,11 @@ mod tests {
             Some(std::time::Duration::from_millis(5)),
             "tighter caller deadline wins"
         );
-        assert_eq!(budget.threads, 2, "thread ask capped by policy");
         // A modest ask passes through.
         let modest = SolveSpec {
             max_nodes: Some(5),
             ..SolveSpec::default()
         };
         assert_eq!(policy.clamp(&modest).max_nodes, 5);
-        assert_eq!(policy.clamp(&modest).threads, 1);
     }
 }

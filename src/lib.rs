@@ -67,7 +67,7 @@
 //! use partita::core::telemetry::Event;
 //! # let trace = partita::core::SolveTrace::default();
 //! let line = Event::SolveFinished { trace }.to_json();
-//! assert!(line.starts_with("{\"schema\":4,\"event\":\"solve_finished\""));
+//! assert!(line.starts_with("{\"schema\":5,\"event\":\"solve_finished\""));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -58,13 +58,26 @@ fn contract_cross_references_exist() {
             "docs/BACKENDS.md never mentions status `{name}`"
         );
     }
-    // The telemetry section names the events derived from a backend's
-    // effort counters, and they exist.
-    for kind in [EventKind::WorkerFinished, EventKind::SolveFinished] {
+    // The telemetry section names the event that carries a backend's
+    // effort counters, and it exists.
+    let kind = EventKind::SolveFinished;
+    assert!(
+        DOC.contains(&format!("`{}`", kind.name())),
+        "docs/BACKENDS.md never mentions event `{}`",
+        kind.name()
+    );
+    // Every call the line-up names is the one `dispatch` makes.
+    let dispatch = include_str!("../crates/core/src/solver.rs");
+    for call in [
+        "run_seeded",
+        "run_binary_exhaustive",
+        "solve_greedy",
+        "encode_selection",
+        "is_feasible",
+    ] {
         assert!(
-            DOC.contains(&format!("`{}`", kind.name())),
-            "docs/BACKENDS.md never mentions event `{}`",
-            kind.name()
+            DOC.contains(call) && dispatch.contains(call),
+            "`{call}` must appear in docs/BACKENDS.md and in dispatch"
         );
     }
     // The tie-break the contract cites is the one the code exports.

@@ -12,9 +12,9 @@ use partita::workloads::Workload;
 
 /// Serializes everything reproducible about a selection — the chosen IMPs,
 /// objective, totals and per-path gains — excluding the trace (wall times
-/// and per-worker node counts legitimately vary between runs). Byte equality
-/// of these strings is the determinism contract across thread counts, cache
-/// layers and corpus replays.
+/// legitimately vary between runs). Byte equality of these strings is the
+/// determinism contract across backends, warm starts, cache layers and
+/// corpus replays.
 pub fn serialize_selection(sel: &Selection) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -33,15 +33,11 @@ pub fn serialize_selection(sel: &Selection) -> String {
     out
 }
 
-/// Solves one sweep point with an explicit branch-and-bound thread count,
-/// on the default backend.
-pub fn solve_with_threads(w: &Workload, rg: Cycles, threads: usize) -> Selection {
+/// Solves one sweep point with `budget` on the default backend.
+pub fn solve_point(w: &Workload, rg: Cycles, budget: SolveBudget) -> Selection {
     Solver::new(&w.instance)
         .with_imps(w.imps.clone())
-        .solve(
-            &SolveOptions::problem2(RequiredGains::uniform(rg))
-                .budget(SolveBudget::default().with_threads(threads)),
-        )
+        .solve(&SolveOptions::problem2(RequiredGains::uniform(rg)).budget(budget))
         .expect("sweep point feasible")
 }
 

@@ -1,10 +1,10 @@
-//! Differential-testing corpus: branch-and-bound (serial), branch-and-bound
-//! (parallel) and exhaustive enumeration must agree on objective value and
-//! feasibility across the committed corpus' `micro` population.
+//! Differential-testing corpus: branch-and-bound and exhaustive enumeration
+//! must agree on objective value and feasibility across the committed
+//! corpus' `micro` population.
 //!
-//! This is the equivalence lock for the parallel solver: exhaustive
-//! enumeration is an independent oracle (no LP, no pruning, no threads), so
-//! any divergence is a solver bug, not a tie-break artifact. Instances whose
+//! This is the equivalence lock for the branch-and-bound solver: exhaustive
+//! enumeration is an independent oracle (no LP, no pruning), so any
+//! divergence is a solver bug, not a tie-break artifact. Instances whose
 //! model exceeds the exhaustive backend's binary-variable cap are skipped —
 //! the micro preset is sized so at least 50 (entry, RG) points survive.
 //! Every entry rebuilds through its manifest digest first, so the oracle
@@ -18,10 +18,8 @@ use partita::core::{
 };
 use partita::ilp::IlpError;
 
-const PARALLEL_THREADS: usize = 4;
-
-/// One backend's verdict on an instance, reduced to what all three must
-/// agree on.
+/// One backend's verdict on an instance, reduced to what both must agree
+/// on.
 #[derive(Debug, Clone, PartialEq)]
 enum Verdict {
     /// Feasible: objective (total area in tenths, an exact integer quantity)
@@ -63,7 +61,7 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
     for entry in &entries {
         let w = common::verified_workload(entry);
         for &rg in &w.rg_sweep {
-            let solve = |backend: Backend, threads: usize| {
+            let solve = |backend: Backend| {
                 Solver::new(&w.instance).with_imps(w.imps.clone()).solve(
                     &SolveOptions::problem2(RequiredGains::uniform(rg))
                         .backend(backend)
@@ -75,17 +73,16 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
                         .budget(
                             SolveBudget::default()
                                 .with_max_nodes(usize::MAX)
-                                .with_fallback(None)
-                                .with_threads(threads),
+                                .with_fallback(None),
                         ),
                 )
             };
             let ctx = format!("{}, RG {}", entry.id, rg.get());
-            let Some(oracle) = verdict(solve(Backend::Exhaustive, 1)) else {
+            let Some(oracle) = verdict(solve(Backend::Exhaustive)) else {
                 skipped += 1;
                 continue;
             };
-            let serial_result = solve(Backend::BranchBound, 1);
+            let serial_result = solve(Backend::BranchBound);
             // Independent audit oracle: every feasible selection must
             // re-derive cleanly from the raw instance and IMP database,
             // without consulting the ILP model that produced it.
@@ -99,28 +96,21 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
             }
 
             let serial = verdict(serial_result).expect("branch-and-bound has no size cap");
-            let parallel = verdict(solve(Backend::BranchBound, PARALLEL_THREADS))
-                .expect("branch-and-bound has no size cap");
 
-            // All three agree on feasibility and, when feasible, on the
+            // Both agree on feasibility and, when feasible, on the
             // objective (area) — ties in the assignment are allowed to
             // differ between branch-and-bound and the enumeration oracle,
-            // but area and gain are part of the objective contract.
-            match (&oracle, &serial, &parallel) {
-                (
-                    Verdict::Feasible { area: oa, .. },
-                    Verdict::Feasible { area: sa, .. },
-                    Verdict::Feasible { area: pa, .. },
-                ) => {
-                    assert_eq!(oa, sa, "serial area diverged from oracle at {ctx}");
-                    assert_eq!(oa, pa, "parallel area diverged from oracle at {ctx}");
+            // but area is part of the objective contract.
+            match (&oracle, &serial) {
+                (Verdict::Feasible { area: oa, .. }, Verdict::Feasible { area: sa, .. }) => {
+                    assert_eq!(
+                        oa, sa,
+                        "branch-and-bound area diverged from oracle at {ctx}"
+                    );
                 }
-                (Verdict::Infeasible, Verdict::Infeasible, Verdict::Infeasible) => {}
+                (Verdict::Infeasible, Verdict::Infeasible) => {}
                 other => panic!("feasibility verdicts diverged at {ctx}: {other:?}"),
             }
-            // Serial and parallel branch-and-bound must agree *exactly*
-            // (same tie-break), including the gain.
-            assert_eq!(serial, parallel, "serial vs parallel at {ctx}");
             compared += 1;
         }
     }
@@ -131,10 +121,10 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
     );
 }
 
-/// The sweep session against the uncached solver, over the same corpus: at
-/// 1 and 4 branch-and-bound threads, a session solve (cache miss) and its
-/// immediate replay (cache hit) must both be byte-identical — trace
-/// included — to the plain `Solver::solve` result for the same options.
+/// The sweep session against the uncached solver, over the same corpus: a
+/// session solve (cache miss) and its immediate replay (cache hit) must
+/// both be byte-identical — trace included — to the plain `Solver::solve`
+/// result for the same options.
 #[test]
 fn session_cache_agrees_with_uncached_solver_on_corpus() {
     let entries = common::entries_for("synth", "micro");
@@ -143,34 +133,30 @@ fn session_cache_agrees_with_uncached_solver_on_corpus() {
         let w = common::verified_workload(entry);
         let mut session = SweepSession::new();
         for &rg in &w.rg_sweep {
-            for threads in [1usize, 4] {
-                // `.audit(true)` routes every solve — the lone one, the
-                // session miss, and the session cache hit — through the
-                // post-solve auditor; a violation would surface as
-                // `CoreError::AuditFailed` and trip the divergence match.
-                let opts = SolveOptions::problem2(RequiredGains::uniform(rg))
-                    .budget(SolveBudget::default().with_threads(threads))
-                    .audit(true);
-                let lone = Solver::new(&w.instance)
-                    .with_imps(w.imps.clone())
-                    .solve(&opts);
-                let cold = session.solve(&w.instance, &w.imps, &opts);
-                let hit = session.solve(&w.instance, &w.imps, &opts);
-                let ctx = format!("{}, RG {}, {threads} threads", entry.id, rg.get());
-                match (lone, cold, hit) {
-                    (Ok(lone), Ok(cold), Ok(hit)) => {
-                        // The lone solve ran outside the session, so wall
-                        // times differ; the decoded result must not.
-                        assert_eq!(lone.chosen(), cold.chosen(), "{ctx}");
-                        assert_eq!(lone.total_area(), cold.total_area(), "{ctx}");
-                        assert_eq!(lone.status, cold.status, "{ctx}");
-                        // The replay is the memoized value, bit for bit.
-                        assert_eq!(cold, hit, "{ctx}: cache hit diverged");
-                        compared += 1;
-                    }
-                    (Err(_), Err(_), Err(_)) => {}
-                    other => panic!("session vs solver diverged at {ctx}: {other:?}"),
+            // `.audit(true)` routes every solve — the lone one, the session
+            // miss, and the session cache hit — through the post-solve
+            // auditor; a violation would surface as `CoreError::AuditFailed`
+            // and trip the divergence match.
+            let opts = SolveOptions::problem2(RequiredGains::uniform(rg)).audit(true);
+            let lone = Solver::new(&w.instance)
+                .with_imps(w.imps.clone())
+                .solve(&opts);
+            let cold = session.solve(&w.instance, &w.imps, &opts);
+            let hit = session.solve(&w.instance, &w.imps, &opts);
+            let ctx = format!("{}, RG {}", entry.id, rg.get());
+            match (lone, cold, hit) {
+                (Ok(lone), Ok(cold), Ok(hit)) => {
+                    // The lone solve ran outside the session, so wall
+                    // times differ; the decoded result must not.
+                    assert_eq!(lone.chosen(), cold.chosen(), "{ctx}");
+                    assert_eq!(lone.total_area(), cold.total_area(), "{ctx}");
+                    assert_eq!(lone.status, cold.status, "{ctx}");
+                    // The replay is the memoized value, bit for bit.
+                    assert_eq!(cold, hit, "{ctx}: cache hit diverged");
+                    compared += 1;
                 }
+                (Err(_), Err(_), Err(_)) => {}
+                other => panic!("session vs solver diverged at {ctx}: {other:?}"),
             }
         }
     }
