@@ -44,6 +44,16 @@
 //! the zeros stop costing. Artificial columns are never read (they never
 //! enter), so they are not stored: an artificial is only a basis marker.
 //!
+//! A pivot writes the pivot row's positions into a dense column →
+//! position + 1 map held in the tableau (all zero between pivots), so
+//! eliminating a row is one pass over that row: each cell whose column
+//! the map knows is updated in place and its pivot-row position stamped
+//! with the row's stamp. Only the unstamped pivot-row cells are then merged
+//! in from the back as fill-in, so rows stay column-sorted and the cell
+//! order and column-list appends are the ones a walk of both sorted rows
+//! gives. The entering column is priced in two passes over the dense
+//! objective row, the first of them branch-free (see `price`).
+//!
 //! Fixed variables (`lower == upper`) are folded into the right-hand side
 //! while the tableau is built (see [`solve_with_bounds_scratch`]), which
 //! keeps node LPs deep in a branch-and-bound tree small without building a
@@ -283,6 +293,8 @@ impl SimplexScratch {
             + t.rhs.capacity()
             + t.obj.capacity()
             + t.basis.capacity()
+            + t.scatter.pos.capacity()
+            + t.scatter.hit.capacity()
             + self.cost.capacity()
             + self.var_col.capacity()
     }
@@ -318,6 +330,8 @@ struct Tableau {
     obj_rhs: f64,
     /// Basic column per row.
     basis: Vec<usize>,
+    /// The pivot row's column map, live during a pivot.
+    scatter: Scatter,
     /// Undo log of a root probe; records nothing while inactive.
     journal: Journal,
 }
@@ -365,6 +379,7 @@ impl Tableau {
         }
         self.rhs[row] *= inv;
         let prhs = self.rhs[row];
+        self.scatter.load(&prow);
         // No row in column `col`'s list gains a fill-in cell at `col`, so
         // the list can be detached while other columns' lists grow.
         let touched = std::mem::take(&mut self.cols[col]);
@@ -375,10 +390,12 @@ impl Tableau {
             let factor = self.at(r, col);
             if factor != 0.0 {
                 self.journal.save_row(r, &self.rows[r]);
-                eliminate(&mut self.rows[r], r, &prow, factor, &mut self.cols);
+                self.scatter
+                    .eliminate(&mut self.rows[r], r, &prow, factor, &mut self.cols);
                 self.rhs[r] -= factor * prhs;
             }
         }
+        self.scatter.clear(&prow);
         let factor = self.obj[col];
         if factor != 0.0 {
             for &(c, pv) in &prow {
@@ -392,54 +409,88 @@ impl Tableau {
     }
 }
 
-/// `row -= factor · prow` over sorted sparse rows, in place: cells stored
-/// in both are updated where they sit, then the fill-in cells are merged in
-/// from the back and row `r` is added to their columns' lists.
-fn eliminate(
-    row: &mut Vec<(usize, f64)>,
-    r: usize,
-    prow: &[(usize, f64)],
-    factor: f64,
-    cols: &mut [Vec<usize>],
-) {
-    let mut fill = 0;
-    let mut i = 0;
-    for &(c, pv) in prow {
-        while i < row.len() && row[i].0 < c {
-            i += 1;
-        }
-        if i < row.len() && row[i].0 == c {
-            row[i].1 -= factor * pv;
-            i += 1;
-        } else {
-            fill += 1;
+/// The pivot row's dense column map and the hit stamps of one row
+/// elimination. Sized to the column count at build.
+#[derive(Debug, Default)]
+struct Scatter {
+    /// Position + 1 of each column in the pivot row, zero for every column
+    /// outside it; all zero between pivots.
+    pos: Vec<usize>,
+    /// Per pivot-row position, the stamp of the last eliminated row that
+    /// stored a cell there.
+    hit: Vec<usize>,
+    /// Stamp of the current row elimination; grows by one per row.
+    stamp: usize,
+}
+
+impl Scatter {
+    /// Maps the pivot row's columns to their positions.
+    fn load(&mut self, prow: &[(usize, f64)]) {
+        for (i, &(c, _)) in prow.iter().enumerate() {
+            self.pos[c] = i + 1;
         }
     }
-    if fill == 0 {
-        return;
+
+    /// Zeroes the map again after the pivot.
+    fn clear(&mut self, prow: &[(usize, f64)]) {
+        for &(c, _) in prow {
+            self.pos[c] = 0;
+        }
     }
-    // `i` old cells are still unplaced; `k` is the next free slot from the
-    // back. Once every pivot-row cell is placed, `k == i` and the rest of
-    // the old cells are already where they belong.
-    let mut i = row.len();
-    row.resize(i + fill, (0, 0.0));
-    let mut k = row.len();
-    for &(c, pv) in prow.iter().rev() {
-        while i > 0 && row[i - 1].0 > c {
-            i -= 1;
+
+    /// `row -= factor · prow` over sorted sparse rows, in place, with
+    /// `prow` loaded. One pass over `row` updates the cells stored in both
+    /// where they sit and stamps their `prow` positions. The unstamped
+    /// `prow` cells are then merged in from the back as fill-in, and row
+    /// `r` is appended to their columns' lists, in descending column order.
+    fn eliminate(
+        &mut self,
+        row: &mut Vec<(usize, f64)>,
+        r: usize,
+        prow: &[(usize, f64)],
+        factor: f64,
+        cols: &mut [Vec<usize>],
+    ) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let mut shared = 0;
+        for cell in row.iter_mut() {
+            let p = self.pos[cell.0];
+            if p != 0 {
+                cell.1 -= factor * prow[p - 1].1;
+                self.hit[p - 1] = stamp;
+                shared += 1;
+            }
+        }
+        let mut fill = prow.len() - shared;
+        if fill == 0 {
+            return;
+        }
+        // `i` old cells are still unplaced; `k` is the next free slot from
+        // the back. Once the last fill-in cell is placed, `k == i` and the
+        // rest of the old cells are already where they belong.
+        let mut i = row.len();
+        row.resize(i + fill, (0, 0.0));
+        let mut k = row.len();
+        for (p, &(c, pv)) in prow.iter().enumerate().rev() {
+            if self.hit[p] == stamp {
+                continue;
+            }
+            while i > 0 && row[i - 1].0 > c {
+                i -= 1;
+                k -= 1;
+                row[k] = row[i];
+            }
             k -= 1;
-            row[k] = row[i];
-        }
-        k -= 1;
-        if i > 0 && row[i - 1].0 == c {
-            i -= 1;
-            row[k] = row[i];
-        } else {
             row[k] = (c, 0.0 - factor * pv);
             cols[c].push(r);
+            fill -= 1;
+            if fill == 0 {
+                break;
+            }
         }
+        debug_assert_eq!(k, i);
     }
-    debug_assert_eq!(k, i);
 }
 
 /// Undo log of one root probe (see [`RootProbe`]).
@@ -452,9 +503,10 @@ fn eliminate(
 ///
 /// Column lists need no log: a pivot changes them only by appending a
 /// row to the list of each fill-in cell's column (the pivot column's list
-/// is put back as it was, and a probe never sorts one). So the columns a
-/// saved row holds now but did not hold before are exactly the lists the
-/// probe appended that row to, and removing it there restores them.
+/// is put back as it was, and a probe never sorts one). So every list is
+/// its pre-probe self plus a tail of the probe's appends, one per cell a
+/// saved row holds now but did not hold before, and popping one entry per
+/// such cell restores it.
 #[derive(Debug, Default)]
 struct Journal {
     active: bool,
@@ -514,9 +566,8 @@ impl Tableau {
                 if k < saved.len() && saved[k].0 == c {
                     k += 1;
                 } else {
-                    let list = &mut self.cols[c];
-                    let at = list.iter().rposition(|&x| x == r).expect("fill-in listed");
-                    list.remove(at);
+                    let popped = self.cols[c].pop();
+                    debug_assert!(popped.is_some(), "fill-in listed");
                 }
             }
             row.clear();
@@ -917,6 +968,8 @@ fn build_tableau(
     }
     if t.cols.len() < t.art0 {
         t.cols.resize_with(t.art0, Vec::new);
+        t.scatter.pos.resize(t.art0, 0);
+        t.scatter.hit.resize(t.art0, 0);
     }
     for list in &mut t.cols[..t.art0] {
         list.clear();
@@ -1230,6 +1283,9 @@ pub struct RootProbe<'a> {
 struct RootRows {
     /// Bound row of each variable ([`NO_ROW`] for an infinite width).
     bound_row: Vec<usize>,
+    /// The constraint rows holding each variable, as `(row, relation,
+    /// coefficient)` in row order.
+    held: Vec<Vec<(usize, Relation, f64)>>,
     /// Columns the dual simplex may not enter: the structural and
     /// bound-row slack columns of every pinned variable, which are zero in
     /// every feasible point. Entering one is a wasted pivot, and a cold
@@ -1263,8 +1319,17 @@ impl RootRows {
         {
             return None;
         }
+        let mut held = vec![Vec::new(); n];
+        for (i, c) in model.constraints().iter().enumerate() {
+            for (v, k) in c.expr.iter_terms() {
+                if k != 0.0 {
+                    held[v.index()].push((i, c.relation, k));
+                }
+            }
+        }
         let mut rows = RootRows {
             bound_row,
+            held,
             frozen: vec![false; t.art0],
         };
         for j in 0..n {
@@ -1288,35 +1353,21 @@ impl RootRows {
     /// the lower bound moves, every constraint row holding `j` takes the
     /// shift. Returns `false`, leaving `t` untouched, when a row the move
     /// must patch has no slack column (an equality row, or no bound row).
-    fn patch(
-        &self,
-        model: &Model,
-        t: &mut Tableau,
-        j: usize,
-        from: (f64, f64),
-        to: (f64, f64),
-    ) -> bool {
-        let var = VarId(j);
+    fn patch(&self, t: &mut Tableau, j: usize, from: (f64, f64), to: (f64, f64)) -> bool {
         let shift = to.0 - from.0;
         let widen = (to.1 - to.0) - (from.1 - from.0);
-        let held = || {
-            model
-                .constraints()
-                .iter()
-                .enumerate()
-                .filter_map(move |(i, c)| {
-                    let k = c.expr.coeff(var);
-                    (k != 0.0).then_some((i, c.relation, k))
-                })
-        };
+        let held = &self.held[j];
         let shift_ok = shift == 0.0
-            || (shift.is_finite() && held().all(|(_, relation, _)| relation != Relation::Eq));
+            || (shift.is_finite()
+                && held
+                    .iter()
+                    .all(|&(_, relation, _)| relation != Relation::Eq));
         let widen_ok = widen == 0.0 || (widen.is_finite() && self.bound_row[j] != NO_ROW);
         if !(shift_ok && widen_ok) {
             return false;
         }
         if shift != 0.0 {
-            for (i, relation, k) in held() {
+            for &(i, relation, k) in held {
                 let sign = if relation == Relation::Le { 1.0 } else { -1.0 };
                 t.shift_rhs(i, sign, -k * shift);
             }
@@ -1437,7 +1488,7 @@ impl<'a> RootProbe<'a> {
         let SimplexScratch { t, ops, .. } = &mut *self.scratch;
         t.begin_probe();
         let from = (self.lower[j], self.upper[j]);
-        if !rows.patch(self.model, t, j, from, (value, value)) {
+        if !rows.patch(t, j, from, (value, value)) {
             t.undo_probe();
             return None;
         }
@@ -1478,7 +1529,7 @@ impl<'a> RootProbe<'a> {
         let j = var.index();
         let from = (self.lower[j], self.upper[j]);
         if let Some(rows) = &mut self.warm {
-            if rows.patch(self.model, &mut self.scratch.t, j, from, (value, value)) {
+            if rows.patch(&mut self.scratch.t, j, from, (value, value)) {
                 rows.freeze(j, true);
             } else {
                 self.warm = None;
@@ -1696,6 +1747,50 @@ fn run_dual_simplex(
     }
 }
 
+/// The entering column of a primal pivot over the reduced costs `obj`:
+/// the most negative cost below `-EPS`, ties to the lowest index
+/// (Dantzig), or with `bland` the lowest index below `-EPS`. `None` when
+/// no cost is below `-EPS`.
+///
+/// One branch-free pass takes eight lane-wise minima and NaN flags; a
+/// second finds the first column at the minimum (or, under Bland, below
+/// `-EPS`). The minimum of a set does not depend on the order it is
+/// taken in, so this is the column one ordered scan with a strict `<`
+/// would pick.
+///
+/// # Errors
+///
+/// [`IlpError::NumericalInstability`] when any cost is NaN.
+fn price(obj: &[f64], bland: bool) -> Result<Option<usize>, IlpError> {
+    let mut lanes = [f64::INFINITY; 8];
+    let mut nan = [false; 8];
+    let mut scan = |chunk: &[f64]| {
+        for ((lane, nan), &c) in lanes.iter_mut().zip(&mut nan).zip(chunk) {
+            *lane = if c < *lane { c } else { *lane };
+            *nan |= c.is_nan();
+        }
+    };
+    let (chunks, tail) = obj.as_chunks::<8>();
+    for chunk in chunks {
+        scan(chunk);
+    }
+    scan(tail);
+    if nan.contains(&true) {
+        return Err(IlpError::NumericalInstability {
+            context: "entering-column selection",
+        });
+    }
+    let min = lanes.into_iter().fold(f64::INFINITY, f64::min);
+    if min >= -EPS {
+        return Ok(None);
+    }
+    Ok(if bland {
+        obj.iter().position(|&c| c < -EPS)
+    } else {
+        obj.iter().position(|&c| c == min)
+    })
+}
+
 /// Runs primal simplex iterations on the tableau until optimality.
 ///
 /// The entering column follows Dantzig's rule — most negative reduced
@@ -1723,27 +1818,7 @@ fn run_simplex(
                 limit: options.max_iterations,
             });
         }
-        // Entering column: one full scan of the cost row finds the first
-        // negative (Bland), the most negative (Dantzig) and any NaN.
-        let mut first_neg: Option<usize> = None;
-        let mut most_neg: Option<usize> = None;
-        let mut best = -EPS;
-        for (j, &c) in t.obj.iter().enumerate() {
-            if c.is_nan() {
-                return Err(IlpError::NumericalInstability {
-                    context: "entering-column selection",
-                });
-            }
-            if c < -EPS && first_neg.is_none() {
-                first_neg = Some(j);
-            }
-            if c < best {
-                best = c;
-                most_neg = Some(j);
-            }
-        }
-        let entering = if bland { first_neg } else { most_neg };
-        let Some(e) = entering else {
+        let Some(e) = price(&t.obj, bland)? else {
             return Ok(()); // optimal
         };
         let Some((lr, lratio)) = ratio_test(t, e, true)? else {
@@ -1781,6 +1856,9 @@ fn feasible_point(model: &Model, values: &[f64], tol: f64) -> bool {
         }
     })
 }
+
+#[cfg(test)]
+mod kernel;
 
 #[cfg(test)]
 mod tests {
