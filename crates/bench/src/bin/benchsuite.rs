@@ -12,7 +12,10 @@
 //! any node-count or simplex-ops growth (total pivots, allocating tableau
 //! builds) exits nonzero. Every figure is exact, so the
 //! committed file is the baseline on any machine. Wall time is measured by
-//! `perfbench`, not here.
+//! `perfbench`, not here. An `--out` that names the baseline file (the
+//! default `--out` is `BENCH_partita.json`) is refused before anything is
+//! written: the run would overwrite the baseline and then compare against
+//! itself.
 
 use std::process::ExitCode;
 
@@ -33,6 +36,19 @@ fn main() -> ExitCode {
             "--out" => out = value,
             "--compare" => compare = Some(value),
             _ => usage(),
+        }
+    }
+    if let Some(baseline_path) = &compare {
+        let same = std::fs::canonicalize(&out)
+            .ok()
+            .zip(std::fs::canonicalize(baseline_path).ok())
+            .is_some_and(|(o, b)| o == b);
+        if same {
+            eprintln!(
+                "benchsuite: --out {out} is the --compare baseline {baseline_path}; \
+                 pass a different --out"
+            );
+            return ExitCode::from(2);
         }
     }
     let report = run_suite(false);

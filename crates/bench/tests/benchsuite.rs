@@ -304,3 +304,39 @@ fn service_section_shares_the_cache_and_gates_regressions() {
         "{regressions:?}"
     );
 }
+
+/// `--compare` against the file `--out` names, by default or by another
+/// spelling of the same path, exits 2 before the suite runs and leaves the
+/// baseline untouched: writing first would overwrite it and then compare
+/// the run against itself.
+#[test]
+fn out_path_equal_to_the_baseline_is_refused() {
+    let dir = std::env::temp_dir().join(format!("benchsuite-out-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
+    let baseline = dir.join("BENCH_partita.json");
+    std::fs::write(&baseline, "baseline").unwrap();
+    let runs: [&[&str]; 2] = [
+        &["--compare", "BENCH_partita.json"],
+        &[
+            "--out",
+            "sub/../BENCH_partita.json",
+            "--compare",
+            "./BENCH_partita.json",
+        ],
+    ];
+    for args in runs {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_benchsuite"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("benchsuite runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("is the --compare baseline"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(std::fs::read_to_string(&baseline).unwrap(), "baseline");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

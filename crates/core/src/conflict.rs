@@ -5,6 +5,13 @@
 //! parallel code: the call cannot be both in hardware and in software.
 //! (Plain *SC conflicts* — two IMPs for the same s-call — are already
 //! excluded by the `Σ_j x_ij ≤ 1` constraint and need no pairs here.)
+//!
+//! [`sc_pc_conflicts`] is the one definition of the relation, as pairs.
+//! The auditor and the greedy baseline check the pairs one by one. The
+//! Problem 2 formulation groups them by (consuming s-call, consumed
+//! s-call) and writes each group as one clique row (see
+//! `formulate::build_model`): every IMP of `A` that consumes `B` conflicts
+//! with every IMP of `B`, and each side is already at most one by Eq. 1.
 
 use crate::{ImpDb, ImpId};
 

@@ -1,10 +1,10 @@
 //! ILP formulation of the optimal S-instruction generation problem (§4.1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use partita_ilp::{fixed_charge, Model, Relation, Sense, VarId};
 use partita_ip::IpId;
-use partita_mop::PathId;
+use partita_mop::{CallSiteId, PathId};
 
 use crate::solver::{ProblemKind, RequiredGains};
 use crate::{sc_pc_conflicts, CoreError, ImpDb, ImpId, Instance, ParallelChoice};
@@ -37,7 +37,15 @@ pub(crate) struct Formulation {
 ///   requirement zero (`Σ g·x ≥ 0` is redundant, so selections are
 ///   unaffected), which keeps the shape independent of the requirement;
 /// * fixed-charge links `Σ_ij s_ijk·x_ij ≤ M·z_k` (Taha \[10\]);
-/// * Problem 2 only: SC-PC conflict pairs `x_a + x_b ≤ 1`;
+/// * Problem 2 only: SC-PC conflicts as clique rows. The conflicts of
+///   [`sc_pc_conflicts`] are grouped by (consuming s-call `A`, consumed
+///   s-call `B`), and each group becomes one set-packing row
+///   `Σ_{a ∈ A, a consumes B} x_a + Σ_{b ∈ B} x_b ≤ 1`, emitted in
+///   `(A, B)` order. With Eq. 1 on both sides the row implies every pair
+///   `x_a + x_b ≤ 1` of the paper's pairwise form (§4.1), allows the same
+///   0/1 points and has an LP relaxation at least as tight (Padberg's
+///   clique strengthening). An IMP that consumes its own s-call keeps the
+///   pair row `2·x_a ≤ 1`, which forbids it, once, after the clique rows;
 /// * Problem 1 only: SwScalls IMPs are excluded, and s-calls to the same
 ///   function are tied to identical implementation shapes.
 ///
@@ -180,19 +188,34 @@ pub(crate) fn build_model(
         }
     }
 
-    // Problem 2: SC-PC conflicts.
+    // Problem 2: SC-PC conflicts, one clique row per (consumer, consumed)
+    // s-call pair. A self-pair (an IMP consuming its own s-call) keeps its
+    // pair row `2·x_a ≤ 1`: the clique would not forbid it.
     if problem == ProblemKind::Problem2 {
+        let mut cliques: BTreeMap<(CallSiteId, CallSiteId), BTreeSet<VarId>> = BTreeMap::new();
+        let mut self_consumers: BTreeSet<VarId> = BTreeSet::new();
         for pair in sc_pc_conflicts(db) {
-            if let (Some(a), Some(b)) = (x[pair.a.index()], x[pair.b.index()]) {
-                model
-                    .add_labeled_constraint(
-                        [(a, 1.0), (b, 1.0)],
-                        Relation::Le,
-                        1.0,
-                        Some("sc_pc_conflict"),
-                    )
-                    .map_err(CoreError::Ilp)?;
+            let (Some(a), Some(b)) = (x[pair.a.index()], x[pair.b.index()]) else {
+                continue;
+            };
+            if a == b {
+                self_consumers.insert(a);
+            } else {
+                let key = (
+                    db.imps()[pair.a.index()].scall,
+                    db.imps()[pair.b.index()].scall,
+                );
+                cliques.entry(key).or_default().extend([a, b]);
             }
+        }
+        let rows = cliques
+            .into_values()
+            .map(|clique| clique.into_iter().map(|v| (v, 1.0)).collect())
+            .chain(self_consumers.into_iter().map(|a| vec![(a, 2.0)]));
+        for terms in rows {
+            model
+                .add_labeled_constraint(terms, Relation::Le, 1.0, Some("sc_pc_conflict"))
+                .map_err(CoreError::Ilp)?;
         }
     }
 
@@ -416,6 +439,231 @@ mod tests {
             .unwrap_err(),
             CoreError::NoImps
         );
+    }
+
+    /// `n` s-calls with distinct names on one path, and a database of one
+    /// IMP per `(s-call, parallel choice)`.
+    fn conflict_fixture(n: u32, imps: Vec<(u32, ParallelChoice)>) -> (Instance, ImpDb) {
+        let mut inst = Instance::new("cliques");
+        let ip = inst.library.add(
+            partita_ip::IpBlock::builder("fir")
+                .function(IpFunction::Fir)
+                .area(AreaTenths::from_units(2))
+                .build(),
+        );
+        let scalls = (0..n)
+            .map(|i| {
+                inst.add_scall(SCall::new(
+                    format!("f{i}"),
+                    IpFunction::Fir,
+                    Cycles(100),
+                    TransferJob::new(4, 4),
+                ))
+            })
+            .collect();
+        inst.add_path(scalls);
+        let db = ImpDb::from_imps(
+            imps.into_iter()
+                .map(|(sc, parallel)| {
+                    Imp::new(
+                        CallSiteId(sc),
+                        vec![ip],
+                        InterfaceKind::Type1,
+                        Cycles(40),
+                        AreaTenths::from_tenths(3),
+                        parallel,
+                    )
+                })
+                .collect(),
+        );
+        (inst, db)
+    }
+
+    fn problem2(inst: &Instance, db: &ImpDb) -> Formulation {
+        build_model(
+            inst,
+            db,
+            ProblemKind::Problem2,
+            &RequiredGains::uniform(Cycles(0)),
+            None,
+        )
+        .unwrap()
+    }
+
+    /// A model row: its terms, relation and right-hand side.
+    type Row = (Vec<(VarId, f64)>, Relation, f64);
+
+    /// The model's rows whose label starts with `label`.
+    fn rows(form: &Formulation, label: &str) -> Vec<Row> {
+        form.model
+            .constraints()
+            .iter()
+            .filter(|c| c.label.as_deref().is_some_and(|l| l.starts_with(label)))
+            .map(|c| (c.expr.terms(), c.relation, c.rhs))
+            .collect()
+    }
+
+    /// Whether `row` holds at the 0/1 point `values` (all rows here are `≤`).
+    fn holds((terms, _, rhs): &Row, values: &[f64]) -> bool {
+        terms
+            .iter()
+            .map(|&(v, k)| k * values[v.index()])
+            .sum::<f64>()
+            <= *rhs
+    }
+
+    /// The database's conflict pairs between IMPs that have a column.
+    fn column_pairs(db: &ImpDb, form: &Formulation) -> Vec<crate::ConflictPair> {
+        sc_pc_conflicts(db)
+            .into_iter()
+            .filter(|p| form.map.x[p.a.index()].is_some() && form.map.x[p.b.index()].is_some())
+            .collect()
+    }
+
+    /// Over every 0/1 assignment of the IMP columns, Eq. 1 plus the
+    /// emitted SC-PC rows hold exactly when Eq. 1 plus the paper's pairs
+    /// `x_a + x_b ≤ 1` (`2·x_a ≤ 1` for a self-pair) hold.
+    fn assert_same_integer_points_as_the_pairs(db: &ImpDb, form: &Formulation) {
+        let cols: Vec<VarId> = form.map.x.iter().flatten().copied().collect();
+        assert!(
+            cols.len() <= 16,
+            "{} columns: too many to enumerate",
+            cols.len()
+        );
+        let eq1 = rows(form, "one_imp_");
+        let sc_pc = rows(form, "sc_pc_conflict");
+        let pairs = column_pairs(db, form);
+        let x = |id: ImpId| form.map.x[id.index()].expect("column");
+        let mut values = vec![0.0; form.model.num_vars()];
+        for mask in 0u32..(1 << cols.len()) {
+            for (k, v) in cols.iter().enumerate() {
+                values[v.index()] = f64::from((mask >> k) & 1);
+            }
+            let eq1_holds = eq1.iter().all(|r| holds(r, &values));
+            let by_rows = eq1_holds && sc_pc.iter().all(|r| holds(r, &values));
+            let by_pairs = eq1_holds
+                && pairs
+                    .iter()
+                    .all(|p| values[x(p.a).index()] + values[x(p.b).index()] <= 1.0);
+            assert_eq!(by_rows, by_pairs, "assignment {mask:#b}");
+        }
+    }
+
+    /// Hand-built databases: plain consumers, a consumer listing the same
+    /// s-call twice (what a duplicated `sw_pc_candidates` entry generates),
+    /// an s-call that lists itself, two s-calls consuming each other, one
+    /// IMP consuming two s-calls, and a retired IMP. `tests/clique_rows.rs`
+    /// checks the row structure on the same databases.
+    fn conflict_databases() -> Vec<(Instance, ImpDb)> {
+        use ParallelChoice::{None as Plain, PlainPc, SwScalls};
+        let sw = |s: &[u32]| SwScalls(s.iter().map(|&i| CallSiteId(i)).collect());
+        let mut retired = conflict_fixture(
+            3,
+            vec![
+                (0, sw(&[1])),
+                (0, sw(&[1])),
+                (1, Plain),
+                (1, PlainPc),
+                (2, sw(&[1])),
+            ],
+        );
+        retired.1.retire(ImpId(1));
+        vec![
+            conflict_fixture(
+                3,
+                vec![
+                    (0, sw(&[1])),
+                    (0, sw(&[1, 1])),
+                    (0, Plain),
+                    (1, Plain),
+                    (1, PlainPc),
+                    (1, sw(&[2])),
+                    (2, Plain),
+                    (2, sw(&[0, 1])),
+                ],
+            ),
+            conflict_fixture(
+                2,
+                vec![
+                    (0, sw(&[0])),
+                    (0, sw(&[0, 1])),
+                    (0, Plain),
+                    (1, Plain),
+                    (1, sw(&[1])),
+                ],
+            ),
+            conflict_fixture(
+                2,
+                vec![
+                    (0, sw(&[1])),
+                    (0, Plain),
+                    (1, sw(&[0])),
+                    (1, PlainPc),
+                    (1, Plain),
+                ],
+            ),
+            conflict_fixture(
+                4,
+                vec![
+                    (0, sw(&[1, 2])),
+                    (0, sw(&[3])),
+                    (1, Plain),
+                    (1, sw(&[3])),
+                    (2, Plain),
+                    (2, PlainPc),
+                    (3, Plain),
+                    (3, sw(&[2, 2])),
+                ],
+            ),
+            retired,
+        ]
+    }
+
+    #[test]
+    fn clique_rows_allow_exactly_the_pairwise_integer_points() {
+        for (inst, db) in conflict_databases() {
+            assert_same_integer_points_as_the_pairs(&db, &problem2(&inst, &db));
+        }
+    }
+
+    /// One row per (consumer, consumed) s-call pair, in that key order,
+    /// plus the kept self-pair rows; Problem 1 has no columns to conflict.
+    #[test]
+    fn one_clique_row_per_scall_pair() {
+        let dbs = conflict_databases();
+        let (inst, db) = &dbs[0];
+        let form = problem2(inst, db);
+        let x = |i: u32| form.map.x[i as usize].unwrap();
+        let sc_pc: Vec<Vec<(VarId, f64)>> = rows(&form, "sc_pc_conflict")
+            .into_iter()
+            .map(|(terms, ..)| terms)
+            .collect();
+        let ones = |imps: &[u32]| imps.iter().map(|&i| (x(i), 1.0)).collect::<Vec<_>>();
+        assert_eq!(
+            sc_pc,
+            [
+                ones(&[0, 1, 3, 4, 5]),
+                ones(&[5, 6, 7]),
+                ones(&[0, 1, 2, 7]),
+                ones(&[3, 4, 5, 7])
+            ]
+        );
+        let (inst, db) = &dbs[1];
+        let form = problem2(inst, db);
+        let self_rows = rows(&form, "sc_pc_conflict")
+            .iter()
+            .filter(|(terms, ..)| terms.len() == 1)
+            .count();
+        assert_eq!(self_rows, 3, "imp0, imp1 and imp4 consume their own s-call");
+        let p1 = build_model(
+            inst,
+            db,
+            ProblemKind::Problem1,
+            &RequiredGains::uniform(Cycles(0)),
+            None,
+        )
+        .unwrap();
+        assert!(rows(&p1, "sc_pc_conflict").is_empty());
     }
 
     #[test]

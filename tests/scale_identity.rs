@@ -1,6 +1,6 @@
 //! Effort lock for node-capped exact solves at `synth:table` scale.
 //!
-//! `synth-table-0000` (about 480 variables × 1,300 rows) is solved at its
+//! `synth-table-0000` (about 480 variables × 53 rows) is solved at its
 //! three lowest sweep RGs with branch-and-bound capped at 45 nodes on one
 //! thread — the points the `scale` benchmark workload solves. The
 //! selection digest, the status, the node count, the binaries fixed by
@@ -50,7 +50,7 @@ const PINNED: [Pinned; 3] = [
         builds: 41,
         phase1: 889,
         phase2: 555,
-        dual: 15,
+        dual: 14,
         lex: 0,
     },
     Pinned {
@@ -70,8 +70,8 @@ const PINNED: [Pinned; 3] = [
         nodes: 45,
         vars_fixed: 9,
         builds: 45,
-        phase1: 1405,
-        phase2: 818,
+        phase1: 976,
+        phase2: 695,
         dual: 32,
         lex: 0,
     },
