@@ -1416,21 +1416,30 @@ mod tests {
             .solve(&opts)
             .expect("clean reference solve");
         // A spread of hostile bases: shape-mismatched (both too small and
-        // too large), and a plausibly-shaped all-slack basis, which the
-        // repair may legitimately accept — acceptance is fine, a changed
-        // answer is not.
+        // too large), which the install rejects for the cold path, and the
+        // all-slack basis of the model's own shape (one column per model
+        // row; bounds take no row), which installs and is repaired by the
+        // dual simplex — repair is fine, a changed answer is not.
+        let model = Solver::new(&inst)
+            .with_imps(&db)
+            .formulate(&opts)
+            .expect("the instance formulates");
         let bases = [
-            partita_ilp::Basis::slack(1, 1),
-            partita_ilp::Basis::slack(200, 90),
-            partita_ilp::Basis::slack(db.len() + inst.library.len(), 8),
+            (partita_ilp::Basis::slack(1, 1), false),
+            (partita_ilp::Basis::slack(200, 90), false),
+            (
+                partita_ilp::Basis::slack(model.num_vars(), model.num_constraints()),
+                true,
+            ),
         ];
-        for basis in bases {
+        for (basis, installs) in bases {
             let verdict = FaultPlan::new()
                 .poisoned_basis(basis.clone())
                 .run(&inst, &db, &opts);
             match verdict {
                 FaultVerdict::Clean(sel, report) => {
                     assert!(report.is_clean());
+                    assert_eq!(sel.trace.basis_reused, installs, "basis {basis:?}");
                     assert_eq!(
                         sel.chosen(),
                         clean.chosen(),

@@ -147,15 +147,25 @@ proptest! {
     /// all-slack stub — may cost performance but never changes the answer:
     /// the solve either matches the clean reference or refuses with a
     /// typed error. Silent infeasibility is the failure class under test.
+    /// Half the draws sit within one of the model's own shape (variables ×
+    /// model rows), so the all-slack stub also installs and is repaired.
     #[test]
     fn poisoned_basis_is_never_silently_wrong(
         si in small_instance(),
         nv in 0usize..40,
         rows in 0usize..25,
+        near in any::<bool>(),
     ) {
         let (inst, db) = build(&si);
         let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(si.required)));
         let reference = Solver::new(&inst).with_imps(&db).solve(&opts);
+        let (nv, rows) = match Solver::new(&inst).with_imps(&db).formulate(&opts) {
+            Ok(model) if near => (
+                (model.num_vars() + nv % 3).saturating_sub(1),
+                (model.num_constraints() + rows % 3).saturating_sub(1),
+            ),
+            _ => (nv, rows),
+        };
         let verdict = FaultPlan::new()
             .poisoned_basis(partita_ilp::Basis::slack(nv, rows))
             .run(&inst, &db, &opts);

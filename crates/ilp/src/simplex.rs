@@ -1,15 +1,34 @@
-//! Sparse-row two-phase primal simplex, with warm-started dual-simplex
-//! repair.
+//! Sparse-row two-phase bounded-variable primal simplex, with
+//! warm-started dual-simplex repair.
 //!
 //! Solves the LP relaxation of a [`Model`] with per-variable bound overrides
 //! (used by branch-and-bound to fix binaries). The implementation is a
-//! textbook tableau simplex (the private `Tableau` in [`SimplexScratch`]):
+//! tableau simplex (the private `Tableau` in [`SimplexScratch`]):
 //!
 //! 1. shift every variable by its lower bound so all variables are ≥ 0,
-//! 2. add explicit rows for finite upper bounds,
+//! 2. give every structural column its width `u = upper − lower` as an
+//!    implicit bound `0 ≤ y ≤ u` (no tableau row),
 //! 3. convert to equalities with slack/surplus columns, normalise `b ≥ 0`,
 //! 4. phase 1 minimises the sum of one artificial per row,
 //! 5. phase 2 minimises the (sense-normalised) objective.
+//!
+//! A column nonbasic at its upper bound is *complemented*: the tableau
+//! holds `u − y` in its place, so every nonbasic column sits at zero and
+//! the pivot arithmetic is the unbounded tableau's. The primal ratio test
+//! also stops where a basic variable reaches its upper bound (its row is
+//! complemented, then pivoted) and where the entering column reaches its
+//! own (a *flip*: the column is complemented and no pivot runs). The dual
+//! simplex leaves on `y < 0` or `y > u`. A flip counts as a pivot of its
+//! phase.
+//!
+//! Every choice keys on the numbering the tableau had when each finite
+//! width was an explicit `y + s = u` row: structural and slack columns
+//! first, then one bound-row slack per finite-width column, then the
+//! artificials. A complemented column stands for its bound-row slack, so
+//! it prices after every uncomplemented column, and a ratio-test tie on a
+//! variable reaching its upper bound keys on that slack. In exact
+//! arithmetic the bounded simplex therefore walks the explicit-row
+//! tableau's pivot sequence, with fewer rows to eliminate.
 //!
 //! Pivot columns are chosen by Dantzig's rule (most negative reduced cost)
 //! with a deterministic fallback to Bland's rule after a configurable
@@ -31,10 +50,10 @@
 //!
 //! # Storage
 //!
-//! The selector's models reach about 2,200 rows by 2,700 columns at
-//! `synth:table` scale, and their tableaus stay about 97% zeros through
-//! the solve: a pivot row is a few percent nonzero and a pivot touches
-//! about one row in a hundred. Constraint rows are therefore stored as
+//! The selector's models reach about 53 rows by 500 columns at
+//! `synth:table` scale, and their tableaus stay mostly zeros: a node
+//! build stores about 1,700 cells of its 28,000, and a pivot row about
+//! 90. Constraint rows are therefore stored as
 //! column-sorted `(column, value)` lists with a column → rows index, while
 //! the objective row and the right-hand side stay dense. Every stored cell
 //! gets exactly the arithmetic a dense tableau would give it (`v -
@@ -63,15 +82,15 @@
 //!
 //! [`RootProbe`] re-solves bound pins of a root LP on the optimal
 //! full-shape tableau [`solve_with_basis`] leaves in its scratch. A pin is
-//! a right-hand-side patch read through the slack columns (`B⁻¹eᵢ` is the
-//! current column of row `i`'s slack), which keeps the root basis dual
+//! a bound change of one column: a nonbasic column moves to the pinned
+//! value (its column, times the move, comes off the right-hand side), a
+//! basic one has its box narrowed. Either keeps the root basis dual
 //! feasible, so the dual simplex repairs it in a few pivots; the probe is
 //! then undone from a journal of the rows its pivots touched (the column
 //! lists follow from the rows) plus the dense right-hand side, objective
-//! row and basis. Only a
-//! pin through an equality row (no slack column), a basic artificial or a
-//! dual-simplex failure sends a probe to a cold [`solve_with_bounds_scratch`]
-//! instead. Probes skip `lex_canonicalize`: only their objective is used.
+//! row, basis and column boxes. Only a basic artificial or a dual-simplex
+//! failure sends a probe to a cold [`solve_with_bounds_scratch`] instead.
+//! Probes skip `lex_canonicalize`: only their objective is used.
 
 use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId};
 
@@ -256,6 +275,11 @@ pub struct SimplexScratch {
     cost: Vec<f64>,
     /// Tableau column of each model variable ([`FOLDED`] when folded).
     var_col: Vec<usize>,
+    /// Cells each pooled row keeps room for: the longest model row (with
+    /// its slack cell) at or below its index. A folded build moves rows up
+    /// past the constant rows it drops, so this room keeps any later build
+    /// of the model from growing a row.
+    room: Vec<usize>,
     /// Per-op counters accumulated across every solve through this scratch.
     ops: SimplexOps,
     /// Whether `t` holds the optimal full-shape tableau the last successful
@@ -293,10 +317,14 @@ impl SimplexScratch {
             + t.rhs.capacity()
             + t.obj.capacity()
             + t.basis.capacity()
+            + t.width.capacity()
+            + t.lo.capacity()
+            + t.flipped.capacity()
             + t.scatter.pos.capacity()
             + t.scatter.hit.capacity()
             + self.cost.capacity()
             + self.var_col.capacity()
+            + self.room.capacity()
     }
 }
 
@@ -306,11 +334,17 @@ impl SimplexScratch {
 /// per row (`n..art0`), then the artificials (`art0..art0 + n_art`), which
 /// appear only in `basis`. Only the first `m` rows and `art0` column lists
 /// are live; the rest are pooled capacity from earlier, larger solves.
+///
+/// Structural column `j` holds `y_j − lo_j` while uncomplemented and
+/// `lo_j + width_j − y_j` while complemented (`flipped`), where `y` is the
+/// variable shifted by the lower bound of the build. Either way a nonbasic
+/// column sits at zero and a basic one at its row's right-hand side, which
+/// must lie in `[0, width]`.
 #[derive(Debug, Default)]
 struct Tableau {
     /// Structural columns.
     n: usize,
-    /// Rows (constraints + finite-width bound rows).
+    /// Rows (the model's constraints).
     m: usize,
     /// First artificial column: `n + m`.
     art0: usize,
@@ -330,6 +364,14 @@ struct Tableau {
     obj_rhs: f64,
     /// Basic column per row.
     basis: Vec<usize>,
+    /// Box width of every column below `art0`: `upper − lower` of a
+    /// structural column (∞ when unbounded), ∞ for a slack.
+    width: Vec<f64>,
+    /// Lower end of each structural column's box in the shifted space:
+    /// zero except where a root probe pinned the column.
+    lo: Vec<f64>,
+    /// Whether each column below `art0` is complemented.
+    flipped: Vec<bool>,
     /// The pivot row's column map, live during a pivot.
     scatter: Scatter,
     /// Undo log of a root probe; records nothing while inactive.
@@ -347,14 +389,16 @@ impl Tableau {
         }
     }
 
-    /// Row `r`'s pooled cell list, emptied for the build (rows are opened
-    /// in order, so `r` is at most one past the pool).
-    fn open_row(&mut self, r: usize) -> &mut Vec<(usize, f64)> {
+    /// Row `r`'s pooled cell list, emptied for the build and holding room
+    /// for at least `room` cells (rows are opened in order, so `r` is at
+    /// most one past the pool).
+    fn open_row(&mut self, r: usize, room: usize) -> &mut Vec<(usize, f64)> {
         if self.rows.len() == r {
             self.rows.push(Vec::new());
         }
         let row = &mut self.rows[r];
         row.clear();
+        row.reserve(room);
         row
     }
 
@@ -407,6 +451,157 @@ impl Tableau {
         self.rows[row] = prow;
         self.basis[row] = col;
     }
+
+    /// Complements column `c` (`z = width − z'`): negates its cells and its
+    /// reduced cost, and moves every right-hand side by the column times
+    /// the width, as substituting the complement into each row does.
+    fn flip(&mut self, c: usize) {
+        let w = self.width[c];
+        for k in 0..self.cols[c].len() {
+            let r = self.cols[c][k];
+            self.journal.save_row(r, &self.rows[r]);
+            let row = &mut self.rows[r];
+            let i = row
+                .binary_search_by_key(&c, |&(j, _)| j)
+                .expect("a listed row stores the column");
+            let v = row[i].1;
+            self.rhs[r] -= v * w;
+            row[i].1 = -v;
+        }
+        self.obj_rhs -= self.obj[c] * w;
+        self.obj[c] = -self.obj[c];
+        self.flipped[c] = !self.flipped[c];
+    }
+
+    /// Complements row `r`'s basic variable, which keeps it basic in `r`:
+    /// the column is flipped, then the row negated so that its basic cell
+    /// is positive again and its right-hand side reads `width − value`.
+    fn complement_row(&mut self, r: usize) {
+        self.flip(self.basis[r]);
+        self.journal.save_row(r, &self.rows[r]);
+        for (_, v) in &mut self.rows[r] {
+            *v = -*v;
+        }
+        self.rhs[r] = -self.rhs[r];
+    }
+
+    /// Tie key of column `c` reaching its lower bound (`upper == false`)
+    /// or its upper bound, in the explicit-row numbering (see the module
+    /// doc): the column itself, or its bound-row slack after every slack,
+    /// with artificials after all of them.
+    #[inline]
+    fn bound_key(&self, c: usize, upper: bool) -> usize {
+        if c >= self.art0 {
+            c + self.n
+        } else if upper {
+            self.art0 + c
+        } else {
+            c
+        }
+    }
+
+    /// Tie key of column `c`'s current form reaching zero (`to_width ==
+    /// false`) or its width: whichever of the variable's own bounds that
+    /// is once complementing is undone, keyed as [`Tableau::bound_key`]
+    /// keys it. An entering column keys as reaching zero: in the
+    /// explicit-row numbering it is the variable itself, or its bound-row
+    /// slack while complemented.
+    #[inline]
+    fn move_key(&self, c: usize, to_width: bool) -> usize {
+        self.bound_key(c, to_width != self.flipped.get(c).copied().unwrap_or(false))
+    }
+
+    /// Moves structural column `j`'s box to `[a, b]` (shifted space). The
+    /// column keeps its form: its current zero point moves with the box
+    /// end it stands for, and every right-hand side follows it. A basic
+    /// column's value is left where it was, and may now lie outside.
+    fn set_box(&mut self, j: usize, a: f64, b: f64) {
+        let delta = if self.flipped[j] {
+            (self.lo[j] + self.width[j]) - b
+        } else {
+            a - self.lo[j]
+        };
+        if delta != 0.0 {
+            for k in 0..self.cols[j].len() {
+                let r = self.cols[j][k];
+                self.rhs[r] -= self.at(r, j) * delta;
+            }
+            self.obj_rhs -= self.obj[j] * delta;
+        }
+        self.lo[j] = a;
+        self.width[j] = b - a;
+    }
+
+    /// Shifted values `y` of the structural columns at the current vertex.
+    fn shifted_values(&self) -> Vec<f64> {
+        let mut z = vec![0.0; self.n];
+        for (r, &b) in self.basis[..self.m].iter().enumerate() {
+            if b < self.n {
+                z[b] = self.rhs[r];
+            }
+        }
+        z.iter()
+            .enumerate()
+            .map(|(j, &z)| {
+                if self.flipped[j] {
+                    self.lo[j] + (self.width[j] - z)
+                } else {
+                    self.lo[j] + z
+                }
+            })
+            .collect()
+    }
+
+    /// Box width of column `c`; an artificial's is unbounded.
+    #[inline]
+    fn box_width(&self, c: usize) -> f64 {
+        self.width.get(c).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// Whether every basic variable lies in its box, within `tol`.
+    fn primal_feasible(&self, tol: f64) -> bool {
+        self.rhs
+            .iter()
+            .zip(&self.basis)
+            .all(|(&v, &b)| v >= -tol && v <= self.box_width(b) + tol)
+    }
+
+    /// How far row `r`'s basic variable can move towards its box — up from
+    /// below zero, or with `above` down from above its width — when every
+    /// other column `movable` accepts crosses its whole box: `Σ |a|·width`
+    /// over the cells whose sign moves it that way. Cells of other basic
+    /// columns are zero up to rounding and only add to the sum, so a gap
+    /// wider than the reach proves the row cannot be repaired.
+    fn reach(&self, r: usize, above: bool, movable: impl Fn(usize) -> bool) -> f64 {
+        let b = self.basis[r];
+        self.rows[r]
+            .iter()
+            .filter(|&&(j, a)| j != b && (if above { a > 0.0 } else { a < 0.0 }) && movable(j))
+            .map(|&(j, a)| a.abs() * self.width[j])
+            .sum()
+    }
+}
+
+/// The first of `cols` (ascending) that `pick` accepts, in the
+/// explicit-row numbering: uncomplemented columns first, then complemented
+/// ones, which stand for bound-row slacks numbered after every other
+/// column.
+#[inline]
+fn first_in_key_order(
+    flipped: &[bool],
+    cols: impl IntoIterator<Item = usize>,
+    mut pick: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    let mut first_flipped = None;
+    for j in cols {
+        if pick(j) {
+            if !flipped[j] {
+                return Some(j);
+            }
+            first_flipped.get_or_insert(j);
+        }
+    }
+    first_flipped
 }
 
 /// The pivot row's dense column map and the hit stamps of one row
@@ -498,10 +693,11 @@ impl Scatter {
 /// [`Tableau::begin_probe`] snapshots the dense vectors and activates the
 /// log; from then on the first change to a row appends a copy of it to one
 /// flat buffer. [`Tableau::undo_probe`] copies the rows back. A probe
-/// re-solve changes a few dozen of the tableau's thousands of rows, so the
-/// log never copies the tableau. Inactive, it records nothing.
+/// re-solve changes a few of the tableau's rows, so the log never copies
+/// the tableau. Inactive, it records nothing.
 ///
-/// Column lists need no log: a pivot changes them only by appending a
+/// Column lists need no log: a flip or a complemented row changes only
+/// cell values, and a pivot changes the lists only by appending a
 /// row to the list of each fill-in cell's column (the pivot column's list
 /// is put back as it was, and a probe never sorts one). So every list is
 /// its pre-probe self plus a tail of the probe's appends, one per cell a
@@ -519,6 +715,9 @@ struct Journal {
     obj: Vec<f64>,
     obj_rhs: f64,
     basis: Vec<usize>,
+    width: Vec<f64>,
+    lo: Vec<f64>,
+    flipped: Vec<bool>,
 }
 
 impl Journal {
@@ -534,8 +733,8 @@ impl Journal {
 }
 
 impl Tableau {
-    /// Starts a probe: snapshots the right-hand side, objective row and
-    /// basis, and makes pivots save what they change.
+    /// Starts a probe: snapshots the right-hand side, objective row,
+    /// basis and column boxes, and makes pivots save what they change.
     fn begin_probe(&mut self) {
         let j = &mut self.journal;
         debug_assert!(!j.active, "probes do not nest");
@@ -548,6 +747,12 @@ impl Tableau {
         j.obj.extend_from_slice(&self.obj);
         j.basis.clear();
         j.basis.extend_from_slice(&self.basis);
+        j.width.clear();
+        j.width.extend_from_slice(&self.width);
+        j.lo.clear();
+        j.lo.extend_from_slice(&self.lo);
+        j.flipped.clear();
+        j.flipped.extend_from_slice(&self.flipped);
         j.obj_rhs = self.obj_rhs;
         j.active = true;
     }
@@ -580,25 +785,10 @@ impl Tableau {
         self.rhs.copy_from_slice(&j.rhs);
         self.obj.copy_from_slice(&j.obj);
         self.basis.copy_from_slice(&j.basis);
+        self.width.copy_from_slice(&j.width);
+        self.lo.copy_from_slice(&j.lo);
+        self.flipped.copy_from_slice(&j.flipped);
         self.obj_rhs = j.obj_rhs;
-    }
-
-    /// Adds `delta` to the right-hand side row `i` was built with.
-    ///
-    /// Row `i`'s slack column was `κ·eᵢ` at build (`κ = ±1`), so its current
-    /// column is `κ·B⁻¹eᵢ`, and moving the built right-hand side by `delta`
-    /// moves the current one by `delta·B⁻¹eᵢ` — the objective row's too, as
-    /// for any row. `sign` is `+1` for a `≤` row and `−1` for a `≥` row: a
-    /// row negated at build flips both `κ` and the delta, so only the
-    /// relation matters.
-    fn shift_rhs(&mut self, i: usize, sign: f64, delta: f64) {
-        let s = self.n + i;
-        let step = sign * delta;
-        for k in 0..self.cols[s].len() {
-            let r = self.cols[s][k];
-            self.rhs[r] += step * self.at(r, s);
-        }
-        self.obj_rhs += step * self.obj[s];
     }
 }
 
@@ -668,8 +858,8 @@ fn is_fixed(lower: f64, upper: f64) -> bool {
 /// branch-and-bound node) should hold one scratch for the whole search.
 ///
 /// Fixed variables (`lower == upper`, as branch-and-bound pins binaries)
-/// are folded out while the tableau is built: their columns and bound rows
-/// are dropped, their contribution moves into each row's right-hand side,
+/// are folded out while the tableau is built: their columns are dropped,
+/// their contribution moves into each row's right-hand side,
 /// and a row left without a free variable is checked outright instead of
 /// entering the tableau. The result is bit-identical to solving the model
 /// with the fixed variables substituted out.
@@ -708,32 +898,37 @@ pub fn solve_with_bounds_scratch(
 }
 
 /// A retained simplex basis: the basic column of every tableau row of a
-/// full-shape solve, in row order.
+/// full-shape solve, in row order, plus the structural columns nonbasic
+/// at their upper bound.
 ///
 /// Columns index the canonical tableau layout (`build_tableau`):
 /// structural variables first (`0..num_vars`), then one slack/surplus per
-/// row. A basis extracted from an optimal solve never contains artificial
-/// columns ([`solve_with_basis`] returns `None` instead when one is stuck
-/// basic in a degenerate row). The basis stays installable across any pure
-/// RHS or bound-value patch of the model, because neither changes the
-/// row/column shape.
+/// model row. A basis extracted from an optimal solve never contains
+/// artificial columns ([`solve_with_basis`] returns `None` instead when one
+/// is stuck basic in a degenerate row). The basis stays installable across
+/// any pure RHS or bound-value patch of the model that keeps every at-upper
+/// column's width finite, because neither changes the row/column shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Basic column per row.
     cols: Vec<usize>,
+    /// Structural columns nonbasic at their upper bound, ascending.
+    at_upper: Vec<usize>,
     /// Structural-variable count the columns were indexed against.
     num_vars: usize,
 }
 
 impl Basis {
-    /// The all-slack basis of an `num_vars × num_rows` tableau. Always
-    /// installable on a matching shape but primal- and dual-infeasible for
-    /// most models — the fault-injection suite uses it as a deliberately
-    /// poisoned warm start.
+    /// The all-slack basis of a tableau with `num_vars` structural columns
+    /// and `num_rows` model rows (bounds take no row), every column at its
+    /// lower bound. Always installable on a matching shape but primal- and
+    /// dual-infeasible for most models — the fault-injection suite uses it
+    /// as a deliberately poisoned warm start.
     #[must_use]
     pub fn slack(num_vars: usize, num_rows: usize) -> Basis {
         Basis {
             cols: (0..num_rows).map(|r| num_vars + r).collect(),
+            at_upper: Vec::new(),
             num_vars,
         }
     }
@@ -751,8 +946,9 @@ impl Basis {
     }
 
     /// Whether the basis fits the tableau's shape: row and
-    /// structural-variable counts match, every column is structural or
-    /// slack (never artificial), and no column repeats.
+    /// structural-variable counts match, every basic column is structural
+    /// or slack (never artificial), no column repeats, and every at-upper
+    /// column is a nonbasic structural one with a finite width.
     fn compatible(&self, t: &Tableau) -> bool {
         if self.num_vars != t.n || self.cols.len() != t.m {
             return false;
@@ -760,7 +956,12 @@ impl Basis {
         let mut seen = vec![false; t.art0];
         self.cols
             .iter()
+            .chain(&self.at_upper)
             .all(|&c| c < t.art0 && !std::mem::replace(&mut seen[c], true))
+            && self
+                .at_upper
+                .iter()
+                .all(|&c| c < t.n && t.width[c].is_finite())
     }
 }
 
@@ -876,14 +1077,14 @@ fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
 
 /// Builds the phase-0 tableau into `scratch`.
 ///
-/// Rows live in shifted space `y = x - lower`: first the constraint rows,
-/// then one upper-bound row `y_i <= u_i - l_i` per finite-width column.
-/// With `fold`, every fixed variable is folded out: it gets no column and
-/// no bound row, its `k·lower` moves into the rows' right-hand sides, and
-/// a constraint left without a free variable is checked against
-/// `feasibility_tol` and dropped. Without `fold` every variable keeps its
-/// column and bound row (zero-width rows included), so the shape never
-/// depends on bound values.
+/// Rows live in shifted space `y = x - lower`, one per constraint; each
+/// column's width `u - l` bounds it implicitly (∞ when unbounded), and
+/// every column starts uncomplemented at its lower bound. With `fold`,
+/// every fixed variable is folded out: it gets no column, its `k·lower`
+/// moves into the rows' right-hand sides, and a constraint left without a
+/// free variable is checked against `feasibility_tol` and dropped. Without
+/// `fold` every variable keeps its column (zero widths included), so the
+/// shape never depends on bound values.
 ///
 /// A row's right-hand side is `(rhs − constant − Σ_fixed k·l) − Σ_free
 /// k·l`, each sum taken in term order: the operations, in order, of
@@ -907,8 +1108,19 @@ fn build_tableau(
     let capacity_before = scratch.pooled_capacity();
     scratch.root_resident = false;
     let SimplexScratch {
-        t, cost, var_col, ..
+        t,
+        cost,
+        var_col,
+        room,
+        ..
     } = scratch;
+    room.clear();
+    let mut longest = 0;
+    for c in model.constraints().iter().rev() {
+        longest = longest.max(c.expr.iter_terms().len() + 1);
+        room.push(longest);
+    }
+    room.reverse();
     var_col.clear();
     let mut n = 0;
     for (&l, &u) in lower.iter().zip(upper) {
@@ -922,10 +1134,23 @@ fn build_tableau(
     t.n = n;
     t.rhs.clear();
     t.basis.clear();
+    t.width.clear();
+    t.lo.clear();
+    for (i, &col) in var_col.iter().enumerate() {
+        if col != FOLDED {
+            let width = upper[i] - lower[i];
+            t.width.push(if width.is_finite() {
+                width.max(0.0)
+            } else {
+                f64::INFINITY
+            });
+            t.lo.push(0.0);
+        }
+    }
 
     let mut m = 0;
     for c in model.constraints() {
-        let row = t.open_row(m);
+        let row = t.open_row(m, room[m]);
         let mut shift_fixed = 0.0;
         let mut shift_free = 0.0;
         for (v, k) in c.expr.iter_terms() {
@@ -947,15 +1172,6 @@ fn build_tableau(
         close_row(t, m, c.relation, folded_rhs - shift_free);
         m += 1;
     }
-    for (i, &col) in var_col.iter().enumerate() {
-        let width = upper[i] - lower[i];
-        if col == FOLDED || !width.is_finite() {
-            continue;
-        }
-        t.open_row(m).push((col, 1.0));
-        close_row(t, m, Relation::Le, width);
-        m += 1;
-    }
 
     t.m = m;
     t.art0 = n + m;
@@ -966,6 +1182,9 @@ fn build_tableau(
             t.n_art += 1;
         }
     }
+    t.width.resize(t.art0, f64::INFINITY);
+    t.flipped.clear();
+    t.flipped.resize(t.art0, false);
     if t.cols.len() < t.art0 {
         t.cols.resize_with(t.art0, Vec::new);
         t.scatter.pos.resize(t.art0, 0);
@@ -993,7 +1212,8 @@ fn build_tableau(
 }
 
 /// Installs the sense-normalised phase-2 cost row and prices out the
-/// current basis.
+/// current basis. A complemented column's cost is negated, and the cost of
+/// its width moves into the objective's constant.
 fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &[usize]) {
     let minimize = model.sense() == Sense::Minimize;
     cost.fill(0.0);
@@ -1003,8 +1223,14 @@ fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &
             cost[col] = if minimize { c } else { -c };
         }
     }
-    t.obj.copy_from_slice(cost);
     t.obj_rhs = 0.0;
+    for (j, c) in cost[..t.n].iter_mut().enumerate() {
+        if t.flipped[j] {
+            t.obj_rhs -= *c * t.width[j];
+            *c = -*c;
+        }
+    }
+    t.obj.copy_from_slice(cost);
     for r in 0..t.m {
         let cb = cost.get(t.basis[r]).copied().unwrap_or(0.0);
         if cb != 0.0 {
@@ -1030,12 +1256,7 @@ fn extract(
     options: SimplexOptions,
 ) -> (LpSolution, Option<Basis>) {
     let t = &scratch.t;
-    let mut y = vec![0.0; t.n];
-    for r in 0..t.m {
-        if t.basis[r] < t.n {
-            y[t.basis[r]] = t.rhs[r];
-        }
-    }
+    let y = t.shifted_values();
     let values: Vec<f64> = scratch
         .var_col
         .iter()
@@ -1053,6 +1274,9 @@ fn extract(
     let basis = &t.basis[..t.m];
     let out = (want_basis && basis.iter().all(|&b| b < t.art0)).then(|| Basis {
         cols: basis.to_vec(),
+        at_upper: (0..t.n)
+            .filter(|&j| t.flipped[j] && !basis.contains(&j))
+            .collect(),
         num_vars: t.n,
     });
     (
@@ -1119,10 +1343,11 @@ fn solve_full(
     // forbid artificials from re-entering in phase 2 instead of removing).
     for r in 0..t.m {
         if t.basis[r] >= t.art0 && t.rhs[r].abs() <= options.pivot_tol {
-            let entering = t.rows[r]
+            let usable = t.rows[r]
                 .iter()
-                .find(|&&(_, v)| v.abs() > options.pivot_tol)
+                .filter(|&&(_, v)| v.abs() > options.pivot_tol)
                 .map(|&(j, _)| j);
+            let entering = first_in_key_order(&t.flipped, usable, |_| true);
             if let Some(j) = entering {
                 t.pivot(r, j);
                 ops.phase1_pivots += 1;
@@ -1164,11 +1389,16 @@ fn try_warm_solve(
     } = &mut *scratch;
     let m = t.m;
 
-    // Re-install the basis by direct Gaussian pivoting: each stored column
+    // Put the at-upper columns at their upper bounds (a flip each), then
+    // re-install the basis by direct Gaussian pivoting: each stored column
     // claims the not-yet-assigned row where it has the largest magnitude
     // (ties to the lowest row). A near-zero best pivot means the basis
     // matrix went singular under the patched coefficients — bail out to
     // the cold path.
+    for &j in &warm.at_upper {
+        t.flip(j);
+        ops.dual_pivots += 1;
+    }
     let mut assigned = vec![false; m];
     for &col in &warm.cols {
         let mut best: Option<(usize, f64)> = None;
@@ -1197,9 +1427,8 @@ fn try_warm_solve(
     // dual pivots; a basis that lost dual feasibility but kept primal
     // feasibility is finished by the primal phase below; one that lost both
     // is not worth repairing.
-    let primal_feasible = |t: &Tableau| t.rhs.iter().all(|&b| b >= -options.feasibility_tol);
     let dual_feasible = t.obj.iter().all(|&c| c >= -EPS);
-    if !primal_feasible(t) {
+    if !t.primal_feasible(options.feasibility_tol) {
         if !dual_feasible {
             return None;
         }
@@ -1212,7 +1441,7 @@ fn try_warm_solve(
     // costs. Errors (unbounded, iteration limit) defer to the cold path.
     let mut iters = 0usize;
     run_simplex(t, &mut iters, options, ops, PrimalPhase::Two).ok()?;
-    if !primal_feasible(t) {
+    if !t.primal_feasible(options.feasibility_tol) {
         // Numerically drifted repair: let the cold path decide.
         return None;
     }
@@ -1227,9 +1456,6 @@ fn try_warm_solve(
     })
 }
 
-/// Row marker of a variable without a bound row (infinite width).
-const NO_ROW: usize = usize::MAX;
-
 /// Probe tallies of a [`RootProbe`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCounts {
@@ -1243,140 +1469,41 @@ pub struct ProbeCounts {
 ///
 /// Branch-and-bound's root probing asks, for each binary at a bound of
 /// the root LP, what the LP bound becomes with the binary pinned to its
-/// other bound. Pinning a variable changes only right-hand sides: its
-/// bound row's (the width `u − l`) and, when its lower bound moves, every
-/// constraint row holding it (the shift `y = x − l`). A right-hand-side
-/// change keeps the root's optimal basis dual feasible, so a probe patches
-/// the right-hand sides through the slack columns (see
-/// `Tableau::shift_rhs`) and repairs primal feasibility with the dual
-/// simplex — a few pivots where a cold solve runs both phases on a fresh
-/// build. The columns of pinned variables may not enter (they are zero in
-/// every feasible point, and a cold build folds them out), and a leaving
-/// row with no negative entry in the other columns proves the pin
-/// infeasible. The probe's pivots are journaled and undone (see
-/// `Journal`), so every probe starts from the root tableau;
-/// [`RootProbe::fix`] leaves a pin behind as a permanent patch instead.
+/// other bound. A pin is a bound change of the binary's column: a
+/// nonbasic column moves to the pinned value, and every right-hand side
+/// follows it; a basic one keeps its value and has its box narrowed to the
+/// point. Neither touches a reduced cost, so the root's optimal basis stays
+/// dual feasible and the dual simplex repairs primal feasibility — a few
+/// pivots where a cold solve runs both phases on a fresh build. The
+/// columns of pinned variables may not enter (they are fixed, and a cold
+/// build folds them out), and a leaving row with no negative entry in the
+/// other columns proves the pin infeasible. The probe's pivots are
+/// journaled and undone (see `Journal`), so every probe starts from the
+/// root tableau; [`RootProbe::fix`] leaves a pin behind as a permanent
+/// bound change instead.
 ///
 /// A probe runs cold, through [`solve_with_bounds_scratch`], only where
-/// the tableau cannot take it: when the pin moves a lower bound through an
-/// equality row (which has no slack column to read `B⁻¹eᵢ` from), when the
-/// root basis holds an artificial, or when the dual simplex fails
-/// numerically or hits the iteration cap. The warm and cold probes solve
-/// the same LP, so their optimal objectives agree up to rounding.
+/// the tableau cannot take it: when the root basis holds an artificial,
+/// or when the dual simplex fails numerically or hits the iteration cap.
+/// The warm and cold probes solve the same LP, so their optimal objectives
+/// agree up to rounding.
 pub struct RootProbe<'a> {
     model: &'a Model,
     options: SimplexOptions,
-    /// Holds the root tableau while `warm` is `Some`.
+    /// Holds the root tableau while `frozen` is `Some`.
     scratch: &'a mut SimplexScratch,
     /// The root bounds with every fix applied.
     lower: Vec<f64>,
     upper: Vec<f64>,
-    /// Row layout of the resident root tableau; `None` sends every probe
-    /// cold.
-    warm: Option<RootRows>,
+    /// The lower bounds the root tableau was built at: its structural
+    /// columns hold `x − shift` (before complementing).
+    shift: Vec<f64>,
+    /// Structural columns the dual simplex may not enter: every pinned
+    /// variable's. `None` sends every probe cold.
+    frozen: Option<Vec<bool>>,
     /// Scratch of the cold probes taken while the root tableau is resident.
     cold: SimplexScratch,
     counts: ProbeCounts,
-}
-
-/// Where a bound change of each variable lands in the root tableau.
-struct RootRows {
-    /// Bound row of each variable ([`NO_ROW`] for an infinite width).
-    bound_row: Vec<usize>,
-    /// The constraint rows holding each variable, as `(row, relation,
-    /// coefficient)` in row order.
-    held: Vec<Vec<(usize, Relation, f64)>>,
-    /// Columns the dual simplex may not enter: the structural and
-    /// bound-row slack columns of every pinned variable, which are zero in
-    /// every feasible point. Entering one is a wasted pivot, and a cold
-    /// build folds them out.
-    frozen: Vec<bool>,
-}
-
-impl RootRows {
-    /// The layout of `scratch`'s tableau when it is the resident root of
-    /// `model` at `lower`/`upper` with no artificial basic.
-    fn new(
-        model: &Model,
-        lower: &[f64],
-        upper: &[f64],
-        scratch: &SimplexScratch,
-    ) -> Option<RootRows> {
-        let t = &scratch.t;
-        let n = model.num_vars();
-        let mut m = model.num_constraints();
-        let mut bound_row = vec![NO_ROW; n];
-        for (j, row) in bound_row.iter_mut().enumerate() {
-            if (upper[j] - lower[j]).is_finite() {
-                *row = m;
-                m += 1;
-            }
-        }
-        if !scratch.root_resident
-            || t.n != n
-            || t.m != m
-            || t.basis[..m].iter().any(|&b| b >= t.art0)
-        {
-            return None;
-        }
-        let mut held = vec![Vec::new(); n];
-        for (i, c) in model.constraints().iter().enumerate() {
-            for (v, k) in c.expr.iter_terms() {
-                if k != 0.0 {
-                    held[v.index()].push((i, c.relation, k));
-                }
-            }
-        }
-        let mut rows = RootRows {
-            bound_row,
-            held,
-            frozen: vec![false; t.art0],
-        };
-        for j in 0..n {
-            rows.freeze(j, is_fixed(lower[j], upper[j]));
-        }
-        Some(rows)
-    }
-
-    /// Marks variable `j`'s columns (structural and bound-row slack) as
-    /// frozen or movable.
-    fn freeze(&mut self, j: usize, frozen: bool) {
-        let n = self.bound_row.len();
-        self.frozen[j] = frozen;
-        if self.bound_row[j] != NO_ROW {
-            self.frozen[n + self.bound_row[j]] = frozen;
-        }
-    }
-
-    /// Moves variable `j`'s bounds from `from` to `to` by patching `t`'s
-    /// right-hand sides: its bound row takes the change of width, and when
-    /// the lower bound moves, every constraint row holding `j` takes the
-    /// shift. Returns `false`, leaving `t` untouched, when a row the move
-    /// must patch has no slack column (an equality row, or no bound row).
-    fn patch(&self, t: &mut Tableau, j: usize, from: (f64, f64), to: (f64, f64)) -> bool {
-        let shift = to.0 - from.0;
-        let widen = (to.1 - to.0) - (from.1 - from.0);
-        let held = &self.held[j];
-        let shift_ok = shift == 0.0
-            || (shift.is_finite()
-                && held
-                    .iter()
-                    .all(|&(_, relation, _)| relation != Relation::Eq));
-        let widen_ok = widen == 0.0 || (widen.is_finite() && self.bound_row[j] != NO_ROW);
-        if !(shift_ok && widen_ok) {
-            return false;
-        }
-        if shift != 0.0 {
-            for &(i, relation, k) in held {
-                let sign = if relation == Relation::Le { 1.0 } else { -1.0 };
-                t.shift_rhs(i, sign, -k * shift);
-            }
-        }
-        if widen != 0.0 {
-            t.shift_rhs(self.bound_row[j], 1.0, widen);
-        }
-        true
-    }
 }
 
 impl<'a> RootProbe<'a> {
@@ -1400,14 +1527,20 @@ impl<'a> RootProbe<'a> {
         let n = model.num_vars();
         assert_eq!(lower.len(), n, "lower bounds arity");
         assert_eq!(upper.len(), n, "upper bounds arity");
-        let warm = RootRows::new(model, lower, upper, scratch);
+        let t = &scratch.t;
+        let resident = scratch.root_resident
+            && t.n == n
+            && t.m == model.num_constraints()
+            && t.basis[..t.m].iter().all(|&b| b < t.art0);
+        let frozen = resident.then(|| (0..n).map(|j| is_fixed(lower[j], upper[j])).collect());
         RootProbe {
             model,
             options,
             scratch,
             lower: lower.to_vec(),
             upper: upper.to_vec(),
-            warm,
+            shift: lower.to_vec(),
+            frozen,
             cold: SimplexScratch::new(),
             counts: ProbeCounts::default(),
         }
@@ -1422,32 +1555,33 @@ impl<'a> RootProbe<'a> {
     /// A lower bound on how much pinning `var` to `value` raises the root
     /// LP's objective (in minimisation sense), read off the optimal
     /// tableau with no pivot: the reduced cost of `var` when it is
-    /// nonbasic at its lower bound and `value` lies above, or of its
-    /// bound-row slack when `var` is nonbasic at its upper bound and
-    /// `value` lies below, times the distance moved. Every other case — a
-    /// basic `var`, or no resident tableau — reads `0.0`.
+    /// nonbasic at its lower bound and `value` lies above, or nonbasic at
+    /// its upper bound (complemented) and `value` lies below, times the
+    /// distance moved. Every other case — a basic `var`, or no resident
+    /// tableau — reads `0.0`.
     ///
     /// The bound holds because every column of the tableau is nonnegative
     /// and every reduced cost at the optimum is too: the objective of any
-    /// feasible point is the root's plus `Σ dₖ·xₖ` over the nonbasic
+    /// feasible point is the root's plus `Σ dₖ·zₖ` over the nonbasic
     /// columns.
     #[must_use]
     pub fn reduced_cost(&self, var: VarId, value: f64) -> f64 {
-        let Some(rows) = &self.warm else {
+        if self.frozen.is_none() {
             return 0.0;
-        };
+        }
         let t = &self.scratch.t;
         let j = var.index();
+        if t.basis[..t.m].contains(&j) {
+            return 0.0;
+        }
         let (l, u) = (self.lower[j], self.upper[j]);
-        let basic = |c: usize| t.basis[..t.m].contains(&c);
-        if value > l && !basic(j) {
-            return t.obj[j] * (value - l);
+        if !t.flipped[j] && value > l {
+            t.obj[j] * (value - l)
+        } else if t.flipped[j] && value < u {
+            t.obj[j] * (u - value)
+        } else {
+            0.0
         }
-        let b = rows.bound_row[j];
-        if value < u && b != NO_ROW && !basic(t.n + b) {
-            return t.obj[t.n + b] * (u - value);
-        }
-        0.0
     }
 
     /// Solves the LP relaxation with `var` pinned to `value` on top of the
@@ -1469,7 +1603,7 @@ impl<'a> RootProbe<'a> {
         (self.lower[j], self.upper[j]) = (value, value);
         // The cold solve rebuilds its scratch, so it must not run in the
         // one holding a live root tableau.
-        let scratch = if self.warm.is_some() {
+        let scratch = if self.frozen.is_some() {
             &mut self.cold
         } else {
             &mut *self.scratch
@@ -1480,32 +1614,32 @@ impl<'a> RootProbe<'a> {
         result
     }
 
-    /// The warm probe: patch, dual simplex, undo. `None` when the probe
-    /// must run cold instead.
+    /// The warm probe: pin, dual simplex, undo. `None` when the probe must
+    /// run cold instead.
     fn probe_warm(&mut self, j: usize, value: f64) -> Option<Result<LpSolution, IlpError>> {
-        let rows = self.warm.as_mut()?;
+        let frozen = self.frozen.as_mut()?;
+        if !value.is_finite() {
+            return None;
+        }
         let options = self.options;
         let SimplexScratch { t, ops, .. } = &mut *self.scratch;
         t.begin_probe();
-        let from = (self.lower[j], self.upper[j]);
-        if !rows.patch(t, j, from, (value, value)) {
-            t.undo_probe();
-            return None;
-        }
-        rows.freeze(j, true);
+        let pinned = value - self.shift[j];
+        t.set_box(j, pinned, pinned);
+        let was_frozen = std::mem::replace(&mut frozen[j], true);
         let mut iters = 0usize;
         // The dual simplex keeps every movable column's reduced cost
-        // nonnegative, and the frozen ones are pinned at zero, so the
-        // vertex it stops at is optimal.
-        let result = match run_dual_simplex(t, &mut iters, options, ops, &rows.frozen) {
+        // nonnegative, and the frozen ones are fixed, so the vertex it
+        // stops at is optimal.
+        let result = match run_dual_simplex(t, &mut iters, options, ops, frozen) {
             Ok(()) => {
-                let mut values = self.lower.clone();
+                let mut values: Vec<f64> = t
+                    .shifted_values()
+                    .iter()
+                    .zip(&self.shift)
+                    .map(|(&y, &l)| y + l)
+                    .collect();
                 values[j] = value;
-                for (r, &c) in t.basis[..t.m].iter().enumerate() {
-                    if c < t.n {
-                        values[c] += t.rhs[r];
-                    }
-                }
                 Some(Ok(LpSolution {
                     objective: self.model.objective().eval(&values),
                     values,
@@ -1515,25 +1649,24 @@ impl<'a> RootProbe<'a> {
             Err(IlpError::Infeasible) => Some(Err(IlpError::Infeasible)),
             Err(_) => None,
         };
-        rows.freeze(j, is_fixed(from.0, from.1));
+        frozen[j] = was_frozen;
         t.undo_probe();
         result
     }
 
     /// Pins `var` to `value` for the rest of the probing (and in the bounds
-    /// [`RootProbe::finish`] returns), as a permanent right-hand-side patch
-    /// of the root tableau. Branch-and-bound pins a binary at its root LP
-    /// value, which keeps the root vertex feasible and optimal. A pin the
-    /// tableau cannot take sends every later probe cold.
+    /// [`RootProbe::finish`] returns), as a permanent bound change of the
+    /// root tableau. Branch-and-bound pins a binary at its root LP value,
+    /// which keeps the root vertex feasible and optimal.
     pub fn fix(&mut self, var: VarId, value: f64) {
         let j = var.index();
-        let from = (self.lower[j], self.upper[j]);
-        if let Some(rows) = &mut self.warm {
-            if rows.patch(&mut self.scratch.t, j, from, (value, value)) {
-                rows.freeze(j, true);
-            } else {
-                self.warm = None;
-            }
+        if !value.is_finite() {
+            self.frozen = None;
+        }
+        if let Some(frozen) = &mut self.frozen {
+            let pinned = value - self.shift[j];
+            self.scratch.t.set_box(j, pinned, pinned);
+            frozen[j] = true;
         }
         (self.lower[j], self.upper[j]) = (value, value);
     }
@@ -1550,9 +1683,40 @@ impl<'a> RootProbe<'a> {
     }
 }
 
-/// Ratio test over column `e`: the row with the smallest `rhs / a` over
-/// `a > EPS`, ties (within `EPS`) to the lowest basic column. Rows are
-/// visited in row order, as a dense scan down the column would.
+/// How a primal step over an entering column ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Row `row`'s basic variable leaves: at zero, or with `to_width` at
+    /// its width (the row is complemented before the pivot).
+    Leave { row: usize, to_width: bool },
+    /// The entering column reaches its own width first: it is
+    /// complemented, and no pivot runs.
+    Flip,
+}
+
+impl Tableau {
+    /// Ends a primal step over column `e` as the ratio test chose:
+    /// complements the column, or complements the leaving row where its
+    /// variable leaves at its width and pivots.
+    fn step(&mut self, e: usize, step: Step) {
+        match step {
+            Step::Flip => self.flip(e),
+            Step::Leave { row, to_width } => {
+                if to_width {
+                    self.complement_row(row);
+                }
+                self.pivot(row, e);
+            }
+        }
+    }
+}
+
+/// Ratio test over column `e`: the smallest step at which a basic variable
+/// reaches zero (`rhs / a` over `a > EPS`) or its width (`(width − rhs) /
+/// −a` over `a < −EPS`), or `e` reaches its own width. Ties (within
+/// `EPS`) go to the lowest key of the explicit-row numbering (see the
+/// module doc). Rows are visited in row order, as a dense scan down the
+/// column would, and the entering column's own bound last.
 ///
 /// # Errors
 ///
@@ -1562,10 +1726,16 @@ fn ratio_test(
     t: &mut Tableau,
     e: usize,
     nan_checks: bool,
-) -> Result<Option<(usize, f64)>, IlpError> {
+) -> Result<Option<(Step, f64)>, IlpError> {
     t.sort_col(e);
     let t = &*t;
-    let mut leave: Option<(usize, f64)> = None;
+    // (step, ratio, key) of the best candidate so far.
+    let mut leave: Option<(Step, f64, usize)> = None;
+    let mut offer = |step: Step, ratio: f64, key: usize| match leave {
+        Some((_, best, best_key))
+            if !(ratio < best - EPS || ((ratio - best).abs() <= EPS && key < best_key)) => {}
+        _ => leave = Some((step, ratio, key)),
+    };
     for &r in &t.cols[e] {
         let a = t.at(r, e);
         if nan_checks && a.is_nan() {
@@ -1573,26 +1743,29 @@ fn ratio_test(
                 context: "pivot-column scan",
             });
         }
-        if a > EPS {
-            let ratio = t.rhs[r] / a;
-            if nan_checks && ratio.is_nan() {
-                return Err(IlpError::NumericalInstability {
-                    context: "ratio test",
-                });
-            }
-            match leave {
-                None => leave = Some((r, ratio)),
-                Some((lr, lratio)) => {
-                    if ratio < lratio - EPS
-                        || ((ratio - lratio).abs() <= EPS && t.basis[r] < t.basis[lr])
-                    {
-                        leave = Some((r, ratio));
-                    }
-                }
-            }
+        let b = t.basis[r];
+        let (ratio, to_width) = if a > EPS {
+            (t.rhs[r] / a, false)
+        } else if a < -EPS && t.box_width(b) < f64::INFINITY {
+            ((t.box_width(b) - t.rhs[r]) / -a, true)
+        } else {
+            continue;
+        };
+        if nan_checks && ratio.is_nan() {
+            return Err(IlpError::NumericalInstability {
+                context: "ratio test",
+            });
         }
+        offer(
+            Step::Leave { row: r, to_width },
+            ratio,
+            t.move_key(b, to_width),
+        );
     }
-    Ok(leave)
+    if t.width[e] < f64::INFINITY {
+        offer(Step::Flip, t.width[e], t.move_key(e, true));
+    }
+    Ok(leave.map(|(step, ratio, _)| (step, ratio)))
 }
 
 /// Drives an optimal tableau to the lexicographically smallest optimal
@@ -1612,6 +1785,9 @@ fn ratio_test(
 /// objective (or infeasibility) to the pruning test, and the optimal
 /// objective is the same at every optimal vertex, so no vertex of a probe
 /// reaches a selection.
+///
+/// A variable nonbasic at its lower bound is already at its minimum; one
+/// nonbasic at its upper bound (complemented) is free to move down.
 fn lex_canonicalize(
     t: &mut Tableau,
     iters: &mut usize,
@@ -1639,37 +1815,51 @@ fn lex_canonicalize(
     }
     let mut s = vec![0.0; art0];
     for j in 0..n {
-        let Some(rj) = (0..m).find(|&r| t.basis[r] == j) else {
-            // Nonbasic ⇒ already at its (shifted) lower bound, the lex
-            // minimum. Forbid it from entering so later phases keep it there.
-            allowed[j] = false;
-            continue;
-        };
-        // Secondary objective e_j priced out against the basis: minimising
-        // it minimises the basic value x_j without touching the phase-2
-        // objective (pivots are restricted to its zero-reduced-cost columns).
+        // Secondary objective: x_j priced out against the basis (up to
+        // its constant). Minimising it minimises x_j without touching the
+        // phase-2 objective (pivots are restricted to its zero-reduced-cost
+        // columns).
         s.fill(0.0);
-        for &(c, v) in &t.rows[rj] {
-            s[c] = -v;
+        match (0..m).find(|&r| t.basis[r] == j) {
+            Some(rj) => {
+                // x_j = rhs − row (uncomplemented) or width − rhs + row.
+                let sign = if t.flipped[j] { 1.0 } else { -1.0 };
+                for &(c, v) in &t.rows[rj] {
+                    s[c] = sign * v;
+                }
+                s[j] = 0.0;
+            }
+            // At its upper bound: x_j = width − z_j.
+            None if t.flipped[j] => s[j] = -1.0,
+            None => {
+                // At its lower bound, the lex minimum. Forbid it from
+                // entering so later phases keep it there.
+                allowed[j] = false;
+                continue;
+            }
         }
-        s[j] = 0.0;
         loop {
             if *iters >= options.max_iterations {
                 return; // give up canonicalising, the vertex is still optimal
             }
-            let entering = (0..art0).find(|&e| allowed[e] && s[e] < -EPS);
+            let entering = first_in_key_order(&t.flipped, 0..art0, |e| allowed[e] && s[e] < -EPS);
             let Some(e) = entering else { break };
-            let Ok(Some((lr, _))) = ratio_test(t, e, false) else {
+            let Ok(Some((step, _))) = ratio_test(t, e, false) else {
                 break;
             };
             *iters += 1;
-            t.pivot(lr, e);
+            t.step(e, step);
             ops.lex_pivots += 1;
             // Keep the secondary row priced out against the new basis.
-            let factor = s[e];
-            if factor != 0.0 {
-                for &(c, v) in &t.rows[lr] {
-                    s[c] -= factor * v;
+            match step {
+                Step::Flip => s[e] = -s[e],
+                Step::Leave { row, .. } => {
+                    let factor = s[e];
+                    if factor != 0.0 {
+                        for &(c, v) in &t.rows[row] {
+                            s[c] -= factor * v;
+                        }
+                    }
                 }
             }
         }
@@ -1685,15 +1875,23 @@ fn lex_canonicalize(
 
 /// Runs dual-simplex iterations until primal feasibility is restored.
 ///
-/// Requires a dual-feasible cost row. The leaving row is the most negative
-/// rhs (ties to the lowest row index); the entering column minimises the
-/// dual ratio `|reduced cost / pivot|` over the row's negative entries
-/// (ties to the lowest column index — Bland-style, for determinism),
-/// skipping the columns marked in `frozen` (shorter than the row: none),
-/// which the caller knows to be zero in every feasible point. Returns
-/// [`IlpError::Infeasible`] when a negative row has no negative entry in
-/// a movable column; [`try_warm_solve`] treats that as a fallback trigger,
-/// a [`RootProbe`] as a verdict.
+/// Requires a dual-feasible cost row. The leaving row holds the basic
+/// variable furthest outside its box: most negative `rhs`, or `width − rhs`
+/// for one above its width (its row is complemented first). Ties within
+/// `EPS` go to variables below zero before those above their width, then
+/// to the lowest row or column — the explicit-row order, where a variable
+/// above its width showed as a negative bound-row slack after every model
+/// row. The entering column minimises the dual ratio `|reduced cost /
+/// pivot|` over the row's negative entries (ties to the lowest key of the
+/// explicit-row numbering — Bland-style, for determinism), skipping the
+/// columns marked in `frozen` (shorter than the row: none), which the
+/// caller knows to be fixed.
+///
+/// Returns [`IlpError::Infeasible`] when a violated row cannot be repaired:
+/// its movable columns, each moved across its whole box, fall short of the
+/// gap by more than `feasibility_tol` (see `Tableau::reach`), or it has no
+/// negative entry to pivot on. [`try_warm_solve`] treats that as a
+/// fallback trigger, a [`RootProbe`] as a verdict.
 fn run_dual_simplex(
     t: &mut Tableau,
     iters: &mut usize,
@@ -1702,6 +1900,7 @@ fn run_dual_simplex(
     frozen: &[bool],
 ) -> Result<(), IlpError> {
     let movable = |j: usize| frozen.get(j) != Some(&true);
+    let tol = options.feasibility_tol;
     loop {
         *iters += 1;
         if *iters > options.max_iterations {
@@ -1709,21 +1908,39 @@ fn run_dual_simplex(
                 limit: options.max_iterations,
             });
         }
-        let mut leave: Option<(usize, f64)> = None;
-        for (r, &v) in t.rhs.iter().enumerate() {
+        // (row, gap, above its width, tie key)
+        let mut leave: Option<(usize, f64, bool, usize)> = None;
+        for (r, (&v, &b)) in t.rhs.iter().zip(&t.basis).enumerate() {
             if v.is_nan() {
                 return Err(IlpError::NumericalInstability {
                     context: "dual leaving-row selection",
                 });
             }
-            if v < -options.feasibility_tol && leave.is_none_or(|(_, best)| v < best) {
-                leave = Some((r, v));
+            let (gap, above) = if v < 0.0 {
+                (v, false)
+            } else {
+                (t.box_width(b) - v, true)
+            };
+            if gap >= -tol {
+                continue;
+            }
+            if gap + t.reach(r, above, movable) < -tol {
+                return Err(IlpError::Infeasible);
+            }
+            let key = if above { t.m + b } else { r };
+            if leave.is_none_or(|(_, best, _, best_key)| {
+                gap < best - EPS || ((gap - best).abs() <= EPS && key < best_key)
+            }) {
+                leave = Some((r, gap, above, key));
             }
         }
-        let Some((lr, _)) = leave else {
+        let Some((lr, _, above, _)) = leave else {
             return Ok(()); // primal feasible
         };
-        let mut enter: Option<(usize, f64)> = None;
+        if above {
+            t.complement_row(lr);
+        }
+        let mut enter: Option<(usize, f64, usize)> = None;
         for &(j, a) in &t.rows[lr] {
             if a < -EPS && movable(j) {
                 let ratio = t.obj[j] / -a;
@@ -1732,14 +1949,15 @@ fn run_dual_simplex(
                         context: "dual ratio test",
                     });
                 }
-                if enter.is_none_or(|(ej, best)| {
-                    ratio < best - EPS || ((ratio - best).abs() <= EPS && j < ej)
+                let key = t.move_key(j, false);
+                if enter.is_none_or(|(_, best, best_key)| {
+                    ratio < best - EPS || ((ratio - best).abs() <= EPS && key < best_key)
                 }) {
-                    enter = Some((j, ratio));
+                    enter = Some((j, ratio, key));
                 }
             }
         }
-        let Some((e, _)) = enter else {
+        let Some((e, _, _)) = enter else {
             return Err(IlpError::Infeasible);
         };
         t.pivot(lr, e);
@@ -1748,9 +1966,10 @@ fn run_dual_simplex(
 }
 
 /// The entering column of a primal pivot over the reduced costs `obj`:
-/// the most negative cost below `-EPS`, ties to the lowest index
-/// (Dantzig), or with `bland` the lowest index below `-EPS`. `None` when
-/// no cost is below `-EPS`.
+/// the most negative cost below `-EPS`, ties to the lowest key, or with
+/// `bland` the lowest key below `-EPS`, where keys order the
+/// uncomplemented columns by index before the complemented ones (see
+/// `first_in_key_order`). `None` when no cost is below `-EPS`.
 ///
 /// One branch-free pass takes eight lane-wise minima and NaN flags; a
 /// second finds the first column at the minimum (or, under Bland, below
@@ -1761,7 +1980,7 @@ fn run_dual_simplex(
 /// # Errors
 ///
 /// [`IlpError::NumericalInstability`] when any cost is NaN.
-fn price(obj: &[f64], bland: bool) -> Result<Option<usize>, IlpError> {
+fn price(obj: &[f64], flipped: &[bool], bland: bool) -> Result<Option<usize>, IlpError> {
     let mut lanes = [f64::INFINITY; 8];
     let mut nan = [false; 8];
     let mut scan = |chunk: &[f64]| {
@@ -1785,23 +2004,23 @@ fn price(obj: &[f64], bland: bool) -> Result<Option<usize>, IlpError> {
         return Ok(None);
     }
     Ok(if bland {
-        obj.iter().position(|&c| c < -EPS)
+        first_in_key_order(flipped, 0..obj.len(), |j| obj[j] < -EPS)
     } else {
-        obj.iter().position(|&c| c == min)
+        first_in_key_order(flipped, 0..obj.len(), |j| obj[j] == min)
     })
 }
 
 /// Runs primal simplex iterations on the tableau until optimality.
 ///
 /// The entering column follows Dantzig's rule — most negative reduced
-/// cost, ties to the lowest index — until
-/// [`SimplexOptions::bland_stall`] consecutive degenerate pivots, after
-/// which Bland's rule (lowest negative index) takes over until the
-/// objective improves again. The ratio test breaks ties on the lowest
-/// basis index throughout. Artificial columns never enter (they are not
-/// stored). A NaN in the cost row, the pivot column or a ratio is reported
-/// as [`IlpError::NumericalInstability`] instead of being silently skipped
-/// by the comparisons.
+/// cost, ties to the lowest key — until [`SimplexOptions::bland_stall`]
+/// consecutive degenerate steps, after which Bland's rule (lowest negative
+/// key) takes over until the objective improves again. The ratio test
+/// breaks ties on the lowest key throughout (see `ratio_test`). Artificial
+/// columns never enter (they are not stored). A NaN in the cost row, the
+/// pivot column or a ratio is reported as
+/// [`IlpError::NumericalInstability`] instead of being silently skipped by
+/// the comparisons.
 fn run_simplex(
     t: &mut Tableau,
     iters: &mut usize,
@@ -1818,16 +2037,16 @@ fn run_simplex(
                 limit: options.max_iterations,
             });
         }
-        let Some(e) = price(&t.obj, bland)? else {
+        let Some(e) = price(&t.obj, &t.flipped, bland)? else {
             return Ok(()); // optimal
         };
-        let Some((lr, lratio)) = ratio_test(t, e, true)? else {
+        let Some((step, ratio)) = ratio_test(t, e, true)? else {
             return Err(IlpError::Unbounded);
         };
-        // Degenerate-stall accounting: a zero-ratio pivot leaves the
+        // Degenerate-stall accounting: a zero-ratio step leaves the
         // objective unchanged. A long enough streak arms Bland's rule; any
         // objective movement re-arms Dantzig.
-        if lratio <= EPS {
+        if ratio <= EPS {
             stall += 1;
             if !bland && stall > options.bland_stall {
                 bland = true;
@@ -1837,7 +2056,7 @@ fn run_simplex(
             stall = 0;
             bland = false;
         }
-        t.pivot(lr, e);
+        t.step(e, step);
         match phase {
             PrimalPhase::One => ops.phase1_pivots += 1,
             PrimalPhase::Two => ops.phase2_pivots += 1,
@@ -2312,6 +2531,27 @@ mod tests {
         assert!(scratch.ops().dual_pivots > dual_before, "probes must pivot");
         assert_eq!(tableau_bits(&scratch.t), before);
         assert_eq!(scratch.t.basis, basis_before);
+    }
+
+    /// Phase 1 flips `x` to its upper bound (the flip's tie key beats the
+    /// artificial's), and with a zero objective nothing in phase 2 moves it
+    /// back. The optimal face is all of `x + y ≥ 1`, whose lex minimum is
+    /// `x = 0, y = 1`: canonicalising must move the complemented `x` down.
+    #[test]
+    fn lex_canonicalize_moves_an_at_upper_column_down() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
+        m.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 1.0)
+            .unwrap();
+        let mut scratch = SimplexScratch::new();
+        let opts = SimplexOptions::default();
+        let s = solve_with_basis(&m, &[0.0; 2], &[1.0; 2], opts, &mut scratch, None).unwrap();
+        assert_eq!(s.solution.values, vec![0.0, 1.0]);
+        assert!(scratch.ops().lex_pivots > 0, "{:?}", scratch.ops());
+        // The node path skips canonicalising and keeps phase 1's vertex.
+        let node = solve_with_bounds_scratch(&m, &[0.0; 2], &[1.0; 2], opts, &mut scratch);
+        assert_eq!(node.unwrap().values, vec![1.0, 0.0]);
     }
 
     #[test]

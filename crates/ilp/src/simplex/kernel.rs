@@ -9,13 +9,19 @@ use proptest::prelude::*;
 use super::{price, Tableau, EPS};
 use crate::IlpError;
 
-/// The ordered entering-column scan: first negative (Bland), most negative
-/// with ties to the lowest index (Dantzig), an error on any NaN.
-fn price_scan(obj: &[f64], bland: bool) -> Result<Option<usize>, IlpError> {
+/// The ordered entering-column scan over the explicit-row numbering: the
+/// uncomplemented columns in index order, then the complemented ones (their
+/// bound-row slacks); first negative (Bland), most negative with ties to
+/// the first scanned (Dantzig), an error on any NaN.
+fn price_scan(obj: &[f64], flipped: &[bool], bland: bool) -> Result<Option<usize>, IlpError> {
     let mut first_neg: Option<usize> = None;
     let mut most_neg: Option<usize> = None;
     let mut best = -EPS;
-    for (j, &c) in obj.iter().enumerate() {
+    let order = (0..obj.len())
+        .filter(|&j| !flipped[j])
+        .chain((0..obj.len()).filter(|&j| flipped[j]));
+    for j in order {
+        let c = obj[j];
         if c.is_nan() {
             return Err(IlpError::NumericalInstability {
                 context: "entering-column selection",
@@ -225,6 +231,9 @@ fn tableaus(cols: usize, rows: &[Vec<(usize, usize)>]) -> (Tableau, Reference) {
     t.obj = (0..cols).map(|c| CELLS[c % CELLS.len()]).collect();
     t.obj_rhs = 0.0;
     t.basis = vec![usize::MAX; m];
+    t.width = (0..cols).map(|c| 1.0 + c as f64 / 4.0).collect();
+    t.lo = vec![0.0; cols];
+    t.flipped = vec![false; cols];
     t.scatter.pos = vec![0; cols];
     t.scatter.hit = vec![0; cols];
     let reference = Reference {
@@ -269,6 +278,10 @@ fn bits(
     )
 }
 
+fn bits_of(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn kernel_bits(t: &Tableau) -> Bits {
     bits(&t.rows[..t.m], &t.cols[..t.art0], &t.rhs, &t.obj, t.obj_rhs)
 }
@@ -281,12 +294,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
     /// The two-pass pricing picks the ordered scan's column in both modes,
-    /// including on exact ties, `±0.0`, costs at `±EPS`, infinities and
-    /// NaN.
+    /// including on exact ties, `±0.0`, costs at `±EPS`, infinities, NaN
+    /// and complemented columns.
     #[test]
-    fn price_matches_the_ordered_scan(obj in cost_row()) {
+    fn price_matches_the_ordered_scan(obj in cost_row(), flips in proptest::collection::vec(0u8..4, 40)) {
+        let flipped: Vec<bool> = flips[..obj.len()].iter().map(|&f| f == 0).collect();
         for bland in [false, true] {
-            prop_assert_eq!(price(&obj, bland), price_scan(&obj, bland), "bland {}", bland);
+            prop_assert_eq!(
+                price(&obj, &flipped, bland),
+                price_scan(&obj, &flipped, bland),
+                "bland {}", bland
+            );
         }
     }
 
@@ -306,22 +324,31 @@ proptest! {
         }
     }
 
-    /// A probe's pivots, undone by popping one column-list entry per
-    /// fill-in cell, leave every row, list (order included) and dense
-    /// vector exactly as before.
+    /// A probe's pivots, with flips, complemented rows and box moves
+    /// between them, undone by popping one column-list entry per fill-in
+    /// cell, leave every row, list (order included), dense vector and
+    /// column box exactly as before.
     #[test]
     fn probe_undo_restores_the_tableau((cols, rows, picks) in draw()) {
         let (mut t, _) = tableaus(cols, &rows);
         let before = kernel_bits(&t);
-        let basis = t.basis.clone();
+        let boxes = |t: &Tableau| (t.basis.clone(), t.flipped.clone(), bits_of(&t.width), bits_of(&t.lo));
+        let boxes_before = boxes(&t);
         t.begin_probe();
-        for p in picks {
-            if let Some((r, c)) = pick(&t, p) {
-                t.pivot(r, c);
+        for (k, p) in picks.into_iter().enumerate() {
+            let Some((r, c)) = pick(&t, p) else { continue };
+            t.pivot(r, c);
+            match k % 3 {
+                1 => t.flip(c),
+                2 => {
+                    t.set_box(c, 0.5, 0.5);
+                    t.complement_row(r);
+                }
+                _ => {}
             }
         }
         t.undo_probe();
         prop_assert_eq!(kernel_bits(&t), before);
-        prop_assert_eq!(t.basis, basis);
+        prop_assert_eq!(boxes(&t), boxes_before);
     }
 }

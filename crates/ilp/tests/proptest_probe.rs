@@ -1,18 +1,18 @@
 //! Property test: a root probe re-solved warm on the root tableau answers
 //! exactly what a cold solve of the same bounds answers.
 //!
-//! `RootProbe` pins a binary to its other bound by patching the root
-//! tableau's right-hand sides and repairing with the dual simplex, then
+//! `RootProbe` pins a binary to its other bound by moving its column's
+//! bound on the root tableau and repairing with the dual simplex, then
 //! undoes the probe's pivots. The oracle is the cold probe it replaces:
 //! `solve_with_bounds_scratch` on the current bounds with the binary
 //! pinned. Over random binary models with `≤`/`≥` rows, rows with negative
-//! right-hand sides (negated at build), both senses and chains of accepted
-//! fixes, every at-bound binary's warm probe must agree with the cold one
-//! on feasibility and on the objective within 1e-9 relative, and the
-//! reduced-cost screen must bound every feasible flip from below, so it can
-//! never fix a flip the cold probe keeps. Models with an equality row send
-//! exactly the probes that would patch it (a flip up of a variable in it)
-//! cold, and a fix that would patch it sends every later probe cold.
+//! right-hand sides (negated at build), equality rows, both senses and
+//! chains of accepted fixes, every at-bound binary's warm probe must agree
+//! with the cold one on feasibility and on the objective within 1e-9
+//! relative, and the reduced-cost screen must bound every feasible flip
+//! from below, so it can never fix a flip the cold probe keeps. A bound
+//! change needs no slack column, so every probe of a root without a basic
+//! artificial runs warm, equality rows included.
 
 use proptest::prelude::*;
 
@@ -97,13 +97,6 @@ fn norm(model: &Model, objective: f64) -> f64 {
     }
 }
 
-/// Whether variable `j` sits in an equality row.
-fn in_equality_row(model: &Model, j: usize) -> bool {
-    model.constraints().iter().any(|c| {
-        c.relation == Relation::Eq && c.expr.iter_terms().any(|(v, k)| v.index() == j && k != 0.0)
-    })
-}
-
 /// Feasibility and objective agree: both infeasible, or both optimal with
 /// objectives within 1e-9 relative.
 fn agree(warm: &Result<LpSolution, IlpError>, cold: &Result<LpSolution, IlpError>) -> bool {
@@ -133,11 +126,10 @@ proptest! {
             return Ok(());
         };
         let z = norm(&model, root.solution.objective);
-        let artificial_basic = root.basis.is_none();
+        // Only a root basis with a stuck artificial sends probes cold.
+        let warm_alive = root.basis.is_some();
         let mut cold_scratch = SimplexScratch::new();
         let mut prober = RootProbe::new(&model, &lower, &upper, options, &mut scratch);
-        // Warm probing survives until a fix has to patch an equality row.
-        let mut warm_alive = !artificial_basic;
         for j in 0..n {
             let x = root.solution.values[j];
             if lower[j] >= upper[j] || (x > AT_BOUND && x < 1.0 - AT_BOUND) {
@@ -163,8 +155,7 @@ proptest! {
                     "x{} -> {}: screen {} above the flipped LP's {}", j, flipped, screen, bound
                 );
             }
-            let expect_warm = warm_alive && !(flipped > x && in_equality_row(&model, j));
-            let want = if expect_warm {
+            let want = if warm_alive {
                 ProbeCounts { warm: before.warm + 1, ..before }
             } else {
                 ProbeCounts { cold: before.cold + 1, ..before }
@@ -172,14 +163,9 @@ proptest! {
             prop_assert_eq!(after, want, "x{} -> {}", j, flipped);
 
             if accept[j] {
-                // A fix at the root value keeps the root vertex optimal;
-                // lifting a lower bound through an equality row ends the
-                // warm path.
+                // A fix at the root value keeps the root vertex optimal.
                 let kept = x.round();
                 prober.fix(v, kept);
-                if kept > 0.0 && in_equality_row(&model, j) {
-                    warm_alive = false;
-                }
                 (lower[j], upper[j]) = (kept, kept);
             }
         }
@@ -189,11 +175,11 @@ proptest! {
     }
 }
 
-/// The equality-row fallback, deterministically: a flip up of a variable
-/// in an equality row runs cold, a flip down (bound row only) stays warm,
-/// and both answer what the LP says.
+/// Equality rows, deterministically: a flip up of a variable in an
+/// equality row and a flip down both run warm, and both answer what the
+/// LP says.
 #[test]
-fn equality_row_flip_up_takes_the_cold_fallback() {
+fn equality_row_flips_run_warm() {
     // min 3a + b + c  s.t.  a − b = 0,  b + c ≥ 1.  Root: c = 1, a = b = 0.
     let mut m = Model::new(Sense::Minimize);
     let a = m.add_binary("a");
@@ -211,14 +197,15 @@ fn equality_row_flip_up_takes_the_cold_fallback() {
     assert_eq!(root.solution.values, vec![0.0, 0.0, 1.0]);
     let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
 
-    // a ↑ 1 must patch the equality row: cold, and a + b = 2 costs 4.
+    // a ↑ 1 moves a through the equality row: b follows, and costs 4.
     let up = prober.probe(a, 1.0).unwrap();
     assert!((up.objective - 4.0).abs() < 1e-9, "{up:?}");
-    assert_eq!(prober.counts(), ProbeCounts { warm: 0, cold: 1 });
-    // c ↓ 0 touches only c's bound row: warm, and forces b = a = 1.
+    assert_eq!(up.values, vec![1.0, 1.0, 0.0]);
+    assert_eq!(prober.counts(), ProbeCounts { warm: 1, cold: 0 });
+    // c ↓ 0 forces b = a = 1.
     let down = prober.probe(c, 0.0).unwrap();
     assert!((down.objective - 4.0).abs() < 1e-9, "{down:?}");
-    assert_eq!(prober.counts(), ProbeCounts { warm: 1, cold: 1 });
+    assert_eq!(prober.counts(), ProbeCounts { warm: 2, cold: 0 });
 }
 
 /// A root basis with a stuck artificial (a duplicated equality row is
