@@ -18,8 +18,8 @@
 //!    composite IMPs (*IMP flatten*, Fig. 11).
 //! 5. [`Solver`] builds the 0/1 ILP (Problem 1 with its restrictions, or the
 //!    general Problem 2 with SC/SC-PC conflict constraints), minimises
-//!    `Σ z_k·a_k + Σ x_ij·c_ij` through a pluggable [`engine`] backend
-//!    (branch-and-bound, exhaustive or greedy, see `docs/BACKENDS.md`)
+//!    `Σ z_k·a_k + Σ x_ij·c_ij` with the [`engine`] backend the options
+//!    name (branch-and-bound, exhaustive or greedy, see `docs/BACKENDS.md`)
 //!    under a [`SolveBudget`],
 //!    and decodes a [`Selection`] tagged with an [`OptimalityStatus`] and a
 //!    full [`SolveTrace`].
@@ -36,8 +36,8 @@
 //! | [`instance`](Instance) / [`impdb`](ImpDb) | Problem description, IMP enumeration | §3, Defs. 1–2 |
 //! | [`parallel_code`] | `PC_i` computation on the CDFG | §3, Defs. 3–5 |
 //! | [`hierarchy`] | IMP flatten across call levels | §5, Fig. 11 |
-//! | [`engine`] | Pluggable 0/1 ILP backends + budgets | §4, Problems 1–2 |
-//! | [`sweep`] | RG sweeps: caching, chaining, batching | Tables 1–3, Figs. 8–11 |
+//! | [`engine`] | Backend choice, budgets, solve telemetry | §4, Problems 1–2 |
+//! | [`sweep`] | RG sweeps: caching, chaining | Tables 1–3, Figs. 8–11 |
 //! | [`verify`] | Independent selection audit, fault injection | §4 optimality claims |
 //! | [`merge`] / [`report`] | S-instruction merge, paper-style rows | Tables 1–3 (**S** column) |
 //! | [`baseline`] | All-software / greedy reference points | §6 |

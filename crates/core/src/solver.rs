@@ -781,7 +781,7 @@ fn run_greedy(
     let selection = crate::baseline::solve_greedy(instance, db, &options.gains)?;
     let chosen: Vec<ImpId> = selection.chosen().iter().map(|imp| imp.id).collect();
     let values = encode_selection(model, map, db, &chosen);
-    if !model.is_feasible(&values, 1e-6) {
+    if !model.is_feasible(&values) {
         return Err(CoreError::Infeasible { path: None });
     }
     record_effort(trace, &BranchBoundStats::default());

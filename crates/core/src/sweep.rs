@@ -43,6 +43,10 @@ use crate::solver::solve_cold;
 use crate::telemetry::{CacheKind, Event, TelemetrySink};
 use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
 
+/// Memoized selections a [`SweepSession`] holds before evicting the least
+/// recently used.
+const SOLVE_CACHE_CAPACITY: usize = 256;
+
 /// Telemetry of one sweep point run through a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPoint {
@@ -270,36 +274,13 @@ impl Default for SweepSession {
 }
 
 impl SweepSession {
-    /// Default cache bound: 256 memoized selections.
+    /// A session with an empty cache bounded at 256 memoized selections
+    /// (`SOLVE_CACHE_CAPACITY`), evicted least-recently-used first (a hit
+    /// refreshes its entry).
     #[must_use]
     pub fn new() -> SweepSession {
-        SweepSession::with_capacities(256)
-    }
-
-    /// A session with an explicit bound on memoized selections.
-    ///
-    /// # Invariants
-    ///
-    /// * The bound is clamped to at least 1 — a session always caches
-    ///   *something*, so `with_capacities(0)` cannot disable memoization
-    ///   (construct a fresh session per solve for that).
-    /// * Eviction is least-recently-used; a hit refreshes the entry. The
-    ///   bound caps the *entry count*, not bytes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use partita_core::sweep::SweepSession;
-    ///
-    /// let session = SweepSession::with_capacities(0);
-    /// // The zero bound was clamped; the cache starts empty.
-    /// assert_eq!(session.solve_capacity(), 1);
-    /// assert_eq!(session.cached_solves(), 0);
-    /// ```
-    #[must_use]
-    pub fn with_capacities(solves: usize) -> SweepSession {
         SweepSession {
-            solves: LruCache::new(solves),
+            solves: LruCache::new(SOLVE_CACHE_CAPACITY),
             trace: SweepTrace::default(),
             sink: None,
         }
@@ -364,18 +345,6 @@ impl SweepSession {
     /// from a single session.
     pub fn take_trace(&mut self) -> SweepTrace {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Number of memoized selections currently held.
-    #[must_use]
-    pub fn cached_solves(&self) -> usize {
-        self.solves.len()
-    }
-
-    /// Bound on memoized selections.
-    #[must_use]
-    pub fn solve_capacity(&self) -> usize {
-        self.solves.capacity()
     }
 
     /// A single cache-aware solve: answers from the solve cache when the
@@ -612,7 +581,7 @@ mod tests {
         );
         assert_eq!(s.trace().cache_hits, 1);
         assert_eq!(s.trace().cache_misses, 1);
-        assert_eq!(s.cached_solves(), 1);
+        assert_eq!(s.solves.len(), 1);
     }
 
     #[test]
@@ -719,25 +688,23 @@ mod tests {
     #[test]
     fn lru_bound_evicts_old_solves() {
         let (inst, db) = three_firs("a");
-        let mut s = SweepSession::with_capacities(2);
-        for rg in [600u64, 1200, 1800] {
-            s.solve(
-                &inst,
-                &db,
-                &SolveOptions::problem2(RequiredGains::uniform(Cycles(rg))),
-            )
-            .unwrap();
+        let mut s = SweepSession::new();
+        let solve = |s: &mut SweepSession, rg: usize| {
+            let gains = RequiredGains::uniform(Cycles(rg as u64));
+            s.solve(&inst, &db, &SolveOptions::problem2(gains)).unwrap();
+        };
+        for rg in 0..=SOLVE_CACHE_CAPACITY {
+            solve(&mut s, rg);
         }
-        assert_eq!(s.cached_solves(), 2);
-        // The oldest entry (600) was evicted: solving it again is a miss.
-        s.solve(
-            &inst,
-            &db,
-            &SolveOptions::problem2(RequiredGains::uniform(Cycles(600))),
-        )
-        .unwrap();
+        assert_eq!(s.solves.len(), SOLVE_CACHE_CAPACITY);
         assert_eq!(s.trace().cache_hits, 0);
-        assert_eq!(s.trace().cache_misses, 4);
+        // The newest entry survived; the oldest (RG 0) was evicted, so
+        // solving it again is a miss.
+        solve(&mut s, SOLVE_CACHE_CAPACITY);
+        assert_eq!(s.trace().cache_hits, 1);
+        solve(&mut s, 0);
+        assert_eq!(s.trace().cache_hits, 1);
+        assert_eq!(s.trace().cache_misses, SOLVE_CACHE_CAPACITY as u64 + 2);
     }
 
     #[test]

@@ -20,13 +20,9 @@ use crate::simplex::{
     solve_with_basis, solve_with_bounds_scratch, Basis, RootProbe, SimplexOps, SimplexOptions,
     SimplexScratch,
 };
-use crate::{IlpError, IlpSolution, Model, Sense, VarId};
+use crate::{IlpError, IlpSolution, LpSolution, Model, Sense, VarId, TIE_TOL};
 
 const INT_TOL: f64 = 1e-6;
-
-/// Tolerance under which two objective values count as tied (and pruning
-/// must keep the node alive for the lexicographic tie-break).
-const TIE_TOL: f64 = 1e-9;
 
 /// Cap on root probes; bounds the fixed cost probing adds on models with
 /// many binaries.
@@ -61,7 +57,6 @@ const MAX_ROOT_PROBES: usize = 32;
 pub struct BranchBound {
     max_nodes: usize,
     deadline: Option<Duration>,
-    simplex: SimplexOptions,
     root_basis: Option<Arc<Basis>>,
 }
 
@@ -70,7 +65,6 @@ impl Default for BranchBound {
         BranchBound {
             max_nodes: 200_000,
             deadline: None,
-            simplex: SimplexOptions::default(),
             root_basis: None,
         }
     }
@@ -211,13 +205,14 @@ impl NodeArena {
         }
     }
 
-    /// Materialises `node`'s bounds into the arena's scratch vectors.
-    fn reconstruct(&mut self, base_lower: &[f64], base_upper: &[f64], node: &Node) {
+    /// Materialises the bounds `path` reaches from the base bounds into
+    /// the arena's scratch vectors.
+    fn reconstruct(&mut self, base_lower: &[f64], base_upper: &[f64], path: &[BoundFix]) {
         self.lower.clear();
         self.lower.extend_from_slice(base_lower);
         self.upper.clear();
         self.upper.extend_from_slice(base_upper);
-        for fix in &node.path {
+        for fix in path {
             self.lower[fix.var] = fix.lower;
             self.upper[fix.var] = fix.upper;
         }
@@ -309,7 +304,6 @@ struct SearchCtx<'a> {
     model: &'a Model,
     binaries: &'a [VarId],
     minimize: bool,
-    simplex: SimplexOptions,
 }
 
 impl SearchCtx<'_> {
@@ -322,16 +316,23 @@ impl SearchCtx<'_> {
     }
 
     /// Rounds the binaries of `values` in place and offers the point when
-    /// feasible; returns whether the incumbent improved.
-    fn offer_rounded(&self, mut values: Vec<f64>, inc: &mut Incumbent) -> bool {
+    /// feasible, counting an incumbent improvement in `stats`.
+    fn offer_rounded(
+        &self,
+        mut values: Vec<f64>,
+        inc: &mut Incumbent,
+        stats: &mut BranchBoundStats,
+    ) {
         for &v in self.binaries {
             values[v.index()] = values[v.index()].round();
         }
-        if !self.model.is_feasible(&values, 1e-6) {
-            return false;
+        if !self.model.is_feasible(&values) {
+            return;
         }
         let objective = self.model.objective().eval(&values);
-        inc.offer(self.norm(objective), objective, values)
+        if inc.offer(self.norm(objective), objective, values) {
+            stats.incumbent_updates += 1;
+        }
     }
 
     /// Solves a node's LP and either closes the node (infeasible, pruned or
@@ -349,12 +350,12 @@ impl SearchCtx<'_> {
         inc: &mut Incumbent,
         stats: &mut BranchBoundStats,
     ) -> Result<Option<(Node, Node)>, IlpError> {
-        arena.reconstruct(base_lower, base_upper, &node);
+        arena.reconstruct(base_lower, base_upper, &node.path);
         let lp = match solve_with_bounds_scratch(
             self.model,
             &arena.lower,
             &arena.upper,
-            self.simplex,
+            SimplexOptions::default(),
             scratch,
         ) {
             Ok(lp) => lp,
@@ -375,14 +376,28 @@ impl SearchCtx<'_> {
         // Rounding heuristic: snapping the LP optimum to the nearest
         // integers often yields a feasible incumbent immediately on
         // coverage-style models, which tightens pruning dramatically.
-        if self.offer_rounded(lp.values.clone(), inc) {
-            stats.incumbent_updates += 1;
-        }
+        self.offer_rounded(lp.values.clone(), inc, stats);
+        Ok(self.branch(lp, bound, node.path, arena, inc, stats))
+    }
 
-        // Branch on the fractional binary with the largest
-        // objective×fractionality impact: deciding heavy variables first
-        // moves the bound fastest (plain most-fractional branching
-        // enumerates plateaus on coverage models).
+    /// Branches a node whose LP optimum `lp` (normalised bound `bound`)
+    /// survived pruning, at the bounds `path` reached, which `arena` holds
+    /// reconstructed. Returns the down/up children, or `None` after
+    /// offering an integral optimum to the incumbent, retiring the path.
+    ///
+    /// The branching variable is the fractional binary with the largest
+    /// objective×fractionality impact: deciding heavy variables first
+    /// moves the bound fastest (plain most-fractional branching enumerates
+    /// plateaus on coverage models).
+    fn branch(
+        &self,
+        lp: LpSolution,
+        bound: f64,
+        path: Vec<BoundFix>,
+        arena: &mut NodeArena,
+        inc: &mut Incumbent,
+        stats: &mut BranchBoundStats,
+    ) -> Option<(Node, Node)> {
         let frac = self
             .binaries
             .iter()
@@ -396,47 +411,39 @@ impl SearchCtx<'_> {
                 };
                 weight(a).total_cmp(&weight(b))
             });
-
-        match frac {
-            None => {
-                // Integer feasible: snap binaries and record.
-                if self.offer_rounded(lp.values, inc) {
-                    stats.incumbent_updates += 1;
-                }
-                arena.retire(node.path);
-                Ok(None)
-            }
-            Some((v, x)) => {
-                // Branch down (x = 0) and up (x = 1): each child is the
-                // parent's path plus one fix. The up child copies the path
-                // into a recycled vector; the down child reuses the
-                // parent's vector outright, so steady-state branching
-                // allocates nothing.
-                let vi = v.index();
-                let mut up_path = arena.take_vec();
-                up_path.extend_from_slice(&node.path);
-                up_path.push(BoundFix {
-                    var: vi,
-                    lower: x.ceil(),
-                    upper: arena.upper[vi],
-                });
-                let mut down_path = node.path;
-                down_path.push(BoundFix {
-                    var: vi,
-                    lower: arena.lower[vi],
-                    upper: x.floor(),
-                });
-                let down = Node {
-                    score: bound,
-                    path: down_path,
-                };
-                let up = Node {
-                    score: bound,
-                    path: up_path,
-                };
-                Ok(Some((down, up)))
-            }
-        }
+        let Some((v, x)) = frac else {
+            // Integer feasible: snap binaries and record.
+            self.offer_rounded(lp.values, inc, stats);
+            arena.retire(path);
+            return None;
+        };
+        // Branch down (x = 0) and up (x = 1): each child is the parent's
+        // path plus one fix. The up child copies the path into a recycled
+        // vector; the down child reuses the parent's vector outright, so
+        // steady-state branching allocates nothing.
+        let vi = v.index();
+        let mut up_path = arena.take_vec();
+        up_path.extend_from_slice(&path);
+        up_path.push(BoundFix {
+            var: vi,
+            lower: x.ceil(),
+            upper: arena.upper[vi],
+        });
+        let mut down_path = path;
+        down_path.push(BoundFix {
+            var: vi,
+            lower: arena.lower[vi],
+            upper: x.floor(),
+        });
+        let down = Node {
+            score: bound,
+            path: down_path,
+        };
+        let up = Node {
+            score: bound,
+            path: up_path,
+        };
+        Some((down, up))
     }
 }
 
@@ -561,7 +568,6 @@ impl BranchBound {
             model,
             binaries: &binaries,
             minimize,
-            simplex: self.simplex,
         };
 
         let mut incumbent = Incumbent::new();
@@ -575,7 +581,7 @@ impl BranchBound {
                     .get(v.index())
                     .is_some_and(|x| x.fract().abs() <= INT_TOL)
             });
-            if values.len() == n && integral && model.is_feasible(values, 1e-6) {
+            if values.len() == n && integral && model.is_feasible(values) {
                 let objective = model.objective().eval(values);
                 incumbent.offer(ctx.norm(objective), objective, values.clone());
                 stats.warm_start_accepted = true;
@@ -633,7 +639,7 @@ impl BranchBound {
             model,
             &base_lower,
             &base_upper,
-            self.simplex,
+            SimplexOptions::default(),
             &mut scratch,
             self.root_basis.as_deref(),
         ) {
@@ -644,6 +650,7 @@ impl BranchBound {
             Err(IlpError::Infeasible) => (None, None),
             Err(e) => return Err(e),
         };
+        let mut arena = NodeArena::new();
         let children = match lp {
             None => None,
             Some(lp) => {
@@ -654,9 +661,7 @@ impl BranchBound {
                     stats.nodes_pruned += 1;
                     None
                 } else {
-                    if ctx.offer_rounded(lp.values.clone(), &mut incumbent) {
-                        stats.incumbent_updates += 1;
-                    }
+                    ctx.offer_rounded(lp.values.clone(), &mut incumbent, &mut stats);
 
                     // Reduced-cost probing, once, at the root: a warm start
                     // supplies a tight incumbent before any search happens,
@@ -687,7 +692,7 @@ impl BranchBound {
                             model,
                             &base_lower,
                             &base_upper,
-                            self.simplex,
+                            SimplexOptions::default(),
                             &mut scratch,
                         );
                         for (v, x) in candidates.into_iter().take(MAX_ROOT_PROBES) {
@@ -725,49 +730,17 @@ impl BranchBound {
                         (base_lower, base_upper) = prober.finish();
                     }
 
-                    // Branch the root exactly like any other node.
-                    let frac = binaries
-                        .iter()
-                        .map(|&v| (v, lp.value(v)))
-                        .filter(|(_, x)| (x - x.round()).abs() > INT_TOL)
-                        .max_by(|a, b| {
-                            let weight = |(v, x): &(VarId, f64)| {
-                                let f = (x - x.round()).abs();
-                                let c = model.objective().coeff(*v).abs().max(1e-6);
-                                f * c
-                            };
-                            weight(a).total_cmp(&weight(b))
-                        });
-                    match frac {
-                        None => {
-                            if ctx.offer_rounded(lp.values, &mut incumbent) {
-                                stats.incumbent_updates += 1;
-                            }
-                            None
-                        }
-                        Some((v, x)) => {
-                            // The root's children are single-fix delta
-                            // paths against the post-probe base bounds.
-                            let vi = v.index();
-                            let down = Node {
-                                score: bound,
-                                path: vec![BoundFix {
-                                    var: vi,
-                                    lower: base_lower[vi],
-                                    upper: x.floor(),
-                                }],
-                            };
-                            let up = Node {
-                                score: bound,
-                                path: vec![BoundFix {
-                                    var: vi,
-                                    lower: x.ceil(),
-                                    upper: base_upper[vi],
-                                }],
-                            };
-                            Some((down, up))
-                        }
-                    }
+                    // Branch the root like any other node: its bounds are
+                    // the post-probe base bounds, reached by an empty path.
+                    arena.reconstruct(&base_lower, &base_upper, &[]);
+                    ctx.branch(
+                        lp,
+                        bound,
+                        Vec::new(),
+                        &mut arena,
+                        &mut incumbent,
+                        &mut stats,
+                    )
                 }
             }
         };
@@ -777,9 +750,8 @@ impl BranchBound {
             return finish(incumbent, Termination::Optimal, stats, root_basis_out);
         };
 
-        // Best-first loop, reusing the root's scratch. The root counts as
-        // the first explored node.
-        let mut arena = NodeArena::new();
+        // Best-first loop, reusing the root's scratch and arena. The root
+        // counts as the first explored node.
         let mut heap = BinaryHeap::new();
         heap.push(down);
         heap.push(up);
@@ -915,7 +887,7 @@ mod tests {
         // The rounding heuristic finds a feasible point at the root, so the
         // incumbent survives budget exhaustion instead of being discarded.
         let sol = run.solution.expect("rounding heuristic seeds an incumbent");
-        assert!(m.is_feasible(&sol.values, 1e-6));
+        assert!(m.is_feasible(&sol.values));
         assert_eq!(sol.objective.round() as i64, 3);
         assert_eq!(run.stats.nodes_explored, 1);
     }

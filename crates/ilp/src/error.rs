@@ -44,13 +44,6 @@ pub enum IlpError {
         /// Supported maximum.
         max: usize,
     },
-    /// A simplex tolerance option is NaN or negative.
-    InvalidTolerance {
-        /// Which [`crate::simplex::SimplexOptions`] field was rejected.
-        name: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
     /// The tableau was poisoned by non-finite arithmetic (overflow feeding
     /// `inf - inf` during pivoting) and pivot selection can no longer be
     /// trusted.
@@ -81,12 +74,6 @@ impl fmt::Display for IlpError {
                 write!(
                     f,
                     "exhaustive solver supports at most {max} binaries, got {count}"
-                )
-            }
-            IlpError::InvalidTolerance { name, value } => {
-                write!(
-                    f,
-                    "simplex option {name} must be finite and >= 0, got {value}"
                 )
             }
             IlpError::NumericalInstability { context } => {

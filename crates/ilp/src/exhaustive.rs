@@ -4,14 +4,10 @@ use std::time::{Duration, Instant};
 
 use crate::branch_bound::lex_less;
 use crate::simplex::{solve_with_bounds, SimplexOptions};
-use crate::{IlpError, IlpSolution, Model, Sense, Termination, VarId, VarKind};
+use crate::{IlpError, IlpSolution, Model, Sense, Termination, VarId, VarKind, TIE_TOL};
 
 /// Maximum number of binaries the exhaustive solver accepts.
 pub const MAX_EXHAUSTIVE_BINARIES: usize = 24;
-
-/// Tie window within which the lexicographic tie-break applies (matches
-/// branch-and-bound's `TIE_TOL`).
-const TIE_TOL: f64 = 1e-9;
 
 /// How many assignments are enumerated between deadline polls.
 const POLL_STRIDE: u64 = 256;
@@ -98,7 +94,7 @@ pub fn run_binary_exhaustive(
 
         let candidate = if pure_binary {
             let values = lower.clone();
-            if model.is_feasible(&values, 1e-7) {
+            if model.is_feasible(&values) {
                 Some((model.objective().eval(&values), values))
             } else {
                 None

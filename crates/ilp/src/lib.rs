@@ -56,6 +56,19 @@ pub use model::{Model, Relation, Sense, VarId, VarKind};
 pub use simplex::{solve_with_basis, Basis, BasisSolve, SimplexOps};
 pub use solution::{IlpSolution, LpSolution};
 
+/// Constraint-satisfaction slack of every feasibility decision in the
+/// crate: phase-1 residuals and box violations in the simplex, the
+/// pinned-point and constant-row checks, and the integer-point checks of
+/// branch-and-bound and of the brute-force oracle that validates it. One
+/// value for all of them means the solver and its oracle accept the same
+/// points.
+pub const FEAS_TOL: f64 = 1e-6;
+
+/// Normalised objective values within this of each other count as tied:
+/// pruning keeps a tied node alive and the incumbent of both exact solvers
+/// falls back to [`lex_less`] on a tie.
+const TIE_TOL: f64 = 1e-9;
+
 // The service daemon shares models, bases and solutions across worker
 // threads; these compile-time assertions pin the `Send + Sync` bounds so a
 // future `Rc`/`RefCell`/raw-pointer field turns up here, not as a distant

@@ -345,9 +345,10 @@ impl Model {
     }
 
     /// Checks a full assignment against every constraint and the variable
-    /// domains, within tolerance `tol`.
+    /// domains, within [`crate::FEAS_TOL`].
     #[must_use]
-    pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
+    pub fn is_feasible(&self, values: &[f64]) -> bool {
+        let tol = crate::FEAS_TOL;
         if values.len() != self.vars.len() {
             return false;
         }
@@ -433,10 +434,10 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_binary("x");
         m.add_constraint([(x, 1.0)], Relation::Le, 1.0).unwrap();
-        assert!(m.is_feasible(&[1.0], 1e-9));
-        assert!(!m.is_feasible(&[0.5], 1e-9)); // not integral
-        assert!(!m.is_feasible(&[2.0], 1e-9)); // out of bounds
-        assert!(!m.is_feasible(&[], 1e-9)); // wrong arity
+        assert!(m.is_feasible(&[1.0]));
+        assert!(!m.is_feasible(&[0.5])); // not integral
+        assert!(!m.is_feasible(&[2.0])); // out of bounds
+        assert!(!m.is_feasible(&[])); // wrong arity
     }
 
     #[test]

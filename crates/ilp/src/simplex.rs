@@ -39,6 +39,12 @@
 //! and stays engaged (only an objective improvement re-arms Dantzig), at
 //! which point Bland's rule terminates it.
 //!
+//! The tolerances are constants, not options: every feasibility decision
+//! (phase-1 exit, box and constant-row checks, the dual simplex's
+//! infeasibility proof) uses the crate-wide [`crate::FEAS_TOL`] that
+//! branch-and-bound and the brute-force oracle also check integer points
+//! with, and every solve stops at [`MAX_ITERATIONS`] pivots.
+//!
 //! [`solve_with_basis`] additionally accepts a [`Basis`] retained from a
 //! previous optimal solve of a same-shaped model. After a pure RHS or bound
 //! patch the old basis stays *dual* feasible, so instead of a phase-1
@@ -92,7 +98,7 @@
 //! failure sends a probe to a cold [`solve_with_bounds_scratch`] instead.
 //! Probes skip `lex_canonicalize`: only their objective is used.
 
-use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId};
+use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL};
 
 const EPS: f64 = 1e-10;
 
@@ -103,25 +109,26 @@ const FOLDED: usize = usize::MAX;
 /// row count (and so the first artificial column) is known.
 const ARTIFICIAL: usize = usize::MAX;
 
+/// Smallest tableau element treated as a usable pivot when driving
+/// artificials out of the basis or re-installing a warm basis.
+const PIVOT_TOL: f64 = 1e-7;
+
+/// Objective values within this of zero are snapped to exactly zero, and
+/// reduced costs within it count as zero on the optimal face.
+const OBJECTIVE_TOL: f64 = 1e-9;
+
+/// Hard cap on pivots across both phases of one solve.
+pub const MAX_ITERATIONS: usize = 50_000;
+
 /// Options for the simplex solver.
 ///
-/// The three tolerances used to be scattered magic literals
-/// (`1e-6`/`1e-7`/`1e-9`) inside the solve path; they are hoisted here so
-/// every feasibility decision in one solve uses one consistent set, and so
-/// callers can tighten or relax them deliberately.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The tolerances are the constants [`crate::FEAS_TOL`], `PIVOT_TOL` and
+/// `OBJECTIVE_TOL`, and the pivot cap is [`MAX_ITERATIONS`], so every
+/// feasibility decision of every solve uses one set of values. Only the
+/// anti-cycling threshold is settable: the anti-cycling tests set it to 0
+/// to put Bland's rule in play from the first degenerate pivot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplexOptions {
-    /// Hard cap on pivots across both phases.
-    pub max_iterations: usize,
-    /// Constraint-satisfaction slack: phase-1 residuals below this count as
-    /// feasible, and pinned-point / constant-constraint checks allow this
-    /// much violation.
-    pub feasibility_tol: f64,
-    /// Smallest tableau element treated as a usable pivot when driving
-    /// artificials out of the basis.
-    pub pivot_tol: f64,
-    /// Objective values within this of zero are snapped to exactly zero.
-    pub objective_tol: f64,
     /// Consecutive degenerate pivots tolerated under the Dantzig entering
     /// rule before the solver falls back to Bland's rule for the remainder
     /// of the degenerate stretch (an objective improvement re-arms
@@ -131,84 +138,16 @@ pub struct SimplexOptions {
 
 impl Default for SimplexOptions {
     fn default() -> Self {
-        SimplexOptions {
-            max_iterations: 50_000,
-            feasibility_tol: 1e-6,
-            pivot_tol: 1e-7,
-            objective_tol: 1e-9,
-            bland_stall: 12,
-        }
+        SimplexOptions { bland_stall: 12 }
     }
-}
-
-/// Rejects a NaN or negative tolerance at construction time.
-fn checked_tol(name: &'static str, tol: f64) -> f64 {
-    assert!(
-        tol.is_finite() && tol >= 0.0,
-        "simplex option {name} must be finite and >= 0, got {tol}"
-    );
-    tol
 }
 
 impl SimplexOptions {
-    /// Overrides the feasibility tolerance.
-    ///
-    /// # Panics
-    ///
-    /// On a NaN, infinite or negative tolerance.
-    #[must_use]
-    pub fn with_feasibility_tol(mut self, tol: f64) -> SimplexOptions {
-        self.feasibility_tol = checked_tol("feasibility_tol", tol);
-        self
-    }
-
-    /// Overrides the pivot tolerance.
-    ///
-    /// # Panics
-    ///
-    /// On a NaN, infinite or negative tolerance.
-    #[must_use]
-    pub fn with_pivot_tol(mut self, tol: f64) -> SimplexOptions {
-        self.pivot_tol = checked_tol("pivot_tol", tol);
-        self
-    }
-
-    /// Overrides the objective zero-snap tolerance.
-    ///
-    /// # Panics
-    ///
-    /// On a NaN, infinite or negative tolerance.
-    #[must_use]
-    pub fn with_objective_tol(mut self, tol: f64) -> SimplexOptions {
-        self.objective_tol = checked_tol("objective_tol", tol);
-        self
-    }
-
     /// Overrides the Dantzig→Bland degenerate-stall threshold.
     #[must_use]
     pub fn with_bland_stall(mut self, stall: usize) -> SimplexOptions {
         self.bland_stall = stall;
         self
-    }
-
-    /// Validates the tolerances: every solve entry point calls this, so a
-    /// struct-literal-built options value (the fields are public) cannot
-    /// smuggle a NaN or negative tolerance into the pivot comparisons.
-    ///
-    /// # Errors
-    ///
-    /// [`IlpError::InvalidTolerance`] naming the offending field.
-    pub fn validate(&self) -> Result<(), IlpError> {
-        for (name, value) in [
-            ("feasibility_tol", self.feasibility_tol),
-            ("pivot_tol", self.pivot_tol),
-            ("objective_tol", self.objective_tol),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(IlpError::InvalidTolerance { name, value });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -262,11 +201,11 @@ impl SimplexOps {
 
 /// Reusable buffers for repeated LP solves.
 ///
-/// Branch-and-bound solves one LP per node. A scratch kept per worker lets
-/// [`solve_with_bounds_scratch`] reuse the tableau's row and column lists,
-/// the dense vectors and the basis across nodes instead of re-allocating
-/// them. Capacities only grow, so a scratch warmed up on the root LP
-/// serves most descendants without further allocation.
+/// Branch-and-bound solves one LP per node. One scratch held for the
+/// whole search lets [`solve_with_bounds_scratch`] reuse the tableau's row
+/// and column lists, the dense vectors and the basis across nodes instead
+/// of re-allocating them. Capacities only grow, so a scratch warmed up on
+/// the root LP serves most descendants without further allocation.
 #[derive(Debug, Default)]
 pub struct SimplexScratch {
     /// The tableau of the current solve, its buffers pooled across solves.
@@ -558,12 +497,12 @@ impl Tableau {
         self.width.get(c).copied().unwrap_or(f64::INFINITY)
     }
 
-    /// Whether every basic variable lies in its box, within `tol`.
-    fn primal_feasible(&self, tol: f64) -> bool {
+    /// Whether every basic variable lies in its box, within [`FEAS_TOL`].
+    fn primal_feasible(&self) -> bool {
         self.rhs
             .iter()
             .zip(&self.basis)
-            .all(|(&v, &b)| v >= -tol && v <= self.box_width(b) + tol)
+            .all(|(&v, &b)| v >= -FEAS_TOL && v <= self.box_width(b) + FEAS_TOL)
     }
 
     /// How far row `r`'s basic variable can move towards its box — up from
@@ -797,8 +736,7 @@ impl Tableau {
 /// # Errors
 ///
 /// [`IlpError::Infeasible`], [`IlpError::Unbounded`],
-/// [`IlpError::IterationLimit`], [`IlpError::InvalidTolerance`] or
-/// [`IlpError::NumericalInstability`].
+/// [`IlpError::IterationLimit`] or [`IlpError::NumericalInstability`].
 pub fn solve_relaxation(model: &Model, options: SimplexOptions) -> Result<LpSolution, IlpError> {
     let n = model.num_vars();
     let mut lower = Vec::with_capacity(n);
@@ -819,8 +757,7 @@ pub fn solve_relaxation(model: &Model, options: SimplexOptions) -> Result<LpSolu
 ///
 /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
 /// [`IlpError::IterationLimit`]. Also infeasible when `lower > upper` for
-/// any variable, [`IlpError::NonFiniteCoefficient`] for NaN bounds, and
-/// [`IlpError::InvalidTolerance`] for poisoned options.
+/// any variable, and [`IlpError::NonFiniteCoefficient`] for NaN bounds.
 pub fn solve_with_bounds(
     model: &Model,
     lower: &[f64],
@@ -874,7 +811,6 @@ pub fn solve_with_bounds_scratch(
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
 ) -> Result<LpSolution, IlpError> {
-    options.validate()?;
     let n = model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
@@ -884,7 +820,7 @@ pub fn solve_with_bounds_scratch(
     if fixed == n && n > 0 {
         // Everything pinned: just evaluate feasibility.
         let values: Vec<f64> = lower.to_vec();
-        if !feasible_point(model, &values, options.feasibility_tol) {
+        if !feasible_point(model, &values) {
             return Err(IlpError::Infeasible);
         }
         return Ok(LpSolution {
@@ -996,8 +932,7 @@ pub struct BasisSolve {
 /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
 /// [`IlpError::IterationLimit`] — all diagnosed by the cold path (the warm
 /// path never reports infeasibility on its own authority). Also
-/// [`IlpError::NonFiniteCoefficient`] for NaN bounds and
-/// [`IlpError::InvalidTolerance`] for poisoned options.
+/// [`IlpError::NonFiniteCoefficient`] for NaN bounds.
 pub fn solve_with_basis(
     model: &Model,
     lower: &[f64],
@@ -1006,7 +941,6 @@ pub fn solve_with_basis(
     scratch: &mut SimplexScratch,
     warm: Option<&Basis>,
 ) -> Result<BasisSolve, IlpError> {
-    options.validate()?;
     let n = model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
@@ -1040,12 +974,12 @@ fn needs_artificial(relation: Relation, rhs: f64) -> bool {
     }
 }
 
-/// Whether a constant row `0 (relation) rhs` holds within `tol`.
-fn constant_row_holds(relation: Relation, rhs: f64, tol: f64) -> bool {
+/// Whether a constant row `0 (relation) rhs` holds within [`FEAS_TOL`].
+fn constant_row_holds(relation: Relation, rhs: f64) -> bool {
     match relation {
-        Relation::Le => 0.0 <= rhs + tol,
-        Relation::Ge => 0.0 >= rhs - tol,
-        Relation::Eq => rhs.abs() <= tol,
+        Relation::Le => 0.0 <= rhs + FEAS_TOL,
+        Relation::Ge => 0.0 >= rhs - FEAS_TOL,
+        Relation::Eq => rhs.abs() <= FEAS_TOL,
     }
 }
 
@@ -1082,7 +1016,7 @@ fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
 /// every column starts uncomplemented at its lower bound. With `fold`,
 /// every fixed variable is folded out: it gets no column, its `k·lower`
 /// moves into the rows' right-hand sides, and a constraint left without a
-/// free variable is checked against `feasibility_tol` and dropped. Without
+/// free variable is checked against [`FEAS_TOL`] and dropped. Without
 /// `fold` every variable keeps its column (zero widths included), so the
 /// shape never depends on bound values.
 ///
@@ -1102,7 +1036,6 @@ fn build_tableau(
     lower: &[f64],
     upper: &[f64],
     fold: bool,
-    feasibility_tol: f64,
     scratch: &mut SimplexScratch,
 ) -> Result<(), IlpError> {
     let capacity_before = scratch.pooled_capacity();
@@ -1164,7 +1097,7 @@ fn build_tableau(
         }
         let folded_rhs = c.rhs - c.expr.constant() - shift_fixed;
         if fold && row.is_empty() {
-            if !constant_row_holds(c.relation, folded_rhs, feasibility_tol) {
+            if !constant_row_holds(c.relation, folded_rhs) {
                 return Err(IlpError::Infeasible);
             }
             continue;
@@ -1253,7 +1186,6 @@ fn extract(
     fold: bool,
     want_basis: bool,
     iterations: usize,
-    options: SimplexOptions,
 ) -> (LpSolution, Option<Basis>) {
     let t = &scratch.t;
     let y = t.shifted_values();
@@ -1265,7 +1197,7 @@ fn extract(
         .collect();
     let mut objective = model.objective().eval(&values);
     // Clean tiny noise.
-    if !fold && objective.abs() < options.objective_tol {
+    if !fold && objective.abs() < OBJECTIVE_TOL {
         objective = 0.0;
     }
     // A degenerate artificial stuck basic (redundant row) makes the basis
@@ -1308,7 +1240,7 @@ fn solve_full(
     fold: bool,
     lex: bool,
 ) -> Result<(LpSolution, Option<Basis>), IlpError> {
-    build_tableau(model, lower, upper, fold, options.feasibility_tol, scratch)?;
+    build_tableau(model, lower, upper, fold, scratch)?;
     let SimplexScratch {
         t,
         cost,
@@ -1333,19 +1265,23 @@ fn solve_full(
         }
         run_simplex(t, &mut iters, options, ops, PrimalPhase::One)?;
         let phase1 = -t.obj_rhs;
-        if phase1 > options.feasibility_tol {
+        if phase1 > FEAS_TOL {
             return Err(IlpError::Infeasible);
         }
     }
 
-    // Drive artificials out of the basis where possible; drop redundant rows
-    // by leaving them (their rhs is 0 and artificial stays basic at 0 — we
-    // forbid artificials from re-entering in phase 2 instead of removing).
+    // Phase 1 accepted what the artificials still hold (at most FEAS_TOL in
+    // all), so each basic one is shifted to zero: left at a positive value,
+    // it would let phase 2 move its row arbitrarily far from feasible. Then
+    // it is driven out of the basis where a usable pivot exists (a
+    // degenerate pivot); a redundant row keeps it basic at zero, and
+    // artificials never re-enter in phase 2.
     for r in 0..t.m {
-        if t.basis[r] >= t.art0 && t.rhs[r].abs() <= options.pivot_tol {
+        if t.basis[r] >= t.art0 {
+            t.rhs[r] = 0.0;
             let usable = t.rows[r]
                 .iter()
-                .filter(|&&(_, v)| v.abs() > options.pivot_tol)
+                .filter(|&&(_, v)| v.abs() > PIVOT_TOL)
                 .map(|&(j, _)| j);
             let entering = first_in_key_order(&t.flipped, usable, |_| true);
             if let Some(j) = entering {
@@ -1358,9 +1294,9 @@ fn solve_full(
     install_cost_row(model, t, cost, var_col);
     run_simplex(t, &mut iters, options, ops, PrimalPhase::Two)?;
     if lex {
-        lex_canonicalize(t, &mut iters, options, ops);
+        lex_canonicalize(t, &mut iters, ops);
     }
-    Ok(extract(model, lower, scratch, fold, lex, iters, options))
+    Ok(extract(model, lower, scratch, fold, lex, iters))
 }
 
 /// Attempts the warm path: re-install `warm` on a freshly built tableau,
@@ -1376,7 +1312,7 @@ fn try_warm_solve(
     scratch: &mut SimplexScratch,
     warm: &Basis,
 ) -> Option<BasisSolve> {
-    build_tableau(model, lower, upper, false, options.feasibility_tol, scratch).ok()?;
+    build_tableau(model, lower, upper, false, scratch).ok()?;
     if !warm.compatible(&scratch.t) {
         return None;
     }
@@ -1412,7 +1348,7 @@ fn try_warm_solve(
             }
         }
         let (r, magnitude) = best?;
-        if magnitude <= options.pivot_tol {
+        if magnitude <= PIVOT_TOL {
             return None;
         }
         t.pivot(r, col);
@@ -1428,12 +1364,12 @@ fn try_warm_solve(
     // feasibility is finished by the primal phase below; one that lost both
     // is not worth repairing.
     let dual_feasible = t.obj.iter().all(|&c| c >= -EPS);
-    if !t.primal_feasible(options.feasibility_tol) {
+    if !t.primal_feasible() {
         if !dual_feasible {
             return None;
         }
         let mut iters = 0usize;
-        run_dual_simplex(t, &mut iters, options, ops, &[]).ok()?;
+        run_dual_simplex(t, &mut iters, ops, &[]).ok()?;
     }
 
     // Primal cleanup: a no-op when the dual repair already reached
@@ -1441,14 +1377,14 @@ fn try_warm_solve(
     // costs. Errors (unbounded, iteration limit) defer to the cold path.
     let mut iters = 0usize;
     run_simplex(t, &mut iters, options, ops, PrimalPhase::Two).ok()?;
-    if !t.primal_feasible(options.feasibility_tol) {
+    if !t.primal_feasible() {
         // Numerically drifted repair: let the cold path decide.
         return None;
     }
     // Land on the same canonical vertex the cold path reports, so basis
     // reuse can never leak into the returned assignment.
-    lex_canonicalize(t, &mut iters, options, ops);
-    let (solution, basis) = extract(model, lower, scratch, false, true, iters, options);
+    lex_canonicalize(t, &mut iters, ops);
+    let (solution, basis) = extract(model, lower, scratch, false, true, iters);
     Some(BasisSolve {
         solution,
         basis,
@@ -1621,7 +1557,6 @@ impl<'a> RootProbe<'a> {
         if !value.is_finite() {
             return None;
         }
-        let options = self.options;
         let SimplexScratch { t, ops, .. } = &mut *self.scratch;
         t.begin_probe();
         let pinned = value - self.shift[j];
@@ -1631,7 +1566,7 @@ impl<'a> RootProbe<'a> {
         // The dual simplex keeps every movable column's reduced cost
         // nonnegative, and the frozen ones are fixed, so the vertex it
         // stops at is optimal.
-        let result = match run_dual_simplex(t, &mut iters, options, ops, frozen) {
+        let result = match run_dual_simplex(t, &mut iters, ops, frozen) {
             Ok(()) => {
                 let mut values: Vec<f64> = t
                     .shifted_values()
@@ -1788,21 +1723,12 @@ fn ratio_test(
 ///
 /// A variable nonbasic at its lower bound is already at its minimum; one
 /// nonbasic at its upper bound (complemented) is free to move down.
-fn lex_canonicalize(
-    t: &mut Tableau,
-    iters: &mut usize,
-    options: SimplexOptions,
-    ops: &mut SimplexOps,
-) {
+fn lex_canonicalize(t: &mut Tableau, iters: &mut usize, ops: &mut SimplexOps) {
     let (n, m, art0) = (t.n, t.m, t.art0);
     // Columns allowed to enter: zero reduced cost under the (already
     // optimal) phase-2 objective. Basic columns price to exactly zero, so
     // the filter naturally keeps them eligible to re-enter after leaving.
-    let mut allowed: Vec<bool> = t
-        .obj
-        .iter()
-        .map(|c| c.abs() <= options.objective_tol)
-        .collect();
+    let mut allowed: Vec<bool> = t.obj.iter().map(|c| c.abs() <= OBJECTIVE_TOL).collect();
     let mut in_basis = vec![false; art0];
     for &b in &t.basis[..m] {
         if b < art0 {
@@ -1839,7 +1765,7 @@ fn lex_canonicalize(
             }
         }
         loop {
-            if *iters >= options.max_iterations {
+            if *iters >= MAX_ITERATIONS {
                 return; // give up canonicalising, the vertex is still optimal
             }
             let entering = first_in_key_order(&t.flipped, 0..art0, |e| allowed[e] && s[e] < -EPS);
@@ -1866,7 +1792,7 @@ fn lex_canonicalize(
         // Lock x_j: any column that would move it again is banned from
         // entering in later phases.
         for (e, ok) in allowed.iter_mut().enumerate() {
-            if *ok && s[e].abs() > options.objective_tol {
+            if *ok && s[e].abs() > OBJECTIVE_TOL {
                 *ok = false;
             }
         }
@@ -1889,23 +1815,21 @@ fn lex_canonicalize(
 ///
 /// Returns [`IlpError::Infeasible`] when a violated row cannot be repaired:
 /// its movable columns, each moved across its whole box, fall short of the
-/// gap by more than `feasibility_tol` (see `Tableau::reach`), or it has no
+/// gap by more than [`FEAS_TOL`] (see `Tableau::reach`), or it has no
 /// negative entry to pivot on. [`try_warm_solve`] treats that as a
 /// fallback trigger, a [`RootProbe`] as a verdict.
 fn run_dual_simplex(
     t: &mut Tableau,
     iters: &mut usize,
-    options: SimplexOptions,
     ops: &mut SimplexOps,
     frozen: &[bool],
 ) -> Result<(), IlpError> {
     let movable = |j: usize| frozen.get(j) != Some(&true);
-    let tol = options.feasibility_tol;
     loop {
         *iters += 1;
-        if *iters > options.max_iterations {
+        if *iters > MAX_ITERATIONS {
             return Err(IlpError::IterationLimit {
-                limit: options.max_iterations,
+                limit: MAX_ITERATIONS,
             });
         }
         // (row, gap, above its width, tie key)
@@ -1921,10 +1845,10 @@ fn run_dual_simplex(
             } else {
                 (t.box_width(b) - v, true)
             };
-            if gap >= -tol {
+            if gap >= -FEAS_TOL {
                 continue;
             }
-            if gap + t.reach(r, above, movable) < -tol {
+            if gap + t.reach(r, above, movable) < -FEAS_TOL {
                 return Err(IlpError::Infeasible);
             }
             let key = if above { t.m + b } else { r };
@@ -2032,9 +1956,9 @@ fn run_simplex(
     let mut stall = 0usize;
     loop {
         *iters += 1;
-        if *iters > options.max_iterations {
+        if *iters > MAX_ITERATIONS {
             return Err(IlpError::IterationLimit {
-                limit: options.max_iterations,
+                limit: MAX_ITERATIONS,
             });
         }
         let Some(e) = price(&t.obj, &t.flipped, bland)? else {
@@ -2064,14 +1988,15 @@ fn run_simplex(
     }
 }
 
-/// Checks a fully pinned assignment against the model's constraints.
-fn feasible_point(model: &Model, values: &[f64], tol: f64) -> bool {
+/// Checks a fully pinned assignment against the model's constraints,
+/// within [`FEAS_TOL`].
+fn feasible_point(model: &Model, values: &[f64]) -> bool {
     model.constraints().iter().all(|c| {
         let lhs = c.expr.eval(values);
         match c.relation {
-            Relation::Le => lhs <= c.rhs + tol,
-            Relation::Ge => lhs >= c.rhs - tol,
-            Relation::Eq => (lhs - c.rhs).abs() <= tol,
+            Relation::Le => lhs <= c.rhs + FEAS_TOL,
+            Relation::Ge => lhs >= c.rhs - FEAS_TOL,
+            Relation::Eq => (lhs - c.rhs).abs() <= FEAS_TOL,
         }
     })
 }
@@ -2203,27 +2128,30 @@ mod tests {
         approx(s.objective, 1.0);
     }
 
-    /// A phase-1 residual of 1e-8 sits between the old ad-hoc thresholds
-    /// (infeasibility cut-off 1e-6, objective snap 1e-9). With the default
-    /// feasibility tolerance the point passes as feasible; tightening the
-    /// tolerance below the residual flips the verdict to infeasible — the
-    /// decision now belongs to [`SimplexOptions`], not a buried literal.
+    /// A row violated at the box corner by half of [`FEAS_TOL`] passes as
+    /// feasible and one violated by twice it does not, both through the
+    /// LP (as a phase-1 residual) and on the fully pinned path. The LP's
+    /// point stays at the corner: the accepted residual is zeroed before
+    /// phase 2, so minimising `x` cannot grow the row's artificial.
     #[test]
     fn feasibility_tolerance_decides_boundary_phase1_exit() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 1.0);
-        m.set_objective([(x, 1.0)]);
-        // Requires x >= 1 + 1e-8 while x <= 1: violated by exactly 1e-8.
-        m.add_constraint([(x, 1.0)], Relation::Ge, 1.0 + 1e-8)
-            .unwrap();
-        let lax = solve_relaxation(&m, SimplexOptions::default()).unwrap();
-        approx(lax.value(x), 1.0);
-        let tight = SimplexOptions::default().with_feasibility_tol(1e-9);
-        assert_eq!(solve_relaxation(&m, tight), Err(IlpError::Infeasible));
-        // The same knob governs the fully pinned fast path.
-        assert!(solve_with_bounds(&m, &[1.0], &[1.0], SimplexOptions::default()).is_ok());
+        let model = |violation: f64| {
+            let mut m = Model::new(Sense::Minimize);
+            let x = m.add_continuous("x", 0.0, 1.0);
+            m.set_objective([(x, 1.0)]);
+            // Requires x >= 1 + violation while x <= 1.
+            m.add_constraint([(x, 1.0)], Relation::Ge, 1.0 + violation)
+                .unwrap();
+            (m, x)
+        };
+        let opts = SimplexOptions::default();
+        let (inside, x) = model(FEAS_TOL / 2.0);
+        approx(solve_relaxation(&inside, opts).unwrap().value(x), 1.0);
+        assert!(solve_with_bounds(&inside, &[1.0], &[1.0], opts).is_ok());
+        let (outside, _) = model(FEAS_TOL * 2.0);
+        assert_eq!(solve_relaxation(&outside, opts), Err(IlpError::Infeasible));
         assert_eq!(
-            solve_with_bounds(&m, &[1.0], &[1.0], tight),
+            solve_with_bounds(&outside, &[1.0], &[1.0], opts),
             Err(IlpError::Infeasible)
         );
     }
@@ -2389,48 +2317,6 @@ mod tests {
             matches!(got, Err(IlpError::NonFiniteCoefficient { .. })),
             "{got:?}"
         );
-    }
-
-    #[test]
-    fn poisoned_options_are_a_typed_error() {
-        let (m, _, _) = gain_model();
-        for (name, opts) in [
-            (
-                "feasibility_tol",
-                SimplexOptions {
-                    feasibility_tol: f64::NAN,
-                    ..SimplexOptions::default()
-                },
-            ),
-            (
-                "pivot_tol",
-                SimplexOptions {
-                    pivot_tol: -1e-9,
-                    ..SimplexOptions::default()
-                },
-            ),
-            (
-                "objective_tol",
-                SimplexOptions {
-                    objective_tol: f64::INFINITY,
-                    ..SimplexOptions::default()
-                },
-            ),
-        ] {
-            let got = solve_relaxation(&m, opts);
-            match got {
-                Err(IlpError::InvalidTolerance { name: got_name, .. }) => {
-                    assert_eq!(got_name, name);
-                }
-                other => panic!("{name}: expected InvalidTolerance, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "feasibility_tol")]
-    fn builder_rejects_nan_tolerance_at_construction() {
-        let _ = SimplexOptions::default().with_feasibility_tol(f64::NAN);
     }
 
     /// Overflow poisoning: huge coefficients against a tiny pivot element

@@ -5,7 +5,9 @@
 //! the per-op counters, so these tests prove the rule actually fires
 //! rather than the instance merely being easy.
 
-use partita_ilp::simplex::{solve_with_bounds_scratch, SimplexOptions, SimplexScratch};
+use partita_ilp::simplex::{
+    solve_with_bounds_scratch, SimplexOptions, SimplexScratch, MAX_ITERATIONS,
+};
 use partita_ilp::{Model, Relation, Sense};
 
 /// Beale's 1955 counterexample: under Dantzig's most-negative-cost rule
@@ -86,7 +88,7 @@ fn beale_terminates_at_the_known_optimum_via_bland_fallback() {
         sol.objective
     );
     assert!(
-        sol.iterations < options.max_iterations,
+        sol.iterations < MAX_ITERATIONS,
         "termination must come from optimality, not the iteration limit"
     );
     let ops = scratch.ops();
@@ -112,7 +114,7 @@ fn beale_terminates_under_the_default_stall_threshold_too() {
         "got {}",
         sol.objective
     );
-    assert!(sol.iterations < options.max_iterations);
+    assert!(sol.iterations < MAX_ITERATIONS);
 }
 
 #[test]

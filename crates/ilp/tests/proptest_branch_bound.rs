@@ -75,7 +75,7 @@ proptest! {
             (Ok(e), Ok(b)) => {
                 prop_assert!((e.objective - b.objective).abs() < 1e-6,
                     "objective mismatch: exhaustive {} vs b&b {}", e.objective, b.objective);
-                prop_assert!(m.is_feasible(&b.values, 1e-6));
+                prop_assert!(m.is_feasible(&b.values));
             }
             (Err(IlpError::Infeasible), Err(IlpError::Infeasible)) => {}
             (e, b) => prop_assert!(false, "status mismatch: {e:?} vs {b:?}"),
@@ -97,7 +97,7 @@ proptest! {
         match run {
             Ok(run) => {
                 if let Some(sol) = &run.solution {
-                    prop_assert!(m.is_feasible(&sol.values, 1e-6),
+                    prop_assert!(m.is_feasible(&sol.values),
                         "incumbent infeasible under {:?}", run.termination);
                 }
                 match run.termination {

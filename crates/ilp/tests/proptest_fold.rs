@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use partita_ilp::simplex::{solve_with_bounds_scratch, SimplexOptions, SimplexScratch};
-use partita_ilp::{IlpError, LinExpr, LpSolution, Model, Relation, Sense, VarId};
+use partita_ilp::{IlpError, LinExpr, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL};
 
 /// Tolerance below which a bound pair counts as fixed (the solver's own).
 const FIXED_EPS: f64 = 1e-10;
@@ -171,7 +171,7 @@ fn solve_reduced(
         }
         let rhs = c.rhs - c.expr.constant() - shift;
         if terms.is_empty() {
-            let tol = options.feasibility_tol;
+            let tol = FEAS_TOL;
             let ok = match c.relation {
                 Relation::Le => 0.0 <= rhs + tol,
                 Relation::Ge => 0.0 >= rhs - tol,

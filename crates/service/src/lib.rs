@@ -74,35 +74,33 @@ use partita_workloads::Workload;
 
 pub use tenant::TenantPolicy;
 
-/// Daemon-wide knobs. Everything is overridable per deployment; the
-/// defaults suit tests and single-host serving.
+/// Shards of the process-wide canonical cache. More shards, less lock
+/// contention; the full-string keys keep hits collision-free regardless.
+const CACHE_SHARDS: usize = 16;
+
+/// When the number of admitted-but-unfinished jobs exceeds this, new
+/// points degrade to the greedy backend until the backlog drains (graceful
+/// degradation under load; never silent — results say `degraded` and carry
+/// [`partita_core::OptimalityStatus::Heuristic`]).
+const DEGRADE_LOAD: usize = 64;
+
+/// Daemon-wide configuration: the worker count and the cache size. The
+/// shard count and the overload threshold are constants, and tenants
+/// without an explicit [`ServiceCore::set_policy`] get
+/// [`TenantPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads per served stream (default: one per core).
     pub workers: usize,
-    /// Shards of the process-wide canonical cache. More shards, less lock
-    /// contention; the full-string keys keep hits collision-free
-    /// regardless.
-    pub cache_shards: usize,
-    /// Entries per cache shard (LRU beyond that).
+    /// Entries per cache shard, LRU beyond that (default 512).
     pub shard_capacity: usize,
-    /// When the number of admitted-but-unfinished jobs exceeds this, new
-    /// points degrade to the greedy backend until the backlog drains
-    /// (graceful degradation under load; never silent — results say
-    /// `degraded` and carry [`partita_core::OptimalityStatus::Heuristic`]).
-    pub degrade_load: usize,
-    /// Admission policy applied to tenants without an explicit override.
-    pub default_policy: TenantPolicy,
 }
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cache_shards: 16,
             shard_capacity: 512,
-            degrade_load: 64,
-            default_policy: TenantPolicy::default(),
         }
     }
 }
@@ -163,7 +161,7 @@ impl ServiceCore {
     #[must_use]
     pub fn new(config: ServiceConfig) -> ServiceCore {
         ServiceCore {
-            cache: ShardedLru::new(config.cache_shards, config.shard_capacity),
+            cache: ShardedLru::new(CACHE_SHARDS, config.shard_capacity),
             workloads: Mutex::new(HashMap::new()),
             manifest: OnceLock::new(),
             tenants: Mutex::new(HashMap::new()),
@@ -187,7 +185,7 @@ impl ServiceCore {
     }
 
     /// Overrides the admission policy for one tenant (new tenants get
-    /// [`ServiceConfig::default_policy`]).
+    /// [`TenantPolicy::default`]).
     pub fn set_policy(&self, tenant: &str, policy: TenantPolicy) {
         let mut tenants = self.tenants.lock().expect("tenant table lock");
         tenants
@@ -206,7 +204,7 @@ impl ServiceCore {
         tenants
             .get(tenant)
             .map(|s| s.policy.clone())
-            .unwrap_or_else(|| self.config.default_policy.clone())
+            .unwrap_or_default()
     }
 
     /// This core's configuration.
@@ -427,7 +425,7 @@ impl ServiceCore {
                 .map(|s| s.nodes_spent >= s.policy.node_budget)
                 .unwrap_or(false)
         };
-        let overloaded = self.load.load(Ordering::Relaxed) > self.config.degrade_load;
+        let overloaded = self.load.load(Ordering::Relaxed) > DEGRADE_LOAD;
         let degrade = over_budget || overloaded;
         let mut options = spec
             .to_options_at(rg)
@@ -444,7 +442,7 @@ impl ServiceCore {
         let state = tenants
             .entry(tenant.to_string())
             .or_insert_with(|| TenantState {
-                policy: self.config.default_policy.clone(),
+                policy: TenantPolicy::default(),
                 nodes_spent: 0,
             });
         state.nodes_spent = state.nodes_spent.saturating_add(nodes);
@@ -682,6 +680,24 @@ mod tests {
             "a zero in-flight cap must not make queued jobs unrunnable"
         );
         core.finish_job("z");
+    }
+
+    #[test]
+    fn overload_degrades_points_to_greedy_until_the_backlog_drains() {
+        let core = core();
+        for _ in 0..=DEGRADE_LOAD {
+            core.load_enter();
+        }
+        let reply = core.handle_line(
+            r#"{"api_version":1,"id":"o","tenant":"t","method":"solve","instance":"synth-micro-0000","rg":1}"#,
+        );
+        assert!(reply.contains("\"degraded\":true"), "{reply}");
+        assert!(reply.contains("\"status\":\"heuristic\""), "{reply}");
+        assert_eq!(core.stats().degraded, 1);
+        for _ in 0..=DEGRADE_LOAD {
+            core.load_exit();
+        }
+        assert_eq!(core.current_load(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! bits, iteration count, or the same typed error — to the same LP solved
 //! through a fresh allocation.
 //!
-//! Branch-and-bound holds one scratch per worker and re-enters it once per
+//! Branch-and-bound holds one scratch per search and re-enters it once per
 //! node with branch-pinned bounds, so any drift between the two paths
 //! (stale buffer contents, resize-dependent rounding, basis bleed-through)
 //! would silently desynchronise the search from its single-solve oracle.
