@@ -214,10 +214,14 @@ mod tests {
     #[test]
     fn warm_start_reduces_nodes_on_rg_sweep_instance() {
         // Root probing against the greedy incumbent narrows the tree on this
-        // seeded synthetic workload's sweep point; the reduction must be
-        // strict, and both runs must agree on the optimum.
+        // seeded synthetic workload's sweep point (seed 17: 39 cold nodes,
+        // 21 warm); the reduction must be strict, and both runs must agree
+        // on the optimum. Seed 99, used until the fixed-charge M counted
+        // s-calls instead of IMPs, went 229 → 91 nodes warm under the old M
+        // but now takes 91 either way: its probes still fix 26 binaries,
+        // and the tighter relaxation alone already closes what they cut.
         let w = partita_workloads::synth::generate(partita_workloads::synth::SynthParams::sized(
-            12, 8, 2, 99,
+            12, 8, 2, 17,
         ));
         let rg = w.rg_sweep[2];
         let solve = |warm: bool| {

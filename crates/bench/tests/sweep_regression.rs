@@ -40,7 +40,7 @@ fn chained_sweeps_save_nodes_on_published_tables() {
         if label == "fig11" {
             // The hierarchical sweep's pinned counts (BENCH_partita.json
             // fig11:{cold,chained}).
-            assert_eq!((cold.total_nodes(), chained.total_nodes()), (23, 17));
+            assert_eq!((cold.total_nodes(), chained.total_nodes()), (19, 13));
         }
         cold_total += cold.total_nodes();
         chained_total += chained.total_nodes();

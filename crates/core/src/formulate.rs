@@ -36,7 +36,13 @@ pub(crate) struct Formulation {
 /// * Eq. 2 — per-path required gain, one row for every path even at
 ///   requirement zero (`Σ g·x ≥ 0` is redundant, so selections are
 ///   unaffected), which keeps the shape independent of the requirement;
-/// * fixed-charge links `Σ_ij s_ijk·x_ij ≤ M·z_k` (Taha \[10\]);
+/// * fixed-charge links `Σ_ij s_ijk·x_ij ≤ M_k·z_k` (Taha \[10\]), one per
+///   IP `k` that an IMP with a column uses, emitted last in IP order.
+///   `s_ijk ∈ {0,1}`: an IMP that lists `k` twice is one term. `M_k` is
+///   the number of distinct s-calls with such an IMP on `k`: Eq. 1 caps
+///   the left side there, so it is the tightest valid `M_k`. The paper's
+///   `M ≥ Σ x_ij`, the number of IMP columns on `k`, allows the same 0/1
+///   points with a weaker relaxation;
 /// * Problem 2 only: SC-PC conflicts as clique rows. The conflicts of
 ///   [`sc_pc_conflicts`] are grouped by (consuming s-call `A`, consumed
 ///   s-call `B`), and each group becomes one set-packing row
@@ -52,7 +58,8 @@ pub(crate) struct Formulation {
 /// Objective: minimise `Σ_k z_k·a_k + Σ_ij x_ij·c_ij` (areas in tenths).
 ///
 /// IMPs retired in `db` get no column (`x` holds `None`), exactly like the
-/// Problem 1 filter, so they can never be selected.
+/// Problem 1 filter, so they can never be selected and count toward no
+/// `M_k`.
 pub(crate) fn build_model(
     instance: &Instance,
     db: &ImpDb,
@@ -219,19 +226,28 @@ pub(crate) fn build_model(
         }
     }
 
-    // Fixed-charge indicators z_k for every IP used by an active IMP.
-    let mut users: BTreeMap<IpId, Vec<VarId>> = BTreeMap::new();
+    // Fixed-charge indicators z_k for every IP used by an active IMP. The
+    // users of IP k are grouped by s-call: Eq. 1 lets at most one of each
+    // group be selected, so M_k is the number of s-calls with an active
+    // IMP on k, and an IMP listing k twice is one user (s_ijk ∈ {0,1}).
+    let mut users: BTreeMap<IpId, BTreeMap<CallSiteId, Vec<VarId>>> = BTreeMap::new();
     for imp in db.imps() {
         if let Some(v) = x[imp.id.index()] {
             for &ip in &imp.ips {
-                users.entry(ip).or_default().push(v);
+                users
+                    .entry(ip)
+                    .or_default()
+                    .entry(imp.scall)
+                    .or_default()
+                    .push(v);
             }
         }
     }
     let mut z = BTreeMap::new();
-    for (&ip, vars) in &users {
+    for (&ip, by_scall) in &users {
         let zv = model.add_binary(format!("z_{ip}"));
-        fixed_charge::link_indicator(&mut model, zv, vars).map_err(CoreError::Ilp)?;
+        fixed_charge::link_indicator(&mut model, zv, by_scall.values().map(|g| g.iter().copied()))
+            .map_err(CoreError::Ilp)?;
         z.insert(ip, zv);
     }
 
@@ -623,6 +639,146 @@ mod tests {
     fn clique_rows_allow_exactly_the_pairwise_integer_points() {
         for (inst, db) in conflict_databases() {
             assert_same_integer_points_as_the_pairs(&db, &problem2(&inst, &db));
+        }
+    }
+
+    /// Over every 0/1 assignment of the IMP columns and the indicators,
+    /// Eq. 1 plus the emitted fixed-charge rows hold exactly when Eq. 1
+    /// plus the paper's rows `Σ_ij s_ijk·x_ij ≤ M·z_k` hold, with `M` the
+    /// number of IMP columns on IP `k` (§4.1's `M ≥ Σ x_ij` without Eq. 1).
+    fn assert_same_integer_points_as_paper_m(db: &ImpDb, form: &Formulation) {
+        let cols: Vec<VarId> = form
+            .map
+            .x
+            .iter()
+            .flatten()
+            .chain(form.map.z.values())
+            .copied()
+            .collect();
+        assert!(
+            cols.len() <= 16,
+            "{} columns: too many to enumerate",
+            cols.len()
+        );
+        let eq1 = rows(form, "one_imp_");
+        let tight = rows(form, "fixed-charge");
+        assert_eq!(tight.len(), form.map.z.len(), "one row per indicator");
+        let paper: Vec<(Vec<VarId>, VarId)> = form
+            .map
+            .z
+            .iter()
+            .map(|(ip, &z)| {
+                let users = db
+                    .imps()
+                    .iter()
+                    .filter(|imp| imp.ips.contains(ip))
+                    .filter_map(|imp| form.map.x[imp.id.index()])
+                    .collect();
+                (users, z)
+            })
+            .collect();
+        let mut values = vec![0.0; form.model.num_vars()];
+        for mask in 0u32..(1 << cols.len()) {
+            for (k, v) in cols.iter().enumerate() {
+                values[v.index()] = f64::from((mask >> k) & 1);
+            }
+            let eq1_holds = eq1.iter().all(|r| holds(r, &values));
+            let by_rows = eq1_holds && tight.iter().all(|r| holds(r, &values));
+            let by_paper = eq1_holds
+                && paper.iter().all(|(users, z)| {
+                    let sum: f64 = users.iter().map(|u| values[u.index()]).sum();
+                    sum <= users.len() as f64 * values[z.index()]
+                });
+            assert_eq!(by_rows, by_paper, "assignment {mask:#b}");
+        }
+    }
+
+    /// Three s-calls over three IPs: an IMP listing an IP twice (allowed
+    /// by the public `ImpDb::add`), s-calls sharing IPs, a retired IMP on
+    /// an IP no other IMP uses, and a SwScalls IMP that Problem 1 drops.
+    fn fixed_charge_database() -> (Instance, ImpDb) {
+        let mut inst = Instance::new("big-m");
+        let ips: Vec<IpId> = (0..3)
+            .map(|k| {
+                inst.library.add(
+                    partita_ip::IpBlock::builder(format!("fir{k}"))
+                        .function(IpFunction::Fir)
+                        .area(AreaTenths::from_units(2 + k))
+                        .build(),
+                )
+            })
+            .collect();
+        let scalls = (0..3)
+            .map(|i| {
+                inst.add_scall(SCall::new(
+                    format!("f{i}"),
+                    IpFunction::Fir,
+                    Cycles(100),
+                    TransferJob::new(4, 4),
+                ))
+            })
+            .collect();
+        inst.add_path(scalls);
+        let imp = |sc: u32, on: &[usize], parallel| {
+            Imp::new(
+                CallSiteId(sc),
+                on.iter().map(|&k| ips[k]).collect(),
+                InterfaceKind::Type1,
+                Cycles(40),
+                AreaTenths::from_tenths(3),
+                parallel,
+            )
+        };
+        let consume = ParallelChoice::SwScalls(vec![CallSiteId(2)]);
+        let mut db = ImpDb::from_imps(vec![
+            imp(0, &[0], ParallelChoice::None),
+            imp(0, &[0, 1], ParallelChoice::None),
+            imp(0, &[1, 1], ParallelChoice::None),
+            imp(1, &[0], ParallelChoice::None),
+            imp(1, &[1], consume),
+            imp(2, &[1, 0], ParallelChoice::None),
+            imp(2, &[2], ParallelChoice::None),
+        ]);
+        db.retire(ImpId(6));
+        (inst, db)
+    }
+
+    #[test]
+    fn tight_m_allows_exactly_the_paper_m_integer_points() {
+        let mut cases = conflict_databases();
+        cases.push(fixed_charge_database());
+        for (inst, db) in &cases {
+            for problem in [ProblemKind::Problem1, ProblemKind::Problem2] {
+                let form = build_model(inst, db, problem, &RequiredGains::uniform(Cycles(0)), None)
+                    .unwrap();
+                assert_same_integer_points_as_paper_m(db, &form);
+            }
+        }
+        // The listed-twice IMP is one term, and M counts s-calls: IP 1 has
+        // columns on s-calls 0, 1 and 2 under Problem 2, and Problem 1
+        // drops s-call 1's SwScalls IMP. The retired IMP's IP has no row.
+        let (inst, db) = fixed_charge_database();
+        for (problem, m) in [(ProblemKind::Problem2, 3.0), (ProblemKind::Problem1, 2.0)] {
+            let form = build_model(
+                &inst,
+                &db,
+                problem,
+                &RequiredGains::uniform(Cycles(0)),
+                None,
+            )
+            .unwrap();
+            assert_eq!(form.map.z.len(), 2, "IP 2 is used only by a retired IMP");
+            let z1 = form.map.z[&IpId(1)];
+            let x = |i: usize| form.map.x[i].unwrap();
+            let mut want = vec![(x(1), 1.0), (x(2), 1.0), (x(5), 1.0), (z1, -m)];
+            if problem == ProblemKind::Problem2 {
+                want.insert(2, (x(4), 1.0));
+            }
+            let row = rows(&form, "fixed-charge")
+                .into_iter()
+                .find(|(terms, ..)| terms.contains(&(z1, -m)))
+                .expect("IP 1's row");
+            assert_eq!(row.0, want);
         }
     }
 

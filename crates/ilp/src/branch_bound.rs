@@ -20,7 +20,7 @@ use crate::simplex::{
     solve_with_basis, solve_with_bounds_scratch, Basis, RootProbe, SimplexOps, SimplexOptions,
     SimplexScratch,
 };
-use crate::{IlpError, IlpSolution, LpSolution, Model, Sense, VarId, TIE_TOL};
+use crate::{IlpError, IlpSolution, LpSolution, Model, Relation, Sense, VarId, TIE_TOL};
 
 const INT_TOL: f64 = 1e-6;
 
@@ -218,6 +218,45 @@ impl NodeArena {
         }
     }
 
+    /// Pins, in the reconstructed bounds, every column of a row that has
+    /// no slack left at them. A `≤` row whose least activity over the
+    /// boxes already reaches its right-hand side (a `≥` row whose
+    /// greatest activity only just does) admits each of its columns at
+    /// the one end of its box that gives that activity. One pass in row
+    /// order, with exact comparisons: a row fires only when its extreme
+    /// activity meets the right-hand side exactly, as on integral data at
+    /// integral bounds. The LP feasible set is unchanged; the build folds
+    /// the pinned columns out instead of the simplex reaching the same
+    /// values through degenerate pivots. On a fixed-charge row, a branch
+    /// to `z = 0` pins every user of the IP to 0.
+    fn pin_tight_rows(&mut self, model: &Model) {
+        let (lower, upper) = (&mut self.lower, &mut self.upper);
+        for row in model.constraints() {
+            let terms = || row.expr.iter_terms().filter(|&(_, a)| a != 0.0);
+            let (mut least, mut most) = (0.0, 0.0);
+            for (v, a) in terms() {
+                let (l, u) = (a * lower[v.index()], a * upper[v.index()]);
+                least += l.min(u);
+                most += l.max(u);
+            }
+            // Whether every column sits where it lowers the activity, or
+            // where it raises it.
+            let low = match row.relation {
+                Relation::Le | Relation::Eq if least >= row.rhs => true,
+                Relation::Ge | Relation::Eq if most <= row.rhs => false,
+                _ => continue,
+            };
+            for (v, a) in terms() {
+                let j = v.index();
+                if (a > 0.0) == low {
+                    upper[j] = lower[j];
+                } else {
+                    lower[j] = upper[j];
+                }
+            }
+        }
+    }
+
     /// Hands out a recycled (empty) path vector, or a fresh one.
     fn take_vec(&mut self) -> Vec<BoundFix> {
         self.free.pop().unwrap_or_default()
@@ -351,6 +390,7 @@ impl SearchCtx<'_> {
         stats: &mut BranchBoundStats,
     ) -> Result<Option<(Node, Node)>, IlpError> {
         arena.reconstruct(base_lower, base_upper, &node.path);
+        arena.pin_tight_rows(self.model);
         let lp = match solve_with_bounds_scratch(
             self.model,
             &arena.lower,
@@ -793,7 +833,58 @@ impl BranchBound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Relation;
+
+    /// Rows with no slack left pin their columns at the end that gives
+    /// the row its extreme activity; rows with slack, and columns of
+    /// coefficient zero, are left alone.
+    #[test]
+    fn rows_without_slack_pin_their_columns() {
+        let mut m = Model::new(Sense::Minimize);
+        let x: Vec<VarId> = (0..8).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let z = m.add_binary("z");
+        let rows = [
+            // A fixed-charge row: z = 0 pins both users to 0.
+            (vec![(x[0], 1.0), (x[1], 1.0), (z, -2.0)], Relation::Le, 0.0),
+            // A `≥` row whose greatest activity only just reaches 2.
+            (
+                vec![(x[2], 1.0), (x[3], -1.0), (x[4], 1.0)],
+                Relation::Ge,
+                2.0,
+            ),
+            // Slack left: nothing pinned.
+            (vec![(x[5], 1.0), (x[6], 1.0)], Relation::Le, 1.0),
+            // An equality at its least activity; the zero term stays free.
+            (vec![(x[6], 1.0), (x[7], 0.0)], Relation::Eq, 0.0),
+        ];
+        for (terms, relation, rhs) in rows {
+            m.add_constraint(terms, relation, rhs).unwrap();
+        }
+        let mut arena = NodeArena::new();
+        let (lower, mut upper) = (vec![0.0; 9], vec![1.0; 9]);
+        upper[z.index()] = 0.0;
+        arena.reconstruct(&lower, &upper, &[]);
+        arena.pin_tight_rows(&m);
+        let bounds: Vec<(f64, f64)> = arena
+            .lower
+            .iter()
+            .copied()
+            .zip(arena.upper.iter().copied())
+            .collect();
+        assert_eq!(
+            bounds,
+            [
+                (0.0, 0.0),
+                (0.0, 0.0),
+                (1.0, 1.0),
+                (0.0, 0.0),
+                (1.0, 1.0),
+                (0.0, 1.0),
+                (0.0, 0.0),
+                (0.0, 1.0),
+                (0.0, 0.0),
+            ]
+        );
+    }
 
     #[test]
     fn set_cover_minimum_area() {

@@ -8,16 +8,27 @@
 //! Σ s_ijk · x_ij ≤ M · z_k      (M ≥ Σ x_ij, z_k ∈ {0,1})
 //! ```
 //!
-//! and lets the minimisation objective force `z_k = 0` when unused.
+//! and lets the minimisation objective force `z_k = 0` when unused. Any
+//! `M` that bounds the left side is valid, and the smallest one gives the
+//! tightest LP relaxation. When the users fall into groups of which at
+//! most one member can be 1 (the paper's Eq. 1 allows one IMP per s-call),
+//! the left side is at most the number of groups, so that is `M`.
+
+use std::collections::BTreeSet;
 
 use crate::{IlpError, Model, Relation, VarId};
 
-/// Links an indicator `z` so that it must be 1 whenever any of `users` is 1.
+/// Links an indicator `z` so that it must be 1 whenever any user is 1.
 ///
-/// Adds the constraint `Σ users − M·z ≤ 0` with `M = users.len()` (the
-/// tightest valid big-M for 0/1 users). The caller puts the fixed charge on
-/// `z` in the objective; minimisation then drives `z` to 0 when no user is
-/// selected.
+/// `groups` partitions the users into sets of which the rest of the model
+/// lets at most one be 1, such as the IMPs of one s-call under an
+/// at-most-one row. Adds the constraint `Σ users − M·z ≤ 0` with every
+/// distinct user once and `M` = the number of non-empty groups, the
+/// largest value the sum can reach at a feasible 0/1 point. Singleton
+/// groups make no such promise and give `M` = the number of users. The
+/// grouping only sets `M`; it adds no row. The caller puts the fixed
+/// charge on `z` in the objective; minimisation then drives `z` to 0 when
+/// no user is selected.
 ///
 /// # Errors
 ///
@@ -35,21 +46,40 @@ use crate::{IlpError, Model, Relation, VarId};
 /// // Area 5 charged once if either x is chosen; require gain >= 1.
 /// m.set_objective([(z, 5.0)]);
 /// m.add_constraint([(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0)?;
-/// fixed_charge::link_indicator(&mut m, z, &[x1, x2])?;
+/// fixed_charge::link_indicator(&mut m, z, [[x1], [x2]])?;
 /// let s = BranchBound::new().solve(&m)?;
 /// assert_eq!(s.objective.round() as i64, 5); // z forced to 1
 /// # Ok(())
 /// # }
 /// ```
-pub fn link_indicator(model: &mut Model, z: VarId, users: &[VarId]) -> Result<(), IlpError> {
+pub fn link_indicator<G>(
+    model: &mut Model,
+    z: VarId,
+    groups: impl IntoIterator<Item = G>,
+) -> Result<(), IlpError>
+where
+    G: IntoIterator<Item = VarId>,
+{
+    let mut users = BTreeSet::new();
+    let mut big_m = 0u32;
+    for group in groups {
+        let mut group = group.into_iter().peekable();
+        if group.peek().is_some() {
+            big_m += 1;
+        }
+        users.extend(group);
+    }
     if users.is_empty() {
         // No users can ever force z; pin it to 0 so the charge vanishes.
         return model.add_constraint([(z, 1.0)], Relation::Le, 0.0);
     }
-    let big_m = users.len() as f64;
-    let mut terms: Vec<(VarId, f64)> = users.iter().map(|&u| (u, 1.0)).collect();
-    terms.push((z, -big_m));
-    model.add_labeled_constraint(terms, Relation::Le, 0.0, Some("fixed-charge"))
+    let terms = users.into_iter().map(|u| (u, 1.0));
+    model.add_labeled_constraint(
+        terms.chain([(z, -f64::from(big_m))]),
+        Relation::Le,
+        0.0,
+        Some("fixed-charge"),
+    )
 }
 
 #[cfg(test)]
@@ -63,7 +93,7 @@ mod tests {
         let x = m.add_binary("x");
         let z = m.add_binary("z");
         m.set_objective([(z, 5.0), (x, 1.0)]);
-        link_indicator(&mut m, z, &[x]).unwrap();
+        link_indicator(&mut m, z, [[x]]).unwrap();
         let s = BranchBound::new().solve(&m).unwrap();
         assert_eq!(s.objective, 0.0);
         assert!(!s.is_set(z));
@@ -80,10 +110,33 @@ mod tests {
         // Force two users on.
         m.add_constraint([(x1, 1.0)], Relation::Ge, 1.0).unwrap();
         m.add_constraint([(x3, 1.0)], Relation::Ge, 1.0).unwrap();
-        link_indicator(&mut m, z, &[x1, x2, x3]).unwrap();
+        link_indicator(&mut m, z, [[x1], [x2], [x3]]).unwrap();
         let s = BranchBound::new().solve(&m).unwrap();
         assert!(s.is_set(z));
         assert_eq!(s.objective.round() as i64, 7); // charged once, not twice
+    }
+
+    #[test]
+    fn big_m_counts_groups_and_each_user_appears_once() {
+        let mut m = Model::new(Sense::Minimize);
+        let x: Vec<VarId> = (0..4).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let z = m.add_binary("z");
+        // x0 listed twice in its group, an empty group, x3 alone.
+        let groups = [vec![x[0], x[1], x[0]], vec![], vec![x[2]], vec![x[3]]];
+        link_indicator(&mut m, z, groups).unwrap();
+        let row = &m.constraints()[0];
+        assert_eq!(row.label.as_deref(), Some("fixed-charge"));
+        assert_eq!(
+            row.expr.terms(),
+            [
+                (x[0], 1.0),
+                (x[1], 1.0),
+                (x[2], 1.0),
+                (x[3], 1.0),
+                (z, -3.0)
+            ]
+        );
+        assert_eq!((row.relation, row.rhs), (Relation::Le, 0.0));
     }
 
     #[test]
@@ -91,7 +144,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let z = m.add_binary("z");
         m.set_objective([(z, -3.0)]); // even a rewarding z must stay 0
-        link_indicator(&mut m, z, &[]).unwrap();
+        link_indicator(&mut m, z, [[]; 0]).unwrap();
         let s = BranchBound::new().solve(&m).unwrap();
         assert!(!s.is_set(z));
     }

@@ -137,7 +137,7 @@ proptest! {
             .collect();
         obj.push((z, 13.0));
         m.set_objective(obj);
-        fixed_charge::link_indicator(&mut m, z, &users).expect("link");
+        fixed_charge::link_indicator(&mut m, z, users.iter().map(|&u| [u])).expect("link");
         let exact = solve_binary_exhaustive(&m);
         let bb = BranchBound::new().solve(&m);
         match (exact, bb) {
