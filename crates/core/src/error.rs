@@ -27,10 +27,9 @@ pub enum CoreError {
         /// The missing s-call.
         scall: CallSiteId,
     },
-    /// Every solve budget ran out before any feasible selection was found;
-    /// the problem was *not* proven infeasible. Raised only when
-    /// [`crate::SolveBudget::fallback`] is disabled or the fallback backend
-    /// also fails.
+    /// The solve budget ran out before any feasible selection was found and
+    /// no greedy rescue applied or succeeded; the problem was *not* proven
+    /// infeasible. Only a completed search answers [`CoreError::Infeasible`].
     BudgetExhausted,
     /// The underlying ILP solver failed.
     Ilp(IlpError),

@@ -135,7 +135,7 @@ pub enum Phase {
     ImpGeneration,
     /// Building the 0/1 ILP model.
     Formulation,
-    /// The backend search (including any fallback).
+    /// The backend search (including any greedy rescue).
     Solve,
     /// Decoding the model solution into a [`crate::Selection`].
     Decode,
@@ -249,7 +249,7 @@ pub enum Event {
         /// Which formulation ([`ProblemKind`]).
         problem: ProblemKind,
         /// The backend the options requested (the accepted solution's
-        /// backend — after any fallback — is in [`Event::SolveFinished`]).
+        /// backend — after any greedy rescue — is in [`Event::SolveFinished`]).
         backend: Backend,
     },
     /// One pipeline phase completed.

@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use partita_core::{
-    baseline, Backend, CoreError, FaultPlan, Imp, ImpDb, ImpId, Instance, OptimalityStatus,
-    ParallelChoice, RequiredGains, SCall, SelectionAuditor, SolveBudget, SolveOptions, Solver,
+    baseline, Backend, CoreError, FaultPlan, FaultVerdict, Imp, ImpDb, ImpId, Instance,
+    OptimalityStatus, ParallelChoice, RequiredGains, SCall, SelectionAuditor, SolveBudget,
+    SolveOptions, Solver,
 };
 use partita_interface::{InterfaceKind, TransferJob};
 use partita_ip::{IpBlock, IpFunction, IpId};
@@ -250,16 +251,18 @@ proptest! {
     }
 
     /// Under every injected fault — node-cap exhaustion, an expired
-    /// deadline, a poisoned warm-start hint, fallback disabled — the solver
-    /// either returns an audit-clean feasible selection or a typed error.
-    /// It never silently hands back an infeasible or tampered selection.
+    /// deadline, a poisoned warm-start hint, warm start disabled — the
+    /// solver either returns an audit-clean feasible selection or a typed
+    /// error. It never silently hands back an infeasible or tampered
+    /// selection, and it answers `Infeasible` only where the unbudgeted
+    /// solve does too.
     #[test]
     fn fault_injection_never_silently_infeasible(si in small_instance(), which in 0usize..6) {
         let (inst, db) = build(&si);
         let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(si.required)));
         let plan = match which {
             0 => FaultPlan::new().node_cap(1),
-            1 => FaultPlan::new().node_cap(1).without_fallback(),
+            1 => FaultPlan::new().node_cap(1).without_warm_start(),
             2 => FaultPlan::new().deadline(std::time::Duration::ZERO),
             3 => FaultPlan::new().poisoned_hint(vec![ImpId(999)]),
             4 => FaultPlan::new().without_warm_start(),
@@ -270,6 +273,13 @@ proptest! {
         };
         let verdict = plan.run(&inst, &db, &opts);
         prop_assert!(verdict.is_sound(), "unsound degraded solve: {verdict:?}");
+        if let FaultVerdict::TypedError(CoreError::Infeasible { .. }) = verdict {
+            let reference = Solver::new(&inst).with_imps(db.clone()).solve(&opts);
+            prop_assert!(
+                matches!(reference, Err(CoreError::Infeasible { .. })),
+                "{plan:?} claimed infeasible on a feasible instance"
+            );
+        }
     }
 
     /// Per-path requirements on path 0 only: the solved selection must pass
@@ -306,17 +316,12 @@ proptest! {
         let backend = Backend::ALL[backend_idx];
         let (inst, db) = build_conflicted(&ci);
         let gains = RequiredGains::uniform(Cycles(ci.required));
-        let reference = Solver::new(&inst).with_imps(db.clone()).solve(
-            &SolveOptions::problem2(gains.clone())
-                .budget(SolveBudget::default().with_fallback(None)),
-        );
+        let reference = Solver::new(&inst)
+            .with_imps(db.clone())
+            .solve(&SolveOptions::problem2(gains.clone()));
         let starved = SolveOptions::problem2(gains)
             .backend(backend)
-            .budget(
-                SolveBudget::default()
-                    .with_max_nodes(max_nodes)
-                    .with_fallback(None),
-            );
+            .budget(SolveBudget::default().with_max_nodes(max_nodes));
         match Solver::new(&inst).with_imps(db.clone()).solve(&starved) {
             Ok(sel) => {
                 let opt = reference.as_ref().unwrap_or_else(|e| {

@@ -30,11 +30,12 @@ const MAX_ROOT_PROBES: usize = 32;
 
 /// Branch-and-bound solver for models with binary variables.
 ///
-/// Nodes are explored best-bound-first; branching picks the most fractional
-/// binary of the node's LP optimum. Search effort is bounded by a node budget
-/// and an optional wall-clock deadline; [`BranchBound::run`] reports budget
-/// exhaustion as a [`Termination`] alongside the best incumbent found so far
-/// instead of discarding it.
+/// Nodes are explored best-bound-first; branching picks the fractional
+/// binary of the node's LP optimum with the largest fractionality ×
+/// |objective coefficient| (impact branching). Search effort is bounded by
+/// a node budget and an optional wall-clock deadline; [`BranchBound::run`]
+/// reports budget exhaustion as a [`Termination`] alongside the best
+/// incumbent found so far instead of discarding it.
 ///
 /// # Example
 ///

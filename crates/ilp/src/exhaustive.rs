@@ -142,21 +142,9 @@ pub fn run_binary_exhaustive(
 /// [`MAX_EXHAUSTIVE_BINARIES`] binaries, [`IlpError::Infeasible`] when no
 /// assignment is feasible.
 pub fn solve_binary_exhaustive(model: &Model) -> Result<IlpSolution, IlpError> {
-    solve_binary_exhaustive_counted(model).map(|(sol, _)| sol)
-}
-
-/// Like [`solve_binary_exhaustive`], also returning the number of binary
-/// assignments enumerated (for solve telemetry).
-///
-/// # Errors
-///
-/// Same as [`solve_binary_exhaustive`].
-pub fn solve_binary_exhaustive_counted(model: &Model) -> Result<(IlpSolution, usize), IlpError> {
     let run = run_binary_exhaustive(model, usize::MAX, None)?;
     debug_assert_eq!(run.termination, Termination::Optimal);
-    run.solution
-        .ok_or(IlpError::Infeasible)
-        .map(|sol| (sol, run.assignments_checked))
+    run.solution.ok_or(IlpError::Infeasible)
 }
 
 #[cfg(test)]

@@ -48,8 +48,7 @@ mod solution;
 pub use branch_bound::{lex_less, BranchBound, BranchBoundRun, BranchBoundStats, Termination};
 pub use error::IlpError;
 pub use exhaustive::{
-    run_binary_exhaustive, solve_binary_exhaustive, solve_binary_exhaustive_counted, ExhaustiveRun,
-    MAX_EXHAUSTIVE_BINARIES,
+    run_binary_exhaustive, solve_binary_exhaustive, ExhaustiveRun, MAX_EXHAUSTIVE_BINARIES,
 };
 pub use expr::LinExpr;
 pub use model::{Model, Relation, Sense, VarId, VarKind};

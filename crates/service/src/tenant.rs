@@ -29,8 +29,7 @@ pub struct TenantPolicy {
     /// still complete, and other tenants keep their exact service.
     pub node_budget: u64,
     /// Per-request effort cap. A request's own `max_nodes` / `deadline_ms`
-    /// are honoured only *up to* these values; the fallback backend is
-    /// always the policy's.
+    /// are honoured only *up to* these values.
     pub budget: SolveBudget,
 }
 

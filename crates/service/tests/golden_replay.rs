@@ -35,8 +35,9 @@ fn scripted_replay_matches_committed_golden() {
 #[test]
 fn golden_log_covers_the_protocol() {
     // Guard the request log itself: if someone trims it, the golden gate
-    // silently weakens. Every method and the three protocol error codes
-    // must stay represented.
+    // silently weakens. Every method, the protocol error codes and a
+    // capped solve that stops with nothing (code 201, never 200) must stay
+    // represented.
     for needle in [
         "\"method\":\"ping\"",
         "\"method\":\"solve\"",
@@ -52,6 +53,7 @@ fn golden_log_covers_the_protocol() {
         "\"code\":101,",
         "\"code\":102,",
         "\"code\":103,",
+        "\"code\":201,",
         "\"cache_hit\":true",
     ] {
         assert!(GOLDEN.contains(needle), "golden log lost {needle}");

@@ -65,16 +65,13 @@ fn serial_parallel_and_exhaustive_agree_on_corpus() {
                 Solver::new(&w.instance).with_imps(w.imps.clone()).solve(
                     &SolveOptions::problem2(RequiredGains::uniform(rg))
                         .backend(backend)
-                        // No fallback: a budget problem must surface as an
-                        // error, not silently degrade the comparison. The
-                        // oracle role needs full enumeration, so the node
-                        // budget is effectively unlimited (the exhaustive
-                        // binary-variable cap still bounds the work).
-                        .budget(
-                            SolveBudget::default()
-                                .with_max_nodes(usize::MAX)
-                                .with_fallback(None),
-                        ),
+                        // The oracle role needs full enumeration, so the
+                        // node budget is effectively unlimited (the
+                        // exhaustive binary-variable cap still bounds the
+                        // work); `verdict` rejects any answer that is not
+                        // proven, so a greedy rescue cannot slip into the
+                        // comparison.
+                        .budget(SolveBudget::default().with_max_nodes(usize::MAX)),
                 )
             };
             let ctx = format!("{}, RG {}", entry.id, rg.get());
