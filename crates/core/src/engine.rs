@@ -203,7 +203,7 @@ pub struct SolveTrace {
     /// Simplex tableaus built (one per LP solved at tableau level).
     pub tableau_builds: usize,
     /// Tableau builds that grew none of the simplex scratch's pooled
-    /// buffers (row and column lists, dense vectors), so allocated nothing.
+    /// buffers (rows and their log, dense vectors), so allocated nothing.
     pub scratch_reuses: usize,
     /// Times the simplex entering rule fell back from Dantzig to Bland
     /// inside a degenerate stall.

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::simplex::{
-    solve_with_basis, solve_with_bounds_scratch, Basis, RootProbe, SimplexOps, SimplexOptions,
-    SimplexScratch,
+    solve_with_basis, solve_with_bounds_scratch, Basis, ProbeOutcome, RootProbe, SimplexOps,
+    SimplexOptions, SimplexScratch,
 };
 use crate::{IlpError, IlpSolution, LpSolution, Model, Relation, Sense, VarId, TIE_TOL};
 
@@ -717,18 +717,19 @@ impl BranchBound {
                     // incumbent only appears after the root LP, too late to
                     // narrow the tree from node one.
                     if stats.warm_start_accepted && incumbent.solution.is_some() {
-                        let mut candidates: Vec<(VarId, f64)> = binaries
+                        // Largest |objective coefficient| first, keyed once
+                        // per candidate; the stable sort keeps model order
+                        // among equal keys.
+                        let mut candidates: Vec<(VarId, f64, f64)> = binaries
                             .iter()
                             .map(|&v| (v, lp.value(v)))
                             .filter(|&(v, x)| {
                                 base_lower[v.index()] < base_upper[v.index()]
                                     && (x <= INT_TOL || x >= 1.0 - INT_TOL)
                             })
+                            .map(|(v, x)| (v, x, model.objective().coeff(v).abs()))
                             .collect();
-                        candidates.sort_by(|a, b| {
-                            let c = |v: VarId| model.objective().coeff(v).abs();
-                            c(b.0).total_cmp(&c(a.0))
-                        });
+                        candidates.sort_by(|a, b| b.2.total_cmp(&a.2));
                         let mut prober = RootProbe::new(
                             model,
                             &base_lower,
@@ -736,7 +737,7 @@ impl BranchBound {
                             SimplexOptions::default(),
                             &mut scratch,
                         );
-                        for (v, x) in candidates.into_iter().take(MAX_ROOT_PROBES) {
+                        for (v, x, _) in candidates.into_iter().take(MAX_ROOT_PROBES) {
                             if self.deadline.is_some_and(|d| started.elapsed() >= d) {
                                 break;
                             }
@@ -748,10 +749,17 @@ impl BranchBound {
                                 stats.probes_screened += 1;
                                 true
                             } else {
-                                match prober.probe(v, flipped) {
-                                    Ok(probe) => {
+                                // A probe may stop once its bound passes the
+                                // pruning threshold: it is fixable then.
+                                let cutoff = incumbent.score + TIE_TOL;
+                                match prober.probe(v, flipped, cutoff) {
+                                    Ok(ProbeOutcome::Solved(probe)) => {
                                         stats.simplex_iterations += probe.iterations;
                                         prunable(ctx.norm(probe.objective), incumbent.score)
+                                    }
+                                    Ok(ProbeOutcome::Cutoff { iterations }) => {
+                                        stats.simplex_iterations += iterations;
+                                        true
                                     }
                                     Err(IlpError::Infeasible) => true,
                                     Err(e) => return Err(e),

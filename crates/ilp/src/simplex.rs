@@ -59,25 +59,32 @@
 //! The selector's models reach about 53 rows by 500 columns at
 //! `synth:table` scale, and their tableaus stay mostly zeros: a node
 //! build stores about 1,700 cells of its 28,000, and a pivot row about
-//! 90. Constraint rows are therefore stored as
-//! column-sorted `(column, value)` lists with a column → rows index, while
-//! the objective row and the right-hand side stay dense. Every stored cell
-//! gets exactly the arithmetic a dense tableau would give it (`v -
-//! factor·pv`, a fill-in cell `0.0 - factor·pv`, a cancelled cell stays
-//! stored as zero), and every scan visits cells in the dense order, so
-//! pivots, vertices and tie-breaks match a dense tableau bit for bit; only
-//! the zeros stop costing. Artificial columns are never read (they never
-//! enter), so they are not stored: an artificial is only a basis marker.
+//! 90. Constraint rows are therefore stored as column-sorted `(column,
+//! value)` lists, while the objective row and the right-hand side stay
+//! dense. Artificial columns are never read (they never enter), so they
+//! are not stored: an artificial is only a basis marker.
 //!
-//! A pivot writes the pivot row's positions into a dense column →
-//! position + 1 map held in the tableau (all zero between pivots), so
-//! eliminating a row is one pass over that row: each cell whose column
-//! the map knows is updated in place and its pivot-row position stamped
-//! with the row's stamp. Only the unstamped pivot-row cells are then merged
-//! in from the back as fill-in, so rows stay column-sorted and the cell
-//! order and column-list appends are the ones a walk of both sorted rows
-//! gives. The entering column is priced in two passes over the dense
-//! objective row, the first of them branch-free (see `price`).
+//! Rows are updated lazily (see `LazyRows`). They stay as built (or as of
+//! the last flush), one flat buffer with a by-column copy beside it, and
+//! every pivot, flip and row complement is appended to a log; a pivot's
+//! entry holds its normalised pivot row and the `(row, factor)` list of
+//! the rows it eliminates. A row is replayed through the entries it has
+//! not seen only when something reads it: the pivot row, the cost-row
+//! install, the phase-1 drive-out, lex canonicalisation and the dual
+//! simplex's leaving-row scan and entering-column scan. A column is
+//! replayed on its own, from the by-column base and the log, when the
+//! ratio test, the right-hand-side update of a pivot or flip, or a box
+//! move reads it. Most eliminated rows of a node LP are never read again
+//! before its tableau is discarded, so their elimination never runs.
+//!
+//! Every replayed cell gets exactly the arithmetic eager elimination
+//! gives it, in the same order (`v − factor·pv`, a fill-in cell `0.0 −
+//! factor·pv`, a cancelled cell stays stored as zero), and every scan
+//! visits cells in the dense order, so pivots, vertices and tie-breaks
+//! match a dense tableau bit for bit; only the zeros and the unread rows
+//! stop costing. Outside a root probe, a log with more entries than the
+//! base has cells is flushed into a new base, which bounds what a read
+//! replays by what one eager pivot costs.
 //!
 //! Fixed variables (`lower == upper`) are folded into the right-hand side
 //! while the tableau is built (see [`solve_with_bounds_scratch`]), which
@@ -91,12 +98,15 @@
 //! a bound change of one column: a nonbasic column moves to the pinned
 //! value (its column, times the move, comes off the right-hand side), a
 //! basic one has its box narrowed. Either keeps the root basis dual
-//! feasible, so the dual simplex repairs it in a few pivots; the probe is
-//! then undone from a journal of the rows its pivots touched (the column
-//! lists follow from the rows) plus the dense right-hand side, objective
-//! row, basis and column boxes. Only a basic artificial or a dual-simplex
-//! failure sends a probe to a cold [`solve_with_bounds_scratch`] instead.
-//! Probes skip `lex_canonicalize`: only their objective is used.
+//! feasible, so the dual simplex repairs it in a few pivots, and stops
+//! early once its objective passes the caller's cutoff (the dual objective
+//! only rises, so the probe's optimum lies beyond it too). The first probe
+//! flushes the root LP's log; each probe then only appends to it and
+//! truncates it when it ends, restoring the dense right-hand side,
+//! objective row, basis and column boxes from a snapshot. Only a basic
+//! artificial or a dual-simplex failure sends a probe to a cold
+//! [`solve_with_bounds_scratch`] instead. Probes skip `lex_canonicalize`:
+//! only their objective is used.
 
 use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL};
 
@@ -171,9 +181,9 @@ pub struct SimplexOps {
     pub lex_pivots: usize,
     /// Tableaus built (one per LP solved at tableau level).
     pub tableau_builds: usize,
-    /// Tableau builds that grew none of the scratch's pooled buffers (row
-    /// and column lists, dense vectors) — the scratch-reuse hits that
-    /// skipped every heap allocation.
+    /// Tableau builds that grew none of the scratch's pooled buffers (rows,
+    /// their log, dense vectors) — the scratch-reuse hits that skipped
+    /// every heap allocation.
     pub scratch_reuses: usize,
     /// Times the entering rule fell back from Dantzig to Bland inside a
     /// degenerate stall.
@@ -202,10 +212,11 @@ impl SimplexOps {
 /// Reusable buffers for repeated LP solves.
 ///
 /// Branch-and-bound solves one LP per node. One scratch held for the
-/// whole search lets [`solve_with_bounds_scratch`] reuse the tableau's row
-/// and column lists, the dense vectors and the basis across nodes instead
-/// of re-allocating them. Capacities only grow, so a scratch warmed up on
-/// the root LP serves most descendants without further allocation.
+/// whole search lets [`solve_with_bounds_scratch`] reuse the tableau's
+/// rows and their log, the dense vectors and the basis across nodes
+/// instead of re-allocating them. Capacities only grow, so a scratch
+/// warmed up on the root LP serves most descendants without further
+/// allocation.
 #[derive(Debug, Default)]
 pub struct SimplexScratch {
     /// The tableau of the current solve, its buffers pooled across solves.
@@ -214,11 +225,6 @@ pub struct SimplexScratch {
     cost: Vec<f64>,
     /// Tableau column of each model variable ([`FOLDED`] when folded).
     var_col: Vec<usize>,
-    /// Cells each pooled row keeps room for: the longest model row (with
-    /// its slack cell) at or below its index. A folded build moves rows up
-    /// past the constant rows it drops, so this room keeps any later build
-    /// of the model from growing a row.
-    room: Vec<usize>,
     /// Per-op counters accumulated across every solve through this scratch.
     ops: SimplexOps,
     /// Whether `t` holds the optimal full-shape tableau the last successful
@@ -250,20 +256,14 @@ impl SimplexScratch {
     fn pooled_capacity(&self) -> usize {
         let t = &self.t;
         t.rows.capacity()
-            + t.rows.iter().map(Vec::capacity).sum::<usize>()
-            + t.cols.capacity()
-            + t.cols.iter().map(Vec::capacity).sum::<usize>()
             + t.rhs.capacity()
             + t.obj.capacity()
             + t.basis.capacity()
             + t.width.capacity()
             + t.lo.capacity()
             + t.flipped.capacity()
-            + t.scatter.pos.capacity()
-            + t.scatter.hit.capacity()
             + self.cost.capacity()
             + self.var_col.capacity()
-            + self.room.capacity()
     }
 }
 
@@ -271,8 +271,10 @@ impl SimplexScratch {
 ///
 /// Columns are the `n` structural columns, then one slack/surplus column
 /// per row (`n..art0`), then the artificials (`art0..art0 + n_art`), which
-/// appear only in `basis`. Only the first `m` rows and `art0` column lists
-/// are live; the rest are pooled capacity from earlier, larger solves.
+/// appear only in `basis`. The constraint rows live in `rows`, which
+/// brings a row up to date only when it is read (see [`LazyRows`]); the
+/// right-hand side, objective row, basis and boxes are dense and always
+/// current.
 ///
 /// Structural column `j` holds `y_j − lo_j` while uncomplemented and
 /// `lo_j + width_j − y_j` while complemented (`flipped`), where `y` is the
@@ -289,12 +291,8 @@ struct Tableau {
     art0: usize,
     /// Artificial columns.
     n_art: usize,
-    /// Stored cells of each row, sorted by column. A cell that cancels to
-    /// zero stays stored.
-    rows: Vec<Vec<(usize, f64)>>,
-    /// Rows with a stored cell, per column below `art0`. Appended to on
-    /// fill-in, so unordered: [`Tableau::sort_col`] restores row order.
-    cols: Vec<Vec<usize>>,
+    /// The constraint rows.
+    rows: LazyRows,
     /// Right-hand side per row.
     rhs: Vec<f64>,
     /// Objective (reduced-cost) row over the columns below `art0`.
@@ -311,84 +309,30 @@ struct Tableau {
     lo: Vec<f64>,
     /// Whether each column below `art0` is complemented.
     flipped: Vec<bool>,
-    /// The pivot row's column map, live during a pivot.
-    scatter: Scatter,
-    /// Undo log of a root probe; records nothing while inactive.
-    journal: Journal,
+    /// The dense state the running root probe restores when it ends.
+    saved: ProbeSave,
 }
 
 impl Tableau {
-    /// The cell at `(r, c)`, zero when not stored.
-    #[inline]
-    fn at(&self, r: usize, c: usize) -> f64 {
-        let row = &self.rows[r];
-        match row.binary_search_by_key(&c, |&(j, _)| j) {
-            Ok(i) => row[i].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Row `r`'s pooled cell list, emptied for the build and holding room
-    /// for at least `room` cells (rows are opened in order, so `r` is at
-    /// most one past the pool).
-    fn open_row(&mut self, r: usize, room: usize) -> &mut Vec<(usize, f64)> {
-        if self.rows.len() == r {
-            self.rows.push(Vec::new());
-        }
-        let row = &mut self.rows[r];
-        row.clear();
-        row.reserve(room);
-        row
-    }
-
-    /// Puts column `c`'s row list in row order — the order a dense scan
-    /// down the column visits them, which the tie-breaks depend on.
-    fn sort_col(&mut self, c: usize) {
-        debug_assert!(!self.journal.active, "a probe never sorts a column");
-        self.cols[c].sort_unstable();
-    }
-
-    /// Pivots on `(row, col)`: normalises the pivot row, then eliminates
-    /// `col` from every row with a stored cell there and from the objective
-    /// row. Each updated cell gets the dense tableau's `v - factor·pv`.
+    /// Pivots on `(row, col)`: logs the pivot (see [`LazyRows::pivot`]),
+    /// then updates the right-hand side of every row it eliminates and the
+    /// objective row, as eliminating `col` from them does.
     fn pivot(&mut self, row: usize, col: usize) {
-        let p = self.at(row, col);
-        debug_assert!(p.abs() > 1e-12, "pivot on ~zero element");
-        let inv = 1.0 / p;
-        self.journal.save_row(row, &self.rows[row]);
-        let mut prow = std::mem::take(&mut self.rows[row]);
-        for (_, v) in &mut prow {
-            *v *= inv;
-        }
+        let (inv, prow, factors) = self.rows.pivot(row, col);
         self.rhs[row] *= inv;
         let prhs = self.rhs[row];
-        self.scatter.load(&prow);
-        // No row in column `col`'s list gains a fill-in cell at `col`, so
-        // the list can be detached while other columns' lists grow.
-        let touched = std::mem::take(&mut self.cols[col]);
-        for &r in &touched {
-            if r == row {
-                continue;
-            }
-            let factor = self.at(r, col);
-            if factor != 0.0 {
-                self.journal.save_row(r, &self.rows[r]);
-                self.scatter
-                    .eliminate(&mut self.rows[r], r, &prow, factor, &mut self.cols);
-                self.rhs[r] -= factor * prhs;
-            }
+        for &(r, factor) in factors {
+            self.rhs[r] -= factor * prhs;
         }
-        self.scatter.clear(&prow);
         let factor = self.obj[col];
         if factor != 0.0 {
-            for &(c, pv) in &prow {
+            for &(c, pv) in prow {
                 self.obj[c] -= factor * pv;
             }
             self.obj_rhs -= factor * prhs;
         }
-        self.cols[col] = touched;
-        self.rows[row] = prow;
         self.basis[row] = col;
+        self.rows.settle();
     }
 
     /// Complements column `c` (`z = width − z'`): negates its cells and its
@@ -396,20 +340,16 @@ impl Tableau {
     /// the width, as substituting the complement into each row does.
     fn flip(&mut self, c: usize) {
         let w = self.width[c];
-        for k in 0..self.cols[c].len() {
-            let r = self.cols[c][k];
-            self.journal.save_row(r, &self.rows[r]);
-            let row = &mut self.rows[r];
-            let i = row
-                .binary_search_by_key(&c, |&(j, _)| j)
-                .expect("a listed row stores the column");
-            let v = row[i].1;
-            self.rhs[r] -= v * w;
-            row[i].1 = -v;
+        for (r, &v) in self.rows.column(c).iter().enumerate() {
+            if v != 0.0 {
+                self.rhs[r] -= v * w;
+            }
         }
+        self.rows.push(Entry::Flip(c));
         self.obj_rhs -= self.obj[c] * w;
         self.obj[c] = -self.obj[c];
         self.flipped[c] = !self.flipped[c];
+        self.rows.settle();
     }
 
     /// Complements row `r`'s basic variable, which keeps it basic in `r`:
@@ -417,11 +357,9 @@ impl Tableau {
     /// is positive again and its right-hand side reads `width − value`.
     fn complement_row(&mut self, r: usize) {
         self.flip(self.basis[r]);
-        self.journal.save_row(r, &self.rows[r]);
-        for (_, v) in &mut self.rows[r] {
-            *v = -*v;
-        }
+        self.rows.push(Entry::Complement(r));
         self.rhs[r] = -self.rhs[r];
+        self.rows.settle();
     }
 
     /// Tie key of column `c` reaching its lower bound (`upper == false`)
@@ -461,9 +399,10 @@ impl Tableau {
             a - self.lo[j]
         };
         if delta != 0.0 {
-            for k in 0..self.cols[j].len() {
-                let r = self.cols[j][k];
-                self.rhs[r] -= self.at(r, j) * delta;
+            for (r, &v) in self.rows.column(j).iter().enumerate() {
+                if v != 0.0 {
+                    self.rhs[r] -= v * delta;
+                }
             }
             self.obj_rhs -= self.obj[j] * delta;
         }
@@ -511,13 +450,481 @@ impl Tableau {
     /// over the cells whose sign moves it that way. Cells of other basic
     /// columns are zero up to rounding and only add to the sum, so a gap
     /// wider than the reach proves the row cannot be repaired.
-    fn reach(&self, r: usize, above: bool, movable: impl Fn(usize) -> bool) -> f64 {
+    fn reach(&mut self, r: usize, above: bool, movable: impl Fn(usize) -> bool) -> f64 {
         let b = self.basis[r];
-        self.rows[r]
+        self.rows.replay(r);
+        self.rows
+            .row(r)
             .iter()
             .filter(|&&(j, a)| j != b && (if above { a > 0.0 } else { a < 0.0 }) && movable(j))
             .map(|&(j, a)| a.abs() * self.width[j])
             .sum()
+    }
+
+    /// Starts a root probe: flushes the rows' log, which the probe's
+    /// operations then append to, and snapshots the dense state, which
+    /// they change in place.
+    fn begin_probe(&mut self) {
+        self.rows.begin_probe();
+        let s = &mut self.saved;
+        s.rhs.clear();
+        s.rhs.extend_from_slice(&self.rhs);
+        s.obj.clear();
+        s.obj.extend_from_slice(&self.obj);
+        s.basis.clear();
+        s.basis.extend_from_slice(&self.basis);
+        s.width.clear();
+        s.width.extend_from_slice(&self.width);
+        s.lo.clear();
+        s.lo.extend_from_slice(&self.lo);
+        s.flipped.clear();
+        s.flipped.extend_from_slice(&self.flipped);
+        s.obj_rhs = self.obj_rhs;
+    }
+
+    /// Restores the tableau exactly as [`Tableau::begin_probe`] found it.
+    fn undo_probe(&mut self) {
+        self.rows.end_probe();
+        let s = &self.saved;
+        self.rhs.copy_from_slice(&s.rhs);
+        self.obj.copy_from_slice(&s.obj);
+        self.basis.copy_from_slice(&s.basis);
+        self.width.copy_from_slice(&s.width);
+        self.lo.copy_from_slice(&s.lo);
+        self.flipped.copy_from_slice(&s.flipped);
+        self.obj_rhs = s.obj_rhs;
+    }
+}
+
+/// The dense part of a tableau, as a root probe found it.
+#[derive(Debug, Default)]
+struct ProbeSave {
+    rhs: Vec<f64>,
+    obj: Vec<f64>,
+    obj_rhs: f64,
+    basis: Vec<usize>,
+    width: Vec<f64>,
+    lo: Vec<f64>,
+    flipped: Vec<bool>,
+}
+
+/// Sparse `(index, value)` pairs: a row's cells by column, or a pivot's
+/// factors by row.
+type Cells = [(usize, f64)];
+
+/// One logged operation on the rows.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// A pivot on row `row`. Its normalised cells are
+    /// `log_cells[cells.0..cells.1]`, and `log_factors[factors.0..
+    /// factors.1]` holds `(row, factor)` for every other row with a
+    /// nonzero cell in the pivot column, in row order.
+    Pivot {
+        row: usize,
+        cells: (usize, usize),
+        factors: (usize, usize),
+    },
+    /// Column `c` complemented: its cells are negated.
+    Flip(usize),
+    /// Row `r` negated.
+    Complement(usize),
+}
+
+/// The constraint rows of a [`Tableau`], updated only where they are read.
+///
+/// The rows stay as of their *base* (the build, or the last flush), and
+/// every pivot, flip and row complement since is appended to a log. A row
+/// is replayed through the log entries it has not seen when it is read;
+/// a column is replayed on its own, from the base by column and the
+/// log, when the ratio test, a right-hand-side update or a box move reads
+/// it. Every cell gets exactly the operations eager elimination would
+/// have given it, in the same order, so a replayed row is bit-identical to
+/// the eagerly eliminated one, and a replayed column equals it up to the
+/// sign of zero (a column negates the zeros of the rows that store no
+/// cell there).
+///
+/// Outside a root probe, a log with more entries than the base has cells
+/// is flushed: every row is replayed, becomes the new base, and the log
+/// starts empty. That bounds the walk over the log a read costs by the
+/// work one eager pivot does.
+#[derive(Debug, Default)]
+struct LazyRows {
+    /// Rows in use.
+    m: usize,
+    /// Columns below the artificials (`art0`).
+    cols: usize,
+    /// The rows as of the base, back to back: row `r` is
+    /// `base[base_start[r]..base_start[r + 1]]`, sorted by column. A cell
+    /// that cancels to zero stays stored. One buffer for all rows, so a
+    /// build grows it only when it has more cells than every build before.
+    base: Vec<(usize, f64)>,
+    base_start: Vec<usize>,
+    /// The base by column: column `c`'s `(row, value)` cells, in row
+    /// order, are `by_col[col_start[c]..col_start[c + 1]]`.
+    col_start: Vec<usize>,
+    by_col: Vec<(usize, f64)>,
+    /// The operations since the base.
+    log: Vec<Entry>,
+    /// The logged pivots' normalised rows, back to back.
+    log_cells: Vec<(usize, f64)>,
+    /// The logged pivots' `(row, factor)` lists, back to back.
+    log_factors: Vec<(usize, f64)>,
+    /// Per row, the log entries its replayed copy has applied; zero when
+    /// it has none and reads its base.
+    seen: Vec<usize>,
+    /// Replayed rows, valid where `seen` is nonzero.
+    replayed: Vec<Vec<(usize, f64)>>,
+    /// The rows with a nonzero `seen`.
+    replayed_rows: Vec<usize>,
+    /// Output buffer of one elimination, swapped with the row it updates.
+    spare: Vec<(usize, f64)>,
+    /// Column `column_of` at the log's end, one value per row (zero where
+    /// a row stores no cell).
+    column: Vec<f64>,
+    column_of: Option<usize>,
+    /// Whether a root probe is running: its log must survive to be
+    /// truncated, so it never flushes.
+    probing: bool,
+}
+
+/// The value row `row` stores at column `c`, zero when it stores none.
+#[inline]
+fn cell(row: &[(usize, f64)], c: usize) -> f64 {
+    match row.binary_search_by_key(&c, |&(j, _)| j) {
+        Ok(i) => row[i].1,
+        Err(_) => 0.0,
+    }
+}
+
+/// `row -= factor · prow` over sorted sparse rows: a walk of both that
+/// writes the merged row into `spare` and swaps it in. A shared cell gets
+/// `v − factor·pv`, a pivot-row cell the row lacks `0.0 − factor·pv`.
+fn eliminate(
+    row: &mut Vec<(usize, f64)>,
+    prow: &[(usize, f64)],
+    factor: f64,
+    spare: &mut Vec<(usize, f64)>,
+) {
+    spare.clear();
+    let (mut i, mut k) = (0, 0);
+    while i < row.len() && k < prow.len() {
+        let (c, v) = row[i];
+        let (pc, pv) = prow[k];
+        if c < pc {
+            spare.push((c, v));
+            i += 1;
+        } else if pc < c {
+            spare.push((pc, 0.0 - factor * pv));
+            k += 1;
+        } else {
+            spare.push((c, v - factor * pv));
+            i += 1;
+            k += 1;
+        }
+    }
+    spare.extend_from_slice(&row[i..]);
+    spare.extend(prow[k..].iter().map(|&(pc, pv)| (pc, 0.0 - factor * pv)));
+    std::mem::swap(row, spare);
+}
+
+impl LazyRows {
+    /// Empties the base for a build, which appends its rows in order.
+    fn clear_base(&mut self) {
+        self.base.clear();
+        self.base_start.clear();
+        self.base_start.push(0);
+    }
+
+    /// Ends the base row the build appended last.
+    fn close_base_row(&mut self) {
+        self.base_start.push(self.base.len());
+    }
+
+    /// Base row `r`.
+    fn base_row(&self, r: usize) -> &[(usize, f64)] {
+        &self.base[self.base_start[r]..self.base_start[r + 1]]
+    }
+
+    /// Makes the `m` appended rows, over `cols` columns, the base of an
+    /// empty log.
+    fn reset(&mut self, m: usize, cols: usize) {
+        self.m = m;
+        self.cols = cols;
+        self.seen.clear();
+        self.seen.resize(m, 0);
+        if self.replayed.len() < m {
+            self.replayed.resize_with(m, Vec::new);
+        }
+        if self.column.len() < m {
+            self.column.resize(m, 0.0);
+        }
+        self.replayed_rows.clear();
+        self.clear_log();
+        self.probing = false;
+        self.index();
+    }
+
+    /// Rebuilds the base by column.
+    fn index(&mut self) {
+        let start = &mut self.col_start;
+        start.clear();
+        start.resize(self.cols + 1, 0);
+        for &(c, _) in &self.base {
+            start[c] += 1;
+        }
+        let mut end = 0;
+        for s in start.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        self.by_col.clear();
+        self.by_col.resize(end, (0, 0.0));
+        // Filled from the back, so each column lists its rows in order and
+        // `start[c]` ends where column `c` begins.
+        for r in (0..self.m).rev() {
+            for &(c, v) in &self.base[self.base_start[r]..self.base_start[r + 1]] {
+                start[c] -= 1;
+                self.by_col[start[c]] = (r, v);
+            }
+        }
+    }
+
+    fn clear_log(&mut self) {
+        self.log.clear();
+        self.log_cells.clear();
+        self.log_factors.clear();
+        self.column_of = None;
+    }
+
+    /// Row `r` as of its last replay: current once [`LazyRows::replay`]
+    /// ran since the last change.
+    fn row(&self, r: usize) -> &[(usize, f64)] {
+        debug_assert_eq!(self.seen[r], self.log.len(), "row {r} read unreplayed");
+        if self.seen[r] == 0 {
+            self.base_row(r)
+        } else {
+            &self.replayed[r]
+        }
+    }
+
+    /// Brings row `r` up to date: applies every log entry it has not seen.
+    fn replay(&mut self, r: usize) {
+        let end = self.log.len();
+        let from = self.seen[r];
+        if from == end {
+            return;
+        }
+        let row = &mut self.replayed[r];
+        if from == 0 {
+            row.clear();
+            row.extend_from_slice(&self.base[self.base_start[r]..self.base_start[r + 1]]);
+            self.replayed_rows.push(r);
+        }
+        for entry in &self.log[from..end] {
+            match *entry {
+                Entry::Pivot {
+                    row: p,
+                    cells,
+                    factors,
+                } => {
+                    let prow = &self.log_cells[cells.0..cells.1];
+                    if p == r {
+                        row.clear();
+                        row.extend_from_slice(prow);
+                    } else {
+                        let factors = &self.log_factors[factors.0..factors.1];
+                        if let Ok(i) = factors.binary_search_by_key(&r, |&(q, _)| q) {
+                            eliminate(row, prow, factors[i].1, &mut self.spare);
+                        }
+                    }
+                }
+                Entry::Flip(c) => {
+                    if let Ok(i) = row.binary_search_by_key(&c, |&(j, _)| j) {
+                        row[i].1 = -row[i].1;
+                    }
+                }
+                Entry::Complement(q) => {
+                    if q == r {
+                        for (_, v) in row.iter_mut() {
+                            *v = -*v;
+                        }
+                    }
+                }
+            }
+        }
+        self.seen[r] = end;
+    }
+
+    /// Column `c` at the log's end, one value per row: each row's value as
+    /// of its replay (or its base), carried through the log entries the
+    /// row has not seen.
+    fn column(&mut self, c: usize) -> &[f64] {
+        if self.column_of != Some(c) {
+            let col = &mut self.column[..self.m];
+            col.fill(0.0);
+            let seen = &self.seen;
+            for &(r, v) in &self.by_col[self.col_start[c]..self.col_start[c + 1]] {
+                if seen[r] == 0 {
+                    col[r] = v;
+                }
+            }
+            for &r in &self.replayed_rows {
+                col[r] = cell(&self.replayed[r], c);
+            }
+            for (k, entry) in self.log.iter().enumerate() {
+                match *entry {
+                    Entry::Pivot {
+                        row,
+                        cells,
+                        factors,
+                    } => {
+                        let prow = &self.log_cells[cells.0..cells.1];
+                        let Ok(i) = prow.binary_search_by_key(&c, |&(j, _)| j) else {
+                            // The pivot row stores no cell here, and no
+                            // other row's cell moves.
+                            if seen[row] <= k {
+                                col[row] = 0.0;
+                            }
+                            continue;
+                        };
+                        let pv = prow[i].1;
+                        if seen[row] <= k {
+                            col[row] = pv;
+                        }
+                        for &(r, f) in &self.log_factors[factors.0..factors.1] {
+                            if seen[r] <= k {
+                                col[r] -= f * pv;
+                            }
+                        }
+                    }
+                    Entry::Flip(j) => {
+                        if j == c {
+                            for (v, &s) in col.iter_mut().zip(seen) {
+                                if s <= k {
+                                    *v = -*v;
+                                }
+                            }
+                        }
+                    }
+                    Entry::Complement(r) => {
+                        if seen[r] <= k {
+                            col[r] = -col[r];
+                        }
+                    }
+                }
+            }
+            self.column_of = Some(c);
+        }
+        &self.column[..self.m]
+    }
+
+    /// Column `c` as [`LazyRows::column`] last replayed it.
+    fn column_read(&self, c: usize) -> &[f64] {
+        debug_assert_eq!(self.column_of, Some(c), "column {c} read unreplayed");
+        &self.column[..self.m]
+    }
+
+    /// Logs a pivot on `(row, col)`: normalises the pivot row, and lists
+    /// every other row with a nonzero cell in `col` with that cell as its
+    /// factor. Returns the reciprocal of the pivot element, the normalised
+    /// row and the `(row, factor)` list.
+    fn pivot(&mut self, row: usize, col: usize) -> (f64, &Cells, &Cells) {
+        self.column(col);
+        self.replay(row);
+        let cells = if self.seen[row] == 0 {
+            &self.base[self.base_start[row]..self.base_start[row + 1]]
+        } else {
+            &self.replayed[row]
+        };
+        let p = cell(cells, col);
+        debug_assert!(p.abs() > 1e-12, "pivot on ~zero element");
+        let inv = 1.0 / p;
+        let c0 = self.log_cells.len();
+        self.log_cells
+            .extend(cells.iter().map(|&(c, v)| (c, v * inv)));
+        let f0 = self.log_factors.len();
+        for (r, &f) in self.column[..self.m].iter().enumerate() {
+            if r != row && f != 0.0 {
+                self.log_factors.push((r, f));
+            }
+        }
+        self.push(Entry::Pivot {
+            row,
+            cells: (c0, self.log_cells.len()),
+            factors: (f0, self.log_factors.len()),
+        });
+        (inv, &self.log_cells[c0..], &self.log_factors[f0..])
+    }
+
+    /// Appends an entry to the log.
+    fn push(&mut self, entry: Entry) {
+        self.log.push(entry);
+        self.column_of = None;
+    }
+
+    /// Flushes once the log holds more entries than the base has cells,
+    /// outside a probe. A probe's log holds only its own pivots, which the
+    /// dual simplex and its cutoff keep short.
+    fn settle(&mut self) {
+        if !self.probing && self.log.len() > self.by_col.len() {
+            self.flush();
+        }
+    }
+
+    /// Replays every row and makes the result the new base of an empty
+    /// log.
+    fn flush(&mut self) {
+        if self.log.is_empty() {
+            return;
+        }
+        for r in 0..self.m {
+            self.replay(r);
+        }
+        // A nonempty log moved every row to a replayed copy.
+        self.clear_base();
+        for r in 0..self.m {
+            self.base.extend_from_slice(&self.replayed[r]);
+            self.close_base_row();
+            self.seen[r] = 0;
+        }
+        self.replayed_rows.clear();
+        self.clear_log();
+        self.index();
+    }
+
+    /// Starts a root probe on a flushed log.
+    fn begin_probe(&mut self) {
+        debug_assert!(!self.probing, "probes do not nest");
+        self.flush();
+        self.probing = true;
+    }
+
+    /// Ends the root probe: truncates the log back to the probe's start,
+    /// so every row reads the base the probe found.
+    fn end_probe(&mut self) {
+        for &r in &self.replayed_rows {
+            self.seen[r] = 0;
+        }
+        self.replayed_rows.clear();
+        self.clear_log();
+        self.probing = false;
+    }
+
+    /// Total capacity of the pooled buffers.
+    fn capacity(&self) -> usize {
+        self.base.capacity()
+            + self.base_start.capacity()
+            + self.col_start.capacity()
+            + self.by_col.capacity()
+            + self.log.capacity()
+            + self.log_cells.capacity()
+            + self.log_factors.capacity()
+            + self.seen.capacity()
+            + self.replayed.capacity()
+            + self.replayed.iter().map(Vec::capacity).sum::<usize>()
+            + self.replayed_rows.capacity()
+            + self.spare.capacity()
+            + self.column.capacity()
     }
 }
 
@@ -541,194 +948,6 @@ fn first_in_key_order(
         }
     }
     first_flipped
-}
-
-/// The pivot row's dense column map and the hit stamps of one row
-/// elimination. Sized to the column count at build.
-#[derive(Debug, Default)]
-struct Scatter {
-    /// Position + 1 of each column in the pivot row, zero for every column
-    /// outside it; all zero between pivots.
-    pos: Vec<usize>,
-    /// Per pivot-row position, the stamp of the last eliminated row that
-    /// stored a cell there.
-    hit: Vec<usize>,
-    /// Stamp of the current row elimination; grows by one per row.
-    stamp: usize,
-}
-
-impl Scatter {
-    /// Maps the pivot row's columns to their positions.
-    fn load(&mut self, prow: &[(usize, f64)]) {
-        for (i, &(c, _)) in prow.iter().enumerate() {
-            self.pos[c] = i + 1;
-        }
-    }
-
-    /// Zeroes the map again after the pivot.
-    fn clear(&mut self, prow: &[(usize, f64)]) {
-        for &(c, _) in prow {
-            self.pos[c] = 0;
-        }
-    }
-
-    /// `row -= factor · prow` over sorted sparse rows, in place, with
-    /// `prow` loaded. One pass over `row` updates the cells stored in both
-    /// where they sit and stamps their `prow` positions. The unstamped
-    /// `prow` cells are then merged in from the back as fill-in, and row
-    /// `r` is appended to their columns' lists, in descending column order.
-    fn eliminate(
-        &mut self,
-        row: &mut Vec<(usize, f64)>,
-        r: usize,
-        prow: &[(usize, f64)],
-        factor: f64,
-        cols: &mut [Vec<usize>],
-    ) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut shared = 0;
-        for cell in row.iter_mut() {
-            let p = self.pos[cell.0];
-            if p != 0 {
-                cell.1 -= factor * prow[p - 1].1;
-                self.hit[p - 1] = stamp;
-                shared += 1;
-            }
-        }
-        let mut fill = prow.len() - shared;
-        if fill == 0 {
-            return;
-        }
-        // `i` old cells are still unplaced; `k` is the next free slot from
-        // the back. Once the last fill-in cell is placed, `k == i` and the
-        // rest of the old cells are already where they belong.
-        let mut i = row.len();
-        row.resize(i + fill, (0, 0.0));
-        let mut k = row.len();
-        for (p, &(c, pv)) in prow.iter().enumerate().rev() {
-            if self.hit[p] == stamp {
-                continue;
-            }
-            while i > 0 && row[i - 1].0 > c {
-                i -= 1;
-                k -= 1;
-                row[k] = row[i];
-            }
-            k -= 1;
-            row[k] = (c, 0.0 - factor * pv);
-            cols[c].push(r);
-            fill -= 1;
-            if fill == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(k, i);
-    }
-}
-
-/// Undo log of one root probe (see [`RootProbe`]).
-///
-/// [`Tableau::begin_probe`] snapshots the dense vectors and activates the
-/// log; from then on the first change to a row appends a copy of it to one
-/// flat buffer. [`Tableau::undo_probe`] copies the rows back. A probe
-/// re-solve changes a few of the tableau's rows, so the log never copies
-/// the tableau. Inactive, it records nothing.
-///
-/// Column lists need no log: a flip or a complemented row changes only
-/// cell values, and a pivot changes the lists only by appending a
-/// row to the list of each fill-in cell's column (the pivot column's list
-/// is put back as it was, and a probe never sorts one). So every list is
-/// its pre-probe self plus a tail of the probe's appends, one per cell a
-/// saved row holds now but did not hold before, and popping one entry per
-/// such cell restores it.
-#[derive(Debug, Default)]
-struct Journal {
-    active: bool,
-    /// Whether row `r` is already saved.
-    row_saved: Vec<bool>,
-    /// Saved rows, as `(row, end of its cells in cells)`.
-    rows: Vec<(usize, usize)>,
-    cells: Vec<(usize, f64)>,
-    rhs: Vec<f64>,
-    obj: Vec<f64>,
-    obj_rhs: f64,
-    basis: Vec<usize>,
-    width: Vec<f64>,
-    lo: Vec<f64>,
-    flipped: Vec<bool>,
-}
-
-impl Journal {
-    /// Saves row `r` before its first change of the active probe.
-    #[inline]
-    fn save_row(&mut self, r: usize, row: &[(usize, f64)]) {
-        if self.active && !self.row_saved[r] {
-            self.row_saved[r] = true;
-            self.cells.extend_from_slice(row);
-            self.rows.push((r, self.cells.len()));
-        }
-    }
-}
-
-impl Tableau {
-    /// Starts a probe: snapshots the right-hand side, objective row,
-    /// basis and column boxes, and makes pivots save what they change.
-    fn begin_probe(&mut self) {
-        let j = &mut self.journal;
-        debug_assert!(!j.active, "probes do not nest");
-        if j.row_saved.len() < self.m {
-            j.row_saved.resize(self.m, false);
-        }
-        j.rhs.clear();
-        j.rhs.extend_from_slice(&self.rhs);
-        j.obj.clear();
-        j.obj.extend_from_slice(&self.obj);
-        j.basis.clear();
-        j.basis.extend_from_slice(&self.basis);
-        j.width.clear();
-        j.width.extend_from_slice(&self.width);
-        j.lo.clear();
-        j.lo.extend_from_slice(&self.lo);
-        j.flipped.clear();
-        j.flipped.extend_from_slice(&self.flipped);
-        j.obj_rhs = self.obj_rhs;
-        j.active = true;
-    }
-
-    /// Restores the tableau exactly as [`Tableau::begin_probe`] found it.
-    fn undo_probe(&mut self) {
-        let j = &mut self.journal;
-        j.active = false;
-        let mut start = 0;
-        for &(r, end) in &j.rows {
-            let saved = &j.cells[start..end];
-            let row = &mut self.rows[r];
-            // Both are sorted by column, and the row only gained cells.
-            let mut k = 0;
-            for &(c, _) in row.iter() {
-                if k < saved.len() && saved[k].0 == c {
-                    k += 1;
-                } else {
-                    let popped = self.cols[c].pop();
-                    debug_assert!(popped.is_some(), "fill-in listed");
-                }
-            }
-            row.clear();
-            row.extend_from_slice(saved);
-            j.row_saved[r] = false;
-            start = end;
-        }
-        j.rows.clear();
-        j.cells.clear();
-        self.rhs.copy_from_slice(&j.rhs);
-        self.obj.copy_from_slice(&j.obj);
-        self.basis.copy_from_slice(&j.basis);
-        self.width.copy_from_slice(&j.width);
-        self.lo.copy_from_slice(&j.lo);
-        self.flipped.copy_from_slice(&j.flipped);
-        self.obj_rhs = j.obj_rhs;
-    }
 }
 
 /// Solves the LP relaxation of `model` with the model's own bounds.
@@ -987,20 +1206,21 @@ fn constant_row_holds(relation: Relation, rhs: f64) -> bool {
 /// rhs ≥ 0, appends its slack/surplus cell and records its starting basic
 /// column (the slack, or [`ARTIFICIAL`]).
 fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
-    let row = &mut t.rows[r];
+    let rows = &mut t.rows;
     let negated = raw_rhs < 0.0;
     if negated {
-        for (_, v) in row.iter_mut() {
+        for (_, v) in &mut rows.base[rows.base_start[r]..] {
             *v = -*v;
         }
     }
     let sign = if negated { -1.0 } else { 1.0 };
     let slack = t.n + r;
     match relation {
-        Relation::Le => row.push((slack, sign)),
-        Relation::Ge => row.push((slack, -sign)),
+        Relation::Le => rows.base.push((slack, sign)),
+        Relation::Ge => rows.base.push((slack, -sign)),
         Relation::Eq => {}
     }
+    rows.close_base_row();
     t.rhs.push(if negated { -raw_rhs } else { raw_rhs });
     t.basis.push(if needs_artificial(relation, raw_rhs) {
         ARTIFICIAL
@@ -1041,19 +1261,8 @@ fn build_tableau(
     let capacity_before = scratch.pooled_capacity();
     scratch.root_resident = false;
     let SimplexScratch {
-        t,
-        cost,
-        var_col,
-        room,
-        ..
+        t, cost, var_col, ..
     } = scratch;
-    room.clear();
-    let mut longest = 0;
-    for c in model.constraints().iter().rev() {
-        longest = longest.max(c.expr.iter_terms().len() + 1);
-        room.push(longest);
-    }
-    room.reverse();
     var_col.clear();
     let mut n = 0;
     for (&l, &u) in lower.iter().zip(upper) {
@@ -1082,8 +1291,9 @@ fn build_tableau(
     }
 
     let mut m = 0;
+    t.rows.clear_base();
     for c in model.constraints() {
-        let row = t.open_row(m, room[m]);
+        let start = t.rows.base.len();
         let mut shift_fixed = 0.0;
         let mut shift_free = 0.0;
         for (v, k) in c.expr.iter_terms() {
@@ -1092,11 +1302,11 @@ fn build_tableau(
                 shift_fixed += k * lower[i];
             } else {
                 shift_free += k * lower[i];
-                row.push((var_col[i], k));
+                t.rows.base.push((var_col[i], k));
             }
         }
         let folded_rhs = c.rhs - c.expr.constant() - shift_fixed;
-        if fold && row.is_empty() {
+        if fold && t.rows.base.len() == start {
             if !constant_row_holds(c.relation, folded_rhs) {
                 return Err(IlpError::Infeasible);
             }
@@ -1118,19 +1328,7 @@ fn build_tableau(
     t.width.resize(t.art0, f64::INFINITY);
     t.flipped.clear();
     t.flipped.resize(t.art0, false);
-    if t.cols.len() < t.art0 {
-        t.cols.resize_with(t.art0, Vec::new);
-        t.scatter.pos.resize(t.art0, 0);
-        t.scatter.hit.resize(t.art0, 0);
-    }
-    for list in &mut t.cols[..t.art0] {
-        list.clear();
-    }
-    for (r, row) in t.rows[..m].iter().enumerate() {
-        for &(c, _) in row {
-            t.cols[c].push(r);
-        }
-    }
+    t.rows.reset(m, t.art0);
     t.obj.clear();
     t.obj.resize(t.art0, 0.0);
     t.obj_rhs = 0.0;
@@ -1167,7 +1365,8 @@ fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &
     for r in 0..t.m {
         let cb = cost.get(t.basis[r]).copied().unwrap_or(0.0);
         if cb != 0.0 {
-            for &(c, v) in &t.rows[r] {
+            t.rows.replay(r);
+            for &(c, v) in t.rows.row(r) {
                 t.obj[c] -= cb * v;
             }
             t.obj_rhs -= cb * t.rhs[r];
@@ -1221,6 +1420,15 @@ fn extract(
     )
 }
 
+/// How a [`run_dual_simplex`] run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DualEnd {
+    /// Primal feasible: the vertex is optimal.
+    Feasible,
+    /// The objective passed the caller's stop first.
+    Cutoff,
+}
+
 /// Which primal phase a [`run_simplex`] call is running — selects the
 /// pivot counter it charges.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1257,7 +1465,7 @@ fn solve_full(
         t.obj_rhs = 0.0;
         for r in 0..t.m {
             if t.basis[r] >= t.art0 {
-                for &(c, v) in &t.rows[r] {
+                for &(c, v) in t.rows.row(r) {
                     t.obj[c] -= v;
                 }
                 t.obj_rhs -= t.rhs[r];
@@ -1279,7 +1487,10 @@ fn solve_full(
     for r in 0..t.m {
         if t.basis[r] >= t.art0 {
             t.rhs[r] = 0.0;
-            let usable = t.rows[r]
+            t.rows.replay(r);
+            let usable = t
+                .rows
+                .row(r)
                 .iter()
                 .filter(|&&(_, v)| v.abs() > PIVOT_TOL)
                 .map(|&(j, _)| j);
@@ -1338,13 +1549,9 @@ fn try_warm_solve(
     let mut assigned = vec![false; m];
     for &col in &warm.cols {
         let mut best: Option<(usize, f64)> = None;
-        t.sort_col(col);
-        for &r in &t.cols[col] {
-            if !assigned[r] {
-                let a = t.at(r, col).abs();
-                if best.is_none_or(|(_, b)| a > b) {
-                    best = Some((r, a));
-                }
+        for (r, &a) in t.rows.column(col).iter().enumerate() {
+            if !assigned[r] && best.is_none_or(|(_, b)| a.abs() > b) {
+                best = Some((r, a.abs()));
             }
         }
         let (r, magnitude) = best?;
@@ -1369,7 +1576,7 @@ fn try_warm_solve(
             return None;
         }
         let mut iters = 0usize;
-        run_dual_simplex(t, &mut iters, ops, &[]).ok()?;
+        run_dual_simplex(t, &mut iters, ops, &[], f64::INFINITY).ok()?;
     }
 
     // Primal cleanup: a no-op when the dual repair already reached
@@ -1401,6 +1608,20 @@ pub struct ProbeCounts {
     pub cold: usize,
 }
 
+/// How a [`RootProbe::probe`] ended.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ProbeOutcome {
+    /// The pinned LP's optimum.
+    Solved(LpSolution),
+    /// The dual simplex's objective passed the cutoff after `iterations`
+    /// iterations. It only rises, so the pinned LP's optimum lies above
+    /// the cutoff too, or the pin is infeasible.
+    Cutoff {
+        /// Dual-simplex iterations run before the stop.
+        iterations: usize,
+    },
+}
+
 /// Bound probes of a root LP, re-solved in place on its optimal tableau.
 ///
 /// Branch-and-bound's root probing asks, for each binary at a bound of
@@ -1413,10 +1634,11 @@ pub struct ProbeCounts {
 /// pivots where a cold solve runs both phases on a fresh build. The
 /// columns of pinned variables may not enter (they are fixed, and a cold
 /// build folds them out), and a leaving row with no negative entry in the
-/// other columns proves the pin infeasible. The probe's pivots are
-/// journaled and undone (see `Journal`), so every probe starts from the
-/// root tableau; [`RootProbe::fix`] leaves a pin behind as a permanent
-/// bound change instead.
+/// other columns proves the pin infeasible. The probe's pivots only append
+/// to the root tableau's log, which the probe truncates when it ends (see
+/// `LazyRows`), so every probe starts from the root tableau;
+/// [`RootProbe::fix`] leaves a pin behind as a permanent bound change
+/// instead.
 ///
 /// A probe runs cold, through [`solve_with_bounds_scratch`], only where
 /// the tableau cannot take it: when the root basis holds an artificial,
@@ -1437,10 +1659,18 @@ pub struct RootProbe<'a> {
     /// Structural columns the dual simplex may not enter: every pinned
     /// variable's. `None` sends every probe cold.
     frozen: Option<Vec<bool>>,
+    /// The model's objective, in minimisation sense, less the tableau's
+    /// (`−obj_rhs`): the constant the shift moved out of the tableau.
+    offset: f64,
     /// Scratch of the cold probes taken while the root tableau is resident.
     cold: SimplexScratch,
     counts: ProbeCounts,
 }
+
+/// Relative margin by which a probe's dual objective must pass the cutoff
+/// before the probe stops: far above the rounding that separates the
+/// tableau's objective from the model's objective at the same point.
+const CUTOFF_MARGIN: f64 = FEAS_TOL;
 
 impl<'a> RootProbe<'a> {
     /// Opens probing of `model` at the bounds `lower`/`upper` on the
@@ -1469,6 +1699,23 @@ impl<'a> RootProbe<'a> {
             && t.m == model.num_constraints()
             && t.basis[..t.m].iter().all(|&b| b < t.art0);
         let frozen = resident.then(|| (0..n).map(|j| is_fixed(lower[j], upper[j])).collect());
+        let offset = if resident {
+            let values: Vec<f64> = t
+                .shifted_values()
+                .iter()
+                .zip(lower)
+                .map(|(&y, &l)| y + l)
+                .collect();
+            let objective = model.objective().eval(&values);
+            let objective = if model.sense() == Sense::Minimize {
+                objective
+            } else {
+                -objective
+            };
+            objective + t.obj_rhs
+        } else {
+            0.0
+        };
         RootProbe {
             model,
             options,
@@ -1477,6 +1724,7 @@ impl<'a> RootProbe<'a> {
             upper: upper.to_vec(),
             shift: lower.to_vec(),
             frozen,
+            offset,
             cold: SimplexScratch::new(),
             counts: ProbeCounts::default(),
         }
@@ -1524,13 +1772,18 @@ impl<'a> RootProbe<'a> {
     /// current bounds: warm on the root tableau, which is then restored, or
     /// cold where the tableau cannot take the pin (see [`RootProbe`]).
     ///
+    /// A warm probe stops early, answering [`ProbeOutcome::Cutoff`], once
+    /// its objective in minimisation sense passes `cutoff` by a rounding
+    /// margin; `f64::INFINITY` solves every probe to its optimum. A cold
+    /// probe always solves to its optimum.
+    ///
     /// # Errors
     ///
     /// [`IlpError::Infeasible`] when the pin leaves the LP infeasible, and
     /// the errors of [`solve_with_bounds_scratch`] from a cold probe.
-    pub fn probe(&mut self, var: VarId, value: f64) -> Result<LpSolution, IlpError> {
+    pub fn probe(&mut self, var: VarId, value: f64, cutoff: f64) -> Result<ProbeOutcome, IlpError> {
         let j = var.index();
-        if let Some(result) = self.probe_warm(j, value) {
+        if let Some(result) = self.probe_warm(j, value, cutoff) {
             self.counts.warm += 1;
             return result;
         }
@@ -1547,12 +1800,17 @@ impl<'a> RootProbe<'a> {
         let result =
             solve_with_bounds_scratch(self.model, &self.lower, &self.upper, self.options, scratch);
         (self.lower[j], self.upper[j]) = saved;
-        result
+        result.map(ProbeOutcome::Solved)
     }
 
     /// The warm probe: pin, dual simplex, undo. `None` when the probe must
     /// run cold instead.
-    fn probe_warm(&mut self, j: usize, value: f64) -> Option<Result<LpSolution, IlpError>> {
+    fn probe_warm(
+        &mut self,
+        j: usize,
+        value: f64,
+        cutoff: f64,
+    ) -> Option<Result<ProbeOutcome, IlpError>> {
         let frozen = self.frozen.as_mut()?;
         if !value.is_finite() {
             return None;
@@ -1562,12 +1820,13 @@ impl<'a> RootProbe<'a> {
         let pinned = value - self.shift[j];
         t.set_box(j, pinned, pinned);
         let was_frozen = std::mem::replace(&mut frozen[j], true);
+        let stop = cutoff - self.offset + CUTOFF_MARGIN * (1.0 + cutoff.abs());
         let mut iters = 0usize;
         // The dual simplex keeps every movable column's reduced cost
         // nonnegative, and the frozen ones are fixed, so the vertex it
         // stops at is optimal.
-        let result = match run_dual_simplex(t, &mut iters, ops, frozen) {
-            Ok(()) => {
+        let result = match run_dual_simplex(t, &mut iters, ops, frozen, stop) {
+            Ok(DualEnd::Feasible) => {
                 let mut values: Vec<f64> = t
                     .shifted_values()
                     .iter()
@@ -1575,12 +1834,13 @@ impl<'a> RootProbe<'a> {
                     .map(|(&y, &l)| y + l)
                     .collect();
                 values[j] = value;
-                Some(Ok(LpSolution {
+                Some(Ok(ProbeOutcome::Solved(LpSolution {
                     objective: self.model.objective().eval(&values),
                     values,
                     iterations: iters,
-                }))
+                })))
             }
+            Ok(DualEnd::Cutoff) => Some(Ok(ProbeOutcome::Cutoff { iterations: iters })),
             Err(IlpError::Infeasible) => Some(Err(IlpError::Infeasible)),
             Err(_) => None,
         };
@@ -1610,9 +1870,9 @@ impl<'a> RootProbe<'a> {
     /// the cold probes' simplex counters to the root scratch.
     #[must_use]
     pub fn finish(self) -> (Vec<f64>, Vec<f64>) {
-        // Node LPs reuse the scratch and never journal: hand the log's
-        // buffers back rather than carry them through the tree search.
-        self.scratch.t.journal = Journal::default();
+        // Node LPs reuse the scratch and never probe: hand the probe's
+        // snapshot back rather than carry it through the tree search.
+        self.scratch.t.saved = ProbeSave::default();
         self.scratch.ops.merge(self.cold.ops);
         (self.lower, self.upper)
     }
@@ -1662,8 +1922,6 @@ fn ratio_test(
     e: usize,
     nan_checks: bool,
 ) -> Result<Option<(Step, f64)>, IlpError> {
-    t.sort_col(e);
-    let t = &*t;
     // (step, ratio, key) of the best candidate so far.
     let mut leave: Option<(Step, f64, usize)> = None;
     let mut offer = |step: Step, ratio: f64, key: usize| match leave {
@@ -1671,8 +1929,9 @@ fn ratio_test(
             if !(ratio < best - EPS || ((ratio - best).abs() <= EPS && key < best_key)) => {}
         _ => leave = Some((step, ratio, key)),
     };
-    for &r in &t.cols[e] {
-        let a = t.at(r, e);
+    t.rows.column(e);
+    let t = &*t;
+    for (r, &a) in t.rows.column_read(e).iter().enumerate() {
         if nan_checks && a.is_nan() {
             return Err(IlpError::NumericalInstability {
                 context: "pivot-column scan",
@@ -1750,7 +2009,8 @@ fn lex_canonicalize(t: &mut Tableau, iters: &mut usize, ops: &mut SimplexOps) {
             Some(rj) => {
                 // x_j = rhs − row (uncomplemented) or width − rhs + row.
                 let sign = if t.flipped[j] { 1.0 } else { -1.0 };
-                for &(c, v) in &t.rows[rj] {
+                t.rows.replay(rj);
+                for &(c, v) in t.rows.row(rj) {
                     s[c] = sign * v;
                 }
                 s[j] = 0.0;
@@ -1782,7 +2042,8 @@ fn lex_canonicalize(t: &mut Tableau, iters: &mut usize, ops: &mut SimplexOps) {
                 Step::Leave { row, .. } => {
                     let factor = s[e];
                     if factor != 0.0 {
-                        for &(c, v) in &t.rows[row] {
+                        t.rows.replay(row);
+                        for &(c, v) in t.rows.row(row) {
                             s[c] -= factor * v;
                         }
                     }
@@ -1813,6 +2074,10 @@ fn lex_canonicalize(t: &mut Tableau, iters: &mut usize, ops: &mut SimplexOps) {
 /// columns marked in `frozen` (shorter than the row: none), which the
 /// caller knows to be fixed.
 ///
+/// With a finite `stop`, the run also ends, answering [`DualEnd::Cutoff`],
+/// once the objective (`−obj_rhs`) exceeds it: the dual objective only
+/// rises, so the repaired optimum lies above `stop` too.
+///
 /// Returns [`IlpError::Infeasible`] when a violated row cannot be repaired:
 /// its movable columns, each moved across its whole box, fall short of the
 /// gap by more than [`FEAS_TOL`] (see `Tableau::reach`), or it has no
@@ -1823,7 +2088,8 @@ fn run_dual_simplex(
     iters: &mut usize,
     ops: &mut SimplexOps,
     frozen: &[bool],
-) -> Result<(), IlpError> {
+    stop: f64,
+) -> Result<DualEnd, IlpError> {
     let movable = |j: usize| frozen.get(j) != Some(&true);
     loop {
         *iters += 1;
@@ -1832,9 +2098,13 @@ fn run_dual_simplex(
                 limit: MAX_ITERATIONS,
             });
         }
+        if -t.obj_rhs > stop {
+            return Ok(DualEnd::Cutoff);
+        }
         // (row, gap, above its width, tie key)
         let mut leave: Option<(usize, f64, bool, usize)> = None;
-        for (r, (&v, &b)) in t.rhs.iter().zip(&t.basis).enumerate() {
+        for r in 0..t.rhs.len() {
+            let (v, b) = (t.rhs[r], t.basis[r]);
             if v.is_nan() {
                 return Err(IlpError::NumericalInstability {
                     context: "dual leaving-row selection",
@@ -1859,13 +2129,14 @@ fn run_dual_simplex(
             }
         }
         let Some((lr, _, above, _)) = leave else {
-            return Ok(()); // primal feasible
+            return Ok(DualEnd::Feasible);
         };
         if above {
             t.complement_row(lr);
         }
+        t.rows.replay(lr);
         let mut enter: Option<(usize, f64, usize)> = None;
-        for &(j, a) in &t.rows[lr] {
+        for &(j, a) in t.rows.row(lr) {
             if a < -EPS && movable(j) {
                 let ratio = t.obj[j] / -a;
                 if ratio.is_nan() {
@@ -1985,6 +2256,100 @@ fn run_simplex(
             PrimalPhase::One => ops.phase1_pivots += 1,
             PrimalPhase::Two => ops.phase2_pivots += 1,
         }
+    }
+}
+
+/// One tableau driven an operation at a time, for the identity test of
+/// the lazy rows against an eager reference
+/// (`crates/ilp/tests/proptest_lazy.rs`). Not a supported API: it runs
+/// the kernel's operations without the simplex's rules for when each is
+/// valid.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct TableauHandle {
+    t: Tableau,
+}
+
+/// The dense part of a [`TableauHandle`]'s tableau.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseState {
+    pub rhs: Vec<f64>,
+    pub obj: Vec<f64>,
+    pub obj_rhs: f64,
+    pub basis: Vec<usize>,
+    pub width: Vec<f64>,
+    pub lo: Vec<f64>,
+    pub flipped: Vec<bool>,
+}
+
+#[doc(hidden)]
+#[allow(missing_docs)]
+impl TableauHandle {
+    /// The unfolded build of `model` at the given bounds, with the
+    /// phase-2 cost row installed.
+    pub fn build(model: &Model, lower: &[f64], upper: &[f64]) -> Result<TableauHandle, IlpError> {
+        check_bounds(lower, upper)?;
+        let mut scratch = SimplexScratch::new();
+        build_tableau(model, lower, upper, false, &mut scratch)?;
+        let SimplexScratch {
+            t, cost, var_col, ..
+        } = &mut scratch;
+        install_cost_row(model, t, cost, var_col);
+        Ok(TableauHandle {
+            t: std::mem::take(t),
+        })
+    }
+
+    /// `(structural columns, rows, columns below the artificials)`.
+    pub fn shape(&self) -> (usize, usize, usize) {
+        (self.t.n, self.t.m, self.t.art0)
+    }
+
+    pub fn row(&mut self, r: usize) -> Vec<(usize, f64)> {
+        self.t.rows.replay(r);
+        self.t.rows.row(r).to_vec()
+    }
+
+    pub fn column(&mut self, c: usize) -> Vec<f64> {
+        self.t.rows.column(c).to_vec()
+    }
+
+    pub fn dense(&self) -> DenseState {
+        let t = &self.t;
+        DenseState {
+            rhs: t.rhs.clone(),
+            obj: t.obj.clone(),
+            obj_rhs: t.obj_rhs,
+            basis: t.basis.clone(),
+            width: t.width.clone(),
+            lo: t.lo.clone(),
+            flipped: t.flipped.clone(),
+        }
+    }
+
+    pub fn pivot(&mut self, row: usize, col: usize) {
+        self.t.pivot(row, col);
+    }
+
+    pub fn flip(&mut self, c: usize) {
+        self.t.flip(c);
+    }
+
+    pub fn complement_row(&mut self, r: usize) {
+        self.t.complement_row(r);
+    }
+
+    pub fn set_box(&mut self, j: usize, a: f64, b: f64) {
+        self.t.set_box(j, a, b);
+    }
+
+    pub fn begin_probe(&mut self) {
+        self.t.begin_probe();
+    }
+
+    pub fn undo_probe(&mut self) {
+        self.t.undo_probe();
     }
 }
 
@@ -2349,17 +2714,22 @@ mod tests {
         }
     }
 
-    /// Rows, column lists, right-hand sides and reduced costs, as bits.
-    type TableauBits = (Vec<Vec<(usize, u64)>>, Vec<Vec<usize>>, Vec<u64>, Vec<u64>);
+    /// Rows, right-hand sides and reduced costs, as bits.
+    type TableauBits = (Vec<Vec<(usize, u64)>>, Vec<u64>, Vec<u64>);
 
-    /// Everything a probe may touch, bit for bit.
-    fn tableau_bits(t: &Tableau) -> TableauBits {
+    /// Everything a probe may touch, bit for bit, with every row replayed.
+    fn tableau_bits(t: &mut Tableau) -> TableauBits {
         (
-            t.rows[..t.m]
-                .iter()
-                .map(|row| row.iter().map(|&(c, v)| (c, v.to_bits())).collect())
+            (0..t.m)
+                .map(|r| {
+                    t.rows.replay(r);
+                    t.rows
+                        .row(r)
+                        .iter()
+                        .map(|&(c, v)| (c, v.to_bits()))
+                        .collect()
+                })
                 .collect(),
-            t.cols[..t.art0].to_vec(),
             t.rhs
                 .iter()
                 .chain([&t.obj_rhs])
@@ -2369,10 +2739,9 @@ mod tests {
         )
     }
 
-    /// Warm probes pivot on the root tableau and undo from the journal:
-    /// afterwards every row, column list (order included), right-hand
-    /// side, reduced cost and basic column is exactly as the root solve
-    /// left it.
+    /// Warm probes pivot on the root tableau and truncate its log when
+    /// they end: afterwards every row, right-hand side, reduced cost and
+    /// basic column is exactly as the root solve left it.
     #[test]
     fn probes_leave_the_root_tableau_bit_identical() {
         // min 4a + 3b + 5c + 2d + 6e  s.t. a knapsack-style cover row, a
@@ -2400,14 +2769,14 @@ mod tests {
         let (lower, upper) = (vec![0.0; 5], vec![1.0; 5]);
         let mut scratch = SimplexScratch::new();
         let root = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
-        let before = tableau_bits(&scratch.t);
+        let before = tableau_bits(&mut scratch.t);
         let basis_before = scratch.t.basis.clone();
         let dual_before = scratch.ops().dual_pivots;
         let mut prober = RootProbe::new(&m, &lower, &upper, opts, &mut scratch);
         for (j, &x) in root.solution.values.iter().enumerate() {
             for value in [0.0, 1.0] {
                 if (value - x).abs() > 1e-9 {
-                    let _ = prober.probe(VarId(j), value);
+                    let _ = prober.probe(VarId(j), value, f64::INFINITY);
                 }
             }
         }
@@ -2415,7 +2784,7 @@ mod tests {
         assert!(prober.counts().warm >= 5, "{:?}", prober.counts());
         let _ = prober.finish();
         assert!(scratch.ops().dual_pivots > dual_before, "probes must pivot");
-        assert_eq!(tableau_bits(&scratch.t), before);
+        assert_eq!(tableau_bits(&mut scratch.t), before);
         assert_eq!(scratch.t.basis, basis_before);
     }
 

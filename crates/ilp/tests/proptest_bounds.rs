@@ -21,7 +21,8 @@
 use proptest::prelude::*;
 
 use partita_ilp::simplex::{
-    solve_with_basis, solve_with_bounds_scratch, RootProbe, SimplexOptions, SimplexScratch,
+    solve_with_basis, solve_with_bounds_scratch, ProbeOutcome, RootProbe, SimplexOptions,
+    SimplexScratch,
 };
 use partita_ilp::{IlpError, LpSolution, Model, Relation, Sense, VarId};
 
@@ -295,7 +296,11 @@ proptest! {
                 1 => top,
                 _ => l + (top - l) / 3.0,
             };
-            let got = prober.probe(VarId(j), value);
+            let got = match prober.probe(VarId(j), value, f64::INFINITY) {
+                Ok(ProbeOutcome::Solved(solution)) => Ok(solution),
+                Ok(cut) => panic!("a probe without a cutoff stopped: {cut:?}"),
+                Err(e) => Err(e),
+            };
             (cur_lower[j], cur_upper[j]) = (value, value);
             let want = explicit(&model, &cur_lower, &cur_upper, options);
             check(&format!("probe x{j} = {value}"), &model, &cur_lower, &cur_upper, &got, &want)?;

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 
 use partita_ilp::simplex::{
-    solve_with_basis, solve_with_bounds_scratch, ProbeCounts, RootProbe, SimplexOptions,
-    SimplexScratch,
+    solve_with_basis, solve_with_bounds_scratch, ProbeCounts, ProbeOutcome, RootProbe,
+    SimplexOptions, SimplexScratch,
 };
 use partita_ilp::{IlpError, LpSolution, Model, Relation, Sense, VarId};
 
@@ -97,6 +97,15 @@ fn norm(model: &Model, objective: f64) -> f64 {
     }
 }
 
+/// The solution of a probe asked for its optimum (no cutoff).
+fn solved(outcome: Result<ProbeOutcome, IlpError>) -> Result<LpSolution, IlpError> {
+    match outcome {
+        Ok(ProbeOutcome::Solved(solution)) => Ok(solution),
+        Ok(cut) => panic!("a probe without a cutoff stopped: {cut:?}"),
+        Err(e) => Err(e),
+    }
+}
+
 /// Feasibility and objective agree: both infeasible, or both optimal with
 /// objectives within 1e-9 relative.
 fn agree(warm: &Result<LpSolution, IlpError>, cold: &Result<LpSolution, IlpError>) -> bool {
@@ -139,7 +148,7 @@ proptest! {
             let v = VarId(j);
             let screen = z + prober.reduced_cost(v, flipped);
             let before = prober.counts();
-            let warm = prober.probe(v, flipped);
+            let warm = solved(prober.probe(v, flipped, f64::INFINITY));
             let after = prober.counts();
 
             let (saved_l, saved_u) = (lower[j], upper[j]);
@@ -161,6 +170,27 @@ proptest! {
                 ProbeCounts { cold: before.cold + 1, ..before }
             };
             prop_assert_eq!(after, want, "x{} -> {}", j, flipped);
+
+            // Under a cutoff a probe may stop early, but only where the
+            // cold bound lies above it (or the pin is infeasible), and a
+            // probe that does not stop still answers the cold optimum.
+            let bound = cold.as_ref().map(|c| norm(&model, c.objective));
+            let cutoffs = match bound {
+                Ok(b) => vec![z, (z + b) / 2.0, b],
+                Err(_) => vec![z],
+            };
+            for cutoff in cutoffs {
+                match prober.probe(v, flipped, cutoff) {
+                    Ok(ProbeOutcome::Cutoff { .. }) => prop_assert!(
+                        bound.as_ref().map_or(true, |&b| b > cutoff),
+                        "x{} -> {}: stopped at cutoff {} below the bound {:?}", j, flipped, cutoff, bound
+                    ),
+                    outcome => {
+                        let outcome = solved(outcome);
+                        prop_assert!(agree(&outcome, &cold), "x{} -> {} cutoff {}: {:?} cold {:?}", j, flipped, cutoff, outcome, cold);
+                    }
+                }
+            }
 
             if accept[j] {
                 // A fix at the root value keeps the root vertex optimal.
@@ -198,12 +228,12 @@ fn equality_row_flips_run_warm() {
     let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
 
     // a ↑ 1 moves a through the equality row: b follows, and costs 4.
-    let up = prober.probe(a, 1.0).unwrap();
+    let up = solved(prober.probe(a, 1.0, f64::INFINITY)).unwrap();
     assert!((up.objective - 4.0).abs() < 1e-9, "{up:?}");
     assert_eq!(up.values, vec![1.0, 1.0, 0.0]);
     assert_eq!(prober.counts(), ProbeCounts { warm: 1, cold: 0 });
     // c ↓ 0 forces b = a = 1.
-    let down = prober.probe(c, 0.0).unwrap();
+    let down = solved(prober.probe(c, 0.0, f64::INFINITY)).unwrap();
     assert!((down.objective - 4.0).abs() < 1e-9, "{down:?}");
     assert_eq!(prober.counts(), ProbeCounts { warm: 2, cold: 0 });
 }
@@ -231,8 +261,9 @@ fn basic_artificial_sends_every_probe_cold() {
     );
     let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
     assert_eq!(prober.reduced_cost(b, 1.0), 0.0, "no tableau, no screen");
-    let up = prober.probe(b, 1.0).unwrap();
+    let up = solved(prober.probe(b, 1.0, f64::INFINITY)).unwrap();
     assert!((up.objective - 2.0).abs() < 1e-9, "{up:?}");
-    assert_eq!(prober.probe(a, 0.0).unwrap().values, vec![0.0, 1.0]);
+    let down = solved(prober.probe(a, 0.0, f64::INFINITY)).unwrap();
+    assert_eq!(down.values, vec![0.0, 1.0]);
     assert_eq!(prober.counts(), ProbeCounts { warm: 0, cold: 2 });
 }

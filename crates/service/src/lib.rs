@@ -508,8 +508,15 @@ impl ServiceCore {
                     cold_solve(w, &options)
                 } else {
                     exact(&options)
-                }
-                .map_err(ApiError::Core)?;
+                };
+                let sel = sel.map_err(|e| {
+                    if e == CoreError::BudgetExhausted {
+                        // A dry search spent its node cap (a deadline stop
+                        // at most that), and the error carries no count.
+                        self.account_nodes(tenant, options.solve_budget().max_nodes as u64);
+                    }
+                    ApiError::Core(e)
+                })?;
                 self.account_nodes(tenant, sel.trace.nodes_explored as u64);
                 self.cache.insert(key, sel.clone());
                 sel

@@ -24,7 +24,8 @@ pub struct TenantPolicy {
     /// [`partita_core::api::ApiError::Overloaded`] (code 429).
     pub max_queued: usize,
     /// Cumulative branch-and-bound nodes the tenant may spend on exact
-    /// solves. Once exhausted, further points degrade to the greedy
+    /// solves; a search that runs dry is charged its clamped node cap.
+    /// Once exhausted, further points degrade to the greedy
     /// backend — honestly labelled, never starved: degraded requests
     /// still complete, and other tenants keep their exact service.
     pub node_budget: u64,

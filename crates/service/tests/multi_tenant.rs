@@ -357,3 +357,43 @@ fn oversized_and_non_utf8_lines_are_malformed_and_the_connection_survives() {
     );
     assert_eq!(core.current_load(), 0, "load accounting leaked");
 }
+
+#[test]
+fn dry_searches_are_charged_to_the_node_budget() {
+    // The golden replay's `r12`: a one-node search of this point runs dry
+    // (code 201). Its tenant may spend less than two such caps.
+    let core = ServiceCore::new(ServiceConfig::default());
+    core.set_policy(
+        "dave",
+        TenantPolicy {
+            node_budget: 1,
+            ..TenantPolicy::default()
+        },
+    );
+    let dry = |id: &str| Request {
+        api_version: partita_core::api::API_VERSION,
+        id: id.to_string(),
+        tenant: "dave".to_string(),
+        body: RequestBody::Solve {
+            instance: "synth-micro-0013".to_string(),
+            spec: SolveSpec {
+                rg: 2760,
+                max_nodes: Some(1),
+                ..SolveSpec::default()
+            },
+        },
+    };
+    let first = core.handle_request(&dry("r12"));
+    match &first.result {
+        Err(e) => assert_eq!(e.code(), 201, "{e:?}"),
+        other => panic!("the capped search must run dry: {other:?}"),
+    }
+    assert_eq!(core.stats().degraded, 0, "the first try runs exact");
+    // The dry search spent the whole budget, so the retry degrades.
+    let _ = core.handle_request(&dry("r12-retry"));
+    assert_eq!(
+        core.stats().degraded,
+        1,
+        "the retry must not re-spend the cap"
+    );
+}

@@ -14,7 +14,7 @@
 //! the 96 are settled by the reduced-cost screen with no LP), so each point
 //! builds at most one tableau per node: the 32 cold probe builds per point
 //! and their two-phase pivots are gone, and the dual pivots are the warm
-//! probes'. A node whose rows with no slack left pin every column (see
+//! probes', each stopped once its bound passes the incumbent. A node whose rows with no slack left pin every column (see
 //! `pin_tight_rows` in `branch_bound.rs`) builds none, so point 0 builds
 //! 22 tableaus for 27 nodes.
 //!
@@ -52,7 +52,7 @@ const PINNED: [Pinned; 3] = [
         builds: 22,
         phase1: 58,
         phase2: 42,
-        dual: 11,
+        dual: 5,
         lex: 0,
     },
     Pinned {
@@ -63,7 +63,7 @@ const PINNED: [Pinned; 3] = [
         builds: 45,
         phase1: 277,
         phase2: 178,
-        dual: 54,
+        dual: 28,
         lex: 0,
     },
     Pinned {
@@ -74,7 +74,7 @@ const PINNED: [Pinned; 3] = [
         builds: 31,
         phase1: 370,
         phase2: 248,
-        dual: 53,
+        dual: 40,
         lex: 0,
     },
 ];
