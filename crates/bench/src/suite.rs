@@ -200,8 +200,8 @@ pub struct ServiceResult {
     /// Points answered from the shared canonical cache — every second
     /// tenant's pass, so nonzero by construction.
     pub cache_hits: u64,
-    /// Points degraded to the greedy backend by admission control (0 for
-    /// the unconstrained benchmark policy).
+    /// Points degraded to the greedy backend under load (0: the sequence
+    /// is answered one request at a time, so no backlog builds).
     pub degraded: u64,
 }
 

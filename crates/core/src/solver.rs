@@ -1091,7 +1091,7 @@ mod tests {
     }
 
     #[test]
-    fn one_node_budget_falls_back_to_greedy() {
+    fn one_node_cap_falls_back_to_greedy() {
         let (inst, db) = needs_two_imps();
         let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(700)))
             .warm_start(false)
@@ -1105,7 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn one_node_budget_without_rescue_errors() {
+    fn one_node_cap_without_rescue_errors() {
         let (inst, db) = greedy_trap();
         let gains = RequiredGains::uniform(Cycles(1000));
         assert!(matches!(

@@ -13,7 +13,8 @@
 //!   the display name), the IMP database and the answer-shaping options.
 //!   Returned [`Selection`]s are memoized in a bounded LRU cache, so
 //!   duplicate, isomorphic or revisited requests hit the cache and return
-//!   byte-identical results — whichever path first solved them.
+//!   byte-identical results — whichever path first solved them. Answers a
+//!   budget stop picked are not memoized ([`is_cacheable`]).
 //! * **Descending-RG warm-start chaining.** A uniform-gain sweep has
 //!   monotone structure: a selection feasible at gain `r` is feasible at
 //!   every `r' < r` (it achieves at least `r` on every path). So
@@ -41,7 +42,10 @@ use crate::cache::{fnv1a64, LruCache};
 use crate::delta::{DeltaSession, InstanceDelta};
 use crate::solver::solve_cold;
 use crate::telemetry::{CacheKind, Event, TelemetrySink};
-use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
+use crate::{
+    CoreError, ImpDb, Instance, OptimalityStatus, RequiredGains, Selection, SolveOptions,
+    SolveTrace,
+};
 
 /// Memoized selections a [`SweepSession`] holds before evicting the least
 /// recently used.
@@ -205,10 +209,10 @@ pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
 /// those effort knobs.
 ///
 /// The invariance holds only for completed searches: under a node cap or
-/// deadline the seeds pick the incumbent, so a capped answer can differ
-/// with the hint or warm-start flag, and a session serving both settings
-/// can hand one's cached capped answer to the other. This is an open
-/// `FOUND:` entry in CHANGES.md.
+/// deadline the seeds pick the incumbent, and whether greedy rescues a
+/// dry search, so a budget-stopped answer can differ with the hint or the
+/// warm-start flag. Such answers are never cached ([`is_cacheable`]), so
+/// a key shared across those knobs only ever serves a completed answer.
 #[must_use]
 pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptions) -> String {
     format!(
@@ -219,6 +223,19 @@ pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptio
         options.power_budget_mw,
         options.backend,
         options.budget,
+    )
+}
+
+/// Whether a solve cache may store `sel` under its [`canonical_solve_key`]:
+/// every answer except those a budget stop picked
+/// ([`OptimalityStatus::FeasibleBudgetExhausted`] and
+/// [`OptimalityStatus::FallbackUsed`]), the only ones the key's excluded
+/// hint and warm-start flag can change.
+#[must_use]
+pub fn is_cacheable(sel: &Selection) -> bool {
+    !matches!(
+        sel.status,
+        OptimalityStatus::FeasibleBudgetExhausted | OptimalityStatus::FallbackUsed
     )
 }
 
@@ -360,7 +377,8 @@ impl SweepSession {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`crate::Solver::solve`]; errors are not cached.
+    /// Exactly those of [`crate::Solver::solve`]; errors are not cached
+    /// (nor are budget-stopped answers, see [`is_cacheable`]).
     pub fn solve(
         &mut self,
         instance: &Instance,
@@ -469,7 +487,7 @@ impl SweepSession {
     /// The cache-first step shared by every request: answers from the solve
     /// cache when the canonical key matches, otherwise runs `miss` (which
     /// returns the selection and whether it was chained), memoizes the
-    /// result and records the point.
+    /// result when [`is_cacheable`] and records the point.
     fn answer(
         &mut self,
         instance: &Instance,
@@ -506,7 +524,9 @@ impl SweepSession {
             nodes_explored: sel.trace.nodes_explored,
             wall: started.elapsed(),
         });
-        self.solves.insert(key, sel.clone());
+        if is_cacheable(&sel) {
+            self.solves.insert(key, sel.clone());
+        }
         Ok(sel)
     }
 }

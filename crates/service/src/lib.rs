@@ -17,14 +17,15 @@
 //! # Shape
 //!
 //! * [`ServiceCore`] — the daemon state: sharded canonical cache, resolved
-//!   corpus workloads, per-tenant accounting, counters. Protocol handling
-//!   is [`ServiceCore::handle_request`]; everything else (stdio pump,
-//!   socket listeners, scripted replay) funnels into it.
-//! * [`TenantPolicy`] — admission control, built on
-//!   [`partita_core::SolveBudget`]: per-request node/deadline caps, a
-//!   cumulative node budget after which the tenant degrades to the greedy
-//!   backend (honestly reported as [`partita_core::OptimalityStatus::Heuristic`]), an
-//!   in-flight cap and a queue cap enforced by the fair scheduler.
+//!   corpus workloads, per-tenant admission counters, counters. Protocol
+//!   handling is [`ServiceCore::handle_request`]; everything else (stdio
+//!   pump, socket listeners, scripted replay) funnels into it.
+//! * Admission control, the same constants for every tenant: a request's
+//!   node cap is clamped to [`partita_core::SolveBudget::default`]'s, each
+//!   tenant may run 4 jobs at once and queue 1,024 across every connection
+//!   (enforced by the fair scheduler), and under load points degrade to
+//!   the greedy backend (honestly reported as
+//!   [`partita_core::OptimalityStatus::Heuristic`]).
 //! * [`server`] — a worker pool per served stream (stdin/stdout, or each
 //!   Unix/TCP connection; `workers` threads each, one per core by default)
 //!   with a fair per-tenant FIFO (round-robin across tenants, FIFO within
@@ -53,7 +54,6 @@
 
 pub mod replay;
 pub mod server;
-mod tenant;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -65,14 +65,12 @@ use partita_core::api::{
 };
 use partita_core::cache::{fnv1a64, ShardedLru};
 use partita_core::delta::{DeltaSession, InstanceDelta};
-use partita_core::sweep::canonical_solve_key;
+use partita_core::sweep::{canonical_solve_key, is_cacheable};
 use partita_core::telemetry::{self, CacheKind, Event, TelemetrySink};
 use partita_core::verify::SelectionAuditor;
-use partita_core::{Backend, CoreError, Redaction, Selection, SolveOptions};
+use partita_core::{Backend, CoreError, Redaction, Selection, SolveBudget, SolveOptions};
 use partita_workloads::corpus::{self, ManifestEntry};
 use partita_workloads::Workload;
-
-pub use tenant::TenantPolicy;
 
 /// Shards of the process-wide canonical cache. More shards, less lock
 /// contention; the full-string keys keep hits collision-free regardless.
@@ -84,10 +82,19 @@ const CACHE_SHARDS: usize = 16;
 /// [`partita_core::OptimalityStatus::Heuristic`]).
 const DEGRADE_LOAD: usize = 64;
 
+/// Jobs of one tenant that may run at once, counted across every served
+/// connection; beyond this, the tenant's jobs wait in its FIFO while other
+/// tenants' jobs run (the fair scheduler's cap — see [`server`]).
+const MAX_INFLIGHT: usize = 4;
+
+/// Jobs of one tenant that may wait, counted across every served
+/// connection; beyond this, requests are refused outright with
+/// [`ApiError::Overloaded`] (code 429).
+const MAX_QUEUED: usize = 1024;
+
 /// Daemon-wide configuration: the worker count and the cache size. The
-/// shard count and the overload threshold are constants, and tenants
-/// without an explicit [`ServiceCore::set_policy`] get
-/// [`TenantPolicy::default`].
+/// shard count, the admission caps and the overload threshold are
+/// constants.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads per served stream (default: one per core).
@@ -105,17 +112,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Per-tenant live accounting.
-#[derive(Debug)]
-struct TenantState {
-    policy: TenantPolicy,
-    /// Cumulative branch-and-bound nodes this tenant's solves explored.
-    nodes_spent: u64,
-}
-
 /// Process-wide per-tenant admission counters. Shared by every served
-/// connection, so [`TenantPolicy::max_inflight`] / `max_queued` cannot be
-/// multiplied by opening more connections.
+/// connection, so [`MAX_INFLIGHT`] / [`MAX_QUEUED`] cannot be multiplied
+/// by opening more connections.
 #[derive(Debug, Default)]
 struct TenantLoad {
     inflight: usize,
@@ -124,17 +123,15 @@ struct TenantLoad {
 
 /// The daemon state shared by every listener, worker and replay driver.
 ///
-/// See the crate docs; the one-line summary is: parse the envelope, admit
-/// it against the tenant's [`TenantPolicy`], answer points from the
-/// sharded canonical cache when byte-identical work was already done for
-/// *any* tenant, solve (or greedy-degrade) otherwise, and account the
-/// spent nodes back to the tenant.
+/// See the crate docs; the one-line summary is: parse the envelope, clamp
+/// its node cap, answer points from the sharded canonical cache when
+/// byte-identical work was already done for *any* tenant, and solve (or
+/// greedy-degrade under load) otherwise.
 pub struct ServiceCore {
     config: ServiceConfig,
     cache: ShardedLru<Selection>,
     workloads: Mutex<HashMap<String, Arc<Workload>>>,
     manifest: OnceLock<Result<HashMap<String, ManifestEntry>, String>>,
-    tenants: Mutex<HashMap<String, TenantState>>,
     /// Per-tenant queued/in-flight counts across every served connection.
     admission: Mutex<HashMap<String, TenantLoad>>,
     /// Jobs admitted by a server loop and not yet answered (load signal
@@ -164,7 +161,6 @@ impl ServiceCore {
             cache: ShardedLru::new(CACHE_SHARDS, config.shard_capacity),
             workloads: Mutex::new(HashMap::new()),
             manifest: OnceLock::new(),
-            tenants: Mutex::new(HashMap::new()),
             admission: Mutex::new(HashMap::new()),
             load: AtomicUsize::new(0),
             served: AtomicU64::new(0),
@@ -182,29 +178,6 @@ impl ServiceCore {
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> ServiceCore {
         self.sink = Some(sink);
         self
-    }
-
-    /// Overrides the admission policy for one tenant (new tenants get
-    /// [`TenantPolicy::default`]).
-    pub fn set_policy(&self, tenant: &str, policy: TenantPolicy) {
-        let mut tenants = self.tenants.lock().expect("tenant table lock");
-        tenants
-            .entry(tenant.to_string())
-            .and_modify(|s| s.policy = policy.clone())
-            .or_insert(TenantState {
-                policy,
-                nodes_spent: 0,
-            });
-    }
-
-    /// The admission policy currently applied to `tenant`.
-    #[must_use]
-    pub fn policy(&self, tenant: &str) -> TenantPolicy {
-        let tenants = self.tenants.lock().expect("tenant table lock");
-        tenants
-            .get(tenant)
-            .map(|s| s.policy.clone())
-            .unwrap_or_default()
     }
 
     /// This core's configuration.
@@ -245,14 +218,13 @@ impl ServiceCore {
     }
 
     /// Claims one slot of `tenant`'s process-wide queue allowance
-    /// ([`TenantPolicy::max_queued`]); `false` refuses the request. Every
-    /// `true` must be reversed by exactly one later [`Self::try_start`]
-    /// (the job ran) or [`Self::drop_queued`] (dropped at shutdown).
+    /// ([`MAX_QUEUED`]); `false` refuses the request. Every `true` must be
+    /// reversed by exactly one later [`Self::try_start`] (the job ran) or
+    /// [`Self::drop_queued`] (dropped at shutdown).
     pub(crate) fn try_admit(&self, tenant: &str) -> bool {
-        let max_queued = self.policy(tenant).max_queued;
         let mut admission = self.admission.lock().expect("admission lock");
         let load = admission.entry(tenant.to_string()).or_default();
-        if load.queued >= max_queued {
+        if load.queued >= MAX_QUEUED {
             if load.queued == 0 && load.inflight == 0 {
                 admission.remove(tenant);
             }
@@ -263,14 +235,12 @@ impl ServiceCore {
     }
 
     /// Moves one of `tenant`'s queued jobs into its in-flight allowance
-    /// ([`TenantPolicy::max_inflight`], clamped to at least 1 — a zero cap
-    /// would leave queued jobs permanently unrunnable). `false` leaves the
-    /// job queued for a later scheduling step.
+    /// ([`MAX_INFLIGHT`]). `false` leaves the job queued for a later
+    /// scheduling step.
     pub(crate) fn try_start(&self, tenant: &str) -> bool {
-        let max_inflight = self.policy(tenant).max_inflight.max(1);
         let mut admission = self.admission.lock().expect("admission lock");
         let load = admission.entry(tenant.to_string()).or_default();
-        if load.inflight >= max_inflight {
+        if load.inflight >= MAX_INFLIGHT {
             return false;
         }
         load.queued = load.queued.saturating_sub(1);
@@ -340,7 +310,7 @@ impl ServiceCore {
             RequestBody::Stats => Ok(Payload::Stats(self.stats())),
             RequestBody::Solve { instance, spec } => self
                 .resolve_workload(instance)
-                .and_then(|w| self.solve_point(&req.tenant, &w, spec, spec.rg))
+                .and_then(|w| self.solve_point(&w, spec, spec.rg))
                 .map(Payload::Solve),
             RequestBody::Sweep {
                 instance,
@@ -353,14 +323,14 @@ impl ServiceCore {
                 rgs,
             } => self
                 .resolve_workload(instance)
-                .and_then(|w| self.serve_walk(&req.tenant, &w, spec, rgs))
+                .and_then(|w| self.serve_walk(&w, spec, rgs))
                 .map(Payload::Points),
             RequestBody::Batch { jobs } => {
                 let results = jobs
                     .iter()
                     .map(|job| {
                         self.resolve_workload(&job.instance)
-                            .and_then(|w| self.solve_point(&req.tenant, &w, &job.spec, job.spec.rg))
+                            .and_then(|w| self.solve_point(&w, &job.spec, job.spec.rg))
                     })
                     .collect();
                 Ok(Payload::Batch(results))
@@ -415,65 +385,45 @@ impl ServiceCore {
     }
 
     /// Whether this point must degrade to the greedy backend, and the
-    /// budget-clamped options to solve it with.
-    fn admit(&self, tenant: &str, spec: &SolveSpec, rg: u64) -> (SolveOptions, bool) {
-        let policy = self.policy(tenant);
-        let over_budget = {
-            let tenants = self.tenants.lock().expect("tenant table lock");
-            tenants
-                .get(tenant)
-                .map(|s| s.nodes_spent >= s.policy.node_budget)
-                .unwrap_or(false)
-        };
-        let overloaded = self.load.load(Ordering::Relaxed) > DEGRADE_LOAD;
-        let degrade = over_budget || overloaded;
-        let mut options = spec
-            .to_options_at(rg)
-            .budget(policy.clamp(spec))
-            .audit(spec.audit);
+    /// options to solve it with: the spec's, its node cap clamped to
+    /// [`SolveBudget::default`]'s (its deadline passes through).
+    fn admit(&self, spec: &SolveSpec, rg: u64) -> (SolveOptions, bool) {
+        let mut options = spec.to_options_at(rg);
+        let budget = *options.solve_budget();
+        let cap = SolveBudget::default().max_nodes;
+        options = options.budget(budget.with_max_nodes(budget.max_nodes.min(cap)));
+        let degrade = self.load.load(Ordering::Relaxed) > DEGRADE_LOAD;
         if degrade {
             options = options.backend(Backend::Greedy);
         }
         (options, degrade)
     }
 
-    fn account_nodes(&self, tenant: &str, nodes: u64) {
-        let mut tenants = self.tenants.lock().expect("tenant table lock");
-        let state = tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                policy: TenantPolicy::default(),
-                nodes_spent: 0,
-            });
-        state.nodes_spent = state.nodes_spent.saturating_add(nodes);
-    }
-
     /// Solves one (instance, spec, rg) point through the shared canonical
     /// cache, cold on a miss.
     fn solve_point(
         &self,
-        tenant: &str,
         w: &Workload,
         spec: &SolveSpec,
         rg: u64,
     ) -> Result<SolveResult, ApiError> {
-        self.answer_point(tenant, w, spec, rg, |options| cold_solve(w, options))
+        self.answer_point(w, spec, rg, |options| cold_solve(w, options))
     }
 
     /// The per-point protocol shared by every method: admission, then the
     /// shared canonical cache, then on a miss a greedy solve when the point
-    /// is degraded or `exact` otherwise. Fresh answers are accounted to the
-    /// tenant and feed the cache under their canonical key.
+    /// is degraded or `exact` otherwise. Fresh answers feed the cache under
+    /// their canonical key unless a budget stop picked them
+    /// ([`is_cacheable`]).
     fn answer_point(
         &self,
-        tenant: &str,
         w: &Workload,
         spec: &SolveSpec,
         rg: u64,
         exact: impl FnOnce(&SolveOptions) -> Result<Selection, CoreError>,
     ) -> Result<SolveResult, ApiError> {
         let start = Instant::now();
-        let (options, degraded) = self.admit(tenant, spec, rg);
+        let (options, degraded) = self.admit(spec, rg);
         if degraded {
             self.degraded.fetch_add(1, Ordering::Relaxed);
         }
@@ -508,17 +458,11 @@ impl ServiceCore {
                     cold_solve(w, &options)
                 } else {
                     exact(&options)
-                };
-                let sel = sel.map_err(|e| {
-                    if e == CoreError::BudgetExhausted {
-                        // A dry search spent its node cap (a deadline stop
-                        // at most that), and the error carries no count.
-                        self.account_nodes(tenant, options.solve_budget().max_nodes as u64);
-                    }
-                    ApiError::Core(e)
-                })?;
-                self.account_nodes(tenant, sel.trace.nodes_explored as u64);
-                self.cache.insert(key, sel.clone());
+                }
+                .map_err(ApiError::Core)?;
+                if is_cacheable(&sel) {
+                    self.cache.insert(key, sel.clone());
+                }
                 sel
             }
         };
@@ -536,11 +480,11 @@ impl ServiceCore {
     /// that is not degraded, is an `SetRg` patch plus
     /// [`DeltaSession::resolve`] on one lazily built session (basis repair
     /// and verified incumbent seeding). Its answer feeds the shared cache
-    /// under its *cold* canonical key — sound because a delta resolve
-    /// returns the identical selection a cold solve would.
+    /// under its *cold* canonical key — sound because a completed delta
+    /// resolve returns the identical selection a cold solve would, and a
+    /// budget-picked answer is not cached.
     fn serve_walk(
         &self,
-        tenant: &str,
         w: &Workload,
         spec: &SolveSpec,
         rgs: &[u64],
@@ -551,7 +495,7 @@ impl ServiceCore {
         let mut session: Option<DeltaSession> = None;
         let mut solved: HashMap<u64, SolveResult> = HashMap::new();
         for rg in order {
-            let result = self.answer_point(tenant, w, spec, rg, |options| {
+            let result = self.answer_point(w, spec, rg, |options| {
                 let ds = match session.as_mut() {
                     Some(ds) => {
                         ds.apply(InstanceDelta::SetRg(options.gains().clone()))?;
@@ -646,47 +590,51 @@ mod tests {
 
     #[test]
     fn admission_counters_are_process_wide() {
+        assert_eq!((MAX_INFLIGHT, MAX_QUEUED), (4, 1024), "the documented caps");
         let core = core();
-        core.set_policy(
-            "t",
-            TenantPolicy {
-                max_inflight: 1,
-                max_queued: 2,
-                ..TenantPolicy::default()
-            },
-        );
         // Queue allowance spans every admitter, not one connection.
-        assert!(core.try_admit("t"));
-        assert!(core.try_admit("t"));
-        assert!(!core.try_admit("t"), "third admit must hit the queue cap");
+        for _ in 0..MAX_QUEUED {
+            assert!(core.try_admit("t"));
+        }
+        assert!(!core.try_admit("t"), "admit 1,025 must hit the queue cap");
+        assert!(core.try_admit("u"), "another tenant has its own queue");
+        core.drop_queued("u");
         // In-flight allowance likewise.
-        assert!(core.try_start("t"));
-        assert!(!core.try_start("t"), "second start must hit max_inflight");
+        for _ in 0..MAX_INFLIGHT {
+            assert!(core.try_start("t"));
+        }
+        assert!(!core.try_start("t"), "start 5 must hit the in-flight cap");
         core.finish_job("t");
         assert!(core.try_start("t"), "finish frees the in-flight slot");
-        core.finish_job("t");
-        // Both counters back to zero: the tenant's entry is gone and a
-        // fresh admit succeeds.
-        assert!(core.try_admit("t"));
-        core.drop_queued("t");
+        for _ in 0..MAX_INFLIGHT {
+            core.finish_job("t");
+        }
+        for _ in MAX_INFLIGHT + 1..MAX_QUEUED {
+            core.drop_queued("t");
+        }
+        // Both counters back to zero: the tenant's entry is gone.
+        assert!(core.admission.lock().expect("admission lock").is_empty());
     }
 
     #[test]
-    fn zero_max_inflight_is_clamped_to_one() {
+    fn node_asks_are_capped_and_deadlines_pass_through() {
         let core = core();
-        core.set_policy(
-            "z",
-            TenantPolicy {
-                max_inflight: 0,
-                ..TenantPolicy::default()
-            },
-        );
-        assert!(core.try_admit("z"));
-        assert!(
-            core.try_start("z"),
-            "a zero in-flight cap must not make queued jobs unrunnable"
-        );
-        core.finish_job("z");
+        let cap = SolveBudget::default().max_nodes;
+        let budget = |max_nodes, deadline_ms| {
+            let spec = SolveSpec {
+                max_nodes,
+                deadline_ms,
+                ..SolveSpec::default()
+            };
+            *core.admit(&spec, 1).0.solve_budget()
+        };
+        assert_eq!(cap, 200_000);
+        assert_eq!(budget(Some(1_000_000), None).max_nodes, cap);
+        assert_eq!(budget(None, None).max_nodes, cap);
+        let modest = budget(Some(5), Some(7));
+        assert_eq!(modest.max_nodes, 5, "a smaller ask passes through");
+        assert_eq!(modest.deadline, Some(std::time::Duration::from_millis(7)));
+        assert_eq!(budget(None, None).deadline, None);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Scheduling is round-robin across tenants and FIFO within one: a tenant
 //! that floods the daemon fills only its own queue, and each scheduling
 //! step offers the next *tenant* (not the next request) a worker, capped
-//! by its [`TenantPolicy::max_inflight`](crate::TenantPolicy). Queue
-//! overflow is refused immediately with error code 429 rather than
+//! at 4 jobs in flight per tenant. Queue overflow (1,024 waiting jobs per
+//! tenant) is refused immediately with error code 429 rather than
 //! buffered without bound.
 //!
 //! Both caps are accounted on [`ServiceCore`], shared by every served
@@ -323,8 +323,8 @@ pub fn serve_stdio(core: &Arc<ServiceCore>, workers: usize) -> std::io::Result<(
 
 /// Accepts connections on an already-bound Unix listener forever, one
 /// serving thread per connection (each with its own worker pool over the
-/// shared core — the cache, tenant accounting, and the
-/// `max_inflight`/`max_queued` admission counters are all process-wide).
+/// shared core — the cache and the per-tenant in-flight and queue
+/// admission counters are process-wide).
 pub fn serve_unix_listener(
     core: Arc<ServiceCore>,
     listener: UnixListener,
@@ -420,21 +420,31 @@ mod tests {
         );
     }
 
+    /// Claims all of `tenant`'s 1,024 process-wide queue slots, as if
+    /// other connections held its waiting jobs.
+    fn fill_queue(core: &ServiceCore, tenant: &str) {
+        for _ in 0..crate::MAX_QUEUED {
+            assert!(core.try_admit(tenant));
+        }
+    }
+
+    /// Gives back the slots [`fill_queue`] claimed.
+    fn release_queue(core: &ServiceCore, tenant: &str) {
+        for _ in 0..crate::MAX_QUEUED {
+            core.drop_queued(tenant);
+        }
+    }
+
     #[test]
     fn queue_cap_rejects_with_429() {
         let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
-        core.set_policy(
-            "greedy-tenant",
-            crate::TenantPolicy {
-                max_queued: 0,
-                ..crate::TenantPolicy::default()
-            },
-        );
+        fill_queue(&core, "greedy-tenant");
         let input = r#"{"api_version":1,"id":"a","tenant":"greedy-tenant","method":"ping"}"#
             .to_string()
             + "\n";
         let mut out: Vec<u8> = Vec::new();
         serve(&core, input.as_bytes(), &mut out, 1, Redaction::None).expect("serve ok");
+        release_queue(&core, "greedy-tenant");
         let text = String::from_utf8(out).expect("utf8");
         assert!(text.contains("\"code\":429"), "{text}");
         assert_eq!(core.stats().rejected, 1);
@@ -581,13 +591,7 @@ mod tests {
     #[test]
     fn every_reply_is_one_write() {
         let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
-        core.set_policy(
-            "full",
-            crate::TenantPolicy {
-                max_queued: 0,
-                ..crate::TenantPolicy::default()
-            },
-        );
+        fill_queue(&core, "full");
         let mut input: Vec<u8> = Vec::new();
         // A worker reply.
         input.extend_from_slice(
@@ -604,6 +608,7 @@ mod tests {
         );
         let mut out = RecordingWriter::default();
         serve(&core, input.as_slice(), &mut out, 1, Redaction::None).expect("serve ok");
+        release_queue(&core, "full");
         assert_eq!(out.writes.len(), 5, "one write per reply");
         for write in &out.writes {
             let text = String::from_utf8_lossy(write);
@@ -617,24 +622,6 @@ mod tests {
         assert_eq!(count("\"pong\":true"), 1);
         assert_eq!(count("\"code\":100"), 3);
         assert_eq!(count("\"code\":429"), 1);
-    }
-
-    #[test]
-    fn zero_max_inflight_still_serves() {
-        let core = Arc::new(ServiceCore::new(ServiceConfig::default()));
-        core.set_policy(
-            "z",
-            crate::TenantPolicy {
-                max_inflight: 0,
-                ..crate::TenantPolicy::default()
-            },
-        );
-        let input = r#"{"api_version":1,"id":"a","tenant":"z","method":"ping"}"#.to_string() + "\n";
-        let mut out: Vec<u8> = Vec::new();
-        serve(&core, input.as_bytes(), &mut out, 2, Redaction::None).expect("serve ok");
-        let text = String::from_utf8(out).expect("utf8");
-        assert!(text.contains("\"pong\":true"), "{text}");
-        assert_eq!(core.current_load(), 0);
     }
 
     /// Sequential pings over loopback TCP come back promptly. A reply

@@ -98,5 +98,5 @@ pub mod prelude {
         Backend, OptimalityStatus, Redaction, RequiredGains, Selection, SolveBudget, SolveOptions,
         Solver,
     };
-    pub use partita_service::{ServiceConfig, ServiceCore, TenantPolicy};
+    pub use partita_service::{ServiceConfig, ServiceCore};
 }

@@ -7,11 +7,14 @@
 //! that ran dry answers `BudgetExhausted`: greedy's selection was already
 //! among its seeds and rejected, so the greedy rescue finds nothing either.
 //! With the warm start off, greedy rescues a dry search, and the rescued
-//! answer is greedy's own selection, tagged `fallback_used`.
+//! answer is greedy's own selection, tagged `fallback_used`. Because the
+//! warm start changes such answers, a solve cache, which keys a point
+//! without that flag, must not keep them.
 
 mod common;
 
 use partita::core::baseline::solve_greedy;
+use partita::core::sweep::SweepSession;
 use partita::core::{
     CoreError, ImpId, OptimalityStatus, RequiredGains, Selection, SolveBudget, SolveOptions, Solver,
 };
@@ -21,12 +24,16 @@ use partita::workloads::Workload;
 /// The node caps every point is solved at.
 const CAPS: [usize; 2] = [1, 45];
 
+fn capped_options(rg: Cycles, cap: usize, warm: bool) -> SolveOptions {
+    SolveOptions::problem2(RequiredGains::uniform(rg))
+        .warm_start(warm)
+        .budget(SolveBudget::default().with_max_nodes(cap))
+}
+
 fn capped(w: &Workload, rg: Cycles, cap: usize, warm: bool) -> Result<Selection, CoreError> {
-    Solver::new(&w.instance).with_imps(w.imps.clone()).solve(
-        &SolveOptions::problem2(RequiredGains::uniform(rg))
-            .warm_start(warm)
-            .budget(SolveBudget::default().with_max_nodes(cap)),
-    )
+    Solver::new(&w.instance)
+        .with_imps(w.imps.clone())
+        .solve(&capped_options(rg, cap, warm))
 }
 
 /// The chosen IMP ids, sorted: the selection without its status.
@@ -114,4 +121,38 @@ fn dry_searches_without_a_rescue_answer_budget_exhausted() {
             );
         }
     }
+}
+
+/// One session serves a capped point cold, then warm. The two answers
+/// differ, and the warm request must get its own, not the cold one from
+/// the session's cache.
+#[test]
+fn session_cache_keeps_no_budget_stopped_answer() {
+    let manifest = common::manifest();
+    let entry = manifest
+        .iter()
+        .find(|e| e.id == "synth-micro-0000")
+        .expect("entry");
+    let w = common::verified_workload(entry);
+    let rg = w.rg_sweep[0];
+    let mut session = SweepSession::new();
+    let mut statuses = Vec::new();
+    for warm in [false, true] {
+        let served = session
+            .solve(&w.instance, &w.imps, &capped_options(rg, 1, warm))
+            .expect("session solve");
+        let fresh = capped(&w, rg, 1, warm).expect("fresh solve");
+        assert_eq!(served.status, fresh.status, "warm start {warm}");
+        assert_eq!(chosen_ids(&served), chosen_ids(&fresh), "warm start {warm}");
+        statuses.push(fresh.status);
+    }
+    assert_eq!(
+        statuses,
+        [
+            OptimalityStatus::FallbackUsed,
+            OptimalityStatus::FeasibleBudgetExhausted
+        ],
+        "the warm start must change this point's answer"
+    );
+    assert_eq!(session.trace().cache_hits, 0);
 }
