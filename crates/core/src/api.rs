@@ -256,8 +256,6 @@ pub struct SolveSpec {
     /// Run the independent post-solve auditor and fail the request on a
     /// dirty report.
     pub audit: bool,
-    /// Optional power budget in milliwatts.
-    pub power_budget_mw: Option<u64>,
 }
 
 impl Default for SolveSpec {
@@ -269,7 +267,6 @@ impl Default for SolveSpec {
             max_nodes: None,
             deadline_ms: None,
             audit: false,
-            power_budget_mw: None,
         }
     }
 }
@@ -292,15 +289,10 @@ impl SolveSpec {
         if let Some(ms) = self.deadline_ms {
             budget = budget.with_deadline(std::time::Duration::from_millis(ms));
         }
-        let mut options =
-            SolveOptions::for_problem(self.problem, RequiredGains::uniform(Cycles(rg)))
-                .backend(self.backend)
-                .budget(budget)
-                .audit(self.audit);
-        if let Some(mw) = self.power_budget_mw {
-            options = options.power_budget_mw(mw);
-        }
-        options
+        SolveOptions::for_problem(self.problem, RequiredGains::uniform(Cycles(rg)))
+            .backend(self.backend)
+            .budget(budget)
+            .audit(self.audit)
     }
 
     fn to_json(&self) -> String {
@@ -316,9 +308,6 @@ impl SolveSpec {
         }
         if let Some(ms) = self.deadline_ms {
             out.push_str(&format!(",\"deadline_ms\":{ms}"));
-        }
-        if let Some(mw) = self.power_budget_mw {
-            out.push_str(&format!(",\"power_budget_mw\":{mw}"));
         }
         out
     }
@@ -372,12 +361,6 @@ impl SolveSpec {
             spec.audit = a
                 .as_bool()
                 .ok_or_else(|| ApiError::InvalidParams("audit must be a boolean".into()))?;
-        }
-        if let Some(mw) = doc.get("power_budget_mw") {
-            let mw = mw.as_u64().ok_or_else(|| {
-                ApiError::InvalidParams("power_budget_mw must be an integer".into())
-            })?;
-            spec.power_budget_mw = Some(mw);
         }
         Ok(spec)
     }
@@ -885,19 +868,29 @@ mod tests {
         let line = r#"{"api_version":1,"id":"x","tenant":"t","method":"ping","future_field":42}"#;
         let req = Request::parse(line).expect("unknown fields tolerated");
         assert_eq!(req.body, RequestBody::Ping);
-        // Clients that still send the retired `threads` solve parameter
-        // get the plain serial solve.
-        let line = r#"{"api_version":1,"id":"x","tenant":"t","method":"solve","instance":"i","rg":7,"threads":4}"#;
-        let req = Request::parse(line).expect("a stale threads field is tolerated");
-        match req.body {
-            RequestBody::Solve { spec, .. } => assert_eq!(
-                spec,
-                SolveSpec {
-                    rg: 7,
-                    ..SolveSpec::default()
-                }
-            ),
-            other => panic!("parsed as {other:?}"),
+        // Clients that still send a retired solve parameter (`threads`, or
+        // `power_budget_mw` with any value) get the same spec as without it.
+        for stale in [
+            "",
+            r#","threads":4"#,
+            r#","power_budget_mw":250"#,
+            r#","power_budget_mw":"lots""#,
+        ] {
+            let line = format!(
+                r#"{{"api_version":1,"id":"x","tenant":"t","method":"solve","instance":"i","rg":7{stale}}}"#
+            );
+            let req = Request::parse(&line).expect("a stale field is tolerated");
+            match req.body {
+                RequestBody::Solve { spec, .. } => assert_eq!(
+                    spec,
+                    SolveSpec {
+                        rg: 7,
+                        ..SolveSpec::default()
+                    },
+                    "{line}"
+                ),
+                other => panic!("parsed as {other:?}"),
+            }
         }
     }
 
@@ -993,7 +986,6 @@ mod tests {
             max_nodes: Some(123),
             deadline_ms: Some(250),
             audit: true,
-            power_budget_mw: Some(900),
         };
         let opts = spec.to_options();
         assert_eq!(opts.problem(), ProblemKind::Problem1);
@@ -1005,7 +997,6 @@ mod tests {
             Some(std::time::Duration::from_millis(250))
         );
         assert!(opts.audit_enabled());
-        assert_eq!(opts.power_budget(), Some(900));
         let at = spec.to_options_at(300);
         assert_eq!(at.gains().as_uniform(), Some(Cycles(300)));
     }

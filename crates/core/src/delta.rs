@@ -126,13 +126,7 @@ impl DeltaSession {
         let instance = instance.into();
         let db = db.into();
         let started = Instant::now();
-        let form = build_model(
-            &instance,
-            &db,
-            options.problem,
-            &options.gains,
-            options.power_budget_mw,
-        )?;
+        let form = build_model(&instance, &db, options.problem, &options.gains)?;
         Ok(DeltaSession {
             instance,
             db,

@@ -110,8 +110,9 @@ impl SolveBudget {
         self
     }
 
-    /// Does nothing: the branch-and-bound search is serial. Kept only so
-    /// existing callers compile; it will be removed.
+    /// Does nothing: the branch-and-bound search is serial. Its only
+    /// caller is the benchmark harness (`perfbench/src/inputs.rs:187`);
+    /// it goes when that harness changes.
     #[must_use]
     pub fn with_threads(self, _threads: usize) -> SolveBudget {
         self

@@ -65,7 +65,6 @@ pub(crate) fn build_model(
     db: &ImpDb,
     problem: ProblemKind,
     gains: &RequiredGains,
-    power_budget_mw: Option<u64>,
 ) -> Result<Formulation, CoreError> {
     if db.is_empty() {
         return Err(CoreError::NoImps);
@@ -177,21 +176,6 @@ pub(crate) fn build_model(
                     }
                 }
             }
-        }
-    }
-
-    // Optional power budget: Σ p_ij · x_ij ≤ budget.
-    if let Some(budget) = power_budget_mw {
-        let terms: Vec<(VarId, f64)> = db
-            .imps()
-            .iter()
-            .filter_map(|imp| x[imp.id.index()].map(|v| (v, imp.power_mw as f64)))
-            .filter(|(_, p)| *p > 0.0)
-            .collect();
-        if !terms.is_empty() {
-            model
-                .add_labeled_constraint(terms, Relation::Le, budget as f64, Some("power"))
-                .map_err(CoreError::Ilp)?;
         }
     }
 
@@ -371,7 +355,6 @@ mod tests {
             &db,
             ProblemKind::Problem2,
             &RequiredGains::uniform(Cycles(100)),
-            None,
         )
         .unwrap();
         let sol = BranchBound::new().solve(&form.model).unwrap();
@@ -389,7 +372,6 @@ mod tests {
             &db,
             ProblemKind::Problem2,
             &RequiredGains::uniform(Cycles(1_000_000)),
-            None,
         )
         .unwrap();
         assert!(BranchBound::new().solve(&form.model).is_err());
@@ -411,7 +393,6 @@ mod tests {
             &db,
             ProblemKind::Problem1,
             &RequiredGains::uniform(Cycles(10)),
-            None,
         )
         .unwrap();
         assert!(p1.map.x[2].is_none());
@@ -420,7 +401,6 @@ mod tests {
             &db,
             ProblemKind::Problem2,
             &RequiredGains::uniform(Cycles(10)),
-            None,
         )
         .unwrap();
         assert!(p2.map.x[2].is_some());
@@ -435,7 +415,6 @@ mod tests {
             &db,
             ProblemKind::Problem2,
             &RequiredGains::uniform(Cycles(10)),
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::BadPath { .. }));
@@ -450,7 +429,6 @@ mod tests {
                 &ImpDb::default(),
                 ProblemKind::Problem2,
                 &RequiredGains::uniform(Cycles(1)),
-                None,
             )
             .unwrap_err(),
             CoreError::NoImps
@@ -501,7 +479,6 @@ mod tests {
             db,
             ProblemKind::Problem2,
             &RequiredGains::uniform(Cycles(0)),
-            None,
         )
         .unwrap()
     }
@@ -749,8 +726,8 @@ mod tests {
         cases.push(fixed_charge_database());
         for (inst, db) in &cases {
             for problem in [ProblemKind::Problem1, ProblemKind::Problem2] {
-                let form = build_model(inst, db, problem, &RequiredGains::uniform(Cycles(0)), None)
-                    .unwrap();
+                let form =
+                    build_model(inst, db, problem, &RequiredGains::uniform(Cycles(0))).unwrap();
                 assert_same_integer_points_as_paper_m(db, &form);
             }
         }
@@ -759,14 +736,8 @@ mod tests {
         // drops s-call 1's SwScalls IMP. The retired IMP's IP has no row.
         let (inst, db) = fixed_charge_database();
         for (problem, m) in [(ProblemKind::Problem2, 3.0), (ProblemKind::Problem1, 2.0)] {
-            let form = build_model(
-                &inst,
-                &db,
-                problem,
-                &RequiredGains::uniform(Cycles(0)),
-                None,
-            )
-            .unwrap();
+            let form =
+                build_model(&inst, &db, problem, &RequiredGains::uniform(Cycles(0))).unwrap();
             assert_eq!(form.map.z.len(), 2, "IP 2 is used only by a retired IMP");
             let z1 = form.map.z[&IpId(1)];
             let x = |i: usize| form.map.x[i].unwrap();
@@ -816,7 +787,6 @@ mod tests {
             db,
             ProblemKind::Problem1,
             &RequiredGains::uniform(Cycles(0)),
-            None,
         )
         .unwrap();
         assert!(rows(&p1, "sc_pc_conflict").is_empty());

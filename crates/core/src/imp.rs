@@ -71,7 +71,10 @@ pub struct Imp {
     /// fixed-charge indicator, not here).
     pub interface_area: AreaTenths,
     /// Power drawn when this implementation is active, in milliwatts (the
-    /// paper lists power among each IMP's attributes; zero when unmodelled).
+    /// paper lists power among each IMP's attributes). Always zero, and no
+    /// formulation row or check reads it. It stays only because workload
+    /// digests and canonical cache keys hash the database's `Debug`
+    /// rendering, which includes this field.
     pub power_mw: u64,
     /// Parallel-execution choice.
     pub parallel: ParallelChoice,
@@ -98,13 +101,6 @@ impl Imp {
             power_mw: 0,
             parallel,
         }
-    }
-
-    /// Sets the power attribute.
-    #[must_use]
-    pub fn with_power_mw(mut self, power_mw: u64) -> Imp {
-        self.power_mw = power_mw;
-        self
     }
 
     /// `true` if this IMP uses IP `ip`.

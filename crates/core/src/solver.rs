@@ -139,9 +139,8 @@ impl Default for RequiredGains {
 ///
 /// let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(1500)))
 ///     .backend(Backend::BranchBound)
-///     .budget(SolveBudget::default().with_max_nodes(10_000))
-///     .power_budget_mw(250);
-/// assert_eq!(opts.power_budget(), Some(250));
+///     .budget(SolveBudget::default().with_max_nodes(10_000));
+/// assert_eq!(opts.solve_budget().max_nodes, 10_000);
 /// ```
 ///
 /// The fields are not public: construct via [`SolveOptions::problem1`],
@@ -151,7 +150,6 @@ impl Default for RequiredGains {
 pub struct SolveOptions {
     pub(crate) problem: ProblemKind,
     pub(crate) gains: RequiredGains,
-    pub(crate) power_budget_mw: Option<u64>,
     pub(crate) backend: Backend,
     pub(crate) budget: SolveBudget,
     pub(crate) warm_start: bool,
@@ -169,7 +167,6 @@ impl SolveOptions {
         SolveOptions {
             problem,
             gains,
-            power_budget_mw: None,
             backend: Backend::default(),
             budget: SolveBudget::default(),
             warm_start: true,
@@ -198,14 +195,6 @@ impl SolveOptions {
     #[must_use]
     pub fn for_problem(problem: ProblemKind, gains: RequiredGains) -> SolveOptions {
         SolveOptions::with_defaults(problem, gains)
-    }
-
-    /// Caps the selection's combined power draw in milliwatts (the paper
-    /// carries power per IMP; this is the natural constraint it supports).
-    #[must_use]
-    pub fn power_budget_mw(mut self, budget: u64) -> SolveOptions {
-        self.power_budget_mw = Some(budget);
-        self
     }
 
     /// Switches the solver backend.
@@ -252,12 +241,6 @@ impl SolveOptions {
     #[must_use]
     pub fn gains(&self) -> &RequiredGains {
         &self.gains
-    }
-
-    /// Optional power budget in milliwatts.
-    #[must_use]
-    pub fn power_budget(&self) -> Option<u64> {
-        self.power_budget_mw
     }
 
     /// Which solver backend answers the call.
@@ -404,11 +387,12 @@ impl Selection {
 
     /// Independently verifies this selection against the problem's rules:
     /// at most one IMP per s-call (Eq. 1), every path's required gain
-    /// (Eq. 2), the SC-PC selection rule, and the optional power budget.
+    /// (Eq. 2) and the SC-PC selection rule.
     ///
-    /// Used by the test-suite to cross-check the ILP solver and the
-    /// baseline heuristics against an implementation that shares no code
-    /// with the formulation.
+    /// Shares no code with the formulation. The test-suite uses it to
+    /// cross-check the ILP solver and the baseline heuristics, and
+    /// [`crate::DeltaSession`] uses it to decide whether the previous
+    /// optimum may seed the next solve as a warm-start hint.
     ///
     /// # Errors
     ///
@@ -450,15 +434,6 @@ impl Selection {
                     path.id,
                     achieved.get(),
                     required.get()
-                )));
-            }
-        }
-        // Power budget.
-        if let Some(budget) = options.power_budget_mw {
-            let draw: u64 = self.chosen.iter().map(|i| i.power_mw).sum();
-            if draw > budget {
-                return Err(CoreError::InvalidSelection(format!(
-                    "power draw {draw} mW exceeds budget {budget} mW"
                 )));
             }
         }
@@ -532,13 +507,7 @@ impl<'a> Solver<'a> {
                 &generated
             }
         };
-        let form = build_model(
-            self.instance,
-            db,
-            options.problem,
-            &options.gains,
-            options.power_budget_mw,
-        )?;
+        let form = build_model(self.instance, db, options.problem, &options.gains)?;
         Ok(form.model)
     }
 
@@ -592,13 +561,7 @@ pub(crate) fn solve_cold(
     sink: &dyn TelemetrySink,
 ) -> Result<Selection, CoreError> {
     let span = SpanTimer::start(Phase::Formulation);
-    let form = build_model(
-        instance,
-        db,
-        options.problem,
-        &options.gains,
-        options.power_budget_mw,
-    )?;
+    let form = build_model(instance, db, options.problem, &options.gains)?;
     trace.formulation = span.finish(sink);
     solve_prepared(instance, db, &form, options, trace, sink).map(|(sel, _)| sel)
 }
@@ -768,9 +731,9 @@ fn run_exhaustive(
 
 /// The greedy heuristic, encoded back into model space so it goes through
 /// the same decode and audit path as the exact backends. Greedy knows
-/// nothing about constraints that only exist in the model (power budgets,
-/// Problem 1 shape ties); a selection that violates them is a greedy
-/// failure, consistent with greedy's documented incompleteness.
+/// nothing about the one constraint that only exists in the model, the
+/// Problem 1 shape tie; a selection that violates it is a greedy failure,
+/// consistent with greedy's documented incompleteness.
 fn run_greedy(
     instance: &Instance,
     db: &ImpDb,
@@ -888,7 +851,7 @@ pub(crate) mod fixtures {
 mod tests {
     use super::fixtures::{greedy_trap, needs_two_imps};
     use super::*;
-    use crate::{CoreError, Imp, ImpDb, ParallelChoice, SCall};
+    use crate::{CoreError, ImpDb, ParallelChoice, SCall};
     use partita_interface::{InterfaceKind, TransferJob};
     use partita_ip::{IpBlock, IpFunction, IpId};
 
@@ -1030,67 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn power_budget_constrains_the_selection() {
-        // Two IMPs for one s-call: a fast power-hungry one and a slower
-        // frugal one. The budget forces the frugal pick.
-        let mut inst = Instance::new("power");
-        let ip = inst.library.add(
-            IpBlock::builder("fir")
-                .function(IpFunction::Fir)
-                .area(AreaTenths::from_units(1))
-                .build(),
-        );
-        let sc = inst.add_scall(SCall::new(
-            "fir",
-            IpFunction::Fir,
-            Cycles(1000),
-            TransferJob::new(8, 8),
-        ));
-        inst.add_path(vec![sc]);
-        let db = ImpDb::from_imps(vec![
-            Imp::new(
-                sc,
-                vec![ip],
-                InterfaceKind::Type3,
-                Cycles(900),
-                AreaTenths::ZERO,
-                ParallelChoice::None,
-            )
-            .with_power_mw(500),
-            Imp::new(
-                sc,
-                vec![ip],
-                InterfaceKind::Type0,
-                Cycles(600),
-                AreaTenths::ZERO,
-                ParallelChoice::None,
-            )
-            .with_power_mw(100),
-        ]);
-        // Without a budget the higher-gain type-3 wins the area tie.
-        let free = Solver::new(&inst)
-            .with_imps(db.clone())
-            .solve(&SolveOptions::problem2(RequiredGains::uniform(Cycles(500))))
-            .unwrap();
-        assert_eq!(free.chosen()[0].interface, InterfaceKind::Type3);
-        // A 200 mW budget forces the frugal type-0 implementation.
-        let capped = Solver::new(&inst)
-            .with_imps(db.clone())
-            .solve(
-                &SolveOptions::problem2(RequiredGains::uniform(Cycles(500))).power_budget_mw(200),
-            )
-            .unwrap();
-        assert_eq!(capped.chosen()[0].interface, InterfaceKind::Type0);
-        assert_eq!(capped.chosen()[0].power_mw, 100);
-        // An impossible budget is infeasible.
-        let err = Solver::new(&inst)
-            .with_imps(db)
-            .solve(&SolveOptions::problem2(RequiredGains::uniform(Cycles(500))).power_budget_mw(50))
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Infeasible { .. }));
-    }
-
-    #[test]
     fn one_node_cap_falls_back_to_greedy() {
         let (inst, db) = needs_two_imps();
         let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(700)))
@@ -1221,14 +1123,12 @@ mod tests {
         let opts = SolveOptions::problem1(RequiredGains::uniform(Cycles(42)))
             .backend(crate::Backend::Exhaustive)
             .budget(crate::SolveBudget::default().with_max_nodes(7))
-            .power_budget_mw(99)
             .warm_start(false)
             .warm_start_hint(vec![ImpId(3)]);
         assert_eq!(opts.problem(), ProblemKind::Problem1);
         assert_eq!(opts.gains(), &RequiredGains::uniform(Cycles(42)));
         assert_eq!(opts.solver_backend(), crate::Backend::Exhaustive);
         assert_eq!(opts.solve_budget().max_nodes, 7);
-        assert_eq!(opts.power_budget(), Some(99));
         assert!(!opts.warm_start_enabled());
         assert_eq!(opts.hint(), Some(&[ImpId(3)][..]));
     }

@@ -195,8 +195,7 @@ pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
 /// The canonical solve key — the one key of every solve cache, the sweep
 /// session's and the solve daemon's: the instance content key plus
 /// everything that can change **which selection is returned** — problem
-/// kind, required gains, power budget, backend and budget (node cap and
-/// deadline).
+/// kind, required gains, backend and budget (node cap and deadline).
 ///
 /// Deliberately excluded, and guaranteed excluded by test: the `audit`
 /// flag (checking an answer never changes it), any retained root **basis**
@@ -216,11 +215,10 @@ pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
 #[must_use]
 pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptions) -> String {
     format!(
-        "{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        "{}|{:?}|{:?}|{:?}|{:?}",
         canonical_instance_key(instance, db),
         options.problem,
         options.gains,
-        options.power_budget_mw,
         options.backend,
         options.budget,
     )

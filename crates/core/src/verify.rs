@@ -95,8 +95,6 @@ pub enum AuditCheck {
     /// A composite IMP is malformed, or a flattened child is implemented
     /// directly.
     HierarchyConsistency,
-    /// The selection draws more power than the configured budget.
-    PowerBudget,
     /// The ILP objective value disagrees with the re-derived total area.
     ObjectiveConsistency,
 }
@@ -114,7 +112,6 @@ impl fmt::Display for AuditCheck {
             AuditCheck::IpAccounting => "ip_accounting",
             AuditCheck::InterfaceAccounting => "interface_accounting",
             AuditCheck::HierarchyConsistency => "hierarchy_consistency",
-            AuditCheck::PowerBudget => "power_budget",
             AuditCheck::ObjectiveConsistency => "objective_consistency",
         })
     }
@@ -804,20 +801,9 @@ impl<'a> SelectionAuditor<'a> {
             }
         }
 
-        // Power budget.
-        if let Some(budget) = options.power_budget() {
-            let draw: u64 = chosen.iter().map(|i| i.power_mw).sum();
-            if draw > budget {
-                v.push(AuditViolation::new(
-                    AuditCheck::PowerBudget,
-                    format!("selection draws {draw} mW of budget {budget} mW"),
-                ));
-            }
-        }
-
         let report = AuditReport {
             violations: v,
-            checks_run: 12,
+            checks_run: 11,
             imps_audited: chosen.len(),
             paths_audited: paths.len(),
             gain_rederived: rederive,
@@ -1249,29 +1235,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.check == AuditCheck::HierarchyConsistency));
-    }
-
-    #[test]
-    fn power_budget_violation_is_flagged() {
-        let (inst, _) = calibrated();
-        let ip = inst.library.iter().next().unwrap().id();
-        let db = ImpDb::from_imps(vec![Imp::new(
-            CallSiteId(0),
-            vec![ip],
-            InterfaceKind::Type1,
-            Cycles(500),
-            AreaTenths::from_tenths(2),
-            ParallelChoice::None,
-        )
-        .with_power_mw(300)]);
-        let sel =
-            Selection::from_chosen(&inst, db.imps().to_vec(), 32.0, OptimalityStatus::Heuristic);
-        let opts = SolveOptions::default().power_budget_mw(100);
-        let report = SelectionAuditor::new(&inst, &db).audit(&sel, &opts);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.check == AuditCheck::PowerBudget));
     }
 
     #[test]

@@ -88,11 +88,8 @@ fn synth_table_capped_solves_keep_their_digests_and_pivots() {
     let w = common::verified_workload(&entry);
     for (k, want) in PINNED.iter().enumerate() {
         let rg = w.rg_sweep[k];
-        let opts = SolveOptions::problem2(RequiredGains::uniform(rg)).budget(
-            SolveBudget::default()
-                .with_threads(1)
-                .with_max_nodes(NODE_CAP),
-        );
+        let opts = SolveOptions::problem2(RequiredGains::uniform(rg))
+            .budget(SolveBudget::default().with_max_nodes(NODE_CAP));
         let sel = Solver::new(&w.instance)
             .with_imps(w.imps.clone())
             .solve(&opts)
