@@ -30,7 +30,7 @@ pub fn sc_pc_conflicts(db: &ImpDb) -> Vec<ConflictPair> {
     let mut out = Vec::new();
     for imp in db.imps() {
         for &consumed in imp.parallel.consumed_scalls() {
-            for other in db.for_scall(consumed) {
+            for other in db.iter_scall(consumed) {
                 // `other` implements the consumed s-call with an IP; `imp`
                 // needs that call in software.
                 out.push(ConflictPair {

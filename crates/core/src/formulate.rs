@@ -1,8 +1,8 @@
 //! ILP formulation of the optimal S-instruction generation problem (§4.1).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use partita_ilp::{fixed_charge, Model, Relation, Sense, VarId};
+use partita_ilp::{fixed_charge, Model, Name, Relation, Sense, VarId};
 use partita_ip::IpId;
 use partita_mop::{CallSiteId, PathId};
 
@@ -80,15 +80,17 @@ pub(crate) fn build_model(
         if excluded {
             x.push(None);
         } else {
-            x.push(Some(model.add_binary(format!("x_{}", imp.id))));
+            // `x_imp<i>`, rendered only when read.
+            x.push(Some(
+                model.add_binary(Name::Numbered("x_imp", u64::from(imp.id.0))),
+            ));
         }
     }
 
     // Eq. 1: at most one IMP per s-call.
     for sc in &instance.scalls {
         let terms: Vec<(VarId, f64)> = db
-            .for_scall(sc.id)
-            .iter()
+            .iter_scall(sc.id)
             .filter_map(|imp| x[imp.id.index()].map(|v| (v, 1.0)))
             .collect();
         if !terms.is_empty() {
@@ -97,7 +99,7 @@ pub(crate) fn build_model(
                     terms,
                     Relation::Le,
                     1.0,
-                    Some(format!("one_imp_{}", sc.id)),
+                    Some(Name::Numbered("one_imp_sc", u64::from(sc.id.0))),
                 )
                 .map_err(CoreError::Ilp)?;
         }
@@ -114,7 +116,7 @@ pub(crate) fn build_model(
                     scall: sc,
                 });
             }
-            for imp in db.for_scall(sc) {
+            for imp in db.iter_scall(sc) {
                 if let Some(v) = x[imp.id.index()] {
                     terms.push((v, imp.gain.get() as f64));
                 }
@@ -126,7 +128,7 @@ pub(crate) fn build_model(
                 terms,
                 Relation::Ge,
                 gains.for_path(path.id).get() as f64,
-                Some(format!("gain_{}", path.id)),
+                Some(Name::Numbered("gain_P", u64::from(path.id.0))),
             )
             .map_err(CoreError::Ilp)?;
     }
@@ -183,25 +185,59 @@ pub(crate) fn build_model(
     // s-call pair. A self-pair (an IMP consuming its own s-call) keeps its
     // pair row `2·x_a ≤ 1`: the clique would not forbid it.
     if problem == ProblemKind::Problem2 {
-        let mut cliques: BTreeMap<(CallSiteId, CallSiteId), BTreeSet<VarId>> = BTreeMap::new();
-        let mut self_consumers: BTreeSet<VarId> = BTreeSet::new();
+        // The groups of each consuming s-call `A` (by index), as
+        // (consumed s-call `B`, members) in first-seen order; sorted by
+        // `B`, with sorted and deduplicated members, before emitting.
+        // `stamp[v]` holds the last group `v` joined, numbered from 1 as
+        // `A · |db| + position + 1` (a consumer has at most `|db|` groups):
+        // the pairs of one consuming IMP come together, so it skips most
+        // repeats before they are stored.
+        let mut cliques: Vec<Vec<(CallSiteId, Vec<VarId>)>> = Vec::new();
+        let mut self_consumers: Vec<VarId> = Vec::new();
+        let mut stamp: Vec<usize> = vec![0; model.num_vars()];
         for pair in sc_pc_conflicts(db) {
             let (Some(a), Some(b)) = (x[pair.a.index()], x[pair.b.index()]) else {
                 continue;
             };
             if a == b {
-                self_consumers.insert(a);
-            } else {
-                let key = (
-                    db.imps()[pair.a.index()].scall,
-                    db.imps()[pair.b.index()].scall,
-                );
-                cliques.entry(key).or_default().extend([a, b]);
+                self_consumers.push(a);
+                continue;
+            }
+            let consumer = db.imps()[pair.a.index()].scall.index();
+            let consumed = db.imps()[pair.b.index()].scall;
+            if cliques.len() <= consumer {
+                cliques.resize_with(consumer + 1, Vec::new);
+            }
+            let groups = &mut cliques[consumer];
+            let at = match groups.iter().position(|(sc, _)| *sc == consumed) {
+                Some(at) => at,
+                None => {
+                    groups.push((consumed, Vec::new()));
+                    groups.len() - 1
+                }
+            };
+            let id = consumer * db.len() + at + 1;
+            let members = &mut groups[at].1;
+            for v in [a, b] {
+                if stamp[v.index()] != id {
+                    stamp[v.index()] = id;
+                    members.push(v);
+                }
             }
         }
+        for groups in &mut cliques {
+            groups.sort_unstable_by_key(|&(sc, _)| sc);
+            for (_, members) in groups.iter_mut() {
+                members.sort_unstable();
+                members.dedup();
+            }
+        }
+        self_consumers.sort_unstable();
+        self_consumers.dedup();
         let rows = cliques
-            .into_values()
-            .map(|clique| clique.into_iter().map(|v| (v, 1.0)).collect())
+            .into_iter()
+            .flatten()
+            .map(|(_, members)| members.into_iter().map(|v| (v, 1.0)).collect())
             .chain(self_consumers.into_iter().map(|a| vec![(a, 2.0)]));
         for terms in rows {
             model
@@ -214,24 +250,32 @@ pub(crate) fn build_model(
     // users of IP k are grouped by s-call: Eq. 1 lets at most one of each
     // group be selected, so M_k is the number of s-calls with an active
     // IMP on k, and an IMP listing k twice is one user (s_ijk ∈ {0,1}).
-    let mut users: BTreeMap<IpId, BTreeMap<CallSiteId, Vec<VarId>>> = BTreeMap::new();
+    // `users[k]` lists IP k's (s-call, column) pairs; sorted, each
+    // s-call's run is one group.
+    let mut users: Vec<Vec<(CallSiteId, VarId)>> = Vec::new();
     for imp in db.imps() {
         if let Some(v) = x[imp.id.index()] {
             for &ip in &imp.ips {
-                users
-                    .entry(ip)
-                    .or_default()
-                    .entry(imp.scall)
-                    .or_default()
-                    .push(v);
+                let k = ip.0 as usize;
+                if users.len() <= k {
+                    users.resize_with(k + 1, Vec::new);
+                }
+                users[k].push((imp.scall, v));
             }
         }
     }
     let mut z = BTreeMap::new();
-    for (&ip, by_scall) in &users {
-        let zv = model.add_binary(format!("z_{ip}"));
-        fixed_charge::link_indicator(&mut model, zv, by_scall.values().map(|g| g.iter().copied()))
-            .map_err(CoreError::Ilp)?;
+    for (k, pairs) in users.iter_mut().enumerate() {
+        if pairs.is_empty() {
+            continue;
+        }
+        pairs.sort_unstable();
+        let ip = IpId(k as u32);
+        let zv = model.add_binary(Name::Numbered("z_IP", u64::from(ip.0)));
+        let groups = pairs
+            .chunk_by(|p, q| p.0 == q.0)
+            .map(|group| group.iter().map(|&(_, v)| v));
+        fixed_charge::link_indicator(&mut model, zv, groups).map_err(CoreError::Ilp)?;
         z.insert(ip, zv);
     }
 
@@ -257,15 +301,8 @@ pub(crate) fn build_model(
         .filter_map(|sc| max_gain.get(sc.id.index()))
         .sum();
     let gain_tiebreak: f64 = 0.4 / (max_total_gain.max(1) as f64);
+    // In column order (every `x` before every `z`), so each term appends.
     let mut objective: Vec<(VarId, f64)> = Vec::new();
-    for (&ip, &zv) in &z {
-        let area = instance
-            .library
-            .block(ip)
-            .map(|b| b.area().tenths())
-            .unwrap_or(0);
-        objective.push((zv, area as f64));
-    }
     for imp in db.imps() {
         if let Some(v) = x[imp.id.index()] {
             objective.push((
@@ -273,6 +310,14 @@ pub(crate) fn build_model(
                 imp.interface_area.tenths() as f64 - gain_tiebreak * imp.gain.get() as f64,
             ));
         }
+    }
+    for (&ip, &zv) in &z {
+        let area = instance
+            .library
+            .block(ip)
+            .map(|b| b.area().tenths())
+            .unwrap_or(0);
+        objective.push((zv, area as f64));
     }
     model.set_objective(objective);
 
@@ -491,7 +536,11 @@ mod tests {
         form.model
             .constraints()
             .iter()
-            .filter(|c| c.label.as_deref().is_some_and(|l| l.starts_with(label)))
+            .filter(|c| {
+                c.label
+                    .as_ref()
+                    .is_some_and(|l| l.render().starts_with(label))
+            })
             .map(|c| (c.expr.terms(), c.relation, c.rhs))
             .collect()
     }

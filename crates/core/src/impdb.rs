@@ -133,15 +133,17 @@ impl ImpDb {
     /// The active (non-retired) IMPs of one s-call.
     #[must_use]
     pub fn for_scall(&self, scall: CallSiteId) -> Vec<&Imp> {
+        self.iter_scall(scall).collect()
+    }
+
+    /// [`ImpDb::for_scall`] without collecting.
+    pub(crate) fn iter_scall(&self, scall: CallSiteId) -> impl Iterator<Item = &Imp> + '_ {
         self.per_scall
             .get(scall.index())
-            .map(|ids| {
-                ids.iter()
-                    .filter(|id| self.active[id.index()])
-                    .map(|id| &self.imps[id.index()])
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .filter(|id| self.active[id.index()])
+            .map(|id| &self.imps[id.index()])
     }
 
     /// Generates the database from an instance: for every s-call, every

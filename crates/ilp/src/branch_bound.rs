@@ -10,15 +10,33 @@
 //! Budget-exhausted runs report whatever incumbent was found in time and are
 //! exempt from the contract (they are flagged via [`Termination`], never
 //! silently).
+//!
+//! # The node path
+//!
+//! A search copies the model's rows and objective into flat arrays once
+//! (`FlatModel`: the terms back to back, each row's relation and `rhs −
+//! constant`, one minimisation-sense cost per variable), and computes each
+//! binary's branching weight from it. A node then reconstructs its bounds
+//! from the post-probe base bounds and its branching fixes, pins the
+//! columns of every row left without slack (reading the flat rows), builds
+//! its folded tableau and cost row from the flat copy, and solves it. Its
+//! LP point, rounded, is offered to the incumbent, and the model's rows
+//! are checked only when the rounding would improve the incumbent, the
+//! row that refused the last rounding first. An integral LP point is not
+//! offered twice. None of this changes an operation on a value: every
+//! node, pivot and selection is the one the model walk gave
+//! (`crates/ilp/tests/proptest_node.rs` checks the pinned bounds and the
+//! built tableau against it bit for bit).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::model::FlatModel;
 use crate::simplex::{
-    solve_with_basis, solve_with_bounds_scratch, Basis, ProbeOutcome, RootProbe, SimplexOps,
-    SimplexOptions, SimplexScratch,
+    solve_folded, solve_root, Basis, ProbeOutcome, RootProbe, SimplexOps, SimplexOptions,
+    SimplexScratch,
 };
 use crate::{IlpError, IlpSolution, LpSolution, Model, Relation, Sense, VarId, TIE_TOL};
 
@@ -188,6 +206,10 @@ struct NodeArena {
     lower: Vec<f64>,
     /// Reconstructed upper bounds of the node being expanded.
     upper: Vec<f64>,
+    /// An LP point with its binaries rounded, for the incumbent offer.
+    rounded: Vec<f64>,
+    /// The row that refused the last rounded point.
+    refused: usize,
     /// Retired path vectors, reused for new children oldest-capacity
     /// first. Bounded so a search that closes far more nodes than it
     /// opens cannot hoard memory.
@@ -202,6 +224,8 @@ impl NodeArena {
         NodeArena {
             lower: Vec::new(),
             upper: Vec::new(),
+            rounded: Vec::new(),
+            refused: 0,
             free: Vec::new(),
         }
     }
@@ -229,26 +253,41 @@ impl NodeArena {
     /// integral bounds. The LP feasible set is unchanged; the build folds
     /// the pinned columns out instead of the simplex reaching the same
     /// values through degenerate pivots. On a fixed-charge row, a branch
-    /// to `z = 0` pins every user of the IP to 0.
-    fn pin_tight_rows(&mut self, model: &Model) {
+    /// to `z = 0` pins every user of the IP to 0. The rows are read from
+    /// the search's flat copy, whose right-hand sides are `rhs − constant`.
+    /// Only the activity a row's relation tests is summed (an equality
+    /// row tests both).
+    fn pin_tight_rows(&mut self, flat: &FlatModel<'_>) {
         let (lower, upper) = (&mut self.lower, &mut self.upper);
-        for row in model.constraints() {
-            let terms = || row.expr.iter_terms().filter(|&(_, a)| a != 0.0);
-            let (mut least, mut most) = (0.0, 0.0);
-            for (v, a) in terms() {
-                let (l, u) = (a * lower[v.index()], a * upper[v.index()]);
-                least += l.min(u);
-                most += l.max(u);
-            }
+        for (r, (&relation, &rhs)) in flat.relation.iter().zip(&flat.rhs).enumerate() {
+            let terms = || flat.row(r).iter().filter(|&&(_, a)| a != 0.0);
+            // The least activity over the boxes, and the greatest.
+            let activity = |least: bool| {
+                let mut sum = 0.0;
+                for &(j, a) in terms() {
+                    let (l, u) = (a * lower[j], a * upper[j]);
+                    sum += if least { l.min(u) } else { l.max(u) };
+                }
+                sum
+            };
             // Whether every column sits where it lowers the activity, or
             // where it raises it.
-            let low = match row.relation {
-                Relation::Le | Relation::Eq if least >= row.rhs => true,
-                Relation::Ge | Relation::Eq if most <= row.rhs => false,
+            let low = match relation {
+                Relation::Le if activity(true) >= rhs => true,
+                Relation::Ge if activity(false) <= rhs => false,
+                Relation::Eq => {
+                    let (least, most) = (activity(true), activity(false));
+                    if least >= rhs {
+                        true
+                    } else if most <= rhs {
+                        false
+                    } else {
+                        continue;
+                    }
+                }
                 _ => continue,
             };
-            for (v, a) in terms() {
-                let j = v.index();
+            for &(j, a) in terms() {
                 if (a > 0.0) == low {
                     upper[j] = lower[j];
                 } else {
@@ -269,6 +308,18 @@ impl NodeArena {
             path.clear();
             self.free.push(path);
         }
+    }
+}
+
+/// `x.round()`, bit for bit, without the library call on the values an LP
+/// vertex gives most binaries: `0.0` (either sign) and `1.0` are their own
+/// rounding.
+#[inline]
+fn round(x: f64) -> f64 {
+    if x == 0.0 || x == 1.0 {
+        x
+    } else {
+        x.round()
     }
 }
 
@@ -341,8 +392,11 @@ impl Incumbent {
 
 /// Immutable per-run search context shared by the root and the search loop.
 struct SearchCtx<'a> {
-    model: &'a Model,
+    flat: &'a FlatModel<'a>,
     binaries: &'a [VarId],
+    /// Branching weight of each binary, in `binaries` order: its
+    /// `|objective coefficient|`, at least `1e-6`.
+    weights: &'a [f64],
     minimize: bool,
 }
 
@@ -355,22 +409,41 @@ impl SearchCtx<'_> {
         }
     }
 
-    /// Rounds the binaries of `values` in place and offers the point when
-    /// feasible, counting an incumbent improvement in `stats`.
+    /// Offers `values` with its binaries rounded, counting an incumbent
+    /// improvement in `stats`. The rounding is made in the arena. The
+    /// point is checked against the model only when it would improve the
+    /// incumbent: [`Incumbent::offer`] refuses it otherwise whether or not
+    /// it is feasible. The check is [`Model::is_feasible`]'s, except that
+    /// the row that refused the last rounded point is tried first: most
+    /// roundings break the same row, and any one broken row refuses.
     fn offer_rounded(
         &self,
-        mut values: Vec<f64>,
+        values: &[f64],
+        arena: &mut NodeArena,
         inc: &mut Incumbent,
         stats: &mut BranchBoundStats,
     ) {
+        let rounded = &mut arena.rounded;
+        rounded.clear();
+        rounded.extend_from_slice(values);
         for &v in self.binaries {
-            values[v.index()] = values[v.index()].round();
+            rounded[v.index()] = round(rounded[v.index()]);
         }
-        if !self.model.is_feasible(&values) {
+        let model = self.flat.model;
+        let objective = model.objective().eval(rounded);
+        let score = self.norm(objective);
+        if !inc.improves(score, rounded) {
             return;
         }
-        let objective = self.model.objective().eval(&values);
-        if inc.offer(self.norm(objective), objective, values) {
+        let rows = model.constraints();
+        if rows.get(arena.refused).is_some_and(|c| !c.holds(rounded)) || !model.in_domain(rounded) {
+            return;
+        }
+        if let Some(r) = model.violated_row(rounded) {
+            arena.refused = r;
+            return;
+        }
+        if inc.offer(score, objective, rounded.clone()) {
             stats.incumbent_updates += 1;
         }
     }
@@ -391,9 +464,9 @@ impl SearchCtx<'_> {
         stats: &mut BranchBoundStats,
     ) -> Result<Option<(Node, Node)>, IlpError> {
         arena.reconstruct(base_lower, base_upper, &node.path);
-        arena.pin_tight_rows(self.model);
-        let lp = match solve_with_bounds_scratch(
-            self.model,
+        arena.pin_tight_rows(self.flat);
+        let lp = match solve_folded(
+            self.flat,
             &arena.lower,
             &arena.upper,
             SimplexOptions::default(),
@@ -417,14 +490,15 @@ impl SearchCtx<'_> {
         // Rounding heuristic: snapping the LP optimum to the nearest
         // integers often yields a feasible incumbent immediately on
         // coverage-style models, which tightens pruning dramatically.
-        self.offer_rounded(lp.values.clone(), inc, stats);
-        Ok(self.branch(lp, bound, node.path, arena, inc, stats))
+        self.offer_rounded(&lp.values, arena, inc, stats);
+        Ok(self.branch(&lp, bound, node.path, arena))
     }
 
     /// Branches a node whose LP optimum `lp` (normalised bound `bound`)
     /// survived pruning, at the bounds `path` reached, which `arena` holds
-    /// reconstructed. Returns the down/up children, or `None` after
-    /// offering an integral optimum to the incumbent, retiring the path.
+    /// reconstructed. Returns the down/up children, or `None` for an
+    /// integral optimum, retiring the path: the caller has already offered
+    /// its rounding, which is the point itself, to the incumbent.
     ///
     /// The branching variable is the fractional binary with the largest
     /// objective×fractionality impact: deciding heavy variables first
@@ -432,29 +506,22 @@ impl SearchCtx<'_> {
     /// plateaus on coverage models).
     fn branch(
         &self,
-        lp: LpSolution,
+        lp: &LpSolution,
         bound: f64,
         path: Vec<BoundFix>,
         arena: &mut NodeArena,
-        inc: &mut Incumbent,
-        stats: &mut BranchBoundStats,
     ) -> Option<(Node, Node)> {
         let frac = self
             .binaries
             .iter()
-            .map(|&v| (v, lp.value(v)))
-            .filter(|(_, x)| (x - x.round()).abs() > INT_TOL)
+            .zip(self.weights)
+            .map(|(&v, &c)| (v, lp.value(v), c))
+            .filter(|(_, x, _)| (x - round(*x)).abs() > INT_TOL)
             .max_by(|a, b| {
-                let weight = |(v, x): &(VarId, f64)| {
-                    let f = (x - x.round()).abs();
-                    let c = self.model.objective().coeff(*v).abs().max(1e-6);
-                    f * c
-                };
+                let weight = |&(_, x, c): &(VarId, f64, f64)| (x - round(x)).abs() * c;
                 weight(a).total_cmp(&weight(b))
             });
-        let Some((v, x)) = frac else {
-            // Integer feasible: snap binaries and record.
-            self.offer_rounded(lp.values, inc, stats);
+        let Some((v, x, _)) = frac else {
             arena.retire(path);
             return None;
         };
@@ -486,6 +553,25 @@ impl SearchCtx<'_> {
         };
         Some((down, up))
     }
+}
+
+/// The bounds of the node `path` reaches from the base bounds, with every
+/// row without slack pinned: [`SearchCtx::expand`]'s bounds, for
+/// [`crate::simplex::TableauHandle::node`].
+pub(crate) fn node_bounds(
+    flat: &FlatModel<'_>,
+    base_lower: &[f64],
+    base_upper: &[f64],
+    path: &[(usize, f64, f64)],
+) -> (Vec<f64>, Vec<f64>) {
+    let path: Vec<BoundFix> = path
+        .iter()
+        .map(|&(var, lower, upper)| BoundFix { var, lower, upper })
+        .collect();
+    let mut arena = NodeArena::new();
+    arena.reconstruct(base_lower, base_upper, &path);
+    arena.pin_tight_rows(flat);
+    (arena.lower, arena.upper)
 }
 
 impl BranchBound {
@@ -604,10 +690,16 @@ impl BranchBound {
         let n = model.num_vars();
         let minimize = model.sense() == Sense::Minimize;
         let started = Instant::now();
+        let flat = FlatModel::new(model);
         let binaries = model.binary_vars();
+        let weights: Vec<f64> = binaries
+            .iter()
+            .map(|v| flat.cost[v.index()].abs().max(1e-6))
+            .collect();
         let ctx = SearchCtx {
-            model,
+            flat: &flat,
             binaries: &binaries,
+            weights: &weights,
             minimize,
         };
 
@@ -676,8 +768,8 @@ impl BranchBound {
         // its own optimal basis can be handed to the next solve.
         let mut scratch = SimplexScratch::new();
         stats.nodes_explored += 1;
-        let (lp, root_basis_out) = match solve_with_basis(
-            model,
+        let (lp, root_basis_out) = match solve_root(
+            &flat,
             &base_lower,
             &base_upper,
             SimplexOptions::default(),
@@ -702,7 +794,7 @@ impl BranchBound {
                     stats.nodes_pruned += 1;
                     None
                 } else {
-                    ctx.offer_rounded(lp.values.clone(), &mut incumbent, &mut stats);
+                    ctx.offer_rounded(&lp.values, &mut arena, &mut incumbent, &mut stats);
 
                     // Reduced-cost probing, once, at the root: a warm start
                     // supplies a tight incumbent before any search happens,
@@ -727,7 +819,7 @@ impl BranchBound {
                                 base_lower[v.index()] < base_upper[v.index()]
                                     && (x <= INT_TOL || x >= 1.0 - INT_TOL)
                             })
-                            .map(|(v, x)| (v, x, model.objective().coeff(v).abs()))
+                            .map(|(v, x)| (v, x, flat.cost[v.index()].abs()))
                             .collect();
                         candidates.sort_by(|a, b| b.2.total_cmp(&a.2));
                         let mut prober = RootProbe::new(
@@ -782,14 +874,7 @@ impl BranchBound {
                     // Branch the root like any other node: its bounds are
                     // the post-probe base bounds, reached by an empty path.
                     arena.reconstruct(&base_lower, &base_upper, &[]);
-                    ctx.branch(
-                        lp,
-                        bound,
-                        Vec::new(),
-                        &mut arena,
-                        &mut incumbent,
-                        &mut stats,
-                    )
+                    ctx.branch(&lp, bound, Vec::new(), &mut arena)
                 }
             }
         };
@@ -872,7 +957,7 @@ mod tests {
         let (lower, mut upper) = (vec![0.0; 9], vec![1.0; 9]);
         upper[z.index()] = 0.0;
         arena.reconstruct(&lower, &upper, &[]);
-        arena.pin_tight_rows(&m);
+        arena.pin_tight_rows(&FlatModel::new(&m));
         let bounds: Vec<(f64, f64)> = arena
             .lower
             .iter()

@@ -3,7 +3,8 @@
 use std::time::{Duration, Instant};
 
 use crate::branch_bound::lex_less;
-use crate::simplex::{solve_with_bounds, SimplexOptions};
+use crate::model::FlatModel;
+use crate::simplex::{solve_folded, SimplexOptions, SimplexScratch};
 use crate::{IlpError, IlpSolution, Model, Sense, Termination, VarId, VarKind, TIE_TOL};
 
 /// Maximum number of binaries the exhaustive solver accepts.
@@ -62,6 +63,9 @@ pub fn run_binary_exhaustive(
     });
     let minimize = model.sense() == Sense::Minimize;
     let norm = |obj: f64| if minimize { obj } else { -obj };
+    // A mixed model solves one LP per assignment, on one flat copy.
+    let flat = FlatModel::new(model);
+    let mut scratch = SimplexScratch::new();
 
     let mut best: Option<IlpSolution> = None;
     let mut best_score = f64::INFINITY;
@@ -100,7 +104,13 @@ pub fn run_binary_exhaustive(
                 None
             }
         } else {
-            match solve_with_bounds(model, &lower, &upper, SimplexOptions::default()) {
+            match solve_folded(
+                &flat,
+                &lower,
+                &upper,
+                SimplexOptions::default(),
+                &mut scratch,
+            ) {
                 Ok(lp) => Some((lp.objective, lp.values)),
                 Err(IlpError::Infeasible) => None,
                 Err(e) => return Err(e),

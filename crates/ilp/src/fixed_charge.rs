@@ -14,8 +14,6 @@
 //! most one member can be 1 (the paper's Eq. 1 allows one IMP per s-call),
 //! the left side is at most the number of groups, so that is `M`.
 
-use std::collections::BTreeSet;
-
 use crate::{IlpError, Model, Relation, VarId};
 
 /// Links an indicator `z` so that it must be 1 whenever any user is 1.
@@ -60,15 +58,17 @@ pub fn link_indicator<G>(
 where
     G: IntoIterator<Item = VarId>,
 {
-    let mut users = BTreeSet::new();
+    let mut users = Vec::new();
     let mut big_m = 0u32;
     for group in groups {
-        let mut group = group.into_iter().peekable();
-        if group.peek().is_some() {
+        let before = users.len();
+        users.extend(group);
+        if users.len() > before {
             big_m += 1;
         }
-        users.extend(group);
     }
+    users.sort_unstable();
+    users.dedup();
     if users.is_empty() {
         // No users can ever force z; pin it to 0 so the charge vanishes.
         return model.add_constraint([(z, 1.0)], Relation::Le, 0.0);
@@ -125,7 +125,7 @@ mod tests {
         let groups = [vec![x[0], x[1], x[0]], vec![], vec![x[2]], vec![x[3]]];
         link_indicator(&mut m, z, groups).unwrap();
         let row = &m.constraints()[0];
-        assert_eq!(row.label.as_deref(), Some("fixed-charge"));
+        assert_eq!(row.label, Some("fixed-charge".into()));
         assert_eq!(
             row.expr.terms(),
             [

@@ -51,7 +51,7 @@ pub use exhaustive::{
     run_binary_exhaustive, solve_binary_exhaustive, ExhaustiveRun, MAX_EXHAUSTIVE_BINARIES,
 };
 pub use expr::LinExpr;
-pub use model::{Model, Relation, Sense, VarId, VarKind};
+pub use model::{Model, Name, Relation, Sense, VarId, VarKind};
 pub use simplex::{solve_with_basis, Basis, BasisSolve, SimplexOps};
 pub use solution::{IlpSolution, LpSolution};
 

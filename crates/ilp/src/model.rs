@@ -1,5 +1,6 @@
 //! Optimisation model: variables, constraints, objective.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{IlpError, LinExpr};
@@ -61,9 +62,62 @@ impl fmt::Display for Relation {
     }
 }
 
+/// A variable name or a row label: text, or a static prefix followed by
+/// a number, which is rendered only when the name is read. A formulation
+/// with hundreds of columns names each one by its index without formatting
+/// a string per column.
+///
+/// # Example
+///
+/// ```
+/// use partita_ilp::Name;
+/// assert_eq!(Name::Numbered("x_imp", 7).to_string(), "x_imp7");
+/// assert_eq!(Name::from("cover"), Name::Text("cover".into()));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Name {
+    /// Fixed text, borrowed when it is static.
+    Text(Cow<'static, str>),
+    /// `prefix` followed by `number` in decimal.
+    Numbered(&'static str, u64),
+}
+
+impl Name {
+    /// The name as text: borrowed for [`Name::Text`], rendered for
+    /// [`Name::Numbered`].
+    #[must_use]
+    pub fn render(&self) -> Cow<'_, str> {
+        match self {
+            Name::Text(text) => Cow::Borrowed(text),
+            Name::Numbered(prefix, number) => Cow::Owned(format!("{prefix}{number}")),
+        }
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Name::Text(text) => f.write_str(text),
+            Name::Numbered(prefix, number) => write!(f, "{prefix}{number}"),
+        }
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(text: &'static str) -> Name {
+        Name::Text(Cow::Borrowed(text))
+    }
+}
+
+impl From<String> for Name {
+    fn from(text: String) -> Name {
+        Name::Text(Cow::Owned(text))
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
-    pub name: String,
+    pub name: Name,
     pub kind: VarKind,
     pub lower: f64,
     pub upper: f64,
@@ -79,7 +133,7 @@ pub struct ConstraintDef {
     /// Right-hand side.
     pub rhs: f64,
     /// Optional label for diagnostics.
-    pub label: Option<String>,
+    pub label: Option<Name>,
 }
 
 /// A mixed binary/continuous linear model.
@@ -125,7 +179,7 @@ impl Model {
     }
 
     /// Adds a binary variable.
-    pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
+    pub fn add_binary(&mut self, name: impl Into<Name>) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(VarDef {
             name: name.into(),
@@ -141,7 +195,7 @@ impl Model {
     /// # Panics
     ///
     /// Panics if `lower > upper` or either bound is NaN.
-    pub fn add_continuous(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
+    pub fn add_continuous(&mut self, name: impl Into<Name>, lower: f64, upper: f64) -> VarId {
         assert!(
             !lower.is_nan() && !upper.is_nan() && lower <= upper,
             "invalid bounds [{lower}, {upper}]"
@@ -180,15 +234,15 @@ impl Model {
             .ok_or(IlpError::UnknownVariable(var))
     }
 
-    /// Variable name.
+    /// Variable name, rendered if it is a [`Name::Numbered`].
     ///
     /// # Errors
     ///
     /// Returns [`IlpError::UnknownVariable`] for out-of-range ids.
-    pub fn var_name(&self, var: VarId) -> Result<&str, IlpError> {
+    pub fn var_name(&self, var: VarId) -> Result<Cow<'_, str>, IlpError> {
         self.vars
             .get(var.index())
-            .map(|v| v.name.as_str())
+            .map(|v| v.name.render())
             .ok_or(IlpError::UnknownVariable(var))
     }
 
@@ -243,7 +297,7 @@ impl Model {
         relation: Relation,
         rhs: f64,
     ) -> Result<(), IlpError> {
-        self.add_labeled_constraint(terms, relation, rhs, None::<String>)
+        self.add_labeled_constraint(terms, relation, rhs, None::<Name>)
     }
 
     /// Adds a constraint with a diagnostic label.
@@ -256,7 +310,7 @@ impl Model {
         terms: impl IntoIterator<Item = (VarId, f64)>,
         relation: Relation,
         rhs: f64,
-        label: Option<impl Into<String>>,
+        label: Option<impl Into<Name>>,
     ) -> Result<(), IlpError> {
         let expr: LinExpr = terms.into_iter().collect();
         for (v, c) in expr.iter_terms() {
@@ -348,26 +402,105 @@ impl Model {
     /// domains, within [`crate::FEAS_TOL`].
     #[must_use]
     pub fn is_feasible(&self, values: &[f64]) -> bool {
+        self.in_domain(values) && self.violated_row(values).is_none()
+    }
+
+    /// Whether a full assignment lies in the variable domains, within
+    /// [`crate::FEAS_TOL`].
+    pub(crate) fn in_domain(&self, values: &[f64]) -> bool {
         let tol = crate::FEAS_TOL;
         if values.len() != self.vars.len() {
             return false;
         }
-        for (v, def) in values.iter().zip(&self.vars) {
-            if *v < def.lower - tol || *v > def.upper + tol {
-                return false;
-            }
-            if def.kind == VarKind::Binary && (v - v.round()).abs() > tol {
-                return false;
-            }
-        }
-        self.constraints.iter().all(|c| {
-            let lhs = c.expr.eval(values);
-            match c.relation {
-                Relation::Le => lhs <= c.rhs + tol,
-                Relation::Ge => lhs >= c.rhs - tol,
-                Relation::Eq => (lhs - c.rhs).abs() <= tol,
-            }
+        !values.iter().zip(&self.vars).any(|(v, def)| {
+            *v < def.lower - tol
+                || *v > def.upper + tol
+                || (def.kind == VarKind::Binary && (v - v.round()).abs() > tol)
         })
+    }
+
+    /// The first constraint `values` violates, as [`Model::is_feasible`]
+    /// checks them.
+    pub(crate) fn violated_row(&self, values: &[f64]) -> Option<usize> {
+        self.constraints.iter().position(|c| !c.holds(values))
+    }
+}
+
+impl ConstraintDef {
+    /// Whether the row holds at `values`, within [`crate::FEAS_TOL`].
+    pub(crate) fn holds(&self, values: &[f64]) -> bool {
+        let tol = crate::FEAS_TOL;
+        let lhs = self.expr.eval(values);
+        match self.relation {
+            Relation::Le => lhs <= self.rhs + tol,
+            Relation::Ge => lhs >= self.rhs - tol,
+            Relation::Eq => (lhs - self.rhs).abs() <= tol,
+        }
+    }
+}
+
+/// A model's rows and objective as flat arrays, built once per search.
+///
+/// Branch-and-bound reads every row at every node: its pin pass, the
+/// folded tableau build and the cost-row install. Here the rows' terms
+/// sit back to back in one buffer, with each row's relation and its
+/// `rhs − constant` (the subtraction the build makes, taken once) beside
+/// them, so those passes stride through arrays instead of walking the
+/// model's rows, and read the objective by index instead of searching it.
+#[derive(Debug)]
+pub(crate) struct FlatModel<'a> {
+    /// The model flattened, for everything off the node path.
+    pub model: &'a Model,
+    /// Row `r`'s `(variable, coefficient)` terms are
+    /// `terms[start[r]..start[r + 1]]`, in variable order.
+    start: Vec<usize>,
+    terms: Vec<(usize, f64)>,
+    /// Relation per row.
+    pub relation: Vec<Relation>,
+    /// `rhs − constant` per row.
+    pub rhs: Vec<f64>,
+    /// Objective coefficient per variable in minimisation sense: negated
+    /// when the model maximises, `0.0` where the objective has no term.
+    pub cost: Vec<f64>,
+}
+
+impl<'a> FlatModel<'a> {
+    /// Flattens `model`.
+    pub fn new(model: &'a Model) -> FlatModel<'a> {
+        let rows = model.constraints.len();
+        let mut flat = FlatModel {
+            model,
+            start: Vec::with_capacity(rows + 1),
+            terms: Vec::with_capacity(
+                model
+                    .constraints
+                    .iter()
+                    .map(|c| c.expr.iter_terms().len())
+                    .sum(),
+            ),
+            relation: Vec::with_capacity(rows),
+            rhs: Vec::with_capacity(rows),
+            cost: vec![0.0; model.vars.len()],
+        };
+        flat.start.push(0);
+        for c in &model.constraints {
+            flat.terms
+                .extend(c.expr.iter_terms().map(|(v, k)| (v.index(), k)));
+            flat.start.push(flat.terms.len());
+            flat.relation.push(c.relation);
+            flat.rhs.push(c.rhs - c.expr.constant());
+        }
+        let minimize = model.sense == Sense::Minimize;
+        for (v, c) in model.objective.iter_terms() {
+            flat.cost[v.index()] = if minimize { c } else { -c };
+        }
+        flat
+    }
+
+    /// Row `r`'s terms.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[(usize, f64)] {
+        &self.terms[self.start[r]..self.start[r + 1]]
     }
 }
 
@@ -388,7 +521,7 @@ impl fmt::Display for Model {
         writeln!(f, "{sense} {}", self.objective)?;
         writeln!(f, "s.t.")?;
         for (i, c) in self.constraints.iter().enumerate() {
-            let label = c.label.as_deref().unwrap_or("");
+            let label = c.label.as_ref().map(Name::render).unwrap_or_default();
             writeln!(
                 f,
                 "  c{i}{}{label}: {} {} {}",
@@ -465,6 +598,27 @@ mod tests {
         assert!(text.contains(">= 1"));
         assert!(text.contains("cover"));
         assert!(text.contains("binaries: x0 x1"));
+    }
+
+    #[test]
+    fn numbered_names_render_when_read() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_binary(Name::Numbered("x_imp", 7));
+        let y = m.add_binary("y");
+        m.add_labeled_constraint(
+            [(x, 1.0), (y, 1.0)],
+            Relation::Le,
+            1.0,
+            Some(Name::Numbered("one_imp_sc", 3)),
+        )
+        .unwrap();
+        assert_eq!(m.var_name(x).unwrap(), "x_imp7");
+        assert_eq!(m.var_name(y).unwrap(), "y");
+        assert_eq!(
+            m.constraints()[0].label,
+            Some(Name::Numbered("one_imp_sc", 3))
+        );
+        assert!(m.to_string().contains("c0:one_imp_sc3: "));
     }
 
     #[test]

@@ -91,6 +91,16 @@
 //! keeps node LPs deep in a branch-and-bound tree small without building a
 //! reduced [`Model`].
 //!
+//! A build reads the model through a flat copy (`FlatModel`): the rows'
+//! terms back to back in one buffer, each row's relation and `rhs −
+//! constant` beside them, and the objective as one coefficient per
+//! variable in minimisation sense. Branch-and-bound makes the copy once
+//! per search and hands it to its root and node LPs, so a node build and
+//! its cost row stride through arrays instead of walking the model; the
+//! public entry points, which take a [`Model`], flatten it per call. The
+//! same pass over the bounds validates them, counts the fixed variables,
+//! numbers the columns and records their boxes.
+//!
 //! # Root probes
 //!
 //! [`RootProbe`] re-solves bound pins of a root LP on the optimal
@@ -108,6 +118,7 @@
 //! [`solve_with_bounds_scratch`] instead. Probes skip `lex_canonicalize`:
 //! only their objective is used.
 
+use crate::model::FlatModel;
 use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL};
 
 const EPS: f64 = 1e-10;
@@ -986,24 +997,6 @@ pub fn solve_with_bounds(
     solve_with_bounds_scratch(model, lower, upper, options, &mut SimplexScratch::new())
 }
 
-/// Checks a bound-override pair: NaN bounds are a typed error (they would
-/// otherwise poison every shifted coefficient), crossed bounds are plain
-/// infeasibility.
-fn check_bounds(lower: &[f64], upper: &[f64]) -> Result<(), IlpError> {
-    for (&l, &u) in lower.iter().zip(upper) {
-        if l.is_nan() || u.is_nan() {
-            return Err(IlpError::NonFiniteCoefficient {
-                context: "bound override",
-                value: if l.is_nan() { l } else { u },
-            });
-        }
-        if l > u + EPS {
-            return Err(IlpError::Infeasible);
-        }
-    }
-    Ok(())
-}
-
 /// Whether a bound pair pins its variable (`upper - lower <= EPS`).
 fn is_fixed(lower: f64, upper: f64) -> bool {
     upper - lower <= EPS
@@ -1030,25 +1023,22 @@ pub fn solve_with_bounds_scratch(
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
 ) -> Result<LpSolution, IlpError> {
-    let n = model.num_vars();
+    solve_folded(&FlatModel::new(model), lower, upper, options, scratch)
+}
+
+/// [`solve_with_bounds_scratch`] on a model flattened once by the caller:
+/// branch-and-bound's node LP.
+pub(crate) fn solve_folded(
+    flat: &FlatModel<'_>,
+    lower: &[f64],
+    upper: &[f64],
+    options: SimplexOptions,
+    scratch: &mut SimplexScratch,
+) -> Result<LpSolution, IlpError> {
+    let n = flat.model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
-    check_bounds(lower, upper)?;
-
-    let fixed = (0..n).filter(|&i| is_fixed(lower[i], upper[i])).count();
-    if fixed == n && n > 0 {
-        // Everything pinned: just evaluate feasibility.
-        let values: Vec<f64> = lower.to_vec();
-        if !feasible_point(model, &values) {
-            return Err(IlpError::Infeasible);
-        }
-        return Ok(LpSolution {
-            objective: model.objective().eval(&values),
-            values,
-            iterations: 0,
-        });
-    }
-    let (solution, _) = solve_full(model, lower, upper, options, scratch, fixed > 0, false)?;
+    let (solution, _) = solve_full(flat, lower, upper, options, scratch, true, false)?;
     Ok(solution)
 }
 
@@ -1160,16 +1150,28 @@ pub fn solve_with_basis(
     scratch: &mut SimplexScratch,
     warm: Option<&Basis>,
 ) -> Result<BasisSolve, IlpError> {
-    let n = model.num_vars();
+    solve_root(&FlatModel::new(model), lower, upper, options, scratch, warm)
+}
+
+/// [`solve_with_basis`] on a model flattened once by the caller:
+/// branch-and-bound's root LP.
+pub(crate) fn solve_root(
+    flat: &FlatModel<'_>,
+    lower: &[f64],
+    upper: &[f64],
+    options: SimplexOptions,
+    scratch: &mut SimplexScratch,
+    warm: Option<&Basis>,
+) -> Result<BasisSolve, IlpError> {
+    let n = flat.model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
-    check_bounds(lower, upper)?;
     let warm_solve =
-        warm.and_then(|basis| try_warm_solve(model, lower, upper, options, scratch, basis));
+        warm.and_then(|basis| try_warm_solve(flat, lower, upper, options, scratch, basis));
     let solve = match warm_solve {
         Some(solve) => solve,
         None => {
-            let (solution, basis) = solve_full(model, lower, upper, options, scratch, false, true)?;
+            let (solution, basis) = solve_full(flat, lower, upper, options, scratch, false, true)?;
             BasisSolve {
                 solution,
                 basis,
@@ -1238,7 +1240,13 @@ fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
 /// moves into the rows' right-hand sides, and a constraint left without a
 /// free variable is checked against [`FEAS_TOL`] and dropped. Without
 /// `fold` every variable keeps its column (zero widths included), so the
-/// shape never depends on bound values.
+/// shape never depends on bound values; with `fold` but no fixed variable
+/// the build is the unfolded one, constant rows included.
+///
+/// One pass over the bounds validates them (a NaN bound is a typed error,
+/// since it would poison every shifted coefficient; crossed bounds are
+/// plain infeasibility), counts the fixed variables, numbers the columns
+/// and records their boxes; then the rows are copied from the flat model.
 ///
 /// A row's right-hand side is `(rhs − constant − Σ_fixed k·l) − Σ_free
 /// k·l`, each sum taken in term order: the operations, in order, of
@@ -1247,72 +1255,87 @@ fn close_row(t: &mut Tableau, r: usize, relation: Relation, raw_rhs: f64) {
 /// folded solve is bit-identical to the reduced one. Without fixed
 /// variables `Σ_fixed` is `0.0` and the row matches an unfolded build.
 ///
+/// Returns how many variables were folded out, or `None` when `fold`
+/// folds every one of them: then nothing is built (the caller evaluates
+/// the pinned point), though the columns' boxes were overwritten, so the
+/// scratch no longer holds a resident root tableau either way.
+///
 /// # Errors
 ///
-/// [`IlpError::Infeasible`] when a folded constant row is violated; no
-/// build is counted then.
+/// [`IlpError::NonFiniteCoefficient`] for a NaN bound, and
+/// [`IlpError::Infeasible`] for crossed bounds or when a folded constant
+/// row is violated; no build is counted then.
 fn build_tableau(
-    model: &Model,
+    flat: &FlatModel<'_>,
     lower: &[f64],
     upper: &[f64],
     fold: bool,
     scratch: &mut SimplexScratch,
-) -> Result<(), IlpError> {
+) -> Result<Option<usize>, IlpError> {
     let capacity_before = scratch.pooled_capacity();
     scratch.root_resident = false;
     let SimplexScratch {
         t, cost, var_col, ..
     } = scratch;
     var_col.clear();
-    let mut n = 0;
+    t.width.clear();
+    t.lo.clear();
+    let mut folded = 0;
     for (&l, &u) in lower.iter().zip(upper) {
+        if l.is_nan() || u.is_nan() {
+            return Err(IlpError::NonFiniteCoefficient {
+                context: "bound override",
+                value: if l.is_nan() { l } else { u },
+            });
+        }
+        if l > u + EPS {
+            return Err(IlpError::Infeasible);
+        }
         if fold && is_fixed(l, u) {
             var_col.push(FOLDED);
-        } else {
-            var_col.push(n);
-            n += 1;
+            folded += 1;
+            continue;
         }
+        var_col.push(t.width.len());
+        let width = u - l;
+        t.width.push(if width.is_finite() {
+            width.max(0.0)
+        } else {
+            f64::INFINITY
+        });
+        t.lo.push(0.0);
+    }
+    let n = t.width.len();
+    if n == 0 && folded > 0 {
+        return Ok(None);
     }
     t.n = n;
     t.rhs.clear();
     t.basis.clear();
-    t.width.clear();
-    t.lo.clear();
-    for (i, &col) in var_col.iter().enumerate() {
-        if col != FOLDED {
-            let width = upper[i] - lower[i];
-            t.width.push(if width.is_finite() {
-                width.max(0.0)
-            } else {
-                f64::INFINITY
-            });
-            t.lo.push(0.0);
-        }
-    }
 
     let mut m = 0;
     t.rows.clear_base();
-    for c in model.constraints() {
+    for (r, (&relation, &rhs)) in flat.relation.iter().zip(&flat.rhs).enumerate() {
         let start = t.rows.base.len();
         let mut shift_fixed = 0.0;
         let mut shift_free = 0.0;
-        for (v, k) in c.expr.iter_terms() {
-            let i = v.index();
-            if var_col[i] == FOLDED {
+        for &(i, k) in flat.row(r) {
+            let col = var_col[i];
+            if col == FOLDED {
                 shift_fixed += k * lower[i];
             } else {
                 shift_free += k * lower[i];
-                t.rows.base.push((var_col[i], k));
+                t.rows.base.push((col, k));
             }
         }
-        let folded_rhs = c.rhs - c.expr.constant() - shift_fixed;
-        if fold && t.rows.base.len() == start {
-            if !constant_row_holds(c.relation, folded_rhs) {
+        let folded_rhs = rhs - shift_fixed;
+        if folded > 0 && t.rows.base.len() == start {
+            if !constant_row_holds(relation, folded_rhs) {
                 return Err(IlpError::Infeasible);
             }
             continue;
         }
-        close_row(t, m, c.relation, folded_rhs - shift_free);
+        close_row(t, m, relation, folded_rhs - shift_free);
         m += 1;
     }
 
@@ -1339,21 +1362,19 @@ fn build_tableau(
     if scratch.pooled_capacity() == capacity_before {
         scratch.ops.scratch_reuses += 1;
     }
-    Ok(())
+    Ok(Some(folded))
 }
 
 /// Installs the sense-normalised phase-2 cost row and prices out the
 /// current basis. A complemented column's cost is negated, and the cost of
 /// its width moves into the objective's constant.
-fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &[usize]) {
-    let minimize = model.sense() == Sense::Minimize;
-    cost.fill(0.0);
-    for (v, c) in model.objective().iter_terms() {
-        let col = var_col[v.index()];
+fn install_cost_row(flat: &FlatModel<'_>, t: &mut Tableau, cost: &mut [f64], var_col: &[usize]) {
+    for (&col, &c) in var_col.iter().zip(&flat.cost) {
         if col != FOLDED {
-            cost[col] = if minimize { c } else { -c };
+            cost[col] = c;
         }
     }
+    cost[t.n..].fill(0.0);
     t.obj_rhs = 0.0;
     for (j, c) in cost[..t.n].iter_mut().enumerate() {
         if t.flipped[j] {
@@ -1379,7 +1400,7 @@ fn install_cost_row(model: &Model, t: &mut Tableau, cost: &mut [f64], var_col: &
 /// folded solve's objective is the model's objective evaluated at the
 /// values, unsnapped — exactly what a reduced-model solve reported.
 fn extract(
-    model: &Model,
+    flat: &FlatModel<'_>,
     lower: &[f64],
     scratch: &SimplexScratch,
     fold: bool,
@@ -1394,7 +1415,7 @@ fn extract(
         .zip(lower)
         .map(|(&col, &l)| if col == FOLDED { l } else { y[col] + l })
         .collect();
-    let mut objective = model.objective().eval(&values);
+    let mut objective = flat.model.objective().eval(&values);
     // Clean tiny noise.
     if !fold && objective.abs() < OBJECTIVE_TOL {
         objective = 0.0;
@@ -1438,9 +1459,10 @@ enum PrimalPhase {
 }
 
 /// Cold two-phase simplex over [`build_tableau`]. With `lex` (the basis
-/// path) the optimum is lex-canonicalised and its basis returned.
+/// path) the optimum is lex-canonicalised and its basis returned. With
+/// `fold` and every variable fixed, the pinned point is only checked.
 fn solve_full(
-    model: &Model,
+    flat: &FlatModel<'_>,
     lower: &[f64],
     upper: &[f64],
     options: SimplexOptions,
@@ -1448,7 +1470,18 @@ fn solve_full(
     fold: bool,
     lex: bool,
 ) -> Result<(LpSolution, Option<Basis>), IlpError> {
-    build_tableau(model, lower, upper, fold, scratch)?;
+    let Some(folded) = build_tableau(flat, lower, upper, fold, scratch)? else {
+        let values = lower.to_vec();
+        if flat.model.violated_row(&values).is_some() {
+            return Err(IlpError::Infeasible);
+        }
+        let solution = LpSolution {
+            objective: flat.model.objective().eval(&values),
+            values,
+            iterations: 0,
+        };
+        return Ok((solution, None));
+    };
     let SimplexScratch {
         t,
         cost,
@@ -1502,12 +1535,12 @@ fn solve_full(
         }
     }
 
-    install_cost_row(model, t, cost, var_col);
+    install_cost_row(flat, t, cost, var_col);
     run_simplex(t, &mut iters, options, ops, PrimalPhase::Two)?;
     if lex {
         lex_canonicalize(t, &mut iters, ops);
     }
-    Ok(extract(model, lower, scratch, fold, lex, iters))
+    Ok(extract(flat, lower, scratch, folded > 0, lex, iters))
 }
 
 /// Attempts the warm path: re-install `warm` on a freshly built tableau,
@@ -1516,14 +1549,14 @@ fn solve_full(
 /// the cold path on a rebuilt tableau, so a bad basis costs time, never
 /// correctness.
 fn try_warm_solve(
-    model: &Model,
+    flat: &FlatModel<'_>,
     lower: &[f64],
     upper: &[f64],
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
     warm: &Basis,
 ) -> Option<BasisSolve> {
-    build_tableau(model, lower, upper, false, scratch).ok()?;
+    build_tableau(flat, lower, upper, false, scratch).ok()?;
     if !warm.compatible(&scratch.t) {
         return None;
     }
@@ -1563,7 +1596,7 @@ fn try_warm_solve(
         assigned[r] = true;
     }
 
-    install_cost_row(model, t, cost, var_col);
+    install_cost_row(flat, t, cost, var_col);
 
     // Classify the re-installed vertex. A pure RHS/bound patch keeps the
     // old optimal basis dual-feasible, so the usual case is a short run of
@@ -1591,7 +1624,7 @@ fn try_warm_solve(
     // Land on the same canonical vertex the cold path reports, so basis
     // reuse can never leak into the returned assignment.
     lex_canonicalize(t, &mut iters, ops);
-    let (solution, basis) = extract(model, lower, scratch, false, true, iters);
+    let (solution, basis) = extract(flat, lower, scratch, false, true, iters);
     Some(BasisSolve {
         solution,
         basis,
@@ -2289,16 +2322,47 @@ impl TableauHandle {
     /// The unfolded build of `model` at the given bounds, with the
     /// phase-2 cost row installed.
     pub fn build(model: &Model, lower: &[f64], upper: &[f64]) -> Result<TableauHandle, IlpError> {
-        check_bounds(lower, upper)?;
+        let built = TableauHandle::built(&FlatModel::new(model), lower, upper, false)?;
+        Ok(built.expect("an unfolded build always builds"))
+    }
+
+    /// Branch-and-bound's node path up to its simplex, for the identity
+    /// test against the model-walk reference
+    /// (`crates/ilp/tests/proptest_node.rs`): the base bounds with the
+    /// `(variable, lower, upper)` fixes of `path` applied in order, every
+    /// row without slack pinned, then the folded build with the phase-2
+    /// cost row installed. Returns the pinned bounds and the tableau,
+    /// `None` when every variable is pinned.
+    #[allow(clippy::type_complexity)]
+    pub fn node(
+        model: &Model,
+        base_lower: &[f64],
+        base_upper: &[f64],
+        path: &[(usize, f64, f64)],
+    ) -> (Vec<f64>, Vec<f64>, Result<Option<TableauHandle>, IlpError>) {
+        let flat = FlatModel::new(model);
+        let (lower, upper) = crate::branch_bound::node_bounds(&flat, base_lower, base_upper, path);
+        let built = TableauHandle::built(&flat, &lower, &upper, true);
+        (lower, upper, built)
+    }
+
+    fn built(
+        flat: &FlatModel<'_>,
+        lower: &[f64],
+        upper: &[f64],
+        fold: bool,
+    ) -> Result<Option<TableauHandle>, IlpError> {
         let mut scratch = SimplexScratch::new();
-        build_tableau(model, lower, upper, false, &mut scratch)?;
+        if build_tableau(flat, lower, upper, fold, &mut scratch)?.is_none() {
+            return Ok(None);
+        }
         let SimplexScratch {
             t, cost, var_col, ..
         } = &mut scratch;
-        install_cost_row(model, t, cost, var_col);
-        Ok(TableauHandle {
+        install_cost_row(flat, t, cost, var_col);
+        Ok(Some(TableauHandle {
             t: std::mem::take(t),
-        })
+        }))
     }
 
     /// `(structural columns, rows, columns below the artificials)`.
@@ -2351,19 +2415,6 @@ impl TableauHandle {
     pub fn undo_probe(&mut self) {
         self.t.undo_probe();
     }
-}
-
-/// Checks a fully pinned assignment against the model's constraints,
-/// within [`FEAS_TOL`].
-fn feasible_point(model: &Model, values: &[f64]) -> bool {
-    model.constraints().iter().all(|c| {
-        let lhs = c.expr.eval(values);
-        match c.relation {
-            Relation::Le => lhs <= c.rhs + FEAS_TOL,
-            Relation::Ge => lhs >= c.rhs - FEAS_TOL,
-            Relation::Eq => (lhs - c.rhs).abs() <= FEAS_TOL,
-        }
-    })
 }
 
 #[cfg(test)]

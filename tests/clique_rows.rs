@@ -40,7 +40,7 @@ fn conflict_rows(model: &Model) -> Vec<Vec<(ImpId, f64)>> {
     model
         .constraints()
         .iter()
-        .filter(|c| c.label.as_deref() == Some("sc_pc_conflict"))
+        .filter(|c| c.label == Some("sc_pc_conflict".into()))
         .map(|c| {
             assert_eq!((c.relation, c.rhs), (Relation::Le, 1.0));
             c.expr
@@ -75,7 +75,7 @@ fn check_fixed_charge_rows(name: &str, model: &Model, db: &ImpDb) {
     }
     let mut seen = BTreeSet::new();
     for c in model.constraints() {
-        if c.label.as_deref() != Some("fixed-charge") {
+        if c.label != Some("fixed-charge".into()) {
             continue;
         }
         assert_eq!((c.relation, c.rhs), (Relation::Le, 0.0), "{name}");
@@ -317,17 +317,17 @@ fn with_paper_m(model: &Model) -> Model {
         let v = VarId(i);
         let name = model.var_name(v).expect("known var");
         match model.var_kind(v).expect("known var") {
-            VarKind::Binary => paper.add_binary(name),
+            VarKind::Binary => paper.add_binary(name.into_owned()),
             VarKind::Continuous => {
                 let (lo, hi) = model.var_bounds(v).expect("known var");
-                paper.add_continuous(name, lo, hi)
+                paper.add_continuous(name.into_owned(), lo, hi)
             }
         };
     }
     paper.set_objective_expr(model.objective().clone());
     for c in model.constraints() {
         let mut terms = c.expr.terms();
-        if c.label.as_deref() == Some("fixed-charge") {
+        if c.label == Some("fixed-charge".into()) {
             let users = terms.iter().filter(|&&(_, k)| k > 0.0).count();
             for (_, k) in terms.iter_mut().filter(|(_, k)| *k < 0.0) {
                 *k = -(users as f64);
@@ -409,7 +409,7 @@ fn fixed_charge_rows_count_an_ip_listed_twice_once() {
     let row = model
         .constraints()
         .iter()
-        .find(|c| c.label.as_deref() == Some("fixed-charge"))
+        .find(|c| c.label == Some("fixed-charge".into()))
         .expect("one fixed-charge row");
     let coeffs: Vec<f64> = row.expr.iter_terms().map(|(_, k)| k).collect();
     assert_eq!(coeffs, [1.0, 1.0, 1.0, -2.0]);
