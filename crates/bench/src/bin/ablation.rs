@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use partita_bench::cold_vs_chained_sweep;
+use partita_bench::cold_vs_interval_sweep;
 use partita_core::{baseline, RequiredGains, SolveBudget, SolveOptions, Solver, SweepTrace};
 use partita_mop::Cycles;
 use partita_workloads::{gsm, jpeg, synth, Workload};
@@ -80,26 +80,26 @@ fn main() {
     sweep_orchestration();
 }
 
-/// Cold vs descending-RG chained sweeps on the three published tables.
-/// Chaining must never change a selection; the node savings are the point
-/// of the sweep layer.
+/// Cold sweeps vs sweeps under the interval cache rule on the three
+/// published tables. The rule must never change a selection; the node
+/// savings are the point of the sweep layer.
 fn sweep_orchestration() {
-    println!("\nsweep orchestration (independent cold solves vs chained sweep, B&B nodes):");
+    println!("\nsweep orchestration (independent cold solves vs interval sweep, B&B nodes):");
     let mut cold_total = 0u64;
-    let mut chained_total = 0u64;
+    let mut interval_total = 0u64;
     for (label, w) in [
         ("gsm_encoder", gsm::encoder()),
         ("gsm_decoder", gsm::decoder()),
         ("jpeg_encoder", jpeg::encoder()),
     ] {
-        let (cold, chained) = cold_vs_chained_sweep(&w, &SolveOptions::default());
+        let (cold, interval) = cold_vs_interval_sweep(&w, &SolveOptions::default());
         cold_total += cold.total_nodes();
-        chained_total += chained.total_nodes();
-        println!("{}", SweepTrace::compare_json(label, &cold, &chained));
+        interval_total += interval.total_nodes();
+        println!("{}", SweepTrace::compare_json(label, &cold, &interval));
     }
     println!(
-        "    total: cold {cold_total} nodes, chained {chained_total} nodes, saved {}",
-        cold_total as i64 - chained_total as i64
+        "    total: cold {cold_total} nodes, interval {interval_total} nodes, saved {}",
+        cold_total as i64 - interval_total as i64
     );
 }
 

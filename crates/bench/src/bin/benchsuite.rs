@@ -1,5 +1,6 @@
 //! The benchsuite runner: drives every headline workload (Tables 1–3,
-//! Fig. 9, Fig. 11) cold and chained, plus the corpus and
+//! Fig. 9, Fig. 11) cold and under the interval cache rule, plus the
+//! corpus and
 //! service groups, and writes the portable regression lock to
 //! `BENCH_partita.json`.
 //!

@@ -23,8 +23,8 @@ fn main() {
     }
 
     // Sweep: watch the selection climb the hierarchy as RG grows. The
-    // chained session solves high-RG first and reuses each optimum as the
-    // next point's incumbent.
+    // session solves low-RG first, and a proof answers every higher point
+    // its selection still meets.
     println!("\nselection vs required gain:");
     let mut session = SweepSession::new();
     let sweep = session

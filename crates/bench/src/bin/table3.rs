@@ -47,7 +47,7 @@ fn main() {
         println!("{}", trace_json_line(row.required_gain, trace));
     }
 
-    println!("\nsweep orchestration (cold vs descending-RG chained, one JSON line per point):");
+    println!("\nsweep orchestration (cold vs interval sweep, one JSON line per point):");
     for line in sweep_comparison_lines("table3", &w) {
         println!("{line}");
     }

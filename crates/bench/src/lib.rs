@@ -15,7 +15,7 @@
 //! | `fig10_common` | Fig. 10 — common s-call across paths |
 //! | `fig11_hierarchy` | Fig. 11 — IMP flatten on the JPEG call tree |
 //! | `ablation` | extra — ILP vs greedy vs no-interface baselines |
-//! | `benchsuite` | the portable regression lock: every workload cold and chained, written to `BENCH_partita.json` (see [`suite`]) |
+//! | `benchsuite` | the portable regression lock: every workload cold and under the interval cache rule, written to `BENCH_partita.json` (see [`suite`]) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +43,9 @@ pub fn sweep_rows(workload: &Workload) -> Vec<TableRow> {
 }
 
 /// Like [`sweep_rows`], additionally returning each sweep point's
-/// [`SolveTrace`]. The sweep runs through a fresh chained [`SweepSession`]
-/// (descending-RG warm-start chaining), which never changes any selection —
-/// only the branch-and-bound effort recorded in the traces.
+/// [`SolveTrace`]. The sweep runs through a fresh [`SweepSession`], whose
+/// cache rule never changes any selection; a point a lower point's proof
+/// covers carries that proof's trace.
 ///
 /// # Panics
 ///
@@ -57,7 +57,7 @@ pub fn sweep_rows_traced(workload: &Workload) -> Vec<(TableRow, SolveTrace)> {
 }
 
 /// Runs the workload's published RG sweep through `session` with
-/// [`SweepSession::sweep`] chaining, under `base` options (gains are
+/// [`SweepSession::sweep`], under `base` options (gains are
 /// overridden per sweep point).
 ///
 /// # Panics
@@ -85,48 +85,51 @@ pub fn sweep_rows_traced_in(
 }
 
 /// Runs the workload's published RG sweep twice — independent cold solves,
-/// then descending-RG chained solves — through two fresh sessions, checks
-/// that every per-point [`Selection`] is identical, and returns the two
-/// [`SweepTrace`]s `(cold, chained)` for reporting.
+/// then a sweep where each proof answers the points it covers — through
+/// two fresh sessions, checks that every per-point [`Selection`] is
+/// identical, and returns the two [`SweepTrace`]s `(cold, interval)` for
+/// reporting.
 ///
 /// # Panics
 ///
-/// Panics if any sweep point is infeasible, or if chaining changes any
-/// point's selection (it must not: completed solves are covered by the
-/// solver's determinism contract).
+/// Panics if any sweep point is infeasible, or if the cache rule changes
+/// any point's selection (it must not: see [`partita_core::cache`]).
 #[must_use]
-pub fn cold_vs_chained_sweep(workload: &Workload, base: &SolveOptions) -> (SweepTrace, SweepTrace) {
+pub fn cold_vs_interval_sweep(
+    workload: &Workload,
+    base: &SolveOptions,
+) -> (SweepTrace, SweepTrace) {
     let mut cold_session = SweepSession::new();
     let cold: Vec<Selection> = cold_session
         .sweep_cold(&workload.instance, &workload.imps, base, &workload.rg_sweep)
         .unwrap_or_else(|e| panic!("{} sweep infeasible: {e}", workload.instance.name));
-    let mut chained_session = SweepSession::new();
-    let chained: Vec<Selection> = chained_session
+    let mut interval_session = SweepSession::new();
+    let interval: Vec<Selection> = interval_session
         .sweep(&workload.instance, &workload.imps, base, &workload.rg_sweep)
         .unwrap_or_else(|e| panic!("{} sweep infeasible: {e}", workload.instance.name));
-    for ((c, f), &rg) in cold.iter().zip(&chained).zip(&workload.rg_sweep) {
+    for ((c, f), &rg) in cold.iter().zip(&interval).zip(&workload.rg_sweep) {
         assert!(
             c.chosen() == f.chosen() && c.total_area() == f.total_area() && c.status == f.status,
-            "{}: chaining changed the selection at RG {}",
+            "{}: the cache rule changed the selection at RG {}",
             workload.instance.name,
             rg.get()
         );
     }
-    (cold_session.take_trace(), chained_session.take_trace())
+    (cold_session.take_trace(), interval_session.take_trace())
 }
 
-/// Renders the cold-vs-chained sweep comparison of a workload as JSON lines:
-/// one line per chained sweep point, the chained summary, and a final
+/// Renders the cold-vs-interval sweep comparison of a workload as JSON
+/// lines: one line per interval sweep point, its summary, and a final
 /// `nodes_saved` comparison line (see [`SweepTrace::compare_json`]).
 ///
 /// # Panics
 ///
-/// Panics as [`cold_vs_chained_sweep`] does.
+/// Panics as [`cold_vs_interval_sweep`] does.
 #[must_use]
 pub fn sweep_comparison_lines(label: &str, workload: &Workload) -> Vec<String> {
-    let (cold, chained) = cold_vs_chained_sweep(workload, &SolveOptions::default());
-    let mut lines = chained.json_lines(label);
-    lines.push(SweepTrace::compare_json(label, &cold, &chained));
+    let (cold, interval) = cold_vs_interval_sweep(workload, &SolveOptions::default());
+    let mut lines = interval.json_lines(label);
+    lines.push(SweepTrace::compare_json(label, &cold, &interval));
     lines
 }
 

@@ -1,5 +1,6 @@
 //! The benchsuite: one runner that drives every headline workload of the
-//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and chained, plus
+//! paper's evaluation (Tables 1–3, Fig. 9, Fig. 11) cold and through the
+//! session's interval cache rule, plus
 //! the corpus groups and a two-tenant service script, and
 //! folds the results into a single `BENCH_partita.json` regression lock.
 //!
@@ -21,7 +22,7 @@ use partita_service::{ServiceConfig, ServiceCore};
 use partita_workloads::{corpus, gsm, jpeg, Workload};
 
 /// Report schema version (independent of the telemetry event schema).
-pub const SUITE_SCHEMA: u32 = 2;
+pub const SUITE_SCHEMA: u32 = 3;
 
 /// The Fig. 9 instance as a reusable workload: three independent `fir()`
 /// calls, one FIR IP, and a Problem-2 IMP that runs one call in the kernel
@@ -70,18 +71,20 @@ pub fn fig9_workload() -> Workload {
     }
 }
 
-/// Whether a sweep runs its points independently or chained.
+/// Whether a sweep solves every point cold ([`SweepSession::sweep_cold`])
+/// or lets earlier proofs answer the points they cover
+/// ([`SweepSession::sweep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Cold,
-    Chained,
+    Interval,
 }
 
 impl Mode {
     fn name(self) -> &'static str {
         match self {
             Mode::Cold => "cold",
-            Mode::Chained => "chained",
+            Mode::Interval => "interval",
         }
     }
 }
@@ -99,47 +102,36 @@ pub struct PointResult {
     pub status: String,
 }
 
-/// Session cache and re-solve counters of one config run (portable: cache
-/// behaviour, chaining and basis repair are deterministic for a fixed
-/// request sequence).
+/// Session cache counters of one config run (portable: the cache rule is
+/// deterministic for a fixed request sequence).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the solve cache.
     pub cache_hits: u64,
     /// Requests that ran a solver.
     pub cache_misses: u64,
-    /// Points seeded with the previous point's verified optimum.
-    pub chained_accepts: u64,
-    /// Points whose carry-over candidate was rejected.
-    pub chained_rejects: u64,
-    /// Points whose re-solve repaired the retained root basis instead of a
-    /// cold two-phase root LP (chained configs only; cold sweeps hold no
-    /// basis).
-    pub basis_reused: u64,
 }
 
 impl CacheStats {
-    fn from_run(t: &SweepTrace, sels: &[Selection]) -> CacheStats {
+    fn from_run(t: &SweepTrace) -> CacheStats {
         CacheStats {
             cache_hits: t.cache_hits,
             cache_misses: t.cache_misses,
-            chained_accepts: t.chained_accepts,
-            chained_rejects: t.chained_rejects,
-            basis_reused: sels.iter().map(|s| u64::from(s.trace.basis_reused)).sum(),
         }
     }
 }
 
-/// Deterministic simplex per-op counters summed over a config's sweep,
-/// from each selection's [`partita_core::SolveTrace`]. Exact operation
-/// tallies, so they are portable.
+/// Deterministic simplex per-op counters summed over the points of a
+/// config's sweep that ran a search, from each selection's
+/// [`partita_core::SolveTrace`]. Exact operation tallies, so they are
+/// portable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpsCounters {
     /// Phase-1 (feasibility) simplex pivots.
     pub phase1_pivots: u64,
     /// Phase-2 (optimality) simplex pivots.
     pub phase2_pivots: u64,
-    /// Dual-simplex repair pivots (warm-basis installs included).
+    /// Dual-simplex pivots of root probes.
     pub dual_pivots: u64,
     /// Pivots spent lex-canonicalising optimal root vertices.
     pub lex_pivots: u64,
@@ -264,7 +256,7 @@ fn run_config(w: &Workload, mode: Mode) -> (ConfigResult, Vec<Selection>) {
     let mut session = SweepSession::new();
     let sels: Vec<Selection> = match mode {
         Mode::Cold => session.sweep_cold(&w.instance, &w.imps, &base, &w.rg_sweep),
-        Mode::Chained => session.sweep(&w.instance, &w.imps, &base, &w.rg_sweep),
+        Mode::Interval => session.sweep(&w.instance, &w.imps, &base, &w.rg_sweep),
     }
     .unwrap_or_else(|e| panic!("{} sweep infeasible: {e}", w.instance.name));
     let trace = session.take_trace();
@@ -278,35 +270,48 @@ fn run_config(w: &Workload, mode: Mode) -> (ConfigResult, Vec<Selection>) {
             status: sel.status.to_string(),
         })
         .collect();
+    // A point the cache answered ran no search: like its nodes, its
+    // pivots are 0, though it carries the trace of the proof it reused.
+    let mut hits: Vec<Option<Cycles>> = trace
+        .points
+        .iter()
+        .filter(|p| p.cache_hit)
+        .map(|p| p.rg)
+        .collect();
     let mut ops = OpsCounters::default();
-    for sel in &sels {
-        ops.absorb_trace(&sel.trace);
+    for (sel, &rg) in sels.iter().zip(&w.rg_sweep) {
+        match hits.iter().position(|&hit| hit == Some(rg)) {
+            Some(i) => {
+                hits.swap_remove(i);
+            }
+            None => ops.absorb_trace(&sel.trace),
+        }
     }
     let result = ConfigResult {
         points,
-        cache: CacheStats::from_run(&trace, &sels),
+        cache: CacheStats::from_run(&trace),
         nodes: trace.total_nodes(),
         ops,
     };
     (result, sels)
 }
 
-/// Asserts that a chained sweep returned exactly the cold sweep's
-/// selections and that every chained selection audits clean — the
-/// benchmark doubles as an equivalence check of the warm re-solve path.
-fn check_chained(w: &Workload, cold: &[Selection], chained: &[Selection]) {
+/// Asserts that an interval sweep returned exactly the cold sweep's
+/// selections and that every one audits clean at its own requirement —
+/// the benchmark doubles as an equivalence check of the cache rule.
+fn check_interval(w: &Workload, cold: &[Selection], interval: &[Selection]) {
     let name = &w.instance.name;
-    for ((c, f), &rg) in chained.iter().zip(cold).zip(&w.rg_sweep) {
+    for ((c, f), &rg) in interval.iter().zip(cold).zip(&w.rg_sweep) {
         assert!(
             c.chosen() == f.chosen() && c.total_area() == f.total_area() && c.status == f.status,
-            "{name}: chained selection diverged from cold at RG {}",
+            "{name}: interval selection diverged from cold at RG {}",
             rg.get()
         );
         let opts = SolveOptions::problem2(RequiredGains::uniform(rg));
         let report = SelectionAuditor::new(&w.instance, &w.imps).audit(c, &opts);
         assert!(
             report.is_clean(),
-            "{name}: chained selection failed the audit at RG {}: {}",
+            "{name}: interval selection failed the audit at RG {}: {}",
             rg.get(),
             report.to_json()
         );
@@ -481,9 +486,9 @@ pub fn run_suite(quick: bool) -> SuiteReport {
     let mut configs = Vec::new();
     for (name, w) in suite_workloads(quick) {
         let (cold, cold_sels) = run_config(&w, Mode::Cold);
-        let (chained, chained_sels) = run_config(&w, Mode::Chained);
-        check_chained(&w, &cold_sels, &chained_sels);
-        for (mode, result) in [(Mode::Cold, cold), (Mode::Chained, chained)] {
+        let (interval, interval_sels) = run_config(&w, Mode::Interval);
+        check_interval(&w, &cold_sels, &interval_sels);
+        for (mode, result) in [(Mode::Cold, cold), (Mode::Interval, interval)] {
             configs.push((format!("{name}:{}", mode.name()), result));
         }
     }
@@ -591,9 +596,7 @@ impl SuiteReport {
             format!(
                 concat!(
                     "{{\"points\": [{}], ",
-                    "\"cache\": {{\"cache_hits\":{},\"cache_misses\":{},",
-                    "\"chained_accepts\":{},\"chained_rejects\":{},",
-                    "\"basis_reused\":{}}}, ",
+                    "\"cache\": {{\"cache_hits\":{},\"cache_misses\":{}}}, ",
                     "\"nodes\": {}, ",
                     "\"ops\": {{\"phase1_pivots\":{},\"phase2_pivots\":{},",
                     "\"dual_pivots\":{},\"lex_pivots\":{},",
@@ -603,9 +606,6 @@ impl SuiteReport {
                 points.join(","),
                 k.cache_hits,
                 k.cache_misses,
-                k.chained_accepts,
-                k.chained_rejects,
-                k.basis_reused,
                 c.nodes,
                 o.phase1_pivots,
                 o.phase2_pivots,
@@ -683,9 +683,6 @@ impl SuiteReport {
                 cache: CacheStats {
                     cache_hits: cache.u64("cache_hits")?,
                     cache_misses: cache.u64("cache_misses")?,
-                    chained_accepts: cache.u64("chained_accepts")?,
-                    chained_rejects: cache.u64("chained_rejects")?,
-                    basis_reused: cache.u64("basis_reused")?,
                 },
                 nodes: c.u64("nodes")?,
                 ops: OpsCounters {
@@ -741,8 +738,8 @@ impl SuiteReport {
 ///   growth);
 /// * a **service group** missing from the current run, or any drift in its
 ///   request, ok, cache-hit or degraded tallies;
-/// * in the current run alone, a **chained** sweep that explores more
-///   nodes than its cold twin, or chained sweeps that do not save nodes
+/// * in the current run alone, an **interval** sweep that explores more
+///   nodes than its cold twin, or interval sweeps that do not save nodes
 ///   strictly in aggregate.
 #[must_use]
 pub fn compare_reports(baseline: &SuiteReport, current: &SuiteReport) -> Vec<String> {
@@ -810,31 +807,33 @@ pub fn compare_reports(baseline: &SuiteReport, current: &SuiteReport) -> Vec<Str
             ));
         }
     }
-    // Chaining gates. The node-saving property is self-contained, so it
-    // gates the *current* run outright: per workload the chained sweep must
-    // never cost nodes against the cold one, and across the run it must
-    // save strictly.
-    let mut chained_total = 0u64;
+    // Interval gates. The node-saving property is self-contained, so it
+    // gates the *current* run outright: per workload the interval sweep
+    // must never cost nodes against the cold one, and across the run it
+    // must save strictly.
+    let mut interval_total = 0u64;
     let mut cold_total = 0u64;
-    for (key, chained) in &current.configs {
-        let Some(workload) = key.strip_suffix(":chained") else {
+    for (key, interval) in &current.configs {
+        let Some(workload) = key.strip_suffix(":interval") else {
             continue;
         };
         let cold_key = format!("{workload}:cold");
         let Some((_, cold)) = current.configs.iter().find(|(k, _)| *k == cold_key) else {
             continue;
         };
-        let (c, f) = (chained.nodes, cold.nodes);
+        let (c, f) = (interval.nodes, cold.nodes);
         if c > f {
-            regressions.push(format!("{key}: chaining cost nodes ({c} > {f} cold)"));
+            regressions.push(format!(
+                "{key}: the interval sweep cost nodes ({c} > {f} cold)"
+            ));
         }
-        chained_total += c;
+        interval_total += c;
         cold_total += f;
     }
-    if cold_total > 0 && chained_total >= cold_total {
+    if cold_total > 0 && interval_total >= cold_total {
         regressions.push(format!(
-            "chained sweeps must explore strictly fewer nodes in aggregate \
-             (chained {chained_total} !< cold {cold_total})"
+            "interval sweeps must explore strictly fewer nodes in aggregate \
+             (interval {interval_total} !< cold {cold_total})"
         ));
     }
     // Service gates: the scripted two-tenant sequence is derived from the

@@ -18,7 +18,7 @@ fn quick_report() -> &'static SuiteReport {
 fn quick_suite_report_parses_with_sorted_keys() {
     let rendered = quick_report().to_json();
     let doc = JsonValue::parse(&rendered).expect("report is valid JSON");
-    assert_eq!(doc.get("schema").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(doc.get("schema").and_then(JsonValue::as_u64), Some(3));
     assert_eq!(
         doc.get("suite").and_then(JsonValue::as_str),
         Some("partita-benchsuite")
@@ -29,7 +29,12 @@ fn quick_suite_report_parses_with_sorted_keys() {
         .expect("configs object");
     assert_eq!(
         keys,
-        ["fig9:chained", "fig9:cold", "table3:chained", "table3:cold"]
+        [
+            "fig9:cold",
+            "fig9:interval",
+            "table3:cold",
+            "table3:interval"
+        ]
     );
     for key in keys {
         let cfg = doc.get("configs").unwrap().get(key).unwrap();
@@ -61,7 +66,7 @@ fn reports_missing_a_field_or_section_fail_to_parse() {
     let end = start + rendered[start..].find('}').expect("ops object closes") + 1;
     let no_ops = format!("{}{}", &rendered[..start], &rendered[end..]);
     let err = SuiteReport::from_json(&no_ops).expect_err("a config without ops");
-    assert_eq!(err, "configs/fig9:chained: missing ops");
+    assert_eq!(err, "configs/fig9:cold: missing ops");
 
     // A report without its corpus section.
     let corpus = rendered.find(",\n  \"corpus\"").expect("corpus section");
@@ -86,11 +91,11 @@ fn compare_passes_against_itself() {
 fn compare_flags_injected_regressions() {
     let baseline = quick_report();
     // Node regression: the current run explores one more node than baseline
-    // (on a cold config, so the chained-vs-cold gate stays quiet).
+    // (on a cold config, so the interval-vs-cold gate stays quiet).
     let mut current = baseline.clone();
-    let key = current.configs[1].0.clone();
+    let key = current.configs[0].0.clone();
     assert!(key.ends_with(":cold"), "{key}");
-    current.configs[1].1.nodes += 1;
+    current.configs[0].1.nodes += 1;
     let regressions = compare_reports(baseline, &current);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].starts_with(&key));
@@ -103,17 +108,18 @@ fn compare_flags_injected_regressions() {
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("portable selection results drifted"));
 
-    // Missing config (a chained one: table3 keeps the aggregate chaining
+    // Missing config (an interval one: fig9 keeps the aggregate interval
     // gate satisfied, so the only finding is the missing key).
     let mut current = baseline.clone();
-    current.configs.remove(0);
+    assert_eq!(current.configs[3].0, "table3:interval");
+    current.configs.remove(3);
     let regressions = compare_reports(baseline, &current);
     assert_eq!(regressions.len(), 1, "{regressions:?}");
     assert!(regressions[0].contains("config missing"));
 }
 
 #[test]
-fn chained_configs_save_nodes_and_gate_regressions() {
+fn interval_configs_save_nodes_and_gate_regressions() {
     let baseline = quick_report();
     let config = |report: &SuiteReport, key: &str| -> usize {
         report
@@ -122,24 +128,22 @@ fn chained_configs_save_nodes_and_gate_regressions() {
             .position(|(k, _)| k == key)
             .unwrap_or_else(|| panic!("quick report has {key}"))
     };
-    let chained = config(baseline, "table3:chained");
-    let cold = config(baseline, "table3:cold");
-    let (c, f) = (&baseline.configs[chained].1, &baseline.configs[cold].1);
+    // Fig. 9's top point is covered by the proof below it.
+    let interval = config(baseline, "fig9:interval");
+    let cold = config(baseline, "fig9:cold");
+    let (c, f) = (&baseline.configs[interval].1, &baseline.configs[cold].1);
     assert!(
         c.nodes < f.nodes,
-        "chaining must save nodes on table3 ({} !< {})",
+        "the rule must save nodes on fig9 ({} !< {})",
         c.nodes,
         f.nodes
     );
-    assert!(
-        c.cache.basis_reused >= 1,
-        "descending SetRg patches must repair the retained basis"
-    );
-    assert_eq!(f.cache.basis_reused, 0, "a cold sweep holds no basis");
+    assert!(c.cache.cache_hits >= 1, "a covered point is a cache hit");
+    assert_eq!(f.cache.cache_hits, 0, "a cold sweep reads no cache");
 
-    // Basis-repair drift is portable cache drift.
+    // Cache-hit drift is portable cache drift.
     let mut current = baseline.clone();
-    current.configs[chained].1.cache.basis_reused += 1;
+    current.configs[interval].1.cache.cache_hits += 1;
     let regressions = compare_reports(baseline, &current);
     assert!(
         regressions
@@ -148,21 +152,32 @@ fn chained_configs_save_nodes_and_gate_regressions() {
         "{regressions:?}"
     );
 
-    // A chained sweep that costs nodes against its cold twin fails the
+    // An interval sweep that costs nodes against its cold twin fails the
     // self-contained gate even if the baseline agreed.
     let mut current = baseline.clone();
-    current.configs[chained].1.nodes = f.nodes + 1;
+    current.configs[interval].1.nodes = f.nodes + 1;
     let regressions = compare_reports(&current, &current);
     assert!(
         regressions
             .iter()
-            .any(|m| m.contains("chaining cost nodes")),
+            .any(|m| m.contains("the interval sweep cost nodes")),
         "{regressions:?}"
     );
 
-    // Chained sweeps that save nothing in aggregate fail too.
+    // Interval sweeps that save nothing in aggregate fail too.
     let mut current = baseline.clone();
-    current.configs[chained].1.nodes = f.nodes;
+    for (key, result) in &mut current.configs {
+        if let Some(workload) = key.strip_suffix(":interval") {
+            let cold_key = format!("{workload}:cold");
+            result.nodes = baseline
+                .configs
+                .iter()
+                .find(|(k, _)| *k == cold_key)
+                .expect("cold twin")
+                .1
+                .nodes;
+        }
+    }
     let regressions = compare_reports(baseline, &current);
     assert!(
         regressions

@@ -19,8 +19,8 @@
 //!   this type; nothing is stringly-typed twice.
 //! * [`SolveSpec`] — the caller-facing subset of [`SolveOptions`]:
 //!   everything that changes *what* is solved or how hard the solver may
-//!   try, nothing that is an internal tuning handle (warm-start hints and
-//!   retained bases are the daemon's business, not the protocol's).
+//!   try, nothing that is an internal tuning handle (the warm-start flag
+//!   is the daemon's business, not the protocol's).
 //!
 //! # Versioning policy
 //!
@@ -230,11 +230,10 @@ impl From<CoreError> for ApiError {
 /// The caller-facing solve parameters: the subset of [`SolveOptions`] a
 /// service request may set.
 ///
-/// Deliberately absent: warm-start hints and retained bases (internal
-/// acceleration handles the daemon manages per chain) and the audit flag's
-/// companions — none of them change *which* selection is returned, which
-/// is also why they are excluded from canonical cache keys (see
-/// [`crate::sweep::canonical_solve_key`]).
+/// Deliberately absent: the warm-start flag (an internal acceleration
+/// handle) — it does not change *which* selection a completed search
+/// returns, which is also why it is excluded from canonical cache keys
+/// (see [`crate::sweep::canonical_solve_key`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveSpec {
     /// Which formulation to solve (wire values `problem1` / `problem2`;
@@ -396,8 +395,9 @@ pub enum RequestBody {
     },
     /// Solve one instance at each point of an RG sweep. Served like
     /// [`crate::sweep::SweepSession::sweep`]: distinct points in
-    /// descending-RG order, each answered from the cache or re-solved by
-    /// one [`crate::delta::DeltaSession`]; results in request order.
+    /// ascending-RG order, each answered from the cache (where an earlier
+    /// proof covers it) or re-solved by one [`crate::delta::DeltaSession`];
+    /// results in request order.
     Sweep {
         /// Corpus-manifest instance id.
         instance: String,
@@ -412,8 +412,8 @@ pub enum RequestBody {
         jobs: Vec<BatchItem>,
     },
     /// Walk an RG edit sequence through an incremental
-    /// [`crate::delta::DeltaSession`] (RHS patch + basis repair per step).
-    /// Served by the same cache-first walk as [`RequestBody::Sweep`].
+    /// [`crate::delta::DeltaSession`] (an RHS patch per step). Served by
+    /// the same cache-first walk as [`RequestBody::Sweep`].
     Delta {
         /// Corpus-manifest instance id.
         instance: String,

@@ -1,34 +1,30 @@
-//! Incremental re-solve: patch the built ILP in place and repair the
-//! retained simplex basis instead of re-running formulate + cold
-//! branch-and-bound.
+//! Incremental re-solve: patch the built ILP in place, and answer from
+//! earlier proofs where they reach.
 //!
 //! The paper's exploration loop (§5) is interactive: the designer nudges
 //! the required gain and re-solves. The patched problem is the old one with
-//! new right-hand sides, and [`DeltaSession`] exploits that at three layers:
+//! new right-hand sides, and [`DeltaSession`] exploits that twice:
 //!
 //! 1. **Model patching.** The session formulates once through
 //!    [`crate::Solver`]'s own formulation, which emits every path's gain row
 //!    (even at requirement zero) and records its index. A required-gain
 //!    edit then rewrites only those right-hand sides; the patched model is
 //!    the model a cold solve of the new requirement builds.
-//! 2. **Basis repair.** An RHS patch keeps the previous optimal basis
-//!    dual-feasible, so the next root LP re-installs it and runs a handful
-//!    of dual-simplex pivots instead of two full primal phases
-//!    ([`partita_ilp::solve_with_basis`]). A basis the repair cannot use
-//!    falls back to a cold factorization — silently, and never to a bogus
-//!    "infeasible".
-//! 3. **Incumbent seeding.** The previous optimum rides along as a
-//!    warm-start hint, pruning the new branch-and-bound from node one —
-//!    once it passes an independent feasibility check
-//!    ([`Selection::verify`]) against the patched requirement, reported as
-//!    an [`Event::ChainDecision`].
+//! 2. **Answers that cover an interval.** Every answer is kept with the
+//!    requirement it was solved at, under the cache rule of
+//!    [`crate::cache`]: a proven optimum at `R` answers a later requirement
+//!    `R'` with `R ≤ R'` on every path that it still meets
+//!    ([`Selection::verify`]), with no search. Only a point no earlier
+//!    proof reaches runs branch-and-bound, cold, on the patched model.
 //!
-//! This is the one warm re-solve path: [`crate::SweepSession::sweep`] walks
-//! its RGs through a `DeltaSession`, and so does the solve daemon.
+//! This is the one re-solve path: [`crate::SweepSession::sweep`] walks its
+//! RGs over a patched model, and the solve daemon walks through a
+//! `DeltaSession`.
 //!
-//! None of it changes answers: [`DeltaSession::resolve`] returns the same
+//! Neither changes answers: [`DeltaSession::resolve`] returns the same
 //! selection as a cold [`crate::Solver`] solve of the patched requirement
-//! (same lexicographically-smallest optimum; audits clean).
+//! (same lexicographically-smallest optimum; audits clean). See
+//! `docs/INCREMENTAL.md` for the proof.
 //!
 //! ```
 //! use partita_core::{delta::{DeltaSession, InstanceDelta}, ImpDb, Instance,
@@ -54,8 +50,11 @@
 //! let mut session = DeltaSession::new(instance, db, base)?;
 //! let first = session.resolve()?;
 //! session.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(500))))?;
-//! let second = session.resolve()?; // RHS patch + basis repair
+//! let second = session.resolve()?; // RHS patch, then a search
 //! assert!(second.total_gain() >= Cycles(500));
+//! session.apply(InstanceDelta::SetRg(RequiredGains::uniform(second.total_gain())))?;
+//! // The proof at 500 reaches this requirement: answered with no search.
+//! assert_eq!(session.resolve()?, second);
 //! # let _ = first;
 //! # Ok(())
 //! # }
@@ -64,19 +63,23 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partita_mop::Cycles;
-
+use crate::cache::AnswerCache;
 use crate::formulate::{build_model, Formulation};
 use crate::solver::solve_prepared;
-use crate::telemetry::{Event, TelemetrySink};
+use crate::sweep::audit_cached;
+use crate::telemetry::TelemetrySink;
 use crate::{CoreError, ImpDb, Instance, RequiredGains, Selection, SolveOptions, SolveTrace};
+
+/// Answers a [`DeltaSession`] keeps before evicting the least recently
+/// used.
+const ANSWER_CAPACITY: usize = 256;
 
 /// One incremental edit to a solve session's problem.
 #[derive(Debug, Clone)]
 pub enum InstanceDelta {
     /// Change the required gains: a pure right-hand-side patch of the
-    /// always-emitted gain rows, the edit a descending-RG sweep applies
-    /// point after point.
+    /// always-emitted gain rows, the edit an RG sweep applies point after
+    /// point.
     SetRg(RequiredGains),
 }
 
@@ -86,13 +89,9 @@ pub struct DeltaSession {
     db: Arc<ImpDb>,
     options: SolveOptions,
     form: Formulation,
-    /// Retained root-LP basis of the previous resolve.
-    basis: Option<Arc<partita_ilp::Basis>>,
-    /// Previous optimum, seeded into the next resolve as a warm-start hint.
-    prev: Option<Selection>,
-    /// Whether the last resolve seeded its predecessor's optimum (`None`
-    /// when it had no predecessor to decide on).
-    chained: Option<bool>,
+    /// Earlier answers, under one key: everything but the gains is fixed
+    /// for the session's life.
+    answers: AnswerCache,
     /// Wall time of the formulation not yet charged to a resolve's trace.
     formulation: Duration,
     sink: Option<Arc<dyn TelemetrySink>>,
@@ -103,7 +102,7 @@ impl std::fmt::Debug for DeltaSession {
         f.debug_struct("DeltaSession")
             .field("instance", &self.instance.name)
             .field("imps", &self.db.len())
-            .field("basis", &self.basis.as_ref().map(|b| b.num_rows()))
+            .field("answers", &self.answers.len())
             .finish()
     }
 }
@@ -132,17 +131,14 @@ impl DeltaSession {
             db,
             options,
             form,
-            basis: None,
-            prev: None,
-            chained: None,
+            answers: AnswerCache::new(ANSWER_CAPACITY),
             formulation: started.elapsed(),
             sink: None,
         })
     }
 
-    /// Routes this session's telemetry ([`Event::ChainDecision`] and the
-    /// inner solves) to `sink` instead of the process-wide
-    /// [`crate::telemetry::global`] sink.
+    /// Routes this session's telemetry (the inner solves') to `sink`
+    /// instead of the process-wide [`crate::telemetry::global`] sink.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> DeltaSession {
         self.sink = Some(sink);
@@ -165,13 +161,6 @@ impl DeltaSession {
     #[must_use]
     pub fn options(&self) -> &SolveOptions {
         &self.options
-    }
-
-    /// Whether the last [`DeltaSession::resolve`] seeded its predecessor's
-    /// optimum: `Some(true)` accepted, `Some(false)` rejected by the
-    /// feasibility check, `None` when there was no predecessor.
-    pub(crate) fn chained(&self) -> Option<bool> {
-        self.chained
     }
 
     fn sink(&self) -> &dyn TelemetrySink {
@@ -198,63 +187,55 @@ impl DeltaSession {
         Ok(())
     }
 
-    /// Solves the current (patched) problem, reusing the retained basis
-    /// and the previous optimum where they help. The returned selection is
-    /// identical to a cold [`crate::Solver`] solve of
-    /// [`DeltaSession::instance`] + [`DeltaSession::db`] with the current
-    /// options (and passes the same audit).
+    /// Answers the current (patched) problem: from an earlier answer that
+    /// the cache rule lets serve it (see [`crate::cache`]), otherwise by a
+    /// search over the patched model, whose answer is kept for later
+    /// points. The returned selection is identical to a cold
+    /// [`crate::Solver`] solve of [`DeltaSession::instance`] +
+    /// [`DeltaSession::db`] with the current options (and passes the same
+    /// audit). An answer served from an earlier one is that answer,
+    /// trace included.
     ///
-    /// The previous optimum is seeded only when it meets the current
-    /// requirement ([`Selection::verify`]); each such decision is reported
-    /// as an [`Event::ChainDecision`]. The wall time of the formulation
-    /// [`DeltaSession::new`] built is charged to the first resolve's trace.
+    /// The wall time of the formulation [`DeltaSession::new`] built is
+    /// charged to the first search's trace.
     ///
     /// # Errors
     ///
     /// Exactly those of [`crate::Solver::solve`] on the patched problem —
     /// including [`CoreError::Infeasible`] when the edits made it so.
     pub fn resolve(&mut self) -> Result<Selection, CoreError> {
-        let mut options = self.options.clone();
-        options.root_basis = self.basis.clone();
-        self.chained = None;
-        if options.hint.is_none() {
-            if let Some(prev) = &self.prev {
-                // The monotone-sweep argument says a higher-RG optimum stays
-                // feasible, but verify independently anyway so an
-                // out-of-order walk, a non-uniform requirement or a
-                // budget-exhausted predecessor can never inject a bogus
-                // incumbent.
-                let accepted = prev.verify(&self.instance, &options).is_ok();
-                if accepted {
-                    options.hint = Some(prev.chosen().iter().map(|imp| imp.id).collect());
-                }
-                self.chained = Some(accepted);
-                let sink = self.sink();
-                if sink.enabled() {
-                    sink.emit(&Event::ChainDecision {
-                        rg: options.gains.as_uniform().map(Cycles::get),
-                        accepted,
-                    });
-                }
-            }
+        if let Some(sel) = self.answers.get("", &self.instance, &self.options) {
+            let sel = sel.clone();
+            return audit_cached(&self.instance, &self.db, &self.options, sel);
         }
+        let sel = self.search()?;
+        self.answers.insert("", &self.options.gains, sel.clone());
+        Ok(sel)
+    }
+
+    /// Runs branch-and-bound on the current (patched) model, bypassing the
+    /// session's answers and storing none: for a walker that keeps its
+    /// own answers under the same rule ([`crate::SweepSession::sweep`] and
+    /// the solve daemon's walks), so a point is looked up in one cache
+    /// only. The selection is a cold [`crate::Solver`] solve's, as with
+    /// [`DeltaSession::resolve`].
+    ///
+    /// # Errors
+    ///
+    /// As [`DeltaSession::resolve`].
+    pub fn search(&mut self) -> Result<Selection, CoreError> {
         let trace = SolveTrace {
             formulation: std::mem::take(&mut self.formulation),
             ..SolveTrace::default()
         };
-        let (sel, basis) = solve_prepared(
+        solve_prepared(
             &self.instance,
             &self.db,
             &self.form,
-            &options,
+            &self.options,
             trace,
             self.sink(),
-        )?;
-        if basis.is_some() {
-            self.basis = basis;
-        }
-        self.prev = Some(sel.clone());
-        Ok(sel)
+        )
     }
 }
 
@@ -265,7 +246,7 @@ mod tests {
     use crate::{Imp, ParallelChoice, SCall, Solver};
     use partita_interface::{InterfaceKind, TransferJob};
     use partita_ip::{IpBlock, IpFunction};
-    use partita_mop::{AreaTenths, PathId};
+    use partita_mop::{AreaTenths, Cycles, PathId};
 
     /// Three fir() s-calls, two alternative IPs with distinct areas, one
     /// path — enough structure for the gain rows to bind.
@@ -356,24 +337,45 @@ mod tests {
     }
 
     #[test]
-    fn chained_rg_patches_reuse_the_basis() {
-        let (inst, db) = rig("basis");
+    fn a_reached_requirement_is_answered_by_the_earlier_proof() {
+        use crate::telemetry::{EventKind, RecordingSink};
+        let (inst, db) = rig("interval");
+        let sink = Arc::new(RecordingSink::new());
         let mut s = DeltaSession::new(
             inst,
             db,
-            SolveOptions::problem2(RequiredGains::uniform(Cycles(2400))),
+            SolveOptions::problem2(RequiredGains::uniform(Cycles(700))),
         )
-        .unwrap();
-        s.resolve().unwrap();
-        let mut reused = 0;
-        for rg in [1800u64, 1200, 600] {
+        .unwrap()
+        .with_sink(sink.clone() as Arc<dyn TelemetrySink>);
+        let searches = || {
+            sink.events()
+                .iter()
+                .filter(|e| e.kind() == EventKind::SolveFinished)
+                .count()
+        };
+        let low = s.resolve().unwrap();
+        assert_eq!(searches(), 1);
+        let reached = low.total_gain();
+        assert!(reached > Cycles(700), "the optimum overshoots: {reached:?}");
+        // Every requirement up to what the proof reaches gets the same
+        // answer, trace included, with no search, and it is the cold one.
+        for rg in [701, reached.get()] {
             s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(rg))))
                 .unwrap();
-            if s.resolve().unwrap().trace.basis_reused {
-                reused += 1;
-            }
+            let served = s.resolve().unwrap();
+            assert_eq!(served, low, "RG {rg}");
+            assert_matches_cold(&served, &s);
         }
-        assert!(reused >= 1, "no RHS patch repaired the retained basis");
+        assert_eq!(searches(), 1, "both points were served");
+        // Past it, and below the proof's own requirement, a search runs.
+        for rg in [reached.get() + 1, 600] {
+            s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(rg))))
+                .unwrap();
+            let searched = s.resolve().unwrap();
+            assert_matches_cold(&searched, &s);
+        }
+        assert_eq!(searches(), 3);
     }
 
     /// The session's patched model is the model a cold solve builds, step
@@ -429,44 +431,6 @@ mod tests {
             Duration::ZERO,
             "an RHS patch formulates nothing"
         );
-    }
-
-    #[test]
-    fn carry_is_verified_against_the_patched_requirement() {
-        use crate::telemetry::RecordingSink;
-        let (inst, db) = rig("carry");
-        let sink = Arc::new(RecordingSink::new());
-        let mut s = DeltaSession::new(
-            inst,
-            db,
-            SolveOptions::problem2(RequiredGains::uniform(Cycles(600))),
-        )
-        .unwrap()
-        .with_sink(sink.clone() as Arc<dyn TelemetrySink>);
-        s.resolve().unwrap();
-        assert_eq!(s.chained(), None, "the first resolve has no predecessor");
-        // Walking up: the RG-600 optimum cannot meet RG 1800, so the
-        // carry is rejected and the answer still matches cold.
-        s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(1800))))
-            .unwrap();
-        let up = s.resolve().unwrap();
-        assert_eq!(s.chained(), Some(false));
-        assert_matches_cold(&up, &s);
-        // Walking down: the RG-1800 optimum meets RG 1200 and is seeded.
-        s.apply(InstanceDelta::SetRg(RequiredGains::uniform(Cycles(1200))))
-            .unwrap();
-        let down = s.resolve().unwrap();
-        assert_eq!(s.chained(), Some(true));
-        assert_matches_cold(&down, &s);
-        let decisions: Vec<(Option<u64>, bool)> = sink
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::ChainDecision { rg, accepted } => Some((rg, accepted)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decisions, vec![(Some(1800), false), (Some(1200), true)]);
     }
 
     #[test]

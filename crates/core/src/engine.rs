@@ -197,7 +197,7 @@ pub struct SolveTrace {
     pub phase1_pivots: usize,
     /// Phase-2 (optimality) simplex pivots across every LP of the solve.
     pub phase2_pivots: usize,
-    /// Dual-simplex repair pivots (warm-basis installs included).
+    /// Dual-simplex pivots of root probes.
     pub dual_pivots: usize,
     /// Pivots spent lex-canonicalising optimal root vertices.
     pub lex_pivots: usize,
@@ -220,8 +220,10 @@ pub struct SolveTrace {
     /// Root probes solved cold (an equality row or a basic artificial in
     /// the way, or a dual-simplex failure).
     pub probes_cold: usize,
-    /// Whether a retained root-LP basis from a previous solve was installed
-    /// and dual-repaired instead of running two-phase simplex from scratch.
+    /// Always `false`: no solve re-installs a retained root basis.
+    /// Kept only because the `perfbench` harness reads it for its
+    /// `delta.basis_reused_share` layer row, until a change to that
+    /// harness drops the row.
     pub basis_reused: bool,
     /// Time spent generating the IMP database (zero when prebuilt).
     pub imp_generation: Duration,
@@ -336,14 +338,14 @@ mod tests {
             probes_screened: 3,
             probes_warm: 4,
             probes_cold: 1,
-            basis_reused: true,
+            basis_reused: false,
             imp_generation: Duration::from_micros(10),
             formulation: Duration::from_micros(20),
             solve: Duration::from_micros(30),
             decode: Duration::from_micros(40),
         };
         let json = crate::telemetry::Event::SolveFinished { trace }.to_json();
-        assert!(json.starts_with("{\"schema\":5,\"event\":\"solve_finished\""));
+        assert!(json.starts_with("{\"schema\":6,\"event\":\"solve_finished\""));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"backend\":\"branch_bound\""));
         assert!(json.contains("\"status\":\"optimal\""));
@@ -357,9 +359,9 @@ mod tests {
         assert!(json.contains("\"bland_activations\":1"));
         assert!(json.contains("\"warm_start_accepted\":true"));
         assert!(json.contains(
-            "\"vars_fixed\":2,\"probes_screened\":3,\"probes_warm\":4,\"probes_cold\":1,"
+            "\"vars_fixed\":2,\"probes_screened\":3,\"probes_warm\":4,\"probes_cold\":1,\"imp_generation_us\":10,"
         ));
-        assert!(json.contains("\"basis_reused\":true,\"imp_generation_us\":10,"));
+        assert!(!json.contains("basis_reused"));
         assert!(json.contains("\"total_us\":100"));
         // Balanced braces and quotes (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -37,14 +37,14 @@
 //! | [`parallel_code`] | `PC_i` computation on the CDFG | §3, Defs. 3–5 |
 //! | [`hierarchy`] | IMP flatten across call levels | §5, Fig. 11 |
 //! | [`engine`] | Backend choice, budgets, solve telemetry | §4, Problems 1–2 |
-//! | [`sweep`] | RG sweeps: caching, chaining | Tables 1–3, Figs. 8–11 |
+//! | [`sweep`] | RG sweeps: caching under the interval rule | Tables 1–3, Figs. 8–11 |
 //! | [`verify`] | Independent selection audit, fault injection | §4 optimality claims |
 //! | [`merge`] / [`report`] | S-instruction merge, paper-style rows | Tables 1–3 (**S** column) |
 //! | [`baseline`] | All-software / greedy reference points | §6 |
 //! | [`telemetry`] | Structured events, sinks, trace schema | — (observability layer) |
 //! | [`api`] | Versioned request/response envelope, [`ApiError`] codes | — (service surface) |
-//! | [`cache`] | Bounded LRU + sharded concurrent canonical cache | — (service surface) |
-//! | [`delta`] | Incremental re-solve: model patch + basis repair | §5 exploration loop |
+//! | [`cache`] | Bounded answer caches, the interval rule, sharded concurrent canonical cache | — (service surface) |
+//! | [`delta`] | Incremental re-solve: model patch + interval answers | §5 exploration loop |
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use partita_mop::{AreaTenths, CallSiteId, Cycles, PathId};
 
 use partita_ilp::{
-    run_binary_exhaustive, Basis, BranchBound, BranchBoundStats, IlpSolution, Model, Termination,
+    run_binary_exhaustive, BranchBound, BranchBoundStats, IlpSolution, Model, Termination,
 };
 
 use crate::engine::{
@@ -153,13 +153,7 @@ pub struct SolveOptions {
     pub(crate) backend: Backend,
     pub(crate) budget: SolveBudget,
     pub(crate) warm_start: bool,
-    pub(crate) hint: Option<Vec<ImpId>>,
     pub(crate) audit: bool,
-    /// Retained root-LP basis from a previous same-shaped solve (set by the
-    /// delta/sweep layers, never by callers directly). Like `hint` and
-    /// `audit`, this can never change the returned selection — only the
-    /// work done — and is excluded from sweep cache keys.
-    pub(crate) root_basis: Option<Arc<partita_ilp::Basis>>,
 }
 
 impl SolveOptions {
@@ -170,9 +164,7 @@ impl SolveOptions {
             backend: Backend::default(),
             budget: SolveBudget::default(),
             warm_start: true,
-            hint: None,
             audit: crate::engine::default_audit(),
-            root_basis: None,
         }
     }
 
@@ -220,17 +212,6 @@ impl SolveOptions {
         self
     }
 
-    /// Seeds branch-and-bound with a caller-supplied candidate selection as
-    /// an extra warm-start incumbent, alongside (not instead of) the greedy
-    /// warm start. The sweep layer chains the previous RG point's optimum
-    /// through this hook; an infeasible hint is silently skipped, so the
-    /// returned selection is never affected — only the search effort.
-    #[must_use]
-    pub fn warm_start_hint(mut self, chosen: Vec<ImpId>) -> SolveOptions {
-        self.hint = Some(chosen);
-        self
-    }
-
     /// Which formulation.
     #[must_use]
     pub fn problem(&self) -> ProblemKind {
@@ -259,12 +240,6 @@ impl SolveOptions {
     #[must_use]
     pub fn warm_start_enabled(&self) -> bool {
         self.warm_start
-    }
-
-    /// The caller-supplied warm-start candidate, if any.
-    #[must_use]
-    pub fn hint(&self) -> Option<&[ImpId]> {
-        self.hint.as_deref()
     }
 
     /// Enables or disables the independent post-solve audit
@@ -390,9 +365,9 @@ impl Selection {
     /// (Eq. 2) and the SC-PC selection rule.
     ///
     /// Shares no code with the formulation. The test-suite uses it to
-    /// cross-check the ILP solver and the baseline heuristics, and
-    /// [`crate::DeltaSession`] uses it to decide whether the previous
-    /// optimum may seed the next solve as a warm-start hint.
+    /// cross-check the ILP solver and the baseline heuristics, and every
+    /// solve cache uses it to decide whether a proof at a lower requirement
+    /// answers this one (see [`crate::cache`]).
     ///
     /// # Errors
     ///
@@ -552,7 +527,8 @@ impl<'a> Solver<'a> {
 }
 
 /// Formulate + [`solve_prepared`]: the cold tail of [`Solver::solve`], also
-/// entered by the sweep session on a cache miss that does not chain.
+/// entered by [`crate::SweepSession::solve`] and
+/// [`crate::SweepSession::sweep_cold`] on a miss.
 pub(crate) fn solve_cold(
     instance: &Instance,
     db: &ImpDb,
@@ -563,15 +539,13 @@ pub(crate) fn solve_cold(
     let span = SpanTimer::start(Phase::Formulation);
     let form = build_model(instance, db, options.problem, &options.gains)?;
     trace.formulation = span.finish(sink);
-    solve_prepared(instance, db, &form, options, trace, sink).map(|(sel, _)| sel)
+    solve_prepared(instance, db, &form, options, trace, sink)
 }
 
 /// Dispatch + decode over an already-built model: the shared tail of
 /// [`solve_cold`], also entered directly by [`crate::DeltaSession`] over its
 /// patched model (the trace then carries the formulation time it is
-/// charged, if any). Alongside the selection it returns the root-LP basis retained
-/// by the branch-and-bound backend, which the delta session installs in its
-/// next same-shaped solve.
+/// charged, if any).
 pub(crate) fn solve_prepared(
     instance: &Instance,
     db: &ImpDb,
@@ -579,14 +553,14 @@ pub(crate) fn solve_prepared(
     options: &SolveOptions,
     mut trace: SolveTrace,
     sink: &dyn TelemetrySink,
-) -> Result<(Selection, Option<Arc<partita_ilp::Basis>>), CoreError> {
+) -> Result<Selection, CoreError> {
     let (model, map) = (&form.model, &form.map);
     trace.num_vars = model.num_vars();
     trace.num_constraints = model.num_constraints();
     trace.num_imps = db.len();
 
     let span = SpanTimer::start(Phase::Solve);
-    let (ilp_solution, root_basis) = dispatch(instance, db, options, model, map, &mut trace)?;
+    let ilp_solution = dispatch(instance, db, options, model, map, &mut trace)?;
     trace.solve = span.finish(sink);
 
     let span = SpanTimer::start(Phase::Decode);
@@ -620,13 +594,13 @@ pub(crate) fn solve_prepared(
             trace: selection.trace.clone(),
         });
     }
-    Ok((selection, root_basis))
+    Ok(selection)
 }
 
-/// Seed candidates for the branch-and-bound backend: the caller's hint (e.g.
-/// the previous sweep point's optimum) and the greedy selection. Infeasible
-/// seeds are skipped inside the search, so seeding never changes the
-/// returned optimum — only how much of the tree survives pruning.
+/// Seed candidates for the branch-and-bound backend: the greedy selection,
+/// when warm-starting is on. An infeasible seed is skipped inside the
+/// search, so seeding never changes the optimum a completed search returns
+/// — only how much of the tree survives pruning.
 fn build_seeds(
     instance: &Instance,
     db: &ImpDb,
@@ -635,9 +609,6 @@ fn build_seeds(
     map: &VarMap,
 ) -> Vec<Vec<f64>> {
     let mut seeds: Vec<Vec<f64>> = Vec::new();
-    if let Some(hint) = &options.hint {
-        seeds.push(encode_selection(model, map, db, hint));
-    }
     if options.warm_start {
         if let Ok(sel) = crate::baseline::solve_greedy(instance, db, &options.gains) {
             let ids: Vec<_> = sel.chosen().iter().map(|imp| imp.id).collect();
@@ -653,8 +624,7 @@ fn build_seeds(
 /// search answers [`CoreError::Infeasible`].
 ///
 /// Records the backend that produced the answer, its status and its search
-/// effort in `trace`, and returns the model-space solution plus the root-LP
-/// basis branch-and-bound retained.
+/// effort in `trace`, and returns the model-space solution.
 fn dispatch(
     instance: &Instance,
     db: &ImpDb,
@@ -662,7 +632,7 @@ fn dispatch(
     model: &Model,
     map: &VarMap,
     trace: &mut SolveTrace,
-) -> Result<(IlpSolution, Option<Arc<Basis>>), CoreError> {
+) -> Result<IlpSolution, CoreError> {
     let budget = &options.budget;
     trace.backend = options.backend;
     let primary = match options.backend {
@@ -671,21 +641,13 @@ fn dispatch(
             if let Some(d) = budget.deadline {
                 bb = bb.with_deadline(d);
             }
-            if let Some(basis) = &options.root_basis {
-                bb = bb.with_root_basis(basis.clone());
-            }
             let run = bb.run_seeded(model, &build_seeds(instance, db, options, model, map))?;
             record_effort(trace, &run.stats);
             trace.status = status_from_termination(run.termination);
-            match run.solution {
-                Some(sol) => Ok((sol, run.root_basis)),
-                None => Err(CoreError::BudgetExhausted),
-            }
+            run.solution.ok_or(CoreError::BudgetExhausted)
         }
-        Backend::Exhaustive => run_exhaustive(model, budget, trace).map(|sol| (sol, None)),
-        Backend::Greedy => {
-            run_greedy(instance, db, options, model, map, trace).map(|sol| (sol, None))
-        }
+        Backend::Exhaustive => run_exhaustive(model, budget, trace),
+        Backend::Greedy => run_greedy(instance, db, options, model, map, trace),
     };
 
     match primary {
@@ -697,7 +659,7 @@ fn dispatch(
                 })?;
             trace.backend = Backend::Greedy;
             trace.status = OptimalityStatus::FallbackUsed;
-            Ok((rescued, None))
+            Ok(rescued)
         }
         result => result,
     }
@@ -775,7 +737,6 @@ fn record_effort(trace: &mut SolveTrace, effort: &BranchBoundStats) {
     trace.probes_screened = effort.probes_screened;
     trace.probes_warm = effort.probes_warm;
     trace.probes_cold = effort.probes_cold;
-    trace.basis_reused = effort.basis_reused;
 }
 
 /// Hand-built instances on which a capped search runs dry, shared by the
@@ -1123,34 +1084,12 @@ mod tests {
         let opts = SolveOptions::problem1(RequiredGains::uniform(Cycles(42)))
             .backend(crate::Backend::Exhaustive)
             .budget(crate::SolveBudget::default().with_max_nodes(7))
-            .warm_start(false)
-            .warm_start_hint(vec![ImpId(3)]);
+            .warm_start(false);
         assert_eq!(opts.problem(), ProblemKind::Problem1);
         assert_eq!(opts.gains(), &RequiredGains::uniform(Cycles(42)));
         assert_eq!(opts.solver_backend(), crate::Backend::Exhaustive);
         assert_eq!(opts.solve_budget().max_nodes, 7);
         assert!(!opts.warm_start_enabled());
-        assert_eq!(opts.hint(), Some(&[ImpId(3)][..]));
-    }
-
-    #[test]
-    fn warm_start_hint_does_not_change_the_selection() {
-        let (inst, db) = three_firs();
-        let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(1500)));
-        let cold = Solver::new(&inst)
-            .with_imps(db.clone())
-            .solve(&opts)
-            .unwrap();
-        let ids: Vec<ImpId> = cold.chosen().iter().map(|i| i.id).collect();
-        // Seeding the known optimum (or garbage) never changes the result.
-        for hint in [ids, vec![ImpId(999)]] {
-            let hinted = Solver::new(&inst)
-                .with_imps(db.clone())
-                .solve(&opts.clone().warm_start_hint(hint))
-                .unwrap();
-            assert_eq!(hinted.chosen(), cold.chosen());
-            assert_eq!(hinted.total_area(), cold.total_area());
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sweep orchestration: canonical-instance solve caching and cross-RG
-//! warm-start chaining.
+//! Sweep orchestration: canonical-instance solve caching under the
+//! interval rule.
 //!
 //! The paper's headline experiments (Tables 1–3, Figs 8–11) are RG
 //! *sweeps*: the same instance solved at many required-gain points. Driving
@@ -10,35 +10,31 @@
 //! * **Canonical-instance caching.** Every request is canonicalized by
 //!   [`canonical_solve_key`] into a stable content key over the instance
 //!   *structure* (s-calls, library, paths, area model — everything except
-//!   the display name), the IMP database and the answer-shaping options.
-//!   Returned [`Selection`]s are memoized in a bounded LRU cache, so
-//!   duplicate, isomorphic or revisited requests hit the cache and return
-//!   byte-identical results — whichever path first solved them. Answers a
-//!   budget stop picked are not memoized ([`is_cacheable`]).
-//! * **Descending-RG warm-start chaining.** A uniform-gain sweep has
-//!   monotone structure: a selection feasible at gain `r` is feasible at
-//!   every `r' < r` (it achieves at least `r` on every path). So
-//!   [`SweepSession::sweep`] walks its points from the highest RG down:
-//!   each point first looks up the cache, and a miss becomes an
-//!   [`InstanceDelta::SetRg`] patch plus [`DeltaSession::resolve`] on one
-//!   lazily built [`DeltaSession`] — the single warm re-solve path, which
-//!   repairs the previous root basis and seeds the previous optimum once it
-//!   passes an independent feasibility check. Seeding only tightens pruning
-//!   — the lexicographic tie-break still picks the same optimum — so every
-//!   chained selection is identical to its cold-solve counterpart (for
-//!   solves that finish within budget; a budget-exhausted incumbent is
-//!   exempt).
+//!   the display name), the IMP database and the answer-shaping options
+//!   other than the gains. Answers are kept with the requirement they were
+//!   solved at in a bounded LRU cache, and the cache rule of
+//!   [`crate::cache`] decides which requests they answer: a repeat of the
+//!   same requirement, and — for a proven optimum at `R` — every
+//!   requirement `R' ≥ R` that the answer still meets, which it provably
+//!   answers too. Duplicate, isomorphic, revisited or covered requests get
+//!   byte-identical results, whichever path first solved them. Answers a
+//!   budget stop picked are not kept ([`is_cacheable`]).
+//! * **One model per sweep, walked upward.** [`SweepSession::sweep`] visits
+//!   its points from the lowest RG up, so each proof can cover the points
+//!   above it. A point no earlier answer covers becomes an
+//!   [`InstanceDelta::SetRg`] patch of one lazily built [`DeltaSession`]
+//!   model and a search on it, instead of a fresh formulation.
 //!
 //! All of it is observable: the session accumulates a [`SweepTrace`] with
-//! cache hits/misses, chained-incumbent accepts, per-point node counts and
-//! wall times, rendered as JSON lines for scraping.
+//! cache hits/misses, per-point node counts and wall times, rendered as
+//! JSON lines for scraping.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partita_mop::Cycles;
 
-use crate::cache::{fnv1a64, LruCache};
+use crate::cache::{fnv1a64, AnswerCache};
 use crate::delta::{DeltaSession, InstanceDelta};
 use crate::solver::solve_cold;
 use crate::telemetry::{CacheKind, Event, TelemetrySink};
@@ -47,22 +43,21 @@ use crate::{
     SolveTrace,
 };
 
-/// Memoized selections a [`SweepSession`] holds before evicting the least
-/// recently used.
+/// Answers a [`SweepSession`] holds before evicting the least recently
+/// used.
 const SOLVE_CACHE_CAPACITY: usize = 256;
 
 /// Telemetry of one sweep point run through a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPoint {
     /// FNV-1a 64 digest of the canonical solve key (telemetry only — cache
-    /// lookups compare full keys, never digests).
+    /// lookups compare full keys, never digests). The key leaves the gains
+    /// out, so every point of one sweep shares it.
     pub digest: u64,
     /// The uniform required gain, when the point's gains are uniform.
     pub rg: Option<Cycles>,
     /// Whether the solve cache answered without running a solver.
     pub cache_hit: bool,
-    /// Whether a chained warm-start incumbent was injected.
-    pub chained: bool,
     /// Branch-and-bound nodes explored (0 on a cache hit — no new search).
     pub nodes_explored: usize,
     /// Wall time of this point, cache lookups included.
@@ -77,12 +72,13 @@ pub struct SweepTrace {
     pub cache_hits: u64,
     /// Requests that had to run a solver.
     pub cache_misses: u64,
-    /// Sweep points that were seeded with the previous (higher-RG) point's
-    /// verified-feasible optimum.
+    /// Always 0: no sweep point is seeded from its predecessor. Kept only
+    /// because the `perfbench` harness reads it for its
+    /// `sweep.chain_accept_share` layer row, until a change to that
+    /// harness drops the row.
     pub chained_accepts: u64,
-    /// Sweep points whose carry-over candidate failed the independent
-    /// feasibility check and was dropped (e.g. under a budget-exhausted
-    /// predecessor).
+    /// Always 0, kept for the same `sweep.chain_accept_share` row as
+    /// [`SweepTrace::chained_accepts`].
     pub chained_rejects: u64,
     /// Per-request telemetry, in request order.
     pub points: Vec<SweepPoint>,
@@ -111,8 +107,6 @@ impl SweepTrace {
             points: self.points.len(),
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
-            chained_accepts: self.chained_accepts,
-            chained_rejects: self.chained_rejects,
             nodes: self.total_nodes(),
             wall: self.total_wall(),
         }
@@ -135,7 +129,6 @@ impl SweepTrace {
                     digest: p.digest,
                     rg: p.rg.map(partita_mop::Cycles::get),
                     cache_hit: p.cache_hit,
-                    chained: p.chained,
                     nodes: p.nodes_explored,
                     wall: p.wall,
                 }
@@ -146,31 +139,30 @@ impl SweepTrace {
         lines
     }
 
-    /// Renders a cold-vs-chained comparison as one schema-tagged
+    /// Renders a cold-vs-session comparison as one schema-tagged
     /// [`Event::SweepCompare`] JSON object: total nodes and wall time of
-    /// both traces plus the nodes saved by chaining (negative if chaining
+    /// both traces plus the nodes the session saved (negative if it
     /// somehow cost nodes).
     #[must_use]
-    pub fn compare_json(label: &str, cold: &SweepTrace, chained: &SweepTrace) -> String {
+    pub fn compare_json(label: &str, cold: &SweepTrace, swept: &SweepTrace) -> String {
         Event::SweepCompare {
             sweep: label.to_string(),
             cold_nodes: cold.total_nodes(),
-            chained_nodes: chained.total_nodes(),
-            nodes_saved: nodes_saved_clamped(cold.total_nodes(), chained.total_nodes()),
-            chained_accepts: chained.chained_accepts,
+            sweep_nodes: swept.total_nodes(),
+            nodes_saved: nodes_saved_clamped(cold.total_nodes(), swept.total_nodes()),
             cold_wall: cold.total_wall(),
-            chained_wall: chained.total_wall(),
+            sweep_wall: swept.total_wall(),
         }
         .to_json()
     }
 }
 
-/// `cold - chained` as a saturating `i64`: node totals are `u64`, so the
+/// `cold - swept` as a saturating `i64`: node totals are `u64`, so the
 /// naive `as i64` difference wraps once either total passes `i64::MAX` —
 /// reachable on x100-scale sweeps. Computing in `i128` and clamping keeps
 /// the sign honest at every magnitude.
-fn nodes_saved_clamped(cold: u64, chained: u64) -> i64 {
-    let saved = i128::from(cold) - i128::from(chained);
+fn nodes_saved_clamped(cold: u64, swept: u64) -> i64 {
+    let saved = i128::from(cold) - i128::from(swept);
     saved.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
@@ -194,41 +186,36 @@ pub fn canonical_instance_key(instance: &Instance, db: &ImpDb) -> String {
 
 /// The canonical solve key — the one key of every solve cache, the sweep
 /// session's and the solve daemon's: the instance content key plus
-/// everything that can change **which selection is returned** — problem
-/// kind, required gains, backend and budget (node cap and deadline).
+/// everything other than the gains that can change **which selection is
+/// returned** — problem kind, backend and budget (node cap and deadline).
+/// The gains stay out because the cache rule compares them itself (see
+/// [`crate::cache`]): the key names a family of problems that differ only
+/// in their gain rows' right-hand sides, so one rendering serves a whole
+/// sweep.
 ///
 /// Deliberately excluded, and guaranteed excluded by test: the `audit`
-/// flag (checking an answer never changes it), any retained root **basis**
-/// (repair only accelerates reaching the identical lex-min optimum), any
-/// warm-start **hint** and the warm-start flag (verified seeds only prune;
-/// strict pruning and the lexicographic tie-break make the selection a
-/// completed search returns hint-invariant). So a chained sweep point, a
-/// delta re-solve and a cold solve of the same problem share one entry,
-/// and the daemon shares it across tenants whose requests differ only in
-/// those effort knobs.
-///
-/// The invariance holds only for completed searches: under a node cap or
-/// deadline the seeds pick the incumbent, and whether greedy rescues a
-/// dry search, so a budget-stopped answer can differ with the hint or the
-/// warm-start flag. Such answers are never cached ([`is_cacheable`]), so
-/// a key shared across those knobs only ever serves a completed answer.
+/// flag (checking an answer never changes it) and the warm-start flag
+/// (the greedy seed only prunes; strict pruning and the lexicographic
+/// tie-break make the selection a completed search returns seed-invariant).
+/// So a sweep point, a delta re-solve and a cold solve of the same problem
+/// share answers, and the daemon shares them across tenants whose requests
+/// differ only in those knobs. A budget-stopped answer can depend on the
+/// warm-start flag, and such answers are never cached ([`is_cacheable`]).
 #[must_use]
 pub fn canonical_solve_key(instance: &Instance, db: &ImpDb, options: &SolveOptions) -> String {
     format!(
-        "{}|{:?}|{:?}|{:?}|{:?}",
+        "{}|{:?}|{:?}|{:?}",
         canonical_instance_key(instance, db),
         options.problem,
-        options.gains,
         options.backend,
         options.budget,
     )
 }
 
-/// Whether a solve cache may store `sel` under its [`canonical_solve_key`]:
-/// every answer except those a budget stop picked
-/// ([`OptimalityStatus::FeasibleBudgetExhausted`] and
+/// Whether a solve cache may store `sel`: every answer except those a
+/// budget stop picked ([`OptimalityStatus::FeasibleBudgetExhausted`] and
 /// [`OptimalityStatus::FallbackUsed`]), the only ones the key's excluded
-/// hint and warm-start flag can change.
+/// warm-start flag can change.
 #[must_use]
 pub fn is_cacheable(sel: &Selection) -> bool {
     !matches!(
@@ -237,7 +224,7 @@ pub fn is_cacheable(sel: &Selection) -> bool {
     )
 }
 
-/// A caching, chaining solve session.
+/// A caching solve session.
 ///
 /// See the module docs for the design; the short version:
 ///
@@ -273,7 +260,7 @@ pub fn is_cacheable(sel: &Selection) -> bool {
 /// # }
 /// ```
 pub struct SweepSession {
-    solves: LruCache<Selection>,
+    solves: AnswerCache,
     trace: SweepTrace,
     sink: Option<Arc<dyn TelemetrySink>>,
 }
@@ -294,14 +281,28 @@ impl Default for SweepSession {
     }
 }
 
+/// A rendered [`canonical_solve_key`] and its digest.
+struct Key {
+    key: String,
+    digest: u64,
+}
+
+impl Key {
+    fn new(instance: &Instance, db: &ImpDb, options: &SolveOptions) -> Key {
+        let key = canonical_solve_key(instance, db, options);
+        let digest = fnv1a64(&key);
+        Key { key, digest }
+    }
+}
+
 impl SweepSession {
-    /// A session with an empty cache bounded at 256 memoized selections
+    /// A session with an empty cache bounded at 256 answers
     /// (`SOLVE_CACHE_CAPACITY`), evicted least-recently-used first (a hit
-    /// refreshes its entry).
+    /// refreshes the answer it served).
     #[must_use]
     pub fn new() -> SweepSession {
         SweepSession {
-            solves: LruCache::new(SOLVE_CACHE_CAPACITY),
+            solves: AnswerCache::new(SOLVE_CACHE_CAPACITY),
             trace: SweepTrace::default(),
             sink: None,
         }
@@ -309,7 +310,7 @@ impl SweepSession {
 
     /// Routes this session's live telemetry ([`Event::CacheLookup`],
     /// [`Event::SweepPoint`]) — and the inner
-    /// solves and delta re-solves it dispatches — to `sink` instead of the
+    /// solves it dispatches — to `sink` instead of the
     /// process-wide [`crate::telemetry::global`] sink.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> SweepSession {
@@ -322,14 +323,14 @@ impl SweepSession {
         crate::telemetry::resolve(self.sink.as_ref())
     }
 
-    /// Emits a [`Event::CacheLookup`] for a solve-cache probe keyed by `key`.
-    fn emit_cache(&self, hit: bool, key: &str) {
+    /// Emits a [`Event::CacheLookup`] for a solve-cache probe.
+    fn emit_cache(&self, hit: bool, digest: u64) {
         let sink = self.sink();
         if sink.enabled() {
             sink.emit(&Event::CacheLookup {
                 cache: CacheKind::Solve,
                 hit,
-                digest: fnv1a64(key),
+                digest,
             });
         }
     }
@@ -346,7 +347,6 @@ impl SweepSession {
                 digest: p.digest,
                 rg: p.rg.map(Cycles::get),
                 cache_hit: p.cache_hit,
-                chained: p.chained,
                 nodes: p.nodes_explored,
                 wall: p.wall,
             });
@@ -362,16 +362,17 @@ impl SweepSession {
     }
 
     /// Drains and returns the accumulated telemetry, resetting it — lets a
-    /// driver emit one trace per phase (e.g. cold sweep vs. chained sweep)
+    /// driver emit one trace per phase (e.g. cold sweep vs. cached sweep)
     /// from a single session.
     pub fn take_trace(&mut self) -> SweepTrace {
         std::mem::take(&mut self.trace)
     }
 
-    /// A single cache-aware solve: answers from the solve cache when the
-    /// canonical key matches a memoized request (byte-identical
-    /// [`Selection`], trace included — whichever path first solved it),
-    /// otherwise formulates and dispatches like [`crate::Solver::solve`].
+    /// A single cache-aware solve: answers from the solve cache when a
+    /// stored answer serves the request (byte-identical [`Selection`],
+    /// trace included — whichever path first solved it; see
+    /// [`crate::cache`]), otherwise formulates and dispatches like
+    /// [`crate::Solver::solve`].
     ///
     /// # Errors
     ///
@@ -383,27 +384,28 @@ impl SweepSession {
         db: &ImpDb,
         options: &SolveOptions,
     ) -> Result<Selection, CoreError> {
-        self.answer(instance, db, options, |s| {
+        let key = Key::new(instance, db, options);
+        self.answer(&key, instance, db, options, |s| {
             solve_cold(instance, db, options, SolveTrace::default(), s.sink())
-                .map(|sel| (sel, false))
         })
     }
 
-    /// Runs a uniform-gain RG sweep with descending-RG warm-start chaining:
-    /// points are visited from the highest requirement down, each one
-    /// answered from the cache when it can be and otherwise re-solved by
-    /// one [`DeltaSession`] (an [`InstanceDelta::SetRg`] patch, basis
-    /// repair, and the previous optimum as a verified seed). Selections
-    /// are returned in the order of `rgs`. `base` supplies everything
-    /// except the gains, which are overridden per point.
+    /// Runs a uniform-gain RG sweep: points are visited from the lowest
+    /// requirement up, each one answered from the cache when a stored
+    /// answer serves it — a proof at a lower point covers every point its
+    /// selection still meets — and otherwise searched on one patched model
+    /// (an [`InstanceDelta::SetRg`] of one [`DeltaSession`]). The key is
+    /// rendered once per call. Selections are returned in the order of
+    /// `rgs`. `base` supplies everything except the gains, which are
+    /// overridden per point.
     ///
-    /// Chaining never changes a within-budget selection — see the module
-    /// docs — so the result is identical to [`SweepSession::sweep_cold`]
-    /// point for point, only cheaper.
+    /// Neither the cache rule nor the patch changes a selection — see the
+    /// module docs — so the result is identical to
+    /// [`SweepSession::sweep_cold`] point for point, only cheaper.
     ///
     /// # Errors
     ///
-    /// The first point error, in descending-RG solve order.
+    /// The first point error, in ascending-RG solve order.
     pub fn sweep(
         &mut self,
         instance: &Instance,
@@ -411,42 +413,36 @@ impl SweepSession {
         base: &SolveOptions,
         rgs: &[Cycles],
     ) -> Result<Vec<Selection>, CoreError> {
-        let mut walk: Option<DeltaSession> = None;
-        self.walk_descending(base, rgs, |s, opts| {
-            s.answer(instance, db, opts, |s| {
-                let ds = match walk.as_mut() {
+        let key = Key::new(instance, db, base);
+        let mut patched: Option<DeltaSession> = None;
+        walk_ascending(base, rgs, |opts| {
+            self.answer(&key, instance, db, opts, |s| {
+                let ds = match patched.as_mut() {
                     Some(ds) => {
                         ds.apply(InstanceDelta::SetRg(opts.gains.clone()))?;
                         ds
                     }
                     None => {
                         let ds = DeltaSession::new(instance.clone(), db.clone(), opts.clone())?;
-                        walk.insert(match &s.sink {
+                        patched.insert(match &s.sink {
                             Some(sink) => ds.with_sink(Arc::clone(sink)),
                             None => ds,
                         })
                     }
                 };
-                let sel = ds.resolve()?;
-                let chained = ds.chained();
-                match chained {
-                    Some(true) => s.trace.chained_accepts += 1,
-                    Some(false) => s.trace.chained_rejects += 1,
-                    None => {}
-                }
-                Ok((sel, chained == Some(true)))
+                ds.search()
             })
         })
     }
 
-    /// The unchained baseline for [`SweepSession::sweep`]: the same sweep
-    /// points solved independently through [`SweepSession::solve`], with
-    /// no cross-point chaining (the solve cache still applies — a repeated
-    /// point still hits).
+    /// The cold baseline for [`SweepSession::sweep`]: the same points, in
+    /// the same order, each formulated and searched from scratch. The
+    /// session's cache is neither read nor filled, so every point is a
+    /// miss and its nodes are a cold solve's.
     ///
     /// # Errors
     ///
-    /// The first point error, in descending-RG solve order.
+    /// The first point error, in ascending-RG solve order.
     pub fn sweep_cold(
         &mut self,
         instance: &Instance,
@@ -454,86 +450,91 @@ impl SweepSession {
         base: &SolveOptions,
         rgs: &[Cycles],
     ) -> Result<Vec<Selection>, CoreError> {
-        self.walk_descending(base, rgs, |s, opts| s.solve(instance, db, opts))
-    }
-
-    /// Visits `rgs` from the highest down, answering each with `visit` at
-    /// `base` overridden to that uniform gain (and stripped of any caller
-    /// hint or basis), and returns the selections in the order of `rgs`.
-    fn walk_descending(
-        &mut self,
-        base: &SolveOptions,
-        rgs: &[Cycles],
-        mut visit: impl FnMut(&mut Self, &SolveOptions) -> Result<Selection, CoreError>,
-    ) -> Result<Vec<Selection>, CoreError> {
-        let mut order: Vec<usize> = (0..rgs.len()).collect();
-        order.sort_by(|&a, &b| rgs[b].cmp(&rgs[a]));
-        let mut results: Vec<Option<Selection>> = vec![None; rgs.len()];
-        for &i in &order {
-            let mut opts = base.clone();
-            opts.gains = RequiredGains::uniform(rgs[i]);
-            opts.hint = None;
-            opts.root_basis = None;
-            results[i] = Some(visit(self, &opts)?);
-        }
-        Ok(results
-            .into_iter()
-            .map(|s| s.expect("every sweep index solved exactly once"))
-            .collect())
+        let digest = fnv1a64(&canonical_solve_key(instance, db, base));
+        walk_ascending(base, rgs, |opts| {
+            let started = Instant::now();
+            self.trace.cache_misses += 1;
+            let sel = solve_cold(instance, db, opts, SolveTrace::default(), self.sink())?;
+            self.record(SweepPoint {
+                digest,
+                rg: opts.gains.as_uniform(),
+                cache_hit: false,
+                nodes_explored: sel.trace.nodes_explored,
+                wall: started.elapsed(),
+            });
+            Ok(sel)
+        })
     }
 
     /// The cache-first step shared by every request: answers from the solve
-    /// cache when the canonical key matches, otherwise runs `miss` (which
-    /// returns the selection and whether it was chained), memoizes the
-    /// result when [`is_cacheable`] and records the point.
+    /// cache when a stored answer under `key` serves `options`, otherwise
+    /// runs `miss`, stores its answer (unless a budget stop picked it) and
+    /// records the point.
     fn answer(
         &mut self,
+        key: &Key,
         instance: &Instance,
         db: &ImpDb,
         options: &SolveOptions,
-        miss: impl FnOnce(&mut Self) -> Result<(Selection, bool), CoreError>,
+        miss: impl FnOnce(&mut Self) -> Result<Selection, CoreError>,
     ) -> Result<Selection, CoreError> {
         let started = Instant::now();
-        let key = canonical_solve_key(instance, db, options);
-        let digest = fnv1a64(&key);
         let rg = options.gains.as_uniform();
-        if let Some(sel) = self.solves.get(&key) {
+        if let Some(sel) = self.solves.get(&key.key, instance, options) {
             let sel = sel.clone();
             self.trace.cache_hits += 1;
-            self.emit_cache(true, &key);
+            self.emit_cache(true, key.digest);
             self.record(SweepPoint {
-                digest,
+                digest: key.digest,
                 rg,
                 cache_hit: true,
-                chained: false,
                 nodes_explored: 0,
                 wall: started.elapsed(),
             });
             return audit_cached(instance, db, options, sel);
         }
         self.trace.cache_misses += 1;
-        self.emit_cache(false, &key);
-        let (sel, chained) = miss(self)?;
+        self.emit_cache(false, key.digest);
+        let sel = miss(self)?;
         self.record(SweepPoint {
-            digest,
+            digest: key.digest,
             rg,
             cache_hit: false,
-            chained,
             nodes_explored: sel.trace.nodes_explored,
             wall: started.elapsed(),
         });
-        if is_cacheable(&sel) {
-            self.solves.insert(key, sel.clone());
-        }
+        self.solves.insert(&key.key, &options.gains, sel.clone());
         Ok(sel)
     }
+}
+
+/// Visits `rgs` from the lowest up, answering each with `visit` at `base`
+/// overridden to that uniform gain, and returns the selections in the
+/// order of `rgs`.
+fn walk_ascending(
+    base: &SolveOptions,
+    rgs: &[Cycles],
+    mut visit: impl FnMut(&SolveOptions) -> Result<Selection, CoreError>,
+) -> Result<Vec<Selection>, CoreError> {
+    let mut order: Vec<usize> = (0..rgs.len()).collect();
+    order.sort_by_key(|&i| rgs[i]);
+    let mut results: Vec<Option<Selection>> = vec![None; rgs.len()];
+    for &i in &order {
+        let mut opts = base.clone();
+        opts.gains = RequiredGains::uniform(rgs[i]);
+        results[i] = Some(visit(&opts)?);
+    }
+    Ok(results
+        .into_iter()
+        .map(|s| s.expect("every sweep index solved exactly once"))
+        .collect())
 }
 
 /// Audits a cache-served [`Selection`] when the request opted in. Fresh
 /// solves are audited inside the solver; cached ones bypass it because the
 /// audit flag is deliberately excluded from the solve key (auditing must
 /// never change *what* is solved, only whether the answer is checked).
-fn audit_cached(
+pub(crate) fn audit_cached(
     instance: &Instance,
     db: &ImpDb,
     options: &SolveOptions,
@@ -558,6 +559,12 @@ mod tests {
     /// Three fir() s-calls on one path, one shared IP — small enough for
     /// instant solves, rich enough for a 3-point sweep.
     fn three_firs(name: &str) -> (Instance, ImpDb) {
+        firs(name, [600; 3])
+    }
+
+    /// Three fir() s-calls with one IMP each, of the given gains, all of
+    /// the same area.
+    fn firs(name: &str, gains: [u64; 3]) -> (Instance, ImpDb) {
         let mut inst = Instance::new(name);
         let ip = inst.library.add(
             IpBlock::builder("fir")
@@ -577,12 +584,13 @@ mod tests {
         inst.add_path(scs.clone());
         let db = ImpDb::from_imps(
             scs.iter()
-                .map(|&sc| {
+                .zip(gains)
+                .map(|(&sc, gain)| {
                     Imp::new(
                         sc,
                         vec![ip],
                         InterfaceKind::Type1,
-                        Cycles(600),
+                        Cycles(gain),
                         AreaTenths::from_tenths(2),
                         ParallelChoice::None,
                     )
@@ -660,32 +668,79 @@ mod tests {
     }
 
     #[test]
-    fn chained_sweep_matches_cold_sweep() {
-        let (inst, db) = three_firs("a");
-        let rgs = [Cycles(600), Cycles(1200), Cycles(1800)];
+    fn sweep_matches_cold_sweep_and_covers_points_from_below() {
+        // Gains 500/600/700 at one area: the gain tie-break makes every
+        // optimum unique. 450 takes the 700 IMP, and 1100 the 600 and 700
+        // ones (1,300), so they cover 600 and 1300.
+        let (inst, db) = firs("graded", [500, 600, 700]);
+        let rgs = [
+            Cycles(1800),
+            Cycles(600),
+            Cycles(1300),
+            Cycles(450),
+            Cycles(1100),
+        ];
         let base = SolveOptions::default();
-        let mut chained = SweepSession::new();
-        let chained_sels = chained.sweep(&inst, &db, &base, &rgs).unwrap();
+        let mut swept = SweepSession::new();
+        let sels = swept.sweep(&inst, &db, &base, &rgs).unwrap();
         let mut cold = SweepSession::new();
         let cold_sels = cold.sweep_cold(&inst, &db, &base, &rgs).unwrap();
-        assert_eq!(chained_sels.len(), 3);
-        for (c, f) in chained_sels.iter().zip(&cold_sels) {
-            assert_eq!(c.chosen(), f.chosen());
-            assert_eq!(c.total_area(), f.total_area());
-            assert_eq!(c.status, f.status);
+        // Byte-identical answers; a covered point is the very answer of
+        // the proof that covers it, trace included.
+        let fingerprint = crate::api::selection_fingerprint;
+        for (c, f) in sels.iter().zip(&cold_sels) {
+            assert_eq!(fingerprint(c), fingerprint(f));
         }
-        // Two of the three points chain off a higher-RG optimum.
-        assert_eq!(chained.trace().chained_accepts, 2);
-        assert_eq!(chained.trace().chained_rejects, 0);
-        assert_eq!(cold.trace().chained_accepts, 0);
-        // Results come back in input order, not solve order.
-        assert!(chained_sels[0].total_gain() >= Cycles(600));
-        assert!(chained_sels[2].total_gain() >= Cycles(1800));
+        assert_eq!(sels[1], sels[3]);
+        assert_eq!(sels[2], sels[4]);
+        assert_eq!(
+            (swept.trace().cache_hits, swept.trace().cache_misses),
+            (2, 3)
+        );
+        assert_eq!((cold.trace().cache_hits, cold.trace().cache_misses), (0, 5));
+        assert!(swept.trace().total_nodes() < cold.trace().total_nodes());
+        // Ascending solve order; results come back in input order.
+        let visited: Vec<_> = swept.trace().points.iter().map(|p| p.rg).collect();
+        let ascending = [450, 600, 1100, 1300, 1800].map(|rg| Some(Cycles(rg)));
+        assert_eq!(visited, ascending);
+        assert!(sels[0].total_gain() >= Cycles(1800));
+        // The cold baseline neither reads nor fills the cache.
+        assert_eq!(cold.solves.len(), 0);
+    }
+
+    #[test]
+    fn a_covered_tie_is_answered_by_the_lex_min_optimum() {
+        // Three identical IMPs: at 500 and at 600 any one of them is an
+        // optimum, and the lexicographically smallest assignment takes the
+        // last. The answer at 600 is the exhaustive backend's lex-min one,
+        // which is also what a cold search at 600 returns.
+        let (inst, db) = three_firs("ties");
+        let mut s = SweepSession::new();
+        let sels = s
+            .sweep(
+                &inst,
+                &db,
+                &SolveOptions::default(),
+                &[Cycles(500), Cycles(600)],
+            )
+            .unwrap();
+        assert_eq!(s.trace().cache_hits, 1, "the proof at 500 covers 600");
+        let at_600 = SolveOptions::problem2(RequiredGains::uniform(Cycles(600)));
+        let solve = |options: &SolveOptions| {
+            crate::Solver::new(&inst)
+                .with_imps(db.clone())
+                .solve(options)
+                .unwrap()
+        };
+        let exhaustive = solve(&at_600.clone().backend(crate::Backend::Exhaustive));
+        let fingerprint = crate::api::selection_fingerprint;
+        assert_eq!(fingerprint(&sels[1]), fingerprint(&exhaustive));
+        assert_eq!(fingerprint(&sels[1]), fingerprint(&solve(&at_600)));
     }
 
     #[test]
     fn revisits_of_swept_points_hit_the_cache() {
-        // A chained point is memoized under the same canonical key a plain
+        // A swept point is stored under the same canonical key a plain
         // solve of that point looks up, so revisiting any swept RG with the
         // sweep's base options is a cache hit returning the swept answer.
         let (inst, db) = three_firs("a");
@@ -693,7 +748,6 @@ mod tests {
         let base = SolveOptions::default();
         let mut s = SweepSession::new();
         let swept = s.sweep(&inst, &db, &base, &rgs).unwrap();
-        assert_eq!(s.trace().chained_accepts, 2, "the lower points chained");
         let hits_before = s.trace().cache_hits;
         for (&rg, sel) in rgs.iter().zip(&swept) {
             let mut opts = base.clone();
@@ -713,17 +767,19 @@ mod tests {
     fn lru_bound_evicts_old_solves() {
         let (inst, db) = three_firs("a");
         let mut s = SweepSession::new();
-        let solve = |s: &mut SweepSession, rg: usize| {
-            let gains = RequiredGains::uniform(Cycles(rg as u64));
-            s.solve(&inst, &db, &SolveOptions::problem2(gains)).unwrap();
+        // One answer per node cap: distinct keys at the same gains.
+        let solve = |s: &mut SweepSession, i: usize| {
+            let budget = crate::SolveBudget::default().with_max_nodes(1_000 + i);
+            let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(1200)));
+            s.solve(&inst, &db, &opts.budget(budget)).unwrap();
         };
-        for rg in 0..=SOLVE_CACHE_CAPACITY {
-            solve(&mut s, rg);
+        for i in 0..=SOLVE_CACHE_CAPACITY {
+            solve(&mut s, i);
         }
         assert_eq!(s.solves.len(), SOLVE_CACHE_CAPACITY);
         assert_eq!(s.trace().cache_hits, 0);
-        // The newest entry survived; the oldest (RG 0) was evicted, so
-        // solving it again is a miss.
+        // The newest answer survived; the oldest was evicted, so solving
+        // it again is a miss.
         solve(&mut s, SOLVE_CACHE_CAPACITY);
         assert_eq!(s.trace().cache_hits, 1);
         solve(&mut s, 0);
@@ -733,22 +789,21 @@ mod tests {
 
     #[test]
     fn canonical_service_key_excludes_all_effort_knobs() {
-        // The one solve key ignores the audit flag, retained bases,
-        // warm-start hints and the warm-start flag itself: selections are
-        // invariant under all of them, so keying on them would split cache
-        // entries (across chained and cold points, or across tenants) for
-        // no answer-level reason.
+        // The one solve key ignores the audit flag and the warm-start
+        // flag: completed selections are invariant under both, so keying
+        // on them would split cache entries (across tenants) for no
+        // answer-level reason. It leaves out the gains too, which the
+        // cache rule compares itself.
         let (inst, db) = three_firs("a");
         let a = SolveOptions::problem2(RequiredGains::uniform(Cycles(1200)));
         let mut b = a.clone();
-        b.root_basis = Some(Arc::new(partita_ilp::Basis::slack(4, 7)));
         b.audit = !a.audit;
-        b.hint = Some(vec![crate::ImpId(0), crate::ImpId(2)]);
         b.warm_start = !a.warm_start;
+        b.gains = RequiredGains::uniform(Cycles(600));
         assert_eq!(
             canonical_solve_key(&inst, &db, &a),
             canonical_solve_key(&inst, &db, &b),
-            "audit/basis/hint/warm_start must not shape the service key"
+            "audit/warm_start/gains must not shape the service key"
         );
         // ...while anything that *can* change the answer still must.
         let mut c = a.clone();
@@ -776,32 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn chained_sweep_threads_root_basis() {
-        let (inst, db) = three_firs("a");
-        let rgs = [Cycles(600), Cycles(1200), Cycles(1800)];
-        let mut s = SweepSession::new();
-        let sels = s.sweep(&inst, &db, &SolveOptions::default(), &rgs).unwrap();
-        // Descending solve order puts 1800 first (cold); the two lower
-        // points inherit its root basis, and an RG edit is a pure RHS
-        // change, so at least one repair must succeed.
-        let reused = sels.iter().filter(|sel| sel.trace.basis_reused).count();
-        assert!(
-            reused >= 1,
-            "no sweep point repaired the chained root basis"
-        );
-        // And reuse never changes the answers (checked in depth by
-        // chained_sweep_matches_cold_sweep; re-asserted cheaply here).
-        let mut cold = SweepSession::new();
-        let cold_sels = cold
-            .sweep_cold(&inst, &db, &SolveOptions::default(), &rgs)
-            .unwrap();
-        for (c, f) in sels.iter().zip(&cold_sels) {
-            assert_eq!(c.chosen(), f.chosen());
-            assert_eq!(c.total_area(), f.total_area());
-        }
-    }
-
-    #[test]
     fn trace_json_lines_are_tagged_and_escaped() {
         let (inst, db) = three_firs("a");
         let mut s = SweepSession::new();
@@ -816,18 +845,19 @@ mod tests {
         assert_eq!(lines.len(), 3, "2 points + summary");
         for line in &lines {
             assert!(
-                line.starts_with("{\"schema\":5,\"event\":\"sweep_"),
+                line.starts_with("{\"schema\":6,\"event\":\"sweep_"),
                 "{line}"
             );
             assert!(line.contains("\"sweep\":\"tab\\\"le\""), "{line}");
             assert_eq!(line.matches('{').count(), line.matches('}').count());
         }
         assert!(
-            lines[0].contains("\"rg\":1200"),
-            "descending solve order: {}",
+            lines[0].contains("\"rg\":600"),
+            "ascending solve order: {}",
             lines[0]
         );
-        assert!(lines[2].contains("\"chained_accepts\":1"));
+        assert!(lines[2].contains("\"cache_misses\":2"), "{}", lines[2]);
+        assert!(!lines[2].contains("chained"), "{}", lines[2]);
         let cold = s.take_trace();
         assert!(s.trace().points.is_empty());
         let cmp = SweepTrace::compare_json("x", &cold, &SweepTrace::default());

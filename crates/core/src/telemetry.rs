@@ -4,7 +4,7 @@
 //! JSON surface of the pipeline (solve traces, [`crate::SweepTrace`],
 //! [`crate::AuditReport::to_json`]) goes through one **versioned event
 //! schema**: every line the pipeline emits is a typed [`Event`] serialized
-//! as a single JSON object tagged `{"schema":5,"event":"<kind>", ...}`.
+//! as a single JSON object tagged `{"schema":6,"event":"<kind>", ...}`.
 //! The full field-level schema is documented in `docs/TELEMETRY.md`, which
 //! is kept honest by a test diffing the doc's event list against
 //! [`EventKind::ALL`].
@@ -14,8 +14,8 @@
 //! * [`Event`] — the closed set of things the pipeline can report: solve
 //!   lifecycle ([`Event::SolveStarted`] → [`Event::PhaseFinished`] →
 //!   [`Event::SolveFinished`]), sweep-session activity
-//!   ([`Event::CacheLookup`], [`Event::ChainDecision`],
-//!   [`Event::SweepPoint`], …), audit results ([`Event::AuditFinished`]).
+//!   ([`Event::CacheLookup`], [`Event::SweepPoint`], …), audit results
+//!   ([`Event::AuditFinished`]).
 //! * [`TelemetrySink`] — where events go. [`NullSink`] drops them (and
 //!   reports `enabled() == false`, so producers skip building events
 //!   entirely — the zero-cost-when-disabled contract), [`JsonLinesSink`]
@@ -82,9 +82,9 @@ use crate::solver::ProblemKind;
 use crate::Backend;
 
 /// Version of the event schema. Every serialized event carries it as its
-/// first field (`"schema":5`); bump it only with a matching update to
+/// first field (`"schema":6`); bump it only with a matching update to
 /// `docs/TELEMETRY.md` and the downstream scrapers.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Escapes a string for embedding in a hand-rolled JSON document: quotes,
 /// backslashes and control characters, per RFC 8259.
@@ -194,25 +194,22 @@ pub enum EventKind {
     AuditFinished,
     /// A [`crate::SweepSession`] cache was probed.
     CacheLookup,
-    /// The sweep loop decided whether to chain the previous optimum.
-    ChainDecision,
     /// One sweep point was answered.
     SweepPoint,
     /// Aggregate counters of a recorded sweep (rendered retrospectively).
     SweepSummary,
-    /// A cold-vs-chained sweep comparison (rendered retrospectively).
+    /// A cold-vs-session sweep comparison (rendered retrospectively).
     SweepCompare,
 }
 
 impl EventKind {
     /// Every event kind, in the order they are documented.
-    pub const ALL: [EventKind; 9] = [
+    pub const ALL: [EventKind; 8] = [
         EventKind::SolveStarted,
         EventKind::PhaseFinished,
         EventKind::SolveFinished,
         EventKind::AuditFinished,
         EventKind::CacheLookup,
-        EventKind::ChainDecision,
         EventKind::SweepPoint,
         EventKind::SweepSummary,
         EventKind::SweepCompare,
@@ -227,7 +224,6 @@ impl EventKind {
             EventKind::SolveFinished => "solve_finished",
             EventKind::AuditFinished => "audit_finished",
             EventKind::CacheLookup => "cache_lookup",
-            EventKind::ChainDecision => "chain_decision",
             EventKind::SweepPoint => "sweep_point",
             EventKind::SweepSummary => "sweep_summary",
             EventKind::SweepCompare => "sweep_compare",
@@ -288,17 +284,6 @@ pub enum Event {
         /// FNV-1a 64 digest of the canonical cache key.
         digest: u64,
     },
-    /// A [`crate::DeltaSession::resolve`] decided whether to seed the
-    /// previous optimum into the patched problem as a warm-start incumbent.
-    /// Emitted once per resolve that *has* a predecessor (every chained
-    /// sweep point below the first solved one); `accepted == false` means
-    /// the independent feasibility check rejected the carry-over.
-    ChainDecision {
-        /// The next point's uniform required gain, when uniform.
-        rg: Option<u64>,
-        /// Whether the previous optimum was accepted as a seed.
-        accepted: bool,
-    },
     /// One sweep point was answered.
     SweepPoint {
         /// Sweep label (`None` for live emission; the retrospective
@@ -312,8 +297,6 @@ pub enum Event {
         rg: Option<u64>,
         /// Whether the solve cache answered without running a solver.
         cache_hit: bool,
-        /// Whether a chained warm-start incumbent was injected.
-        chained: bool,
         /// Branch-and-bound nodes explored (0 on a cache hit).
         nodes: usize,
         /// Wall time of the point, cache lookups included.
@@ -329,31 +312,25 @@ pub enum Event {
         cache_hits: u64,
         /// Requests that ran a solver.
         cache_misses: u64,
-        /// Points seeded with the previous point's verified optimum.
-        chained_accepts: u64,
-        /// Points whose carry-over candidate failed the feasibility check.
-        chained_rejects: u64,
         /// Total nodes across all points.
         nodes: u64,
         /// Total wall time across all points.
         wall: Duration,
     },
-    /// A cold-vs-chained sweep comparison.
+    /// A cold-vs-session sweep comparison.
     SweepCompare {
         /// Sweep label.
         sweep: String,
-        /// Total nodes of the cold (unchained) sweep.
+        /// Total nodes of the cold sweep ([`crate::SweepSession::sweep_cold`]).
         cold_nodes: u64,
-        /// Total nodes of the chained sweep.
-        chained_nodes: u64,
-        /// `cold_nodes - chained_nodes` (negative if chaining cost nodes).
+        /// Total nodes of the cached sweep ([`crate::SweepSession::sweep`]).
+        sweep_nodes: u64,
+        /// `cold_nodes - sweep_nodes` (negative if the session cost nodes).
         nodes_saved: i64,
-        /// Chained points seeded from a predecessor.
-        chained_accepts: u64,
         /// Total wall time of the cold sweep.
         cold_wall: Duration,
-        /// Total wall time of the chained sweep.
-        chained_wall: Duration,
+        /// Total wall time of the cached sweep.
+        sweep_wall: Duration,
     },
 }
 
@@ -411,7 +388,6 @@ impl Event {
             Event::SolveFinished { .. } => EventKind::SolveFinished,
             Event::AuditFinished { .. } => EventKind::AuditFinished,
             Event::CacheLookup { .. } => EventKind::CacheLookup,
-            Event::ChainDecision { .. } => EventKind::ChainDecision,
             Event::SweepPoint { .. } => EventKind::SweepPoint,
             Event::SweepSummary { .. } => EventKind::SweepSummary,
             Event::SweepCompare { .. } => EventKind::SweepCompare,
@@ -467,7 +443,6 @@ impl Event {
                 w.raw("probes_screened", trace.probes_screened);
                 w.raw("probes_warm", trace.probes_warm);
                 w.raw("probes_cold", trace.probes_cold);
-                w.raw("basis_reused", trace.basis_reused);
                 w.raw("imp_generation_us", r.us(trace.imp_generation));
                 w.raw("formulation_us", r.us(trace.formulation));
                 w.raw("solve_us", r.us(trace.solve));
@@ -494,17 +469,12 @@ impl Event {
                 w.raw("hit", hit);
                 w.string("digest", &format!("{digest:016x}"));
             }
-            Event::ChainDecision { rg, accepted } => {
-                w.opt_u64("rg", *rg);
-                w.raw("accepted", accepted);
-            }
             Event::SweepPoint {
                 sweep,
                 point,
                 digest,
                 rg,
                 cache_hit,
-                chained,
                 nodes,
                 wall,
             } => {
@@ -513,7 +483,6 @@ impl Event {
                 w.string("digest", &format!("{digest:016x}"));
                 w.opt_u64("rg", *rg);
                 w.raw("cache_hit", cache_hit);
-                w.raw("chained", chained);
                 w.raw("nodes", nodes);
                 w.raw("wall_us", r.us(*wall));
             }
@@ -522,8 +491,6 @@ impl Event {
                 points,
                 cache_hits,
                 cache_misses,
-                chained_accepts,
-                chained_rejects,
                 nodes,
                 wall,
             } => {
@@ -531,27 +498,23 @@ impl Event {
                 w.raw("points", points);
                 w.raw("cache_hits", cache_hits);
                 w.raw("cache_misses", cache_misses);
-                w.raw("chained_accepts", chained_accepts);
-                w.raw("chained_rejects", chained_rejects);
                 w.raw("nodes", nodes);
                 w.raw("wall_us", r.us(*wall));
             }
             Event::SweepCompare {
                 sweep,
                 cold_nodes,
-                chained_nodes,
+                sweep_nodes,
                 nodes_saved,
-                chained_accepts,
                 cold_wall,
-                chained_wall,
+                sweep_wall,
             } => {
                 w.string("sweep", sweep);
                 w.raw("cold_nodes", cold_nodes);
-                w.raw("chained_nodes", chained_nodes);
+                w.raw("sweep_nodes", sweep_nodes);
                 w.raw("nodes_saved", nodes_saved);
-                w.raw("chained_accepts", chained_accepts);
                 w.raw("cold_wall_us", r.us(*cold_wall));
-                w.raw("chained_wall_us", r.us(*chained_wall));
+                w.raw("sweep_wall_us", r.us(*sweep_wall));
             }
         }
         w.finish()
@@ -1183,11 +1146,11 @@ mod tests {
             digest: 0xabc,
         };
         let line = e.to_json();
-        assert!(line.starts_with("{\"schema\":5,\"event\":\"cache_lookup\""));
+        assert!(line.starts_with("{\"schema\":6,\"event\":\"cache_lookup\""));
         assert!(line.contains("\"cache\":\"solve\""));
         assert!(line.contains("\"digest\":\"0000000000000abc\""));
         let parsed = JsonValue::parse(&line).unwrap();
-        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(5));
+        assert_eq!(parsed.get("schema").and_then(JsonValue::as_u64), Some(6));
         assert_eq!(parsed.get("hit").and_then(JsonValue::as_bool), Some(true));
     }
 
@@ -1199,7 +1162,6 @@ mod tests {
             digest: 1,
             rg: Some(5),
             cache_hit: false,
-            chained: true,
             nodes: 17,
             wall: Duration::from_micros(40),
         };
@@ -1223,14 +1185,17 @@ mod tests {
         let sink = RecordingSink::new();
         assert!(sink.enabled());
         assert!(sink.is_empty());
-        sink.emit(&Event::ChainDecision {
-            rg: Some(7),
-            accepted: true,
-        });
-        sink.emit(&Event::ChainDecision {
-            rg: None,
-            accepted: false,
-        });
+        for rg in [Some(7), None] {
+            sink.emit(&Event::SweepPoint {
+                sweep: None,
+                point: None,
+                digest: 1,
+                rg,
+                cache_hit: rg.is_none(),
+                nodes: 3,
+                wall: Duration::from_micros(2),
+            });
+        }
         sink.emit(&Event::PhaseFinished {
             phase: Phase::Solve,
             wall: Duration::from_micros(15),
@@ -1250,10 +1215,11 @@ mod tests {
     #[test]
     fn json_lines_sink_writes_one_line_per_event() {
         let sink = JsonLinesSink::new(Vec::<u8>::new());
-        for accepted in [true, false] {
-            sink.emit(&Event::ChainDecision {
-                rg: Some(1),
-                accepted,
+        for hit in [true, false] {
+            sink.emit(&Event::CacheLookup {
+                cache: CacheKind::Solve,
+                hit,
+                digest: 1,
             });
         }
         let text = String::from_utf8(sink.into_inner()).unwrap();

@@ -42,8 +42,7 @@
 //! # Fault injection
 //!
 //! [`FaultPlan`] deliberately degrades a solve — node-cap exhaustion,
-//! deadline expiry, poisoned warm-start hints and bases, a disabled warm
-//! start — and classifies the outcome: every degraded path must still
+//! deadline expiry, a disabled warm start — and classifies the outcome: every degraded path must still
 //! produce an audit-clean feasible selection or a typed error, never a
 //! silent infeasible result ([`FaultVerdict::SilentlyWrong`]).
 
@@ -834,12 +833,6 @@ pub enum Fault {
     NodeCap(usize),
     /// Impose this wall-clock deadline (zero expires at the first check).
     Deadline(Duration),
-    /// Seed the warm start with this (possibly garbage) candidate.
-    PoisonedHint(Vec<ImpId>),
-    /// Seed the root LP with this (possibly stale or shape-mismatched)
-    /// retained basis. The repair path must degrade to a cold
-    /// factorization, never to a silent wrong answer.
-    PoisonedBasis(std::sync::Arc<partita_ilp::Basis>),
     /// Disable the greedy warm start.
     NoWarmStart,
 }
@@ -872,7 +865,7 @@ impl FaultVerdict {
 ///
 /// ```
 /// use partita_core::verify::FaultPlan;
-/// use partita_core::{ImpDb, ImpId, Instance, RequiredGains, SCall, SolveOptions};
+/// use partita_core::{ImpDb, Instance, RequiredGains, SCall, SolveOptions};
 /// use partita_ip::{IpBlock, IpFunction};
 /// use partita_interface::TransferJob;
 /// use partita_mop::{AreaTenths, Cycles};
@@ -892,7 +885,7 @@ impl FaultVerdict {
 ///
 /// let verdict = FaultPlan::new()
 ///     .node_cap(1)
-///     .poisoned_hint(vec![ImpId(999)])
+///     .without_warm_start()
 ///     .run(&instance, &db, &opts);
 /// assert!(verdict.is_sound());
 /// ```
@@ -922,24 +915,6 @@ impl FaultPlan {
         self
     }
 
-    /// Injects a poisoned warm-start hint (unknown or conflicting IMP ids).
-    #[must_use]
-    pub fn poisoned_hint(mut self, hint: Vec<ImpId>) -> FaultPlan {
-        self.faults.push(Fault::PoisonedHint(hint));
-        self
-    }
-
-    /// Injects a poisoned retained root-LP basis (stale, foreign, or
-    /// deliberately mismatched to the model's shape).
-    #[must_use]
-    pub fn poisoned_basis(
-        mut self,
-        basis: impl Into<std::sync::Arc<partita_ilp::Basis>>,
-    ) -> FaultPlan {
-        self.faults.push(Fault::PoisonedBasis(basis.into()));
-        self
-    }
-
     /// Disables the greedy warm start.
     #[must_use]
     pub fn without_warm_start(mut self) -> FaultPlan {
@@ -966,11 +941,6 @@ impl FaultPlan {
                 Fault::Deadline(deadline) => {
                     let budget = out.solve_budget().with_deadline(*deadline);
                     out.budget(budget)
-                }
-                Fault::PoisonedHint(hint) => out.warm_start_hint(hint.clone()),
-                Fault::PoisonedBasis(basis) => {
-                    out.root_basis = Some(std::sync::Arc::clone(basis));
-                    out
                 }
                 Fault::NoWarmStart => out.warm_start(false),
             };
@@ -1274,13 +1244,11 @@ mod tests {
         let plan = FaultPlan::new()
             .node_cap(1)
             .deadline(Duration::ZERO)
-            .poisoned_hint(vec![ImpId(999)])
             .without_warm_start();
-        assert_eq!(plan.faults().len(), 4);
+        assert_eq!(plan.faults().len(), 3);
         let d = plan.distort(&opts);
         assert_eq!(d.solve_budget().max_nodes, 1);
         assert_eq!(d.solve_budget().deadline, Some(Duration::ZERO));
-        assert_eq!(d.hint(), Some(&[ImpId(999)][..]));
         assert!(!d.warm_start_enabled());
     }
 
@@ -1290,10 +1258,7 @@ mod tests {
             FaultPlan::new().node_cap(1),
             FaultPlan::new().node_cap(1).without_warm_start(),
             FaultPlan::new().deadline(Duration::ZERO),
-            FaultPlan::new().poisoned_hint(vec![ImpId(999), ImpId(7)]),
-            FaultPlan::new()
-                .poisoned_hint(vec![ImpId(0), ImpId(0)])
-                .node_cap(2),
+            FaultPlan::new().node_cap(2),
         ];
         let (inst, db) = needs_two_imps();
         let mut typed_errors = 0;
@@ -1313,51 +1278,6 @@ mod tests {
         // The trap's capped plans must refuse with a typed error rather
         // than hand back anything unverified.
         assert!(typed_errors >= 2);
-    }
-
-    #[test]
-    fn poisoned_basis_degrades_to_cold_never_to_garbage() {
-        let (inst, db) = needs_two_imps();
-        let opts = SolveOptions::problem2(RequiredGains::uniform(Cycles(700)));
-        let clean = Solver::new(&inst)
-            .with_imps(&db)
-            .solve(&opts)
-            .expect("clean reference solve");
-        // A spread of hostile bases: shape-mismatched (both too small and
-        // too large), which the install rejects for the cold path, and the
-        // all-slack basis of the model's own shape (one column per model
-        // row; bounds take no row), which installs and is repaired by the
-        // dual simplex — repair is fine, a changed answer is not.
-        let model = Solver::new(&inst)
-            .with_imps(&db)
-            .formulate(&opts)
-            .expect("the instance formulates");
-        let bases = [
-            (partita_ilp::Basis::slack(1, 1), false),
-            (partita_ilp::Basis::slack(200, 90), false),
-            (
-                partita_ilp::Basis::slack(model.num_vars(), model.num_constraints()),
-                true,
-            ),
-        ];
-        for (basis, installs) in bases {
-            let verdict = FaultPlan::new()
-                .poisoned_basis(basis.clone())
-                .run(&inst, &db, &opts);
-            match verdict {
-                FaultVerdict::Clean(sel, report) => {
-                    assert!(report.is_clean());
-                    assert_eq!(sel.trace.basis_reused, installs, "basis {basis:?}");
-                    assert_eq!(
-                        sel.chosen(),
-                        clean.chosen(),
-                        "basis {basis:?} changed the answer"
-                    );
-                    assert_eq!(sel.total_area(), clean.total_area());
-                }
-                other => panic!("poisoned basis {basis:?} must degrade cleanly, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 use proptest::prelude::*;
 
 use partita_core::{
-    baseline, Backend, CoreError, FaultPlan, FaultVerdict, Imp, ImpDb, ImpId, Instance,
-    OptimalityStatus, ParallelChoice, RequiredGains, SCall, SelectionAuditor, SolveBudget,
-    SolveOptions, Solver,
+    baseline, Backend, CoreError, FaultPlan, FaultVerdict, Imp, ImpDb, Instance, OptimalityStatus,
+    ParallelChoice, RequiredGains, SCall, SelectionAuditor, SolveBudget, SolveOptions, Solver,
 };
 use partita_interface::{InterfaceKind, TransferJob};
 use partita_ip::{IpBlock, IpFunction, IpId};
@@ -251,7 +250,7 @@ proptest! {
     }
 
     /// Under every injected fault — node-cap exhaustion, an expired
-    /// deadline, a poisoned warm-start hint, warm start disabled — the
+    /// deadline, warm start disabled, and their combinations — the
     /// solver either returns an audit-clean feasible selection or a typed
     /// error. It never silently hands back an infeasible or tampered
     /// selection, and it answers `Infeasible` only where the unbudgeted
@@ -264,11 +263,10 @@ proptest! {
             0 => FaultPlan::new().node_cap(1),
             1 => FaultPlan::new().node_cap(1).without_warm_start(),
             2 => FaultPlan::new().deadline(std::time::Duration::ZERO),
-            3 => FaultPlan::new().poisoned_hint(vec![ImpId(999)]),
+            3 => FaultPlan::new().node_cap(2),
             4 => FaultPlan::new().without_warm_start(),
             _ => FaultPlan::new()
-                .node_cap(1)
-                .poisoned_hint(vec![ImpId(999)])
+                .deadline(std::time::Duration::ZERO)
                 .without_warm_start(),
         };
         let verdict = plan.run(&inst, &db, &opts);

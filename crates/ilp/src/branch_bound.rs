@@ -4,9 +4,14 @@
 //!
 //! Nodes are pruned only when their bound is *strictly* worse than the
 //! incumbent (ties stay alive), and the incumbent accepts an equal-objective
-//! point only when its assignment is lexicographically smaller. The search
-//! therefore always converges to the lexicographically smallest optimal
-//! assignment, whatever warm starts or retained bases it is given.
+//! point only when its assignment is lexicographically smaller. A node
+//! whose LP optimum is integral closes its subtree, so that optimum is
+//! first lex-canonicalised, as the root's always is: every integral point
+//! of the subtree that ties the node's bound lies on its optimal face, and
+//! the face's lexicographically smallest point is then either that point
+//! or a fractional one the node branches on. The search therefore always
+//! converges to the lexicographically smallest optimal assignment,
+//! whatever warm starts it is given.
 //! Budget-exhausted runs report whatever incumbent was found in time and are
 //! exempt from the contract (they are flagged via [`Termination`], never
 //! silently).
@@ -30,17 +35,13 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::model::FlatModel;
 use crate::simplex::{
-    solve_folded, solve_root, Basis, ProbeOutcome, RootProbe, SimplexOps, SimplexOptions,
-    SimplexScratch,
+    solve_node, solve_root, ProbeOutcome, RootProbe, SimplexOps, SimplexOptions, SimplexScratch,
 };
-use crate::{IlpError, IlpSolution, LpSolution, Model, Relation, Sense, VarId, TIE_TOL};
-
-const INT_TOL: f64 = 1e-6;
+use crate::{IlpError, IlpSolution, LpSolution, Model, Relation, Sense, VarId, INT_TOL, TIE_TOL};
 
 /// Cap on root probes; bounds the fixed cost probing adds on models with
 /// many binaries.
@@ -76,7 +77,6 @@ const MAX_ROOT_PROBES: usize = 32;
 pub struct BranchBound {
     max_nodes: usize,
     deadline: Option<Duration>,
-    root_basis: Option<Arc<Basis>>,
 }
 
 impl Default for BranchBound {
@@ -84,7 +84,6 @@ impl Default for BranchBound {
         BranchBound {
             max_nodes: 200_000,
             deadline: None,
-            root_basis: None,
         }
     }
 }
@@ -113,10 +112,6 @@ pub struct BranchBoundStats {
     pub probes_warm: usize,
     /// Root probes solved cold (see [`RootProbe`] for when).
     pub probes_cold: usize,
-    /// Whether a caller-supplied root basis was installed and repaired by
-    /// the dual simplex (`false` when no basis was supplied or it fell back
-    /// to the cold two-phase solve).
-    pub basis_reused: bool,
     /// Deterministic simplex per-op counters of every LP the run solved
     /// (the root's LP and probing work included).
     pub simplex_ops: SimplexOps,
@@ -146,10 +141,6 @@ pub struct BranchBoundRun {
     pub termination: Termination,
     /// Search-effort counters.
     pub stats: BranchBoundStats,
-    /// The optimal basis of the root LP relaxation, reusable as
-    /// [`BranchBound::with_root_basis`] input for the next same-shaped solve
-    /// (`None` when the root was infeasible or its basis kept an artificial).
-    pub root_basis: Option<Arc<Basis>>,
 }
 
 /// One branching decision on the path from the root to a node: variable
@@ -465,11 +456,11 @@ impl SearchCtx<'_> {
     ) -> Result<Option<(Node, Node)>, IlpError> {
         arena.reconstruct(base_lower, base_upper, &node.path);
         arena.pin_tight_rows(self.flat);
-        let lp = match solve_folded(
+        let lp = match solve_node(
             self.flat,
             &arena.lower,
             &arena.upper,
-            SimplexOptions::default(),
+            self.binaries,
             scratch,
         ) {
             Ok(lp) => lp,
@@ -598,18 +589,6 @@ impl BranchBound {
         self
     }
 
-    /// Supplies a retained root-LP basis from a previous solve of a
-    /// same-shaped model (see [`BranchBoundRun::root_basis`]). The root LP
-    /// re-installs it and repairs primal feasibility with dual-simplex
-    /// pivots instead of running two-phase from scratch; an incompatible or
-    /// stale basis silently falls back to the cold solve, so this can never
-    /// change the reported solution — only the work done to reach it.
-    #[must_use]
-    pub fn with_root_basis(mut self, basis: Arc<Basis>) -> BranchBound {
-        self.root_basis = Some(basis);
-        self
-    }
-
     /// Solves `model` to proven optimality.
     ///
     /// # Errors
@@ -675,9 +654,8 @@ impl BranchBound {
     /// The incumbent-injection hook behind [`BranchBound::run`]: like `run`,
     /// but seeds the incumbent with *every* feasible candidate in
     /// `warm_starts` (the best one — under the lexicographic tie-break —
-    /// wins). Sweep orchestration chains the previous sweep point's optimum
-    /// alongside a heuristic guess this way; infeasible or malformed
-    /// candidates are skipped, never an error.
+    /// wins); infeasible or malformed candidates are skipped, never an
+    /// error.
     ///
     /// # Errors
     ///
@@ -721,17 +699,13 @@ impl BranchBound {
             }
         }
 
-        let finish = |incumbent: Incumbent,
-                      termination: Termination,
-                      stats: BranchBoundStats,
-                      root_basis: Option<Arc<Basis>>| {
+        let finish = |incumbent: Incumbent, termination: Termination, stats: BranchBoundStats| {
             match termination {
                 Termination::Optimal => match incumbent.solution {
                     Some(sol) => Ok(BranchBoundRun {
                         solution: Some(sol),
                         termination: Termination::Optimal,
                         stats,
-                        root_basis,
                     }),
                     None => Err(IlpError::Infeasible),
                 },
@@ -739,17 +713,16 @@ impl BranchBound {
                     solution: incumbent.solution,
                     termination: t,
                     stats,
-                    root_basis,
                 }),
             }
         };
 
         // The budgets are checked before every node, the root included.
         if self.max_nodes == 0 {
-            return finish(incumbent, Termination::NodeLimit, stats, None);
+            return finish(incumbent, Termination::NodeLimit, stats);
         }
         if self.deadline.is_some_and(|d| started.elapsed() >= d) {
-            return finish(incumbent, Termination::Deadline, stats, None);
+            return finish(incumbent, Termination::Deadline, stats);
         }
 
         // The post-probe values of these become the base bounds every
@@ -763,24 +736,19 @@ impl BranchBound {
         }
 
         // The root hosts the one-shot reduced-cost probing. Its LP runs at
-        // full tableau shape so a retained basis from a previous
-        // same-shaped solve can be re-installed and dual-repaired, and so
-        // its own optimal basis can be handed to the next solve.
+        // full tableau shape and stays resident, so the probes re-solve
+        // their pins on its optimal tableau.
         let mut scratch = SimplexScratch::new();
         stats.nodes_explored += 1;
-        let (lp, root_basis_out) = match solve_root(
+        let lp = match solve_root(
             &flat,
             &base_lower,
             &base_upper,
             SimplexOptions::default(),
             &mut scratch,
-            self.root_basis.as_deref(),
         ) {
-            Ok(bs) => {
-                stats.basis_reused = bs.reused;
-                (Some(bs.solution), bs.basis.map(Arc::new))
-            }
-            Err(IlpError::Infeasible) => (None, None),
+            Ok(lp) => Some(lp),
+            Err(IlpError::Infeasible) => None,
             Err(e) => return Err(e),
         };
         let mut arena = NodeArena::new();
@@ -881,7 +849,7 @@ impl BranchBound {
 
         let Some((down, up)) = children else {
             stats.simplex_ops = scratch.take_ops();
-            return finish(incumbent, Termination::Optimal, stats, root_basis_out);
+            return finish(incumbent, Termination::Optimal, stats);
         };
 
         // Best-first loop, reusing the root's scratch and arena. The root
@@ -920,7 +888,7 @@ impl BranchBound {
             }
         };
         stats.simplex_ops = scratch.take_ops();
-        finish(incumbent, termination, stats, root_basis_out)
+        finish(incumbent, termination, stats)
     }
 }
 
@@ -1273,45 +1241,30 @@ mod tests {
     }
 
     #[test]
-    fn root_basis_chains_across_rhs_patches() {
-        // Solve, patch the gain row's RHS, re-solve with the retained root
-        // basis: the answer must match the cold solve of the patched model
-        // and the reuse must be visible in the stats.
+    fn an_integral_node_reports_the_lex_min_point_of_its_face() {
+        // Three interchangeable binaries behind one fixed charge: the root
+        // LP spreads a third over each, and the node that branches the
+        // first one to zero finds an integral vertex with a tied,
+        // lexicographically smaller vertex on the same optimal face. The
+        // node must report that one, (0, 0, 1, 1), not close on its own.
         let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.set_objective([(a, 3.0), (b, 14.0), (c, 15.0)]);
-        m.add_constraint([(a, 115.0), (b, 41.0), (c, 162.0)], Relation::Ge, 150.0)
+        let x: Vec<VarId> = (0..3).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let z = m.add_binary("z");
+        m.set_objective(x.iter().map(|&v| (v, 2.0)).chain([(z, 30.0)]));
+        m.add_constraint(x.iter().map(|&v| (v, 1.0)), Relation::Ge, 1.0)
             .unwrap();
-        let first = BranchBound::new().run_seeded(&m, &[]).unwrap();
-        let basis = first.root_basis.clone().expect("root basis retained");
-
-        m.set_constraint_rhs(0, 200.0).unwrap();
-        let cold = BranchBound::new().run_seeded(&m, &[]).unwrap();
-        let warm = BranchBound::new()
-            .with_root_basis(basis)
-            .run_seeded(&m, &[])
+        m.add_constraint(
+            x.iter().map(|&v| (v, 1.0)).chain([(z, -3.0)]),
+            Relation::Le,
+            0.0,
+        )
+        .unwrap();
+        let exhaustive = crate::run_binary_exhaustive(&m, usize::MAX, None)
+            .unwrap()
+            .solution
             .unwrap();
-        assert!(warm.stats.basis_reused, "same-shape basis must install");
-        assert!(!cold.stats.basis_reused);
-        assert_eq!(warm.solution, cold.solution);
-        assert_eq!(warm.termination, Termination::Optimal);
-        assert!(warm.root_basis.is_some(), "reuse re-exports a basis");
-    }
-
-    #[test]
-    fn poisoned_root_basis_never_changes_the_answer() {
-        let (m, _) = tight_budget_model();
-        let cold = BranchBound::new().run_seeded(&m, &[]).unwrap();
-        // Wrong shape entirely: rejected at install time, cold path runs.
-        let poison = Arc::new(Basis::slack(3, 2));
-        let warm = BranchBound::new()
-            .with_root_basis(poison)
-            .run_seeded(&m, &[])
-            .unwrap();
-        assert!(!warm.stats.basis_reused);
-        assert_eq!(warm.solution, cold.solution);
-        assert_eq!(warm.stats.nodes_explored, cold.stats.nodes_explored);
+        assert_eq!(exhaustive.values, [0.0, 0.0, 1.0, 1.0]);
+        let s = BranchBound::new().solve(&m).unwrap();
+        assert_eq!(s.values, exhaustive.values);
     }
 }

@@ -52,7 +52,7 @@ pub use exhaustive::{
 };
 pub use expr::LinExpr;
 pub use model::{Model, Name, Relation, Sense, VarId, VarKind};
-pub use simplex::{solve_with_basis, Basis, BasisSolve, SimplexOps};
+pub use simplex::{solve_with_basis, SimplexOps};
 pub use solution::{IlpSolution, LpSolution};
 
 /// Constraint-satisfaction slack of every feasibility decision in the
@@ -63,19 +63,23 @@ pub use solution::{IlpSolution, LpSolution};
 /// points.
 pub const FEAS_TOL: f64 = 1e-6;
 
+/// A binary within this of an integer counts as integral: branch-and-bound
+/// branches only on binaries further away, and closes a node whose LP
+/// optimum has none.
+const INT_TOL: f64 = 1e-6;
+
 /// Normalised objective values within this of each other count as tied:
 /// pruning keeps a tied node alive and the incumbent of both exact solvers
 /// falls back to [`lex_less`] on a tie.
 const TIE_TOL: f64 = 1e-9;
 
-// The service daemon shares models, bases and solutions across worker
+// The service daemon shares models and solutions across worker
 // threads; these compile-time assertions pin the `Send + Sync` bounds so a
 // future `Rc`/`RefCell`/raw-pointer field turns up here, not as a distant
 // type error inside the daemon's thread scope.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Model>();
-    assert_send_sync::<Basis>();
     assert_send_sync::<IlpSolution>();
     assert_send_sync::<LpSolution>();
     assert_send_sync::<BranchBound>();

@@ -347,10 +347,8 @@ impl Model {
 
     /// Overwrites a variable's bounds in place.
     ///
-    /// This is the patch hook of the incremental re-solve layer: retiring a
-    /// column pins it to `[0, 0]`, re-enabling it restores `[0, 1]`, with the
-    /// row/column shape of the model untouched so a retained simplex basis
-    /// stays installable.
+    /// Retiring a column pins it to `[0, 0]`, re-enabling it restores
+    /// `[0, 1]`, with the row/column shape of the model untouched.
     ///
     /// # Errors
     ///
@@ -375,9 +373,9 @@ impl Model {
 
     /// Overwrites a constraint's right-hand side in place.
     ///
-    /// The other patch hook of the incremental layer: a required-gain
-    /// retarget is a pure RHS edit on the path's gain row, leaving every
-    /// coefficient (and hence any retained basis) valid.
+    /// The patch hook of the incremental layer: a required-gain retarget is
+    /// a pure RHS edit on the path's gain row, leaving every coefficient
+    /// unchanged.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
-//! Sparse-row two-phase bounded-variable primal simplex, with
-//! warm-started dual-simplex repair.
+//! Sparse-row two-phase bounded-variable primal simplex, with dual-simplex
+//! re-solves of root bound pins.
 //!
 //! Solves the LP relaxation of a [`Model`] with per-variable bound overrides
 //! (used by branch-and-bound to fix binaries). The implementation is a
@@ -44,15 +44,6 @@
 //! infeasibility proof) uses the crate-wide [`crate::FEAS_TOL`] that
 //! branch-and-bound and the brute-force oracle also check integer points
 //! with, and every solve stops at [`MAX_ITERATIONS`] pivots.
-//!
-//! [`solve_with_basis`] additionally accepts a [`Basis`] retained from a
-//! previous optimal solve of a same-shaped model. After a pure RHS or bound
-//! patch the old basis stays *dual* feasible, so instead of a phase-1
-//! restart the solver re-installs the basis and repairs primal feasibility
-//! with dual-simplex pivots. Any incompatibility — shape mismatch, singular
-//! basis matrix, lost dual feasibility, iteration trouble — silently falls
-//! back to the cold two-phase path, so a poisoned or stale basis can cost
-//! time but never correctness.
 //!
 //! # Storage
 //!
@@ -119,19 +110,19 @@
 //! only their objective is used.
 
 use crate::model::FlatModel;
-use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL};
+use crate::{IlpError, LpSolution, Model, Relation, Sense, VarId, FEAS_TOL, INT_TOL};
 
 const EPS: f64 = 1e-10;
 
 /// Column marker of a variable folded out of the tableau.
 const FOLDED: usize = usize::MAX;
 
-/// Basis marker of a row that starts on an artificial, numbered once the
-/// row count (and so the first artificial column) is known.
+/// The `basis` entry of a row that starts on an artificial, numbered once
+/// the row count (and so the first artificial column) is known.
 const ARTIFICIAL: usize = usize::MAX;
 
 /// Smallest tableau element treated as a usable pivot when driving
-/// artificials out of the basis or re-installing a warm basis.
+/// artificials out of the basis.
 const PIVOT_TOL: f64 = 1e-7;
 
 /// Objective values within this of zero are snapped to exactly zero, and
@@ -185,8 +176,7 @@ pub struct SimplexOps {
     pub phase1_pivots: usize,
     /// Phase-2 (optimality) pivots.
     pub phase2_pivots: usize,
-    /// Dual-simplex repair pivots, including the direct pivots that
-    /// re-install a warm basis.
+    /// Dual-simplex pivots of root probes.
     pub dual_pivots: usize,
     /// Pivots spent lex-canonicalising optimal root vertices.
     pub lex_pivots: usize,
@@ -445,14 +435,6 @@ impl Tableau {
     #[inline]
     fn box_width(&self, c: usize) -> f64 {
         self.width.get(c).copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Whether every basic variable lies in its box, within [`FEAS_TOL`].
-    fn primal_feasible(&self) -> bool {
-        self.rhs
-            .iter()
-            .zip(&self.basis)
-            .all(|(&v, &b)| v >= -FEAS_TOL && v <= self.box_width(b) + FEAS_TOL)
     }
 
     /// How far row `r`'s basic variable can move towards its box — up from
@@ -1038,119 +1020,48 @@ pub(crate) fn solve_folded(
     let n = flat.model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
-    let (solution, _) = solve_full(flat, lower, upper, options, scratch, true, false)?;
-    Ok(solution)
+    solve_full(flat, lower, upper, options, scratch, true, Canonical::Never)
 }
 
-/// A retained simplex basis: the basic column of every tableau row of a
-/// full-shape solve, in row order, plus the structural columns nonbasic
-/// at their upper bound.
-///
-/// Columns index the canonical tableau layout (`build_tableau`):
-/// structural variables first (`0..num_vars`), then one slack/surplus per
-/// model row. A basis extracted from an optimal solve never contains
-/// artificial columns ([`solve_with_basis`] returns `None` instead when one
-/// is stuck basic in a degenerate row). The basis stays installable across
-/// any pure RHS or bound-value patch of the model that keeps every at-upper
-/// column's width finite, because neither changes the row/column shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    /// Basic column per row.
-    cols: Vec<usize>,
-    /// Structural columns nonbasic at their upper bound, ascending.
-    at_upper: Vec<usize>,
-    /// Structural-variable count the columns were indexed against.
-    num_vars: usize,
+/// [`solve_folded`] for a branch-and-bound node over `binaries`: an
+/// optimum whose binaries are all integral is lex-canonicalised, since the
+/// node closes on it and a lexicographically smaller point of the same
+/// optimal face would otherwise never be offered. Any other optimum is
+/// left as the pivot rules reached it; the node branches on it anyway.
+pub(crate) fn solve_node(
+    flat: &FlatModel<'_>,
+    lower: &[f64],
+    upper: &[f64],
+    binaries: &[VarId],
+    scratch: &mut SimplexScratch,
+) -> Result<LpSolution, IlpError> {
+    let canonical = Canonical::WhenIntegral(binaries);
+    let options = SimplexOptions::default();
+    solve_full(flat, lower, upper, options, scratch, true, canonical)
 }
 
-impl Basis {
-    /// The all-slack basis of a tableau with `num_vars` structural columns
-    /// and `num_rows` model rows (bounds take no row), every column at its
-    /// lower bound. Always installable on a matching shape but primal- and
-    /// dual-infeasible for most models — the fault-injection suite uses it
-    /// as a deliberately poisoned warm start.
-    #[must_use]
-    pub fn slack(num_vars: usize, num_rows: usize) -> Basis {
-        Basis {
-            cols: (0..num_rows).map(|r| num_vars + r).collect(),
-            at_upper: Vec::new(),
-            num_vars,
-        }
-    }
-
-    /// Rows this basis spans.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Structural-variable count the basis was extracted against.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Whether the basis fits the tableau's shape: row and
-    /// structural-variable counts match, every basic column is structural
-    /// or slack (never artificial), no column repeats, and every at-upper
-    /// column is a nonbasic structural one with a finite width.
-    fn compatible(&self, t: &Tableau) -> bool {
-        if self.num_vars != t.n || self.cols.len() != t.m {
-            return false;
-        }
-        let mut seen = vec![false; t.art0];
-        self.cols
-            .iter()
-            .chain(&self.at_upper)
-            .all(|&c| c < t.art0 && !std::mem::replace(&mut seen[c], true))
-            && self
-                .at_upper
-                .iter()
-                .all(|&c| c < t.n && t.width[c].is_finite())
-    }
-}
-
-/// Result of a [`solve_with_basis`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BasisSolve {
-    /// The optimal LP solution.
-    pub solution: LpSolution,
-    /// The optimal basis, reusable for the next same-shaped solve (`None`
-    /// when a degenerate artificial stayed basic).
-    pub basis: Option<Basis>,
-    /// Whether the warm basis was installed and repaired (`false` means the
-    /// cold two-phase path ran — no warm basis given, or it fell back).
-    pub reused: bool,
-}
-
-/// Solves the LP relaxation at full tableau shape, optionally warm-started
-/// from a retained [`Basis`].
+/// Solves the LP relaxation at full tableau shape and leaves its optimal
+/// tableau resident in `scratch`.
 ///
 /// Unlike [`solve_with_bounds_scratch`] this never folds fixed variables,
-/// so the tableau shape depends only on the model's row/column
-/// structure — the invariant that makes a basis from one solve installable
-/// in the next after RHS/bound patches. With a compatible warm basis the
-/// solve skips phase 1 entirely: the basis is re-installed by direct
-/// pivoting and primal feasibility is repaired with dual-simplex steps.
-/// Every warm-path failure mode degrades to the cold two-phase solve. On
-/// success the optimal tableau stays in `scratch`, where a [`RootProbe`]
-/// can re-solve flips of it.
+/// so the tableau holds every column of the model, and the optimal vertex
+/// is lex-canonicalised: among the optimal points it is the
+/// lexicographically smallest. The optimal tableau stays in `scratch`,
+/// where a [`RootProbe`] can re-solve bound pins of it.
 ///
 /// # Errors
 ///
 /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
-/// [`IlpError::IterationLimit`] — all diagnosed by the cold path (the warm
-/// path never reports infeasibility on its own authority). Also
-/// [`IlpError::NonFiniteCoefficient`] for NaN bounds.
+/// [`IlpError::IterationLimit`]. Also [`IlpError::NonFiniteCoefficient`]
+/// for NaN bounds.
 pub fn solve_with_basis(
     model: &Model,
     lower: &[f64],
     upper: &[f64],
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
-    warm: Option<&Basis>,
-) -> Result<BasisSolve, IlpError> {
-    solve_root(&FlatModel::new(model), lower, upper, options, scratch, warm)
+) -> Result<LpSolution, IlpError> {
+    solve_root(&FlatModel::new(model), lower, upper, options, scratch)
 }
 
 /// [`solve_with_basis`] on a model flattened once by the caller:
@@ -1161,26 +1072,14 @@ pub(crate) fn solve_root(
     upper: &[f64],
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
-    warm: Option<&Basis>,
-) -> Result<BasisSolve, IlpError> {
+) -> Result<LpSolution, IlpError> {
     let n = flat.model.num_vars();
     assert_eq!(lower.len(), n, "lower bounds arity");
     assert_eq!(upper.len(), n, "upper bounds arity");
-    let warm_solve =
-        warm.and_then(|basis| try_warm_solve(flat, lower, upper, options, scratch, basis));
-    let solve = match warm_solve {
-        Some(solve) => solve,
-        None => {
-            let (solution, basis) = solve_full(flat, lower, upper, options, scratch, false, true)?;
-            BasisSolve {
-                solution,
-                basis,
-                reused: false,
-            }
-        }
-    };
+    let canonical = Canonical::Always;
+    let solution = solve_full(flat, lower, upper, options, scratch, false, canonical)?;
     scratch.root_resident = true;
-    Ok(solve)
+    Ok(solution)
 }
 
 /// Whether a row needs an artificial variable to start basic: a `<=` row
@@ -1395,18 +1294,17 @@ fn install_cost_row(flat: &FlatModel<'_>, t: &mut Tableau, cost: &mut [f64], var
     }
 }
 
-/// Extracts the solution (and, with `want_basis`, the reusable basis) from
-/// an optimal tableau. A folded variable reads its fixed value, and a
-/// folded solve's objective is the model's objective evaluated at the
-/// values, unsnapped — exactly what a reduced-model solve reported.
+/// Extracts the solution from an optimal tableau. A folded variable reads
+/// its fixed value, and a folded solve's objective is the model's
+/// objective evaluated at the values, unsnapped — exactly what a
+/// reduced-model solve reported.
 fn extract(
     flat: &FlatModel<'_>,
     lower: &[f64],
     scratch: &SimplexScratch,
     fold: bool,
-    want_basis: bool,
     iterations: usize,
-) -> (LpSolution, Option<Basis>) {
+) -> LpSolution {
     let t = &scratch.t;
     let y = t.shifted_values();
     let values: Vec<f64> = scratch
@@ -1420,25 +1318,11 @@ fn extract(
     if !fold && objective.abs() < OBJECTIVE_TOL {
         objective = 0.0;
     }
-    // A degenerate artificial stuck basic (redundant row) makes the basis
-    // unusable as a warm start; hand back `None` rather than a basis that
-    // could never be re-installed.
-    let basis = &t.basis[..t.m];
-    let out = (want_basis && basis.iter().all(|&b| b < t.art0)).then(|| Basis {
-        cols: basis.to_vec(),
-        at_upper: (0..t.n)
-            .filter(|&j| t.flipped[j] && !basis.contains(&j))
-            .collect(),
-        num_vars: t.n,
-    });
-    (
-        LpSolution {
-            objective,
-            values,
-            iterations,
-        },
-        out,
-    )
+    LpSolution {
+        objective,
+        values,
+        iterations,
+    }
 }
 
 /// How a [`run_dual_simplex`] run ended.
@@ -1458,9 +1342,20 @@ enum PrimalPhase {
     Two,
 }
 
-/// Cold two-phase simplex over [`build_tableau`]. With `lex` (the basis
-/// path) the optimum is lex-canonicalised and its basis returned. With
-/// `fold` and every variable fixed, the pinned point is only checked.
+/// Which optima [`solve_full`] lex-canonicalises.
+#[derive(Clone, Copy)]
+enum Canonical<'a> {
+    Never,
+    /// The root path.
+    Always,
+    /// An optimum whose listed binaries are all within [`INT_TOL`] of an
+    /// integer: the node path.
+    WhenIntegral(&'a [VarId]),
+}
+
+/// Two-phase simplex over [`build_tableau`], lex-canonicalising the
+/// optimum as `canonical` says. With `fold` and every variable fixed, the
+/// pinned point is only checked.
 fn solve_full(
     flat: &FlatModel<'_>,
     lower: &[f64],
@@ -1468,19 +1363,18 @@ fn solve_full(
     options: SimplexOptions,
     scratch: &mut SimplexScratch,
     fold: bool,
-    lex: bool,
-) -> Result<(LpSolution, Option<Basis>), IlpError> {
+    canonical: Canonical<'_>,
+) -> Result<LpSolution, IlpError> {
     let Some(folded) = build_tableau(flat, lower, upper, fold, scratch)? else {
         let values = lower.to_vec();
         if flat.model.violated_row(&values).is_some() {
             return Err(IlpError::Infeasible);
         }
-        let solution = LpSolution {
+        return Ok(LpSolution {
             objective: flat.model.objective().eval(&values),
             values,
             iterations: 0,
-        };
-        return Ok((solution, None));
+        });
     };
     let SimplexScratch {
         t,
@@ -1537,99 +1431,25 @@ fn solve_full(
 
     install_cost_row(flat, t, cost, var_col);
     run_simplex(t, &mut iters, options, ops, PrimalPhase::Two)?;
-    if lex {
-        lex_canonicalize(t, &mut iters, ops);
-    }
-    Ok(extract(flat, lower, scratch, folded > 0, lex, iters))
-}
-
-/// Attempts the warm path: re-install `warm` on a freshly built tableau,
-/// repair primal feasibility with dual-simplex pivots, finish with primal
-/// cleanup. Returns `None` on any incompatibility — the caller then runs
-/// the cold path on a rebuilt tableau, so a bad basis costs time, never
-/// correctness.
-fn try_warm_solve(
-    flat: &FlatModel<'_>,
-    lower: &[f64],
-    upper: &[f64],
-    options: SimplexOptions,
-    scratch: &mut SimplexScratch,
-    warm: &Basis,
-) -> Option<BasisSolve> {
-    build_tableau(flat, lower, upper, false, scratch).ok()?;
-    if !warm.compatible(&scratch.t) {
-        return None;
-    }
-    let SimplexScratch {
-        t,
-        cost,
-        var_col,
-        ops,
-        ..
-    } = &mut *scratch;
-    let m = t.m;
-
-    // Put the at-upper columns at their upper bounds (a flip each), then
-    // re-install the basis by direct Gaussian pivoting: each stored column
-    // claims the not-yet-assigned row where it has the largest magnitude
-    // (ties to the lowest row). A near-zero best pivot means the basis
-    // matrix went singular under the patched coefficients — bail out to
-    // the cold path.
-    for &j in &warm.at_upper {
-        t.flip(j);
-        ops.dual_pivots += 1;
-    }
-    let mut assigned = vec![false; m];
-    for &col in &warm.cols {
-        let mut best: Option<(usize, f64)> = None;
-        for (r, &a) in t.rows.column(col).iter().enumerate() {
-            if !assigned[r] && best.is_none_or(|(_, b)| a.abs() > b) {
-                best = Some((r, a.abs()));
+    match canonical {
+        Canonical::Never => {}
+        Canonical::Always => lex_canonicalize(t, &mut iters, ops),
+        Canonical::WhenIntegral(binaries) => {
+            let lp = extract(flat, lower, scratch, folded > 0, iters);
+            let integral = |&v: &VarId| {
+                let x = lp.values[v.index()];
+                (x - x.round()).abs() <= INT_TOL
+            };
+            if !binaries.iter().all(integral) {
+                return Ok(lp);
+            }
+            lex_canonicalize(&mut scratch.t, &mut iters, &mut scratch.ops);
+            if iters == lp.iterations {
+                return Ok(lp);
             }
         }
-        let (r, magnitude) = best?;
-        if magnitude <= PIVOT_TOL {
-            return None;
-        }
-        t.pivot(r, col);
-        ops.dual_pivots += 1;
-        assigned[r] = true;
     }
-
-    install_cost_row(flat, t, cost, var_col);
-
-    // Classify the re-installed vertex. A pure RHS/bound patch keeps the
-    // old optimal basis dual-feasible, so the usual case is a short run of
-    // dual pivots; a basis that lost dual feasibility but kept primal
-    // feasibility is finished by the primal phase below; one that lost both
-    // is not worth repairing.
-    let dual_feasible = t.obj.iter().all(|&c| c >= -EPS);
-    if !t.primal_feasible() {
-        if !dual_feasible {
-            return None;
-        }
-        let mut iters = 0usize;
-        run_dual_simplex(t, &mut iters, ops, &[], f64::INFINITY).ok()?;
-    }
-
-    // Primal cleanup: a no-op when the dual repair already reached
-    // optimality, otherwise drives out any remaining negative reduced
-    // costs. Errors (unbounded, iteration limit) defer to the cold path.
-    let mut iters = 0usize;
-    run_simplex(t, &mut iters, options, ops, PrimalPhase::Two).ok()?;
-    if !t.primal_feasible() {
-        // Numerically drifted repair: let the cold path decide.
-        return None;
-    }
-    // Land on the same canonical vertex the cold path reports, so basis
-    // reuse can never leak into the returned assignment.
-    lex_canonicalize(t, &mut iters, ops);
-    let (solution, basis) = extract(flat, lower, scratch, false, true, iters);
-    Some(BasisSolve {
-        solution,
-        basis,
-        reused: true,
-    })
+    Ok(extract(flat, lower, scratch, folded > 0, iters))
 }
 
 /// Probe tallies of a [`RootProbe`].
@@ -1767,6 +1587,14 @@ impl<'a> RootProbe<'a> {
     #[must_use]
     pub fn counts(&self) -> ProbeCounts {
         self.counts
+    }
+
+    /// Whether probes run warm on the root tableau: `false` when no root
+    /// tableau is resident or its basis holds an artificial, which sends
+    /// every probe cold.
+    #[must_use]
+    pub fn is_warm(&self) -> bool {
+        self.frozen.is_some()
     }
 
     /// A lower bound on how much pinning `var` to `value` raises the root
@@ -2001,14 +1829,14 @@ fn ratio_test(
 /// so on, locking each variable's value before the next phase.
 ///
 /// Root LPs go through here so the reported vertex is a pure function of
-/// the model, never of the starting basis: a cold two-phase solve and a
-/// basis-repaired re-solve land on the same vertex even when the optimal
-/// face is degenerate. Branch-and-bound's assignment-lexicographic
-/// tie-break relies on that — an alternative optimum surfacing only under
-/// a warm basis would otherwise leak the basis into the final selection.
-/// Node LPs skip it (they never start from a foreign basis, so the
-/// deterministic entering/leaving rules already make them reproducible),
-/// and so do [`RootProbe`] re-solves: a probe reports only its optimal
+/// the model, never of the pivot path that reached the optimal face, even
+/// when that face is degenerate; branch-and-bound rounds the root vertex
+/// and branches on it. A node LP goes through here only when its optimum
+/// is integral ([`solve_node`]): the node closes on that point, so it must
+/// be the lexicographically smallest of its face. Fractional node optima
+/// skip it (the deterministic entering/leaving rules already make them
+/// reproducible, and the node branches on them anyway), and so do
+/// [`RootProbe`] re-solves: a probe reports only its optimal
 /// objective (or infeasibility) to the pruning test, and the optimal
 /// objective is the same at every optimal vertex, so no vertex of a probe
 /// reaches a selection.
@@ -2114,8 +1942,7 @@ fn lex_canonicalize(t: &mut Tableau, iters: &mut usize, ops: &mut SimplexOps) {
 /// Returns [`IlpError::Infeasible`] when a violated row cannot be repaired:
 /// its movable columns, each moved across its whole box, fall short of the
 /// gap by more than [`FEAS_TOL`] (see `Tableau::reach`), or it has no
-/// negative entry to pivot on. [`try_warm_solve`] treats that as a
-/// fallback trigger, a [`RootProbe`] as a verdict.
+/// negative entry to pivot on. A [`RootProbe`] takes that as its verdict.
 fn run_dual_simplex(
     t: &mut Tableau,
     iters: &mut usize,
@@ -2585,9 +2412,8 @@ mod tests {
         approx(s.objective, 0.5);
     }
 
-    /// A small Ge-heavy model exercised by the warm-start tests: the gain
-    /// rows mirror the selector's Eq.2 shape, so an RHS patch is exactly a
-    /// "retarget the required gain" delta.
+    /// A small Ge-heavy model: the gain rows mirror the selector's Eq.2
+    /// shape.
     fn gain_model() -> (Model, VarId, VarId) {
         // min 3x + 2y s.t. 4x + 3y >= rhs0, x + 2y >= 1.
         let mut m = Model::new(Sense::Minimize);
@@ -2602,108 +2428,19 @@ mod tests {
     }
 
     #[test]
-    fn cold_solve_with_basis_matches_two_phase() {
+    fn solve_with_basis_matches_two_phase() {
         let (m, _, _) = gain_model();
         let lower = vec![0.0; 2];
         let upper = vec![5.0; 2];
         let opts = SimplexOptions::default();
         let cold = solve_with_bounds(&m, &lower, &upper, opts).unwrap();
         let mut scratch = SimplexScratch::default();
-        let warm = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
-        assert!(!warm.reused);
-        assert!(warm.basis.is_some(), "optimal basis must be retained");
-        approx(warm.solution.objective, cold.objective);
-        for (a, b) in warm.solution.values.iter().zip(&cold.values) {
+        let root = solve_with_basis(&m, &lower, &upper, opts, &mut scratch).unwrap();
+        assert!(scratch.root_resident, "the optimal tableau stays resident");
+        approx(root.objective, cold.objective);
+        for (a, b) in root.values.iter().zip(&cold.values) {
             approx(*a, *b);
         }
-    }
-
-    #[test]
-    fn rhs_patch_resolve_with_basis_matches_cold() {
-        let (mut m, _, _) = gain_model();
-        let lower = vec![0.0; 2];
-        let upper = vec![5.0; 2];
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::default();
-        let first = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
-        let basis = first.basis.expect("retained basis");
-        // Patch both gain rows (tighten one, relax the other) and re-solve.
-        m.set_constraint_rhs(0, 9.5).unwrap();
-        m.set_constraint_rhs(1, 0.25).unwrap();
-        let warm = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, Some(&basis)).unwrap();
-        let cold = solve_with_bounds(&m, &lower, &upper, opts).unwrap();
-        assert!(warm.reused, "dual repair must accept a same-shape basis");
-        approx(warm.solution.objective, cold.objective);
-        for (a, b) in warm.solution.values.iter().zip(&cold.values) {
-            approx(*a, *b);
-        }
-    }
-
-    #[test]
-    fn bound_pin_resolve_with_basis_matches_cold() {
-        let (m, _, _) = gain_model();
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::default();
-        let lower = vec![0.0; 2];
-        let upper = vec![5.0; 2];
-        let first = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
-        let basis = first.basis.expect("retained basis");
-        // Pin x to zero (a bound patch) — same tableau shape, so
-        // the stale basis installs and repairs.
-        let pinned_upper = vec![0.0, 5.0];
-        let warm =
-            solve_with_basis(&m, &lower, &pinned_upper, opts, &mut scratch, Some(&basis)).unwrap();
-        let cold = solve_with_bounds(&m, &lower, &pinned_upper, opts).unwrap();
-        approx(warm.solution.objective, cold.objective);
-        approx(warm.solution.values[0], 0.0);
-        for (a, b) in warm.solution.values.iter().zip(&cold.values) {
-            approx(*a, *b);
-        }
-    }
-
-    #[test]
-    fn poisoned_basis_falls_back_to_cold() {
-        let (m, _, _) = gain_model();
-        let opts = SimplexOptions::default();
-        let lower = vec![0.0; 2];
-        let upper = vec![5.0; 2];
-        let cold = solve_with_bounds(&m, &lower, &upper, opts).unwrap();
-        let mut scratch = SimplexScratch::default();
-        // 2 structural vars, 2 constraint rows + 2 bound rows: the
-        // all-slack basis installs (and, being dual-feasible for a
-        // min-cost model, may legitimately be repaired); a wrong-shape
-        // basis is rejected outright. Either way the answer must equal the
-        // cold one, never a spurious infeasible.
-        for poison in [Basis::slack(2, 4), Basis::slack(3, 7)] {
-            let got =
-                solve_with_basis(&m, &lower, &upper, opts, &mut scratch, Some(&poison)).unwrap();
-            approx(got.solution.objective, cold.objective);
-            for (a, b) in got.solution.values.iter().zip(&cold.values) {
-                approx(*a, *b);
-            }
-        }
-        let wrong_shape = Basis::slack(3, 7);
-        let got =
-            solve_with_basis(&m, &lower, &upper, opts, &mut scratch, Some(&wrong_shape)).unwrap();
-        assert!(!got.reused, "wrong-shape basis must fall back cold");
-    }
-
-    #[test]
-    fn warm_infeasible_patch_reports_infeasible_via_cold_path() {
-        let (mut m, _, _) = gain_model();
-        let opts = SimplexOptions::default();
-        let lower = vec![0.0; 2];
-        let upper = vec![5.0; 2];
-        let mut scratch = SimplexScratch::default();
-        let first = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
-        let basis = first.basis.expect("retained basis");
-        // Push the first gain row beyond any reachable value: 4x+3y <= 35.
-        m.set_constraint_rhs(0, 100.0).unwrap();
-        assert_eq!(
-            solve_with_basis(&m, &lower, &upper, opts, &mut scratch, Some(&basis)),
-            Err(IlpError::Infeasible),
-            "infeasibility must be diagnosed by the cold path"
-        );
     }
 
     #[test]
@@ -2727,7 +2464,6 @@ mod tests {
             &[5.0, f64::NAN],
             SimplexOptions::default(),
             &mut scratch,
-            None,
         );
         assert!(
             matches!(got, Err(IlpError::NonFiniteCoefficient { .. })),
@@ -2819,12 +2555,12 @@ mod tests {
         let opts = SimplexOptions::default();
         let (lower, upper) = (vec![0.0; 5], vec![1.0; 5]);
         let mut scratch = SimplexScratch::new();
-        let root = solve_with_basis(&m, &lower, &upper, opts, &mut scratch, None).unwrap();
+        let root = solve_with_basis(&m, &lower, &upper, opts, &mut scratch).unwrap();
         let before = tableau_bits(&mut scratch.t);
         let basis_before = scratch.t.basis.clone();
         let dual_before = scratch.ops().dual_pivots;
         let mut prober = RootProbe::new(&m, &lower, &upper, opts, &mut scratch);
-        for (j, &x) in root.solution.values.iter().enumerate() {
+        for (j, &x) in root.values.iter().enumerate() {
             for value in [0.0, 1.0] {
                 if (value - x).abs() > 1e-9 {
                     let _ = prober.probe(VarId(j), value, f64::INFINITY);
@@ -2852,8 +2588,8 @@ mod tests {
             .unwrap();
         let mut scratch = SimplexScratch::new();
         let opts = SimplexOptions::default();
-        let s = solve_with_basis(&m, &[0.0; 2], &[1.0; 2], opts, &mut scratch, None).unwrap();
-        assert_eq!(s.solution.values, vec![0.0, 1.0]);
+        let s = solve_with_basis(&m, &[0.0; 2], &[1.0; 2], opts, &mut scratch).unwrap();
+        assert_eq!(s.values, vec![0.0, 1.0]);
         assert!(scratch.ops().lex_pivots > 0, "{:?}", scratch.ops());
         // The node path skips canonicalising and keeps phase 1's vertex.
         let node = solve_with_bounds_scratch(&m, &[0.0; 2], &[1.0; 2], opts, &mut scratch);

@@ -131,16 +131,16 @@ proptest! {
         let mut lower = vec![0.0; n];
         let mut upper = vec![1.0; n];
         let mut scratch = SimplexScratch::new();
-        let Ok(root) = solve_with_basis(&model, &lower, &upper, options, &mut scratch, None) else {
+        let Ok(root) = solve_with_basis(&model, &lower, &upper, options, &mut scratch) else {
             return Ok(());
         };
-        let z = norm(&model, root.solution.objective);
+        let z = norm(&model, root.objective);
         // Only a root basis with a stuck artificial sends probes cold.
-        let warm_alive = root.basis.is_some();
         let mut cold_scratch = SimplexScratch::new();
         let mut prober = RootProbe::new(&model, &lower, &upper, options, &mut scratch);
+        let warm_alive = prober.is_warm();
         for j in 0..n {
-            let x = root.solution.values[j];
+            let x = root.values[j];
             if lower[j] >= upper[j] || (x > AT_BOUND && x < 1.0 - AT_BOUND) {
                 continue;
             }
@@ -223,8 +223,8 @@ fn equality_row_flips_run_warm() {
     let options = SimplexOptions::default();
     let (lower, upper) = (vec![0.0; 3], vec![1.0; 3]);
     let mut scratch = SimplexScratch::new();
-    let root = solve_with_basis(&m, &lower, &upper, options, &mut scratch, None).unwrap();
-    assert_eq!(root.solution.values, vec![0.0, 0.0, 1.0]);
+    let root = solve_with_basis(&m, &lower, &upper, options, &mut scratch).unwrap();
+    assert_eq!(root.values, vec![0.0, 0.0, 1.0]);
     let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
 
     // a ↑ 1 moves a through the equality row: b follows, and costs 4.
@@ -254,12 +254,9 @@ fn basic_artificial_sends_every_probe_cold() {
     let options = SimplexOptions::default();
     let (lower, upper) = (vec![0.0; 2], vec![1.0; 2]);
     let mut scratch = SimplexScratch::new();
-    let root = solve_with_basis(&m, &lower, &upper, options, &mut scratch, None).unwrap();
-    assert!(
-        root.basis.is_none(),
-        "the redundant row keeps its artificial"
-    );
+    solve_with_basis(&m, &lower, &upper, options, &mut scratch).unwrap();
     let mut prober = RootProbe::new(&m, &lower, &upper, options, &mut scratch);
+    assert!(!prober.is_warm(), "the redundant row keeps its artificial");
     assert_eq!(prober.reduced_cost(b, 1.0), 0.0, "no tableau, no screen");
     let up = solved(prober.probe(b, 1.0, f64::INFINITY)).unwrap();
     assert!((up.objective - 2.0).abs() < 1e-9, "{up:?}");

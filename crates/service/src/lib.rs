@@ -6,10 +6,11 @@
 //! exploiting two properties the lower layers were built for:
 //!
 //! * **Canonical content keys** ([`partita_core::sweep::canonical_solve_key`])
-//!   exclude display names and effort-only knobs, so isomorphic instances
-//!   from *different tenants* produce byte-identical keys and share one
-//!   entry in the process-wide sharded cache
-//!   ([`partita_core::cache::ShardedLru`]).
+//!   exclude display names, effort-only knobs and the gains, so isomorphic
+//!   instances from *different tenants* produce byte-identical keys and
+//!   share answers in the process-wide sharded cache
+//!   ([`partita_core::cache::ShardedLru`]). Under its rule a proven answer
+//!   also serves every higher requirement it still meets.
 //! * **`Arc`-shared zero-copy state** — resolved workloads hold
 //!   `Arc<Instance>` / `Arc<ImpDb>`, so fanning a corpus entry across
 //!   tenants copies pointers, never problem data.
@@ -65,7 +66,7 @@ use partita_core::api::{
 };
 use partita_core::cache::{fnv1a64, ShardedLru};
 use partita_core::delta::{DeltaSession, InstanceDelta};
-use partita_core::sweep::{canonical_solve_key, is_cacheable};
+use partita_core::sweep::canonical_solve_key;
 use partita_core::telemetry::{self, CacheKind, Event, TelemetrySink};
 use partita_core::verify::SelectionAuditor;
 use partita_core::{Backend, CoreError, Redaction, Selection, SolveBudget, SolveOptions};
@@ -99,7 +100,7 @@ const MAX_QUEUED: usize = 1024;
 pub struct ServiceConfig {
     /// Worker threads per served stream (default: one per core).
     pub workers: usize,
-    /// Entries per cache shard, LRU beyond that (default 512).
+    /// Answers per cache shard, LRU beyond that (default 512).
     pub shard_capacity: usize,
 }
 
@@ -124,12 +125,12 @@ struct TenantLoad {
 /// The daemon state shared by every listener, worker and replay driver.
 ///
 /// See the crate docs; the one-line summary is: parse the envelope, clamp
-/// its node cap, answer points from the sharded canonical cache when
-/// byte-identical work was already done for *any* tenant, and solve (or
+/// its node cap, answer points from the sharded canonical cache when work
+/// already done for *any* tenant provably answers them, and solve (or
 /// greedy-degrade under load) otherwise.
 pub struct ServiceCore {
     config: ServiceConfig,
-    cache: ShardedLru<Selection>,
+    cache: ShardedLru,
     workloads: Mutex<HashMap<String, Arc<Workload>>>,
     manifest: OnceLock<Result<HashMap<String, ManifestEntry>, String>>,
     /// Per-tenant queued/in-flight counts across every served connection.
@@ -407,19 +408,22 @@ impl ServiceCore {
         spec: &SolveSpec,
         rg: u64,
     ) -> Result<SolveResult, ApiError> {
-        self.answer_point(w, spec, rg, |options| cold_solve(w, options))
+        self.answer_point(w, spec, rg, &mut Keys::default(), |options| {
+            cold_solve(w, options)
+        })
     }
 
     /// The per-point protocol shared by every method: admission, then the
     /// shared canonical cache, then on a miss a greedy solve when the point
-    /// is degraded or `exact` otherwise. Fresh answers feed the cache under
-    /// their canonical key unless a budget stop picked them
-    /// ([`is_cacheable`]).
+    /// is degraded or `exact` otherwise. Fresh answers, unless a budget stop
+    /// picked them, feed the cache under their canonical key, which `keys`
+    /// renders once per request.
     fn answer_point(
         &self,
         w: &Workload,
         spec: &SolveSpec,
         rg: u64,
+        keys: &mut Keys,
         exact: impl FnOnce(&SolveOptions) -> Result<Selection, CoreError>,
     ) -> Result<SolveResult, ApiError> {
         let start = Instant::now();
@@ -427,15 +431,15 @@ impl ServiceCore {
         if degraded {
             self.degraded.fetch_add(1, Ordering::Relaxed);
         }
-        let key = canonical_solve_key(&w.instance, &w.imps, &options);
-        let cached = self.cache.get(&key);
+        let (key, digest) = keys.get(w, &options, degraded);
+        let cached = self.cache.get(key, &w.instance, &options);
         let hit = cached.is_some();
         let sink = self.sink();
         if sink.enabled() {
             sink.emit(&Event::CacheLookup {
                 cache: CacheKind::Service,
                 hit,
-                digest: fnv1a64(&key),
+                digest,
             });
         }
         let selection = match cached {
@@ -460,9 +464,7 @@ impl ServiceCore {
                     exact(&options)
                 }
                 .map_err(ApiError::Core)?;
-                if is_cacheable(&sel) {
-                    self.cache.insert(key, sel.clone());
-                }
+                self.cache.insert(key, options.gains(), sel.clone());
                 sel
             }
         };
@@ -474,15 +476,15 @@ impl ServiceCore {
     }
 
     /// Serves a sweep or a delta walk — one walk for both. Each distinct RG
-    /// is visited once, in descending order (the order in which a
-    /// predecessor's optimum stays feasible), and the results come back in
-    /// the caller's order. A point the shared cache cannot answer, and
-    /// that is not degraded, is an `SetRg` patch plus
-    /// [`DeltaSession::resolve`] on one lazily built session (basis repair
-    /// and verified incumbent seeding). Its answer feeds the shared cache
-    /// under its *cold* canonical key — sound because a completed delta
-    /// resolve returns the identical selection a cold solve would, and a
-    /// budget-picked answer is not cached.
+    /// is visited once, in ascending order, so each proven answer can
+    /// serve the points above it from the shared cache; the results come
+    /// back in the caller's order. The key is rendered once per walk. A
+    /// point the shared cache cannot answer, and that is not degraded, is
+    /// an `SetRg` patch plus [`DeltaSession::search`] on one lazily built
+    /// session (the shared cache is the walk's only cache layer), and its
+    /// answer feeds the shared cache — sound because a completed search
+    /// on the patched model returns the identical selection a cold solve
+    /// would, and a budget-picked answer is not cached.
     fn serve_walk(
         &self,
         w: &Workload,
@@ -490,12 +492,13 @@ impl ServiceCore {
         rgs: &[u64],
     ) -> Result<Vec<SolveResult>, ApiError> {
         let mut order: Vec<u64> = rgs.to_vec();
-        order.sort_unstable_by(|a, b| b.cmp(a));
+        order.sort_unstable();
         order.dedup();
+        let mut keys = Keys::default();
         let mut session: Option<DeltaSession> = None;
         let mut solved: HashMap<u64, SolveResult> = HashMap::new();
         for rg in order {
-            let result = self.answer_point(w, spec, rg, |options| {
+            let result = self.answer_point(w, spec, rg, &mut keys, |options| {
                 let ds = match session.as_mut() {
                     Some(ds) => {
                         ds.apply(InstanceDelta::SetRg(options.gains().clone()))?;
@@ -507,7 +510,7 @@ impl ServiceCore {
                         options.clone(),
                     )?),
                 };
-                ds.resolve()
+                ds.search()
             })?;
             solved.insert(rg, result);
         }
@@ -515,6 +518,31 @@ impl ServiceCore {
             .iter()
             .map(|rg| solved.get(rg).cloned().expect("every point solved"))
             .collect())
+    }
+}
+
+/// The canonical keys of one request's points, rendered on first use: one
+/// for exact points and one for degraded ones (whose backend differs).
+#[derive(Default)]
+struct Keys {
+    exact: Option<(String, u64)>,
+    degraded: Option<(String, u64)>,
+}
+
+impl Keys {
+    /// The key of a point solved with `options`, and its digest.
+    fn get(&mut self, w: &Workload, options: &SolveOptions, degraded: bool) -> (&str, u64) {
+        let slot = if degraded {
+            &mut self.degraded
+        } else {
+            &mut self.exact
+        };
+        let (key, digest) = slot.get_or_insert_with(|| {
+            let key = canonical_solve_key(&w.instance, &w.imps, options);
+            let digest = fnv1a64(&key);
+            (key, digest)
+        });
+        (key, *digest)
     }
 }
 
@@ -549,7 +577,7 @@ pub(crate) fn best_effort_ids(line: &str) -> (String, String) {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ServiceCore>();
-    assert_send_sync::<ShardedLru<Selection>>();
+    assert_send_sync::<ShardedLru>();
     assert_send_sync::<Workload>();
 };
 

@@ -195,8 +195,9 @@ fn delta_walk_answers_from_the_cache_a_sweep_filled() {
     let list = |rgs: &[u64]| rgs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
     let core = ServiceCore::new(ServiceConfig::default());
 
-    // Tenant alice sweeps cold: one chained walk, every answer the cold
-    // library solve's.
+    // Tenant alice sweeps on a fresh daemon: one upward walk, every answer
+    // the cold library solve's; a point is a hit only where a lower
+    // point's proof covers it.
     let swept = expect_points(
         &core,
         &format!(
@@ -205,9 +206,11 @@ fn delta_walk_answers_from_the_cache_a_sweep_filled() {
         ),
     );
     for (rg, result) in rgs.iter().zip(&swept) {
-        assert!(!result.cache_hit, "rg {rg}: a fresh daemon has no entry");
         assert_eq!(result.digest, cold_digest(instance, *rg), "rg {rg}");
     }
+    let covered = swept.iter().filter(|r| r.cache_hit).count() as u64;
+    assert!(!swept[0].cache_hit, "the lowest point has nothing below it");
+    assert_eq!(core.stats().cache_hits, covered);
 
     // Tenant bob walks the same points as delta edits, in another order:
     // every point is a shared-cache hit carrying alice's answer.
@@ -228,7 +231,7 @@ fn delta_walk_answers_from_the_cache_a_sweep_filled() {
         assert_eq!(result.digest, alice.digest, "rg {rg}");
         assert_eq!(result.chosen, alice.chosen, "rg {rg}");
     }
-    assert_eq!(core.stats().cache_hits, rgs.len() as u64);
+    assert_eq!(core.stats().cache_hits, covered + rgs.len() as u64);
 }
 
 #[test]

@@ -89,12 +89,15 @@ fn synth_selection_byte_identical_across_thread_counts() {
 
 /// A [`SweepSession`] cache hit must hand back the cold solve verbatim —
 /// trace included — and a second pass over the sweep hits the entries the
-/// first pass stored.
+/// first pass stored. A point a lower point's proof covers is a hit on
+/// the first pass already.
 #[test]
 fn session_cache_hits_are_byte_identical_to_the_cold_solve() {
     for w in [gsm::encoder(), jpeg::encoder()] {
         let mut session = SweepSession::new();
+        let points = w.rg_sweep.len() as u64;
         for pass in 1..=2 {
+            let hits = session.trace().cache_hits;
             for &rg in &w.rg_sweep {
                 let opts = SolveOptions::problem2(RequiredGains::uniform(rg));
                 let first = session
@@ -112,19 +115,27 @@ fn session_cache_hits_are_byte_identical_to_the_cold_solve() {
                 );
                 assert_eq!(serialize_selection(&first), serialize_selection(&hit));
             }
+            if pass == 2 {
+                let name = &w.instance.name;
+                assert_eq!(session.trace().cache_hits - hits, 2 * points, "{name}");
+            }
         }
         let trace = session.trace();
-        let points = w.rg_sweep.len() as u64;
-        assert_eq!(trace.cache_misses, points, "{}", w.instance.name);
-        assert_eq!(trace.cache_hits, 3 * points, "{}", w.instance.name);
+        assert!(trace.cache_misses <= points, "{}", w.instance.name);
+        assert_eq!(
+            trace.cache_hits + trace.cache_misses,
+            4 * points,
+            "{}",
+            w.instance.name
+        );
     }
 }
 
-/// Chained sweeps and independent cold solves agree point for point on
-/// every published table — the orchestration layer is a performance knob,
-/// never a result knob.
+/// Sweeps, where a proof answers the higher points it covers, and
+/// independent cold solves agree point for point on every published table
+/// — the orchestration layer is a performance knob, never a result knob.
 #[test]
-fn chained_sweep_selections_match_independent_solves() {
+fn interval_sweep_selections_match_independent_solves() {
     for w in [gsm::encoder(), gsm::decoder(), jpeg::encoder()] {
         let mut session = SweepSession::new();
         let sweep = session
@@ -138,7 +149,7 @@ fn chained_sweep_selections_match_independent_solves() {
             assert_eq!(
                 serialize_selection(sel),
                 serialize_selection(&lone),
-                "{} at RG {}: chained sweep diverged from lone solve",
+                "{} at RG {}: sweep diverged from lone solve",
                 w.instance.name,
                 rg.get()
             );

@@ -187,9 +187,9 @@ fn delta_session_agrees_with_cold_solver_on_corpus() {
             Err(CoreError::NoImps) => continue,
             Err(e) => panic!("formulation failed at {}: {e}", entry.id),
         };
-        // Walk the sweep high-to-low then back up: descending points are
-        // the chained-sweep shape, the final ascent exercises re-tightening
-        // a previously relaxed requirement on the same retained basis.
+        // Walk the sweep high-to-low then back up: the descent patches the
+        // model to ever looser requirements, and the ascent meets points
+        // that the answers stored on the way down cover.
         let mut points: Vec<_> = w.rg_sweep.clone();
         points.reverse();
         points.extend(w.rg_sweep.iter().copied());

@@ -181,7 +181,7 @@ fn problem2_never_worse_than_problem1() {
 /// is a breaking change to the bench output format.
 #[test]
 fn trace_json_lines_match_golden_schema() {
-    const GOLDEN_KEYS: [&str; 19] = [
+    const GOLDEN_KEYS: [&str; 18] = [
         "rg",
         "trace",
         "backend",
@@ -198,7 +198,6 @@ fn trace_json_lines_match_golden_schema() {
         "probes_screened",
         "probes_warm",
         "probes_cold",
-        "basis_reused",
         "imp_generation_us",
         "formulation_us",
     ];
@@ -301,7 +300,6 @@ fn trace_json_round_trips_field_values() {
     );
     assert_eq!(field(&json, "probes_warm"), trace.probes_warm.to_string());
     assert_eq!(field(&json, "probes_cold"), trace.probes_cold.to_string());
-    assert_eq!(field(&json, "basis_reused"), trace.basis_reused.to_string());
     assert_eq!(
         field(&json, "imp_generation_us"),
         trace.imp_generation.as_micros().to_string()

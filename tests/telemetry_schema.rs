@@ -10,7 +10,7 @@ use partita::core::telemetry::{EventKind, JsonLinesSink, RecordingSink, Redactio
 use partita::core::{
     FaultPlan, RequiredGains, Selection, SolveBudget, SolveOptions, Solver, SweepSession,
 };
-use partita::workloads::{jpeg, Workload};
+use partita::workloads::{gsm, jpeg, Workload};
 
 /// Asserts one rendered line is a complete JSON object carrying the schema
 /// tag and a documented event kind, and returns the kind name.
@@ -18,7 +18,7 @@ fn check_line(line: &str) -> String {
     let doc = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_u64),
-        Some(5),
+        Some(6),
         "{line}"
     );
     let kind = doc
@@ -107,12 +107,9 @@ fn budget_exhausted_stream_is_schema_valid() {
 fn fault_injected_stream_is_schema_valid() {
     let w = jpeg::encoder();
     let base = SolveOptions::problem2(RequiredGains::uniform(w.rg_sweep[0]));
-    // Poison the warm-start hint and cap the search; distort() bakes the
-    // faults into the options so the telemetry path sees a hostile run.
-    let plan = FaultPlan::new()
-        .node_cap(1)
-        .poisoned_hint(vec![])
-        .without_warm_start();
+    // Cap the search and drop the warm start; distort() bakes the faults
+    // into the options so the telemetry path sees a hostile run.
+    let plan = FaultPlan::new().node_cap(1).without_warm_start();
     let distorted = plan.distort(&base);
     let sink = Arc::new(RecordingSink::new());
     // The distorted solve may legitimately fail (1-node cap, and a greedy
@@ -166,41 +163,63 @@ fn concurrent_batch_emits_no_torn_lines() {
 }
 
 #[test]
-fn sweep_stream_covers_cache_and_chain_events() {
-    let w = jpeg::encoder();
+fn sweep_stream_counts_rule_hits_as_cache_lookups() {
+    // Table 1's first rows share one selection, so the upward sweep
+    // answers some points from a lower point's proof.
+    let w = gsm::encoder();
     let sink = Arc::new(RecordingSink::new());
     let mut session = SweepSession::new().with_sink(sink.clone() as Arc<dyn TelemetrySink>);
     session
         .sweep(&w.instance, &w.imps, &SolveOptions::default(), &w.rg_sweep)
         .expect("published sweep feasible");
-    // Replay: answered from the cache, so more cache_lookup hits appear.
+    let covered = session.trace().cache_hits;
+    assert!(covered >= 1, "no point of the sweep was covered from below");
+    let hits = |lines: &[String]| {
+        lines
+            .iter()
+            .filter(|l| l.contains("\"cache\":\"solve\",\"hit\":true"))
+            .count() as u64
+    };
+    assert_eq!(hits(&sink.lines(Redaction::None)), covered);
+    // Replay: answered from the cache, one more hit per point.
     session
         .sweep(&w.instance, &w.imps, &SolveOptions::default(), &w.rg_sweep)
         .expect("cached replay feasible");
     let lines = sink.lines(Redaction::None);
     let kinds: Vec<String> = lines.iter().map(|l| check_line(l)).collect();
-    for expected in ["cache_lookup", "chain_decision", "sweep_point"] {
+    for expected in ["cache_lookup", "sweep_point"] {
         assert!(
             kinds.iter().any(|k| k == expected),
             "missing {expected} in {kinds:?}"
         );
     }
-    assert!(
-        lines
-            .iter()
-            .any(|l| l.contains("\"cache\":\"solve\",\"hit\":true")),
-        "replayed sweep must hit the solve cache"
-    );
-    // One cache (no model cache since schema 3), and one chain decision per
-    // point below the top of the first sweep, made by the delta session
-    // the sweep walks; the cached replay decides nothing.
+    // Cache traffic, points and the searches (and, under PARTITA_AUDIT,
+    // audits) of the misses: no other kind (since schema 6, no chain
+    // decision either).
+    let sweep_kinds = [
+        "cache_lookup",
+        "sweep_point",
+        "solve_finished",
+        "phase_finished",
+        "audit_finished",
+    ];
+    for kind in &kinds {
+        assert!(sweep_kinds.contains(&kind.as_str()), "unexpected {kind}");
+    }
+    assert_eq!(hits(&lines), covered + w.rg_sweep.len() as u64);
+    // A hit runs no search: its point reports zero nodes.
+    for line in lines
+        .iter()
+        .filter(|l| l.contains("\"event\":\"sweep_point\""))
+    {
+        if line.contains("\"cache_hit\":true") {
+            assert!(line.contains("\"nodes\":0,"), "{line}");
+        }
+    }
+    // One cache (no model cache since schema 3).
     assert!(
         lines.iter().all(|l| !l.contains("\"cache\":\"model\"")),
         "no model-cache lookups since schema 3"
-    );
-    assert_eq!(
-        kinds.iter().filter(|k| *k == "chain_decision").count(),
-        w.rg_sweep.len() - 1
     );
 }
 
